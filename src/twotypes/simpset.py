@@ -9,6 +9,7 @@ n+1.  Degenerate simplices are stored explicitly.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -177,67 +178,87 @@ def horn(n: int, k: int, trunc: int = 4) -> TruncatedSimplicialSet:
         n, lambda s: any(v not in s for v in full if v != k), trunc)
 
 
-# -- coskeleton --------------------------------------------------------------
+# -- coskeleton, horns and Kan: one compatible-tuple join ------------------
 
-def _by_face_index(faces_row: Sequence[tuple[int, ...]], width: int):
-    """by[i][y] = list of simplices whose i-th face is y."""
-    by = [dict() for _ in range(width)]
-    for z, row in enumerate(faces_row):
-        for i in range(width):
-            by[i].setdefault(row[i], []).append(z)
-    return by
+def _join(below, count: int, positions: Sequence[int]):
+    """Compatible tuples of level-(m-1) simplices over ascending positions.
+
+    A tuple (x_p) over positions p is compatible when d_i x_j = d_{j-1} x_i
+    for every pair of positions i < j.  below is the face table of level
+    m-1 and count its size.  Returns an iterator of (prefix, bucket) pairs
+    in lexicographic order: prefix is a compatible tuple over
+    positions[:-1], bucket the ascending list of simplices that complete it
+    at positions[-1].  The rows are prefix + (z,) for z in bucket, and
+    their number is the sum of the bucket sizes.
+    """
+    if not below:  # vertices have no faces: every tuple is compatible
+        return ((prefix, range(count)) for prefix in
+                itertools.product(range(count), repeat=len(positions) - 1))
+    joined = [((), range(count))]
+    for t in range(1, len(positions)):
+        # level m-1 indexed by its faces at positions[:t]; the last face is
+        # split off, so that a prefix looks up its sub-index once
+        index: dict[tuple, dict[int, list[int]]] = {}
+        for z, row in enumerate(below):
+            *head, tail = (row[i] for i in positions[:t])
+            index.setdefault(tuple(head), {}).setdefault(tail, []).append(z)
+        joined = _extend(joined, [row[positions[t] - 1] for row in below],
+                         index)
+    return joined
 
 
-def _compatible_tuples(faces_below, m: int, count_below: int):
-    """All (x_0..x_m) of level-(m-1) simplices with d_i x_j = d_{j-1} x_i."""
-    if m == 1:
-        # pairs of vertices, no compatibility constraint
-        yield from itertools.product(range(count_below), repeat=2)
-        return
-    by = _by_face_index(faces_below, m)
-    out = []
+def _extend(joined, col, index):
+    """One step of the join; col[z] is the face of z that the next
+    position must match."""
+    for prefix, bucket in joined:
+        sub = index.get(tuple(map(col.__getitem__, prefix)))
+        if sub:
+            for z in bucket:
+                yield prefix + (z,), sub.get(col[z], ())
 
-    def rec(assign):
-        j = len(assign)
-        if j == m + 1:
-            yield tuple(assign)
-            return
-        if j == 0:
-            cands = range(len(faces_below))
-        else:
-            cands = by[0].get(faces_below[assign[0]][j - 1], [])
-        for x in cands:
-            ok = True
-            for i in range(1, j):
-                if faces_below[x][i] != faces_below[assign[i]][j - 1]:
-                    ok = False
-                    break
-            if ok:
-                yield from rec(assign + [x])
 
-    yield from rec([])
+def _rows(joined):
+    return (prefix + (z,) for prefix, bucket in joined for z in bucket)
+
+
+def _count(joined) -> int:
+    return sum(len(bucket) for _, bucket in joined)
+
+
+def _count_compatible(below, positions: Sequence[int], rows) -> int:
+    """How many of rows, tuples over positions, are compatible."""
+    if not below:
+        return len(rows)
+    cols = list(zip(*below))
+    pairs = [(cols[i], b, cols[j - 1], a) for b, j in enumerate(positions)
+             for a, i in enumerate(positions[:b])]
+    return sum(all(di[row[b]] == dj[row[a]] for di, b, dj, a in pairs)
+               for row in rows)
 
 
 def coskeleton(x: TruncatedSimplicialSet, k: int,
-               trunc: Optional[int] = None) -> TruncatedSimplicialSet:
+               trunc: Optional[int] = None,
+               cap: int = 10 ** 6) -> TruncatedSimplicialSet:
     """Copy levels <= k; rebuild every higher level from compatible boundary
-    tuples.  trunc may exceed x.trunc to extend a low-truncation complex."""
+    tuples, in lexicographic order.  trunc may exceed x.trunc to extend a
+    low-truncation complex.  Raises SizeCapExceeded when a rebuilt level
+    would hold more than cap simplices."""
     if trunc is None:
         trunc = x.trunc
     counts = list(x.counts[:k + 1])
     faces = [list(x.faces[n]) for n in range(k + 1)]
     degens = [list(x.degens[n]) for n in range(k)]
     for m in range(k + 1, trunc + 1):
-        below_faces = faces[m - 1] if m - 1 >= 1 else None
-        if m == 1:
-            tuples = list(_compatible_tuples(None, 1, counts[0]))
-        else:
-            tuples = list(_compatible_tuples(below_faces, m, counts[m - 1]))
-        tuples.sort()
-        pos = {t: i for i, t in enumerate(tuples)}
-        counts.append(len(tuples))
-        faces.append(tuples)
-        # degeneracies from level m-1 into the new level
+        rows = list(itertools.islice(
+            _rows(_join(faces[m - 1], counts[m - 1], range(m + 1))),
+            cap + 1))
+        if len(rows) > cap:
+            raise SizeCapExceeded(
+                f"coskeleton level {m} exceeds the cap of {cap} simplices")
+        counts.append(len(rows))
+        faces.append(rows)
+        # degeneracies from level m-1 into the new level, located by
+        # bisection in the sorted rows
         deg_rows = []
         for y in range(counts[m - 1]):
             row = []
@@ -250,7 +271,7 @@ def coskeleton(x: TruncatedSimplicialSet, k: int,
                         bt.append(degens[m - 2][faces[m - 1][y][i]][j - 1])
                     else:
                         bt.append(degens[m - 2][faces[m - 1][y][i - 1]][j])
-                row.append(pos[tuple(bt)])
+                row.append(bisect.bisect_left(rows, tuple(bt)))
             deg_rows.append(tuple(row))
         degens.append(deg_rows)
     return make_sset(trunc, counts, faces, degens, coskeletal_at=k,
@@ -258,85 +279,31 @@ def coskeleton(x: TruncatedSimplicialSet, k: int,
 
 
 def is_coskeletal_at(x: TruncatedSimplicialSet, k: int) -> bool:
-    """Levels above k hold each compatible boundary tuple exactly once."""
+    """Levels above k hold each compatible boundary tuple exactly once.
+
+    Counting argument: the stored rows of level m are a set S of distinct
+    rows, each a compatible tuple, so S is a subset of the finite set C of
+    all compatible tuples, and S = C exactly when |S| = |C|.  |C| is read
+    off the join without building C.  Face rows must index the level below;
+    the simplicial identities are not assumed.
+    """
     for m in range(k + 1, x.trunc + 1):
-        stored = [x.faces[m][z] for z in range(x.counts[m])]
-        if len(set(stored)) != len(stored):
+        below, rows = x.faces[m - 1], x.faces[m]
+        if len(set(rows)) != len(rows):
             return False
-        if m == 1:
-            expected = set(_compatible_tuples(None, 1, x.counts[0]))
-        else:
-            expected = set(_compatible_tuples(x.faces[m - 1], m,
-                                              x.counts[m - 1]))
-        if set(stored) != expected:
+        if _count_compatible(below, range(m + 1), rows) != len(rows):
+            return False
+        if _count(_join(below, x.counts[m - 1], range(m + 1))) != len(rows):
             return False
     return True
 
 
-# -- horns and Kan -----------------------------------------------------------
-
 def enumerate_horns(x: TruncatedSimplicialSet, n: int, k: int):
-    """All horn configurations: tuples over positions i != k of compatible
-    (n-1)-simplices."""
+    """All horn configurations {position: simplex}: compatible tuples of
+    (n-1)-simplices over the positions i != k, in lexicographic order."""
     positions = [i for i in range(n + 1) if i != k]
-    if n == 1:
-        for v in range(x.counts[0]):
-            yield {positions[0]: v}
-        return
-    below = x.faces[n - 1]
-    by = _by_face_index(below, n)
-
-    def rec(assign: dict):
-        done = [p for p in positions if p in assign]
-        todo = [p for p in positions if p not in assign]
-        if not todo:
-            yield dict(assign)
-            return
-        j = todo[0]
-        if not done:
-            cands = range(x.counts[n - 1])
-        else:
-            i0 = done[0]
-            # d_i x_j = d_{j-1} x_i for i < j; use the smallest fixed index
-            if i0 < j:
-                cands = by[i0].get(below[assign[i0]][j - 1], [])
-            else:
-                cands = by[i0 - 1].get(below[assign[i0]][j], [])
-        for cand in cands:
-            ok = True
-            for i in done:
-                a, b = (i, j) if i < j else (j, i)
-                xa = cand if a == j else assign[a]
-                xb = cand if b == j else assign[b]
-                if below[xb][a] != below[xa][b - 1]:
-                    ok = False
-                    break
-            if ok:
-                assign[j] = cand
-                yield from rec(assign)
-                del assign[j]
-
-    yield from rec({})
-
-
-def horn_fillers(x: TruncatedSimplicialSet, n: int, k: int, config: dict):
-    """Level-n simplices matching the horn faces."""
-    out = []
-    for z in range(x.counts[n]):
-        if all(x.faces[n][z][i] == v for i, v in config.items()):
-            out.append(z)
-    return out
-
-
-def _filler_index(x: TruncatedSimplicialSet, n: int):
-    """For each omitted position k, map partial boundary tuples to fillers."""
-    idx = [dict() for _ in range(n + 1)]
-    for z in range(x.counts[n]):
-        row = x.faces[n][z]
-        for k in range(n + 1):
-            key = row[:k] + row[k + 1:]
-            idx[k].setdefault(key, []).append(z)
-    return idx
+    for row in _rows(_join(x.faces[n - 1], x.counts[n - 1], positions)):
+        yield dict(zip(positions, row))
 
 
 def is_kan(x: TruncatedSimplicialSet, dims: Iterable[int] = (1, 2, 3, 4)):
@@ -345,17 +312,28 @@ def is_kan(x: TruncatedSimplicialSet, dims: Iterable[int] = (1, 2, 3, 4)):
     Checks the requested dimensions up to the truncation; for a 3-coskeletal
     complex, every horn in dimension 5 and higher contains the entire
     3-skeleton of its simplex, so the unique coskeletal extension fills it.
+
+    Counting argument at (n, k): the horns form a finite set H, counted by
+    the join.  The boundary of a level-n simplex with its k-th face left
+    out is a tuple over the positions i != k; let F be the set of those
+    that are compatible, checked key by key, so F is a subset of H and
+    holds exactly the fillable horns.  Every horn is fillable exactly when
+    |F| = |H|.  Only on a mismatch are the horns enumerated, in
+    lexicographic order, to report the first one outside F.  Face rows must
+    index the level below; the simplicial identities are not assumed.
     """
     for n in dims:
         if n > x.trunc:
             continue
-        fillers = _filler_index(x, n)
+        below = x.faces[n - 1]
         for k in range(n + 1):
-            for config in enumerate_horns(x, n, k):
-                positions = sorted(config)
-                key = tuple(config[p] for p in positions)
-                if key not in fillers[k]:
-                    return (n, k, dict(config))
+            positions = [i for i in range(n + 1) if i != k]
+            horns = _count(_join(below, x.counts[n - 1], positions))
+            filled = {row[:k] + row[k + 1:] for row in x.faces[n]}
+            if _count_compatible(below, positions, filled) != horns:
+                for config in enumerate_horns(x, n, k):
+                    if tuple(config.values()) not in filled:
+                        return (n, k, config)
     return True
 
 

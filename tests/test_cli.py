@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from twotypes.cli import main
+from twotypes.fingroup import symmetric3
 from twotypes.textio import (
-    ParseError, ValidationError, describe_group, parse_text,
+    ParseError, ValidationError, describe_group, format_xmod, parse_text,
 )
+from twotypes.xmod import xmod_identity
 
-FIX = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIX = ROOT / "fixtures"
 
 
 def run(capsys, *argv):
@@ -162,6 +168,21 @@ class TestExitCodes:
                            str(FIX / "z2to1.xmod"), "--cap", "1")
         assert code == 3
         assert "cap" in err
+
+    def test_nerve_over_size_cap_is_3(self, tmp_path):
+        # level 4 of the nerve of id_s3 would hold 6^10 simplices; a fresh
+        # process keeps the million rows built before the cap out of this one
+        p = tmp_path / "ids3.xmod"
+        p.write_text(format_xmod("ids3", xmod_identity(symmetric3())))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "twotypes.cli", "nerve", str(p)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert "cap exceeded" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_wrong_subject_kind_is_2(self, capsys):
         code, _, err = run(capsys, "sset2", str(FIX / "z2.group"))

@@ -1,13 +1,28 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
 
+from twotypes.fingroup import cyclic
+from twotypes.nerve import nerve
 from twotypes.simpset import (
-    boundary, check_simplicial_identities, compose_maps, coskeleton,
-    enumerate_horns, homotopic, homotopy_classes, horn, identity_map,
-    in_sset2, interval, is_coskeletal_at, is_k_minimal, is_kan, make_sset,
-    product, relabel, simplicial_maps, standard_simplex,
+    SizeCapExceeded, TruncatedSimplicialSet, boundary,
+    check_simplicial_identities, compose_maps, coskeleton, enumerate_horns,
+    homotopic, homotopy_classes, horn, identity_map, in_sset2, interval,
+    is_coskeletal_at, is_k_minimal, is_kan, make_sset, product, relabel,
+    simplicial_maps, standard_simplex,
 )
+from twotypes.twogpd import xmod_to_2group
+from twotypes.xmod import xmod_bg
+
+
+def sphere_base():
+    return make_sset(
+        2,
+        [1, 1, 2],
+        [(), [(0, 0)], [(0, 0, 0), (0, 0, 0)]],
+        [[(0,)], [(0, 0)]])
 
 
 def sphere_fixture():
@@ -16,12 +31,44 @@ def sphere_fixture():
     Kan and 3-coskeletal but not 2-minimal: the extra 2-cell shares its
     boundary with the degenerate one and is homotopic to it rel boundary.
     """
-    base = make_sset(
-        2,
-        [1, 1, 2],
-        [(), [(0, 0)], [(0, 0, 0), (0, 0, 0)]],
-        [[(0,)], [(0, 0)]])
-    return coskeleton(base, 2, trunc=4)
+    return coskeleton(sphere_base(), 2, trunc=4)
+
+
+def nerve_bg(n):
+    return nerve(xmod_to_2group(xmod_bg(cyclic(n))))
+
+
+def brute_force_tuples(x, m, positions):
+    """Tuples of level-(m-1) simplices over positions with
+    d_i x_j = d_{j-1} x_i for all pairs i < j, in lexicographic order.
+    Every simplex is tried at every position against all earlier entries,
+    with no index."""
+    def ok(row):
+        if m == 1:
+            return True
+        below = x.faces[m - 1]
+        return all(below[row[b]][i] == below[row[a]][j - 1]
+                   for b, j in enumerate(positions[:len(row)])
+                   for a, i in enumerate(positions[:b]))
+
+    rows = [()]
+    for _ in positions:
+        rows = [r + (z,) for r, z in
+                itertools.product(rows, range(x.counts[m - 1]))
+                if ok(r + (z,))]
+    return rows
+
+
+def first_unfillable_horn(x, n):
+    """Brute force: the first horn, by k and then lexicographically, that
+    no level-n simplex fills."""
+    for k in range(n + 1):
+        positions = [i for i in range(n + 1) if i != k]
+        fills = {row[:k] + row[k + 1:] for row in x.faces[n]}
+        for row in brute_force_tuples(x, n, positions):
+            if row not in fills:
+                return (n, k, dict(zip(positions, row)))
+    return True
 
 
 class TestStandardComplexes:
@@ -74,6 +121,52 @@ class TestCoskeleton:
         x = sphere_fixture()
         assert x.counts[0] == 1 and x.counts[1] == 1 and x.counts[2] == 2
 
+    @pytest.mark.parametrize("build, k", [(sphere_fixture, 2),
+                                          (lambda: nerve_bg(3), 3)])
+    def test_rows_match_brute_force(self, build, k):
+        x = build()
+        for m in range(k + 1, x.trunc + 1):
+            assert list(x.faces[m]) == brute_force_tuples(x, m, range(m + 1))
+
+    def test_size_cap(self):
+        with pytest.raises(SizeCapExceeded, match="level 4.*1023"):
+            coskeleton(sphere_base(), 2, trunc=4, cap=1023)
+        assert coskeleton(sphere_base(), 2, trunc=4, cap=1024).counts[4] \
+            == 1024
+
+
+class TestCoskeletalAudit:
+    """Level-4 tables edited in place, without make_sset."""
+
+    @staticmethod
+    def with_level4(x, rows):
+        return dataclasses.replace(
+            x, counts=x.counts[:4] + (len(rows),),
+            faces=x.faces[:4] + (tuple(rows),))
+
+    def test_duplicated_row(self):
+        x = nerve_bg(2)
+        rows = list(x.faces[4])
+        rows[-1] = rows[0]
+        assert not is_coskeletal_at(self.with_level4(x, rows), 3)
+
+    def test_missing_row(self):
+        x = nerve_bg(2)
+        assert not is_coskeletal_at(self.with_level4(x, x.faces[4][:-1]), 3)
+
+    def test_incompatible_row(self):
+        x = nerve_bg(2)
+        # the nerve stores every compatible tuple, so any other is not one
+        stored = set(x.faces[4])
+        bad = next(row for row in itertools.product(range(x.counts[3]),
+                                                    repeat=5)
+                   if row not in stored)
+        rows = list(x.faces[4])
+        rows[-1] = bad
+        y = self.with_level4(x, rows)
+        assert len(set(y.faces[4])) == y.counts[4] == x.counts[4]
+        assert not is_coskeletal_at(y, 3)
+
 
 class TestKan:
     def test_delta0(self):
@@ -86,9 +179,44 @@ class TestKan:
         b = coskeleton(boundary(3), 3)
         witness = is_kan(b)
         assert witness is not True
-        n, k, config = witness
         # already fails in low dimension: no filler inverting an edge
-        assert n in (2, 3)
+        assert witness == (2, 0, {1: 0, 2: 1})
+        assert is_kan(b, (3,)) == (3, 0, {1: 8, 2: 6, 3: 5})
+
+    @pytest.mark.parametrize("build", [lambda: coskeleton(boundary(3), 3),
+                                       lambda: horn(4, 2)])
+    def test_witness_matches_brute_force(self, build):
+        x = build()
+        for n in (1, 2, 3, 4):
+            assert is_kan(x, (n,)) == first_unfillable_horn(x, n)
+
+    @pytest.mark.parametrize("stand_in", [False, True])
+    def test_missing_4_simplex_is_found(self, stand_in):
+        x = nerve_bg(2)
+        degenerate = x.degenerate_flags(4)
+        gone = degenerate.index(False)
+        keep = [z for z in range(x.counts[4]) if z != gone]
+        new = {z: i for i, z in enumerate(keep)}
+        rows = [x.faces[4][z] for z in keep]
+        if stand_in:
+            # an incompatible row in its place keeps the count of rows and
+            # of distinct projections; only checking each key finds the gap
+            horns = set(brute_force_tuples(x, 4, [1, 2, 3, 4]))
+            rows.append((0,) + next(
+                t for t in itertools.product(range(x.counts[3]), repeat=4)
+                if t not in horns))
+        y = TruncatedSimplicialSet(
+            trunc=4, counts=x.counts[:4] + (len(rows),),
+            faces=x.faces[:4] + (tuple(rows),),
+            degens=x.degens[:3] + (tuple(tuple(new[z] for z in row)
+                                         for row in x.degens[3]),),
+            basepoint=x.basepoint)
+        assert is_kan(y, (1, 2, 3)) is True
+        witness = is_kan(y, (4,))
+        assert witness == first_unfillable_horn(y, 4)
+        n, k, config = witness
+        assert tuple(config.values()) == \
+            x.faces[4][gone][:k] + x.faces[4][gone][k + 1:]
 
     def test_horn_enumeration_dim2(self):
         d2 = standard_simplex(2)
@@ -96,6 +224,8 @@ class TestKan:
         # each horn pins 1-simplices at positions 0 and 2
         assert all(set(h) == {0, 2} for h in horns)
         assert len(horns) > 0
+        assert [tuple(h.values()) for h in horns] == \
+            brute_force_tuples(d2, 2, [0, 2])
 
 
 class TestMinimality:
