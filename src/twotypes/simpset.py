@@ -225,8 +225,16 @@ def _count(joined) -> int:
     return sum(len(bucket) for _, bucket in joined)
 
 
-def _count_compatible(below, positions: Sequence[int], rows) -> int:
-    """How many of rows, tuples over positions, are compatible."""
+def _count_compatible(below, count: int, positions: Sequence[int],
+                      rows) -> int:
+    """How many of rows, tuples over positions, are compatible.  A row of
+    the wrong length, or with an entry that is not one of the count
+    simplices of the level below, is not."""
+    if rows and (set(map(len, rows)) != {len(positions)}
+                 or min(map(min, rows)) < 0
+                 or max(map(max, rows)) >= count):
+        rows = [row for row in rows if len(row) == len(positions)
+                and all(0 <= v < count for v in row)]
     if not below:
         return len(rows)
     cols = list(zip(*below))
@@ -236,13 +244,16 @@ def _count_compatible(below, positions: Sequence[int], rows) -> int:
                for row in rows)
 
 
+# Most simplices a rebuilt coskeleton level may hold.
+COSKELETON_CAP = 10 ** 6
+
+
 def coskeleton(x: TruncatedSimplicialSet, k: int,
-               trunc: Optional[int] = None,
-               cap: int = 10 ** 6) -> TruncatedSimplicialSet:
+               trunc: Optional[int] = None) -> TruncatedSimplicialSet:
     """Copy levels <= k; rebuild every higher level from compatible boundary
     tuples, in lexicographic order.  trunc may exceed x.trunc to extend a
     low-truncation complex.  Raises SizeCapExceeded when a rebuilt level
-    would hold more than cap simplices."""
+    would hold more than COSKELETON_CAP simplices."""
     if trunc is None:
         trunc = x.trunc
     counts = list(x.counts[:k + 1])
@@ -251,10 +262,10 @@ def coskeleton(x: TruncatedSimplicialSet, k: int,
     for m in range(k + 1, trunc + 1):
         rows = list(itertools.islice(
             _rows(_join(faces[m - 1], counts[m - 1], range(m + 1))),
-            cap + 1))
-        if len(rows) > cap:
-            raise SizeCapExceeded(
-                f"coskeleton level {m} exceeds the cap of {cap} simplices")
+            COSKELETON_CAP + 1))
+        if len(rows) > COSKELETON_CAP:
+            raise SizeCapExceeded(f"coskeleton level {m} exceeds the cap of "
+                                  f"{COSKELETON_CAP} simplices")
         counts.append(len(rows))
         faces.append(rows)
         # degeneracies from level m-1 into the new level, located by
@@ -284,16 +295,19 @@ def is_coskeletal_at(x: TruncatedSimplicialSet, k: int) -> bool:
     Counting argument: the stored rows of level m are a set S of distinct
     rows, each a compatible tuple, so S is a subset of the finite set C of
     all compatible tuples, and S = C exactly when |S| = |C|.  |C| is read
-    off the join without building C.  Face rows must index the level below;
-    the simplicial identities are not assumed.
+    off the join without building C.  A row of the wrong length, or with
+    an entry outside the level below, is not compatible, so the audit fails
+    on it; the rows of level k must index level k-1.  The simplicial
+    identities are not assumed.
     """
     for m in range(k + 1, x.trunc + 1):
         below, rows = x.faces[m - 1], x.faces[m]
         if len(set(rows)) != len(rows):
             return False
-        if _count_compatible(below, range(m + 1), rows) != len(rows):
+        size = x.counts[m - 1]
+        if _count_compatible(below, size, range(m + 1), rows) != len(rows):
             return False
-        if _count(_join(below, x.counts[m - 1], range(m + 1))) != len(rows):
+        if _count(_join(below, size, range(m + 1))) != len(rows):
             return False
     return True
 
@@ -319,8 +333,9 @@ def is_kan(x: TruncatedSimplicialSet, dims: Iterable[int] = (1, 2, 3, 4)):
     that are compatible, checked key by key, so F is a subset of H and
     holds exactly the fillable horns.  Every horn is fillable exactly when
     |F| = |H|.  Only on a mismatch are the horns enumerated, in
-    lexicographic order, to report the first one outside F.  Face rows must
-    index the level below; the simplicial identities are not assumed.
+    lexicographic order, to report the first one outside F.  A projection
+    with an entry outside level n-1 fills no horn; the rows of level n-1
+    must index level n-2.  The simplicial identities are not assumed.
     """
     for n in dims:
         if n > x.trunc:
@@ -330,7 +345,8 @@ def is_kan(x: TruncatedSimplicialSet, dims: Iterable[int] = (1, 2, 3, 4)):
             positions = [i for i in range(n + 1) if i != k]
             horns = _count(_join(below, x.counts[n - 1], positions))
             filled = {row[:k] + row[k + 1:] for row in x.faces[n]}
-            if _count_compatible(below, positions, filled) != horns:
+            if _count_compatible(below, x.counts[n - 1], positions,
+                                 filled) != horns:
                 for config in enumerate_horns(x, n, k):
                     if tuple(config.values()) not in filled:
                         return (n, k, config)

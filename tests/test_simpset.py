@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from twotypes import simpset
 from twotypes.fingroup import cyclic
 from twotypes.nerve import nerve
 from twotypes.simpset import (
@@ -128,11 +129,12 @@ class TestCoskeleton:
         for m in range(k + 1, x.trunc + 1):
             assert list(x.faces[m]) == brute_force_tuples(x, m, range(m + 1))
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(simpset, "COSKELETON_CAP", 1023)
         with pytest.raises(SizeCapExceeded, match="level 4.*1023"):
-            coskeleton(sphere_base(), 2, trunc=4, cap=1023)
-        assert coskeleton(sphere_base(), 2, trunc=4, cap=1024).counts[4] \
-            == 1024
+            coskeleton(sphere_base(), 2, trunc=4)
+        monkeypatch.setattr(simpset, "COSKELETON_CAP", 1024)
+        assert coskeleton(sphere_base(), 2, trunc=4).counts[4] == 1024
 
 
 class TestCoskeletalAudit:
@@ -163,6 +165,22 @@ class TestCoskeletalAudit:
                    if row not in stored)
         rows = list(x.faces[4])
         rows[-1] = bad
+        y = self.with_level4(x, rows)
+        assert len(set(y.faces[4])) == y.counts[4] == x.counts[4]
+        assert not is_coskeletal_at(y, 3)
+
+    @pytest.mark.parametrize("edit", [
+        lambda row, size: row[:-1] + (row[-1] - size,),
+        lambda row, size: row[:-1] + (size,),
+        lambda row, size: row[:-1],
+    ], ids=["negative", "past-the-end", "short"])
+    def test_row_outside_level_3(self, edit):
+        # the edited row is distinct from the others, so only its entries
+        # can tell the audit that it is not a compatible tuple; the negative
+        # entry names the same simplex as before under Python indexing
+        x = nerve_bg(2)
+        rows = list(x.faces[4])
+        rows[-1] = edit(rows[-1], x.counts[3])
         y = self.with_level4(x, rows)
         assert len(set(y.faces[4])) == y.counts[4] == x.counts[4]
         assert not is_coskeletal_at(y, 3)
