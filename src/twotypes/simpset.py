@@ -225,16 +225,9 @@ def _count(joined) -> int:
     return sum(len(bucket) for _, bucket in joined)
 
 
-def _count_compatible(below, count: int, positions: Sequence[int],
-                      rows) -> int:
-    """How many of rows, tuples over positions, are compatible.  A row of
-    the wrong length, or with an entry that is not one of the count
-    simplices of the level below, is not."""
-    if rows and (set(map(len, rows)) != {len(positions)}
-                 or min(map(min, rows)) < 0
-                 or max(map(max, rows)) >= count):
-        rows = [row for row in rows if len(row) == len(positions)
-                and all(0 <= v < count for v in row)]
+def _count_compatible(below, positions: Sequence[int], rows) -> int:
+    """How many of rows, tuples over positions that index the level below,
+    are compatible."""
     if not below:
         return len(rows)
     cols = list(zip(*below))
@@ -242,6 +235,14 @@ def _count_compatible(below, count: int, positions: Sequence[int],
              for a, i in enumerate(positions[:b])]
     return sum(all(di[row[b]] == dj[row[a]] for di, b, dj, a in pairs)
                for row in rows)
+
+
+def _indexes(rows, width: int, count: int) -> bool:
+    """Whether every row has width entries, each one of the count simplices
+    of the level below; a negative entry would index from the end."""
+    return not rows or (set(map(len, rows)) == {width}
+                        and min(map(min, rows)) >= 0
+                        and max(map(max, rows)) < count)
 
 
 # Most simplices a rebuilt coskeleton level may hold.
@@ -304,10 +305,11 @@ def is_coskeletal_at(x: TruncatedSimplicialSet, k: int) -> bool:
         below, rows = x.faces[m - 1], x.faces[m]
         if len(set(rows)) != len(rows):
             return False
-        size = x.counts[m - 1]
-        if _count_compatible(below, size, range(m + 1), rows) != len(rows):
+        if not _indexes(rows, m + 1, x.counts[m - 1]):
             return False
-        if _count(_join(below, size, range(m + 1))) != len(rows):
+        if _count_compatible(below, range(m + 1), rows) != len(rows):
+            return False
+        if _count(_join(below, x.counts[m - 1], range(m + 1))) != len(rows):
             return False
     return True
 
@@ -340,13 +342,15 @@ def is_kan(x: TruncatedSimplicialSet, dims: Iterable[int] = (1, 2, 3, 4)):
     for n in dims:
         if n > x.trunc:
             continue
-        below = x.faces[n - 1]
+        below, size = x.faces[n - 1], x.counts[n - 1]
+        clean = _indexes(x.faces[n], n + 1, size)
         for k in range(n + 1):
             positions = [i for i in range(n + 1) if i != k]
-            horns = _count(_join(below, x.counts[n - 1], positions))
+            horns = _count(_join(below, size, positions))
             filled = {row[:k] + row[k + 1:] for row in x.faces[n]}
-            if _count_compatible(below, x.counts[n - 1], positions,
-                                 filled) != horns:
+            fillers = filled if clean else \
+                [key for key in filled if _indexes((key,), n, size)]
+            if _count_compatible(below, positions, fillers) != horns:
                 for config in enumerate_horns(x, n, k):
                     if tuple(config.values()) not in filled:
                         return (n, k, config)

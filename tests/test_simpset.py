@@ -208,7 +208,7 @@ class TestKan:
         for n in (1, 2, 3, 4):
             assert is_kan(x, (n,)) == first_unfillable_horn(x, n)
 
-    @pytest.mark.parametrize("stand_in", [False, True])
+    @pytest.mark.parametrize("stand_in", [None, "incompatible", "negative"])
     def test_missing_4_simplex_is_found(self, stand_in):
         x = nerve_bg(2)
         degenerate = x.degenerate_flags(4)
@@ -216,13 +216,17 @@ class TestKan:
         keep = [z for z in range(x.counts[4]) if z != gone]
         new = {z: i for i, z in enumerate(keep)}
         rows = [x.faces[4][z] for z in keep]
-        if stand_in:
+        if stand_in == "incompatible":
             # an incompatible row in its place keeps the count of rows and
             # of distinct projections; only checking each key finds the gap
             horns = set(brute_force_tuples(x, 4, [1, 2, 3, 4]))
             rows.append((0,) + next(
                 t for t in itertools.product(range(x.counts[3]), repeat=4)
                 if t not in horns))
+        elif stand_in == "negative":
+            # the removed row again, with entries that name its faces only
+            # under Python's indexing from the end
+            rows.append(tuple(v - x.counts[3] for v in x.faces[4][gone]))
         y = TruncatedSimplicialSet(
             trunc=4, counts=x.counts[:4] + (len(rows),),
             faces=x.faces[:4] + (tuple(rows),),
