@@ -11,7 +11,8 @@ import argparse
 import sys
 
 from . import cohom, nerve, reconstruct, weakmaps
-from .simpset import SizeCapExceeded, in_sset2, simplicial_maps
+from .search import SizeCapExceeded, classes
+from .simpset import in_sset2, simplicial_maps
 from .textio import (
     ParseError, ValidationError, Workspace, describe_group, parse_file,
 )
@@ -29,10 +30,11 @@ def _load(paths) -> Workspace:
 def _subject(path: str, kinds) -> tuple:
     """(kind, name, object) of the last block in the file, which must be
     one of the given kinds."""
-    kind, name, obj = _load([path]).subject()
+    ws = _load([path])
+    kind, name, obj = ws.subject()
     if kind not in kinds:
-        raise ParseError(0, f"file {path} ending in one of {kinds}, "
-                             f"got {kind}")
+        raise ParseError(ws.lines[name], f"file {path} ending in one of "
+                                         f"{kinds}, got {kind}")
     return kind, name, obj
 
 
@@ -117,21 +119,10 @@ def cmd_pi0hom(args) -> int:
     _, _, h = _subject(args.dom, ("xmod",))
     _, _, g = _subject(args.cod, ("xmod",))
     maps = weakmaps.enumerate_xmod_weak_maps(h, g, cap=args.cap)
-    k = len(maps)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if find(i) != find(j) and weakmaps.enumerate_transformations(
-                    maps[i], maps[j], pointed_only=args.pointed):
-                parent[find(i)] = find(j)
-    print(f"classes: {len({find(i) for i in range(k)})}")
+    found = classes(len(maps), lambda i, j: bool(
+        weakmaps.enumerate_transformations(maps[i], maps[j],
+                                           pointed_only=args.pointed)))
+    print(f"classes: {len(found)}")
     return 0
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .fingroup import (
     FiniteGroup, GroupAction, cokernel_of_image, make_hom, trivial_action,
 )
+from .search import classes, search
 from .xmod import CrossedModule, check_crossed_module
 
 
@@ -43,51 +44,26 @@ def _resolve_action(gamma: FiniteGroup, a: FiniteGroup,
 
 def two_cocycles(gamma: FiniteGroup, a: FiniteGroup,
                  action=None) -> list[tuple[tuple[int, ...], ...]]:
-    """All 2-cocycles as |Gamma| x |Gamma| tables, by backtracking with
-    incremental checks of the cocycle identity."""
+    """All 2-cocycles as |Gamma| x |Gamma| tables, by backtracking over the
+    entries in row order, each cocycle identity checked once its four
+    entries are set."""
     _require_abelian(a)
     action = _resolve_action(gamma, a, action)
     n = gamma.order
-    entries = [(x, y) for x in range(n) for y in range(n)]
-    epos = {e: i for i, e in enumerate(entries)}
-    # constraints touching each entry, precomputed
-    cons = []
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                cons.append((x, y, z))
-    by_entry: dict[int, list[int]] = {i: [] for i in range(len(entries))}
-    con_entries = []
-    for ci, (x, y, z) in enumerate(cons):
-        es = {epos[(x, y)], epos[(gamma.mul[x][y], z)],
-              epos[(y, z)], epos[(x, gamma.mul[y][z])]}
-        con_entries.append(es)
-        for e in es:
-            by_entry[e].append(ci)
-    f = [-1] * len(entries)
-    out = []
+    mul = gamma.mul
+    f: dict[tuple[int, int], int] = {}
 
-    def holds(ci):
-        x, y, z = cons[ci]
-        lhs = a.mul[action.act[f[epos[(x, y)]]][z]][
-            f[epos[(gamma.mul[x][y], z)]]]
-        rhs = a.mul[f[epos[(y, z)]]][f[epos[(x, gamma.mul[y][z])]]]
-        return lhs == rhs
+    def holds(x, y, z):
+        lhs = a.mul[action.act[f[x, y]][z]][f[mul[x][y], z]]
+        return lhs == a.mul[f[y, z]][f[x, mul[y][z]]]
 
-    def rec(k):
-        if k == len(entries):
-            out.append(tuple(tuple(f[epos[(x, y)]] for y in range(n))
-                             for x in range(n)))
-            return
-        for v in range(a.order):
-            f[k] = v
-            if all(holds(ci) for ci in by_entry[k]
-                   if all(f[e] >= 0 for e in con_entries[ci])):
-                rec(k + 1)
-        f[k] = -1
-
-    rec(0)
-    return out
+    constraints = [(((x, y), (mul[x][y], z), (y, z), (x, mul[y][z])),
+                    lambda x=x, y=y, z=z: holds(x, y, z))
+                   for x, y, z in itertools.product(range(n), repeat=3)]
+    entries = list(itertools.product(range(n), repeat=2))
+    return [tuple(tuple(f[x, y] for y in range(n)) for x in range(n))
+            for _ in search(entries, lambda e: range(a.order), constraints,
+                            f)]
 
 
 def coboundary(gamma: FiniteGroup, a: FiniteGroup, theta,
@@ -107,13 +83,14 @@ def crossed_homs(gamma: FiniteGroup, a: FiniteGroup,
     _require_abelian(a)
     action = _resolve_action(gamma, a, action)
     n = gamma.order
-    out = []
-    for vals in itertools.product(range(a.order), repeat=n):
-        if all(vals[gamma.mul[x][y]] ==
-               a.mul[action.act[vals[x]][y]][vals[y]]
-               for x in range(n) for y in range(n)):
-            out.append(vals)
-    return out
+    theta: dict[int, int] = {}
+    constraints = [((x, y, gamma.mul[x][y]), lambda x=x, y=y:
+                    theta[gamma.mul[x][y]]
+                    == a.mul[action.act[theta[x]][y]][theta[y]])
+                   for x, y in itertools.product(range(n), repeat=2)]
+    return [tuple(theta[x] for x in range(n))
+            for _ in search(range(n), lambda x: range(a.order), constraints,
+                            theta)]
 
 
 def _pointwise_group(elements, a: FiniteGroup, identity_elt) -> FiniteGroup:
@@ -208,20 +185,6 @@ def weakmap_class_count_vs_h2(n: int, m: int) -> bool:
     from .xmod import xmod_b2g, xmod_bg
 
     maps = enumerate_xmod_weak_maps(xmod_bg(cyclic(n)), xmod_b2g(cyclic(m)))
-    k = len(maps)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if find(i) != find(j) and \
-               enumerate_transformations(maps[i], maps[j],
-                                         pointed_only=True):
-                parent[find(i)] = find(j)
-    classes = len({find(i) for i in range(k)})
-    return classes == h2(cyclic(n), cyclic(m)).order
+    found = classes(len(maps), lambda i, j: bool(
+        enumerate_transformations(maps[i], maps[j], pointed_only=True)))
+    return len(found) == h2(cyclic(n), cyclic(m)).order

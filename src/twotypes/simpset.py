@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .twogpd import SizeCapExceeded  # noqa: F401  (shared cap exception)
+from .search import Budget, SizeCapExceeded, classes, search
 from .xmod import Violation
 
 
@@ -580,13 +580,7 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
             up_faces[n] = x.faces[n + 1]
 
     assign: list[dict[int, int]] = [dict() for _ in range(depth + 1)]
-    out = []
-    ticks = [0]
-
-    def tick():
-        ticks[0] += 1
-        if ticks[0] > cap:
-            raise SizeCapExceeded(f"map search exceeded {cap} steps")
+    budget = Budget(cap, "map search")
 
     def candidates(n, z):
         if n == 0:
@@ -599,74 +593,40 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
             return [want] if want in cands else []
         return cands
 
-    def search_level(n):
-        tick()
+    def level(n):
+        """Extend assign through level n; yields once per full map."""
         if n > depth:
-            out.append(check_simplicial_map(
-                x, y, [tuple(assign[m][z] for z in range(x.counts[m]))
-                       for m in range(depth + 1)]))
-            return not first_only
-
+            yield
+            return
+        a, keys = assign[n], up_keys[n]
         # degenerate simplices are forced from the level below
         for w in range(x.counts[n - 1] if n else 0):
             for j in range(n):
                 z = x.degens[n - 1][w][j]
                 img = y.degens[n - 1][assign[n - 1][w]][j]
-                if assign[n].setdefault(z, img) != img or \
+                if a.setdefault(z, img) != img or \
                    fixed.get((n, z), img) != img:
-                    assign[n].clear()
-                    return True
+                    a.clear()
+                    return
+        order = [z for z in range(x.counts[n]) if not degflags[n][z]]
+        constraints = []
+        if keys is not None:
+            up_cons = list(dict.fromkeys(up_faces[n]))
+            order = _constraint_order(order, up_cons)
+            constraints = [(key, lambda key=key: tuple(map(a.__getitem__, key))
+                            in keys) for key in up_cons]
+        for _ in search(order, lambda z: candidates(n, z), constraints, a,
+                        budget):
+            yield from level(n + 1)
+        a.clear()
 
-        free = [z for z in range(x.counts[n])
-                if not degflags[n][z] and z not in assign[n]]
-        up_cons = []
-        if up_keys[n] is not None:
-            seen = set()
-            for row in up_faces[n]:
-                key = tuple(row)
-                if key not in seen:
-                    seen.add(key)
-                    up_cons.append(key)
-            order = _constraint_order(free, up_cons)
-        else:
-            order = free
-        cons_by_var: dict[int, list[int]] = {}
-        for ci, cvars in enumerate(up_cons):
-            for v in cvars:
-                if not degflags[n][v]:
-                    cons_by_var.setdefault(v, []).append(ci)
-
-        def constraint_ok(ci):
-            key = []
-            for v in up_cons[ci]:
-                img = assign[n].get(v)
-                if img is None:
-                    return True  # not ready yet
-                key.append(img)
-            return tuple(key) in up_keys[n]
-
-        def rec(idx):
-            tick()
-            if idx == len(order):
-                if up_cons and not all(constraint_ok(ci)
-                                       for ci in range(len(up_cons))):
-                    return True
-                return search_level(n + 1)
-            z = order[idx]
-            for c in candidates(n, z):
-                assign[n][z] = c
-                if all(constraint_ok(ci) for ci in cons_by_var.get(z, [])):
-                    if not rec(idx + 1):
-                        del assign[n][z]
-                        return False
-                del assign[n][z]
-            return True
-
-        cont = rec(0)
-        assign[n].clear()
-        return cont
-
-    search_level(0)
+    out = []
+    for _ in level(0):
+        out.append(check_simplicial_map(
+            x, y, [tuple(assign[m][z] for z in range(x.counts[m]))
+                   for m in range(depth + 1)]))
+        if first_only:
+            break
     return out
 
 
@@ -722,20 +682,5 @@ def homotopic(f: SimplicialMap, g: SimplicialMap,
 
 def homotopy_classes(maps: Sequence[SimplicialMap], cap: int = 10 ** 6):
     """Partition by the equivalence closure of the homotopy relation."""
-    n = len(maps)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if find(i) != find(j) and homotopic(maps[i], maps[j], cap=cap):
-                parent[find(i)] = find(j)
-    classes: dict[int, list[int]] = {}
-    for i in range(n):
-        classes.setdefault(find(i), []).append(i)
-    return sorted(classes.values())
+    return classes(len(maps), lambda i, j: homotopic(maps[i], maps[j],
+                                                     cap=cap))

@@ -48,12 +48,14 @@ class ValidationError(ValueError):
 class Workspace:
     objects: dict = field(default_factory=dict)   # name -> (kind, object)
     order: list = field(default_factory=list)     # names in load order
+    lines: dict = field(default_factory=dict)     # name -> header line
 
     def add(self, name: str, kind: str, obj, line: int) -> None:
         if name in self.objects:
             raise ParseError(line, f"fresh name (duplicate {name!r})")
         self.objects[name] = (kind, obj)
         self.order.append(name)
+        self.lines[name] = line
 
     def get(self, name: str, kind: str, line: int):
         if name not in self.objects or self.objects[name][0] != kind:

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .fingroup import FiniteGroup, make_action, make_group, make_hom
+from .search import Budget, classes, search
+from .search import SizeCapExceeded  # noqa: F401  (re-exported)
 from .xmod import CrossedModule, Violation, check_crossed_module
 
 
 class NotATwoGroup(ValueError):
-    pass
-
-
-class SizeCapExceeded(RuntimeError):
     pass
 
 
@@ -348,45 +346,26 @@ def two_group_to_xmod(g: TwoGroupoid) -> CrossedModule:
 
 def pi0(g: TwoGroupoid) -> list[list[int]]:
     """Connected components as sorted lists of object indices."""
-    parent = list(range(g.n_objects))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in range(g.n1):
-        a, b = find(g.src1[f]), find(g.tgt1[f])
-        if a != b:
-            parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for x in range(g.n_objects):
-        groups.setdefault(find(x), []).append(x)
-    return sorted(groups.values())
+    edges = {(min(a, b), max(a, b)) for a, b in zip(g.src1, g.tgt1)}
+    return classes(g.n_objects, lambda a, b: (a, b) in edges)
 
 
 def _loop_classes(g: TwoGroupoid, obj: int):
-    """2-isomorphism classes of loops at obj, as (classes, class_of) where
-    class_of maps a loop 1-cell to its class index."""
-    loops = [f for f in range(g.n1) if g.src1[f] == obj and g.tgt1[f] == obj]
-    parent = {f: f for f in loops}
+    """2-isomorphism classes of loops at obj, as (reps, class_of)."""
+    return _two_cell_classes(g, [f for f in range(g.n1)
+                                 if g.src1[f] == obj and g.tgt1[f] == obj])
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for a in range(g.n2):
-        f, h = g.src2[a], g.tgt2[a]
-        if f in parent:
-            fa, fb = find(f), find(h)
-            if fa != fb:
-                parent[fa] = fb
-    reps = sorted({find(f) for f in loops})
-    class_of = {f: reps.index(find(f)) for f in loops}
-    return reps, class_of
+def _two_cell_classes(g: TwoGroupoid, cells: Sequence[int]):
+    """2-isomorphism classes of 1-cells, as (reps, class_of): reps[k] is
+    the least cell of class k, and class_of maps each cell to its class
+    index.  Every 2-cell out of a listed cell must end at a listed cell."""
+    pos = {f: i for i, f in enumerate(cells)}
+    edges = {(min(pos[f], pos[h]), max(pos[f], pos[h]))
+             for f, h in zip(g.src2, g.tgt2) if f in pos}
+    cls = classes(len(cells), lambda i, j: (i, j) in edges)
+    return ([cells[c[0]] for c in cls],
+            {cells[i]: k for k, c in enumerate(cls) for i in c})
 
 
 def pi1_at(g: TwoGroupoid, obj: int) -> FiniteGroup:
@@ -405,20 +384,7 @@ def pi2_at(g: TwoGroupoid, obj: int) -> FiniteGroup:
 
 def fundamental_groupoid(g: TwoGroupoid) -> TwoGroupoid:
     """Collapse 2-cells: 1-cells become their 2-isomorphism classes."""
-    parent = list(range(g.n1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(g.n2):
-        fa, fb = find(g.src2[a]), find(g.tgt2[a])
-        if fa != fb:
-            parent[fa] = fb
-    reps = sorted({find(f) for f in range(g.n1)})
-    cls = {f: reps.index(find(f)) for f in range(g.n1)}
+    reps, cls = _two_cell_classes(g, range(g.n1))
     n1 = len(reps)
     comp1 = [[-1] * n1 for _ in range(n1)]
     for f in range(g.n1):
@@ -503,29 +469,11 @@ def compose_2functors(f: TwoFunctor, g: TwoFunctor) -> TwoFunctor:
                           (g.map2[x] for x in f.map2))
 
 
-def _search_level(n, candidates, forced, consistent):
-    """Backtracking over cell assignments.
-
-    candidates[i] lists allowed images of cell i; forced[i] overrides with a
-    single value; consistent(assign, i) checks constraints touching i against
-    already-assigned cells.  Yields complete assignment tuples.
-    """
-    order = sorted(range(n), key=lambda i: 0 if i in forced else len(candidates[i]))
-    assign = [-1] * n
-
-    def rec(k):
-        if k == n:
-            yield tuple(assign)
-            return
-        i = order[k]
-        opts = [forced[i]] if i in forced else candidates[i]
-        for v in opts:
-            assign[i] = v
-            if consistent(assign, i):
-                yield from rec(k + 1)
-        assign[i] = -1
-
-    yield from rec(0)
+def _preserves(pairs, dtab, ctab, m):
+    """One search constraint per composable pair (a, b) of pairs: the map
+    m sends the composite dtab[a][b] to ctab[m[a]][m[b]]."""
+    return [((a, b, c), lambda a=a, b=b, c=c: m[c] == ctab[m[a]][m[b]])
+            for a, b in pairs if (c := dtab[a][b]) >= 0]
 
 
 def enumerate_2functors(dom: TwoGroupoid, cod: TwoGroupoid,
@@ -537,12 +485,7 @@ def enumerate_2functors(dom: TwoGroupoid, cod: TwoGroupoid,
     if pointed:
         obj_opts = list(obj_opts)
         obj_opts[dom.basepoint] = [cod.basepoint]
-    counter = [0]
-
-    def tick():
-        counter[0] += 1
-        if counter[0] > cap:
-            raise SizeCapExceeded(f"functor search exceeded {cap} candidates")
+    budget = Budget(cap, "functor search")
 
     by_src_tgt1: dict[tuple[int, int], list[int]] = {}
     for f in range(cod.n1):
@@ -551,45 +494,33 @@ def enumerate_2functors(dom: TwoGroupoid, cod: TwoGroupoid,
     for a in range(cod.n2):
         by_src_tgt2.setdefault((cod.src2[a], cod.tgt2[a]), []).append(a)
 
+    pairs1 = list(itertools.product(range(dom.n1), repeat=2))
+    pairs2 = list(itertools.product(range(dom.n2), repeat=2))
+    map1: dict[int, int] = {}
+    map2: dict[int, int] = {}
+    cons1 = _preserves(pairs1, dom.comp1, cod.comp1, map1)
+    cons2 = (_preserves(pairs2, dom.vcomp, cod.vcomp, map2)
+             + _preserves(pairs2, dom.hcomp2, cod.hcomp2, map2))
     for obj_map in itertools.product(*obj_opts):
         cand1 = [by_src_tgt1.get((obj_map[dom.src1[f]], obj_map[dom.tgt1[f]]), [])
                  for f in range(dom.n1)]
         forced1 = {dom.id1[a]: cod.id1[obj_map[a]] for a in range(dom.n_objects)}
-
-        def consistent1(assign, i):
-            tick()
-            for j in range(dom.n1):
-                if assign[j] < 0:
-                    continue
-                for f, h in ((i, j), (j, i)):
-                    c = dom.comp1[f][h]
-                    if c >= 0 and assign[c] >= 0 and \
-                       assign[c] != cod.comp1[assign[f]][assign[h]]:
-                        return False
-            return True
-
-        for map1 in _search_level(dom.n1, cand1, forced1, consistent1):
-            cand2 = [by_src_tgt2.get((map1[dom.src2[a]], map1[dom.tgt2[a]]), [])
+        # forced cells first, then by number of candidates
+        order1 = sorted(range(dom.n1), key=lambda f: 0 if f in forced1
+                        else len(cand1[f]))
+        for _ in search(order1, lambda f: [forced1[f]] if f in forced1
+                        else cand1[f], cons1, map1, budget):
+            m1 = tuple(map1[f] for f in range(dom.n1))
+            cand2 = [by_src_tgt2.get((m1[dom.src2[a]], m1[dom.tgt2[a]]), [])
                      for a in range(dom.n2)]
-            forced2 = {dom.id2[f]: cod.id2[map1[f]] for f in range(dom.n1)}
-
-            def consistent2(assign, i):
-                tick()
-                for j in range(dom.n2):
-                    if assign[j] < 0:
-                        continue
-                    for a, b in ((i, j), (j, i)):
-                        for dtab, ctab in ((dom.vcomp, cod.vcomp),
-                                           (dom.hcomp2, cod.hcomp2)):
-                            c = dtab[a][b]
-                            if c >= 0 and assign[c] >= 0 and \
-                               assign[c] != ctab[assign[a]][assign[b]]:
-                                return False
-                return True
-
-            for map2 in _search_level(dom.n2, cand2, forced2, consistent2):
-                out.append(check_2functor(dom, cod, obj_map, map1, map2,
-                                          pointed=pointed))
+            forced2 = {dom.id2[f]: cod.id2[m1[f]] for f in range(dom.n1)}
+            order2 = sorted(range(dom.n2), key=lambda a: 0 if a in forced2
+                            else len(cand2[a]))
+            for _ in search(order2, lambda a: [forced2[a]] if a in forced2
+                            else cand2[a], cons2, map2, budget):
+                out.append(check_2functor(
+                    dom, cod, obj_map, m1,
+                    [map2[a] for a in range(dom.n2)], pointed=pointed))
     return out
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .fingroup import FiniteGroup
+from .search import Budget, search
 from .xmod import CrossedModule, Violation
 from .twogpd import (
-    SizeCapExceeded, TwoFunctor, TwoGroupoid, build_two_groupoid,
-    _derive_inverses,
+    TwoFunctor, TwoGroupoid, _preserves, _derive_inverses, build_two_groupoid,
 )
 
 
@@ -419,12 +419,7 @@ def enumerate_weak_functors(dom: TwoGroupoid, cod: TwoGroupoid,
     """All weak functors between strict 2-groupoids, by backtracking over
     the 1-cell map, the coherence cells, and the 2-cell map in turn."""
     out = []
-    counter = [0]
-
-    def tick():
-        counter[0] += 1
-        if counter[0] > cap:
-            raise SizeCapExceeded(f"weak functor search exceeded {cap}")
+    budget = Budget(cap, "weak functor search")
 
     by1: dict[tuple[int, int], list[int]] = {}
     for f in range(cod.n1):
@@ -440,6 +435,41 @@ def enumerate_weak_functors(dom: TwoGroupoid, cod: TwoGroupoid,
     triples = [(a, b, c) for a in range(dom.n1) for b in range(dom.n1)
                for c in range(dom.n1)
                if dom.comp1[a][b] >= 0 and dom.comp1[b][c] >= 0]
+    free1 = [f for f in range(dom.n1) if f not in dom.id1]
+    free2 = [a for a in range(dom.n2) if a not in dom.id2]
+    map1: dict[int, int] = {}
+    eps: dict[tuple[int, int], int] = {}
+    map2: dict[int, int] = {}
+
+    def eps_candidates(f, h):
+        return by2.get((cod.comp1[map1[f]][map1[h]], map1[dom.comp1[f][h]]),
+                       [])
+
+    # every composable pair of 1-cells has a coherence cell to choose
+    cons1 = [((f, h, dom.comp1[f][h]),
+              lambda f=f, h=h: bool(eps_candidates(f, h))) for f, h in pairs]
+
+    def coherent(a, b, c):
+        ab, bc = dom.comp1[a][b], dom.comp1[b][c]
+        lhs = cod.vcomp[cod.whisker_right(eps[a, b], map1[c])][eps[ab, c]]
+        rhs = cod.vcomp[cod.whisker_left(map1[a], eps[b, c])][eps[a, bc]]
+        return lhs == rhs
+
+    cons_eps = [(((a, b), (dom.comp1[a][b], c), (b, c), (a, dom.comp1[b][c])),
+                 lambda a=a, b=b, c=c: coherent(a, b, c))
+                for a, b, c in triples]
+
+    def natural(a, b):
+        f0, h0 = dom.src2[a], dom.src2[b]
+        f1, h1 = dom.tgt2[a], dom.tgt2[b]
+        lhs = cod.vcomp[eps[f0, h0]][map2[dom.hcomp2[a][b]]]
+        rhs = cod.vcomp[cod.hcomp2[map2[a]][map2[b]]][eps[f1, h1]]
+        return lhs == rhs
+
+    pairs2 = list(itertools.product(range(dom.n2), repeat=2))
+    cons2 = _preserves(pairs2, dom.vcomp, cod.vcomp, map2) + [
+        ((a, b, dom.hcomp2[a][b]), lambda a=a, b=b: natural(a, b))
+        for a, b in pairs2 if dom.hcomp2[a][b] >= 0]
 
     obj_opts = [list(range(cod.n_objects))] * dom.n_objects
     if pointed:
@@ -448,112 +478,33 @@ def enumerate_weak_functors(dom: TwoGroupoid, cod: TwoGroupoid,
 
     for obj_map in itertools.product(*obj_opts):
         # ---- 1-cell map
-        map1 = [-1] * dom.n1
+        map1.clear()
         for a in range(dom.n_objects):
             map1[dom.id1[a]] = cod.id1[obj_map[a]]
-        free1 = [f for f in range(dom.n1) if f not in dom.id1]
-
-        def eps_candidates(f, h, m1):
-            return by2.get((cod.comp1[m1[f]][m1[h]], m1[dom.comp1[f][h]]), [])
-
-        def rec1(k):
-            tick()
-            if k == len(free1):
-                yield tuple(map1)
-                return
-            f = free1[k]
-            for v in by1.get((obj_map[dom.src1[f]], obj_map[dom.tgt1[f]]), []):
-                map1[f] = v
-                ok = True
-                for (a, b) in pairs:
-                    if map1[a] >= 0 and map1[b] >= 0 and \
-                       map1[dom.comp1[a][b]] >= 0 and \
-                       not eps_candidates(a, b, map1):
-                        ok = False
-                        break
-                if ok:
-                    yield from rec1(k + 1)
-                map1[f] = -1
-
-        for m1 in rec1(0):
+        for _ in search(free1, lambda f: by1.get(
+                (obj_map[dom.src1[f]], obj_map[dom.tgt1[f]]), []),
+                cons1, map1, budget):
+            m1 = tuple(map1[f] for f in range(dom.n1))
             # ---- coherence cells
-            eps = [[-1] * dom.n1 for _ in range(dom.n1)]
+            eps.clear()
             for (f, h) in pairs:
                 if f in dom.id1 or h in dom.id1:
-                    eps[f][h] = cod.id2[cod.comp1[m1[f]][m1[h]]]
-
-            def coherence_ok(a, b, c):
-                ab, bc = dom.comp1[a][b], dom.comp1[b][c]
-                cells = (eps[a][b], eps[ab][c], eps[b][c], eps[a][bc])
-                if any(v < 0 for v in cells):
-                    return True
-                lhs = cod.vcomp[cod.whisker_right(cells[0], m1[c])][cells[1]]
-                rhs = cod.vcomp[cod.whisker_left(m1[a], cells[2])][cells[3]]
-                return lhs == rhs
-
-            def rec_eps(k):
-                tick()
-                if k == len(free_pairs):
-                    yield [tuple(r) for r in eps]
-                    return
-                f, h = free_pairs[k]
-                if eps[f][h] >= 0:
-                    yield from rec_eps(k + 1)
-                    return
-                for v in eps_candidates(f, h, m1):
-                    eps[f][h] = v
-                    if all(coherence_ok(a, b, c) for (a, b, c) in triples
-                           if (a, b) == (f, h) or (b, c) == (f, h) or
-                           (dom.comp1[a][b], c) == (f, h) or
-                           (a, dom.comp1[b][c]) == (f, h)):
-                        yield from rec_eps(k + 1)
-                eps[f][h] = -1
-
-            for eps_done in rec_eps(0):
+                    eps[f, h] = cod.id2[cod.comp1[m1[f]][m1[h]]]
+            for _ in search(free_pairs, lambda p: eps_candidates(*p),
+                            cons_eps, eps, budget):
+                eps_done = [tuple(eps.get((f, h), -1) for h in range(dom.n1))
+                            for f in range(dom.n1)]
                 # ---- 2-cell map
-                map2 = [-1] * dom.n2
+                map2.clear()
                 for f in range(dom.n1):
                     map2[dom.id2[f]] = cod.id2[m1[f]]
-                free2 = [a for a in range(dom.n2) if a not in dom.id2]
-
-                def consistent2(i):
-                    for j in range(dom.n2):
-                        if map2[j] < 0:
-                            continue
-                        for a, b in ((i, j), (j, i)):
-                            if map2[a] < 0 or map2[b] < 0:
-                                continue
-                            c = dom.vcomp[a][b]
-                            if c >= 0 and map2[c] >= 0 and \
-                               map2[c] != cod.vcomp[map2[a]][map2[b]]:
-                                return False
-                            h = dom.hcomp2[a][b]
-                            if h >= 0 and map2[h] >= 0:
-                                f0, h0 = dom.src2[a], dom.src2[b]
-                                f1, h1 = dom.tgt2[a], dom.tgt2[b]
-                                lhs = cod.vcomp[eps_done[f0][h0]][map2[h]]
-                                rhs = cod.vcomp[
-                                    cod.hcomp2[map2[a]][map2[b]]][
-                                    eps_done[f1][h1]]
-                                if lhs != rhs:
-                                    return False
-                    return True
-
-                def rec2(k):
-                    tick()
-                    if k == len(free2):
-                        out.append(check_weak_functor(
-                            dom, cod, obj_map, m1, tuple(map2), eps_done,
-                            pointed=pointed))
-                        return
-                    i = free2[k]
-                    for v in by2.get((m1[dom.src2[i]], m1[dom.tgt2[i]]), []):
-                        map2[i] = v
-                        if consistent2(i):
-                            rec2(k + 1)
-                    map2[i] = -1
-
-                rec2(0)
+                for _ in search(free2, lambda a: by2.get(
+                        (m1[dom.src2[a]], m1[dom.tgt2[a]]), []),
+                        cons2, map2, budget):
+                    out.append(check_weak_functor(
+                        dom, cod, obj_map, m1,
+                        tuple(map2[a] for a in range(dom.n2)), eps_done,
+                        pointed=pointed))
     return out
 
 
@@ -842,126 +793,49 @@ def _weak_map_candidates(H: CrossedModule, G: CrossedModule,
     phi_fiber: dict[int, list[int]] = {}
     for v in range(g2.order):
         phi_fiber.setdefault(phi[v], []).append(v)
-    counter = [0]
+    budget = Budget(cap, "weak map search")
+    squares = list(itertools.product(range(h1.order), repeat=2))
+    cubes = list(itertools.product(range(h1.order), repeat=3))
+    p1: dict[int, int] = {h1.identity: g1.identity}
+    eps = {(x, y): g2.identity for x, y in squares if h1.identity in (x, y)}
+    p2: dict[int, int] = {h2.identity: g2.identity}
 
-    def tick():
-        counter[0] += 1
-        if counter[0] > cap:
-            raise SizeCapExceeded(f"weak map search exceeded {cap}")
+    def w3_need(x, y):
+        """(p1(x) p1(y))^-1 p1(xy), which W3 asks to be phi(eps(x, y))."""
+        return g1.mul[g1.inverse(g1.mul[p1[x]][p1[y]])][p1[h1.mul[x][y]]]
 
-    e1 = h1.identity
-    free1 = [x for x in range(h1.order) if x != e1]
-    p1 = [-1] * h1.order
-    p1[e1] = g1.identity
+    def w4(x, y, z):
+        lhs = g2.mul[G.act(eps[x, y], p1[z])][eps[h1.mul[x][y], z]]
+        rhs = g2.mul[eps[y, z]][eps[x, h1.mul[y][z]]]
+        return lhs == rhs
 
-    def rec_p1(k):
-        tick()
-        if k == len(free1):
-            yield tuple(p1)
-            return
-        x = free1[k]
-        for v in range(g1.order):
-            p1[x] = v
-            # W3 feasibility: p1(xy) must lie in the coset p1(x)p1(y) im(phi)
-            ok = True
-            for a in range(h1.order):
-                for b in range(h1.order):
-                    if p1[a] < 0 or p1[b] < 0 or p1[h1.mul[a][b]] < 0:
-                        continue
-                    need = g1.mul[g1.inverse(g1.mul[p1[a]][p1[b]])][
-                        p1[h1.mul[a][b]]]
-                    if need not in phi_fiber:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                yield from rec_p1(k + 1)
-        p1[x] = -1
+    def w2(a, b):
+        ab = h2.mul[a][b]
+        return p2[ab] == g2.mul[g2.mul[p2[a]][p2[b]]][eps[psi[a], psi[b]]]
 
-    pairs = [(x, y) for x in free1 for y in free1]
-    quads = [(x, y, z) for x in range(h1.order) for y in range(h1.order)
-             for z in range(h1.order)]
+    cons_p1 = [((x, y, h1.mul[x][y]), lambda x=x, y=y: w3_need(x, y)
+                in phi_fiber) for x, y in squares]
+    cons_eps = [(((x, y), (h1.mul[x][y], z), (y, z), (x, h1.mul[y][z])),
+                 lambda x=x, y=y, z=z: w4(x, y, z)) for x, y, z in cubes]
+    cons_p2 = [((a, b, h2.mul[a][b]), lambda a=a, b=b: w2(a, b))
+               for a, b in itertools.product(range(h2.order), repeat=2)]
+    free1 = [x for x in range(h1.order) if x != h1.identity]
+    free2 = [a for a in range(h2.order) if a != h2.identity]
+    pairs = list(itertools.product(free1, repeat=2))
 
-    for p1_done in rec_p1(0):
-        eps = [[g2.identity] * h1.order for _ in range(h1.order)]
-        fibers = {}
-        dead = False
-        for (x, y) in pairs:
-            need = g1.mul[g1.inverse(g1.mul[p1_done[x]][p1_done[y]])][
-                p1_done[h1.mul[x][y]]]
-            fib = phi_fiber.get(need, [])
-            if not fib:
-                dead = True
-                break
-            fibers[(x, y)] = fib
-        if dead:
-            continue
-        chosen = {p: False for p in pairs}
-
-        def w4_ok(x, y, z):
-            cells = ((x, y), (h1.mul[x][y], z), (y, z), (x, h1.mul[y][z]))
-            for c in cells:
-                if c in chosen and not chosen[c]:
-                    return True
-            lhs = g2.mul[G.act(eps[x][y], p1_done[z])][eps[h1.mul[x][y]][z]]
-            rhs = g2.mul[eps[y][z]][eps[x][h1.mul[y][z]]]
-            return lhs == rhs
-
-        def rec_eps(k):
-            tick()
-            if k == len(pairs):
-                yield [tuple(r) for r in eps]
-                return
-            x, y = pairs[k]
-            for v in fibers[(x, y)]:
-                eps[x][y] = v
-                chosen[(x, y)] = True
-                if all(w4_ok(a, b, c) for (a, b, c) in quads
-                       if (a, b) == (x, y) or (b, c) == (x, y) or
-                       (h1.mul[a][b], c) == (x, y) or
-                       (a, h1.mul[b][c]) == (x, y)):
-                    yield from rec_eps(k + 1)
-                chosen[(x, y)] = False
-            eps[x][y] = g2.identity
-
-        for eps_done in rec_eps(0):
+    for _ in search(free1, lambda x: range(g1.order), cons_p1, p1, budget):
+        p1_done = tuple(p1[x] for x in range(h1.order))
+        for _ in search(pairs, lambda p: phi_fiber[w3_need(*p)], cons_eps,
+                        eps, budget):
+            eps_done = [tuple(eps[x, y] for y in range(h1.order))
+                        for x in range(h1.order)]
             # p2 from the W1 fibers, pruned by W2
-            e2 = h2.identity
-            free2 = [a for a in range(h2.order) if a != e2]
-            p2 = [-1] * h2.order
-            p2[e2] = g2.identity
             cands2 = {a: phi_fiber.get(p1_done[psi[a]], []) for a in free2}
-            if any(not cands2[a] for a in free2):
+            if not all(cands2.values()):
                 continue
-
-            def w2_ok():
-                for a in range(h2.order):
-                    if p2[a] < 0:
-                        continue
-                    for b in range(h2.order):
-                        ab = h2.mul[a][b]
-                        if p2[b] < 0 or p2[ab] < 0:
-                            continue
-                        if p2[ab] != g2.mul[g2.mul[p2[a]][p2[b]]][
-                                eps_done[psi[a]][psi[b]]]:
-                            return False
-                return True
-
-            def rec_p2(k):
-                tick()
-                if k == len(free2):
-                    yield tuple(p2)
-                    return
-                a = free2[k]
-                for v in cands2[a]:
-                    p2[a] = v
-                    if w2_ok():
-                        yield from rec_p2(k + 1)
-                p2[a] = -1
-
-            for p2_done in rec_p2(0):
-                yield (p1_done, p2_done, eps_done)
+            for _ in search(free2, cands2.__getitem__, cons_p2, p2, budget):
+                yield (p1_done, tuple(p2[a] for a in range(h2.order)),
+                       eps_done)
 
 
 def enumerate_xmod_weak_maps(H: CrossedModule, G: CrossedModule,
@@ -988,23 +862,37 @@ def check_w5_equivalence(H: CrossedModule, G: CrossedModule,
     return True
 
 
+def _t0(P: XmodWeakMap, Q: XmodWeakMap, a, theta, x, y) -> bool:
+    G = P.cod
+    g1, g2 = G.g1, G.g2
+    lhs = g2.mul[G.act(P.eps[x][y], a)][theta[P.dom.g1.mul[x][y]]]
+    rhs = g2.mul[g2.mul[G.act(theta[x], g1.conj(P.p1[y], a))][theta[y]]][
+        Q.eps[x][y]]
+    return lhs == rhs
+
+
+def _t1(P: XmodWeakMap, Q: XmodWeakMap, a, theta, x) -> bool:
+    g1 = P.cod.g1
+    return g1.mul[g1.conj(P.p1[x], a)][P.cod.phi.image[theta[x]]] == Q.p1[x]
+
+
+def _t2(P: XmodWeakMap, Q: XmodWeakMap, a, theta, alpha) -> bool:
+    G = P.cod
+    return G.g2.mul[G.act(P.p2[alpha], a)][
+        theta[P.dom.phi.image[alpha]]] == Q.p2[alpha]
+
+
 def _transformation_witness(P: XmodWeakMap, Q: XmodWeakMap, a, theta):
-    H, G = P.dom, P.cod
-    h1, h2, g1, g2 = H.g1, H.g2, G.g1, G.g2
-    psi = H.phi.image
-    phi = G.phi.image
+    h1, h2 = P.dom.g1, P.dom.g2
     for x in range(h1.order):
         for y in range(h1.order):
-            tw = g1.conj(P.p1[y], a)
-            lhs = g2.mul[G.act(P.eps[x][y], a)][theta[h1.mul[x][y]]]
-            rhs = g2.mul[g2.mul[G.act(theta[x], tw)][theta[y]]][Q.eps[x][y]]
-            if lhs != rhs:
+            if not _t0(P, Q, a, theta, x, y):
                 return ("T0", (x, y))
     for x in range(h1.order):
-        if g1.mul[g1.conj(P.p1[x], a)][phi[theta[x]]] != Q.p1[x]:
+        if not _t1(P, Q, a, theta, x):
             return ("T1", x)
     for alpha in range(h2.order):
-        if g2.mul[G.act(P.p2[alpha], a)][theta[psi[alpha]]] != Q.p2[alpha]:
+        if not _t2(P, Q, a, theta, alpha):
             return ("T2", alpha)
     return None
 
@@ -1021,21 +909,25 @@ def check_xmod_transformation(P: XmodWeakMap, Q: XmodWeakMap,
 def enumerate_transformations(P: XmodWeakMap, Q: XmodWeakMap,
                               pointed_only: bool = False
                               ) -> list[XmodTransformation]:
-    H, G = P.dom, P.cod
-    h1, g1, g2 = H.g1, G.g1, G.g2
-    e1 = h1.identity
-    free = [x for x in range(h1.order) if x != e1]
+    h1, h2, g1, g2 = P.dom.g1, P.dom.g2, P.cod.g1, P.cod.g2
+    psi = P.dom.phi.image
+    # theta[x] for x in h1, and the conjugating element under the key "a"
+    theta: dict = {h1.identity: g2.identity}
+    constraints = (
+        [(("a", x, y, h1.mul[x][y]),
+          lambda x=x, y=y: _t0(P, Q, theta["a"], theta, x, y))
+         for x, y in itertools.product(range(h1.order), repeat=2)]
+        + [(("a", x), lambda x=x: _t1(P, Q, theta["a"], theta, x))
+           for x in range(h1.order)]
+        + [(("a", psi[alpha]),
+            lambda alpha=alpha: _t2(P, Q, theta["a"], theta, alpha))
+           for alpha in range(h2.order)])
     a_opts = [g1.identity] if pointed_only else range(g1.order)
-    out = []
-    for a in a_opts:
-        for vals in itertools.product(range(g2.order), repeat=len(free)):
-            theta = [g2.identity] * h1.order
-            for x, v in zip(free, vals):
-                theta[x] = v
-            if _transformation_witness(P, Q, a, theta) is None:
-                out.append(XmodTransformation(src=P, tgt=Q, a=a,
-                                              theta=tuple(theta)))
-    return out
+    order = ["a"] + [x for x in range(h1.order) if x != h1.identity]
+    return [XmodTransformation(src=P, tgt=Q, a=theta["a"], theta=tuple(
+                theta[x] for x in range(h1.order)))
+            for _ in search(order, lambda v: a_opts if v == "a"
+                            else range(g2.order), constraints, theta)]
 
 
 def enumerate_modifications(T: XmodTransformation, S: XmodTransformation

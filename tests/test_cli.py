@@ -187,3 +187,4 @@ class TestExitCodes:
     def test_wrong_subject_kind_is_2(self, capsys):
         code, _, err = run(capsys, "sset2", str(FIX / "z2.group"))
         assert code == 2
+        assert "line 1:" in err
