@@ -132,8 +132,8 @@ def cmd_cohomology(args) -> int:
     action = None
     if args.action is not None:
         _, _, action = _subject(args.action, ("action",))
-    one = cohom.h1(gamma, a, action)
-    two = cohom.h2(gamma, a, action)
+    one = cohom.h1(gamma, a, action, cap=args.cap)
+    two = cohom.h2(gamma, a, action, cap=args.cap)
     print(f"h1: {describe_group(one)}; h2: {describe_group(two)}")
     return 0
 
@@ -217,6 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", required=True)
     sp.add_argument("--coeff", required=True)
     sp.add_argument("--action", default=None)
+    sp.add_argument("--cap", type=int, default=10 ** 6)
 
     return p
 

@@ -3,22 +3,24 @@
 For a finite group Gamma acting on an abelian group A, 2-cocycles are the
 solutions of f(x,y)^z f(xy,z) = f(y,z) f(x,yz) over all entries (no
 normalization imposed), and the coboundary of a 1-cochain theta is
-(x,y) -> theta(x)^y theta(y) theta(xy)^{-1}.  H2 is the cokernel of the
-coboundary map and H1 the quotient of crossed homomorphisms by principal
-ones.  The coboundary map itself assembles into a crossed module whose
-homotopy groups recover the cohomology.
+(x,y) -> theta(x)^y theta(y) theta(xy)^{-1}.  H2 is Z2 modulo the
+coboundaries B2, and H1 the crossed homomorphisms Z1 modulo the principal
+ones B1.  Both are computed as cosets: each cocycle, as a flat tuple of
+entries, is visited once, and the Cayley table is built on one
+representative per class only.  The coboundary map d: C1 -> Z2 also
+assembles into a crossed module whose homotopy groups recover the
+cohomology; extension_xmod alone builds the pointwise groups C1 and Z2
+for it.
 """
 
 from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from .fingroup import (
-    FiniteGroup, GroupAction, cokernel_of_image, make_hom, trivial_action,
+    FiniteGroup, GroupAction, make_group, make_hom, trivial_action,
 )
-from .search import classes, search
+from .search import Budget, classes, search
 from .xmod import CrossedModule, check_crossed_module
 
 
@@ -37,13 +39,11 @@ def _require_abelian(a: FiniteGroup) -> None:
 
 def _resolve_action(gamma: FiniteGroup, a: FiniteGroup,
                     action) -> GroupAction:
-    if action is None:
-        return trivial_action(gamma, a)
-    return action
+    return trivial_action(gamma, a) if action is None else action
 
 
-def two_cocycles(gamma: FiniteGroup, a: FiniteGroup,
-                 action=None) -> list[tuple[tuple[int, ...], ...]]:
+def two_cocycles(gamma: FiniteGroup, a: FiniteGroup, action=None,
+                 budget=None) -> list[tuple[tuple[int, ...], ...]]:
     """All 2-cocycles as |Gamma| x |Gamma| tables, by backtracking over the
     entries in row order, each cocycle identity checked once its four
     entries are set."""
@@ -63,7 +63,7 @@ def two_cocycles(gamma: FiniteGroup, a: FiniteGroup,
     entries = list(itertools.product(range(n), repeat=2))
     return [tuple(tuple(f[x, y] for y in range(n)) for x in range(n))
             for _ in search(entries, lambda e: range(a.order), constraints,
-                            f)]
+                            f, budget)]
 
 
 def coboundary(gamma: FiniteGroup, a: FiniteGroup, theta,
@@ -77,8 +77,8 @@ def coboundary(gamma: FiniteGroup, a: FiniteGroup, theta,
         for y in range(n)) for x in range(n))
 
 
-def crossed_homs(gamma: FiniteGroup, a: FiniteGroup,
-                 action=None) -> list[tuple[int, ...]]:
+def crossed_homs(gamma: FiniteGroup, a: FiniteGroup, action=None,
+                 budget=None) -> list[tuple[int, ...]]:
     """1-cocycles: theta with theta(xy) = theta(x)^y theta(y)."""
     _require_abelian(a)
     action = _resolve_action(gamma, a, action)
@@ -90,77 +90,88 @@ def crossed_homs(gamma: FiniteGroup, a: FiniteGroup,
                    for x, y in itertools.product(range(n), repeat=2)]
     return [tuple(theta[x] for x in range(n))
             for _ in search(range(n), lambda x: range(a.order), constraints,
-                            theta)]
+                            theta, budget)]
 
 
-def _pointwise_group(elements, a: FiniteGroup, identity_elt) -> FiniteGroup:
-    """Group of A-valued tables under pointwise multiplication.  The axioms
-    are inherited entrywise from A, so the full Cayley audit is skipped."""
-    def flat(e):
-        if e and isinstance(e[0], tuple):
-            return [x for row in e for x in row]
-        return list(e)
-
-    n = len(elements)
-    table = np.array([flat(e) for e in elements], dtype=np.int64)
-    amul = np.array(a.mul, dtype=np.int64)
-    ainv = np.array(a.inv, dtype=np.int64)
-    width = table.shape[1]
-    base = np.array([a.order ** k for k in range(width)], dtype=np.int64)
-    codes = table @ base
-    order_by_code = np.argsort(codes)
-    sorted_codes = codes[order_by_code]
-
-    def index_of(code_block):
-        return order_by_code[np.searchsorted(sorted_codes, code_block)]
-
-    mul = tuple(tuple(index_of(amul[table[u][None, :], table] @ base).tolist())
-                for u in range(n))
-    inv = tuple(index_of(ainv[table] @ base).tolist())
-    pos = {e: i for i, e in enumerate(elements)}
-    return FiniteGroup(order=n, mul=mul, identity=pos[identity_elt], inv=inv)
+def _flat(table) -> tuple[int, ...]:
+    return tuple(itertools.chain.from_iterable(table))
 
 
-def _one_cochains(gamma: FiniteGroup, a: FiniteGroup):
-    return [tuple(v) for v in
-            itertools.product(range(a.order), repeat=gamma.order)]
+def _times(a: FiniteGroup, u, v) -> tuple[int, ...]:
+    return tuple(a.mul[x][y] for x, y in zip(u, v))
+
+
+def _pointwise_group(flat, a: FiniteGroup) -> FiniteGroup:
+    """Group of flat A-valued tuples under pointwise multiplication, keyed
+    by the exact tuples.  The axioms are inherited entrywise from A, so the
+    full Cayley audit is skipped."""
+    pos = {e: i for i, e in enumerate(flat)}
+    return FiniteGroup(
+        order=len(flat),
+        mul=tuple(tuple(pos[_times(a, u, v)] for v in flat) for u in flat),
+        identity=pos[(a.identity,) * len(flat[0])],
+        inv=tuple(pos[tuple(a.inv[x] for x in u)] for u in flat))
 
 
 def coboundary_hom(gamma: FiniteGroup, a: FiniteGroup, action=None):
     """The homomorphism d: C^1 -> Z^2 between pointwise groups."""
     _require_abelian(a)
     action = _resolve_action(gamma, a, action)
-    cochains = _one_cochains(gamma, a)
-    c1 = _pointwise_group(cochains, a, tuple([a.identity] * gamma.order))
-    cocycles = two_cocycles(gamma, a, action)
+    cochains = list(itertools.product(range(a.order), repeat=gamma.order))
+    cocycles = [_flat(z) for z in two_cocycles(gamma, a, action)]
     zpos = {z: i for i, z in enumerate(cocycles)}
-    const_id = tuple(tuple(a.identity for _ in range(gamma.order))
-                     for _ in range(gamma.order))
-    z2 = _pointwise_group(cocycles, a, const_id)
-    values = [zpos[coboundary(gamma, a, th, action)] for th in cochains]
-    return make_hom(c1, z2, values)
+    values = [zpos[_flat(coboundary(gamma, a, t, action))] for t in cochains]
+    return make_hom(_pointwise_group(cochains, a),
+                    _pointwise_group(cocycles, a), values)
 
 
-def h2(gamma: FiniteGroup, a: FiniteGroup, action=None) -> FiniteGroup:
-    """Z^2 modulo coboundaries."""
-    grp, _ = cokernel_of_image(coboundary_hom(gamma, a, action))
-    return grp
+def _quotient(a: FiniteGroup, cocycles, bounds) -> FiniteGroup:
+    """Z modulo its subgroup B, both as flat A-valued tuples.  Each cocycle
+    z not yet in a class opens one, which takes zb for every b in B; the
+    classes must cover Z without overlap, and the Cayley table on their
+    first members gets the full group audit."""
+    pos = {z: i for i, z in enumerate(cocycles)}
+    coset = [-1] * len(cocycles)
+    reps = []
+    for i, z in enumerate(cocycles):
+        if coset[i] >= 0:
+            continue
+        for b in bounds:
+            zb = _times(a, z, b)
+            if b not in pos or zb not in pos or coset[pos[zb]] >= 0:
+                raise ValueError(f"{b} or {z} times it is not a cocycle of "
+                                 "a new class")
+            coset[pos[zb]] = len(reps)
+        reps.append(z)
+    if -1 in coset:
+        raise ValueError(f"{cocycles[coset.index(-1)]} is in no class")
+    return make_group([[coset[pos[_times(a, r, s)]] for s in reps]
+                       for r in reps])
 
 
-def h1(gamma: FiniteGroup, a: FiniteGroup, action=None) -> FiniteGroup:
-    """Crossed homomorphisms modulo principal ones."""
-    _require_abelian(a)
+def h2(gamma: FiniteGroup, a: FiniteGroup, action=None,
+       cap: int = 10 ** 6) -> FiniteGroup:
+    """Z^2 modulo coboundaries.  The cocycle search and the loop over the
+    1-cochains share one budget, one step per search node or cochain."""
     action = _resolve_action(gamma, a, action)
-    homs = crossed_homs(gamma, a, action)
-    z1 = _pointwise_group(homs, a, tuple([a.identity] * gamma.order))
-    zpos = {t: i for i, t in enumerate(homs)}
-    values = []
-    for elt in range(a.order):
-        principal = tuple(a.mul[action.act[elt][x]][a.inv[elt]]
-                          for x in range(gamma.order))
-        values.append(zpos[principal])
-    grp, _ = cokernel_of_image(make_hom(a, z1, values))
-    return grp
+    budget = Budget(cap, "cohomology")
+    cocycles = [_flat(z) for z in two_cocycles(gamma, a, action, budget)]
+    bounds = {}
+    for theta in itertools.product(range(a.order), repeat=gamma.order):
+        budget.tick()
+        bounds[_flat(coboundary(gamma, a, theta, action))] = None
+    return _quotient(a, cocycles, bounds)
+
+
+def h1(gamma: FiniteGroup, a: FiniteGroup, action=None,
+       cap: int = 10 ** 6) -> FiniteGroup:
+    """Crossed homomorphisms modulo principal ones."""
+    action = _resolve_action(gamma, a, action)
+    homs = crossed_homs(gamma, a, action, Budget(cap, "cohomology"))
+    principal = dict.fromkeys(
+        tuple(a.mul[action.act[e][x]][a.inv[e]] for x in gamma.elements)
+        for e in a.elements)
+    return _quotient(a, homs, principal)
 
 
 def extension_xmod(gamma: FiniteGroup, a: FiniteGroup,

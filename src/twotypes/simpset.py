@@ -10,6 +10,7 @@ n+1.  Degenerate simplices are stored explicitly.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -593,12 +594,25 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
             return [want] if want in cands else []
         return cands
 
+    @functools.cache
+    def plan(n):
+        """Level n's variable order and up-face constraints; they depend
+        only on n, so each level builds them once per call."""
+        a, keys = assign[n], up_keys[n]
+        order = [z for z in range(x.counts[n]) if not degflags[n][z]]
+        if keys is None:
+            return order, []
+        up_cons = list(dict.fromkeys(up_faces[n]))
+        return _constraint_order(order, up_cons), [
+            (key, lambda key=key: tuple(map(a.__getitem__, key)) in keys)
+            for key in up_cons]
+
     def level(n):
         """Extend assign through level n; yields once per full map."""
         if n > depth:
             yield
             return
-        a, keys = assign[n], up_keys[n]
+        a = assign[n]
         # degenerate simplices are forced from the level below
         for w in range(x.counts[n - 1] if n else 0):
             for j in range(n):
@@ -608,13 +622,7 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
                    fixed.get((n, z), img) != img:
                     a.clear()
                     return
-        order = [z for z in range(x.counts[n]) if not degflags[n][z]]
-        constraints = []
-        if keys is not None:
-            up_cons = list(dict.fromkeys(up_faces[n]))
-            order = _constraint_order(order, up_cons)
-            constraints = [(key, lambda key=key: tuple(map(a.__getitem__, key))
-                            in keys) for key in up_cons]
+        order, constraints = plan(n)
         for _ in search(order, lambda z: candidates(n, z), constraints, a,
                         budget):
             yield from level(n + 1)
@@ -627,6 +635,7 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
                    for m in range(depth + 1)]))
         if first_only:
             break
+    plan.cache_clear()  # else the plans wait for the cycle collector
     return out
 
 

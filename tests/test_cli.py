@@ -169,6 +169,14 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in err
 
+    def test_cohomology_cap_exceeded_is_3(self, capsys):
+        code, out, err = run(capsys, "cohomology", "--gamma",
+                             str(FIX / "s3.group"), "--coeff",
+                             str(FIX / "z4.group"), "--cap", "1000")
+        assert code == 3
+        assert out == ""
+        assert "cohomology exceeded the cap of 1000 steps" in err
+
     def test_nerve_over_size_cap_is_3(self, tmp_path):
         # level 4 of the nerve of id_s3 would hold 6^10 simplices; a fresh
         # process keeps the million rows built before the cap out of this one

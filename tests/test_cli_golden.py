@@ -31,8 +31,6 @@ GROUPS = ("s3.group", "v4.group", "z2.group", "z3.group", "z4.group")
 
 # 152 s, nearly all in check_two_groupoid on the 2048-cell hom
 SLOW = {("hom", "z3.xmod", "z4to2.xmod")}
-# ROADMAP item 4: the cochain group's int64 codes overflow
-OVERFLOW = {("s3.group", "v4.group"), ("s3.group", "z4.group")}
 
 
 def commands():
@@ -55,30 +53,18 @@ def run(cmd):
     return [code, out.getvalue()]
 
 
-def _param(cmd):
-    marks = ()
-    if cmd[0] == "cohomology" and (cmd[2], cmd[4]) in OVERFLOW:
-        marks = pytest.mark.xfail(strict=True, raises=OverflowError)
-    return pytest.param(cmd, id=" ".join(cmd), marks=marks)
-
-
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("cmd", [_param(c) for c in commands()])
+@pytest.mark.parametrize("cmd", list(commands()), ids=" ".join)
 def test_matches_golden(cmd, golden):
     assert run(cmd) == golden[" ".join(cmd)]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    record = {}
-    for cmd in commands():
-        try:
-            record[" ".join(cmd)] = run(cmd)
-        except OverflowError:
-            pass
+    record = {" ".join(cmd): run(cmd) for cmd in commands()}
     GOLDEN.write_text("{\n" + ",\n".join(
         f"{json.dumps(k)}: {json.dumps(v, ensure_ascii=False)}"
         for k, v in record.items()) + "\n}\n", encoding="utf-8")

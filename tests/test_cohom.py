@@ -1,12 +1,15 @@
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twotypes import cohom, fingroup
 from twotypes.cohom import (
-    ANotAbelian, coboundary, coboundary_hom, crossed_homs, extension_xmod,
-    h1, h2, two_cocycles, weakmap_class_count_vs_h2,
+    ANotAbelian, _pointwise_group, _quotient, coboundary, coboundary_hom,
+    crossed_homs, extension_xmod, h1, h2, two_cocycles,
+    weakmap_class_count_vs_h2,
 )
 from twotypes.fingroup import (
     cyclic, find_isomorphism, klein_four, make_hom, symmetric3, trivial_group,
@@ -91,6 +94,42 @@ class TestCohomologyGroups:
         d = coboundary_hom(cyclic(2), cyclic(2))
         assert d.dom.order == 4
         assert d.cod.order == 4
+
+    def test_h2_z6_z4_is_cyclic_of_order_2(self):
+        g = h2(cyclic(6), cyclic(4))
+        assert sorted(g.element_order(x) for x in range(g.order)) == [1, 2]
+
+    @pytest.mark.parametrize("n,m", itertools.product(range(2, 6), repeat=2))
+    def test_cyclic_orders_are_gcd(self, n, m):
+        assert h1(cyclic(n), cyclic(m)).order == gcd(n, m)
+        assert h2(cyclic(n), cyclic(m)).order == gcd(n, m)
+
+    def test_no_cochain_cayley_tables(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("called")
+
+        for module, name in ((cohom, "_pointwise_group"), (cohom, "make_hom"),
+                             (fingroup, "make_hom"),
+                             (fingroup, "cokernel_of_image")):
+            monkeypatch.setattr(module, name, boom)
+        assert h1(symmetric3(), cyclic(2)).order == 2
+        assert h2(klein_four(), cyclic(2)).order == 8
+
+    def test_pointwise_group_keys_are_exact(self):
+        # 4^35 > 2^63: no int64 code can index these tables
+        g = _pointwise_group([(0,) * 36, (2,) * 36], cyclic(4))
+        assert g.order == 2
+        assert g.mul == ((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("cocycles,bounds", [
+        ([0, 2], [0, 1]),           # 1 is not a cocycle
+        ([0, 1, 2, 3], [0, 1, 2]),  # the cosets of 0 and 3 overlap
+        ([0, 1, 2, 3], [1]),        # 0 and 2 are in no class
+    ])
+    def test_quotient_rejects_bad_cosets(self, cocycles, bounds):
+        with pytest.raises(ValueError):
+            _quotient(cyclic(4), [(v,) for v in cocycles],
+                      [(v,) for v in bounds])
 
 
 class TestExtensionXmod:
