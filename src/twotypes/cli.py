@@ -43,6 +43,33 @@ def _as_2gpd(path: str):
     return xmod_to_2group(obj) if kind == "xmod" else obj
 
 
+def _strategy(text: str) -> str:
+    """A filler strategy: "first" or "seeded:<int>"."""
+    if text == "first":
+        return text
+    kind, _, seed = text.partition(":")
+    try:
+        if kind == "seeded":
+            int(seed)
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected first or seeded:<int>, got {text!r}")
+
+
+def _level(text: str) -> int:
+    """A truncation level: an integer >= 0."""
+    try:
+        level = int(text)
+    except ValueError:
+        level = -1
+    if level < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return level
+
+
 def _fillers(x, args):
     strategy = args.strategy
     if args.seed is not None:
@@ -173,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("nerve", cmd_nerve, help="simplex counts of the nerve")
     sp.add_argument("file")
-    sp.add_argument("--trunc", type=int, default=None)
+    sp.add_argument("--trunc", type=_level, default=None)
 
     sp = add("sset2", cmd_sset2,
              help="test the Kan, coskeletal and minimality conditions")
@@ -187,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       "compare a complex with the nerve of its "
                       "reconstruction")
         sp.add_argument("file")
-        sp.add_argument("--strategy", default="first")
+        sp.add_argument("--strategy", type=_strategy, default="first")
         sp.add_argument("--seed", type=int, default=None)
 
     sp = add("enumerate-maps", cmd_enumerate_maps,

@@ -59,14 +59,31 @@ class TwoGroupoid:
                 f"one_cells={self.n1}, two_cells={self.n2})")
 
 
-def _derive_inverses(n, src, tgt, ident_of, comp, ident_at_src, ident_at_tgt):
-    inv = [-1] * n
-    for f in range(n):
-        for g in range(n):
-            if comp[f][g] == ident_at_src(f) and comp[g][f] == ident_at_tgt(f):
-                inv[f] = g
+def _group(keys) -> dict:
+    """Indices grouped by their key, each group ascending."""
+    out: dict = {}
+    for x, k in enumerate(keys):
+        out.setdefault(k, []).append(x)
+    return out
+
+
+def _derive_inverses(src, tgt, ident, comp):
+    """inv[f]: the least g with comp[f][g] = ident[src[f]] and comp[g][f] =
+    ident[tgt[f]].  While e = ident[src[f]] >= 0, the cells g with src[g]
+    = tgt[f] are tried first, then all cells.  That order cannot change a
+    result: a g outside the first group that passes is a defined entry
+    comp[f][g] at a pair that is not composable, which the audit rejects
+    before it reads inv."""
+    starts = _group(src)
+    inv = []
+    for f in range(len(src)):
+        row, e = comp[f], ident[src[f]]
+        first = starts.get(tgt[f], []) if e >= 0 else []
+        for g in itertools.chain(first, range(len(src))):
+            if row[g] == e and comp[g][f] == ident[tgt[f]]:
+                inv.append(g)
                 break
-        if inv[f] < 0:
+        else:
             raise Violation("invertibility", f)
     return tuple(inv)
 
@@ -80,134 +97,155 @@ def build_two_groupoid(n_objects, src1, tgt1, id1, comp1,
     src2, tgt2, id2 = tuple(src2), tuple(tgt2), tuple(id2)
     vcomp = tuple(tuple(r) for r in vcomp)
     hcomp2 = tuple(tuple(r) for r in hcomp2)
-    inv1 = _derive_inverses(
-        len(src1), src1, tgt1, id1, comp1,
-        lambda f: id1[src1[f]], lambda f: id1[tgt1[f]])
-    vinv = _derive_inverses(
-        len(src2), src2, tgt2, id2, vcomp,
-        lambda a: id2[src2[a]], lambda a: id2[tgt2[a]])
+    inv1 = _derive_inverses(src1, tgt1, id1, comp1)
+    vinv = _derive_inverses(src2, tgt2, id2, vcomp)
     g = TwoGroupoid(n_objects=n_objects, src1=src1, tgt1=tgt1, id1=id1,
                     comp1=comp1, inv1=inv1, src2=src2, tgt2=tgt2, id2=id2,
                     vcomp=vcomp, hcomp2=hcomp2, vinv=vinv, basepoint=basepoint)
     return check_two_groupoid(g)
 
 
+def _partners(left_keys, right_keys):
+    """For each cell x, the ascending cells y with right_keys[y] equal to
+    left_keys[x]: the right partners of x."""
+    starts = _group(right_keys)
+    return [starts.get(k, []) for k in left_keys]
+
+
+def _check_domain(table, right, name, ends_name, ends_ok):
+    """table[x][y] is defined (>= 0) exactly for y in right[x], and each
+    composite passes ends_ok(x, y, table[x][y]).  Raises what one scan of
+    all pairs (x, y) in order, testing the domain and then the endpoints of
+    each, raises first."""
+    for x, row in enumerate(table):
+        partners = right[x]
+        defined = [y for y, v in enumerate(row) if v >= 0]
+        # the first y where "defined" and "composable" differ, if any
+        bad = (min(set(defined).symmetric_difference(partners))
+               if defined != partners else len(row))
+        for y in partners:
+            if y >= bad:
+                break
+            if not ends_ok(x, y, row[y]):
+                raise Violation(ends_name, (x, y))
+        if bad < len(row):
+            raise Violation(name, (x, bad))
+
+
+def _check_assoc(table, right, name):
+    """(ab)c = a(bc) for every a, b in right[a], c in right[b]."""
+    for a, row_a in enumerate(table):
+        for b in right[a]:
+            row_ab, row_b = table[row_a[b]], table[b]
+            for c in right[b]:
+                if row_ab[c] != row_a[row_b[c]]:
+                    raise Violation(name, (a, b, c))
+
+
 def check_two_groupoid(g: TwoGroupoid) -> TwoGroupoid:
     """Exhaustive audit: strict category axioms at both levels, interchange,
-    and invertibility of every cell."""
-    # 1-cell level
-    for a, f in enumerate(g.id1):
-        if g.src1[f] != a or g.tgt1[f] != a:
-            raise Violation("id1-endpoints", a)
-    for f in range(g.n1):
-        for h in range(g.n1):
-            defined = g.comp1[f][h] >= 0
-            if defined != (g.tgt1[f] == g.src1[h]):
-                raise Violation("comp1-domain", (f, h))
-            if defined:
-                fh = g.comp1[f][h]
-                if g.src1[fh] != g.src1[f] or g.tgt1[fh] != g.tgt1[h]:
-                    raise Violation("comp1-endpoints", (f, h))
-    for f in range(g.n1):
-        if g.comp1[g.id1[g.src1[f]]][f] != f or g.comp1[f][g.id1[g.tgt1[f]]] != f:
-            raise Violation("comp1-unit", f)
-    for f in range(g.n1):
-        for h in range(g.n1):
-            if g.comp1[f][h] < 0:
-                continue
-            for k in range(g.n1):
-                if g.comp1[h][k] < 0:
-                    continue
-                if g.comp1[g.comp1[f][h]][k] != g.comp1[f][g.comp1[h][k]]:
-                    raise Violation("comp1-assoc", (f, h, k))
+    and invertibility of every cell.
+
+    Each composition is indexed by source: right1[f] lists the 1-cells h
+    with src1[h] = tgt1[f], below[a] the 2-cells b with src2[b] = tgt2[a],
+    and beside[a] the 2-cells c whose 1-cells start where those of a end.
+    The domain checks of a composition run before anything else reads it,
+    and pass only when each row is defined at exactly these partners.  So
+    afterwards the loops over partner lists visit every composable pair,
+    triple and quadruple, in the order of a scan over all index tuples,
+    and the first violation is the one that scan finds."""
+    right1 = _check_1cells(g)
+    _check_assoc(g.comp1, right1, "comp1-assoc")
     for f in range(g.n1):
         i = g.inv1[f]
-        if g.comp1[f][i] != g.id1[g.src1[f]] or g.comp1[i][f] != g.id1[g.tgt1[f]]:
+        if g.comp1[f][i] != g.id1[g.src1[f]] or \
+           g.comp1[i][f] != g.id1[g.tgt1[f]]:
             raise Violation("inv1", f)
+    below = _check_vertical(g)
+    beside = _check_horizontal(g)
+    _check_assoc(g.hcomp2, beside, "hcomp-assoc")
+    _check_interchange(g, right1, below, beside)
+    return g
 
-    # 2-cell level, vertical
+
+def _check_1cells(g) -> list[list[int]]:
+    """Identities, composition domain and endpoints, and units of 1-cells;
+    returns right1.  Shared by the strict and the weak audit."""
+    src1, tgt1, comp1 = g.src1, g.tgt1, g.comp1
+    for a, f in enumerate(g.id1):
+        if src1[f] != a or tgt1[f] != a:
+            raise Violation("id1-endpoints", a)
+    right1 = _partners(tgt1, src1)
+    _check_domain(comp1, right1, "comp1-domain", "comp1-endpoints",
+                  lambda f, h, fh: src1[fh] == src1[f] and
+                  tgt1[fh] == tgt1[h])
+    for f in range(g.n1):
+        if comp1[g.id1[src1[f]]][f] != f or comp1[f][g.id1[tgt1[f]]] != f:
+            raise Violation("comp1-unit", f)
+    return right1
+
+
+def _check_vertical(g) -> list[list[int]]:
+    """The category of 2-cells under vertical composition, every 2-cell
+    invertible; returns below."""
+    src1, tgt1 = g.src1, g.tgt1
+    src2, tgt2, vcomp = g.src2, g.tgt2, g.vcomp
     for f, a in enumerate(g.id2):
-        if g.src2[a] != f or g.tgt2[a] != f:
+        if src2[a] != f or tgt2[a] != f:
             raise Violation("id2-endpoints", f)
     for a in range(g.n2):
-        if g.src1[g.src2[a]] != g.src1[g.tgt2[a]] or \
-           g.tgt1[g.src2[a]] != g.tgt1[g.tgt2[a]]:
+        if src1[src2[a]] != src1[tgt2[a]] or tgt1[src2[a]] != tgt1[tgt2[a]]:
             raise Violation("2cell-not-parallel", a)
+    below = _partners(tgt2, src2)
+    _check_domain(vcomp, below, "vcomp-domain", "vcomp-endpoints",
+                  lambda a, b, ab: src2[ab] == src2[a] and
+                  tgt2[ab] == tgt2[b])
     for a in range(g.n2):
-        for b in range(g.n2):
-            defined = g.vcomp[a][b] >= 0
-            if defined != (g.tgt2[a] == g.src2[b]):
-                raise Violation("vcomp-domain", (a, b))
-            if defined:
-                ab = g.vcomp[a][b]
-                if g.src2[ab] != g.src2[a] or g.tgt2[ab] != g.tgt2[b]:
-                    raise Violation("vcomp-endpoints", (a, b))
-    for a in range(g.n2):
-        if g.vcomp[g.id2[g.src2[a]]][a] != a or g.vcomp[a][g.id2[g.tgt2[a]]] != a:
+        if vcomp[g.id2[src2[a]]][a] != a or vcomp[a][g.id2[tgt2[a]]] != a:
             raise Violation("vcomp-unit", a)
-    for a in range(g.n2):
-        for b in range(g.n2):
-            if g.vcomp[a][b] < 0:
-                continue
-            for c in range(g.n2):
-                if g.vcomp[b][c] < 0:
-                    continue
-                if g.vcomp[g.vcomp[a][b]][c] != g.vcomp[a][g.vcomp[b][c]]:
-                    raise Violation("vcomp-assoc", (a, b, c))
+    _check_assoc(vcomp, below, "vcomp-assoc")
     for a in range(g.n2):
         i = g.vinv[a]
-        if g.vcomp[a][i] != g.id2[g.src2[a]] or g.vcomp[i][a] != g.id2[g.tgt2[a]]:
+        if vcomp[a][i] != g.id2[src2[a]] or vcomp[i][a] != g.id2[tgt2[a]]:
             raise Violation("vinv", a)
+    return below
 
-    # 2-cell level, horizontal
+
+def _check_horizontal(g) -> list[list[int]]:
+    """Horizontal composition domain, endpoints and units; returns beside.
+    Runs after _check_vertical, whose parallelism check has already read
+    src1 and tgt1 at every src2 entry."""
+    src1, tgt1, comp1 = g.src1, g.tgt1, g.comp1
+    src2, tgt2, hcomp2 = g.src2, g.tgt2, g.hcomp2
+    beside = _partners([tgt1[f] for f in src2], [src1[f] for f in src2])
+    _check_domain(hcomp2, beside, "hcomp-domain", "hcomp-endpoints",
+                  lambda a, b, ab: src2[ab] == comp1[src2[a]][src2[b]] and
+                  tgt2[ab] == comp1[tgt2[a]][tgt2[b]])
     for a in range(g.n2):
-        for b in range(g.n2):
-            defined = g.hcomp2[a][b] >= 0
-            composable = g.tgt1[g.src2[a]] == g.src1[g.src2[b]]
-            if defined != composable:
-                raise Violation("hcomp-domain", (a, b))
-            if defined:
-                ab = g.hcomp2[a][b]
-                if g.src2[ab] != g.comp1[g.src2[a]][g.src2[b]] or \
-                   g.tgt2[ab] != g.comp1[g.tgt2[a]][g.tgt2[b]]:
-                    raise Violation("hcomp-endpoints", (a, b))
-    for a in range(g.n2):
-        left = g.id2[g.id1[g.src1[g.src2[a]]]]
-        right = g.id2[g.id1[g.tgt1[g.src2[a]]]]
-        if g.hcomp2[left][a] != a or g.hcomp2[a][right] != a:
+        left = g.id2[g.id1[src1[src2[a]]]]
+        right = g.id2[g.id1[tgt1[src2[a]]]]
+        if hcomp2[left][a] != a or hcomp2[a][right] != a:
             raise Violation("hcomp-unit", a)
-    for a in range(g.n2):
-        for b in range(g.n2):
-            if g.hcomp2[a][b] < 0:
-                continue
-            for c in range(g.n2):
-                if g.hcomp2[b][c] < 0:
-                    continue
-                if g.hcomp2[g.hcomp2[a][b]][c] != g.hcomp2[a][g.hcomp2[b][c]]:
-                    raise Violation("hcomp-assoc", (a, b, c))
-    # identity 2-cells are functorial horizontally
-    for f in range(g.n1):
-        for h in range(g.n1):
-            if g.comp1[f][h] >= 0:
-                if g.hcomp2[g.id2[f]][g.id2[h]] != g.id2[g.comp1[f][h]]:
-                    raise Violation("hcomp-of-identities", (f, h))
+    return beside
 
-    # interchange on all composable quadruples
+
+def _check_interchange(g, right1, below, beside) -> None:
+    """Identity 2-cells compose horizontally like their 1-cells, and the
+    interchange law holds on every composable quadruple."""
+    vcomp, hcomp2, id2 = g.vcomp, g.hcomp2, g.id2
+    for f in range(g.n1):
+        for h in right1[f]:
+            if hcomp2[id2[f]][id2[h]] != id2[g.comp1[f][h]]:
+                raise Violation("hcomp-of-identities", (f, h))
     for a in range(g.n2):
-        for b in range(g.n2):
-            if g.vcomp[a][b] < 0:
-                continue
-            for c in range(g.n2):
-                if g.hcomp2[a][c] < 0:
-                    continue
-                for d in range(g.n2):
-                    if g.vcomp[c][d] < 0:
-                        continue
-                    lhs = g.hcomp2[g.vcomp[a][b]][g.vcomp[c][d]]
-                    rhs = g.vcomp[g.hcomp2[a][c]][g.hcomp2[b][d]]
-                    if lhs != rhs:
+        vrow_a, hrow_a = vcomp[a], hcomp2[a]
+        for b in below[a]:
+            hrow_ab, hrow_b = hcomp2[vrow_a[b]], hcomp2[b]
+            for c in beside[a]:
+                vrow_c, vrow_ac = vcomp[c], vcomp[hrow_a[c]]
+                for d in below[c]:
+                    if hrow_ab[vrow_c[d]] != vrow_ac[hrow_b[d]]:
                         raise Violation("interchange", (a, b, c, d))
-    return g
 
 
 def point_2gpd() -> TwoGroupoid:
@@ -692,10 +730,28 @@ def enumerate_modifications(P: TwoFunctor, Q: TwoFunctor,
             if _modification_ok(P, Q, t, theta, s, sigma, mu)]
 
 
+def _strict_modifications(P: TwoFunctor, Q: TwoFunctor, t, theta, s, sigma):
+    """Modifications between strict transformations t and s, whose square
+    fillers are identities (theta and sigma are None)."""
+    dom, cod = P.dom, P.cod
+
+    def fillers(u):
+        return tuple(cod.id2[cod.comp1[P.map1[c]][u[dom.tgt1[c]]]]
+                     for c in range(dom.n1))
+    return enumerate_modifications(P, Q, t, fillers(t), s, fillers(s))
+
+
 def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, trans_lister,
-                  weak: bool) -> TwoGroupoid:
-    """Build the 2-groupoid of functors, transformations, modifications."""
-    n_objects = len(functors)
+                  mod_lister, weak: bool):
+    """Build the 2-groupoid of functors, transformations, modifications.
+
+    trans_lister(P, Q) lists the transformations P => Q, as (t, theta)
+    pairs when weak and as families t otherwise; mod_lister(P, Q, t,
+    theta, s, sigma) lists the modifications between two of them.  Each
+    composite is formed only from cells that compose: 1-cells grouped by
+    source functor, 2-cells by source 1-cell and by the source functor of
+    that 1-cell."""
+    objs = range(D.n_objects)
     one_cells = []           # (dom functor idx, cod functor idx, t, theta)
     for i, P in enumerate(functors):
         for j, Q in enumerate(functors):
@@ -706,64 +762,57 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, trans_lister,
     n1 = len(one_cells)
     src1 = tuple(c[0] for c in one_cells)
     tgt1 = tuple(c[1] for c in one_cells)
+    out_of = _group(src1)
     id1 = []
     for i, P in enumerate(functors):
-        t = tuple(C.id1[P.obj_map[A]] for A in range(D.n_objects))
+        t = tuple(C.id1[P.obj_map[A]] for A in objs)
         theta = tuple(C.id2[P.map1[c]] for c in range(D.n1)) if weak else None
         id1.append(cell_pos[(i, i, t, theta)])
     comp1 = [[-1] * n1 for _ in range(n1)]
     for x, (i, j, t, theta) in enumerate(one_cells):
-        for y, (j2, k, s, sigma) in enumerate(one_cells):
-            if j2 != j:
-                continue
-            st = tuple(C.comp1[t[A]][s[A]] for A in range(D.n_objects))
-            if weak:
-                P, Q, R = functors[i], functors[j], functors[k]
-                comp_theta = tuple(
-                    C.vcomp[C.whisker_right(theta[c], s[D.tgt1[c]])][
-                        C.whisker_left(t[D.src1[c]], sigma[c])]
-                    for c in range(D.n1))
-            else:
-                comp_theta = None
+        for y in out_of[j]:
+            _, k, s, sigma = one_cells[y]
+            st = tuple(C.comp1[t[A]][s[A]] for A in objs)
+            comp_theta = tuple(
+                C.vcomp[C.whisker_right(theta[c], s[D.tgt1[c]])][
+                    C.whisker_left(t[D.src1[c]], sigma[c])]
+                for c in range(D.n1)) if weak else None
             comp1[x][y] = cell_pos[(i, k, st, comp_theta)]
     # 2-cells: modifications
+    between = _group(zip(src1, tgt1))
     two_cells = []
     for x, (i, j, t, theta) in enumerate(one_cells):
-        for y, (i2, j2, s, sigma) in enumerate(one_cells):
-            if i2 != i or j2 != j:
-                continue
-            P, Q = functors[i], functors[j]
-            th = theta if weak else tuple(
-                C.id2[C.comp1[P.map1[c]][t[D.tgt1[c]]]] for c in range(D.n1))
-            sg = sigma if weak else tuple(
-                C.id2[C.comp1[P.map1[c]][s[D.tgt1[c]]]] for c in range(D.n1))
-            for mu in enumerate_modifications(P, Q, t, th, s, sg):
+        for y in between[(i, j)]:
+            s, sigma = one_cells[y][2:]
+            for mu in mod_lister(functors[i], functors[j], t, theta, s, sigma):
                 two_cells.append((x, y, mu))
     mod_pos = {m: k for k, m in enumerate(two_cells)}
     n2 = len(two_cells)
     src2 = tuple(m[0] for m in two_cells)
     tgt2 = tuple(m[1] for m in two_cells)
+    from_cell = _group(src2)
+    from_functor = _group(src1[x] for x in src2)
     id2 = []
     for x, (i, j, t, theta) in enumerate(one_cells):
-        mu = tuple(C.id2[t[A]] for A in range(D.n_objects))
+        mu = tuple(C.id2[t[A]] for A in objs)
         id2.append(mod_pos[(x, x, mu)])
     vcomp = [[-1] * n2 for _ in range(n2)]
     hcomp = [[-1] * n2 for _ in range(n2)]
     for p, (x, y, mu) in enumerate(two_cells):
-        for q, (y2, z, nu) in enumerate(two_cells):
-            if y2 == y:
-                comp = tuple(C.vcomp[mu[A]][nu[A]] for A in range(D.n_objects))
-                vcomp[p][q] = mod_pos[(x, z, comp)]
-        for q, (u, v, nu) in enumerate(two_cells):
-            if one_cells[u][0] == one_cells[x][1]:
-                comp = tuple(C.hcomp2[mu[A]][nu[A]] for A in range(D.n_objects))
-                hcomp[p][q] = mod_pos[(comp1[x][u], comp1[y][v], comp)]
+        for q in from_cell[y]:
+            _, z, nu = two_cells[q]
+            comp = tuple(C.vcomp[mu[A]][nu[A]] for A in objs)
+            vcomp[p][q] = mod_pos[(x, z, comp)]
+        for q in from_functor[tgt1[x]]:
+            u, v, nu = two_cells[q]
+            comp = tuple(C.hcomp2[mu[A]][nu[A]] for A in objs)
+            hcomp[p][q] = mod_pos[(comp1[x][u], comp1[y][v], comp)]
     bp = None
     if D.basepoint is not None and C.basepoint is not None:
         pointed = [i for i, P in enumerate(functors)
                    if P.obj_map[D.basepoint] == C.basepoint]
         bp = pointed[0] if pointed else None
-    gpd = build_two_groupoid(n_objects, src1, tgt1, tuple(id1), comp1,
+    gpd = build_two_groupoid(len(functors), src1, tgt1, tuple(id1), comp1,
                              src2, tgt2, tuple(id2), vcomp, hcomp,
                              basepoint=bp)
     return gpd, functors, one_cells, two_cells
@@ -774,7 +823,7 @@ def hom_strict_data(D: TwoGroupoid, C: TwoGroupoid, cap: int = 10 ** 6):
     lists, indexed in cell order."""
     functors = enumerate_2functors(D, C, cap=cap)
     return _assemble_hom(D, C, functors, enumerate_strict_2transformations,
-                         weak=False)
+                         _strict_modifications, weak=False)
 
 
 def hom_strict(D: TwoGroupoid, C: TwoGroupoid,
@@ -786,7 +835,7 @@ def hom_strict(D: TwoGroupoid, C: TwoGroupoid,
 def hom_weak_trans_data(D: TwoGroupoid, C: TwoGroupoid, cap: int = 10 ** 6):
     functors = enumerate_2functors(D, C, cap=cap)
     return _assemble_hom(D, C, functors, enumerate_weak_2transformations,
-                         weak=True)
+                         enumerate_modifications, weak=True)
 
 
 def hom_weak_trans(D: TwoGroupoid, C: TwoGroupoid,

@@ -11,6 +11,7 @@ modifications translate to (a, theta) pairs and single elements mu.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,7 +20,9 @@ from .fingroup import FiniteGroup
 from .search import Budget, search
 from .xmod import CrossedModule, Violation
 from .twogpd import (
-    TwoFunctor, TwoGroupoid, _preserves, _derive_inverses, build_two_groupoid,
+    TwoFunctor, TwoGroupoid, _assemble_hom, _check_1cells, _check_horizontal,
+    _check_interchange, _check_vertical, _derive_inverses, _preserves,
+    build_two_groupoid,
 )
 
 
@@ -124,9 +127,7 @@ def build_weak_2groupoid(n_objects, src1, tgt1, id1, comp1,
     vcomp = tuple(tuple(r) for r in vcomp)
     hcomp2 = tuple(tuple(r) for r in hcomp2)
     assoc = tuple(tuple(tuple(r) for r in plane) for plane in assoc)
-    vinv = _derive_inverses(
-        len(src2), src2, tgt2, id2, vcomp,
-        lambda a: id2[src2[a]], lambda a: id2[tgt2[a]])
+    vinv = _derive_inverses(src2, tgt2, id2, vcomp)
     w = WeakTwoGroupoid(n_objects=n_objects, src1=src1, tgt1=tgt1, id1=id1,
                         comp1=comp1, src2=src2, tgt2=tgt2, id2=id2,
                         vcomp=vcomp, hcomp2=hcomp2, vinv=vinv, assoc=assoc,
@@ -137,97 +138,13 @@ def build_weak_2groupoid(n_objects, src1, tgt1, id1, comp1,
 def check_weak_2groupoid(g: WeakTwoGroupoid) -> WeakTwoGroupoid:
     """Audit: strict identities, vertical category, horizontal functoriality,
     interchange, associator naturality, A1 (pentagon), A2, and weak
-    invertibility of 1-cells."""
-    # 1-cell level: endpoints, strict units, no associativity requirement
-    for a, f in enumerate(g.id1):
-        if g.src1[f] != a or g.tgt1[f] != a:
-            raise Violation("id1-endpoints", a)
-    for f in range(g.n1):
-        for h in range(g.n1):
-            defined = g.comp1[f][h] >= 0
-            if defined != (g.tgt1[f] == g.src1[h]):
-                raise Violation("comp1-domain", (f, h))
-            if defined:
-                fh = g.comp1[f][h]
-                if g.src1[fh] != g.src1[f] or g.tgt1[fh] != g.tgt1[h]:
-                    raise Violation("comp1-endpoints", (f, h))
-    for f in range(g.n1):
-        if g.comp1[g.id1[g.src1[f]]][f] != f or \
-           g.comp1[f][g.id1[g.tgt1[f]]] != f:
-            raise Violation("comp1-unit", f)
-
-    # vertical category of 2-cells
-    for f, a in enumerate(g.id2):
-        if g.src2[a] != f or g.tgt2[a] != f:
-            raise Violation("id2-endpoints", f)
-    for a in range(g.n2):
-        if g.src1[g.src2[a]] != g.src1[g.tgt2[a]] or \
-           g.tgt1[g.src2[a]] != g.tgt1[g.tgt2[a]]:
-            raise Violation("2cell-not-parallel", a)
-    for a in range(g.n2):
-        for b in range(g.n2):
-            defined = g.vcomp[a][b] >= 0
-            if defined != (g.tgt2[a] == g.src2[b]):
-                raise Violation("vcomp-domain", (a, b))
-            if defined:
-                ab = g.vcomp[a][b]
-                if g.src2[ab] != g.src2[a] or g.tgt2[ab] != g.tgt2[b]:
-                    raise Violation("vcomp-endpoints", (a, b))
-    for a in range(g.n2):
-        if g.vcomp[g.id2[g.src2[a]]][a] != a or \
-           g.vcomp[a][g.id2[g.tgt2[a]]] != a:
-            raise Violation("vcomp-unit", a)
-    for a in range(g.n2):
-        for b in range(g.n2):
-            if g.vcomp[a][b] < 0:
-                continue
-            for c in range(g.n2):
-                if g.vcomp[b][c] < 0:
-                    continue
-                if g.vcomp[g.vcomp[a][b]][c] != g.vcomp[a][g.vcomp[b][c]]:
-                    raise Violation("vcomp-assoc", (a, b, c))
-    for a in range(g.n2):
-        i = g.vinv[a]
-        if g.vcomp[a][i] != g.id2[g.src2[a]] or \
-           g.vcomp[i][a] != g.id2[g.tgt2[a]]:
-            raise Violation("vinv", a)
-
-    # horizontal composition: endpoints, units, functoriality (interchange)
-    for a in range(g.n2):
-        for b in range(g.n2):
-            defined = g.hcomp2[a][b] >= 0
-            composable = g.tgt1[g.src2[a]] == g.src1[g.src2[b]]
-            if defined != composable:
-                raise Violation("hcomp-domain", (a, b))
-            if defined:
-                ab = g.hcomp2[a][b]
-                if g.src2[ab] != g.comp1[g.src2[a]][g.src2[b]] or \
-                   g.tgt2[ab] != g.comp1[g.tgt2[a]][g.tgt2[b]]:
-                    raise Violation("hcomp-endpoints", (a, b))
-    for a in range(g.n2):
-        left = g.id2[g.id1[g.src1[g.src2[a]]]]
-        right = g.id2[g.id1[g.tgt1[g.src2[a]]]]
-        if g.hcomp2[left][a] != a or g.hcomp2[a][right] != a:
-            raise Violation("hcomp-unit", a)
-    for f in range(g.n1):
-        for h in range(g.n1):
-            if g.comp1[f][h] >= 0 and \
-               g.hcomp2[g.id2[f]][g.id2[h]] != g.id2[g.comp1[f][h]]:
-                raise Violation("hcomp-of-identities", (f, h))
-    for a in range(g.n2):
-        for b in range(g.n2):
-            if g.vcomp[a][b] < 0:
-                continue
-            for c in range(g.n2):
-                if g.hcomp2[a][c] < 0:
-                    continue
-                for d in range(g.n2):
-                    if g.vcomp[c][d] < 0:
-                        continue
-                    lhs = g.hcomp2[g.vcomp[a][b]][g.vcomp[c][d]]
-                    rhs = g.vcomp[g.hcomp2[a][c]][g.hcomp2[b][d]]
-                    if lhs != rhs:
-                        raise Violation("interchange", (a, b, c, d))
+    invertibility of 1-cells.  The checks before the associators are those
+    of twogpd.check_two_groupoid without the associativity of 1-cells and
+    of horizontal composition, and the later loops use its partner lists."""
+    right1 = _check_1cells(g)
+    below = _check_vertical(g)
+    beside = _check_horizontal(g)
+    _check_interchange(g, right1, below, beside)
 
     # associators: shape, A2, naturality, pentagon
     for a in range(g.n1):
@@ -247,12 +164,8 @@ def check_weak_2groupoid(g: WeakTwoGroupoid) -> WeakTwoGroupoid:
                    phi != g.id2[lhs]:
                     raise Violation("A2", (a, b, c))
     for x in range(g.n2):
-        for y in range(g.n2):
-            if g.hcomp2[x][y] < 0:
-                continue
-            for z in range(g.n2):
-                if g.hcomp2[y][z] < 0:
-                    continue
+        for y in beside[x]:
+            for z in beside[y]:
                 a, b, c = g.src2[x], g.src2[y], g.src2[z]
                 ap, bp, cp = g.tgt2[x], g.tgt2[y], g.tgt2[z]
                 lhs = g.vcomp[g.hcomp2[g.hcomp2[x][y]][z]][g.assoc[ap][bp][cp]]
@@ -260,15 +173,9 @@ def check_weak_2groupoid(g: WeakTwoGroupoid) -> WeakTwoGroupoid:
                 if lhs != rhs:
                     raise Violation("assoc-naturality", (x, y, z))
     for a in range(g.n1):
-        for b in range(g.n1):
-            if g.comp1[a][b] < 0:
-                continue
-            for c in range(g.n1):
-                if g.comp1[b][c] < 0:
-                    continue
-                for d in range(g.n1):
-                    if g.comp1[c][d] < 0:
-                        continue
+        for b in right1[a]:
+            for c in right1[b]:
+                for d in right1[c]:
                     lhs = vseq(g,
                                g.whisker_right(g.assoc[a][b][c], d),
                                g.assoc[a][g.comp1[b][c]][d],
@@ -279,23 +186,14 @@ def check_weak_2groupoid(g: WeakTwoGroupoid) -> WeakTwoGroupoid:
                     if lhs != rhs:
                         raise Violation("A1", (a, b, c, d))
 
-    # weak invertibility of 1-cells
+    # weak invertibility of 1-cells: some h back, with 2-cells from both
+    # composites to identities
+    cells2 = set(zip(g.src2, g.tgt2))
     for f in range(g.n1):
-        found = False
-        for h in range(g.n1):
-            if g.src1[h] != g.tgt1[f] or g.tgt1[h] != g.src1[f]:
-                continue
-            fh, hf = g.comp1[f][h], g.comp1[h][f]
-            to_id_s = any(g.src2[a] == fh and
-                          g.tgt2[a] == g.id1[g.src1[f]]
-                          for a in range(g.n2))
-            to_id_t = any(g.src2[a] == hf and
-                          g.tgt2[a] == g.id1[g.tgt1[f]]
-                          for a in range(g.n2))
-            if to_id_s and to_id_t:
-                found = True
-                break
-        if not found:
+        if not any(g.tgt1[h] == g.src1[f] and
+                   (g.comp1[f][h], g.id1[g.src1[f]]) in cells2 and
+                   (g.comp1[h][f], g.id1[g.tgt1[f]]) in cells2
+                   for h in right1[f]):
             raise Violation("weak-invertibility", f)
     return g
 
@@ -603,72 +501,12 @@ def hom_full_data(D: TwoGroupoid, C: TwoGroupoid,
     """The 2-groupoid of weak functors, weak transformations, and
     modifications, with its underlying cell lists."""
     functors = enumerate_weak_functors(D, C, pointed=pointed_only, cap=cap)
-    Cw = _coerce_weak(C)
-    one_cells = []
-    for i, P in enumerate(functors):
-        for j, Q in enumerate(functors):
-            for (t, theta) in enumerate_weak_transformations_wf(
-                    P, Q, pointed=pointed_only):
-                one_cells.append((i, j, t, theta))
-    cell_pos = {c: k for k, c in enumerate(one_cells)}
-    n1 = len(one_cells)
-    src1 = tuple(c[0] for c in one_cells)
-    tgt1 = tuple(c[1] for c in one_cells)
-    id1 = []
-    for i, P in enumerate(functors):
-        t = tuple(C.id1[P.obj_map[A]] for A in range(D.n_objects))
-        theta = tuple(C.id2[P.map1[c]] for c in range(D.n1))
-        id1.append(cell_pos[(i, i, t, theta)])
-    comp1 = [[-1] * n1 for _ in range(n1)]
-    for x, (i, j, t, theta) in enumerate(one_cells):
-        for y, (j2, k, s, sigma) in enumerate(one_cells):
-            if j2 != j:
-                continue
-            st = tuple(C.comp1[t[A]][s[A]] for A in range(D.n_objects))
-            comp_theta = tuple(
-                C.vcomp[Cw.whisker_right(theta[c], s[D.tgt1[c]])][
-                    Cw.whisker_left(t[D.src1[c]], sigma[c])]
-                for c in range(D.n1))
-            comp1[x][y] = cell_pos[(i, k, st, comp_theta)]
-    two_cells = []
-    for x, (i, j, t, theta) in enumerate(one_cells):
-        for y, (i2, j2, s, sigma) in enumerate(one_cells):
-            if i2 != i or j2 != j:
-                continue
-            for mu in enumerate_modifications_wf(
-                    functors[i], functors[j], t, theta, s, sigma,
-                    pointed=pointed_only):
-                two_cells.append((x, y, mu))
-    mod_pos = {m: k for k, m in enumerate(two_cells)}
-    n2 = len(two_cells)
-    src2 = tuple(m[0] for m in two_cells)
-    tgt2 = tuple(m[1] for m in two_cells)
-    id2 = []
-    for x, (i, j, t, theta) in enumerate(one_cells):
-        mu = tuple(C.id2[t[A]] for A in range(D.n_objects))
-        id2.append(mod_pos[(x, x, mu)])
-    vcomp = [[-1] * n2 for _ in range(n2)]
-    hcomp = [[-1] * n2 for _ in range(n2)]
-    for p, (x, y, mu) in enumerate(two_cells):
-        for q, (y2, z, nu) in enumerate(two_cells):
-            if y2 == y:
-                comp = tuple(C.vcomp[mu[A]][nu[A]] for A in range(D.n_objects))
-                vcomp[p][q] = mod_pos[(x, z, comp)]
-        for q, (u, v, nu) in enumerate(two_cells):
-            if one_cells[u][0] == one_cells[x][1]:
-                comp = tuple(C.hcomp2[mu[A]][nu[A]]
-                             for A in range(D.n_objects))
-                hcomp[p][q] = mod_pos[(comp1[x][u], comp1[y][v], comp)]
-    bp = None
-    if D.basepoint is not None and C.basepoint is not None:
-        for i, P in enumerate(functors):
-            if P.obj_map[D.basepoint] == C.basepoint:
-                bp = i
-                break
-    gpd = build_two_groupoid(len(functors), src1, tgt1, tuple(id1), comp1,
-                             src2, tgt2, tuple(id2), vcomp, hcomp,
-                             basepoint=bp)
-    return gpd, functors, one_cells, two_cells
+    return _assemble_hom(
+        D, C, functors,
+        functools.partial(enumerate_weak_transformations_wf,
+                          pointed=pointed_only),
+        functools.partial(enumerate_modifications_wf, pointed=pointed_only),
+        weak=True)
 
 
 def hom_full(D: TwoGroupoid, C: TwoGroupoid, pointed_only: bool = False,

@@ -192,6 +192,20 @@ class TestExitCodes:
         assert "cap exceeded" in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_bad_strategy_is_2(self, capsys):
+        for command in ("reconstruct", "roundtrip"):
+            for strategy in ("bogus", "seeded:x"):
+                code, out, err = run(capsys, command, str(FIX / "nz2.sset"),
+                                     "--strategy", strategy)
+                assert (code, out) == (2, "")
+                assert "usage:" in err and "--strategy" in err
+
+    def test_negative_trunc_is_2(self, capsys):
+        code, out, err = run(capsys, "nerve", str(FIX / "z2.xmod"),
+                             "--trunc", "-1")
+        assert (code, out) == (2, "")
+        assert "usage:" in err and "--trunc" in err
+
     def test_wrong_subject_kind_is_2(self, capsys):
         code, _, err = run(capsys, "sset2", str(FIX / "z2.group"))
         assert code == 2

@@ -29,16 +29,12 @@ TWO_GPDS = ("bz2.2gpd", "z2.xmod", "z2to1.xmod", "z3.xmod", "z4to2.xmod")
 XMODS = ("z2.xmod", "z2to1.xmod", "z3.xmod", "z4to2.xmod")
 GROUPS = ("s3.group", "v4.group", "z2.group", "z3.group", "z4.group")
 
-# 152 s, nearly all in check_two_groupoid on the 2048-cell hom
-SLOW = {("hom", "z3.xmod", "z4to2.xmod")}
-
 
 def commands():
     for command, files in (("enumerate-maps", SSETS), ("hom", TWO_GPDS),
                            ("pi0hom", XMODS)):
         for dom, cod in itertools.product(files, repeat=2):
-            if (command, dom, cod) not in SLOW:
-                yield (command, dom, cod)
+            yield (command, dom, cod)
             yield (command, dom, cod, "--pointed")
     for gamma, coeff in itertools.product(GROUPS, repeat=2):
         yield ("cohomology", "--gamma", gamma, "--coeff", coeff)
