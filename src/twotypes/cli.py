@@ -58,8 +58,8 @@ def _strategy(text: str) -> str:
         f"expected first or seeded:<int>, got {text!r}")
 
 
-def _level(text: str) -> int:
-    """A truncation level: an integer >= 0."""
+def _natural(text: str) -> int:
+    """A truncation level or a cap: an integer >= 0."""
     try:
         level = int(text)
     except ValueError:
@@ -200,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("nerve", cmd_nerve, help="simplex counts of the nerve")
     sp.add_argument("file")
-    sp.add_argument("--trunc", type=_level, default=None)
+    sp.add_argument("--trunc", type=_natural, default=None)
 
     sp = add("sset2", cmd_sset2,
              help="test the Kan, coskeletal and minimality conditions")
@@ -222,21 +222,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("dom")
     sp.add_argument("cod")
     sp.add_argument("--pointed", action="store_true")
-    sp.add_argument("--cap", type=int, default=10 ** 6)
+    sp.add_argument("--cap", type=_natural, default=10 ** 6)
 
     sp = add("hom", cmd_hom,
              help="cell counts of the weak functor 2-groupoid")
     sp.add_argument("dom")
     sp.add_argument("cod")
     sp.add_argument("--pointed", action="store_true")
-    sp.add_argument("--cap", type=int, default=10 ** 6)
+    sp.add_argument("--cap", type=_natural, default=10 ** 6)
 
     sp = add("pi0hom", cmd_pi0hom,
              help="transformation classes of weak maps of crossed modules")
     sp.add_argument("dom")
     sp.add_argument("cod")
     sp.add_argument("--pointed", action="store_true")
-    sp.add_argument("--cap", type=int, default=10 ** 6)
+    sp.add_argument("--cap", type=_natural, default=10 ** 6)
 
     sp = add("cohomology", cmd_cohomology,
              help="first and second cohomology of a group with abelian "
@@ -244,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", required=True)
     sp.add_argument("--coeff", required=True)
     sp.add_argument("--action", default=None)
-    sp.add_argument("--cap", type=int, default=10 ** 6)
+    sp.add_argument("--cap", type=_natural, default=10 ** 6)
 
     return p
 

@@ -10,17 +10,12 @@ n+1.  Degenerate simplices are stored explicitly.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .search import Budget, SizeCapExceeded, classes, search
 from .xmod import Violation
-
-
-class NotSSet2(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -31,12 +26,6 @@ class TruncatedSimplicialSet:
     degens: tuple[tuple[tuple[int, ...], ...], ...]
     coskeletal_at: Optional[int] = None
     basepoint: Optional[int] = None
-
-    def face(self, n: int, x: int, i: int) -> int:
-        return self.faces[n][x][i]
-
-    def degen(self, n: int, x: int, j: int) -> int:
-        return self.degens[n][x][j]
 
     def degenerate_flags(self, n: int) -> tuple[bool, ...]:
         """Which level-n simplices are degenerate."""
@@ -124,28 +113,11 @@ def make_sset(trunc, counts, faces, degens, coskeletal_at=None,
 def standard_simplex(n: int, trunc: int = 4) -> TruncatedSimplicialSet:
     """Delta^n truncated: level m holds the weakly increasing (m+1)-tuples
     over 0..n, in lexicographic order."""
-    levels = []
-    index = []
-    for m in range(trunc + 1):
-        simps = sorted(itertools.combinations_with_replacement(range(n + 1),
-                                                               m + 1))
-        levels.append(simps)
-        index.append({s: i for i, s in enumerate(simps)})
-    faces = [()]
-    for m in range(1, trunc + 1):
-        faces.append(tuple(
-            tuple(index[m - 1][s[:i] + s[i + 1:]] for i in range(m + 1))
-            for s in levels[m]))
-    degens = []
-    for m in range(trunc):
-        degens.append(tuple(
-            tuple(index[m + 1][s[:j + 1] + s[j:]] for j in range(m + 1))
-            for s in levels[m]))
-    return make_sset(trunc, [len(l) for l in levels], faces, degens,
-                     basepoint=0)
+    return _subcomplex_of_simplex(n, lambda s: True, trunc, basepoint=0)
 
 
-def _subcomplex_of_simplex(n: int, keep, trunc: int) -> TruncatedSimplicialSet:
+def _subcomplex_of_simplex(n: int, keep, trunc: int,
+                           basepoint=None) -> TruncatedSimplicialSet:
     """Subcomplex of Delta^n spanned by the vertex tuples accepted by keep."""
     levels = []
     index = []
@@ -165,7 +137,8 @@ def _subcomplex_of_simplex(n: int, keep, trunc: int) -> TruncatedSimplicialSet:
         degens.append(tuple(
             tuple(index[m + 1][s[:j + 1] + s[j:]] for j in range(m + 1))
             for s in levels[m]))
-    return make_sset(trunc, [len(l) for l in levels], faces, degens)
+    return make_sset(trunc, [len(l) for l in levels], faces, degens,
+                     basepoint=basepoint)
 
 
 def boundary(n: int, trunc: int = 4) -> TruncatedSimplicialSet:
@@ -360,6 +333,14 @@ def is_kan(x: TruncatedSimplicialSet, dims: Iterable[int] = (1, 2, 3, 4)):
 
 # -- minimality --------------------------------------------------------------
 
+def _by_boundary(x: TruncatedSimplicialSet, n: int) -> dict[tuple, list[int]]:
+    """The level-n simplices of x by boundary tuple, ascending."""
+    out: dict[tuple, list[int]] = {}
+    for z, row in enumerate(x.faces[n]):
+        out.setdefault(row, []).append(z)
+    return out
+
+
 def homotopic_rel_boundary(x: TruncatedSimplicialSet, n: int,
                            a: int, b: int) -> bool:
     """Witness criterion: an (n+1)-simplex z with d_n z = a, d_{n+1} z = b,
@@ -380,10 +361,7 @@ def is_k_minimal(x: TruncatedSimplicialSet, k: int):
     higher levels are rigid by coskeletality.
     """
     for n in range(max(k, 1), min(3, x.trunc) + 1):
-        by_boundary: dict[tuple, list[int]] = {}
-        for z in range(x.counts[n]):
-            by_boundary.setdefault(x.faces[n][z], []).append(z)
-        for group in by_boundary.values():
+        for group in _by_boundary(x, n).values():
             for a, b in itertools.combinations(group, 2):
                 if homotopic_rel_boundary(x, n, a, b):
                     return (n, a, b)
@@ -445,10 +423,11 @@ def relabel(x: TruncatedSimplicialSet, perms) -> TruncatedSimplicialSet:
 
 # -- products ----------------------------------------------------------------
 
-def product(x: TruncatedSimplicialSet,
-            y: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
-    """Levelwise product; the level-n pair (a, b) has index a*|Y_n|+b."""
-    trunc = min(x.trunc, y.trunc)
+def product(x: TruncatedSimplicialSet, y: TruncatedSimplicialSet,
+            trunc: Optional[int] = None) -> TruncatedSimplicialSet:
+    """Levelwise product through level min(x.trunc, y.trunc, trunc); the
+    level-n pair (a, b) has index a*|Y_n|+b."""
+    trunc = min(x.trunc, y.trunc, x.trunc if trunc is None else trunc)
     counts = [x.counts[n] * y.counts[n] for n in range(trunc + 1)]
     faces = [()]
     for n in range(1, trunc + 1):
@@ -543,76 +522,44 @@ def _constraint_order(variables, constraints):
     return order
 
 
-def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
-                          y: TruncatedSimplicialSet,
-                          fixed: Optional[dict] = None,
-                          pointed: bool = False,
-                          cap: int = 10 ** 6,
-                          first_only: bool = False):
-    """All simplicial maps between the 3-truncations.
+class MapPlan:
+    """The tables of the searches for maps x -> y of 3-truncations, built
+    once per (x, y) and independent of the fixed cells: y's simplices by
+    boundary and its boundary tuples one level up, and per level the search
+    order of x's nondegenerate simplices with the up-face keys that prune
+    them.  A level is planned when a search first reaches it."""
 
-    fixed maps (level, simplex) -> forced image.  Degenerate simplices are
-    always forced from below; the search runs over nondegenerate simplices
-    level by level, pruned by the requirement that every level-(n+1) boundary
-    image is the boundary of some target simplex.
-    """
-    depth = min(3, x.trunc, y.trunc)
-    fixed = dict(fixed or {})
-    if pointed:
-        fixed.setdefault((0, x.basepoint), y.basepoint)
+    def __init__(self, x: TruncatedSimplicialSet, y: TruncatedSimplicialSet):
+        self.x, self.y = x, y
+        self.depth = depth = min(3, x.trunc, y.trunc)
+        self.by_boundary = [None] + [_by_boundary(y, n)
+                                     for n in range(1, depth + 1)]
+        # realized boundary tuples one level up; the top level has them
+        # only when both complexes hold level depth + 1
+        self.up_keys = [set(d) for d in self.by_boundary[1:]] + [
+            set(y.faces[depth + 1])
+            if depth + 1 <= min(x.trunc, y.trunc) else None]
+        self._levels: dict[int, tuple[list[int], list[tuple]]] = {}
 
-    degflags = [x.degenerate_flags(n) for n in range(min(depth + 1, x.trunc + 1))]
-    # boundary tuple -> level-n target simplices
-    y_by_boundary: list = [None]
-    for n in range(1, depth + 1):
-        d: dict[tuple, list[int]] = {}
-        for z in range(y.counts[n]):
-            d.setdefault(y.faces[n][z], []).append(z)
-        y_by_boundary.append(d)
-    # realized boundary tuples one level up, for pruning at each level
-    up_keys: list = [None] * (depth + 1)
-    up_faces: list = [None] * (depth + 1)
-    for n in range(depth + 1):
-        if n + 1 <= depth:
-            up_keys[n] = set(y_by_boundary[n + 1])
-            up_faces[n] = x.faces[n + 1]
-        elif n + 1 <= y.trunc and n + 1 <= x.trunc:
-            up_keys[n] = {y.faces[n + 1][z] for z in range(y.counts[n + 1])}
-            up_faces[n] = x.faces[n + 1]
+    def level(self, n: int):
+        """Level n's variable order and the keys of its up-face constraints,
+        each the faces of a level-(n+1) simplex of x."""
+        if n not in self._levels:
+            order = [z for z, degenerate in
+                     enumerate(self.x.degenerate_flags(n)) if not degenerate]
+            up = [] if self.up_keys[n] is None else \
+                list(dict.fromkeys(self.x.faces[n + 1]))
+            self._levels[n] = (_constraint_order(order, up) if up else order,
+                               up)
+        return self._levels[n]
 
-    assign: list[dict[int, int]] = [dict() for _ in range(depth + 1)]
-    budget = Budget(cap, "map search")
-
-    def candidates(n, z):
-        if n == 0:
-            cands = range(y.counts[0])
-        else:
-            key = tuple(assign[n - 1][f] for f in x.faces[n][z])
-            cands = y_by_boundary[n].get(key, [])
-        if (n, z) in fixed:
-            want = fixed[(n, z)]
-            return [want] if want in cands else []
-        return cands
-
-    @functools.cache
-    def plan(n):
-        """Level n's variable order and up-face constraints; they depend
-        only on n, so each level builds them once per call."""
-        a, keys = assign[n], up_keys[n]
-        order = [z for z in range(x.counts[n]) if not degflags[n][z]]
-        if keys is None:
-            return order, []
-        up_cons = list(dict.fromkeys(up_faces[n]))
-        return _constraint_order(order, up_cons), [
-            (key, lambda key=key: tuple(map(a.__getitem__, key)) in keys)
-            for key in up_cons]
-
-    def level(n):
-        """Extend assign through level n; yields once per full map."""
-        if n > depth:
+    def _extend(self, n, assign, fixed, budget, cons):
+        """Extend assign through level n; yields once per full map.  cons
+        caches, per level, one search's up-face constraints on assign."""
+        if n > self.depth:
             yield
             return
-        a = assign[n]
+        x, y, a = self.x, self.y, assign[n]
         # degenerate simplices are forced from the level below
         for w in range(x.counts[n - 1] if n else 0):
             for j in range(n):
@@ -622,20 +569,66 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
                    fixed.get((n, z), img) != img:
                     a.clear()
                     return
-        order, constraints = plan(n)
-        for _ in search(order, lambda z: candidates(n, z), constraints, a,
-                        budget):
-            yield from level(n + 1)
+        order, up = self.level(n)
+        if n not in cons:
+            keys = self.up_keys[n]
+            cons[n] = [(key, lambda key=key: tuple(map(a.__getitem__, key))
+                        in keys) for key in up]
+        by_boundary = self.by_boundary[n]
+
+        def candidates(z):
+            if n == 0:
+                cands = range(y.counts[0])
+            else:
+                cands = by_boundary.get(
+                    tuple(assign[n - 1][f] for f in x.faces[n][z]), [])
+            if (n, z) in fixed:
+                want = fixed[(n, z)]
+                return [want] if want in cands else []
+            return cands
+
+        for _ in search(order, candidates, cons[n], a, budget):
+            yield from self._extend(n + 1, assign, fixed, budget, cons)
         a.clear()
 
+
+def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
+                          y: TruncatedSimplicialSet,
+                          fixed: Optional[dict] = None,
+                          pointed: bool = False,
+                          cap: int = 10 ** 6,
+                          first_only: bool = False,
+                          plan: Optional[MapPlan] = None):
+    """All simplicial maps between the 3-truncations.
+
+    fixed maps (level, simplex) -> forced image.  Degenerate simplices are
+    always forced from below; the search runs over nondegenerate simplices
+    level by level, pruned by the requirement that every level-(n+1) boundary
+    image is the boundary of some target simplex.
+
+    Level 3 is pruned so by level 4 only when x and y both hold level 4.
+    For a target that is 3-coskeletal, whose level 4 holds every compatible
+    tuple of 3-simplices, that pruning never fails: a map that commutes
+    with faces through level 3 sends the faces of a 4-simplex to a
+    compatible tuple.  So x truncated at 3 has the same maps into it.
+
+    plan, a MapPlan(x, y), lets the searches from x to y share their
+    tables; without it this search builds its own.
+    """
+    plan = MapPlan(x, y) if plan is None else plan
+    if plan.x is not x or plan.y is not y:
+        raise ValueError("the plan was built for other complexes")
+    fixed = dict(fixed or {})
+    if pointed:
+        fixed.setdefault((0, x.basepoint), y.basepoint)
+    assign: list[dict[int, int]] = [dict() for _ in range(plan.depth + 1)]
     out = []
-    for _ in level(0):
+    for _ in plan._extend(0, assign, fixed, Budget(cap, "map search"), {}):
         out.append(check_simplicial_map(
             x, y, [tuple(assign[m][z] for z in range(x.counts[m]))
-                   for m in range(depth + 1)]))
+                   for m in range(plan.depth + 1)]))
         if first_only:
             break
-    plan.cache_clear()  # else the plans wait for the cycle collector
     return out
 
 
@@ -663,33 +656,79 @@ def interval() -> TruncatedSimplicialSet:
 
 def _end_inclusion_fixed(x: TruncatedSimplicialSet, vertex: int,
                          m: SimplicialMap, depth: int) -> dict:
-    """Fix the images of the end {vertex} x X inside a map Delta^1 x X -> Y."""
-    fixed = {}
-    for n in range(depth + 1):
-        # position of the constant tuple at `vertex` among the weakly
-        # increasing level-n tuples of Delta^1
-        consts = sorted(itertools.combinations_with_replacement((0, 1), n + 1))
-        tot = consts.index(tuple([vertex] * (n + 1)))
-        for z in range(x.counts[n]):
-            fixed[(n, tot * x.counts[n] + z)] = m.levels[n][z]
-    return fixed
+    """Fix the images of the end {vertex} x X inside a map Delta^1 x X -> Y.
+    The constant tuple at vertex is simplex vertex*(n+1) among the weakly
+    increasing level-n tuples of Delta^1."""
+    return {(n, vertex * (n + 1) * x.counts[n] + z): m.levels[n][z]
+            for n in range(depth + 1) for z in range(x.counts[n])}
 
 
-def homotopic(f: SimplicialMap, g: SimplicialMap,
-              cap: int = 10 ** 6) -> bool:
-    """Existence of H on Delta^1 x dom restricting to f and g on the ends."""
-    x, y = f.dom, f.cod
-    prod = product(interval(), x)
-    depth = min(3, prod.trunc, y.trunc)
-    fixed = {}
-    fixed.update(_end_inclusion_fixed(x, 0, f, depth))
-    fixed.update(_end_inclusion_fixed(x, 1, g, depth))
-    found = enumerate_maps_3trunc(prod, y, fixed=fixed, cap=cap,
-                                  first_only=True)
-    return bool(found)
+class Homotopies:
+    """Homotopies Delta^1 x X -> Y between maps X -> Y: one prism I x X
+    and one MapPlan, built once and searched for every pair of ends.
+
+    The prism is truncated at 3 when Y is 3-coskeletal by construction
+    (coskeletal_at <= 3, which only `coskeleton` sets; every nerve is).
+    There the level-4 pruning of the search never fails (see
+    `enumerate_maps_3trunc`), so level 4 of I x X would be built and
+    audited for nothing.  Into any other Y the prism keeps level 4, and
+    level 3 stays pruned by the 4-simplices of Y.
+    """
+
+    def __init__(self, x: TruncatedSimplicialSet, y: TruncatedSimplicialSet):
+        cosk = y.coskeletal_at is not None and y.coskeletal_at <= 3
+        self.x, self.y = x, y
+        self.prism = product(interval(), x, 3 if cosk else None)
+        self.plan = MapPlan(self.prism, y)
+
+    def fixed(self, f: SimplicialMap, g: SimplicialMap,
+              pointed: bool = False) -> dict:
+        """The cells a homotopy from f to g must send as f does on
+        {0} x X and as g does on {1} x X; when pointed, the base column
+        Delta^1 x {*} goes to the basepoint of Y."""
+        x, y, depth = self.x, self.y, self.plan.depth
+        fixed = {}
+        if pointed:
+            if x.basepoint is None or y.basepoint is None:
+                raise Violation("pointed-without-basepoint", None)
+            bx, by = x.basepoint, y.basepoint
+            for n in range(depth + 1):
+                for w in range(n + 2):  # the level-n simplices of Delta^1
+                    fixed[(n, w * x.counts[n] + bx)] = by
+                if n < depth:
+                    bx, by = x.degens[n][bx][0], y.degens[n][by][0]
+        fixed.update(_end_inclusion_fixed(x, 0, f, depth))
+        fixed.update(_end_inclusion_fixed(x, 1, g, depth))
+        return fixed
+
+    def find(self, f: SimplicialMap, g: SimplicialMap, pointed: bool = False,
+             cap: int = 10 ** 6) -> Optional[SimplicialMap]:
+        """A homotopy from f to g, or None."""
+        found = enumerate_maps_3trunc(
+            self.prism, self.y, fixed=self.fixed(f, g, pointed), cap=cap,
+            first_only=True, plan=self.plan)
+        return found[0] if found else None
+
+
+def homotopic(f: SimplicialMap, g: SimplicialMap, cap: int = 10 ** 6,
+              pointed: bool = False) -> bool:
+    """Existence of H on Delta^1 x dom restricting to f and g on the ends
+    and, when pointed, to the basepoint on the base column.
+
+    H is searched on the 3-truncations.  Its level 3 is pruned by the
+    4-simplices of the target only when the prism and the target both hold
+    level 4.  For a 3-coskeletal target that pruning is vacuous, so the
+    prism is built at truncation 3; into any other target it keeps level 4
+    (see `Homotopies`).  Either way the answer is that of the full prism.
+    """
+    return Homotopies(f.dom, f.cod).find(f, g, pointed, cap) is not None
 
 
 def homotopy_classes(maps: Sequence[SimplicialMap], cap: int = 10 ** 6):
-    """Partition by the equivalence closure of the homotopy relation."""
-    return classes(len(maps), lambda i, j: homotopic(maps[i], maps[j],
-                                                     cap=cap))
+    """Partition by the equivalence closure of the homotopy relation.  The
+    maps share their domain and codomain, so one prism serves every pair."""
+    if not maps:
+        return []
+    h = Homotopies(maps[0].dom, maps[0].cod)
+    return classes(len(maps), lambda i, j: h.find(maps[i], maps[j],
+                                                  cap=cap) is not None)

@@ -318,6 +318,8 @@ def enumerate_weak_functors(dom: TwoGroupoid, cod: TwoGroupoid,
     the 1-cell map, the coherence cells, and the 2-cell map in turn."""
     out = []
     budget = Budget(cap, "weak functor search")
+    # one weak view of each, shared by every functor found
+    dom, cod = _coerce_weak(dom), _coerce_weak(cod)
 
     by1: dict[tuple[int, int], list[int]] = {}
     for f in range(cod.n1):
@@ -820,23 +822,15 @@ def xmod_weak_map_from_weak_functor(F: WeakFunctor, H: CrossedModule,
     return check_xmod_weak_map(H, G, p1, p2, eps)
 
 
-def wf_transformation_from_xmod(T: XmodTransformation, BG: TwoGroupoid):
-    """(t, theta) cell data over the one-object 2-groupoids."""
-    P = T.src
-    H, G = P.dom, P.cod
-    n2g = G.g2.order
-    t = (T.a,)
-    theta = tuple(G.g1.mul[P.p1[c]][T.a] * n2g + T.theta[c]
-                  for c in range(H.g1.order))
-    return t, theta
-
-
 # -- transformations versus simplicial homotopies -----------------------------
 
-def transformation_to_homotopy(P: WeakFunctor, Q: WeakFunctor, t, theta):
+def transformation_to_homotopy(P: WeakFunctor, Q: WeakFunctor, t, theta,
+                               prism=None):
     """The simplicial homotopy N P => N Q induced by a weak transformation:
     each prism over a 1-cell is split along the diagonal t_A Q(c), the upper
-    triangle carrying the identity and the lower carrying theta_c."""
+    triangle carrying the identity and the lower carrying theta_c.  It is
+    defined on prism, I x N(dom) through level 3 or more, built here when
+    not given."""
     from . import nerve as nerve_mod
     from .simpset import check_simplicial_map, interval, product
 
@@ -847,26 +841,17 @@ def transformation_to_homotopy(P: WeakFunctor, Q: WeakFunctor, t, theta):
     tri_pos = nerve_mod.two_simplex_index(C)
     tri3_pos = {NC.faces[3][z]: z for z in range(NC.counts[3])}
     tris = nerve_mod.two_simplices(D)
-    prod = product(interval(), ND)
+    prod = product(interval(), ND, 3) if prism is None else prism
 
     def qcell(alpha):
         # image in C of a 2-simplex cell alpha: f g => h of D, through Q
         f, g, a = tris[alpha]
         return C.vcomp[Q.eps[f][g]][Q.map2[a]]
 
-    lvl0 = []
-    for w in range(2):
-        for v in range(ND.counts[0]):
-            lvl0.append(P.obj_map[v] if w == 0 else Q.obj_map[v])
-    lvl1 = []
-    for w in range(3):                      # edges 00, 01, 11 of the interval
-        for c in range(ND.counts[1]):
-            if w == 0:
-                lvl1.append(P.map1[c])
-            elif w == 2:
-                lvl1.append(Q.map1[c])
-            else:
-                lvl1.append(C.comp1[t[D.src1[c]]][Q.map1[c]])
+    lvl0 = list(P.obj_map) + list(Q.obj_map)
+    # over the edges 00, 01 and 11 of the interval
+    lvl1 = list(P.map1) + [C.comp1[t[D.src1[c]]][Q.map1[c]]
+                           for c in range(ND.counts[1])] + list(Q.map1)
     lvl2 = []
     for w in range(4):                      # 000, 001, 011, 111
         for x in range(ND.counts[2]):
@@ -923,11 +908,10 @@ def pi0_hom_vs_homotopy_classes(H: TwoGroupoid, G: TwoGroupoid,
     simplicial homotopy of their nerves, verified constructively in both
     directions, so the two class counts agree."""
     from . import nerve as nerve_mod
-    from .simpset import (
-        _end_inclusion_fixed, enumerate_maps_3trunc, interval, product,
-        simplicial_maps,
-    )
+    from .simpset import Homotopies, simplicial_maps
 
+    # the functors, and every nerve below, share these two weak views
+    H, G = _coerce_weak(H), _coerce_weak(G)
     funcs = enumerate_weak_functors(H, G, pointed=True, cap=cap)
     NH = nerve_mod.nerve(H)
     NG = nerve_mod.nerve(G)
@@ -938,41 +922,23 @@ def pi0_hom_vs_homotopy_classes(H: TwoGroupoid, G: TwoGroupoid,
        keyed != {m.levels[:4] for m in all_maps}:
         return False
 
-    prod = product(interval(), NH)
-    depth = 3
-    base_col = {}
-    bx, by = NH.basepoint, NG.basepoint
-    for n in range(depth + 1):
-        for w in range(prod.counts[n] // NH.counts[n]):
-            base_col[(n, w * NH.counts[n] + bx)] = by
-        bx = NH.degens[n][bx][0] if n < depth else bx
-        by = NG.degens[n][by][0] if n < depth else by
-
-    def pointed_homotopy(f, g):
-        fixed = dict(base_col)
-        fixed.update(_end_inclusion_fixed(NH, 0, f, depth))
-        fixed.update(_end_inclusion_fixed(NH, 1, g, depth))
-        found = enumerate_maps_3trunc(prod, NG, fixed=fixed, cap=cap,
-                                      first_only=True)
-        return found[0] if found else None
-
+    homotopies = Homotopies(NH, NG)
     n = len(funcs)
     for i in range(n):
         for j in range(n):
             trans = enumerate_weak_transformations_wf(funcs[i], funcs[j],
                                                       pointed=True)
-            hmt = pointed_homotopy(nmaps[i], nmaps[j])
+            hmt = homotopies.find(nmaps[i], nmaps[j], pointed=True, cap=cap)
             if bool(trans) != (hmt is not None):
                 return False
             if trans:
                 t, theta = trans[0]
-                built = transformation_to_homotopy(funcs[i], funcs[j],
-                                                   t, theta)
-                f0 = _end_inclusion_fixed(NH, 0, nmaps[i], depth)
-                f1 = _end_inclusion_fixed(NH, 1, nmaps[j], depth)
-                for (lvl, z), img in {**f0, **f1, **base_col}.items():
-                    if built.levels[lvl][z] != img:
-                        return False
+                built = transformation_to_homotopy(funcs[i], funcs[j], t,
+                                                   theta, homotopies.prism)
+                fixed = homotopies.fixed(nmaps[i], nmaps[j], pointed=True)
+                if any(built.levels[lvl][z] != img
+                       for (lvl, z), img in fixed.items()):
+                    return False
             if hmt is not None:
                 t, theta = transformation_from_homotopy(hmt, funcs[i],
                                                         funcs[j])

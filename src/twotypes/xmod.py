@@ -100,10 +100,6 @@ def xmod_identity(g: FiniteGroup) -> CrossedModule:
                                 conjugation_action(g))
 
 
-def xmod_from_hom(phi: GroupHom, action: GroupAction) -> CrossedModule:
-    return check_crossed_module(phi.dom, phi.cod, phi, action)
-
-
 # -- homotopy invariants -----------------------------------------------------
 
 def pi1_proj(xm: CrossedModule) -> tuple[FiniteGroup, GroupHom]:

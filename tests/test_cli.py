@@ -206,6 +206,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "usage:" in err and "--trunc" in err
 
+    def test_bad_cap_is_2(self, capsys):
+        pair = [str(FIX / "z2.xmod"), str(FIX / "z2to1.xmod")]
+        commands = [
+            ["enumerate-maps", str(FIX / "nz2.sset"), str(FIX / "nz2.sset")],
+            ["hom", *pair], ["pi0hom", *pair],
+            ["cohomology", "--gamma", str(FIX / "z2.group"),
+             "--coeff", str(FIX / "z2.group")]]
+        for command in commands:
+            for cap in ("-5", "-1", "x", "1.5"):
+                code, out, err = run(capsys, *command, "--cap", cap)
+                assert (code, out) == (2, "")
+                assert "usage:" in err and "--cap" in err
+            # 0 is a cap: the first step of the search goes past it
+            code, out, _ = run(capsys, *command, "--cap", "0")
+            assert (code, out) == (3, "")
+
     def test_wrong_subject_kind_is_2(self, capsys):
         code, _, err = run(capsys, "sset2", str(FIX / "z2.group"))
         assert code == 2

@@ -5,17 +5,19 @@ import random
 import pytest
 
 from twotypes import simpset
-from twotypes.fingroup import cyclic
+from twotypes.fingroup import cyclic, symmetric3
 from twotypes.nerve import nerve
+from twotypes.search import classes
 from twotypes.simpset import (
-    SizeCapExceeded, TruncatedSimplicialSet, boundary,
-    check_simplicial_identities, compose_maps, coskeleton, enumerate_horns,
-    homotopic, homotopy_classes, horn, identity_map, in_sset2, interval,
+    Homotopies, MapPlan, SizeCapExceeded, TruncatedSimplicialSet,
+    _end_inclusion_fixed, boundary, check_simplicial_identities, compose_maps,
+    coskeleton, enumerate_horns, enumerate_maps_3trunc, homotopic,
+    homotopy_classes, horn, identity_map, in_sset2, interval,
     is_coskeletal_at, is_k_minimal, is_kan, make_sset, product, relabel,
     simplicial_maps, standard_simplex,
 )
 from twotypes.twogpd import xmod_to_2group
-from twotypes.xmod import xmod_bg
+from twotypes.xmod import Violation, xmod_bg
 
 
 def sphere_base():
@@ -37,6 +39,22 @@ def sphere_fixture():
 
 def nerve_bg(n):
     return nerve(xmod_to_2group(xmod_bg(cyclic(n))))
+
+
+def without_4_simplex(x, extra=()):
+    """x, a nerve of BZ/2, with its one nondegenerate 4-simplex removed and
+    the rows of extra in its place; and the removed row."""
+    gone = x.degenerate_flags(4).index(False)
+    keep = [z for z in range(x.counts[4]) if z != gone]
+    new = {z: i for i, z in enumerate(keep)}
+    rows = [x.faces[4][z] for z in keep] + list(extra)
+    y = TruncatedSimplicialSet(
+        trunc=4, counts=x.counts[:4] + (len(rows),),
+        faces=x.faces[:4] + (tuple(rows),),
+        degens=x.degens[:3] + (tuple(tuple(new[z] for z in row)
+                                     for row in x.degens[3]),),
+        basepoint=x.basepoint)
+    return y, x.faces[4][gone]
 
 
 def brute_force_tuples(x, m, positions):
@@ -211,34 +229,25 @@ class TestKan:
     @pytest.mark.parametrize("stand_in", [None, "incompatible", "negative"])
     def test_missing_4_simplex_is_found(self, stand_in):
         x = nerve_bg(2)
-        degenerate = x.degenerate_flags(4)
-        gone = degenerate.index(False)
-        keep = [z for z in range(x.counts[4]) if z != gone]
-        new = {z: i for i, z in enumerate(keep)}
-        rows = [x.faces[4][z] for z in keep]
+        extra = []
         if stand_in == "incompatible":
             # an incompatible row in its place keeps the count of rows and
             # of distinct projections; only checking each key finds the gap
             horns = set(brute_force_tuples(x, 4, [1, 2, 3, 4]))
-            rows.append((0,) + next(
+            extra.append((0,) + next(
                 t for t in itertools.product(range(x.counts[3]), repeat=4)
                 if t not in horns))
         elif stand_in == "negative":
             # the removed row again, with entries that name its faces only
             # under Python's indexing from the end
-            rows.append(tuple(v - x.counts[3] for v in x.faces[4][gone]))
-        y = TruncatedSimplicialSet(
-            trunc=4, counts=x.counts[:4] + (len(rows),),
-            faces=x.faces[:4] + (tuple(rows),),
-            degens=x.degens[:3] + (tuple(tuple(new[z] for z in row)
-                                         for row in x.degens[3]),),
-            basepoint=x.basepoint)
+            gone = without_4_simplex(x)[1]
+            extra.append(tuple(v - x.counts[3] for v in gone))
+        y, gone = without_4_simplex(x, extra)
         assert is_kan(y, (1, 2, 3)) is True
         witness = is_kan(y, (4,))
         assert witness == first_unfillable_horn(y, 4)
         n, k, config = witness
-        assert tuple(config.values()) == \
-            x.faces[4][gone][:k] + x.faces[4][gone][k + 1:]
+        assert tuple(config.values()) == gone[:k] + gone[k + 1:]
 
     def test_horn_enumeration_dim2(self):
         d2 = standard_simplex(2)
@@ -299,6 +308,19 @@ class TestProduct:
     def test_product_is_audited(self):
         check_simplicial_identities(product(interval(), sphere_fixture()))
 
+    @pytest.mark.parametrize("build", [sphere_fixture, lambda: nerve_bg(2)])
+    def test_truncated_product_is_the_low_levels(self, build):
+        x = build()
+        full, low = product(interval(), x), product(interval(), x, 3)
+        assert (full.trunc, low.trunc) == (4, 3)
+        assert low.counts == full.counts[:4]
+        assert low.faces == full.faces[:4]
+        assert low.degens == full.degens[:3]
+        assert low.basepoint == full.basepoint
+        check_simplicial_identities(low)
+        # a truncation above both factors changes nothing
+        assert product(interval(), x, 9) == full
+
 
 class TestMaps:
     def test_maps_from_point_hit_vertices(self):
@@ -323,6 +345,27 @@ class TestMaps:
         # to either 2-cell, and level 3 follows coskeletally
         assert len(maps) == 2
 
+    def test_shared_plan_gives_the_same_maps(self):
+        x = sphere_fixture()
+        plan = MapPlan(x, x)
+        for fixed in ({}, {(2, 1): 0}, {(2, 1): 1}, {(0, 0): 1}):
+            assert enumerate_maps_3trunc(x, x, fixed=fixed, plan=plan) == \
+                enumerate_maps_3trunc(x, x, fixed=fixed)
+        with pytest.raises(ValueError):
+            enumerate_maps_3trunc(x, sphere_fixture(), plan=plan)
+
+
+def reference_homotopic(f, g, trunc=None):
+    """Whether a homotopy from f to g exists, searched on its own I x X,
+    built for this pair at full truncation unless trunc says otherwise."""
+    x, y = f.dom, f.cod
+    prod = product(interval(), x, trunc)
+    depth = min(3, prod.trunc, y.trunc)
+    fixed = {}
+    fixed.update(_end_inclusion_fixed(x, 0, f, depth))
+    fixed.update(_end_inclusion_fixed(x, 1, g, depth))
+    return bool(enumerate_maps_3trunc(prod, y, fixed=fixed, first_only=True))
+
 
 class TestHomotopy:
     def test_reflexive(self):
@@ -335,3 +378,59 @@ class TestHomotopy:
         maps = simplicial_maps(x, x)
         classes = homotopy_classes(maps)
         assert sum(len(c) for c in classes) == len(maps)
+
+    def test_prism_is_cut_at_3_only_into_a_coskeletal_target(self):
+        x = nerve_bg(2)
+        assert Homotopies(x, x).prism.trunc == 3
+        assert Homotopies(x, without_4_simplex(x)[0]).prism.trunc == 4
+        assert Homotopies(x, make_sset(**vars(x) | {"coskeletal_at": None})
+                          ).prism.trunc == 4
+
+    def test_target_that_is_not_coskeletal(self):
+        # level 4 of y misses one compatible tuple; a homotopy into y on
+        # the 3-truncations must still send every 4-simplex of the prism to
+        # a 4-simplex of y, so the prism keeps level 4
+        y = without_4_simplex(nerve_bg(2))[0]
+        assert not is_coskeletal_at(y, 3)
+        maps = simplicial_maps(standard_simplex(4), y)
+        assert len(maps) == 15
+        # maps 8-13 hold every pair of the 225 on which a prism cut at 3
+        # answers differently
+        pairs = list(itertools.product(maps[8:14], repeat=2))
+        want = [reference_homotopic(f, g) for f, g in pairs]
+        assert [homotopic(f, g) for f, g in pairs] == want
+        assert homotopy_classes(maps) == classes(
+            len(maps), lambda i, j: reference_homotopic(maps[i], maps[j]))
+        # cut at 3, the prism would find homotopies that need the removed
+        # simplex
+        assert [reference_homotopic(f, g, 3) for f, g in pairs] != want
+
+    def test_pointed_homotopy(self):
+        x = nerve_bg(2)
+        y = nerve(xmod_to_2group(xmod_bg(symmetric3())))
+        maps = simplicial_maps(x, y, pointed=True)
+        # Hom(Z/2, S3): the trivial map and three conjugate involutions
+        assert len(maps) == 4
+        assert [len(c) for c in homotopy_classes(maps)] == [1, 3]
+        assert [homotopic(f, g, pointed=True) for f in maps for g in maps] \
+            == [f is g for f in maps for g in maps]
+
+    def test_pointed_cells_are_the_base_column(self):
+        x, y = nerve_bg(2), nerve_bg(3)
+        h = Homotopies(x, y)
+        f = g = simplicial_maps(x, y, pointed=True)[0]
+        # the base column as the homotopy bridge wrote it by hand
+        base_col = {}
+        bx, by = x.basepoint, y.basepoint
+        for n in range(4):
+            for w in range(h.prism.counts[n] // x.counts[n]):
+                base_col[(n, w * x.counts[n] + bx)] = by
+            bx = x.degens[n][bx][0] if n < 3 else bx
+            by = y.degens[n][by][0] if n < 3 else by
+        ends = h.fixed(f, g)
+        assert ends == {**_end_inclusion_fixed(x, 0, f, 3),
+                        **_end_inclusion_fixed(x, 1, g, 3)}
+        assert h.fixed(f, g, pointed=True) == {**base_col, **ends}
+        with pytest.raises(Violation):
+            Homotopies(standard_simplex(1), sphere_fixture()).fixed(
+                f, g, pointed=True)

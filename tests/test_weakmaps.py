@@ -1,5 +1,6 @@
 import functools
 import itertools
+import sys
 from math import gcd
 
 import pytest
@@ -10,6 +11,7 @@ from test_twogpd import (
     _two_in_a_row, _with,
 )
 
+from twotypes import simpset
 from twotypes.fingroup import cyclic
 from twotypes.nerve import nerve
 from twotypes.reconstruct import choose_fillers, reconstruct
@@ -195,6 +197,36 @@ class TestHomotopyBridge:
     def test_pi0_agreement(self):
         assert pi0_hom_vs_homotopy_classes(bg(2), b2g(2))
         assert pi0_hom_vs_homotopy_classes(bg(3), b2g(3))
+
+    @staticmethod
+    def record_results(monkeypatch, name):
+        """The results of every call of simpset's function name, wherever
+        a twotypes module binds it."""
+        original, results = getattr(simpset, name), []
+
+        def recorded(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("twotypes") and \
+               vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, recorded)
+        return results
+
+    def test_bridge_builds_one_prism_and_one_plan(self, monkeypatch):
+        H, G = bg(2), b2g(2)  # new objects, so their nerves are built here
+        products = self.record_results(monkeypatch, "product")
+        orders = self.record_results(monkeypatch, "_constraint_order")
+        coskeleta = self.record_results(monkeypatch, "coskeleton")
+        assert pi0_hom_vs_homotopy_classes(H, G)
+        # one prism I x N(H), cut at 3 as N(G) is 3-coskeletal
+        assert [p.trunc for p in products] == [3]
+        # two plans, maps N(H) -> N(G) and homotopies I x N(H) -> N(G),
+        # each ordering a level of 0..3 at most once
+        assert len(orders) <= 2 * 4
+        # the nerves of H and G, and no other
+        assert [c.counts for c in coskeleta] == \
+            [nerve(H).counts, nerve(G).counts]
 
 
 class TestHomTower:
