@@ -12,7 +12,7 @@ import sys
 
 from . import cohom, nerve, reconstruct, weakmaps
 from .search import SizeCapExceeded, classes
-from .simpset import in_sset2, simplicial_maps
+from .simpset import COSKELETON_CAP, in_sset2, simplicial_maps
 from .textio import (
     ParseError, ValidationError, Workspace, describe_group, parse_file,
 )
@@ -98,7 +98,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_nerve(args) -> int:
     g = _as_2gpd(args.file)
-    x = nerve.nerve(g)
+    x = nerve.nerve(g, cap=args.cap)
     top = min(args.trunc, x.trunc) if args.trunc is not None else x.trunc
     print("levels: " + " ".join(str(c) for c in x.counts[:top + 1]))
     return 0
@@ -170,9 +170,10 @@ def cmd_roundtrip(args) -> int:
     if kind == "sset":
         x = obj
     else:
-        x = nerve.nerve(xmod_to_2group(obj) if kind == "xmod" else obj)
+        x = nerve.nerve(xmod_to_2group(obj) if kind == "xmod" else obj,
+                        cap=args.cap)
     fillers = _fillers(x, args)
-    rep = reconstruct.roundtrip_report(x, fillers)
+    rep = reconstruct.roundtrip_report(x, fillers, cap=args.cap)
     pent = reconstruct.pentagon_via_4simplex(x, fillers)
     iso = "isomorphic" if rep.ok else "not-isomorphic"
     print(f"nerve∘reconstruct: {iso}; pentagon: {'ok' if pent else 'fail'}")
@@ -201,6 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("nerve", cmd_nerve, help="simplex counts of the nerve")
     sp.add_argument("file")
     sp.add_argument("--trunc", type=_natural, default=None)
+    sp.add_argument("--cap", type=_natural, default=COSKELETON_CAP)
 
     sp = add("sset2", cmd_sset2,
              help="test the Kan, coskeletal and minimality conditions")
@@ -216,6 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("file")
         sp.add_argument("--strategy", type=_strategy, default="first")
         sp.add_argument("--seed", type=int, default=None)
+        if name == "roundtrip":
+            sp.add_argument("--cap", type=_natural, default=COSKELETON_CAP)
 
     sp = add("enumerate-maps", cmd_enumerate_maps,
              help="count simplicial maps between two complexes")

@@ -3,16 +3,20 @@
 Vertices are objects, edges are 1-cells with src = d1 and tgt = d0,
 2-simplices are triples (f, g, alpha) with alpha: f g => h a 2-cell out of
 the composite, and 3-simplices are boundary-compatible quadruples whose
-interior 2-cell equation pins the d1 face.  Level 4 is rebuilt coskeletally.
-Weak functors induce simplicial maps and conversely.
+interior 2-cell equation pins the d1 face.  Level 4 is the 3-coskeleton,
+held as the join of level 3 (`simpset.JoinLevel`): it is counted, and its
+rows are listed only when something reads them.  Weak functors induce
+simplicial maps and conversely.
 """
 
 from __future__ import annotations
 
+import weakref
+
 from .fingroup import make_group, make_hom
 from .simpset import (
-    SimplicialMap, TruncatedSimplicialSet, check_simplicial_map, coskeleton,
-    extend_to_level4, make_sset,
+    COSKELETON_CAP, SimplicialMap, TruncatedSimplicialSet,
+    check_simplicial_map, coskeleton, extend_to_level4, make_sset, over_cap,
 )
 from .twogpd import TwoFunctor, TwoGroupoid, _loop_classes, pi0
 from .weakmaps import (
@@ -21,7 +25,8 @@ from .weakmaps import (
 )
 from .xmod import Violation
 
-_NERVE_CACHE: dict[int, tuple[object, TruncatedSimplicialSet]] = {}
+# id(g) -> (a weak reference to g, its nerve); an entry leaves with g
+_NERVE_CACHE: dict[int, tuple[weakref.ref, TruncatedSimplicialSet]] = {}
 
 
 def two_simplices(g) -> list[tuple[int, int, int]]:
@@ -49,11 +54,15 @@ def two_simplex_index(g) -> dict[tuple[int, int, int], int]:
     return {t: i for i, t in enumerate(two_simplices(g))}
 
 
-def nerve(g) -> TruncatedSimplicialSet:
+def nerve(g, cap: int | None = None) -> TruncatedSimplicialSet:
     """3-coskeletal nerve, truncated at level 4, of a strict or weak
-    2-groupoid."""
+    2-groupoid.  Raises SizeCapExceeded when level 4 would hold more than
+    cap simplices (COSKELETON_CAP by default)."""
+    cap = COSKELETON_CAP if cap is None else cap
     cached = _NERVE_CACHE.get(id(g))
-    if cached is not None and cached[0] is g:
+    if cached is not None and cached[0]() is g:
+        if cached[1].counts[4] > cap:
+            raise over_cap(4, cap)
         return cached[1]
     w = _coerce_weak(g)
     faces1 = [(w.tgt1[f], w.src1[f]) for f in range(w.n1)]
@@ -111,8 +120,9 @@ def nerve(g) -> TruncatedSimplicialSet:
         [(), faces1, faces2, quads],
         [degens0, degens1, degens2],
         basepoint=w.basepoint)
-    full = coskeleton(base, 3, trunc=4)
-    _NERVE_CACHE[id(g)] = (g, full)
+    full = coskeleton(base, 3, trunc=4, cap=cap)
+    _NERVE_CACHE[id(g)] = (weakref.ref(g), full)
+    weakref.finalize(g, _NERVE_CACHE.pop, id(g), None)
     return full
 
 

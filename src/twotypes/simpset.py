@@ -2,15 +2,21 @@
 minimality analysis, products, map enumeration, and simplicial homotopy.
 
 A TruncatedSimplicialSet stores levels 0..trunc (default 4) as plain index
-sets with full face and degeneracy tables.  faces[n][x] is the tuple
+sets with face and degeneracy tables.  faces[n][x] is the tuple
 (d_0 x, ..., d_n x); degens[n][x] is (s_0 x, ..., s_n x) landing in level
-n+1.  Degenerate simplices are stored explicitly.
+n+1.  Degenerate simplices are stored explicitly.  A level that
+`coskeleton` rebuilds, such as level 4 of a nerve, is a JoinLevel: it holds
+the join of the level below instead of its rows, so it is counted, tested
+for membership and ranked from that level, and lists its rows only when
+they are read.  The audits tell such a level by its type.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
+import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -154,49 +160,266 @@ def horn(n: int, k: int, trunc: int = 4) -> TruncatedSimplicialSet:
 
 # -- coskeleton, horns and Kan: one compatible-tuple join ------------------
 
-def _join(below, count: int, positions: Sequence[int]):
+class _Join:
     """Compatible tuples of level-(m-1) simplices over ascending positions.
 
     A tuple (x_p) over positions p is compatible when d_i x_j = d_{j-1} x_i
     for every pair of positions i < j.  below is the face table of level
-    m-1 and count its size.  Returns an iterator of (prefix, bucket) pairs
-    in lexicographic order: prefix is a compatible tuple over
-    positions[:-1], bucket the ascending list of simplices that complete it
-    at positions[-1].  The rows are prefix + (z,) for z in bucket, and
-    their number is the sum of the bucket sizes.
+    m-1 and size its count; vertices have no faces, so over level 0 every
+    tuple is compatible.  Iteration gives the tuples in lexicographic order.
+
+    The walk is depth first, one position at a time.  For each position t
+    after the first, a trie holds every simplex w under its faces d_p w at
+    the earlier positions p, in order.  Placing x at an earlier position
+    steps each later trie by the face of x that the position must match,
+    so after a prefix the node of position t holds exactly the simplices
+    that can still go there; a missing node cuts the prefix off.
     """
-    if not below:  # vertices have no faces: every tuple is compatible
-        return ((prefix, range(count)) for prefix in
-                itertools.product(range(count), repeat=len(positions) - 1))
-    joined = [((), range(count))]
-    for t in range(1, len(positions)):
-        # level m-1 indexed by its faces at positions[:t]; the last face is
-        # split off, so that a prefix looks up its sub-index once
-        index: dict[tuple, dict[int, list[int]]] = {}
-        for z, row in enumerate(below):
-            *head, tail = (row[i] for i in positions[:t])
-            index.setdefault(tuple(head), {}).setdefault(tail, []).append(z)
-        joined = _extend(joined, [row[positions[t] - 1] for row in below],
-                         index)
-    return joined
+
+    def __init__(self, below, size: int, positions: Sequence[int]):
+        self.size = size
+        self.positions = positions = tuple(positions)
+        self.r = r = len(positions)
+        self.faces = faces = below if below else \
+            [(0,) * (positions[-1] + 1)] * size
+        # cols[t][x] = d_{p_t - 1} x, the face that position t must match
+        self.cols = [None] + [[row[p - 1] for row in faces]
+                              for p in positions[1:]]
+        # the trie of position t+1 is that of position t with each leaf
+        # split by one more face
+        self.roots, trie = [], range(size)
+        for p in positions[:-1]:
+            trie = _split(trie, [row[p] for row in faces])
+            self.roots.append(trie)
+
+    def __contains__(self, row) -> bool:
+        """Whether row is one of the tuples: the compatibility test."""
+        if not (isinstance(row, tuple) and len(row) == self.r and all(
+                isinstance(v, int) and 0 <= v < self.size for v in row)):
+            return False
+        faces, ps = self.faces, self.positions
+        return all(faces[row[j]][ps[i]] == faces[row[i]][ps[j] - 1]
+                   for j in range(1, self.r) for i in range(j))
+
+    def _step(self, a: int, x: int, nodes):
+        """The nodes of positions a+1.. once x is placed at position a, or
+        None when some position is left without candidates."""
+        cols = self.cols
+        out = []
+        for t, node in enumerate(nodes, a + 1):
+            node = node.get(cols[t][x])
+            if node is None:
+                return None
+            out.append(node)
+        return out
+
+    def count(self, limit=math.inf) -> int:
+        """The number of tuples, or some number past limit once the walk
+        has gone past it."""
+        return self._count(0, range(self.size), self.roots, limit)
+
+    def _count(self, a, cands, nodes, limit=math.inf) -> int:
+        """The tuples through a prefix of length a, where cands may go at
+        position a and nodes are the later positions' trie nodes."""
+        if len(nodes) <= 3:
+            return _count_tail(cands, nodes, self.cols[a + 1:])
+        total = 0
+        for x in cands:
+            nxt = self._step(a, x, nodes)
+            if nxt is not None:
+                total += self._count(a + 1, nxt[0], nxt[1:], limit - total)
+                if total > limit:
+                    break
+        return total
+
+    def __iter__(self):
+        return self._rows(0, (), range(self.size), self.roots)
+
+    def _rows(self, a, prefix, cands, nodes):
+        if a == self.r - 1:
+            for z in cands:
+                yield prefix + (z,)
+            return
+        if a == self.r - 3:  # the last two read off their buckets
+            (n1, n2), c1, c2 = nodes, self.cols[a + 1], self.cols[a + 2]
+            for x in cands:
+                ys, ends = n1.get(c1[x]), n2.get(c2[x])
+                if ys and ends:
+                    row = prefix + (x,)
+                    for y in ys:
+                        for z in ends.get(c2[y], ()):
+                            yield row + (y, z)
+            return
+        for x in cands:
+            nxt = self._step(a, x, nodes)
+            if nxt is not None:
+                yield from self._rows(a + 1, prefix + (x,), nxt[0], nxt[1:])
+
+    def locate(self, rows):
+        """(count, ranks) in one walk: the number of tuples, and the
+        lexicographic rank of each of rows, None for a row that is not a
+        tuple here."""
+        ranks = [None] * len(rows)
+        want = sorted((row, i) for i, row in enumerate(rows)
+                      if isinstance(row, tuple) and len(row) == self.r)
+        n = self._locate(0, range(self.size), self.roots, want, 0,
+                         len(want), 0, ranks)
+        return n, ranks
+
+    def _locate(self, a, cands, nodes, want, lo, hi, base, ranks):
+        """`_count`, which also ranks want[lo:hi], the sorted (row, index)
+        pairs of the wanted rows through the prefix.  The candidates that
+        no wanted row passes through are counted in runs."""
+        if a == self.r - 1:
+            for row, i in want[lo:hi]:
+                j = bisect.bisect_left(cands, row[a])
+                if j < len(cands) and cands[j] == row[a]:
+                    ranks[i] = base + j
+            return len(cands)
+        total = done = 0  # cands[:done] are counted
+        while lo < hi:
+            x, q = want[lo][0][a], lo + 1
+            while q < hi and want[q][0][a] == x:
+                q += 1
+            j = bisect.bisect_left(cands, x)
+            if j < len(cands) and cands[j] == x:
+                total += self._count(a, cands[done:j], nodes)
+                nxt = self._step(a, x, nodes)
+                if nxt is not None:
+                    total += self._locate(a + 1, nxt[0], nxt[1:], want, lo,
+                                          q, base + total, ranks)
+                done = j + 1
+            lo = q
+        return total + self._count(a, cands[done:], nodes)
 
 
-def _extend(joined, col, index):
-    """One step of the join; col[z] is the face of z that the next
-    position must match."""
-    for prefix, bucket in joined:
-        sub = index.get(tuple(map(col.__getitem__, prefix)))
-        if sub:
-            for z in bucket:
-                yield prefix + (z,), sub.get(col[z], ())
+def _split(node, col):
+    """A trie node with every leaf, a list of simplices z, made a dict of
+    lists by col[z]; the lists stay ascending."""
+    if isinstance(node, dict):
+        return {key: _split(sub, col) for key, sub in node.items()}
+    if len(node) == 1:
+        return {col[node[0]]: node}
+    out: dict = {}
+    for z in node:
+        out.setdefault(col[z], []).append(z)
+    return out
 
 
-def _rows(joined):
-    return (prefix + (z,) for prefix, bucket in joined for z in bucket)
+def _widest(node) -> int:
+    """The size of the largest leaf of a trie node."""
+    if isinstance(node, dict):
+        return max(map(_widest, node.values()), default=0)
+    return len(node)
 
 
-def _count(joined) -> int:
-    return sum(len(bucket) for _, bucket in joined)
+def _count_tail(cands, nodes, cols) -> int:
+    """`_Join._count` when at most three positions follow: the tuples are
+    summed from the bucket sizes of the last, with no prefix built."""
+    if not nodes:
+        return len(cands)
+    if len(nodes) == 1:
+        (n1,), (c1,) = nodes, cols
+        return sum(len(n1.get(c1[x], ())) for x in cands)
+    total = 0
+    if len(nodes) == 2:
+        (n1, n2), (c1, c2) = nodes, cols
+        for x in cands:
+            ys, ends = n1.get(c1[x]), n2.get(c2[x])
+            if ys and ends:
+                for y in ys:
+                    end = ends.get(c2[y])
+                    if end:
+                        total += len(end)
+        return total
+    (n1, n2, n3), (c1, c2, c3) = nodes, cols
+    for x in cands:
+        ys = n1.get(c1[x])
+        if ys:
+            mid, last = n2.get(c2[x]), n3.get(c3[x])
+            if mid and last:
+                for y in ys:
+                    zs, ends = mid.get(c2[y]), last.get(c3[y])
+                    if zs and ends:
+                        for z in zs:
+                            end = ends.get(c3[z])
+                            if end:
+                                total += len(end)
+    return total
+
+
+class JoinLevel(SequenceABC):
+    """Level m held as its join: every compatible tuple of level-(m-1)
+    simplices once, in lexicographic order.  `coskeleton` builds these.
+
+    below is the face table of level m-1 and size its count.  The length
+    is counted from the join, membership is the compatibility test, and
+    `rank` and `ranks` walk the join without listing it.  The rows are
+    listed once, on the first indexed access or iteration, and kept; the
+    level compares equal to the tuple of them.
+    """
+
+    def __init__(self, below, size: int, m: int):
+        self.below, self.size, self.m = below, size, m
+        self.join = _Join(below, size, range(m + 1))
+        self._count: Optional[int] = None
+        self._rows: Optional[tuple] = None
+
+    def rows(self) -> tuple:
+        """The rows, listed from the join on the first call and kept."""
+        if self._rows is None:
+            self._rows = tuple(self.join)
+        return self._rows
+
+    def __len__(self) -> int:
+        if self._count is None:
+            self._count = self.join.count()
+        return self._count
+
+    def __getitem__(self, i):
+        return self.rows()[i]
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def __contains__(self, row) -> bool:
+        return row in self.join
+
+    def ranks(self, rows) -> list:
+        """The index of each of rows, None for a row not in the level; one
+        walk of the join, which also counts it, until the rows are listed."""
+        if self._rows is not None:
+            return [bisect.bisect_left(self._rows, row) if row in self
+                    else None for row in rows]
+        self._count, ranks = self.join.locate(rows)
+        return ranks
+
+    def rank(self, row) -> int:
+        """The index of row; ValueError when it is not in the level."""
+        i = self.ranks([row])[0]
+        if i is None:
+            raise ValueError(f"{row!r} is not in the level")
+        return i
+
+    index = rank
+
+    def __eq__(self, other):
+        if isinstance(other, JoinLevel):
+            other = other.rows()
+        if isinstance(other, tuple):
+            return self.rows() == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows())
+
+
+def _join_over(x: TruncatedSimplicialSet, n: int) -> bool:
+    """Whether level n of x is a JoinLevel over x's own level n-1, so that
+    it holds every compatible tuple of x's (n-1)-simplices once."""
+    level = x.faces[n]
+    return isinstance(level, JoinLevel) and level.below is x.faces[n - 1] \
+        and level.size == x.counts[n - 1]
 
 
 def _count_compatible(below, positions: Sequence[int], rows) -> int:
@@ -219,63 +442,85 @@ def _indexes(rows, width: int, count: int) -> bool:
                         and max(map(max, rows)) < count)
 
 
-# Most simplices a rebuilt coskeleton level may hold.
+# Most simplices a rebuilt coskeleton level may hold, unless a caller
+# passes its own cap.
 COSKELETON_CAP = 10 ** 6
 
 
 def coskeleton(x: TruncatedSimplicialSet, k: int,
-               trunc: Optional[int] = None) -> TruncatedSimplicialSet:
-    """Copy levels <= k; rebuild every higher level from compatible boundary
-    tuples, in lexicographic order.  trunc may exceed x.trunc to extend a
-    low-truncation complex.  Raises SizeCapExceeded when a rebuilt level
-    would hold more than COSKELETON_CAP simplices."""
+               trunc: Optional[int] = None,
+               cap: Optional[int] = None) -> TruncatedSimplicialSet:
+    """Copy levels <= k; hold every higher level as a JoinLevel, the
+    compatible boundary tuples in lexicographic order.  trunc may exceed
+    x.trunc to extend a low-truncation complex.
+
+    Each level is counted before anything is listed or ranked, and
+    SizeCapExceeded is raised when it would hold more than cap simplices
+    (COSKELETON_CAP by default).  Levels <= k are x's and not audited
+    again, and the face identities of a joined level are its compatibility
+    condition.  So only the degeneracies into each joined level are
+    checked: s_j y has the faces that the identities d_i s_j give it, and
+    that tuple must be a row.  The walk that counts the level also ranks
+    those tuples.
+    """
     if trunc is None:
         trunc = x.trunc
+    if cap is None:
+        cap = COSKELETON_CAP
     counts = list(x.counts[:k + 1])
-    faces = [list(x.faces[n]) for n in range(k + 1)]
-    degens = [list(x.degens[n]) for n in range(k)]
+    faces = list(x.faces[:k + 1])
+    degens = list(x.degens[:k])
     for m in range(k + 1, trunc + 1):
-        rows = list(itertools.islice(
-            _rows(_join(faces[m - 1], counts[m - 1], range(m + 1))),
-            COSKELETON_CAP + 1))
-        if len(rows) > COSKELETON_CAP:
-            raise SizeCapExceeded(f"coskeleton level {m} exceeds the cap of "
-                                  f"{COSKELETON_CAP} simplices")
-        counts.append(len(rows))
-        faces.append(rows)
-        # degeneracies from level m-1 into the new level, located by
-        # bisection in the sorted rows
-        deg_rows = []
+        level = JoinLevel(faces[m - 1], counts[m - 1], m)
+        # the product of the largest buckets bounds the level; only a level
+        # it does not keep under the cap is counted before the ranks
+        join = level.join
+        if math.prod(map(_widest, join.roots), start=join.size) > cap and \
+           join.count(cap) > cap:
+            raise over_cap(m, cap)
+        down = degens[m - 2] if m >= 2 else ()
+        targets = []
         for y in range(counts[m - 1]):
-            row = []
+            fy = faces[m - 1][y] if m >= 2 else ()
             for j in range(m):
-                bt = []
-                for i in range(m + 1):
-                    if i == j or i == j + 1:
-                        bt.append(y)
-                    elif i < j:
-                        bt.append(degens[m - 2][faces[m - 1][y][i]][j - 1])
-                    else:
-                        bt.append(degens[m - 2][faces[m - 1][y][i - 1]][j])
-                row.append(bisect.bisect_left(rows, tuple(bt)))
-            deg_rows.append(tuple(row))
-        degens.append(deg_rows)
-    return make_sset(trunc, counts, faces, degens, coskeletal_at=k,
-                     basepoint=x.basepoint)
+                targets.append(tuple(
+                    y if i == j or i == j + 1 else
+                    down[fy[i]][j - 1] if i < j else down[fy[i - 1]][j]
+                    for i in range(m + 1)))
+        ranks = level.ranks(targets)
+        if None in ranks:
+            y, j = divmod(ranks.index(None), m)
+            raise Violation("ds-identity", (m - 1, y, j))
+        counts.append(len(level))
+        faces.append(level)
+        degens.append(tuple(tuple(ranks[y * m:(y + 1) * m])
+                            for y in range(counts[m - 1])))
+    return TruncatedSimplicialSet(
+        trunc=trunc, counts=tuple(counts), faces=tuple(faces),
+        degens=tuple(degens), coskeletal_at=k, basepoint=x.basepoint)
+
+
+def over_cap(m: int, cap: int) -> SizeCapExceeded:
+    """The error for a coskeleton level m with more than cap simplices."""
+    return SizeCapExceeded(f"coskeleton level {m} exceeds the cap of "
+                           f"{cap} simplices")
 
 
 def is_coskeletal_at(x: TruncatedSimplicialSet, k: int) -> bool:
     """Levels above k hold each compatible boundary tuple exactly once.
 
-    Counting argument: the stored rows of level m are a set S of distinct
-    rows, each a compatible tuple, so S is a subset of the finite set C of
-    all compatible tuples, and S = C exactly when |S| = |C|.  |C| is read
-    off the join without building C.  A row of the wrong length, or with
-    an entry outside the level below, is not compatible, so the audit fails
-    on it; the rows of level k must index level k-1.  The simplicial
-    identities are not assumed.
+    A JoinLevel over x's own level below does by construction.  Any other
+    level is audited by counting: the stored rows of level m are a set S
+    of distinct rows, each a compatible tuple, so S is a subset of the
+    finite set C of all compatible tuples, and S = C exactly when
+    |S| = |C|.  |C| is read off the join without building C.  A row of the
+    wrong length, or with an entry outside the level below, is not
+    compatible, so the audit fails on it; the rows of level k must index
+    level k-1.  The simplicial identities are not assumed.
     """
     for m in range(k + 1, x.trunc + 1):
+        if _join_over(x, m):
+            continue
         below, rows = x.faces[m - 1], x.faces[m]
         if len(set(rows)) != len(rows):
             return False
@@ -283,7 +528,8 @@ def is_coskeletal_at(x: TruncatedSimplicialSet, k: int) -> bool:
             return False
         if _count_compatible(below, range(m + 1), rows) != len(rows):
             return False
-        if _count(_join(below, x.counts[m - 1], range(m + 1))) != len(rows):
+        if _Join(below, x.counts[m - 1], range(m + 1)).count(len(rows)) \
+           != len(rows):
             return False
     return True
 
@@ -292,7 +538,7 @@ def enumerate_horns(x: TruncatedSimplicialSet, n: int, k: int):
     """All horn configurations {position: simplex}: compatible tuples of
     (n-1)-simplices over the positions i != k, in lexicographic order."""
     positions = [i for i in range(n + 1) if i != k]
-    for row in _rows(_join(x.faces[n - 1], x.counts[n - 1], positions)):
+    for row in _Join(x.faces[n - 1], x.counts[n - 1], positions):
         yield dict(zip(positions, row))
 
 
@@ -302,32 +548,71 @@ def is_kan(x: TruncatedSimplicialSet, dims: Iterable[int] = (1, 2, 3, 4)):
     Checks the requested dimensions up to the truncation; for a 3-coskeletal
     complex, every horn in dimension 5 and higher contains the entire
     3-skeleton of its simplex, so the unique coskeletal extension fills it.
-
-    Counting argument at (n, k): the horns form a finite set H, counted by
-    the join.  The boundary of a level-n simplex with its k-th face left
-    out is a tuple over the positions i != k; let F be the set of those
-    that are compatible, checked key by key, so F is a subset of H and
-    holds exactly the fillable horns.  Every horn is fillable exactly when
-    |F| = |H|.  Only on a mismatch are the horns enumerated, in
-    lexicographic order, to report the first one outside F.  A projection
-    with an entry outside level n-1 fills no horn; the rows of level n-1
-    must index level n-2.  The simplicial identities are not assumed.
+    Every dimension is an exhaustive audit: by counts, and on a mismatch by
+    listing the horns in lexicographic order to report the first one that
+    no simplex fills.  A JoinLevel over x's level below is audited from
+    that level (`_kan_join`), and a stored level from its rows
+    (`_kan_rows`).
     """
     for n in dims:
         if n > x.trunc:
             continue
-        below, size = x.faces[n - 1], x.counts[n - 1]
-        clean = _indexes(x.faces[n], n + 1, size)
-        for k in range(n + 1):
-            positions = [i for i in range(n + 1) if i != k]
-            horns = _count(_join(below, size, positions))
-            filled = {row[:k] + row[k + 1:] for row in x.faces[n]}
-            fillers = filled if clean else \
-                [key for key in filled if _indexes((key,), n, size)]
-            if _count_compatible(below, positions, fillers) != horns:
-                for config in enumerate_horns(x, n, k):
-                    if tuple(config.values()) not in filled:
-                        return (n, k, config)
+        found = _kan_join(x, n) if n > 1 and _join_over(x, n) else \
+            _kan_rows(x, n)
+        if found is not True:
+            return found
+    return True
+
+
+def _kan_rows(x: TruncatedSimplicialSet, n: int):
+    """Kan at n for stored rows.  The horns at k form a finite set H,
+    counted by the join.  The boundary of a level-n simplex with its k-th
+    face left out is a tuple over the positions i != k; let F be the set of
+    those that are compatible, checked key by key, so F is a subset of H
+    and holds exactly the fillable horns.  Every horn is fillable exactly
+    when |F| = |H|.  A projection with an entry outside level n-1 fills no
+    horn; the rows of level n-1 must index level n-2.  The simplicial
+    identities are not assumed."""
+    below, size = x.faces[n - 1], x.counts[n - 1]
+    clean = _indexes(x.faces[n], n + 1, size)
+    for k in range(n + 1):
+        positions = [i for i in range(n + 1) if i != k]
+        horns = _Join(below, size, positions).count()
+        filled = {row[:k] + row[k + 1:] for row in x.faces[n]}
+        fillers = filled if clean else \
+            [key for key in filled if _indexes((key,), n, size)]
+        if _count_compatible(below, positions, fillers) != horns:
+            for config in enumerate_horns(x, n, k):
+                if tuple(config.values()) not in filled:
+                    return (n, k, config)
+    return True
+
+
+def _kan_join(x: TruncatedSimplicialSet, n: int):
+    """Kan at n for a JoinLevel over level n-1, read from level n-1.
+
+    A horn at k is filled by a simplex z at position k whose faces are
+    fixed by the horn, so it fills exactly when some (n-1)-simplex has
+    that boundary.  Suppose the (n-1)-simplices are unique by boundary.
+    The rows are distinct and compatible, so dropping position k is
+    injective on them, and every horn at k fills exactly when there are as
+    many horns as rows.  Otherwise, or on a count mismatch, the horns are
+    listed to report the first that does not fill.
+    """
+    below, size = x.faces[n - 1], x.counts[n - 1]
+    boundaries = set(below)
+    unique = len(boundaries) == size
+    rows = len(x.faces[n])
+    for k in range(n + 1):
+        positions = [i for i in range(n + 1) if i != k]
+        horns = _Join(below, size, positions)
+        if unique and horns.count(rows) == rows:
+            continue
+        for row in horns:
+            need = tuple(below[row[i]][k - 1 if i < k else k]
+                         for i in range(n))
+            if need not in boundaries:
+                return (n, k, dict(zip(positions, row)))
     return True
 
 
@@ -351,7 +636,7 @@ def homotopic_rel_boundary(x: TruncatedSimplicialSet, n: int,
         return a == b
     want = tuple(x.degens[n - 1][x.faces[n][a][i]][n - 1] for i in range(n)) \
         + (a, b)
-    return any(x.faces[n + 1][z] == want for z in range(x.counts[n + 1]))
+    return want in x.faces[n + 1]
 
 
 def is_k_minimal(x: TruncatedSimplicialSet, k: int):
@@ -385,11 +670,14 @@ def in_sset2(x: TruncatedSimplicialSet) -> SSet2Report:
     cosk3 = is_coskeletal_at(x, 3)
     minimal = is_k_minimal(x, 2) is True
     # redundant cross-check: distinct simplices above level 2 have distinct
-    # boundary tuples, so the unit to the 2-coskeleton is injective
+    # boundary tuples, so the unit to the 2-coskeleton is injective; the
+    # rows of a JoinLevel are distinct by construction
     inj = True
     for m in (3, 4):
         if m > x.trunc:
             break
+        if isinstance(x.faces[m], JoinLevel):
+            continue
         seen = set()
         for z in range(x.counts[m]):
             key = x.faces[m][z]
@@ -463,6 +751,9 @@ def check_simplicial_map(dom, cod, levels) -> SimplicialMap:
     levels = tuple(tuple(lvl) for lvl in levels)
     depth = len(levels) - 1
     for n in range(1, depth + 1):
+        if isinstance(cod.faces[n], JoinLevel) and list(levels[n]) == \
+           cod.faces[n].ranks(_images(levels[n - 1], dom.faces[n])):
+            continue  # each image is the row of its boundary's images
         for z in range(dom.counts[n]):
             for i in range(n + 1):
                 if cod.faces[n][levels[n][z]][i] != levels[n - 1][dom.faces[n][z][i]]:
@@ -639,12 +930,23 @@ def simplicial_maps(x: TruncatedSimplicialSet, y: TruncatedSimplicialSet,
     return enumerate_maps_3trunc(x, y, pointed=pointed, cap=cap)
 
 
+def _images(level, rows) -> list[tuple]:
+    """The rows with each entry sent through level, a map's table."""
+    return [tuple(map(level.__getitem__, row)) for row in rows]
+
+
 def extend_to_level4(m: SimplicialMap) -> SimplicialMap:
-    """Unique level-4 extension into a 3-coskeletal target."""
+    """Unique level-4 extension into a 3-coskeletal target: each 4-simplex
+    goes to the 4-simplex of the images of its faces."""
     y = m.cod
-    pos = {y.faces[4][z]: z for z in range(y.counts[4])}
-    lvl4 = tuple(pos[tuple(m.levels[3][f] for f in m.dom.faces[4][z])]
-                 for z in range(m.dom.counts[4]))
+    images = _images(m.levels[3], m.dom.faces[4])
+    if isinstance(y.faces[4], JoinLevel):
+        lvl4 = y.faces[4].ranks(images)
+    else:
+        pos = {row: z for z, row in enumerate(y.faces[4])}
+        lvl4 = [pos.get(row) for row in images]
+    if None in lvl4:
+        raise Violation("level4-image", lvl4.index(None))
     return check_simplicial_map(m.dom, y, list(m.levels[:4]) + [lvl4])
 
 

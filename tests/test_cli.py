@@ -178,8 +178,8 @@ class TestExitCodes:
         assert "cohomology exceeded the cap of 1000 steps" in err
 
     def test_nerve_over_size_cap_is_3(self, tmp_path):
-        # level 4 of the nerve of id_s3 would hold 6^10 simplices; a fresh
-        # process keeps the million rows built before the cap out of this one
+        # level 4 of the nerve of id_s3 would hold 6^10 simplices; it is
+        # counted up to the cap and none is built
         p = tmp_path / "ids3.xmod"
         p.write_text(format_xmod("ids3", xmod_identity(symmetric3())))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -191,6 +191,19 @@ class TestExitCodes:
         assert done.stdout == ""
         assert "cap exceeded" in done.stderr
         assert "Traceback" not in done.stderr
+
+    def test_cap_of_nerve_and_roundtrip(self, capsys, tmp_path):
+        p = tmp_path / "ids3.xmod"
+        p.write_text(format_xmod("ids3", xmod_identity(symmetric3())))
+        code, out, err = run(capsys, "nerve", str(p), "--cap", "1000")
+        assert (code, out) == (3, "")
+        assert "coskeleton level 4 exceeds the cap of 1000 simplices" in err
+        # level 4 of the nerve of BZ/3 holds 81 simplices
+        for cap, code in (("80", 3), ("81", 0)):
+            for command in ("nerve", "roundtrip"):
+                got, out, _ = run(capsys, command, str(FIX / "z3.xmod"),
+                                  "--cap", cap)
+                assert (got, bool(out)) == (code, code == 0)
 
     def test_bad_strategy_is_2(self, capsys):
         for command in ("reconstruct", "roundtrip"):
@@ -209,6 +222,8 @@ class TestExitCodes:
     def test_bad_cap_is_2(self, capsys):
         pair = [str(FIX / "z2.xmod"), str(FIX / "z2to1.xmod")]
         commands = [
+            ["nerve", str(FIX / "z2.xmod")],
+            ["roundtrip", str(FIX / "z2.xmod")],
             ["enumerate-maps", str(FIX / "nz2.sset"), str(FIX / "nz2.sset")],
             ["hom", *pair], ["pi0hom", *pair],
             ["cohomology", "--gamma", str(FIX / "z2.group"),
