@@ -6,16 +6,19 @@ the matching validator accepts, in the product's order: objects, then
 """
 
 import itertools
+from pathlib import Path
 
 import pytest
 
+from twotypes import twogpd, weakmaps
+from twotypes.cli import _as_2gpd
 from twotypes.cohom import crossed_homs, two_cocycles
 from twotypes.fingroup import cyclic, inversion_action_z2_on
 from twotypes.twogpd import check_2functor, enumerate_2functors, xmod_to_2group
 from twotypes.weakmaps import (
     check_weak_functor, check_xmod_transformation, check_xmod_weak_map,
     enumerate_transformations, enumerate_weak_functors,
-    enumerate_xmod_weak_maps,
+    enumerate_xmod_weak_maps, vseq,
 )
 from twotypes.xmod import Violation, xmod_b2g, xmod_bg
 
@@ -123,3 +126,265 @@ def test_cocycles(inversion):
     assert crossed_homs(gamma, a, action) == \
         [t for t in itertools.product(range(a.order), repeat=n)
          if crossed(t)]
+
+
+# -- hom 2-groupoids: the product-filter listers, as they were ----------------
+#
+# The old_* functions are the transformation and modification listers of
+# twogpd and weakmaps as they ran before they moved onto the kernel, with
+# their predicates.  The library's listers must return the same lists in the
+# same order on every functor pair below, and the bridge's check must accept
+# and reject what old_weak_trans_wf_ok does.
+
+FIX = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_2GPDS = ("bz2.2gpd", "z2.xmod", "z2to1.xmod", "z3.xmod",
+                 "z4to2.xmod")
+
+
+def old_pillow_holds(P, Q, t):
+    dom, cod = P.dom, P.cod
+    for c in range(dom.n1):
+        A, B = dom.src1[c], dom.tgt1[c]
+        if cod.comp1[P.map1[c]][t[B]] != cod.comp1[t[A]][Q.map1[c]]:
+            return False
+    for gamma in range(dom.n2):
+        A = dom.src1[dom.src2[gamma]]
+        B = dom.tgt1[dom.src2[gamma]]
+        if cod.whisker_right(P.map2[gamma], t[B]) != \
+           cod.whisker_left(t[A], Q.map2[gamma]):
+            return False
+    return True
+
+
+def old_strict_2transformations(P, Q):
+    dom, cod = P.dom, P.cod
+    opts = []
+    for A in range(dom.n_objects):
+        opts.append([f for f in range(cod.n1)
+                     if cod.src1[f] == P.obj_map[A] and
+                     cod.tgt1[f] == Q.obj_map[A]])
+    return [t for t in itertools.product(*opts) if old_pillow_holds(P, Q, t)]
+
+
+def old_weak_trans_ok(P, Q, t, theta):
+    dom, cod = P.dom, P.cod
+    for gamma in range(dom.n2):
+        c, cp = dom.src2[gamma], dom.tgt2[gamma]
+        A, B = dom.src1[c], dom.tgt1[c]
+        lhs = cod.vcomp[cod.whisker_right(P.map2[gamma], t[B])][theta[cp]]
+        rhs = cod.vcomp[theta[c]][cod.whisker_left(t[A], Q.map2[gamma])]
+        if lhs != rhs:
+            return False
+    for a in range(dom.n1):
+        for b in range(dom.n1):
+            ab = dom.comp1[a][b]
+            if ab < 0:
+                continue
+            paste = cod.vcomp[cod.whisker_left(P.map1[a], theta[b])][
+                cod.whisker_right(theta[a], Q.map1[b])]
+            if theta[ab] != paste:
+                return False
+    return True
+
+
+def old_weak_trans_wf_ok(P, Q, t, theta):
+    dom, cod = P.dom, P.cod
+    for gamma in range(dom.n2):
+        c, cp = dom.src2[gamma], dom.tgt2[gamma]
+        A, B = dom.src1[c], dom.tgt1[c]
+        lhs = cod.vcomp[cod.whisker_right(P.map2[gamma], t[B])][theta[cp]]
+        rhs = cod.vcomp[theta[c]][cod.whisker_left(t[A], Q.map2[gamma])]
+        if lhs != rhs:
+            return False
+    for a in range(dom.n1):
+        for b in range(dom.n1):
+            ab = dom.comp1[a][b]
+            if ab < 0:
+                continue
+            A = dom.src1[a]
+            C = dom.tgt1[b]
+            lhs = cod.vcomp[cod.whisker_right(P.eps[a][b], t[C])][theta[ab]]
+            rhs = vseq(cod,
+                       cod.whisker_left(P.map1[a], theta[b]),
+                       cod.whisker_right(theta[a], Q.map1[b]),
+                       cod.whisker_left(t[A], Q.eps[a][b]))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def old_weak_transformations(P, Q, ok, pointed=False):
+    """enumerate_weak_2transformations (ok = old_weak_trans_ok, never
+    pointed) and enumerate_weak_transformations_wf (ok =
+    old_weak_trans_wf_ok), which differed only in these two points."""
+    dom, cod = P.dom, P.cod
+    t_opts = []
+    for A in range(dom.n_objects):
+        opts = [f for f in range(cod.n1)
+                if cod.src1[f] == P.obj_map[A] and cod.tgt1[f] == Q.obj_map[A]]
+        if pointed and A == dom.basepoint:
+            e = cod.id1[cod.basepoint]
+            opts = [f for f in opts if f == e]
+        t_opts.append(opts)
+    out = []
+    for t in itertools.product(*t_opts):
+        theta_opts = []
+        ok_t = True
+        for c in range(dom.n1):
+            A, B = dom.src1[c], dom.tgt1[c]
+            lhs = cod.comp1[P.map1[c]][t[B]]
+            rhs = cod.comp1[t[A]][Q.map1[c]]
+            if c in dom.id1:
+                opts = [cod.id2[lhs]] if lhs == rhs else []
+            else:
+                opts = [a for a in range(cod.n2)
+                        if cod.src2[a] == lhs and cod.tgt2[a] == rhs]
+            if not opts:
+                ok_t = False
+                break
+            theta_opts.append(opts)
+        if not ok_t:
+            continue
+        for theta in itertools.product(*theta_opts):
+            if ok(P, Q, t, theta):
+                out.append((t, theta))
+    return out
+
+
+def old_modifications(P, Q, t, theta, s, sigma, pointed=False):
+    """twogpd.enumerate_modifications (never pointed) and
+    enumerate_modifications_wf."""
+    dom, cod = P.dom, P.cod
+    opts = []
+    for A in range(dom.n_objects):
+        cands = [a for a in range(cod.n2)
+                 if cod.src2[a] == t[A] and cod.tgt2[a] == s[A]]
+        if pointed and A == dom.basepoint:
+            cands = [a for a in cands if a == cod.id2[t[A]]]
+        opts.append(cands)
+
+    def mod_ok(mu):
+        for c in range(dom.n1):
+            A, B = dom.src1[c], dom.tgt1[c]
+            lhs = cod.vcomp[theta[c]][cod.whisker_right(mu[A], Q.map1[c])]
+            rhs = cod.vcomp[cod.whisker_left(P.map1[c], mu[B])][sigma[c]]
+            if lhs != rhs:
+                return False
+        return True
+
+    return [mu for mu in itertools.product(*opts) if mod_ok(mu)]
+
+
+def old_fillers(P, u):
+    """The identity square fillers of a strict transformation u."""
+    dom, cod = P.dom, P.cod
+    return tuple(cod.id2[cod.comp1[P.map1[c]][u[dom.tgt1[c]]]]
+                 for c in range(dom.n1))
+
+
+# the library's listers, by variant
+
+def listed_transformations(P, Q, variant, pointed=False):
+    """(t, theta) pairs; theta is None for strict transformations."""
+    if variant == "strict":
+        return [(t, None)
+                for t in twogpd.enumerate_strict_2transformations(P, Q)]
+    if variant == "weak-on-strict":
+        return twogpd.enumerate_weak_2transformations(P, Q)
+    return weakmaps.enumerate_weak_transformations_wf(P, Q, pointed=pointed)
+
+
+def listed_modifications(P, Q, x, y, variant, pointed=False):
+    (t, theta), (s, sigma) = x, y
+    if variant == "strict":
+        return twogpd._strict_modifications(P, Q, t, None, s, None)
+    if variant == "weak-on-strict":
+        return twogpd.enumerate_modifications(P, Q, t, theta, s, sigma)
+    return weakmaps.enumerate_modifications_wf(P, Q, t, theta, s, sigma,
+                                               pointed=pointed)
+
+
+def bridge_accepts(P, Q, t, theta):
+    return weakmaps._weak_trans_wf_ok(P, Q, t, theta)
+
+
+def _hom_pairs():
+    small = {f"bg{n}": xmod_to_2group(xmod_bg(cyclic(n))) for n in (2, 3)}
+    small.update({f"b2g{m}": xmod_to_2group(xmod_b2g(cyclic(m)))
+                  for m in (2, 3)})
+    out = [(d, c, small[d], small[c])
+           for d in ("bg2", "bg3") for c in ("b2g2", "b2g3")]
+    fixtures = {name: _as_2gpd(str(FIX / name)) for name in FIXTURE_2GPDS}
+    out += [(d, c, fixtures[d], fixtures[c])
+            for d, c in itertools.product(FIXTURE_2GPDS, repeat=2)]
+    return out
+
+
+HOM_PAIRS = _hom_pairs()
+
+
+def _old_lists(P, Q, variant, pointed):
+    if variant == "strict":
+        return [(t, None) for t in old_strict_2transformations(P, Q)]
+    ok = old_weak_trans_ok if variant == "weak-on-strict" \
+        else old_weak_trans_wf_ok
+    return old_weak_transformations(P, Q, ok, pointed)
+
+
+def _old_mods(P, Q, x, y, variant, pointed):
+    (t, theta), (s, sigma) = x, y
+    if variant == "strict":
+        theta, sigma = old_fillers(P, t), old_fillers(P, s)
+    return old_modifications(P, Q, t, theta, s, sigma, pointed)
+
+
+@pytest.mark.parametrize("variant, pointed", [
+    ("strict", False), ("weak-on-strict", False),
+    ("weak", False), ("weak", True)])
+@pytest.mark.parametrize("d, c, D, C", HOM_PAIRS,
+                         ids=[f"{p[0]}->{p[1]}" for p in HOM_PAIRS])
+def test_hom_listers(d, c, D, C, variant, pointed):
+    if pointed and (D.basepoint is None or C.basepoint is None):
+        pytest.skip("no basepoint")
+    if variant == "weak":
+        functors = enumerate_weak_functors(D, C, pointed=pointed)
+    else:
+        functors = enumerate_2functors(D, C)
+    cells = mods = 0
+    for P, Q in itertools.product(functors, repeat=2):
+        want = _old_lists(P, Q, variant, pointed)
+        assert listed_transformations(P, Q, variant, pointed) == want
+        cells += len(want)
+        for x, y in itertools.product(want, repeat=2):
+            got = listed_modifications(P, Q, x, y, variant, pointed)
+            assert got == _old_mods(P, Q, x, y, variant, pointed)
+            mods += len(got)
+    # every functor has its identity transformation and modification
+    assert cells >= len(functors) and mods >= cells
+
+
+def _verdict(check, *args):
+    try:
+        return check(*args)
+    except Violation as exc:
+        return exc.axiom
+
+
+@pytest.mark.parametrize("d, c, D, C", HOM_PAIRS,
+                         ids=[f"{p[0]}->{p[1]}" for p in HOM_PAIRS])
+def test_bridge_check(d, c, D, C):
+    if D.basepoint is None or C.basepoint is None:
+        pytest.skip("no basepoint")
+    functors = enumerate_weak_functors(D, C, pointed=True)
+    seen = set()
+    for P, Q in itertools.product(functors, repeat=2):
+        for t, theta in old_weak_transformations(P, Q, old_weak_trans_wf_ok,
+                                                 pointed=True):
+            # every single-cell change of theta, to any 2-cell
+            for k in range(len(theta)):
+                for a in range(C.n2):
+                    alt = theta[:k] + (a,) + theta[k + 1:]
+                    want = _verdict(old_weak_trans_wf_ok, P, Q, t, alt)
+                    assert _verdict(bridge_accepts, P, Q, t, alt) == want
+                    seen.add(want)
+    assert True in seen and len(seen) > 1
