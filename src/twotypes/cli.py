@@ -11,13 +11,13 @@ import argparse
 import sys
 
 from . import cohom, nerve, reconstruct, weakmaps
-from .search import SizeCapExceeded, classes
+from .search import Budget, SizeCapExceeded, classes
 from .simpset import COSKELETON_CAP, in_sset2, simplicial_maps
 from .textio import (
     ParseError, ValidationError, Workspace, describe_group, parse_file,
 )
 from .twogpd import pi1_at, pi2_at, xmod_to_2group
-from .xmod import pi1 as xmod_pi1, pi2 as xmod_pi2
+from .xmod import Violation, pi1 as xmod_pi1, pi2 as xmod_pi2
 
 
 def _load(paths) -> Workspace:
@@ -145,10 +145,13 @@ def cmd_hom(args) -> int:
 def cmd_pi0hom(args) -> int:
     _, _, h = _subject(args.dom, ("xmod",))
     _, _, g = _subject(args.cod, ("xmod",))
-    maps = weakmaps.enumerate_xmod_weak_maps(h, g, cap=args.cap)
+    budget = Budget(args.cap, "pi0hom weak maps")
+    maps = weakmaps.enumerate_xmod_weak_maps(h, g, cap=budget)
+    budget.stage = "pi0hom transformations"
     found = classes(len(maps), lambda i, j: bool(
         weakmaps.enumerate_transformations(maps[i], maps[j],
-                                           pointed_only=args.pointed)))
+                                           pointed_only=args.pointed,
+                                           cap=budget)))
     print(f"classes: {len(found)}")
     return 0
 
@@ -267,7 +270,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"parse error: no such file: {exc.filename}", file=sys.stderr)
         return 2
-    except (ValidationError, reconstruct.FillingFailure,
+    except (ValidationError, Violation, reconstruct.FillingFailure,
             cohom.ANotAbelian) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1

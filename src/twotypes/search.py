@@ -1,10 +1,10 @@
 """One backtracking kernel, one search budget and one union-find helper.
 
 `search` runs every exhaustive search of the library: maps of nerves,
-strict and weak functors, weak maps of crossed modules, transformations,
-crossed homomorphisms and 2-cocycles.  A caller states its variables in the
-order it wants them assigned, a domain per variable, and constraints over
-sets of variables.
+strict and weak functors, weak maps of crossed modules, transformations
+and modifications, crossed homomorphisms and 2-cocycles.  A caller states
+its variables in the order it wants them assigned, a domain per variable,
+and constraints over sets of variables.
 
 Why results and their order cannot change when a hand-written search moves
 onto the kernel with the same variable order and the same domains: the
@@ -40,6 +40,13 @@ class Budget:
         if self.steps > self.cap:
             raise SizeCapExceeded(
                 f"{self.stage} exceeded the cap of {self.cap} steps")
+
+
+def as_budget(cap: int | Budget, stage: str) -> Budget:
+    """A search's cap as a Budget: an int starts one for this stage, and a
+    Budget is shared as it is, so that one cap bounds every stage of a
+    command."""
+    return cap if isinstance(cap, Budget) else Budget(cap, stage)
 
 
 Constraint = tuple[Iterable[Hashable], Callable[[], bool]]

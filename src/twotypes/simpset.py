@@ -20,8 +20,8 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .search import Budget, SizeCapExceeded, classes, search
-from .xmod import Violation
+from .search import Budget, SizeCapExceeded, as_budget, classes, search
+from .xmod import Violation, check_pointed
 
 
 @dataclass(frozen=True)
@@ -825,11 +825,16 @@ class MapPlan:
         self.depth = depth = min(3, x.trunc, y.trunc)
         self.by_boundary = [None] + [_by_boundary(y, n)
                                      for n in range(1, depth + 1)]
-        # realized boundary tuples one level up; the top level has them
-        # only when both complexes hold level depth + 1
+        # realized boundary tuples one level up.  The top level is ordered
+        # by x's faces one level up when both complexes hold that level,
+        # and checked against y's only when y's is not the join of its
+        # level below: a join holds every compatible tuple, and a map that
+        # commutes with faces through the top sends x's faces to one
+        top = depth + 1
+        self.ordered_top = top <= min(x.trunc, y.trunc)
         self.up_keys = [set(d) for d in self.by_boundary[1:]] + [
-            set(y.faces[depth + 1])
-            if depth + 1 <= min(x.trunc, y.trunc) else None]
+            set(y.faces[top])
+            if self.ordered_top and not _join_over(y, top) else None]
         self._levels: dict[int, tuple[list[int], list[tuple]]] = {}
 
     def level(self, n: int):
@@ -838,10 +843,10 @@ class MapPlan:
         if n not in self._levels:
             order = [z for z, degenerate in
                      enumerate(self.x.degenerate_flags(n)) if not degenerate]
-            up = [] if self.up_keys[n] is None else \
-                list(dict.fromkeys(self.x.faces[n + 1]))
+            up = list(dict.fromkeys(self.x.faces[n + 1])) \
+                if n < self.depth or self.ordered_top else []
             self._levels[n] = (_constraint_order(order, up) if up else order,
-                               up)
+                               up if self.up_keys[n] is not None else [])
         return self._levels[n]
 
     def _extend(self, n, assign, fixed, budget, cons):
@@ -887,7 +892,7 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
                           y: TruncatedSimplicialSet,
                           fixed: Optional[dict] = None,
                           pointed: bool = False,
-                          cap: int = 10 ** 6,
+                          cap: int | Budget = 10 ** 6,
                           first_only: bool = False,
                           plan: Optional[MapPlan] = None):
     """All simplicial maps between the 3-truncations.
@@ -897,11 +902,13 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
     level by level, pruned by the requirement that every level-(n+1) boundary
     image is the boundary of some target simplex.
 
-    Level 3 is pruned so by level 4 only when x and y both hold level 4.
-    For a target that is 3-coskeletal, whose level 4 holds every compatible
-    tuple of 3-simplices, that pruning never fails: a map that commutes
-    with faces through level 3 sends the faces of a 4-simplex to a
-    compatible tuple.  So x truncated at 3 has the same maps into it.
+    Level 3 is pruned so by level 4 only when x and y both hold level 4,
+    and y's level 4 is not the join of its level 3 (`coskeleton` builds
+    such levels, as in every nerve).  A 3-coskeletal target's level 4 holds
+    every compatible tuple of 3-simplices, so that pruning never fails: a
+    map that commutes with faces through level 3 sends the faces of a
+    4-simplex to a compatible tuple.  So x truncated at 3 has the same maps
+    into it.
 
     plan, a MapPlan(x, y), lets the searches from x to y share their
     tables; without it this search builds its own.
@@ -911,10 +918,12 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
         raise ValueError("the plan was built for other complexes")
     fixed = dict(fixed or {})
     if pointed:
+        check_pointed(x, y)
         fixed.setdefault((0, x.basepoint), y.basepoint)
     assign: list[dict[int, int]] = [dict() for _ in range(plan.depth + 1)]
     out = []
-    for _ in plan._extend(0, assign, fixed, Budget(cap, "map search"), {}):
+    for _ in plan._extend(0, assign, fixed, as_budget(cap, "map search"),
+                          {}):
         out.append(check_simplicial_map(
             x, y, [tuple(assign[m][z] for z in range(x.counts[m]))
                    for m in range(plan.depth + 1)]))
@@ -924,7 +933,7 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
 
 
 def simplicial_maps(x: TruncatedSimplicialSet, y: TruncatedSimplicialSet,
-                    pointed: bool = False, cap: int = 10 ** 6):
+                    pointed: bool = False, cap: int | Budget = 10 ** 6):
     """All maps of 3-truncations; for a 3-coskeletal target these are exactly
     the maps of the full complexes."""
     return enumerate_maps_3trunc(x, y, pointed=pointed, cap=cap)
@@ -991,8 +1000,7 @@ class Homotopies:
         x, y, depth = self.x, self.y, self.plan.depth
         fixed = {}
         if pointed:
-            if x.basepoint is None or y.basepoint is None:
-                raise Violation("pointed-without-basepoint", None)
+            check_pointed(x, y)
             bx, by = x.basepoint, y.basepoint
             for n in range(depth + 1):
                 for w in range(n + 2):  # the level-n simplices of Delta^1

@@ -9,35 +9,26 @@ composition hcomp2[alpha][beta] pastes alpha (over f: A -> B) before beta
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .fingroup import FiniteGroup, make_action, make_group, make_hom
-from .search import Budget, classes, search
+from .search import Budget, as_budget, classes, search
 from .search import SizeCapExceeded  # noqa: F401  (re-exported)
-from .xmod import CrossedModule, Violation, check_crossed_module
+from .xmod import (
+    CrossedModule, Violation, check_crossed_module, check_pointed,
+)
 
 
 class NotATwoGroup(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TwoGroupoid:
-    n_objects: int
-    src1: tuple[int, ...]
-    tgt1: tuple[int, ...]
-    id1: tuple[int, ...]            # per object
-    comp1: tuple[tuple[int, ...], ...]
-    inv1: tuple[int, ...]
-    src2: tuple[int, ...]           # into 1-cells
-    tgt2: tuple[int, ...]
-    id2: tuple[int, ...]            # per 1-cell
-    vcomp: tuple[tuple[int, ...], ...]
-    hcomp2: tuple[tuple[int, ...], ...]
-    vinv: tuple[int, ...]
-    basepoint: Optional[int] = None
+class _Cells:
+    """What strict and weak 2-groupoid tables share: whiskering, and their
+    cells grouped by ends, listed once per 2-groupoid."""
 
     @property
     def n1(self) -> int:
@@ -53,6 +44,33 @@ class TwoGroupoid:
 
     def whisker_right(self, alpha: int, h: int) -> int:
         return self.hcomp2[alpha][self.id2[h]]
+
+    @functools.cached_property
+    def between1(self) -> dict:
+        """The 1-cells by (source, target), each group ascending."""
+        return _group(zip(self.src1, self.tgt1))
+
+    @functools.cached_property
+    def between2(self) -> dict:
+        """The 2-cells by (source, target), each group ascending."""
+        return _group(zip(self.src2, self.tgt2))
+
+
+@dataclass(frozen=True)
+class TwoGroupoid(_Cells):
+    n_objects: int
+    src1: tuple[int, ...]
+    tgt1: tuple[int, ...]
+    id1: tuple[int, ...]            # per object
+    comp1: tuple[tuple[int, ...], ...]
+    inv1: tuple[int, ...]
+    src2: tuple[int, ...]           # into 1-cells
+    tgt2: tuple[int, ...]
+    id2: tuple[int, ...]            # per 1-cell
+    vcomp: tuple[tuple[int, ...], ...]
+    hcomp2: tuple[tuple[int, ...], ...]
+    vinv: tuple[int, ...]
+    basepoint: Optional[int] = None
 
     def __repr__(self) -> str:
         return (f"TwoGroupoid(objects={self.n_objects}, "
@@ -456,6 +474,20 @@ class TwoFunctor:
     map1: tuple[int, ...]
     map2: tuple[int, ...]
 
+    @functools.cached_property
+    def eps(self) -> tuple[tuple[int, ...], ...]:
+        """The coherence cells of a strict functor, all identities, so that
+        the weak-functor conditions read it as they read a weak one."""
+        return _identity_eps(self.dom, self.cod, self.map1)
+
+
+def _identity_eps(dom, cod, map1) -> tuple[tuple[int, ...], ...]:
+    """eps[f][h]: the identity 2-cell on map1[f] map1[h] at each composable
+    pair (f, h) of dom, -1 elsewhere."""
+    return tuple(tuple(cod.id2[cod.comp1[map1[f]][map1[h]]] if fh >= 0
+                       else -1 for h, fh in enumerate(row))
+                 for f, row in enumerate(dom.comp1))
+
 
 def check_2functor(dom: TwoGroupoid, cod: TwoGroupoid,
                    obj_map, map1, map2, pointed: bool = False) -> TwoFunctor:
@@ -488,8 +520,7 @@ def check_2functor(dom: TwoGroupoid, cod: TwoGroupoid,
                map2[dom.hcomp2[a][b]] != cod.hcomp2[map2[a]][map2[b]]:
                 raise Violation("functor-hcomp", (a, b))
     if pointed:
-        if dom.basepoint is None or cod.basepoint is None:
-            raise Violation("pointed-without-basepoint", None)
+        check_pointed(dom, cod)
         if obj_map[dom.basepoint] != cod.basepoint:
             raise Violation("basepoint-not-preserved", dom.basepoint)
     return TwoFunctor(dom=dom, cod=cod, obj_map=obj_map, map1=map1, map2=map2)
@@ -516,21 +547,15 @@ def _preserves(pairs, dtab, ctab, m):
 
 def enumerate_2functors(dom: TwoGroupoid, cod: TwoGroupoid,
                         pointed: bool = False,
-                        cap: int = 10 ** 6) -> list[TwoFunctor]:
+                        cap: int | Budget = 10 ** 6) -> list[TwoFunctor]:
     """All strict functors, by exhaustive backtracking in canonical order."""
     out = []
     obj_opts = [range(cod.n_objects)] * dom.n_objects
     if pointed:
+        check_pointed(dom, cod)
         obj_opts = list(obj_opts)
         obj_opts[dom.basepoint] = [cod.basepoint]
-    budget = Budget(cap, "functor search")
-
-    by_src_tgt1: dict[tuple[int, int], list[int]] = {}
-    for f in range(cod.n1):
-        by_src_tgt1.setdefault((cod.src1[f], cod.tgt1[f]), []).append(f)
-    by_src_tgt2: dict[tuple[int, int], list[int]] = {}
-    for a in range(cod.n2):
-        by_src_tgt2.setdefault((cod.src2[a], cod.tgt2[a]), []).append(a)
+    budget = as_budget(cap, "functor search")
 
     pairs1 = list(itertools.product(range(dom.n1), repeat=2))
     pairs2 = list(itertools.product(range(dom.n2), repeat=2))
@@ -540,7 +565,7 @@ def enumerate_2functors(dom: TwoGroupoid, cod: TwoGroupoid,
     cons2 = (_preserves(pairs2, dom.vcomp, cod.vcomp, map2)
              + _preserves(pairs2, dom.hcomp2, cod.hcomp2, map2))
     for obj_map in itertools.product(*obj_opts):
-        cand1 = [by_src_tgt1.get((obj_map[dom.src1[f]], obj_map[dom.tgt1[f]]), [])
+        cand1 = [cod.between1.get((obj_map[dom.src1[f]], obj_map[dom.tgt1[f]]), [])
                  for f in range(dom.n1)]
         forced1 = {dom.id1[a]: cod.id1[obj_map[a]] for a in range(dom.n_objects)}
         # forced cells first, then by number of candidates
@@ -549,7 +574,7 @@ def enumerate_2functors(dom: TwoGroupoid, cod: TwoGroupoid,
         for _ in search(order1, lambda f: [forced1[f]] if f in forced1
                         else cand1[f], cons1, map1, budget):
             m1 = tuple(map1[f] for f in range(dom.n1))
-            cand2 = [by_src_tgt2.get((m1[dom.src2[a]], m1[dom.tgt2[a]]), [])
+            cand2 = [cod.between2.get((m1[dom.src2[a]], m1[dom.tgt2[a]]), [])
                      for a in range(dom.n2)]
             forced2 = {dom.id2[f]: cod.id2[m1[f]] for f in range(dom.n1)}
             order2 = sorted(range(dom.n2), key=lambda a: 0 if a in forced2
@@ -619,145 +644,148 @@ def is_equivalence_2functor(F: TwoFunctor) -> bool:
 
 # -- hom 2-groupoids ---------------------------------------------------------
 
-def _pillow_holds(P: TwoFunctor, Q: TwoFunctor, t: Sequence[int]) -> bool:
-    dom, cod = P.dom, P.cod
-    for c in range(dom.n1):
-        A, B = dom.src1[c], dom.tgt1[c]
-        if cod.comp1[P.map1[c]][t[B]] != cod.comp1[t[A]][Q.map1[c]]:
-            return False
-    for gamma in range(dom.n2):
-        A = dom.src1[dom.src2[gamma]]
-        B = dom.tgt1[dom.src2[gamma]]
-        if cod.whisker_right(P.map2[gamma], t[B]) != \
-           cod.whisker_left(t[A], Q.map2[gamma]):
-            return False
-    return True
-
-
-def enumerate_strict_2transformations(P: TwoFunctor, Q: TwoFunctor):
-    """Strict transformations P => Q: 1-cell families making every naturality
-    square commute on the nose."""
-    dom, cod = P.dom, P.cod
-    opts = []
-    for A in range(dom.n_objects):
-        opts.append([f for f in range(cod.n1)
-                     if cod.src1[f] == P.obj_map[A] and cod.tgt1[f] == Q.obj_map[A]])
-    out = []
-    for t in itertools.product(*opts):
-        if _pillow_holds(P, Q, t):
-            out.append(t)
+def vseq(g, *cells: int) -> int:
+    """Vertical composite of a chain of 2-cells, left to right."""
+    out = cells[0]
+    for c in cells[1:]:
+        out = g.vcomp[out][c]
+        if out < 0:
+            raise Violation("vseq-not-composable", cells)
     return out
 
 
-def enumerate_weak_2transformations(P: TwoFunctor, Q: TwoFunctor):
-    """Weak transformations P => Q: pairs (t, theta) where theta_c fills the
-    naturality square of each 1-cell c, identity cells get identity fillers,
-    fillers are natural in 2-cells, and fillers compose along composition."""
+def _transformation_constraints(P, Q, assign) -> list:
+    """The conditions on a transformation P => Q held in assign, t[A] at
+    key A and theta[c] at key n_objects + c: one naturality square per
+    2-cell and one coherence condition per composable pair of 1-cells."""
     dom, cod = P.dom, P.cod
-    t_opts = []
-    for A in range(dom.n_objects):
-        t_opts.append([f for f in range(cod.n1)
-                       if cod.src1[f] == P.obj_map[A] and cod.tgt1[f] == Q.obj_map[A]])
-    out = []
-    for t in itertools.product(*t_opts):
-        theta_opts = []
-        ok = True
-        for c in range(dom.n1):
-            A, B = dom.src1[c], dom.tgt1[c]
-            lhs = cod.comp1[P.map1[c]][t[B]]
-            rhs = cod.comp1[t[A]][Q.map1[c]]
-            if c in dom.id1:
-                opts = [cod.id2[lhs]] if lhs == rhs else []
-            else:
-                opts = [a for a in range(cod.n2)
-                        if cod.src2[a] == lhs and cod.tgt2[a] == rhs]
-            if not opts:
-                ok = False
-                break
-            theta_opts.append(opts)
-        if not ok:
-            continue
-        for theta in itertools.product(*theta_opts):
-            if _weak_trans_ok(P, Q, t, theta):
-                out.append((t, theta))
-    return out
+    no, vcomp = dom.n_objects, cod.vcomp
+    left, right = cod.whisker_left, cod.whisker_right
 
+    def natural(gamma, c, cp, A, B):
+        # [P(gamma) t_B][theta_c'] = [theta_c][t_A Q(gamma)]
+        return vcomp[right(P.map2[gamma], assign[B])][assign[no + cp]] == \
+            vcomp[assign[no + c]][left(assign[A], Q.map2[gamma])]
 
-def _weak_trans_ok(P: TwoFunctor, Q: TwoFunctor, t, theta) -> bool:
-    dom, cod = P.dom, P.cod
-    # naturality: [P(gamma) t][theta_{c'}] = [theta_c][t Q(gamma)]
-    for gamma in range(dom.n2):
-        c, cp = dom.src2[gamma], dom.tgt2[gamma]
+    def coherent(a, b, ab, A, C):
+        # [eps^P t_C][theta_ab] = [P(a) theta_b][theta_a Q(b)][t_A eps^Q]
+        return vcomp[right(P.eps[a][b], assign[C])][assign[no + ab]] == \
+            vseq(cod, left(P.map1[a], assign[no + b]),
+                 right(assign[no + a], Q.map1[b]),
+                 left(assign[A], Q.eps[a][b]))
+
+    cons = []
+    for gamma, (c, cp) in enumerate(zip(dom.src2, dom.tgt2)):
         A, B = dom.src1[c], dom.tgt1[c]
-        lhs = cod.vcomp[cod.whisker_right(P.map2[gamma], t[B])][theta[cp]]
-        rhs = cod.vcomp[theta[c]][cod.whisker_left(t[A], Q.map2[gamma])]
-        if lhs != rhs:
-            return False
-    # composition coherence: theta_{ab} = [P(a) theta_b][theta_a Q(b)]
-    for a in range(dom.n1):
-        for b in range(dom.n1):
-            ab = dom.comp1[a][b]
-            if ab < 0:
-                continue
-            paste = cod.vcomp[cod.whisker_left(P.map1[a], theta[b])][
-                cod.whisker_right(theta[a], Q.map1[b])]
-            if theta[ab] != paste:
-                return False
-    return True
+        cons.append(((A, B, no + c, no + cp),
+                     functools.partial(natural, gamma, c, cp, A, B)))
+    for a, row in enumerate(dom.comp1):
+        for b, ab in enumerate(row):
+            if ab >= 0:
+                A, C = dom.src1[a], dom.tgt1[b]
+                cons.append(((A, C, no + a, no + b, no + ab),
+                             functools.partial(coherent, a, b, ab, A, C)))
+    return cons
 
 
-def _modification_ok(P: TwoFunctor, Q: TwoFunctor, t, theta, s, sigma, mu) -> bool:
+def enumerate_2transformations(P, Q, pointed: bool = False,
+                               strict: bool = False,
+                               cap: int | Budget = 10 ** 6) -> list[tuple]:
+    """The transformations P => Q between strict or weak functors into a
+    strict 2-groupoid, as (t, theta) pairs in lexicographic order: t[A] a
+    1-cell P(A) -> Q(A) per object A, then theta[c] a 2-cell P(c) t_B =>
+    t_A Q(c) per 1-cell c: A -> B, natural in 2-cells and coherent with
+    composition.  An identity c gets the identity filler, and when strict
+    every c does, so the square must commute.  When pointed, t at the
+    basepoint is the identity."""
     dom, cod = P.dom, P.cod
-    for c in range(dom.n1):
-        A, B = dom.src1[c], dom.tgt1[c]
-        lhs = cod.vcomp[theta[c]][cod.whisker_right(mu[A], Q.map1[c])]
-        rhs = cod.vcomp[cod.whisker_left(P.map1[c], mu[B])][sigma[c]]
-        if lhs != rhs:
-            return False
-    return True
+    no, ids = dom.n_objects, set(dom.id1)
+    if pointed:
+        check_pointed(dom, cod)
+    assign: dict[int, int] = {}
+
+    def domain(v):
+        if v < no:
+            cands = cod.between1.get((P.obj_map[v], Q.obj_map[v]), [])
+            if pointed and v == dom.basepoint:
+                return [f for f in cands if f == cod.id1[cod.basepoint]]
+            return cands
+        c = v - no
+        lhs = cod.comp1[P.map1[c]][assign[dom.tgt1[c]]]
+        rhs = cod.comp1[assign[dom.src1[c]]][Q.map1[c]]
+        if strict or c in ids:
+            return [cod.id2[lhs]] if lhs == rhs else []
+        return cod.between2.get((lhs, rhs), [])
+
+    n = no + dom.n1
+    return [(tuple(assign[A] for A in range(no)),
+             tuple(assign[v] for v in range(no, n)))
+            for _ in search(range(n), domain,
+                            _transformation_constraints(P, Q, assign), assign,
+                            as_budget(cap, "transformation search"))]
 
 
-def enumerate_modifications(P: TwoFunctor, Q: TwoFunctor,
-                            t, theta, s, sigma):
-    """Modifications (t, theta) => (s, sigma): families mu_A: t_A => s_A
-    compatible with the square fillers."""
+def is_2transformation(P, Q, t, theta) -> bool:
+    """Whether (t, theta) meets the constraints of enumerate_2transformations
+    (not the ends of its cells): the kernel runs them once on the filled
+    assignment, with nothing to search."""
+    assign = dict(enumerate(tuple(t) + tuple(theta)))
+    return any(True for _ in search(
+        (), None, _transformation_constraints(P, Q, assign), assign))
+
+
+def enumerate_2modifications(P, Q, x, y, pointed: bool = False,
+                             cap: int | Budget = 10 ** 6) -> list[tuple]:
+    """The modifications between transformations x = (t, theta) and y =
+    (s, sigma) from P to Q, in lexicographic order: families of 2-cells
+    mu_A: t_A => s_A with [theta_c][mu_A Q(c)] = [P(c) mu_B][sigma_c] for
+    every 1-cell c: A -> B.  When pointed, mu at the basepoint is the
+    identity."""
+    (t, theta), (s, sigma) = x, y
     dom, cod = P.dom, P.cod
-    opts = []
-    for A in range(dom.n_objects):
-        opts.append([a for a in range(cod.n2)
-                     if cod.src2[a] == t[A] and cod.tgt2[a] == s[A]])
-    return [mu for mu in itertools.product(*opts)
-            if _modification_ok(P, Q, t, theta, s, sigma, mu)]
+    vcomp, left, right = cod.vcomp, cod.whisker_left, cod.whisker_right
+    if pointed:
+        check_pointed(dom, cod)
+    mu: dict[int, int] = {}
+
+    def domain(A):
+        cands = cod.between2.get((t[A], s[A]), [])
+        if pointed and A == dom.basepoint:
+            return [a for a in cands if a == cod.id2[t[A]]]
+        return cands
+
+    def square(c, A, B):
+        return vcomp[theta[c]][right(mu[A], Q.map1[c])] == \
+            vcomp[left(P.map1[c], mu[B])][sigma[c]]
+
+    cons = [((A, B), functools.partial(square, c, A, B))
+            for c, (A, B) in enumerate(zip(dom.src1, dom.tgt1))]
+    no = dom.n_objects
+    return [tuple(mu[A] for A in range(no))
+            for _ in search(range(no), domain, cons, mu,
+                            as_budget(cap, "modification search"))]
 
 
-def _strict_modifications(P: TwoFunctor, Q: TwoFunctor, t, theta, s, sigma):
-    """Modifications between strict transformations t and s, whose square
-    fillers are identities (theta and sigma are None)."""
-    dom, cod = P.dom, P.cod
-
-    def fillers(u):
-        return tuple(cod.id2[cod.comp1[P.map1[c]][u[dom.tgt1[c]]]]
-                     for c in range(dom.n1))
-    return enumerate_modifications(P, Q, t, fillers(t), s, fillers(s))
-
-
-def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, trans_lister,
-                  mod_lister, weak: bool):
+def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
+                  pointed: bool = False, strict: bool = False):
     """Build the 2-groupoid of functors, transformations, modifications.
 
-    trans_lister(P, Q) lists the transformations P => Q, as (t, theta)
-    pairs when weak and as families t otherwise; mod_lister(P, Q, t,
-    theta, s, sigma) lists the modifications between two of them.  Each
-    composite is formed only from cells that compose: 1-cells grouped by
-    source functor, 2-cells by source 1-cell and by the source functor of
-    that 1-cell."""
+    Every transformation and modification search runs under budget, with
+    its stage set to the one reached.  A 1-cell is (i, j, t, theta), theta
+    None when strict.  Each composite is formed only from cells that
+    compose: 1-cells grouped by source functor, 2-cells by source 1-cell
+    and by the source functor of that 1-cell."""
     objs = range(D.n_objects)
+    weak = not strict
     one_cells = []           # (dom functor idx, cod functor idx, t, theta)
+    fillers = []             # theta of each, identities when strict
+    budget.stage = "hom transformations"
     for i, P in enumerate(functors):
         for j, Q in enumerate(functors):
-            for cell in trans_lister(P, Q):
-                t, theta = cell if weak else (cell, None)
-                one_cells.append((i, j, t, theta))
+            for t, theta in enumerate_2transformations(P, Q, pointed, strict,
+                                                       budget):
+                one_cells.append((i, j, t, theta if weak else None))
+                fillers.append(theta)
     cell_pos = {c: k for k, c in enumerate(one_cells)}
     n1 = len(one_cells)
     src1 = tuple(c[0] for c in one_cells)
@@ -781,10 +809,12 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, trans_lister,
     # 2-cells: modifications
     between = _group(zip(src1, tgt1))
     two_cells = []
-    for x, (i, j, t, theta) in enumerate(one_cells):
+    budget.stage = "hom modifications"
+    for x, (i, j, t, _) in enumerate(one_cells):
         for y in between[(i, j)]:
-            s, sigma = one_cells[y][2:]
-            for mu in mod_lister(functors[i], functors[j], t, theta, s, sigma):
+            for mu in enumerate_2modifications(
+                    functors[i], functors[j], (t, fillers[x]),
+                    (one_cells[y][2], fillers[y]), pointed, budget):
                 two_cells.append((x, y, mu))
     mod_pos = {m: k for k, m in enumerate(two_cells)}
     n2 = len(two_cells)
@@ -809,9 +839,9 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, trans_lister,
             hcomp[p][q] = mod_pos[(comp1[x][u], comp1[y][v], comp)]
     bp = None
     if D.basepoint is not None and C.basepoint is not None:
-        pointed = [i for i, P in enumerate(functors)
-                   if P.obj_map[D.basepoint] == C.basepoint]
-        bp = pointed[0] if pointed else None
+        based = [i for i, P in enumerate(functors)
+                 if P.obj_map[D.basepoint] == C.basepoint]
+        bp = based[0] if based else None
     gpd = build_two_groupoid(len(functors), src1, tgt1, tuple(id1), comp1,
                              src2, tgt2, tuple(id2), vcomp, hcomp,
                              basepoint=bp)
@@ -820,10 +850,10 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, trans_lister,
 
 def hom_strict_data(D: TwoGroupoid, C: TwoGroupoid, cap: int = 10 ** 6):
     """hom 2-groupoid plus the underlying functor/transformation/modification
-    lists, indexed in cell order."""
-    functors = enumerate_2functors(D, C, cap=cap)
-    return _assemble_hom(D, C, functors, enumerate_strict_2transformations,
-                         _strict_modifications, weak=False)
+    lists, indexed in cell order; one cap bounds every search."""
+    budget = Budget(cap, "hom functors")
+    functors = enumerate_2functors(D, C, cap=budget)
+    return _assemble_hom(D, C, functors, budget, strict=True)
 
 
 def hom_strict(D: TwoGroupoid, C: TwoGroupoid,
@@ -833,9 +863,9 @@ def hom_strict(D: TwoGroupoid, C: TwoGroupoid,
 
 
 def hom_weak_trans_data(D: TwoGroupoid, C: TwoGroupoid, cap: int = 10 ** 6):
-    functors = enumerate_2functors(D, C, cap=cap)
-    return _assemble_hom(D, C, functors, enumerate_weak_2transformations,
-                         enumerate_modifications, weak=True)
+    budget = Budget(cap, "hom functors")
+    functors = enumerate_2functors(D, C, cap=budget)
+    return _assemble_hom(D, C, functors, budget)
 
 
 def hom_weak_trans(D: TwoGroupoid, C: TwoGroupoid,

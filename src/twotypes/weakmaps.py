@@ -11,23 +11,23 @@ modifications translate to (a, theta) pairs and single elements mu.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .fingroup import FiniteGroup
-from .search import Budget, search
-from .xmod import CrossedModule, Violation
+from .search import Budget, as_budget, search
+from .xmod import CrossedModule, Violation, check_pointed
 from .twogpd import (
-    TwoFunctor, TwoGroupoid, _assemble_hom, _check_1cells, _check_horizontal,
-    _check_interchange, _check_vertical, _derive_inverses, _preserves,
-    build_two_groupoid,
+    TwoFunctor, TwoGroupoid, _Cells, _assemble_hom, _check_1cells,
+    _check_horizontal, _check_interchange, _check_vertical, _derive_inverses,
+    _identity_eps, _preserves, build_two_groupoid, enumerate_2transformations,
+    is_2transformation, vseq,
 )
 
 
 @dataclass(frozen=True)
-class WeakTwoGroupoid:
+class WeakTwoGroupoid(_Cells):
     n_objects: int
     src1: tuple[int, ...]
     tgt1: tuple[int, ...]
@@ -42,51 +42,18 @@ class WeakTwoGroupoid:
     assoc: tuple[tuple[tuple[int, ...], ...], ...]
     basepoint: Optional[int] = None
 
-    @property
-    def n1(self) -> int:
-        return len(self.src1)
-
-    @property
-    def n2(self) -> int:
-        return len(self.src2)
-
-    def whisker_left(self, f: int, beta: int) -> int:
-        return self.hcomp2[self.id2[f]][beta]
-
-    def whisker_right(self, alpha: int, h: int) -> int:
-        return self.hcomp2[alpha][self.id2[h]]
-
     def __repr__(self) -> str:
         return (f"WeakTwoGroupoid(objects={self.n_objects}, "
                 f"one_cells={self.n1}, two_cells={self.n2})")
 
 
-def vseq(g, *cells: int) -> int:
-    """Vertical composite of a chain of 2-cells, left to right."""
-    out = cells[0]
-    for c in cells[1:]:
-        out = g.vcomp[out][c]
-        if out < 0:
-            raise Violation("vseq-not-composable", cells)
-    return out
-
-
 def _identity_assoc(n1, comp1, id2):
-    assoc = []
-    for a in range(n1):
-        plane = []
-        for b in range(n1):
-            row = []
-            for c in range(n1):
-                ab = comp1[a][b]
-                if ab >= 0 and comp1[b][c] >= 0:
-                    row.append(id2[comp1[ab][c]])
-                else:
-                    row.append(-1)
-            plane.append(tuple(row))
-        plane = tuple(plane)
-        assoc.append(plane)
-    return tuple(assoc)
+    """assoc[a][b][c]: the identity on (ab)c at each composable triple,
+    -1 elsewhere."""
+    return tuple(tuple(tuple(
+        id2[comp1[ab][c]] if ab >= 0 and comp1[b][c] >= 0 else -1
+        for c in range(n1)) for b, ab in enumerate(comp1[a]))
+        for a in range(n1))
 
 
 def _coerce_weak(g) -> WeakTwoGroupoid:
@@ -282,8 +249,7 @@ def check_weak_functor(dom, cod, obj_map, map1, map2, eps,
                 if lhs != rhs:
                     raise Violation("wf-coherence", (a, b, c))
     if pointed:
-        if dom.basepoint is None or cod.basepoint is None:
-            raise Violation("pointed-without-basepoint", None)
+        check_pointed(dom, cod)
         if obj_map[dom.basepoint] != cod.basepoint:
             raise Violation("basepoint-not-preserved", dom.basepoint)
     return WeakFunctor(dom=dom, cod=cod, obj_map=obj_map, map1=map1,
@@ -291,42 +257,27 @@ def check_weak_functor(dom, cod, obj_map, map1, map2, eps,
 
 
 def weak_functor_from_strict(F: TwoFunctor) -> WeakFunctor:
-    cod = _coerce_weak(F.cod)
-    eps = [[-1] * F.dom.n1 for _ in range(F.dom.n1)]
-    for f in range(F.dom.n1):
-        for h in range(F.dom.n1):
-            if F.dom.comp1[f][h] >= 0:
-                eps[f][h] = cod.id2[cod.comp1[F.map1[f]][F.map1[h]]]
-    return check_weak_functor(F.dom, F.cod, F.obj_map, F.map1, F.map2, eps)
+    return check_weak_functor(F.dom, F.cod, F.obj_map, F.map1, F.map2, F.eps)
 
 
 def identity_weak_functor(g) -> WeakFunctor:
     w = _coerce_weak(g)
-    eps = [[-1] * w.n1 for _ in range(w.n1)]
-    for f in range(w.n1):
-        for h in range(w.n1):
-            if w.comp1[f][h] >= 0:
-                eps[f][h] = w.id2[w.comp1[f][h]]
     return check_weak_functor(w, w, range(w.n_objects), range(w.n1),
-                              range(w.n2), eps)
+                              range(w.n2), _identity_eps(w, w, range(w.n1)))
 
 
 def enumerate_weak_functors(dom: TwoGroupoid, cod: TwoGroupoid,
                             pointed: bool = False,
-                            cap: int = 10 ** 6) -> list[WeakFunctor]:
+                            cap: int | Budget = 10 ** 6) -> list[WeakFunctor]:
     """All weak functors between strict 2-groupoids, by backtracking over
     the 1-cell map, the coherence cells, and the 2-cell map in turn."""
     out = []
-    budget = Budget(cap, "weak functor search")
+    if pointed:
+        check_pointed(dom, cod)
+    budget = as_budget(cap, "weak functor search")
     # one weak view of each, shared by every functor found
     dom, cod = _coerce_weak(dom), _coerce_weak(cod)
-
-    by1: dict[tuple[int, int], list[int]] = {}
-    for f in range(cod.n1):
-        by1.setdefault((cod.src1[f], cod.tgt1[f]), []).append(f)
-    by2: dict[tuple[int, int], list[int]] = {}
-    for a in range(cod.n2):
-        by2.setdefault((cod.src2[a], cod.tgt2[a]), []).append(a)
+    by1, by2 = cod.between1, cod.between2
 
     pairs = [(f, h) for f in range(dom.n1) for h in range(dom.n1)
              if dom.comp1[f][h] >= 0]
@@ -408,107 +359,16 @@ def enumerate_weak_functors(dom: TwoGroupoid, cod: TwoGroupoid,
     return out
 
 
-# -- weak transformations and modifications between weak functors -------------
-
-def _weak_trans_wf_ok(P: WeakFunctor, Q: WeakFunctor, t, theta) -> bool:
-    dom, cod = P.dom, P.cod
-    # naturality in 2-cells
-    for gamma in range(dom.n2):
-        c, cp = dom.src2[gamma], dom.tgt2[gamma]
-        A, B = dom.src1[c], dom.tgt1[c]
-        lhs = cod.vcomp[cod.whisker_right(P.map2[gamma], t[B])][theta[cp]]
-        rhs = cod.vcomp[theta[c]][cod.whisker_left(t[A], Q.map2[gamma])]
-        if lhs != rhs:
-            return False
-    # coherence: [eps^P t][theta_{ab}] = [P(a) theta_b][theta_a Q(b)][t eps^Q]
-    for a in range(dom.n1):
-        for b in range(dom.n1):
-            ab = dom.comp1[a][b]
-            if ab < 0:
-                continue
-            A = dom.src1[a]
-            C = dom.tgt1[b]
-            lhs = cod.vcomp[cod.whisker_right(P.eps[a][b], t[C])][theta[ab]]
-            rhs = vseq(cod,
-                       cod.whisker_left(P.map1[a], theta[b]),
-                       cod.whisker_right(theta[a], Q.map1[b]),
-                       cod.whisker_left(t[A], Q.eps[a][b]))
-            if lhs != rhs:
-                return False
-    return True
-
-
-def enumerate_weak_transformations_wf(P: WeakFunctor, Q: WeakFunctor,
-                                      pointed: bool = False):
-    """Weak transformations P => Q as (t, theta) pairs."""
-    dom, cod = P.dom, P.cod
-    t_opts = []
-    for A in range(dom.n_objects):
-        opts = [f for f in range(cod.n1)
-                if cod.src1[f] == P.obj_map[A] and cod.tgt1[f] == Q.obj_map[A]]
-        if pointed and A == dom.basepoint:
-            e = cod.id1[cod.basepoint]
-            opts = [f for f in opts if f == e]
-        t_opts.append(opts)
-    out = []
-    for t in itertools.product(*t_opts):
-        theta_opts = []
-        ok = True
-        for c in range(dom.n1):
-            A, B = dom.src1[c], dom.tgt1[c]
-            lhs = cod.comp1[P.map1[c]][t[B]]
-            rhs = cod.comp1[t[A]][Q.map1[c]]
-            if c in dom.id1:
-                opts = [cod.id2[lhs]] if lhs == rhs else []
-            else:
-                opts = [a for a in range(cod.n2)
-                        if cod.src2[a] == lhs and cod.tgt2[a] == rhs]
-            if not opts:
-                ok = False
-                break
-            theta_opts.append(opts)
-        if not ok:
-            continue
-        for theta in itertools.product(*theta_opts):
-            if _weak_trans_wf_ok(P, Q, t, theta):
-                out.append((t, theta))
-    return out
-
-
-def enumerate_modifications_wf(P: WeakFunctor, Q: WeakFunctor,
-                               t, theta, s, sigma, pointed: bool = False):
-    dom, cod = P.dom, P.cod
-    opts = []
-    for A in range(dom.n_objects):
-        cands = [a for a in range(cod.n2)
-                 if cod.src2[a] == t[A] and cod.tgt2[a] == s[A]]
-        if pointed and A == dom.basepoint:
-            cands = [a for a in cands if a == cod.id2[t[A]]]
-        opts.append(cands)
-
-    def mod_ok(mu):
-        for c in range(dom.n1):
-            A, B = dom.src1[c], dom.tgt1[c]
-            lhs = cod.vcomp[theta[c]][cod.whisker_right(mu[A], Q.map1[c])]
-            rhs = cod.vcomp[cod.whisker_left(P.map1[c], mu[B])][sigma[c]]
-            if lhs != rhs:
-                return False
-        return True
-
-    return [mu for mu in itertools.product(*opts) if mod_ok(mu)]
-
+# -- the hom 2-groupoid of weak functors --------------------------------------
 
 def hom_full_data(D: TwoGroupoid, C: TwoGroupoid,
                   pointed_only: bool = False, cap: int = 10 ** 6):
     """The 2-groupoid of weak functors, weak transformations, and
-    modifications, with its underlying cell lists."""
-    functors = enumerate_weak_functors(D, C, pointed=pointed_only, cap=cap)
-    return _assemble_hom(
-        D, C, functors,
-        functools.partial(enumerate_weak_transformations_wf,
-                          pointed=pointed_only),
-        functools.partial(enumerate_modifications_wf, pointed=pointed_only),
-        weak=True)
+    modifications, with its underlying cell lists; one cap bounds every
+    search."""
+    budget = Budget(cap, "hom functors")
+    functors = enumerate_weak_functors(D, C, pointed=pointed_only, cap=budget)
+    return _assemble_hom(D, C, functors, budget, pointed=pointed_only)
 
 
 def hom_full(D: TwoGroupoid, C: TwoGroupoid, pointed_only: bool = False,
@@ -624,7 +484,7 @@ def check_xmod_weak_map(H: CrossedModule, G: CrossedModule,
 
 
 def _weak_map_candidates(H: CrossedModule, G: CrossedModule,
-                         cap: int = 10 ** 6):
+                         cap: int | Budget = 10 ** 6):
     """All (p1, p2, eps) satisfying W0-W4 plus W2, in deterministic order.
 
     W5 is deliberately left out so callers can compare W5 with W5'."""
@@ -633,7 +493,7 @@ def _weak_map_candidates(H: CrossedModule, G: CrossedModule,
     phi_fiber: dict[int, list[int]] = {}
     for v in range(g2.order):
         phi_fiber.setdefault(phi[v], []).append(v)
-    budget = Budget(cap, "weak map search")
+    budget = as_budget(cap, "weak map search")
     squares = list(itertools.product(range(h1.order), repeat=2))
     cubes = list(itertools.product(range(h1.order), repeat=3))
     p1: dict[int, int] = {h1.identity: g1.identity}
@@ -680,7 +540,7 @@ def _weak_map_candidates(H: CrossedModule, G: CrossedModule,
 
 def enumerate_xmod_weak_maps(H: CrossedModule, G: CrossedModule,
                              pointed_only: bool = False,
-                             cap: int = 10 ** 6) -> list[XmodWeakMap]:
+                             cap: int | Budget = 10 ** 6) -> list[XmodWeakMap]:
     """Exhaustive list of weak maps H -> G.  Every weak map is pointed by
     definition; the flag is accepted for interface symmetry."""
     out = []
@@ -747,7 +607,8 @@ def check_xmod_transformation(P: XmodWeakMap, Q: XmodWeakMap,
 
 
 def enumerate_transformations(P: XmodWeakMap, Q: XmodWeakMap,
-                              pointed_only: bool = False
+                              pointed_only: bool = False,
+                              cap: int | Budget = 10 ** 6
                               ) -> list[XmodTransformation]:
     h1, h2, g1, g2 = P.dom.g1, P.dom.g2, P.cod.g1, P.cod.g2
     psi = P.dom.phi.image
@@ -767,7 +628,8 @@ def enumerate_transformations(P: XmodWeakMap, Q: XmodWeakMap,
     return [XmodTransformation(src=P, tgt=Q, a=theta["a"], theta=tuple(
                 theta[x] for x in range(h1.order)))
             for _ in search(order, lambda v: a_opts if v == "a"
-                            else range(g2.order), constraints, theta)]
+                            else range(g2.order), constraints, theta,
+                            as_budget(cap, "transformation search"))]
 
 
 def enumerate_modifications(T: XmodTransformation, S: XmodTransformation
@@ -926,8 +788,8 @@ def pi0_hom_vs_homotopy_classes(H: TwoGroupoid, G: TwoGroupoid,
     n = len(funcs)
     for i in range(n):
         for j in range(n):
-            trans = enumerate_weak_transformations_wf(funcs[i], funcs[j],
-                                                      pointed=True)
+            trans = enumerate_2transformations(funcs[i], funcs[j],
+                                               pointed=True, cap=cap)
             hmt = homotopies.find(nmaps[i], nmaps[j], pointed=True, cap=cap)
             if bool(trans) != (hmt is not None):
                 return False
@@ -942,6 +804,6 @@ def pi0_hom_vs_homotopy_classes(H: TwoGroupoid, G: TwoGroupoid,
             if hmt is not None:
                 t, theta = transformation_from_homotopy(hmt, funcs[i],
                                                         funcs[j])
-                if not _weak_trans_wf_ok(funcs[i], funcs[j], t, theta):
+                if not is_2transformation(funcs[i], funcs[j], t, theta):
                     return False
     return True

@@ -33,6 +33,12 @@ class Violation(ValueError):
         self.witness = witness
 
 
+def check_pointed(*objects) -> None:
+    """A pointed search or check needs a basepoint on every object."""
+    if any(x.basepoint is None for x in objects):
+        raise Violation("pointed-without-basepoint", None)
+
+
 class NotGenerating(ValueError):
     pass
 

@@ -169,6 +169,32 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in err
 
+    def test_cap_of_hom_and_pi0hom_in_transformations(self, capsys):
+        # one cap covers every search of the command; the functor search of
+        # hom and the weak-map search of pi0hom take 83 steps each here, so
+        # 100 steps run out in the transformation searches
+        pair = [str(FIX / "z3.xmod"), str(FIX / "z4to2.xmod")]
+        for command in ("hom", "pi0hom"):
+            code, out, err = run(capsys, command, *pair, "--cap", "100")
+            assert (code, out) == (3, "")
+            assert f"{command} transformations exceeded the cap of 100 " \
+                   f"steps" in err
+
+    def test_pointed_without_basepoint_is_1(self, capsys, tmp_path):
+        p = tmp_path / "unpointed.2gpd"
+        p.write_text((FIX / "bz2.2gpd").read_text().replace(
+            " basepoint 0", ""))
+        z2, nz2 = str(FIX / "z2.xmod"), str(FIX / "nz2.sset")
+        sphere = str(FIX / "sphere.sset")  # has no basepoint either
+        for argv in (("hom", str(p), z2), ("hom", z2, str(p)),
+                     ("enumerate-maps", nz2, sphere),
+                     ("enumerate-maps", sphere, nz2)):
+            code, out, err = run(capsys, *argv, "--pointed")
+            assert (code, out) == (1, "")
+            assert err == ("validation error: pointed-without-basepoint "
+                           "fails at None\n")
+            assert run(capsys, *argv)[0] == 0
+
     def test_cohomology_cap_exceeded_is_3(self, capsys):
         code, out, err = run(capsys, "cohomology", "--gamma",
                              str(FIX / "s3.group"), "--coeff",

@@ -12,6 +12,7 @@ import dataclasses
 import gc
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,15 +21,19 @@ from twotypes import simpset
 from twotypes.fingroup import cyclic, symmetric3
 from twotypes.nerve import nerve
 from twotypes.reconstruct import pentagon_via_4simplex, roundtrip_report
-from twotypes.search import SizeCapExceeded
+from twotypes.search import Budget, SizeCapExceeded
 from twotypes.simpset import (
     JoinLevel, TruncatedSimplicialSet, check_simplicial_map, coskeleton,
     extend_to_level4, in_sset2, is_coskeletal_at, is_kan, relabel,
+    simplicial_maps,
 )
+from twotypes.textio import parse_file
 from twotypes.twogpd import xmod_to_2group
 from twotypes.xmod import xmod_bg, xmod_identity
 
 from test_simpset import brute_force_tuples, sphere_base, without_4_simplex
+
+FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # -- the explicit-row scans, as they were ------------------------------------
@@ -354,3 +359,39 @@ class TestNerveCache:
         del g
         gc.collect()
         assert len(nerve_mod._NERVE_CACHE) == baseline
+
+
+# -- map search into a joined level ------------------------------------------
+
+MAP_NERVES = ("pt", "b_z2", "b_z3", "b2_z2", "b2_z3", "id_z2")
+
+
+def with_listed_level4(y):
+    """y with its level 4 as listed rows, so that the map search checks
+    level 3 against it as it does into a complex read from a file."""
+    return dataclasses.replace(y, faces=y.faces[:4] + (tuple(y.faces[4]),))
+
+
+class TestMapsIntoAJoin:
+    def test_same_maps_and_no_target_row(self, gpd_nerves, monkeypatch):
+        sphere = parse_file(str(FIX / "sphere.sset")).subject()[2]
+        complexes = [x for name, _, _, x in gpd_nerves
+                     if name in MAP_NERVES] + [sphere]
+        assert len(complexes) == len(MAP_NERVES) + 1
+        pairs = 0
+        for x, y in itertools.product(complexes, repeat=2):
+            steps = [Budget(10 ** 6, "map search") for _ in range(2)]
+            want = [m.levels for m in simplicial_maps(
+                x, with_listed_level4(y), cap=steps[0])]
+            listed_levels = record_rows(monkeypatch)
+            got = [m.levels for m in simplicial_maps(x, y, cap=steps[1])]
+            monkeypatch.undo()
+            # the same maps in the same order, through the same nodes
+            assert got == want
+            assert steps[0].steps == steps[1].steps
+            if x is not y:
+                # the domain's level-4 rows order the search; the target's
+                # are not read
+                assert all(level is not y.faces[4] for level in listed_levels)
+            pairs += bool(want)
+        assert pairs > len(complexes)

@@ -10,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from twotypes import twogpd, weakmaps
 from twotypes.cli import _as_2gpd
 from twotypes.cohom import crossed_homs, two_cocycles
 from twotypes.fingroup import cyclic, inversion_action_z2_on
-from twotypes.twogpd import check_2functor, enumerate_2functors, xmod_to_2group
+from twotypes.twogpd import (
+    check_2functor, enumerate_2functors, enumerate_2modifications,
+    enumerate_2transformations, is_2transformation, xmod_to_2group,
+)
 from twotypes.weakmaps import (
     check_weak_functor, check_xmod_transformation, check_xmod_weak_map,
     enumerate_transformations, enumerate_weak_functors,
@@ -130,11 +132,11 @@ def test_cocycles(inversion):
 
 # -- hom 2-groupoids: the product-filter listers, as they were ----------------
 #
-# The old_* functions are the transformation and modification listers of
-# twogpd and weakmaps as they ran before they moved onto the kernel, with
-# their predicates.  The library's listers must return the same lists in the
-# same order on every functor pair below, and the bridge's check must accept
-# and reject what old_weak_trans_wf_ok does.
+# The old_* functions are the five product-filter listers of transformations
+# and modifications that twogpd and weakmaps ran before the two kernel
+# listers replaced them, with their predicates.  The kernel listers must
+# return the same lists in the same order on every functor pair below, and
+# is_2transformation must accept and reject what old_weak_trans_wf_ok does.
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_2GPDS = ("bz2.2gpd", "z2.xmod", "z2to1.xmod", "z3.xmod",
@@ -282,32 +284,6 @@ def old_fillers(P, u):
                  for c in range(dom.n1))
 
 
-# the library's listers, by variant
-
-def listed_transformations(P, Q, variant, pointed=False):
-    """(t, theta) pairs; theta is None for strict transformations."""
-    if variant == "strict":
-        return [(t, None)
-                for t in twogpd.enumerate_strict_2transformations(P, Q)]
-    if variant == "weak-on-strict":
-        return twogpd.enumerate_weak_2transformations(P, Q)
-    return weakmaps.enumerate_weak_transformations_wf(P, Q, pointed=pointed)
-
-
-def listed_modifications(P, Q, x, y, variant, pointed=False):
-    (t, theta), (s, sigma) = x, y
-    if variant == "strict":
-        return twogpd._strict_modifications(P, Q, t, None, s, None)
-    if variant == "weak-on-strict":
-        return twogpd.enumerate_modifications(P, Q, t, theta, s, sigma)
-    return weakmaps.enumerate_modifications_wf(P, Q, t, theta, s, sigma,
-                                               pointed=pointed)
-
-
-def bridge_accepts(P, Q, t, theta):
-    return weakmaps._weak_trans_wf_ok(P, Q, t, theta)
-
-
 def _hom_pairs():
     small = {f"bg{n}": xmod_to_2group(xmod_bg(cyclic(n))) for n in (2, 3)}
     small.update({f"b2g{m}": xmod_to_2group(xmod_b2g(cyclic(m)))
@@ -350,15 +326,19 @@ def test_hom_listers(d, c, D, C, variant, pointed):
         functors = enumerate_weak_functors(D, C, pointed=pointed)
     else:
         functors = enumerate_2functors(D, C)
+    strict = variant == "strict"
     cells = mods = 0
     for P, Q in itertools.product(functors, repeat=2):
-        want = _old_lists(P, Q, variant, pointed)
-        assert listed_transformations(P, Q, variant, pointed) == want
-        cells += len(want)
-        for x, y in itertools.product(want, repeat=2):
-            got = listed_modifications(P, Q, x, y, variant, pointed)
-            assert got == _old_mods(P, Q, x, y, variant, pointed)
-            mods += len(got)
+        got = enumerate_2transformations(P, Q, pointed, strict)
+        assert [(t, None if strict else theta) for t, theta in got] == \
+            _old_lists(P, Q, variant, pointed)
+        if strict:
+            assert all(theta == old_fillers(P, t) for t, theta in got)
+        cells += len(got)
+        for x, y in itertools.product(got, repeat=2):
+            found = enumerate_2modifications(P, Q, x, y, pointed)
+            assert found == _old_mods(P, Q, x, y, variant, pointed)
+            mods += len(found)
     # every functor has its identity transformation and modification
     assert cells >= len(functors) and mods >= cells
 
@@ -385,6 +365,6 @@ def test_bridge_check(d, c, D, C):
                 for a in range(C.n2):
                     alt = theta[:k] + (a,) + theta[k + 1:]
                     want = _verdict(old_weak_trans_wf_ok, P, Q, t, alt)
-                    assert _verdict(bridge_accepts, P, Q, t, alt) == want
+                    assert _verdict(is_2transformation, P, Q, t, alt) == want
                     seen.add(want)
     assert True in seen and len(seen) > 1

@@ -17,14 +17,14 @@ from twotypes.nerve import nerve
 from twotypes.reconstruct import choose_fillers, reconstruct
 from twotypes.simpset import SizeCapExceeded
 from twotypes.twogpd import (
-    disjoint_union, enumerate_2functors, hom_strict, hom_weak_trans, pi0,
-    product_2gpd, xmod_to_2group,
+    disjoint_union, enumerate_2functors, enumerate_2transformations,
+    hom_strict, hom_weak_trans, pi0, product_2gpd, xmod_to_2group,
 )
 from twotypes.weakmaps import (
     WeakTwoGroupoid, as_weak, build_weak_2groupoid, check_w5_equivalence,
     check_weak_2groupoid, check_xmod_weak_map, enumerate_modifications,
     enumerate_transformations, enumerate_weak_functors,
-    enumerate_weak_transformations_wf, enumerate_xmod_weak_maps, hom_full,
+    enumerate_xmod_weak_maps, hom_full,
     identity_weak_functor, pi0_hom_vs_homotopy_classes, to_strict,
     transformation_from_homotopy, transformation_to_homotopy, vseq,
     weak_functor_from_strict, weak_functor_from_xmod_weak_map,
@@ -189,7 +189,7 @@ class TestHomotopyBridge:
         funcs = enumerate_weak_functors(D, C, pointed=True)
         for P in funcs:
             for Q in funcs:
-                for (t, theta) in enumerate_weak_transformations_wf(
+                for (t, theta) in enumerate_2transformations(
                         P, Q, pointed=True):
                     h = transformation_to_homotopy(P, Q, t, theta)
                     assert transformation_from_homotopy(h, P, Q) == (t, theta)
