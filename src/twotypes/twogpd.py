@@ -553,7 +553,6 @@ def enumerate_2functors(dom: TwoGroupoid, cod: TwoGroupoid,
     obj_opts = [range(cod.n_objects)] * dom.n_objects
     if pointed:
         check_pointed(dom, cod)
-        obj_opts = list(obj_opts)
         obj_opts[dom.basepoint] = [cod.basepoint]
     budget = as_budget(cap, "functor search")
 

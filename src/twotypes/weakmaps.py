@@ -324,7 +324,6 @@ def enumerate_weak_functors(dom: TwoGroupoid, cod: TwoGroupoid,
 
     obj_opts = [list(range(cod.n_objects))] * dom.n_objects
     if pointed:
-        obj_opts = list(obj_opts)
         obj_opts[dom.basepoint] = [cod.basepoint]
 
     for obj_map in itertools.product(*obj_opts):
