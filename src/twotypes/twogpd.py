@@ -656,34 +656,34 @@ def vseq(g, *cells: int) -> int:
 def _transformation_constraints(P, Q, assign) -> list:
     """The conditions on a transformation P => Q held in assign, t[A] at
     key A and theta[c] at key n_objects + c: one naturality square per
-    2-cell and one coherence condition per composable pair of 1-cells."""
+    2-cell and one coherence condition per composable pair of 1-cells.
+    Whiskering by a fixed cell is read as a row of hcomp2."""
     dom, cod = P.dom, P.cod
-    no, vcomp = dom.n_objects, cod.vcomp
-    left, right = cod.whisker_left, cod.whisker_right
+    no, vcomp, hcomp, id2 = dom.n_objects, cod.vcomp, cod.hcomp2, cod.id2
 
-    def natural(gamma, c, cp, A, B):
+    def natural(A, B, c, cp, p_gamma, q_gamma):
         # [P(gamma) t_B][theta_c'] = [theta_c][t_A Q(gamma)]
-        return vcomp[right(P.map2[gamma], assign[B])][assign[no + cp]] == \
-            vcomp[assign[no + c]][left(assign[A], Q.map2[gamma])]
+        return vcomp[p_gamma[id2[assign[B]]]][assign[cp]] == \
+            vcomp[assign[c]][hcomp[id2[assign[A]]][q_gamma]]
 
-    def coherent(a, b, ab, A, C):
+    def coherent(A, C, a, b, ab, p_eps, p_a, q_b, q_eps):
         # [eps^P t_C][theta_ab] = [P(a) theta_b][theta_a Q(b)][t_A eps^Q]
-        return vcomp[right(P.eps[a][b], assign[C])][assign[no + ab]] == \
-            vseq(cod, left(P.map1[a], assign[no + b]),
-                 right(assign[no + a], Q.map1[b]),
-                 left(assign[A], Q.eps[a][b]))
+        return vcomp[p_eps[id2[assign[C]]]][assign[ab]] == \
+            vseq(cod, p_a[assign[b]], hcomp[assign[a]][q_b],
+                 hcomp[id2[assign[A]]][q_eps])
 
     cons = []
     for gamma, (c, cp) in enumerate(zip(dom.src2, dom.tgt2)):
-        A, B = dom.src1[c], dom.tgt1[c]
-        cons.append(((A, B, no + c, no + cp),
-                     functools.partial(natural, gamma, c, cp, A, B)))
+        keys = (dom.src1[c], dom.tgt1[c], no + c, no + cp)
+        cons.append((keys, functools.partial(
+            natural, *keys, hcomp[P.map2[gamma]], Q.map2[gamma])))
     for a, row in enumerate(dom.comp1):
         for b, ab in enumerate(row):
             if ab >= 0:
-                A, C = dom.src1[a], dom.tgt1[b]
-                cons.append(((A, C, no + a, no + b, no + ab),
-                             functools.partial(coherent, a, b, ab, A, C)))
+                keys = (dom.src1[a], dom.tgt1[b], no + a, no + b, no + ab)
+                cons.append((keys, functools.partial(
+                    coherent, *keys, hcomp[P.eps[a][b]],
+                    hcomp[id2[P.map1[a]]], id2[Q.map1[b]], Q.eps[a][b])))
     return cons
 
 
@@ -742,7 +742,7 @@ def enumerate_2modifications(P, Q, x, y, pointed: bool = False,
     identity."""
     (t, theta), (s, sigma) = x, y
     dom, cod = P.dom, P.cod
-    vcomp, left, right = cod.vcomp, cod.whisker_left, cod.whisker_right
+    vcomp, hcomp, id2 = cod.vcomp, cod.hcomp2, cod.id2
     if pointed:
         check_pointed(dom, cod)
     mu: dict[int, int] = {}
@@ -753,12 +753,14 @@ def enumerate_2modifications(P, Q, x, y, pointed: bool = False,
             return [a for a in cands if a == cod.id2[t[A]]]
         return cands
 
-    def square(c, A, B):
-        return vcomp[theta[c]][right(mu[A], Q.map1[c])] == \
-            vcomp[left(P.map1[c], mu[B])][sigma[c]]
+    def square(A, B, theta_c, q_c, p_c, sigma_c):
+        # [theta_c][mu_A Q(c)] = [P(c) mu_B][sigma_c]
+        return vcomp[theta_c][hcomp[mu[A]][q_c]] == \
+            vcomp[p_c[mu[B]]][sigma_c]
 
-    cons = [((A, B), functools.partial(square, c, A, B))
-            for c, (A, B) in enumerate(zip(dom.src1, dom.tgt1))]
+    cons = [((A, B), functools.partial(
+        square, A, B, theta[c], id2[Q.map1[c]], hcomp[id2[P.map1[c]]],
+        sigma[c])) for c, (A, B) in enumerate(zip(dom.src1, dom.tgt1))]
     no = dom.n_objects
     return [tuple(mu[A] for A in range(no))
             for _ in search(range(no), domain, cons, mu,
