@@ -12,17 +12,24 @@ import pytest
 
 from twotypes.cli import _as_2gpd
 from twotypes.cohom import crossed_homs, two_cocycles
-from twotypes.fingroup import cyclic, inversion_action_z2_on
+from twotypes.fingroup import (
+    NotAHom, cyclic, inversion_action_z2_on, klein_four, make_hom,
+)
+from twotypes.search import as_budget, search
 from twotypes.twogpd import (
-    check_2functor, enumerate_2functors, enumerate_2modifications,
-    enumerate_2transformations, is_2transformation, xmod_to_2group,
+    check_2functor, disjoint_union, enumerate_2functors,
+    enumerate_2modifications, enumerate_2transformations, hom_strict,
+    is_2transformation, point_2gpd, xmod_to_2group,
 )
 from twotypes.weakmaps import (
     check_weak_functor, check_xmod_transformation, check_xmod_weak_map,
     enumerate_transformations, enumerate_weak_functors,
     enumerate_xmod_weak_maps, vseq,
 )
-from twotypes.xmod import Violation, xmod_b2g, xmod_bg
+from twotypes.xmod import (
+    Violation, check_morphism, check_pointed, check_strict_transformation,
+    enumerate_strict_transformations, xmod_b2g, xmod_bg, xmod_identity,
+)
 
 PAIRS = [("bg2", "b2g2"), ("bg3", "b2g2"), ("bg2", "bg2")]
 XMODS = {"bg2": xmod_bg(cyclic(2)), "bg3": xmod_bg(cyclic(3)),
@@ -364,3 +371,163 @@ def test_bridge_check(d, c, D, C):
                     assert _verdict(is_2transformation, P, Q, t, alt) == want
                     seen.add(want)
     assert True in seen and len(seen) > 1
+
+
+# -- strict functors on multi-object 2-groupoids ------------------------------
+#
+# old_2functors is enumerate_2functors as it was before strict and weak
+# functors shared one lister: 1-cells and 2-cells each searched in order of
+# candidate count, which can leave the list out of product order.  It is the
+# oracle for the set of functors; the order is checked against the product.
+
+def old_preserves(pairs, dtab, ctab, m):
+    return [((a, b, c), lambda a=a, b=b, c=c: m[c] == ctab[m[a]][m[b]])
+            for a, b in pairs if (c := dtab[a][b]) >= 0]
+
+
+def old_2functors(dom, cod, pointed=False, cap=10 ** 6):
+    out = []
+    obj_opts = [range(cod.n_objects)] * dom.n_objects
+    if pointed:
+        check_pointed(dom, cod)
+        obj_opts[dom.basepoint] = [cod.basepoint]
+    budget = as_budget(cap, "functor search")
+
+    pairs1 = list(itertools.product(range(dom.n1), repeat=2))
+    pairs2 = list(itertools.product(range(dom.n2), repeat=2))
+    map1 = {}
+    map2 = {}
+    cons1 = old_preserves(pairs1, dom.comp1, cod.comp1, map1)
+    cons2 = (old_preserves(pairs2, dom.vcomp, cod.vcomp, map2)
+             + old_preserves(pairs2, dom.hcomp2, cod.hcomp2, map2))
+    for obj_map in itertools.product(*obj_opts):
+        cand1 = [cod.between1.get((obj_map[dom.src1[f]], obj_map[dom.tgt1[f]]), [])
+                 for f in range(dom.n1)]
+        forced1 = {dom.id1[a]: cod.id1[obj_map[a]] for a in range(dom.n_objects)}
+        # forced cells first, then by number of candidates
+        order1 = sorted(range(dom.n1), key=lambda f: 0 if f in forced1
+                        else len(cand1[f]))
+        for _ in search(order1, lambda f: [forced1[f]] if f in forced1
+                        else cand1[f], cons1, map1, budget):
+            m1 = tuple(map1[f] for f in range(dom.n1))
+            cand2 = [cod.between2.get((m1[dom.src2[a]], m1[dom.tgt2[a]]), [])
+                     for a in range(dom.n2)]
+            forced2 = {dom.id2[f]: cod.id2[m1[f]] for f in range(dom.n1)}
+            order2 = sorted(range(dom.n2), key=lambda a: 0 if a in forced2
+                            else len(cand2[a]))
+            for _ in search(order2, lambda a: [forced2[a]] if a in forced2
+                            else cand2[a], cons2, map2, budget):
+                out.append(check_2functor(
+                    dom, cod, obj_map, m1,
+                    [map2[a] for a in range(dom.n2)], pointed=pointed))
+    return out
+
+
+def _functor_2gpds():
+    bg = {n: xmod_to_2group(xmod_bg(cyclic(n))) for n in (2, 3)}
+    out = {"bg2": bg[2], "bg3": bg[3],
+           "b2g2": xmod_to_2group(xmod_b2g(cyclic(2))),
+           "point": point_2gpd()}
+    out.update((name, _as_2gpd(str(FIX / name))) for name in FIXTURE_2GPDS)
+    out["bg3+bg2"] = disjoint_union(bg[3], bg[2])
+    out["bg2+bg3"] = disjoint_union(bg[2], bg[3])
+    out["point+bg2"] = disjoint_union(point_2gpd(), bg[2])
+    out["hom(bg2,b2g2)"] = hom_strict(bg[2], out["b2g2"])
+    return out
+
+
+FUNCTOR_2GPDS = _functor_2gpds()
+FUNCTOR_PAIRS = list(itertools.product(FUNCTOR_2GPDS, repeat=2))
+
+
+@pytest.mark.parametrize("pointed", [False, True])
+@pytest.mark.parametrize("d, c", FUNCTOR_PAIRS,
+                         ids=[f"{d}->{c}" for d, c in FUNCTOR_PAIRS])
+def test_strict_functors_in_product_order(d, c, pointed):
+    D, C = FUNCTOR_2GPDS[d], FUNCTOR_2GPDS[c]
+    got = [(F.obj_map, F.map1, F.map2)
+           for F in enumerate_2functors(D, C, pointed=pointed)]
+    want = {(F.obj_map, F.map1, F.map2)
+            for F in old_2functors(D, C, pointed=pointed)}
+    assert got == sorted(want)
+
+
+# -- strict transformations of crossed-module morphisms -----------------------
+#
+# old_check_strict_transformation and old_strict_transformations are
+# xmod.check_strict_transformation and the product filter of
+# xmod.enumerate_strict_transformations before both ran on the weak
+# transformation conditions T0-T2 with identity coherence.
+
+def old_check_strict_transformation(p, q, a, theta):
+    h1, g = p.dom.g1, p.cod
+    theta = tuple(theta)
+    if len(theta) != h1.order:
+        return False
+    if theta[h1.identity] != g.g2.identity:
+        return False
+    for x in range(h1.order):
+        for y in range(h1.order):
+            twist = g.g1.conj(p.p1.image[y], a)
+            if theta[h1.mul[x][y]] != g.g2.mul[g.act(theta[x], twist)][theta[y]]:
+                return False
+    for x in range(h1.order):
+        if g.g1.mul[g.g1.conj(p.p1.image[x], a)][g.phi.image[theta[x]]] != q.p1.image[x]:
+            return False
+    for alpha in range(p.dom.g2.order):
+        lhs = g.g2.mul[g.act(p.p2.image[alpha], a)][theta[p.dom.phi.image[alpha]]]
+        if lhs != q.p2.image[alpha]:
+            return False
+    return True
+
+
+def old_strict_transformations(p, q, pointed_only=False):
+    g = p.cod
+    h1 = p.dom.g1
+    out = []
+    a_candidates = [g.g1.identity] if pointed_only else range(g.g1.order)
+    for a in a_candidates:
+        for theta in itertools.product(range(g.g2.order), repeat=h1.order):
+            if old_check_strict_transformation(p, q, a, theta):
+                out.append((a, theta))
+    return out
+
+
+STRICT_XMODS = {"bg2": xmod_bg(cyclic(2)), "bg3": xmod_bg(cyclic(3)),
+                "bv4": xmod_bg(klein_four()), "b2g2": xmod_b2g(cyclic(2)),
+                "id2": xmod_identity(cyclic(2)),
+                "id3": xmod_identity(cyclic(3))}
+STRICT_PAIRS = list(itertools.product(STRICT_XMODS, repeat=2))
+
+
+def _homs(g, h):
+    out = []
+    for image in itertools.product(range(h.order), repeat=g.order):
+        try:
+            out.append(make_hom(g, h, image))
+        except NotAHom:
+            pass
+    return out
+
+
+def _strict_morphisms(h, g):
+    return [m for p2, p1 in itertools.product(_homs(h.g2, g.g2),
+                                              _homs(h.g1, g.g1))
+            if (m := _valid(check_morphism, h, g, p2, p1)) is not None]
+
+
+@pytest.mark.parametrize("d, c", STRICT_PAIRS,
+                         ids=[f"{d}->{c}" for d, c in STRICT_PAIRS])
+def test_strict_xmod_transformations(d, c):
+    h, g = STRICT_XMODS[d], STRICT_XMODS[c]
+    morphisms = _strict_morphisms(h, g)
+    assert morphisms
+    for p, q in itertools.product(morphisms, repeat=2):
+        for pointed_only in (False, True):
+            assert enumerate_strict_transformations(p, q, pointed_only) == \
+                old_strict_transformations(p, q, pointed_only)
+        for a, theta in itertools.product(
+                range(g.g1.order),
+                itertools.product(range(g.g2.order), repeat=h.g1.order)):
+            assert check_strict_transformation(p, q, a, theta) == \
+                old_check_strict_transformation(p, q, a, theta)
