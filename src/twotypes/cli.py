@@ -17,7 +17,9 @@ from .textio import (
     ParseError, ValidationError, Workspace, describe_group, parse_file,
 )
 from .twogpd import pi1_at, pi2_at, xmod_to_2group
-from .xmod import Violation, pi1 as xmod_pi1, pi2 as xmod_pi2
+from .xmod import (
+    Violation, check_pointed, pi1 as xmod_pi1, pi2 as xmod_pi2,
+)
 
 
 def _load(paths) -> Workspace:
@@ -90,8 +92,8 @@ def cmd_invariants(args) -> int:
     if kind == "xmod":
         p1, p2 = xmod_pi1(obj), xmod_pi2(obj)
     else:
-        base = obj.basepoint if obj.basepoint is not None else 0
-        p1, p2 = pi1_at(obj, base), pi2_at(obj, base)
+        check_pointed(obj)
+        p1, p2 = pi1_at(obj, obj.basepoint), pi2_at(obj, obj.basepoint)
     print(f"pi1: {describe_group(p1)}; pi2: {describe_group(p2)}")
     return 0
 

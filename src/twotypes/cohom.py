@@ -21,7 +21,7 @@ from .fingroup import (
     FiniteGroup, GroupAction, make_group, make_hom, trivial_action,
 )
 from .search import Budget, classes, search
-from .xmod import CrossedModule, check_crossed_module
+from .xmod import CrossedModule, Violation, check_crossed_module
 
 
 class ANotAbelian(ValueError):
@@ -39,7 +39,15 @@ def _require_abelian(a: FiniteGroup) -> None:
 
 def _resolve_action(gamma: FiniteGroup, a: FiniteGroup,
                     action) -> GroupAction:
-    return trivial_action(gamma, a) if action is None else action
+    """The action of Gamma on A: trivial when None, and otherwise one whose
+    actor and space have the tables of Gamma and A."""
+    if action is None:
+        return trivial_action(gamma, a)
+    if action.actor != gamma:
+        raise Violation("action-actor", None)
+    if action.space != a:
+        raise Violation("action-space", None)
+    return action
 
 
 def two_cocycles(gamma: FiniteGroup, a: FiniteGroup, action=None,

@@ -52,6 +52,8 @@ def check_simplicial_identities(x: TruncatedSimplicialSet) -> TruncatedSimplicia
     t = x.trunc
     if len(x.counts) != t + 1 or len(x.faces) != t + 1 or len(x.degens) != t:
         raise Violation("level-table-shape", None)
+    if x.basepoint is not None and not 0 <= x.basepoint < x.counts[0]:
+        raise Violation("basepoint-range", x.basepoint)
     for n in range(1, t + 1):
         if len(x.faces[n]) != x.counts[n]:
             raise Violation("face-table-size", n)

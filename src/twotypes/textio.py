@@ -140,7 +140,7 @@ def _matrix(cur, rows, cols, what):
 
 
 _VALIDATION_ERRORS = (Violation, NotAGroup, NotAHom, NotAnAction,
-                     ImageNotNormal, AssertionError)
+                     ImageNotNormal)
 
 
 def parse_text(text: str, ws: Workspace | None = None) -> Workspace:

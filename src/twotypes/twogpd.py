@@ -187,9 +187,12 @@ def check_two_groupoid(g: TwoGroupoid) -> TwoGroupoid:
 
 
 def _check_1cells(g) -> list[list[int]]:
-    """Identities, composition domain and endpoints, and units of 1-cells;
-    returns right1.  Shared by the strict and the weak audit."""
+    """The basepoint, identities, composition domain and endpoints, and
+    units of 1-cells; returns right1.  Shared by the strict and the weak
+    audit."""
     src1, tgt1, comp1 = g.src1, g.tgt1, g.comp1
+    if g.basepoint is not None and not 0 <= g.basepoint < g.n_objects:
+        raise Violation("basepoint-range", g.basepoint)
     for a, f in enumerate(g.id1):
         if src1[f] != a or tgt1[f] != a:
             raise Violation("id1-endpoints", a)

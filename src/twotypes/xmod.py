@@ -59,11 +59,14 @@ class CrossedModule:
 
 def check_crossed_module(g2: FiniteGroup, g1: FiniteGroup,
                          phi: GroupHom, action: GroupAction) -> CrossedModule:
-    """Verify CM1 and CM2 exhaustively; raise Violation with a witness."""
-    assert phi.dom is g2 or phi.dom == g2
-    assert phi.cod is g1 or phi.cod == g1
-    assert action.actor is g1 or action.actor == g1
-    assert action.space is g2 or action.space == g2
+    """Verify the shapes of phi and the action, then CM1 and CM2
+    exhaustively; raise Violation with a witness."""
+    for axiom, group, want in (("phi-domain", phi.dom, g2),
+                               ("phi-codomain", phi.cod, g1),
+                               ("action-actor", action.actor, g1),
+                               ("action-space", action.space, g2)):
+        if group != want:
+            raise Violation(axiom, None)
     for alpha in range(g2.order):
         pa = phi.image[alpha]
         for beta in range(g2.order):

@@ -195,6 +195,62 @@ class TestExitCodes:
                            "fails at None\n")
             assert run(capsys, *argv)[0] == 0
 
+    def test_basepoint_out_of_range_is_1(self, capsys, tmp_path):
+        bad2 = tmp_path / "bp5.2gpd"
+        bad2.write_text((FIX / "bz2.2gpd").read_text().replace(
+            "basepoint 0", "basepoint 5"))
+        bads = tmp_path / "bp7.sset"
+        bads.write_text((FIX / "nz2.sset").read_text().replace(
+            "basepoint 0", "basepoint 7"))
+        for argv, name, bp in (
+                (("check", str(bad2)), "bz2", 5),
+                (("invariants", str(bad2)), "bz2", 5),
+                (("hom", str(bad2), str(bad2), "--pointed"), "bz2", 5),
+                (("check", str(bads)), "nz2", 7),
+                (("enumerate-maps", str(bads), str(bads), "--pointed"),
+                 "nz2", 7)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == (f"validation error: {name}: basepoint-range "
+                           f"fails at {bp}\n")
+
+    def test_xmod_shape_is_1(self, capsys, tmp_path):
+        # the boundary maps G1 -> G1; the check must hold under python -O
+        p = tmp_path / "bad.xmod"
+        p.write_text((FIX / "z2.xmod").read_text().replace(
+            "hom z2_phi dom z2_g2 cod z2_g1\n0\n",
+            "hom z2_phi dom z2_g1 cod z2_g1\n0 1\n"))
+        want = "validation error: z2: phi-domain fails at None\n"
+        for command in ("check", "invariants"):
+            assert run(capsys, command, str(p)) == (1, "", want)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "twotypes.cli", "check", str(p)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", want)
+
+    def test_cohomology_action_of_other_groups_is_1(self, capsys, tmp_path):
+        # an action of Z/2 on Z/2, given with Gamma = A = Z/4
+        p = tmp_path / "z2.action"
+        p.write_text((FIX / "z2.group").read_text().replace(
+            "group z2", "group a") +
+            "action act actor a space a\n0 0\n1 1\n")
+        z4 = str(FIX / "z4.group")
+        code, out, err = run(capsys, "cohomology", "--gamma", z4,
+                             "--coeff", z4, "--action", str(p))
+        assert (code, out, err) == (
+            1, "", "validation error: action-actor fails at None\n")
+
+    def test_invariants_of_unpointed_2gpd_is_1(self, capsys, tmp_path):
+        p = tmp_path / "unpointed.2gpd"
+        p.write_text((FIX / "bz2.2gpd").read_text().replace(
+            " basepoint 0", ""))
+        assert run(capsys, "invariants", str(p)) == (
+            1, "", "validation error: pointed-without-basepoint fails at "
+                   "None\n")
+        assert run(capsys, "invariants", str(FIX / "bz2.2gpd"))[0] == 0
+
     def test_cohomology_cap_exceeded_is_3(self, capsys):
         code, out, err = run(capsys, "cohomology", "--gamma",
                              str(FIX / "s3.group"), "--coeff",
