@@ -1,8 +1,11 @@
 """One backtracking kernel, one search budget and one union-find helper.
 
 `search` runs every exhaustive search of the library: maps of nerves,
-strict and weak functors, weak maps of crossed modules, transformations
-and modifications, crossed homomorphisms and 2-cocycles.  A caller states
+functors, weak maps of crossed modules, transformations and
+modifications, crossed homomorphisms and 2-cocycles.  One functor search
+serves strict and weak functors, and one transformation search serves
+strict and weak morphisms of crossed modules: a strict one is the weak
+one whose coherence cells are identities.  A caller states
 its variables in the order it wants them assigned, a domain per variable,
 and constraints over sets of variables.
 

@@ -548,45 +548,104 @@ def _preserves(pairs, dtab, ctab, m):
             for a, b in pairs if (c := dtab[a][b]) >= 0]
 
 
+def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
+    """Yield (obj_map, map1, eps, map2) for each functor dom -> cod between
+    strict 2-groupoid tables, in product order: objects, 1-cells, the
+    coherence cells eps[f][h]: F(f)F(h) => F(fh) of the composable pairs
+    (-1 elsewhere), then 2-cells, each in index order.  When strict, the
+    only coherence cell is the identity, and only where F(f)F(h) = F(fh):
+    so eps is fixed by map1, it is coherent, and its naturality is the
+    preservation of hcomp2."""
+    if pointed:
+        check_pointed(dom, cod)
+    by1, by2 = cod.between1, cod.between2
+    pairs = [(f, h) for f in range(dom.n1) for h in range(dom.n1)
+             if dom.comp1[f][h] >= 0]
+    free_pairs = [(f, h) for (f, h) in pairs
+                  if f not in dom.id1 and h not in dom.id1]
+    triples = [(a, b, c) for a, b in pairs for c in range(dom.n1)
+               if dom.comp1[b][c] >= 0]
+    free1 = [f for f in range(dom.n1) if f not in dom.id1]
+    free2 = [a for a in range(dom.n2) if a not in dom.id2]
+    map1: dict[int, int] = {}
+    eps: dict[tuple[int, int], int] = {}
+    map2: dict[int, int] = {}
+
+    def eps_candidates(f, h):
+        ends = (cod.comp1[map1[f]][map1[h]], map1[dom.comp1[f][h]])
+        if strict:
+            return [cod.id2[ends[0]]] if ends[0] == ends[1] else []
+        return by2.get(ends, [])
+
+    # every composable pair of 1-cells has a coherence cell to choose
+    cons1 = [((f, h, dom.comp1[f][h]),
+              lambda f=f, h=h: bool(eps_candidates(f, h))) for f, h in pairs]
+
+    def coherent(a, b, c):
+        ab, bc = dom.comp1[a][b], dom.comp1[b][c]
+        lhs = cod.vcomp[cod.whisker_right(eps[a, b], map1[c])][eps[ab, c]]
+        rhs = cod.vcomp[cod.whisker_left(map1[a], eps[b, c])][eps[a, bc]]
+        return lhs == rhs
+
+    # identity coherence cells are coherent, so strict needs no constraint
+    cons_eps = [] if strict else [
+        (((a, b), (dom.comp1[a][b], c), (b, c), (a, dom.comp1[b][c])),
+         lambda a=a, b=b, c=c: coherent(a, b, c)) for a, b, c in triples]
+
+    def natural(a, b):
+        f0, h0 = dom.src2[a], dom.src2[b]
+        f1, h1 = dom.tgt2[a], dom.tgt2[b]
+        lhs = cod.vcomp[eps[f0, h0]][map2[dom.hcomp2[a][b]]]
+        rhs = cod.vcomp[cod.hcomp2[map2[a]][map2[b]]][eps[f1, h1]]
+        return lhs == rhs
+
+    pairs2 = list(itertools.product(range(dom.n2), repeat=2))
+    cons2 = _preserves(pairs2, dom.vcomp, cod.vcomp, map2) + [
+        ((a, b, dom.hcomp2[a][b]), lambda a=a, b=b: natural(a, b))
+        for a, b in pairs2 if dom.hcomp2[a][b] >= 0]
+
+    obj_opts = [list(range(cod.n_objects))] * dom.n_objects
+    if pointed:
+        obj_opts[dom.basepoint] = [cod.basepoint]
+
+    for obj_map in itertools.product(*obj_opts):
+        # ---- 1-cell map
+        map1.clear()
+        for a in range(dom.n_objects):
+            map1[dom.id1[a]] = cod.id1[obj_map[a]]
+        for _ in search(free1, lambda f: by1.get(
+                (obj_map[dom.src1[f]], obj_map[dom.tgt1[f]]), []),
+                cons1, map1, budget):
+            m1 = tuple(map1[f] for f in range(dom.n1))
+            # ---- coherence cells
+            eps.clear()
+            for (f, h) in pairs:
+                if f in dom.id1 or h in dom.id1:
+                    eps[f, h] = cod.id2[cod.comp1[m1[f]][m1[h]]]
+            for _ in search(free_pairs, lambda p: eps_candidates(*p),
+                            cons_eps, eps, budget):
+                eps_done = [tuple(eps.get((f, h), -1) for h in range(dom.n1))
+                            for f in range(dom.n1)]
+                # ---- 2-cell map
+                map2.clear()
+                for f in range(dom.n1):
+                    map2[dom.id2[f]] = cod.id2[m1[f]]
+                for _ in search(free2, lambda a: by2.get(
+                        (m1[dom.src2[a]], m1[dom.tgt2[a]]), []),
+                        cons2, map2, budget):
+                    yield (obj_map, m1, eps_done,
+                           tuple(map2[a] for a in range(dom.n2)))
+
+
 def enumerate_2functors(dom: TwoGroupoid, cod: TwoGroupoid,
                         pointed: bool = False,
                         cap: int | Budget = 10 ** 6) -> list[TwoFunctor]:
-    """All strict functors, by exhaustive backtracking in canonical order."""
-    out = []
-    obj_opts = [range(cod.n_objects)] * dom.n_objects
-    if pointed:
-        check_pointed(dom, cod)
-        obj_opts[dom.basepoint] = [cod.basepoint]
-    budget = as_budget(cap, "functor search")
-
-    pairs1 = list(itertools.product(range(dom.n1), repeat=2))
-    pairs2 = list(itertools.product(range(dom.n2), repeat=2))
-    map1: dict[int, int] = {}
-    map2: dict[int, int] = {}
-    cons1 = _preserves(pairs1, dom.comp1, cod.comp1, map1)
-    cons2 = (_preserves(pairs2, dom.vcomp, cod.vcomp, map2)
-             + _preserves(pairs2, dom.hcomp2, cod.hcomp2, map2))
-    for obj_map in itertools.product(*obj_opts):
-        cand1 = [cod.between1.get((obj_map[dom.src1[f]], obj_map[dom.tgt1[f]]), [])
-                 for f in range(dom.n1)]
-        forced1 = {dom.id1[a]: cod.id1[obj_map[a]] for a in range(dom.n_objects)}
-        # forced cells first, then by number of candidates
-        order1 = sorted(range(dom.n1), key=lambda f: 0 if f in forced1
-                        else len(cand1[f]))
-        for _ in search(order1, lambda f: [forced1[f]] if f in forced1
-                        else cand1[f], cons1, map1, budget):
-            m1 = tuple(map1[f] for f in range(dom.n1))
-            cand2 = [cod.between2.get((m1[dom.src2[a]], m1[dom.tgt2[a]]), [])
-                     for a in range(dom.n2)]
-            forced2 = {dom.id2[f]: cod.id2[m1[f]] for f in range(dom.n1)}
-            order2 = sorted(range(dom.n2), key=lambda a: 0 if a in forced2
-                            else len(cand2[a]))
-            for _ in search(order2, lambda a: [forced2[a]] if a in forced2
-                            else cand2[a], cons2, map2, budget):
-                out.append(check_2functor(
-                    dom, cod, obj_map, m1,
-                    [map2[a] for a in range(dom.n2)], pointed=pointed))
-    return out
+    """All strict functors, in product order: by object map, then 1-cell
+    map, then 2-cell map.  They are the weak functors with identity
+    coherence cells, found by the same search."""
+    return [check_2functor(dom, cod, obj_map, map1, map2, pointed=pointed)
+            for obj_map, map1, _, map2 in _functor_tables(
+                dom, cod, pointed, True, as_budget(cap, "functor search"))]
 
 
 def is_fibration_2gpd(F: TwoFunctor) -> bool:

@@ -21,8 +21,8 @@ from .xmod import CrossedModule, Violation, check_pointed
 from .twogpd import (
     TwoFunctor, TwoGroupoid, _Cells, _assemble_hom, _check_1cells,
     _check_horizontal, _check_interchange, _check_vertical, _derive_inverses,
-    _identity_eps, _preserves, build_two_groupoid, enumerate_2transformations,
-    is_2transformation, vseq,
+    _functor_tables, _identity_eps, build_two_groupoid,
+    enumerate_2transformations, is_2transformation, vseq,
 )
 
 
@@ -269,93 +269,15 @@ def identity_weak_functor(g) -> WeakFunctor:
 def enumerate_weak_functors(dom: TwoGroupoid, cod: TwoGroupoid,
                             pointed: bool = False,
                             cap: int | Budget = 10 ** 6) -> list[WeakFunctor]:
-    """All weak functors between strict 2-groupoids, by backtracking over
-    the 1-cell map, the coherence cells, and the 2-cell map in turn."""
-    out = []
-    if pointed:
-        check_pointed(dom, cod)
-    budget = as_budget(cap, "weak functor search")
+    """All weak functors between strict 2-groupoids, in product order: by
+    object map, 1-cell map, coherence cells, then 2-cell map."""
     # one weak view of each, shared by every functor found
     dom, cod = _coerce_weak(dom), _coerce_weak(cod)
-    by1, by2 = cod.between1, cod.between2
-
-    pairs = [(f, h) for f in range(dom.n1) for h in range(dom.n1)
-             if dom.comp1[f][h] >= 0]
-    free_pairs = [(f, h) for (f, h) in pairs
-                  if f not in dom.id1 and h not in dom.id1]
-    triples = [(a, b, c) for a in range(dom.n1) for b in range(dom.n1)
-               for c in range(dom.n1)
-               if dom.comp1[a][b] >= 0 and dom.comp1[b][c] >= 0]
-    free1 = [f for f in range(dom.n1) if f not in dom.id1]
-    free2 = [a for a in range(dom.n2) if a not in dom.id2]
-    map1: dict[int, int] = {}
-    eps: dict[tuple[int, int], int] = {}
-    map2: dict[int, int] = {}
-
-    def eps_candidates(f, h):
-        return by2.get((cod.comp1[map1[f]][map1[h]], map1[dom.comp1[f][h]]),
-                       [])
-
-    # every composable pair of 1-cells has a coherence cell to choose
-    cons1 = [((f, h, dom.comp1[f][h]),
-              lambda f=f, h=h: bool(eps_candidates(f, h))) for f, h in pairs]
-
-    def coherent(a, b, c):
-        ab, bc = dom.comp1[a][b], dom.comp1[b][c]
-        lhs = cod.vcomp[cod.whisker_right(eps[a, b], map1[c])][eps[ab, c]]
-        rhs = cod.vcomp[cod.whisker_left(map1[a], eps[b, c])][eps[a, bc]]
-        return lhs == rhs
-
-    cons_eps = [(((a, b), (dom.comp1[a][b], c), (b, c), (a, dom.comp1[b][c])),
-                 lambda a=a, b=b, c=c: coherent(a, b, c))
-                for a, b, c in triples]
-
-    def natural(a, b):
-        f0, h0 = dom.src2[a], dom.src2[b]
-        f1, h1 = dom.tgt2[a], dom.tgt2[b]
-        lhs = cod.vcomp[eps[f0, h0]][map2[dom.hcomp2[a][b]]]
-        rhs = cod.vcomp[cod.hcomp2[map2[a]][map2[b]]][eps[f1, h1]]
-        return lhs == rhs
-
-    pairs2 = list(itertools.product(range(dom.n2), repeat=2))
-    cons2 = _preserves(pairs2, dom.vcomp, cod.vcomp, map2) + [
-        ((a, b, dom.hcomp2[a][b]), lambda a=a, b=b: natural(a, b))
-        for a, b in pairs2 if dom.hcomp2[a][b] >= 0]
-
-    obj_opts = [list(range(cod.n_objects))] * dom.n_objects
-    if pointed:
-        obj_opts[dom.basepoint] = [cod.basepoint]
-
-    for obj_map in itertools.product(*obj_opts):
-        # ---- 1-cell map
-        map1.clear()
-        for a in range(dom.n_objects):
-            map1[dom.id1[a]] = cod.id1[obj_map[a]]
-        for _ in search(free1, lambda f: by1.get(
-                (obj_map[dom.src1[f]], obj_map[dom.tgt1[f]]), []),
-                cons1, map1, budget):
-            m1 = tuple(map1[f] for f in range(dom.n1))
-            # ---- coherence cells
-            eps.clear()
-            for (f, h) in pairs:
-                if f in dom.id1 or h in dom.id1:
-                    eps[f, h] = cod.id2[cod.comp1[m1[f]][m1[h]]]
-            for _ in search(free_pairs, lambda p: eps_candidates(*p),
-                            cons_eps, eps, budget):
-                eps_done = [tuple(eps.get((f, h), -1) for h in range(dom.n1))
-                            for f in range(dom.n1)]
-                # ---- 2-cell map
-                map2.clear()
-                for f in range(dom.n1):
-                    map2[dom.id2[f]] = cod.id2[m1[f]]
-                for _ in search(free2, lambda a: by2.get(
-                        (m1[dom.src2[a]], m1[dom.tgt2[a]]), []),
-                        cons2, map2, budget):
-                    out.append(check_weak_functor(
-                        dom, cod, obj_map, m1,
-                        tuple(map2[a] for a in range(dom.n2)), eps_done,
-                        pointed=pointed))
-    return out
+    return [check_weak_functor(dom, cod, obj_map, map1, map2, eps,
+                               pointed=pointed)
+            for obj_map, map1, eps, map2 in _functor_tables(
+                dom, cod, pointed, False,
+                as_budget(cap, "weak functor search"))]
 
 
 # -- the hom 2-groupoid of weak functors --------------------------------------

@@ -13,7 +13,6 @@ cokernel of phi carries the first.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -213,6 +212,15 @@ def is_trivial_fibration(m: XmodMorphism) -> bool:
 
 # -- strict transformations --------------------------------------------------
 
+def _as_weak_map(m: XmodMorphism):
+    """A strict morphism as the weak map with identity coherence."""
+    from .weakmaps import XmodWeakMap
+
+    e = m.cod.g2.identity
+    return XmodWeakMap(dom=m.dom, cod=m.cod, p1=m.p1.image, p2=m.p2.image,
+                       eps=((e,) * m.dom.g1.order,) * m.dom.g1.order)
+
+
 def check_strict_transformation(p: XmodMorphism, q: XmodMorphism,
                                 a: int, theta: Sequence[int]) -> bool:
     """Decide whether (a, theta) is a transformation from p to q.
@@ -222,40 +230,24 @@ def check_strict_transformation(p: XmodMorphism, q: XmodMorphism,
     and satisfy
         T1:  p1(x)^a phi(theta(x)) = q1(x)
         T2:  p2(alpha)^a theta(phi(alpha)) = q2(alpha).
+    These are the conditions T0-T2 on a transformation of weak maps, read
+    with identity coherence cells.
     """
-    h1, g = p.dom.g1, p.cod
+    from .weakmaps import _transformation_witness
+
     theta = tuple(theta)
-    if len(theta) != h1.order:
-        return False
-    if theta[h1.identity] != g.g2.identity:
-        return False
-    for x in range(h1.order):
-        for y in range(h1.order):
-            twist = g.g1.conj(p.p1.image[y], a)
-            if theta[h1.mul[x][y]] != g.g2.mul[g.act(theta[x], twist)][theta[y]]:
-                return False
-    for x in range(h1.order):
-        if g.g1.mul[g.g1.conj(p.p1.image[x], a)][g.phi.image[theta[x]]] != q.p1.image[x]:
-            return False
-    for alpha in range(p.dom.g2.order):
-        lhs = g.g2.mul[g.act(p.p2.image[alpha], a)][theta[p.dom.phi.image[alpha]]]
-        if lhs != q.p2.image[alpha]:
-            return False
-    return True
+    return len(theta) == p.dom.g1.order and _transformation_witness(
+        _as_weak_map(p), _as_weak_map(q), a, theta) is None
 
 
 def enumerate_strict_transformations(p: XmodMorphism, q: XmodMorphism,
                                      pointed_only: bool = False):
-    """All (a, theta) linking p to q, by exhaustive search."""
-    g = p.cod
-    h1 = p.dom.g1
-    out = []
-    a_candidates = [g.g1.identity] if pointed_only else range(g.g1.order)
-    for a in a_candidates:
-        for theta in itertools.product(range(g.g2.order), repeat=h1.order):
-            if check_strict_transformation(p, q, a, theta):
-                out.append((a, theta))
-    return out
+    """All (a, theta) linking p to q, in lexicographic order, by the
+    search for transformations of weak maps under its default cap."""
+    from .weakmaps import enumerate_transformations
+
+    return [(T.a, T.theta) for T in enumerate_transformations(
+        _as_weak_map(p), _as_weak_map(q), pointed_only)]
 
 
 # -- free resolution of the base group ---------------------------------------
