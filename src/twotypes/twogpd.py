@@ -563,8 +563,6 @@ def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
              if dom.comp1[f][h] >= 0]
     free_pairs = [(f, h) for (f, h) in pairs
                   if f not in dom.id1 and h not in dom.id1]
-    triples = [(a, b, c) for a, b in pairs for c in range(dom.n1)
-               if dom.comp1[b][c] >= 0]
     free1 = [f for f in range(dom.n1) if f not in dom.id1]
     free2 = [a for a in range(dom.n2) if a not in dom.id2]
     map1: dict[int, int] = {}
@@ -590,7 +588,8 @@ def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
     # identity coherence cells are coherent, so strict needs no constraint
     cons_eps = [] if strict else [
         (((a, b), (dom.comp1[a][b], c), (b, c), (a, dom.comp1[b][c])),
-         lambda a=a, b=b, c=c: coherent(a, b, c)) for a, b, c in triples]
+         lambda a=a, b=b, c=c: coherent(a, b, c))
+        for a, b in pairs for c in range(dom.n1) if dom.comp1[b][c] >= 0]
 
     def natural(a, b):
         f0, h0 = dom.src2[a], dom.src2[b]
