@@ -164,8 +164,9 @@ def cmd_cohomology(args) -> int:
     action = None
     if args.action is not None:
         _, _, action = _subject(args.action, ("action",))
-    one = cohom.h1(gamma, a, action, cap=args.cap)
-    two = cohom.h2(gamma, a, action, cap=args.cap)
+    budget = Budget(args.cap, "cohomology")
+    one = cohom.h1(gamma, a, action, cap=budget)
+    two = cohom.h2(gamma, a, action, cap=budget)
     print(f"h1: {describe_group(one)}; h2: {describe_group(two)}")
     return 0
 

@@ -31,15 +31,16 @@ class SizeCapExceeded(RuntimeError):
 
 class Budget:
     """A step count shared by the stages of one search; one step is one
-    node of the kernel.  Raises SizeCapExceeded past cap steps."""
+    node of the kernel, or a unit of work its caller names (a cochain, an
+    entry of a coboundary matrix).  Raises SizeCapExceeded past cap steps."""
 
     def __init__(self, cap: int, stage: str):
         self.cap = cap
         self.stage = stage
         self.steps = 0
 
-    def tick(self) -> None:
-        self.steps += 1
+    def tick(self, steps: int = 1) -> None:
+        self.steps += steps
         if self.steps > self.cap:
             raise SizeCapExceeded(
                 f"{self.stage} exceeded the cap of {self.cap} steps")

@@ -259,6 +259,18 @@ class TestExitCodes:
         assert out == ""
         assert "cohomology exceeded the cap of 1000 steps" in err
 
+    def test_cohomology_cap_is_the_count_of_matrix_entries(self, capsys):
+        # S3 on Z/4: h1 builds d0 (6 x 1) and d1 (36 x 6), h2 builds d1
+        # again and d2 (216 x 36), all under one cap
+        total = 6 * 1 + 36 * 6 + 36 * 6 + 216 * 36
+        argv = ["cohomology", "--gamma", str(FIX / "s3.group"),
+                "--coeff", str(FIX / "z4.group"), "--cap"]
+        assert run(capsys, *argv, str(total)) == (
+            0, "h1: Z/2-order-2; h2: Z/2-order-2\n", "")
+        code, out, err = run(capsys, *argv, str(total - 1))
+        assert (code, out) == (3, "")
+        assert f"cohomology exceeded the cap of {total - 1} steps" in err
+
     def test_nerve_over_size_cap_is_3(self, tmp_path):
         # level 4 of the nerve of id_s3 would hold 6^10 simplices; it is
         # counted up to the cap and none is built

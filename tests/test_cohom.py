@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import gcd
 
 import pytest
@@ -7,13 +8,16 @@ from hypothesis import strategies as st
 
 from twotypes import cohom, fingroup
 from twotypes.cohom import (
-    ANotAbelian, _pointwise_group, _quotient, coboundary, coboundary_hom,
+    ANotAbelian, _flat, _pointwise_group, _times, coboundary, coboundary_hom,
     crossed_homs, extension_xmod, h1, h2, two_cocycles,
     weakmap_class_count_vs_h2,
 )
 from twotypes.fingroup import (
-    cyclic, find_isomorphism, klein_four, make_hom, symmetric3, trivial_group,
+    cyclic, find_isomorphism, inversion_action_z2_on, klein_four,
+    make_action, make_group, make_hom, symmetric3, trivial_action,
+    trivial_group,
 )
+from twotypes.search import Budget, SizeCapExceeded
 from twotypes.xmod import pi1, pi2
 
 
@@ -64,6 +68,116 @@ class TestCocycles:
         assert prod in zs
 
 
+def _quotient(a, cocycles, bounds):
+    """Z modulo its subgroup B, both as flat A-valued tuples.  Each cocycle
+    z not yet in a class opens one, which takes zb for every b in B; the
+    classes must cover Z without overlap, and the Cayley table on their
+    first members gets the full group audit."""
+    pos = {z: i for i, z in enumerate(cocycles)}
+    coset = [-1] * len(cocycles)
+    reps = []
+    for i, z in enumerate(cocycles):
+        if coset[i] >= 0:
+            continue
+        for b in bounds:
+            zb = _times(a, z, b)
+            if b not in pos or zb not in pos or coset[pos[zb]] >= 0:
+                raise ValueError(f"{b} or {z} times it is not a cocycle of "
+                                 "a new class")
+            coset[pos[zb]] = len(reps)
+        reps.append(z)
+    if -1 in coset:
+        raise ValueError(f"{cocycles[coset.index(-1)]} is in no class")
+    return make_group([[coset[pos[_times(a, r, s)]] for s in reps]
+                       for r in reps])
+
+
+def oracle_h2(gamma, a, action=None):
+    """The 2-cocycles, listed by search, modulo the coboundaries of every
+    1-cochain."""
+    cocycles = [_flat(z) for z in two_cocycles(gamma, a, action)]
+    bounds = dict.fromkeys(
+        _flat(coboundary(gamma, a, theta, action))
+        for theta in itertools.product(range(a.order), repeat=gamma.order))
+    return _quotient(a, cocycles, bounds)
+
+
+def oracle_h1(gamma, a, action=None):
+    """The crossed homomorphisms, listed by search, modulo the principal
+    ones x -> e^x e^-1."""
+    act = action if action is not None else trivial_action(gamma, a)
+    principal = dict.fromkeys(
+        tuple(a.mul[act.act[e][x]][a.inv[e]] for x in gamma.elements)
+        for e in a.elements)
+    return _quotient(a, crossed_homs(gamma, a, action), principal)
+
+
+def _sign_action(a):
+    """S3 acting on an abelian group through its sign: transpositions (the
+    elements of order 2) invert."""
+    s3 = symmetric3()
+    odd = [s3.element_order(x) == 2 for x in s3.elements]
+    return make_action(s3, a, [[a.inv[v] if odd[x] else v
+                                for x in s3.elements] for v in a.elements])
+
+
+def _swap_action():
+    """Z/2 swapping the two factors of V4 (elements as bit pairs)."""
+    return make_action(cyclic(2), klein_four(),
+                       [[v, (v & 1) << 1 | v >> 1] for v in range(4)])
+
+
+def _twisted(action, name):
+    return pytest.param(action.actor, action.space, action, id=name)
+
+
+# On these pairs the oracle takes a second or more (the 2-cocycle search of
+# S3 or Z/6 with coefficients of order 4 or 5); the golden CLI file pins S3
+# with Z/4 and V4, and test_h2_z6_z4_is_cyclic_of_order_2 and
+# test_cyclic_orders_are_gcd pin the cyclic ones.
+SLOW_FOR_ORACLE = {("z6", "z4"), ("z6", "z5"), ("z6", "v4"), ("s3", "z4"),
+                   ("s3", "z5"), ("s3", "v4")}
+_GAMMAS = {"z2": lambda: cyclic(2), "z3": lambda: cyclic(3),
+           "z4": lambda: cyclic(4), "z5": lambda: cyclic(5),
+           "z6": lambda: cyclic(6), "v4": klein_four, "s3": symmetric3}
+_COEFFS = {"z2": lambda: cyclic(2), "z3": lambda: cyclic(3),
+           "z4": lambda: cyclic(4), "z5": lambda: cyclic(5),
+           "v4": klein_four}
+ORACLE_CASES = [
+    pytest.param(_GAMMAS[g](), _COEFFS[a](), None, id=f"{g}/{a}")
+    for g, a in itertools.product(_GAMMAS, _COEFFS)
+    if (g, a) not in SLOW_FOR_ORACLE
+] + [
+    _twisted(inversion_action_z2_on(a()), f"z2-inv/{name}")
+    for name, a in (("z3", lambda: cyclic(3)), ("z4", lambda: cyclic(4)),
+                    ("z5", lambda: cyclic(5)), ("v4", klein_four))
+] + [
+    _twisted(_sign_action(cyclic(3)), "s3-sign/z3"),
+    _twisted(_sign_action(cyclic(4)), "s3-sign/z4"),
+    _twisted(_swap_action(), "z2-swap/v4"),
+]
+
+
+def _isomorphic(g, h):
+    """find_isomorphism, whose search over generator images is documented
+    for orders up to 12; past 16 (H2(V4, V4) has order 64) the sorted
+    element orders, which fix a finite abelian group up to isomorphism."""
+    if g.order <= 16:
+        return find_isomorphism(g, h) is not None
+    return g.is_abelian() and h.is_abelian() and \
+        sorted(map(g.element_order, g.elements)) == \
+        sorted(map(h.element_order, h.elements))
+
+
+def _relabelled(g, seed):
+    """g with its elements renamed by a permutation drawn from the seed."""
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    back = {new: old for old, new in enumerate(perm)}
+    return make_group([[perm[g.mul[back[x]][back[y]]] for y in g.elements]
+                       for x in g.elements])
+
+
 class TestCohomologyGroups:
     def test_oracle_orders(self):
         assert h2(cyclic(2), cyclic(2)).order == 2
@@ -110,16 +224,61 @@ class TestCohomologyGroups:
 
         for module, name in ((cohom, "_pointwise_group"), (cohom, "make_hom"),
                              (fingroup, "make_hom"),
-                             (fingroup, "cokernel_of_image")):
+                             (fingroup, "cokernel_of_image"),
+                             (cohom, "two_cocycles"), (cohom, "crossed_homs"),
+                             (cohom, "search")):
             monkeypatch.setattr(module, name, boom)
         assert h1(symmetric3(), cyclic(2)).order == 2
         assert h2(klein_four(), cyclic(2)).order == 8
+
+    @pytest.mark.parametrize("a", [cyclic(3), cyclic(4)], ids=["z3", "z4"])
+    def test_blind_to_the_labelling_of_gamma(self, a):
+        built = symmetric3()
+        for fn in (h1, h2):
+            budget = Budget(10 ** 6, "cohomology")
+            want = fn(built, a, cap=budget)
+            for seed in (1, 2, 3):
+                other = Budget(10 ** 6, "cohomology")
+                got = fn(_relabelled(built, seed), a, cap=other)
+                assert find_isomorphism(got, want) is not None
+                assert other.steps == budget.steps
+
+    def test_steps_are_matrix_entries(self):
+        # S3 on Z/4, one cyclic factor: h1 builds d0 (6 x 1) and d1
+        # (36 x 6), h2 builds d1 and d2 (216 x 36)
+        budget = Budget(10 ** 6, "cohomology")
+        h1(symmetric3(), cyclic(4), cap=budget)
+        assert budget.steps == 6 + 216
+        h2(symmetric3(), cyclic(4), cap=budget)
+        assert budget.steps == 6 + 216 + 216 + 216 * 36
+        # V4 on V4, two cyclic factors: d1 is (16*2) x (4*2)
+        budget = Budget(10 ** 6, "cohomology")
+        h1(klein_four(), klein_four(), cap=budget)
+        assert budget.steps == 8 * 2 + 32 * 8
+        with pytest.raises(SizeCapExceeded):
+            h2(symmetric3(), cyclic(4), cap=216 + 216 * 36 - 1)
+
+    @pytest.mark.parametrize("fn", [coboundary_hom, extension_xmod])
+    def test_cochain_list_and_cocycle_search_share_a_cap(self, fn):
+        with pytest.raises(SizeCapExceeded):
+            fn(cyclic(2), cyclic(2), cap=3)     # 4 cochains
+        budget = Budget(10 ** 6, "coboundary hom")
+        fn(cyclic(2), cyclic(2), cap=budget)
+        assert budget.steps > 4
+        fn(cyclic(2), cyclic(2), cap=budget.steps)
+        with pytest.raises(SizeCapExceeded):
+            fn(cyclic(2), cyclic(2), cap=budget.steps - 1)
 
     def test_pointwise_group_keys_are_exact(self):
         # 4^35 > 2^63: no int64 code can index these tables
         g = _pointwise_group([(0,) * 36, (2,) * 36], cyclic(4))
         assert g.order == 2
         assert g.mul == ((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("gamma,a,action", ORACLE_CASES)
+    def test_matches_coset_oracle(self, gamma, a, action):
+        assert _isomorphic(h1(gamma, a, action), oracle_h1(gamma, a, action))
+        assert _isomorphic(h2(gamma, a, action), oracle_h2(gamma, a, action))
 
     @pytest.mark.parametrize("cocycles,bounds", [
         ([0, 2], [0, 1]),           # 1 is not a cocycle
