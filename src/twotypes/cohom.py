@@ -377,8 +377,6 @@ def _cohomology(gamma: FiniteGroup, a: FiniteGroup, action, n: int,
     budget = as_budget(cap, "cohomology")
     orders, coords = _cyclic_decomposition(a)
     r, size = len(orders), gamma.order
-    if r == 0:
-        return _abelian_group(())
     e = lcm(*orders)
     unit = {coords[x]: x for x in range(a.order)}
     basis = [unit[tuple(int(i == j) for j in range(r))] for i in range(r)]

@@ -137,20 +137,16 @@ def _twisted(action, name):
 # test_cyclic_orders_are_gcd pin the cyclic ones.
 SLOW_FOR_ORACLE = {("z6", "z4"), ("z6", "z5"), ("z6", "v4"), ("s3", "z4"),
                    ("s3", "z5"), ("s3", "v4")}
-_GAMMAS = {"z2": lambda: cyclic(2), "z3": lambda: cyclic(3),
-           "z4": lambda: cyclic(4), "z5": lambda: cyclic(5),
-           "z6": lambda: cyclic(6), "v4": klein_four, "s3": symmetric3}
-_COEFFS = {"z2": lambda: cyclic(2), "z3": lambda: cyclic(3),
-           "z4": lambda: cyclic(4), "z5": lambda: cyclic(5),
-           "v4": klein_four}
+_COEFFS = {"z2": cyclic(2), "z3": cyclic(3), "z4": cyclic(4),
+           "z5": cyclic(5), "v4": klein_four()}
+_GAMMAS = dict(_COEFFS, z6=cyclic(6), s3=symmetric3())
 ORACLE_CASES = [
-    pytest.param(_GAMMAS[g](), _COEFFS[a](), None, id=f"{g}/{a}")
+    pytest.param(_GAMMAS[g], _COEFFS[a], None, id=f"{g}/{a}")
     for g, a in itertools.product(_GAMMAS, _COEFFS)
     if (g, a) not in SLOW_FOR_ORACLE
 ] + [
-    _twisted(inversion_action_z2_on(a()), f"z2-inv/{name}")
-    for name, a in (("z3", lambda: cyclic(3)), ("z4", lambda: cyclic(4)),
-                    ("z5", lambda: cyclic(5)), ("v4", klein_four))
+    _twisted(inversion_action_z2_on(_COEFFS[a]), f"z2-inv/{a}")
+    for a in ("z3", "z4", "z5", "v4")
 ] + [
     _twisted(_sign_action(cyclic(3)), "s3-sign/z3"),
     _twisted(_sign_action(cyclic(4)), "s3-sign/z4"),
