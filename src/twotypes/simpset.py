@@ -750,22 +750,35 @@ class SimplicialMap:
 
 
 def check_simplicial_map(dom, cod, levels) -> SimplicialMap:
+    """Audit faces, then degeneracies; a table that _commutes is not walked."""
     levels = tuple(tuple(lvl) for lvl in levels)
     depth = len(levels) - 1
-    for n in range(1, depth + 1):
-        if isinstance(cod.faces[n], JoinLevel) and list(levels[n]) == \
-           cod.faces[n].ranks(_images(levels[n - 1], dom.faces[n])):
-            continue  # each image is the row of its boundary's images
+    tables = itertools.chain(
+        (("map-face", n, cod.faces[n], levels[n - 1], dom.faces[n])
+         for n in range(1, depth + 1)),
+        (("map-degen", n, cod.degens[n], levels[n + 1], dom.degens[n])
+         for n in range(depth)))
+    for name, n, rows, other, dom_rows in tables:
+        if _commutes(rows, levels[n], other, dom_rows, dom.counts[n]):
+            continue
         for z in range(dom.counts[n]):
             for i in range(n + 1):
-                if cod.faces[n][levels[n][z]][i] != levels[n - 1][dom.faces[n][z][i]]:
-                    raise Violation("map-face", (n, z, i))
-    for n in range(depth):
-        for z in range(dom.counts[n]):
-            for j in range(n + 1):
-                if cod.degens[n][levels[n][z]][j] != levels[n + 1][dom.degens[n][z][j]]:
-                    raise Violation("map-degen", (n, z, j))
+                if rows[levels[n][z]][i] != other[dom_rows[z][i]]:
+                    raise Violation(name, (n, z, i))
     return SimplicialMap(dom=dom, cod=cod, levels=levels)
+
+
+def _commutes(rows, level, other, dom_rows, count) -> bool:
+    """Whether rows[level[z]] is the image of dom_rows[z] under other for
+    all z < count, by one list comparison (or ranking, in a JoinLevel).
+    False on a mismatch or an IndexError, where the walk finds the first."""
+    if isinstance(rows, JoinLevel):
+        return list(level) == rows.ranks(_images(other, dom_rows))
+    try:
+        return len(level) == count and \
+            list(map(rows.__getitem__, level)) == _images(other, dom_rows)
+    except IndexError:
+        return False
 
 
 def identity_map(x: TruncatedSimplicialSet, depth: Optional[int] = None) -> SimplicialMap:

@@ -109,7 +109,7 @@ def _derive_inverses(src, tgt, ident, comp):
 def build_two_groupoid(n_objects, src1, tgt1, id1, comp1,
                        src2, tgt2, id2, vcomp, hcomp2,
                        basepoint=None) -> TwoGroupoid:
-    """Derive inverse tables and run the full axiom audit."""
+    """Derive inverse tables and run the full audit; tuple rows are kept."""
     src1, tgt1, id1 = tuple(src1), tuple(tgt1), tuple(id1)
     comp1 = tuple(tuple(r) for r in comp1)
     src2, tgt2, id2 = tuple(src2), tuple(tgt2), tuple(id2)
@@ -134,13 +134,15 @@ def _check_domain(table, right, name, ends_name, ends_ok):
     """table[x][y] is defined (>= 0) exactly for y in right[x], and each
     composite passes ends_ok(x, y, table[x][y]).  Raises what one scan of
     all pairs (x, y) in order, testing the domain and then the endpoints of
-    each, raises first."""
+    each, raises first.  A full row that is -1 but at its partners, and
+    >= 0 there, is accepted without listing its defined entries."""
     for x, row in enumerate(table):
-        partners = right[x]
-        defined = [y for y, v in enumerate(row) if v >= 0]
-        # the first y where "defined" and "composable" differ, if any
-        bad = (min(set(defined).symmetric_difference(partners))
-               if defined != partners else len(row))
+        partners, bad = right[x], len(row)
+        if not (row.count(-1) + len(partners) == bad == len(right) and
+                min(map(row.__getitem__, partners), default=0) >= 0):
+            defined = [y for y, v in enumerate(row) if v >= 0]
+            if defined != partners:  # bad: the first y where they differ
+                bad = min(set(defined).symmetric_difference(partners))
         for y in partners:
             if y >= bad:
                 break
@@ -274,37 +276,26 @@ def point_2gpd() -> TwoGroupoid:
                               [0], [0], [0], [[0]], [[0]], basepoint=0)
 
 
+def _block_sum(a, b) -> list[tuple]:
+    """The table of a's cells then b's, b's shifted past a's, -1 across."""
+    na, nb = len(a), len(b)
+    return ([tuple(r) + (-1,) * nb for r in a] +
+            [(-1,) * na + tuple(-1 if v < 0 else na + v for v in r)
+             for r in b])
+
+
 def disjoint_union(g: TwoGroupoid, h: TwoGroupoid) -> TwoGroupoid:
     no, n1, n2 = g.n_objects, g.n1, g.n2
-    comp1 = [[-1] * (n1 + h.n1) for _ in range(n1 + h.n1)]
-    vcomp = [[-1] * (n2 + h.n2) for _ in range(n2 + h.n2)]
-    hcomp = [[-1] * (n2 + h.n2) for _ in range(n2 + h.n2)]
-    for f in range(n1):
-        for k in range(n1):
-            comp1[f][k] = g.comp1[f][k]
-    for f in range(h.n1):
-        for k in range(h.n1):
-            v = h.comp1[f][k]
-            comp1[n1 + f][n1 + k] = -1 if v < 0 else n1 + v
-    for a in range(n2):
-        for b in range(n2):
-            vcomp[a][b] = g.vcomp[a][b]
-            hcomp[a][b] = g.hcomp2[a][b]
-    for a in range(h.n2):
-        for b in range(h.n2):
-            v, w = h.vcomp[a][b], h.hcomp2[a][b]
-            vcomp[n2 + a][n2 + b] = -1 if v < 0 else n2 + v
-            hcomp[n2 + a][n2 + b] = -1 if w < 0 else n2 + w
     return build_two_groupoid(
         no + h.n_objects,
         g.src1 + tuple(no + x for x in h.src1),
         g.tgt1 + tuple(no + x for x in h.tgt1),
         g.id1 + tuple(n1 + f for f in h.id1),
-        comp1,
+        _block_sum(g.comp1, h.comp1),
         g.src2 + tuple(n1 + f for f in h.src2),
         g.tgt2 + tuple(n1 + f for f in h.tgt2),
         g.id2 + tuple(n2 + a for a in h.id2),
-        vcomp, hcomp,
+        _block_sum(g.vcomp, h.vcomp), _block_sum(g.hcomp2, h.hcomp2),
         basepoint=g.basepoint)
 
 
@@ -836,7 +827,7 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
     its stage set to the one reached.  A 1-cell is (i, j, t, theta), theta
     None when strict.  Each composite is formed only from cells that
     compose: 1-cells grouped by source functor, 2-cells by source 1-cell
-    and by the source functor of that 1-cell."""
+    and by its source functor.  Each table row is made once, as a tuple."""
     objs = range(D.n_objects)
     weak = not strict
     one_cells = []           # (dom functor idx, cod functor idx, t, theta)
@@ -858,8 +849,9 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
         t = tuple(C.id1[P.obj_map[A]] for A in objs)
         theta = tuple(C.id2[P.map1[c]] for c in range(D.n1)) if weak else None
         id1.append(cell_pos[(i, i, t, theta)])
-    comp1 = [[-1] * n1 for _ in range(n1)]
+    comp1 = []
     for x, (i, j, t, theta) in enumerate(one_cells):
+        row = [-1] * n1
         for y in out_of[j]:
             _, k, s, sigma = one_cells[y]
             st = tuple(C.comp1[t[A]][s[A]] for A in objs)
@@ -867,7 +859,8 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
                 C.vcomp[C.whisker_right(theta[c], s[D.tgt1[c]])][
                     C.whisker_left(t[D.src1[c]], sigma[c])]
                 for c in range(D.n1)) if weak else None
-            comp1[x][y] = cell_pos[(i, k, st, comp_theta)]
+            row[y] = cell_pos[(i, k, st, comp_theta)]
+        comp1.append(tuple(row))
     # 2-cells: modifications
     between = _group(zip(src1, tgt1))
     two_cells = []
@@ -888,17 +881,19 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
     for x, (i, j, t, theta) in enumerate(one_cells):
         mu = tuple(C.id2[t[A]] for A in objs)
         id2.append(mod_pos[(x, x, mu)])
-    vcomp = [[-1] * n2 for _ in range(n2)]
-    hcomp = [[-1] * n2 for _ in range(n2)]
-    for p, (x, y, mu) in enumerate(two_cells):
+    vcomp, hcomp = [], []
+    for x, y, mu in two_cells:
+        vrow, hrow = [-1] * n2, [-1] * n2
         for q in from_cell[y]:
             _, z, nu = two_cells[q]
             comp = tuple(C.vcomp[mu[A]][nu[A]] for A in objs)
-            vcomp[p][q] = mod_pos[(x, z, comp)]
+            vrow[q] = mod_pos[(x, z, comp)]
         for q in from_functor[tgt1[x]]:
             u, v, nu = two_cells[q]
             comp = tuple(C.hcomp2[mu[A]][nu[A]] for A in objs)
-            hcomp[p][q] = mod_pos[(comp1[x][u], comp1[y][v], comp)]
+            hrow[q] = mod_pos[(comp1[x][u], comp1[y][v], comp)]
+        vcomp.append(tuple(vrow))
+        hcomp.append(tuple(hrow))
     bp = None
     if D.basepoint is not None and C.basepoint is not None:
         based = [i for i, P in enumerate(functors)

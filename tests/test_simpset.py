@@ -10,14 +10,15 @@ from twotypes.nerve import nerve
 from twotypes.search import classes
 from twotypes.simpset import (
     Homotopies, MapPlan, SizeCapExceeded, TruncatedSimplicialSet,
-    _end_inclusion_fixed, boundary, check_simplicial_identities, compose_maps,
-    coskeleton, enumerate_horns, enumerate_maps_3trunc, homotopic,
+    _end_inclusion_fixed, boundary, check_simplicial_identities,
+    check_simplicial_map, compose_maps, coskeleton, enumerate_horns,
+    extend_to_level4, enumerate_maps_3trunc, homotopic,
     homotopy_classes, horn, identity_map, in_sset2, interval,
     is_coskeletal_at, is_k_minimal, is_kan, make_sset, product, relabel,
     simplicial_maps, standard_simplex,
 )
 from twotypes.twogpd import xmod_to_2group
-from twotypes.xmod import Violation, xmod_bg
+from twotypes.xmod import Violation, xmod_b2g, xmod_bg
 
 
 def sphere_base():
@@ -434,3 +435,81 @@ class TestHomotopy:
         with pytest.raises(Violation):
             Homotopies(standard_simplex(1), sphere_fixture()).fixed(
                 f, g, pointed=True)
+
+
+# -- the map audit against a walk over every entry ---------------------------
+
+def _walk_check_map(dom, cod, levels):
+    """check_simplicial_map as a walk over every face entry, then every
+    degeneracy entry: the reference for its first violation."""
+    levels = tuple(tuple(lvl) for lvl in levels)
+    depth = len(levels) - 1
+    for n in range(1, depth + 1):
+        for z in range(dom.counts[n]):
+            for i in range(n + 1):
+                if cod.faces[n][levels[n][z]][i] != \
+                   levels[n - 1][dom.faces[n][z][i]]:
+                    raise Violation("map-face", (n, z, i))
+    for n in range(depth):
+        for z in range(dom.counts[n]):
+            for j in range(n + 1):
+                if cod.degens[n][levels[n][z]][j] != \
+                   levels[n + 1][dom.degens[n][z][j]]:
+                    raise Violation("map-degen", (n, z, j))
+    return levels
+
+
+def _map_outcome(check, levels, dom, cod):
+    """The audited levels, the violation, or IndexError."""
+    try:
+        out = check(dom, cod, levels)
+    except Violation as exc:
+        return exc.axiom, exc.witness
+    except IndexError:
+        return IndexError
+    return tuple(getattr(out, "levels", out))
+
+
+def _level_mutants(m):
+    """The levels of m with one entry set to every other index of its level
+    in the codomain, to -1 or to one past the end; with one level cut short
+    or given an extra entry; and with the top level left out."""
+    levels = [list(lvl) for lvl in m.levels]
+    for n, lvl in enumerate(levels):
+        for z, v in enumerate(lvl):
+            for w in range(-1, m.cod.counts[n] + 1):
+                if w != v:
+                    yield levels[:n] + [lvl[:z] + [w] + lvl[z + 1:]] + \
+                        levels[n + 1:]
+        yield levels[:n] + [lvl[:-1]] + levels[n + 1:]
+        yield levels[:n] + [lvl + [0]] + levels[n + 1:]
+    yield levels[:-1]
+
+
+def _audited_maps():
+    """Nerve maps from the map search (one with its level-4 extension into
+    a JoinLevel) and homotopies that the homotopy search found."""
+    bz4, bz2 = nerve_bg(4), nerve_bg(2)
+    b2z2 = nerve(xmod_to_2group(xmod_b2g(cyclic(2))))
+    f = simplicial_maps(bz4, bz2, pointed=True)[1]
+    g = simplicial_maps(bz2, b2z2, pointed=True)[1]
+    sphere_self = simplicial_maps(sphere_fixture(), sphere_fixture())
+    found = [Homotopies(bz2, b2z2).find(g, g),
+             Homotopies(sphere_fixture(), sphere_fixture()).find(
+                 *sphere_self[:1] * 2)]
+    assert None not in found
+    return [f, g, extend_to_level4(g)] + found
+
+
+class TestMapAuditMatchesWalk:
+    @pytest.mark.parametrize("k", range(5))
+    def test_first_violation_equals_walk(self, k):
+        m = _audited_maps()[k]
+        assert m.levels == _walk_check_map(m.dom, m.cod, m.levels)
+        outcomes = set()
+        for levels in _level_mutants(m):
+            want = _map_outcome(_walk_check_map, levels, m.dom, m.cod)
+            got = _map_outcome(check_simplicial_map, levels, m.dom, m.cod)
+            assert got == want, levels
+            outcomes.add(want if isinstance(want, type) else want[0])
+        assert {"map-face", IndexError} <= outcomes, outcomes
