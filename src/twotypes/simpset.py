@@ -18,6 +18,7 @@ import itertools
 import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .search import Budget, SizeCapExceeded, as_budget, classes, search
@@ -770,13 +771,18 @@ def check_simplicial_map(dom, cod, levels) -> SimplicialMap:
 
 def _commutes(rows, level, other, dom_rows, count) -> bool:
     """Whether rows[level[z]] is the image of dom_rows[z] under other for
-    all z < count, by one list comparison (or ranking, in a JoinLevel).
-    False on a mismatch or an IndexError, where the walk finds the first."""
+    all z < count.  Into a JoinLevel the images are ranked.  Otherwise both
+    sides are compared as one flat tuple, which is exact as every row of a
+    level holds n + 1 entries.  False for fewer than two rows (itemgetter
+    returns no tuple there), on a mismatch and on an IndexError: the walk
+    then finds the first violation."""
     if isinstance(rows, JoinLevel):
         return list(level) == rows.ranks(_images(other, dom_rows))
+    if len(level) != count or count < 2:
+        return False
     try:
-        return len(level) == count and \
-            list(map(rows.__getitem__, level)) == _images(other, dom_rows)
+        return tuple(itertools.chain.from_iterable(itemgetter(*level)(rows))) \
+            == itemgetter(*itertools.chain.from_iterable(dom_rows))(other)
     except IndexError:
         return False
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -12,10 +13,9 @@ from twotypes.simpset import (
     Homotopies, MapPlan, SizeCapExceeded, TruncatedSimplicialSet,
     _end_inclusion_fixed, boundary, check_simplicial_identities,
     check_simplicial_map, compose_maps, coskeleton, enumerate_horns,
-    extend_to_level4, enumerate_maps_3trunc, homotopic,
-    homotopy_classes, horn, identity_map, in_sset2, interval,
-    is_coskeletal_at, is_k_minimal, is_kan, make_sset, product, relabel,
-    simplicial_maps, standard_simplex,
+    enumerate_maps_3trunc, extend_to_level4, homotopic, homotopy_classes,
+    horn, identity_map, in_sset2, interval, is_coskeletal_at, is_k_minimal,
+    is_kan, make_sset, product, relabel, simplicial_maps, standard_simplex,
 )
 from twotypes.twogpd import xmod_to_2group
 from twotypes.xmod import Violation, xmod_b2g, xmod_bg
@@ -486,6 +486,7 @@ def _level_mutants(m):
     yield levels[:-1]
 
 
+@functools.cache
 def _audited_maps():
     """Nerve maps from the map search (one with its level-4 extension into
     a JoinLevel) and homotopies that the homotopy search found."""
@@ -493,10 +494,9 @@ def _audited_maps():
     b2z2 = nerve(xmod_to_2group(xmod_b2g(cyclic(2))))
     f = simplicial_maps(bz4, bz2, pointed=True)[1]
     g = simplicial_maps(bz2, b2z2, pointed=True)[1]
-    sphere_self = simplicial_maps(sphere_fixture(), sphere_fixture())
-    found = [Homotopies(bz2, b2z2).find(g, g),
-             Homotopies(sphere_fixture(), sphere_fixture()).find(
-                 *sphere_self[:1] * 2)]
+    x = sphere_fixture()
+    s = simplicial_maps(x, x)[0]
+    found = [Homotopies(bz2, b2z2).find(g, g), Homotopies(x, x).find(s, s)]
     assert None not in found
     return [f, g, extend_to_level4(g)] + found
 
