@@ -109,7 +109,7 @@ def check_group_axioms(mul: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ..
     for a0 in range(0, n, chunk):
         sub = m[a0:a0 + chunk]
         left = m[sub]                                 # left[a,b,c] = mul[mul[a,b],c]
-        right = np.take(m, m, axis=1)[a0:a0 + chunk]  # right[a,b,c] = mul[a, mul[b,c]]
+        right = sub[:, m]                             # right[a,b,c] = mul[a, mul[b,c]]
         if not np.array_equal(left, right):
             bad = np.argwhere(left != right)[0]
             raise NotAGroup("associativity fails",

@@ -4,9 +4,10 @@ Vertices are objects, edges are 1-cells with src = d1 and tgt = d0,
 2-simplices are triples (f, g, alpha) with alpha: f g => h a 2-cell out of
 the composite, and 3-simplices are boundary-compatible quadruples whose
 interior 2-cell equation pins the d1 face.  Level 4 is the 3-coskeleton,
-held as the join of level 3 (`simpset.JoinLevel`): it is counted, and its
-rows are listed only when something reads them.  Weak functors induce
-simplicial maps and conversely.
+held as the join of level 3 (`simpset.JoinLevel`): it is counted once, and
+its rows are listed, and the degeneracies into it (`simpset.JoinDegens`)
+ranked, only when something reads them.  Weak functors induce simplicial
+maps and conversely.
 """
 
 from __future__ import annotations

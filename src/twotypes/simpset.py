@@ -8,7 +8,8 @@ n+1.  Degenerate simplices are stored explicitly.  A level that
 `coskeleton` rebuilds, such as level 4 of a nerve, is a JoinLevel: it holds
 the join of the level below instead of its rows, so it is counted, tested
 for membership and ranked from that level, and lists its rows only when
-they are read.  The audits tell such a level by its type.
+they are read.  The degeneracies into it are a JoinDegens, ranked on the
+first read.  The audits tell such a level by its type.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .search import Budget, SizeCapExceeded, as_budget, classes, search
@@ -351,39 +352,58 @@ def _count_tail(cands, nodes, cols) -> int:
     return total
 
 
-class JoinLevel(SequenceABC):
-    """Level m held as its join: every compatible tuple of level-(m-1)
-    simplices once, in lexicographic order.  `coskeleton` builds these.
+class _Listed(SequenceABC):
+    """A table whose rows are made by `_make` on the first read and kept.
+    It compares equal to the tuple of its rows and hashes the same."""
 
-    below is the face table of level m-1 and size its count.  The length
-    is counted from the join, membership is the compatibility test, and
-    `rank` and `ranks` walk the join without listing it.  The rows are
-    listed once, on the first indexed access or iteration, and kept; the
-    level compares equal to the tuple of them.
-    """
-
-    def __init__(self, below, size: int, m: int):
-        self.below, self.size, self.m = below, size, m
-        self.join = _Join(below, size, range(m + 1))
-        self._count: Optional[int] = None
-        self._rows: Optional[tuple] = None
+    _rows: Optional[tuple] = None
 
     def rows(self) -> tuple:
-        """The rows, listed from the join on the first call and kept."""
+        """The rows, made on the first call and kept."""
         if self._rows is None:
-            self._rows = tuple(self.join)
+            self._rows = self._make()
         return self._rows
-
-    def __len__(self) -> int:
-        if self._count is None:
-            self._count = self.join.count()
-        return self._count
 
     def __getitem__(self, i):
         return self.rows()[i]
 
     def __iter__(self):
         return iter(self.rows())
+
+    def __eq__(self, other):
+        if isinstance(other, _Listed):
+            other = other.rows()
+        if isinstance(other, tuple):
+            return self.rows() == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows())
+
+
+class JoinLevel(_Listed):
+    """Level m held as its join: every compatible tuple of level-(m-1)
+    simplices once, in lexicographic order.  `coskeleton` builds these.
+
+    below is the face table of level m-1 and size its count.  The length
+    is counted from the join once (`coskeleton` keeps a count it makes
+    against the cap), membership is the compatibility test, and `rank` and
+    `ranks` walk the join without listing it.  The rows are listed once,
+    on the first indexed access or iteration, and kept.
+    """
+
+    def __init__(self, below, size: int, m: int):
+        self.below, self.size, self.m = below, size, m
+        self.join = _Join(below, size, range(m + 1))
+        self._count: Optional[int] = None
+
+    def _make(self) -> tuple:
+        return tuple(self.join)
+
+    def __len__(self) -> int:
+        if self._count is None:
+            self._count = self.join.count()
+        return self._count
 
     def __contains__(self, row) -> bool:
         return row in self.join
@@ -406,15 +426,26 @@ class JoinLevel(SequenceABC):
 
     index = rank
 
-    def __eq__(self, other):
-        if isinstance(other, JoinLevel):
-            other = other.rows()
-        if isinstance(other, tuple):
-            return self.rows() == other
-        return NotImplemented
 
-    def __hash__(self):
-        return hash(self.rows())
+class JoinDegens(_Listed):
+    """The degeneracies of level m-1 into a JoinLevel at m, ranked on the
+    first read: row y is (s_0 y, ..., s_{m-1} y).  down is the degeneracy
+    table of level m-2 (empty for m = 1).  The targets are rebuilt from
+    level m-1 and down for the one `JoinLevel.ranks` walk, and not kept;
+    `coskeleton` has checked that each is a row of the level."""
+
+    def __init__(self, level: JoinLevel, down):
+        self.level, self.down = level, down
+
+    def _make(self) -> tuple:
+        level, m = self.level, self.level.m
+        ranks = level.ranks(_degen_targets(level.below, self.down,
+                                           level.size, m))
+        return tuple(tuple(ranks[y * m:(y + 1) * m])
+                     for y in range(level.size))
+
+    def __len__(self) -> int:
+        return self.level.size
 
 
 def _join_over(x: TruncatedSimplicialSet, n: int) -> bool:
@@ -463,8 +494,9 @@ def coskeleton(x: TruncatedSimplicialSet, k: int,
     again, and the face identities of a joined level are its compatibility
     condition.  So only the degeneracies into each joined level are
     checked: s_j y has the faces that the identities d_i s_j give it, and
-    that tuple must be a row.  The walk that counts the level also ranks
-    those tuples.
+    that tuple must be a row.  The check tests compatibility and reads no
+    rank; the degeneracy table is a JoinDegens, which ranks the tuples
+    only when it is read.
     """
     if trunc is None:
         trunc = x.trunc
@@ -475,32 +507,53 @@ def coskeleton(x: TruncatedSimplicialSet, k: int,
     degens = list(x.degens[:k])
     for m in range(k + 1, trunc + 1):
         level = JoinLevel(faces[m - 1], counts[m - 1], m)
-        # the product of the largest buckets bounds the level; only a level
-        # it does not keep under the cap is counted before the ranks
+        # the product of the largest buckets bounds the level; a level it
+        # does not keep under the cap is counted against the cap, once
         join = level.join
-        if math.prod(map(_widest, join.roots), start=join.size) > cap and \
-           join.count(cap) > cap:
-            raise over_cap(m, cap)
+        if math.prod(map(_widest, join.roots), start=join.size) > cap:
+            level._count = join.count(cap)
+            if level._count > cap:
+                raise over_cap(m, cap)
         down = degens[m - 2] if m >= 2 else ()
-        targets = []
-        for y in range(counts[m - 1]):
-            fy = faces[m - 1][y] if m >= 2 else ()
-            for j in range(m):
-                targets.append(tuple(
-                    y if i == j or i == j + 1 else
-                    down[fy[i]][j - 1] if i < j else down[fy[i - 1]][j]
-                    for i in range(m + 1)))
-        ranks = level.ranks(targets)
-        if None in ranks:
-            y, j = divmod(ranks.index(None), m)
-            raise Violation("ds-identity", (m - 1, y, j))
+        bad = _first_not_row(join, _degen_targets(faces[m - 1], down,
+                                                  counts[m - 1], m))
+        if bad is not None:
+            raise Violation("ds-identity", (m - 1, *divmod(bad, m)))
         counts.append(len(level))
         faces.append(level)
-        degens.append(tuple(tuple(ranks[y * m:(y + 1) * m])
-                            for y in range(counts[m - 1])))
+        degens.append(JoinDegens(level, down))
     return TruncatedSimplicialSet(
         trunc=trunc, counts=tuple(counts), faces=tuple(faces),
         degens=tuple(degens), coskeletal_at=k, basepoint=x.basepoint)
+
+
+def _degen_targets(below, down, count: int, m: int) -> list:
+    """The faces of s_j y that the identities d_i s_j give it, for the
+    count simplices y of level m-1 with face table below, in (y, j)
+    order; down is the degeneracy table of level m-2."""
+    out = []
+    for y in range(count):
+        fy = below[y] if m >= 2 else ()
+        for j in range(m):
+            out.append(tuple(
+                y if i == j or i == j + 1 else
+                down[fy[i]][j - 1] if i < j else down[fy[i - 1]][j]
+                for i in range(m + 1)))
+    return out
+
+
+def _first_not_row(join: _Join, rows) -> Optional[int]:
+    """The index of the first of rows that is not a tuple of join, a join
+    over all positions 0..m, or None.  Each pair of positions is tested on
+    all rows at once, column by column, once every entry is known to index
+    the level below; join.cols[i + 1] is the column of the faces d_i."""
+    cols, face = list(zip(*rows)), join.cols
+    if all(0 <= min(c) and max(c) < join.size for c in cols) and all(
+            all(map(eq, map(face[a + 1].__getitem__, cols[b]),
+                    map(face[b].__getitem__, cols[a])))
+            for b in range(1, len(cols)) for a in range(b)):
+        return None
+    return next((i for i, row in enumerate(rows) if row not in join), None)
 
 
 def over_cap(m: int, cap: int) -> SizeCapExceeded:

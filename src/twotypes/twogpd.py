@@ -545,8 +545,8 @@ def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
     coherence cells eps[f][h]: F(f)F(h) => F(fh) of the composable pairs
     (-1 elsewhere), then 2-cells, each in index order.  When strict, the
     only coherence cell is the identity, and only where F(f)F(h) = F(fh):
-    so eps is fixed by map1, it is coherent, and its naturality is the
-    preservation of hcomp2."""
+    so eps is fixed by map1 and filled without a search, it is coherent,
+    and its naturality is the preservation of hcomp2."""
     if pointed:
         check_pointed(dom, cod)
     by1, by2 = cod.between1, cod.between2
@@ -608,12 +608,15 @@ def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
                 cons1, map1, budget):
             m1 = tuple(map1[f] for f in range(dom.n1))
             # ---- coherence cells
+            # an identity cell where a 1-cell is one, and every cell when
+            # strict: cons1 left each of those its one candidate
             eps.clear()
             for (f, h) in pairs:
-                if f in dom.id1 or h in dom.id1:
+                if strict or f in dom.id1 or h in dom.id1:
                     eps[f, h] = cod.id2[cod.comp1[m1[f]][m1[h]]]
-            for _ in search(free_pairs, lambda p: eps_candidates(*p),
-                            cons_eps, eps, budget):
+            for _ in [()] if strict else search(
+                    free_pairs, lambda p: eps_candidates(*p), cons_eps, eps,
+                    budget):
                 eps_done = [tuple(eps.get((f, h), -1) for h in range(dom.n1))
                             for f in range(dom.n1)]
                 # ---- 2-cell map

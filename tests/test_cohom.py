@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import gcd
 
 import pytest
@@ -13,7 +14,8 @@ from twotypes.cohom import (
     weakmap_class_count_vs_h2,
 )
 from twotypes.fingroup import (
-    cyclic, find_isomorphism, inversion_action_z2_on, klein_four,
+    cyclic, direct_product, find_isomorphism, inversion_action_z2_on,
+    klein_four,
     make_action, make_group, make_hom, symmetric3, trivial_action,
     trivial_group,
 )
@@ -208,6 +210,14 @@ class TestCohomologyGroups:
     def test_h2_z6_z4_is_cyclic_of_order_2(self):
         g = h2(cyclic(6), cyclic(4))
         assert sorted(g.element_order(x) for x in range(g.order)) == [1, 2]
+
+    def test_h2_of_order_512_is_quick(self):
+        # the audit of the 512-element answer dominates this case
+        a = direct_product(cyclic(2), klein_four())
+        start = time.perf_counter()
+        g = h2(klein_four(), a)
+        assert time.perf_counter() - start < 6
+        assert g.order == 512 and g.is_abelian()
 
     @pytest.mark.parametrize("n,m", itertools.product(range(2, 6), repeat=2))
     def test_cyclic_orders_are_gcd(self, n, m):

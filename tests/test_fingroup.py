@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from twotypes.fingroup import (
     FreeWord, ImageNotNormal, NotAGroup, NotAHom, NotAnAction,
-    cokernel_of_image, compose_homs, conjugation_action, cyclic,
+    check_group_axioms, cokernel_of_image, compose_homs, conjugation_action, cyclic,
     direct_product, empty_word, find_isomorphism, free_reduce, generator,
     identity_hom, inversion_action_z2_on, kernel, klein_four, make_action,
     make_group, make_hom, semidirect, subgroup, symmetric3, trivial_action,
@@ -48,6 +49,58 @@ class TestMakeGroup:
         for g in (trivial_group(), cyclic(5), klein_four(), symmetric3()):
             # re-validating the table of a constructed group must succeed
             assert make_group(g.mul).mul == g.mul
+
+
+def first_associativity_witness(mul):
+    """The least (a, b, c) with (ab)c != a(bc), lexicographically, or None:
+    each pair (a, b) compares the row of ab with a times the row of b, and
+    a row that differs is scanned for its first c."""
+    n = len(mul)
+    for a in range(n):
+        for b in range(n):
+            left = mul[mul[a][b]]
+            right = [mul[a][v] for v in mul[b]]
+            if left != right:
+                return a, b, next(c for c in range(n)
+                                  if left[c] != right[c])
+    return None
+
+
+def elementary_abelian(bits):
+    return [[a ^ b for b in range(1 << bits)] for a in range(1 << bits)]
+
+
+class TestAssociativityInChunks:
+    """At order 256 the associativity scan runs in chunks of 63 rows."""
+
+    def test_peak_memory_at_order_256(self):
+        table = elementary_abelian(8)
+        tracemalloc.start()
+        try:
+            assert check_group_axioms(table)[0] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * 2 ** 20
+
+    @pytest.mark.parametrize("kind", ["group", "left-zero"])
+    def test_first_witness_of_one_changed_entry(self, kind):
+        n = 256
+        if kind == "group":
+            # in a group table the changed entry (x, y) breaks (a, x, y) for
+            # every a but the identity 0, so the witness has a = 1
+            mul = elementary_abelian(8)
+            mul[77][201] ^= 5
+        else:
+            # ab = a is associative, and an entry changed in row 200 breaks
+            # only triples with a = 200: the witness is in the fourth chunk
+            mul = [[a] * n for a in range(n)]
+            mul[200][7] = 3
+        want = first_associativity_witness(mul)
+        assert want is not None and (want[0] >= 189) == (kind == "left-zero")
+        with pytest.raises(NotAGroup, match="associativity") as err:
+            check_group_axioms(mul)
+        assert err.value.witness == want
 
 
 class TestHoms:

@@ -11,6 +11,7 @@ level, listed, and must agree with the library run on the level itself.
 import dataclasses
 import gc
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -23,15 +24,18 @@ from twotypes.nerve import nerve
 from twotypes.reconstruct import pentagon_via_4simplex, roundtrip_report
 from twotypes.search import Budget, SizeCapExceeded
 from twotypes.simpset import (
-    JoinLevel, TruncatedSimplicialSet, check_simplicial_map, coskeleton,
-    extend_to_level4, in_sset2, is_coskeletal_at, is_kan, relabel,
+    JoinDegens, JoinLevel, TruncatedSimplicialSet, boundary,
+    check_simplicial_map, coskeleton, extend_to_level4, horn, in_sset2,
+    is_coskeletal_at, is_k_minimal, is_kan, product, relabel,
     simplicial_maps,
 )
 from twotypes.textio import parse_file
 from twotypes.twogpd import xmod_to_2group
-from twotypes.xmod import xmod_bg, xmod_identity
+from twotypes.xmod import Violation, xmod_bg, xmod_identity
 
-from test_simpset import brute_force_tuples, sphere_base, without_4_simplex
+from test_simpset import (
+    brute_force_tuples, nerve_bg, sphere_base, without_4_simplex,
+)
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -395,3 +399,250 @@ class TestMapsIntoAJoin:
                 assert all(level is not y.faces[4] for level in listed_levels)
             pairs += bool(want)
         assert pairs > len(complexes)
+
+
+# -- degeneracies into a joined level, ranked when read ----------------------
+
+def eager_degens(x, k, trunc=None, listed=None):
+    """The degeneracy tables into the joined levels of coskeleton(x, k,
+    trunc) as they were ranked when the level was built, or the
+    (axiom, witness) of the first target that is not a row.  A copy of that
+    code: the faces of s_j y in (y, j) order, each ranked among the rows
+    of the level, which the old join lists.  listed, a dict, keeps those
+    rows by level for other calls on complexes with the same faces."""
+    trunc = x.trunc if trunc is None else trunc
+    listed = {} if listed is None else listed
+    counts, faces = list(x.counts[:k + 1]), list(x.faces[:k + 1])
+    degens = list(x.degens[:k])
+    for m in range(k + 1, trunc + 1):
+        if m not in listed:
+            rows = list(old_rows(old_join(faces[m - 1], counts[m - 1],
+                                          range(m + 1))))
+            listed[m] = rows, {row: i for i, row in enumerate(rows)}
+        rows, index = listed[m]
+        down = degens[m - 2] if m >= 2 else ()
+        targets = []
+        for y in range(counts[m - 1]):
+            fy = faces[m - 1][y] if m >= 2 else ()
+            for j in range(m):
+                targets.append(tuple(
+                    y if i == j or i == j + 1 else
+                    down[fy[i]][j - 1] if i < j else down[fy[i - 1]][j]
+                    for i in range(m + 1)))
+        ranks = [index.get(row) for row in targets]
+        if None in ranks:
+            y, j = divmod(ranks.index(None), m)
+            return ("ds-identity", (m - 1, y, j))
+        counts.append(len(rows))
+        faces.append(tuple(rows))
+        degens.append(tuple(tuple(ranks[y * m:(y + 1) * m])
+                            for y in range(counts[m - 1])))
+    return tuple(degens[k:])
+
+
+def read_degens(x, k):
+    """The degeneracy tables into the joined levels of x, each read whole.
+    Each is a JoinDegens, and the top one is not ranked before this read;
+    a lower one is, when the check of the level above reads it."""
+    assert all(isinstance(t, JoinDegens) for t in x.degens[k:])
+    assert x.degens[-1]._rows is None
+    return tuple(tuple(t) for t in x.degens[k:])
+
+
+def outcome(make):
+    """make(), or the (axiom, witness) of the Violation it raises."""
+    try:
+        return make()
+    except Violation as v:
+        return (v.axiom, v.witness)
+
+
+def truncated(x, k):
+    return dataclasses.replace(
+        x, trunc=k, counts=x.counts[:k + 1], faces=x.faces[:k + 1],
+        degens=x.degens[:k], coskeletal_at=None)
+
+
+def eager(x, k):
+    """x with its joined degeneracy tables replaced by the eager ranks."""
+    return dataclasses.replace(
+        x, degens=x.degens[:k] + eager_degens(truncated(x, k), k, x.trunc))
+
+
+# (name, base, k): the coskeleta of these, besides the corpus nerves
+BASES = {
+    "boundary3": lambda: (boundary(3), 3),
+    "boundary2": lambda: (boundary(2), 1),
+    "horn31": lambda: (horn(3, 1), 2),
+    "horn42": lambda: (horn(4, 2), 3),
+    "sphere": lambda: (sphere_base(), 2),
+}
+# nerves small enough to pass through make_sset again in relabel
+SMALL = ("pt", "b_z2", "b_z3", "b2_z2", "b2_z3", "id_z2")
+
+
+def corpus_nerve(gpd_nerves, name):
+    return next(x for entry, _, _, x in gpd_nerves if entry == name)
+
+
+class TestDegeneraciesRankedWhenRead:
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus_nerve(self, gpd_nerves, name):
+        x = corpus_nerve(gpd_nerves, name)
+        want = eager_degens(truncated(x, 3), 3, 4)
+        assert isinstance(want, tuple) and len(want) == 1
+        # a nerve of its own: the one in the session may have been read
+        y = coskeleton(truncated(x, 3), 3, trunc=4)
+        assert len(y.degens[3]) == y.counts[3] and y.degens[3]._rows is None
+        assert read_degens(y, 3) == want
+        assert y.degens[3] == want[0] and hash(y.degens[3]) == hash(want[0])
+        assert x.degens[3] == want[0] and x.degens == y.degens
+        # the same ranks once the level's rows are listed
+        z = coskeleton(truncated(x, 3), 3, trunc=4)
+        assert tuple(z.faces[4]) == tuple(y.faces[4].join)
+        assert read_degens(z, 3) == want
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_coskeleta(self, name):
+        x, k = BASES[name]()
+        assert read_degens(coskeleton(x, k, trunc=4), k) == \
+            eager_degens(x, k, 4)
+        extended = coskeleton(truncated(x, k), k, trunc=4)
+        assert read_degens(extended, k) == eager_degens(truncated(x, k), k, 4)
+
+    @pytest.mark.parametrize("name", SMALL)
+    def test_after_relabel(self, gpd_nerves, name):
+        x = corpus_nerve(gpd_nerves, name)
+        rng = random.Random(CORPUS.index(name))
+        perms = [rng.sample(range(c), c) for c in x.counts]
+        assert relabel(coskeleton(x, 3), perms).degens == \
+            relabel(eager(coskeleton(x, 3), 3), perms).degens
+        # level 4 joined again over the relabelled level 3
+        base = relabel(truncated(x, 3), perms[:4])
+        assert read_degens(coskeleton(base, 3, trunc=4), 3) == \
+            eager_degens(base, 3, 4)
+
+    @pytest.mark.parametrize("name", ["pt", "b_z2", "b_z3", "b2_z2"])
+    def test_after_product(self, gpd_nerves, name):
+        x = coskeleton(corpus_nerve(gpd_nerves, name), 3)
+        other = coskeleton(corpus_nerve(gpd_nerves, "b_z2"), 3)
+        assert product(x, other).degens == \
+            product(eager(x, 3), eager(other, 3)).degens
+        # level 4 joined again over the product of the levels 3
+        base = product(truncated(x, 3), truncated(other, 3))
+        assert read_degens(coskeleton(base, 3, trunc=4), 3) == \
+            eager_degens(base, 3, 4)
+
+    @pytest.mark.parametrize("name", [
+        "boundary3", "boundary2", "horn31", "sphere", "b_z2", "b_z3",
+        "b2_z2"])
+    def test_mutated_degeneracies(self, gpd_nerves, name):
+        if name in BASES:
+            x, k = BASES[name]()
+        else:
+            x, k = truncated(corpus_nerve(gpd_nerves, name), 3), 3
+        raised = kept = 0
+        listed = {}
+        rng = random.Random(name)
+        for t in range(k):
+            table = x.degens[t]
+            # only the table into level k is read; a lower one is tried at
+            # its first entry.  Each takes every value at 16 entries at most
+            cells = [(y, j) for y in range(len(table))
+                     for j in range(t + 1)] if t == k - 1 else [(0, 0)]
+            if len(cells) > 16:
+                cells = cells[:1] + rng.sample(cells[1:], 15)
+            for y, j in cells:
+                for v in [*range(x.counts[t + 1]), -1, -2, x.counts[t + 1]]:
+                    if v == table[y][j]:
+                        continue
+                    row = table[y][:j] + (v,) + table[y][j + 1:]
+                    edited = table[:y] + (row,) + table[y + 1:]
+                    z = dataclasses.replace(
+                        x, degens=x.degens[:t] + (edited,) + x.degens[t + 1:])
+                    want = eager_degens(z, k, 4, listed)
+                    got = outcome(lambda: read_degens(coskeleton(
+                        z, k, trunc=4), k))
+                    assert got == want, (t, y, j, v)
+                    raised += want[0] == "ds-identity"
+                    kept += want[0] != "ds-identity"
+        assert raised and (kept or name == "boundary2")
+
+
+class TestFirstNotRow:
+    @pytest.mark.parametrize("name", ["b_z3", "b2_z2", "z3_inv"])
+    def test_against_a_scan(self, gpd_nerves, name, monkeypatch):
+        # rows of level 4 with one entry changed, each after a run of true
+        # rows: most break only a few of the ten pairs of positions
+        x = corpus_nerve(gpd_nerves, name)
+        rows, size = list(x.faces[4].join), x.counts[3]
+        below, rng = x.faces[3], random.Random(name)
+
+        def is_row(row):
+            return all(0 <= v < size for v in row) and all(
+                below[row[b]][a] == below[row[a]][b - 1]
+                for b in range(1, 5) for a in range(b))
+        for _ in range(200):
+            row = list(rng.choice(rows))
+            row[rng.randrange(5)] = rng.randrange(-2, size + 2)
+            batch = rng.sample(rows, rng.randrange(3)) + [tuple(row)] + \
+                rng.sample(rows, 2)
+            want = next((i for i, r in enumerate(batch) if not is_row(r)),
+                        None)
+            assert simpset._first_not_row(x.faces[4].join, batch) == want
+        # true rows pass on the columns alone, with no row tested by itself
+        monkeypatch.setattr(simpset._Join, "__contains__", None)
+        assert simpset._first_not_row(x.faces[4].join, rows) is None
+
+
+class TestNoRanksInTheAudit:
+    def test_nerve_audit_of_z4_to_z2_locates_nothing(self, corpus,
+                                                     monkeypatch):
+        def no_locate(self, rows):
+            raise AssertionError("a level was ranked")
+        monkeypatch.setattr(simpset._Join, "locate", no_locate)
+        xm = next(xm for name, xm in corpus if name == "z4_to_z2")
+        x = nerve(xmod_to_2group(xm))  # a 2-groupoid of its own: no cache
+        assert x.degens[3]._rows is None
+        assert is_kan(x, (4,)) is True
+        assert is_coskeletal_at(x, 3)
+        assert is_k_minimal(x, 2) is True
+        assert roundtrip_report(x).ok
+
+
+class TestEachLevelCountedOnce:
+    @staticmethod
+    def record_counts(monkeypatch):
+        joins, original = [], simpset._Join.count
+
+        def count(self, *args):
+            joins.append(self)
+            return original(self, *args)
+        monkeypatch.setattr(simpset._Join, "count", count)
+        return joins
+
+    @pytest.mark.parametrize("make, k, cap", [
+        (lambda: truncated(nerve_bg(3), 3), 3, None),
+        (sphere_base, 2, None),
+        (lambda: boundary(2), 1, None),
+        # the product of the largest buckets passes the cap at levels 3 and
+        # 4 (30 and 45), so that bound counts them; no level passes it
+        (lambda: boundary(2), 1, 21),
+        (lambda: horn(4, 2), 3, 121),
+    ])
+    def test_one_count_per_joined_level(self, monkeypatch, make, k, cap):
+        x = make()
+        sizes = coskeleton(x, k, trunc=4).counts
+        joins = self.record_counts(monkeypatch)
+        y = coskeleton(x, k, trunc=4, cap=cap)
+        levels = [y.faces[m].join for m in range(k + 1, 5)]
+        if cap is not None:
+            bounds = [math.prod(map(simpset._widest, j.roots), start=j.size)
+                      for j in levels]
+            assert max(bounds) > cap >= max(sizes[k + 1:])
+        assert y.counts == sizes
+        read_degens(y, k)
+        assert [len(y.faces[m]) for m in range(k + 1, 5)] == \
+            list(sizes[k + 1:])
+        assert len(joins) == len(levels) and \
+            all(a is b for a, b in zip(joins, levels))
