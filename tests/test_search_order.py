@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from twotypes.cli import _as_2gpd
+from conftest import build_corpus
+from twotypes.cli import _as_2gpd, _subject
 from twotypes.cohom import crossed_homs, two_cocycles
 from twotypes.fingroup import (
     NotAHom, cyclic, inversion_action_z2_on, klein_four, make_hom,
@@ -23,8 +24,8 @@ from twotypes.twogpd import (
 )
 from twotypes.weakmaps import (
     check_weak_functor, check_xmod_transformation, check_xmod_weak_map,
-    enumerate_transformations, enumerate_weak_functors,
-    enumerate_xmod_weak_maps, vseq,
+    enumerate_modifications, enumerate_transformations,
+    enumerate_weak_functors, enumerate_xmod_weak_maps, vseq,
 )
 from twotypes.xmod import (
     Violation, check_morphism, check_pointed, check_strict_transformation,
@@ -51,6 +52,19 @@ def _tables(rows, cols, values):
 
 @pytest.fixture(params=PAIRS, ids=["->".join(p) for p in PAIRS])
 def pair(request):
+    return tuple(XMODS[k] for k in request.param)
+
+
+# the crossed-module listers also run on pairs with a nontrivial boundary
+# (z4to2) and with a nontrivial action (z3_inv)
+XMODS["z4to2"] = _subject(str(Path(__file__).resolve().parent.parent /
+                              "fixtures" / "z4to2.xmod"), ("xmod",))[2]
+XMODS.update((k, v) for k, v in build_corpus() if k in ("z3_inv", "b2_z3"))
+XMOD_PAIRS = PAIRS + [("z4to2", "z4to2"), ("z3_inv", "b2_z3")]
+
+
+@pytest.fixture(params=XMOD_PAIRS, ids=["->".join(p) for p in XMOD_PAIRS])
+def xmod_pair(request):
     return tuple(XMODS[k] for k in request.param)
 
 
@@ -90,16 +104,16 @@ def _weak_maps(h, g):
         if _valid(check_xmod_weak_map, h, g, p1, p2, eps)]
 
 
-def test_xmod_weak_maps(pair):
-    h, g = pair
+def test_xmod_weak_maps(xmod_pair):
+    h, g = xmod_pair
     got = [(P.p1, P.p2, P.eps) for P in enumerate_xmod_weak_maps(h, g)]
     assert got == _weak_maps(h, g)
     assert got
 
 
 @pytest.mark.parametrize("pointed_only", [False, True])
-def test_transformations(pair, pointed_only):
-    h, g = pair
+def test_transformations(xmod_pair, pointed_only):
+    h, g = xmod_pair
     maps = enumerate_xmod_weak_maps(h, g)
     a_opts = [g.g1.identity] if pointed_only else range(g.g1.order)
     found = 0
@@ -110,6 +124,29 @@ def test_transformations(pair, pointed_only):
         got = enumerate_transformations(P, Q, pointed_only=pointed_only)
         assert [(T.a, T.theta) for T in got] == want
         found += len(want)
+    assert found
+
+
+def test_modifications(xmod_pair):
+    """Each mu of G2 with a phi(mu) = b and mu sigma(x) = theta(x) mu^q1(x)
+    for every x of H1, where T = (a, theta) and S = (b, sigma) run from P to
+    Q, in the order of G2."""
+    h, g = xmod_pair
+    g1, g2, phi = g.g1, g.g2, g.phi.image
+    maps = enumerate_xmod_weak_maps(h, g)
+    found = 0
+    for P, Q in itertools.product(maps, repeat=2):
+        trans = enumerate_transformations(P, Q)
+        for T, S in itertools.product(trans, repeat=2):
+            want = [mu for mu in range(g2.order)
+                    if g1.mul[T.a][phi[mu]] == S.a and
+                    all(g2.mul[mu][S.theta[x]] ==
+                        g2.mul[T.theta[x]][g.act(mu, Q.p1[x])]
+                        for x in range(h.g1.order))]
+            got = enumerate_modifications(T, S)
+            assert [M.mu for M in got] == want
+            assert all(M.src == T and M.tgt == S for M in got)
+            found += len(want)
     assert found
 
 

@@ -133,6 +133,23 @@ class TestXmodWeakMaps:
             assert check_w5_equivalence(xmod_bg(cyclic(n)),
                                         xmod_b2g(cyclic(n)))
 
+    @pytest.mark.parametrize("h, g, n_candidates, n_maps", [
+        ("z3_inv", "b2_z3", 9, 3), ("z3_inv", "z3_inv", 12, 6)])
+    def test_w5_equivalence_where_w5_removes_candidates(
+            self, h, g, n_candidates, n_maps):
+        # the only corpus pairs where W5 rejects a W0-W4 candidate: over
+        # every candidate of the full product, W5 holds exactly where the
+        # two-variable W5' does
+        corpus = dict(build_corpus())
+        H, G = corpus[h], corpus[g]
+        verdicts = {c: _w5_verdict(H, G, *c) for c in _w0_w4_candidates(H, G)}
+        assert len(verdicts) == n_candidates
+        assert sum(v is True for v in verdicts.values()) == n_maps
+        assert all(v is _w5_prime(H, G, *c) for c, v in verdicts.items())
+        assert [(P.p1, P.p2, P.eps) for P in enumerate_xmod_weak_maps(H, G)] \
+            == [c for c, v in verdicts.items() if v is True]
+        assert check_w5_equivalence(H, G)
+
     def test_dictionary_roundtrip(self):
         for n, m in [(2, 2), (3, 2), (2, 3)]:
             H, G = xmod_bg(cyclic(n)), xmod_b2g(cyclic(m))
@@ -141,6 +158,45 @@ class TestXmodWeakMaps:
                 F = weak_functor_from_xmod_weak_map(P, BH, BG)
                 back = xmod_weak_map_from_weak_functor(F, H, G)
                 assert (back.p1, back.p2, back.eps) == (P.p1, P.p2, P.eps)
+
+
+def _w5_verdict(H, G, p1, p2, eps):
+    """True for a weak map, False where only W5 fails, None otherwise."""
+    try:
+        check_xmod_weak_map(H, G, p1, p2, eps)
+    except Violation as exc:
+        return False if exc.axiom == "W5" else None
+    return True
+
+
+def _w0_w4_candidates(H, G):
+    """Every (p1, p2, eps) of the full product that meets W0-W4, in
+    product order."""
+    h1, n2 = H.g1.order, G.g2.order
+    for p1, flat, p2 in itertools.product(
+            itertools.product(range(G.g1.order), repeat=h1),
+            itertools.product(range(n2), repeat=h1 * h1),
+            itertools.product(range(n2), repeat=H.g2.order)):
+        eps = tuple(flat[x * h1:(x + 1) * h1] for x in range(h1))
+        if _w5_verdict(H, G, p1, p2, eps) is not None:
+            yield p1, p2, eps
+
+
+def _w5_prime(H, G, p1, p2, eps):
+    """W5': for all x, y of H1 and beta of H2, with c = x^-1 psi(beta) x,
+    eps(y, x) p2(beta^x) eps(yx, c) = p2(beta)^p1(x) eps(psi(beta), x)
+    eps(y, psi(beta) x)."""
+    h1, g2, psi = H.g1, G.g2, H.phi.image
+    for x, y, beta in itertools.product(range(h1.order), range(h1.order),
+                                        range(H.g2.order)):
+        c = h1.mul[h1.mul[h1.inv[x]][psi[beta]]][x]
+        lhs = g2.mul[g2.mul[eps[y][x]][p2[H.act(beta, x)]]][
+            eps[h1.mul[y][x]][c]]
+        rhs = g2.mul[g2.mul[G.act(p2[beta], p1[x])][eps[psi[beta]][x]]][
+            eps[y][h1.mul[psi[beta]][x]]]
+        if lhs != rhs:
+            return False
+    return True
 
 
 def _transformation_class_count(n, m):
