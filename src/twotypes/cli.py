@@ -33,6 +33,8 @@ def _subject(path: str, kinds) -> tuple:
     """(kind, name, object) of the last block in the file, which must be
     one of the given kinds."""
     ws = _load([path])
+    if not ws.order:
+        raise ParseError(1, f"a block in {path}")
     kind, name, obj = ws.subject()
     if kind not in kinds:
         raise ParseError(ws.lines[name], f"file {path} ending in one of "
@@ -272,6 +274,10 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"parse error: no such file: {exc.filename}", file=sys.stderr)
+        return 2
+    except IsADirectoryError as exc:
+        print(f"parse error: a directory, not a file: {exc.filename}",
+              file=sys.stderr)
         return 2
     except (ValidationError, Violation, reconstruct.FillingFailure,
             cohom.ANotAbelian) as exc:

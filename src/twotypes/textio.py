@@ -250,8 +250,14 @@ def parse_text(text: str, ws: Workspace | None = None) -> Workspace:
 
 
 def parse_file(path: str, ws: Workspace | None = None) -> Workspace:
-    with open(path, encoding="utf-8") as fh:
-        return parse_text(fh.read(), ws)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1,
+                         f"UTF-8 text in {path}") from None
+    return parse_text(text, ws)
 
 
 def _rows(table) -> str:

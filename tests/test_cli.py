@@ -159,6 +159,32 @@ class TestExitCodes:
         code, _, err = run(capsys, "check", str(tmp_path / "nope.group"))
         assert code == 2
 
+    def test_directory_is_2(self, capsys):
+        code, out, err = run(capsys, "check", str(FIX))
+        assert (code, out) == (2, "")
+        assert err == f"parse error: a directory, not a file: {FIX}\n"
+
+    def test_undecodable_file_is_2(self, capsys, tmp_path):
+        p = tmp_path / "bad.group"
+        p.write_bytes(b"group g order 1\n0\n\xff\n")
+        code, out, err = run(capsys, "check", str(p))
+        assert (code, out) == (2, "")
+        assert err == f"parse error: line 3: expected UTF-8 text in {p}\n"
+
+    def test_nerve_of_an_empty_file_is_2(self, capsys):
+        code, out, err = run(capsys, "nerve", os.devnull)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: line 1: expected a block in " \
+                      f"{os.devnull}\n"
+        # an empty file holds no object, and check has nothing to report
+        assert run(capsys, "check", os.devnull) == (0, "", "")
+
+    def test_hom_into_an_empty_file_is_2(self, capsys):
+        code, out, err = run(capsys, "hom", str(FIX / "z2.xmod"), os.devnull)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: line 1: expected a block in " \
+                      f"{os.devnull}\n"
+
     def test_bad_subcommand_is_2(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
