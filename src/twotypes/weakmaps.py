@@ -5,24 +5,26 @@ family of invertible associator 2-cells phi_{a,b,c}: (ab)c => a(bc)
 satisfying the pentagon identity; identities stay strict.  A WeakFunctor
 carries coherence 2-cells eps_{a,b}: F(a)F(b) => F(ab).  For one-object
 2-groups the same data can be written in crossed-module form as a triple
-(p1, p2, eps) subject to the axioms W1-W5; transformations and
-modifications translate to (a, theta) pairs and single elements mu.
+(p1, p2, eps) subject to the axioms W0-W5; transformations and
+modifications translate to (a, theta) pairs and single elements mu.  The
+crossed-module listers run the 2-group searches on BH -> BG and read each
+result back through this dictionary, so one search serves each kind of
+cell; the W and T conditions stay as audits.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .fingroup import FiniteGroup
-from .search import Budget, as_budget, search
+from .search import Budget, as_budget
 from .xmod import CrossedModule, Violation, check_pointed
 from .twogpd import (
     TwoFunctor, TwoGroupoid, _Cells, _assemble_hom, _check_1cells,
     _check_horizontal, _check_interchange, _check_vertical, _derive_inverses,
     _functor_tables, _identity_eps, build_two_groupoid,
-    enumerate_2transformations, is_2transformation, vseq,
+    enumerate_2modifications, enumerate_2transformations, is_2transformation,
+    vseq, xmod_to_2group,
 )
 
 
@@ -306,6 +308,10 @@ class XmodWeakMap:
     p1: tuple[int, ...]
     p2: tuple[int, ...]
     eps: tuple[tuple[int, ...], ...]
+    # the weak functor BH -> BG of the search that listed this map, which
+    # the transformation searches run on; None for a map built by hand
+    functor: Optional[WeakFunctor] = field(default=None, compare=False,
+                                           repr=False)
 
 
 @dataclass(frozen=True)
@@ -355,16 +361,6 @@ def _weak_map_witness(H: CrossedModule, G: CrossedModule, p1, p2, eps):
             rhs = g2.mul[g2.mul[p2[alpha]][p2[beta]]][eps[psi[alpha]][psi[beta]]]
             if lhs != rhs:
                 return ("W2", (alpha, beta))
-    w5 = _w5_holds(H, G, p1, p2, eps)
-    if w5 is not True:
-        return ("W5", w5)
-    return None
-
-
-def _w5_holds(H: CrossedModule, G: CrossedModule, p1, p2, eps):
-    """True, or the witness (x, beta) where W5 fails."""
-    h1, h2, g1, g2 = H.g1, H.g2, G.g1, G.g2
-    psi = H.phi.image
     for x in range(h1.order):
         xi = h1.inv[x]
         for beta in range(h2.order):
@@ -372,13 +368,13 @@ def _w5_holds(H: CrossedModule, G: CrossedModule, p1, p2, eps):
             rhs = g2.mul[g2.mul[G.act(p2[beta], p1[x])][eps[psi[beta]][x]]][
                 eps[xi][h1.mul[psi[beta]][x]]]
             if lhs != rhs:
-                return (x, beta)
-    return True
+                return ("W5", (x, beta))
+    return None
 
 
 def _w5_prime_holds(H: CrossedModule, G: CrossedModule, p1, p2, eps):
     """True, or the witness (x, y, beta) where the two-variable W5' fails."""
-    h1, h2, g1, g2 = H.g1, H.g2, G.g1, G.g2
+    h1, h2, g2 = H.g1, H.g2, G.g2
     psi = H.phi.image
     for x in range(h1.order):
         xi = h1.inv[x]
@@ -404,116 +400,50 @@ def check_xmod_weak_map(H: CrossedModule, G: CrossedModule,
     return XmodWeakMap(dom=H, cod=G, p1=p1, p2=p2, eps=eps)
 
 
-def _weak_map_candidates(H: CrossedModule, G: CrossedModule,
-                         cap: int | Budget = 10 ** 6):
-    """All (p1, p2, eps) satisfying W0-W4 plus W2, in deterministic order.
-
-    W5 is deliberately left out so callers can compare W5 with W5'."""
-    h1, h2, g1, g2 = H.g1, H.g2, G.g1, G.g2
-    psi, phi = H.phi.image, G.phi.image
-    phi_fiber: dict[int, list[int]] = {}
-    for v in range(g2.order):
-        phi_fiber.setdefault(phi[v], []).append(v)
-    budget = as_budget(cap, "weak map search")
-    squares = list(itertools.product(range(h1.order), repeat=2))
-    cubes = list(itertools.product(range(h1.order), repeat=3))
-    p1: dict[int, int] = {h1.identity: g1.identity}
-    eps = {(x, y): g2.identity for x, y in squares if h1.identity in (x, y)}
-    p2: dict[int, int] = {h2.identity: g2.identity}
-
-    def w3_need(x, y):
-        """(p1(x) p1(y))^-1 p1(xy), which W3 asks to be phi(eps(x, y))."""
-        return g1.mul[g1.inverse(g1.mul[p1[x]][p1[y]])][p1[h1.mul[x][y]]]
-
-    def w4(x, y, z):
-        lhs = g2.mul[G.act(eps[x, y], p1[z])][eps[h1.mul[x][y], z]]
-        rhs = g2.mul[eps[y, z]][eps[x, h1.mul[y][z]]]
-        return lhs == rhs
-
-    def w2(a, b):
-        ab = h2.mul[a][b]
-        return p2[ab] == g2.mul[g2.mul[p2[a]][p2[b]]][eps[psi[a], psi[b]]]
-
-    cons_p1 = [((x, y, h1.mul[x][y]), lambda x=x, y=y: w3_need(x, y)
-                in phi_fiber) for x, y in squares]
-    cons_eps = [(((x, y), (h1.mul[x][y], z), (y, z), (x, h1.mul[y][z])),
-                 lambda x=x, y=y, z=z: w4(x, y, z)) for x, y, z in cubes]
-    cons_p2 = [((a, b, h2.mul[a][b]), lambda a=a, b=b: w2(a, b))
-               for a, b in itertools.product(range(h2.order), repeat=2)]
-    free1 = [x for x in range(h1.order) if x != h1.identity]
-    free2 = [a for a in range(h2.order) if a != h2.identity]
-    pairs = list(itertools.product(free1, repeat=2))
-
-    for _ in search(free1, lambda x: range(g1.order), cons_p1, p1, budget):
-        p1_done = tuple(p1[x] for x in range(h1.order))
-        for _ in search(pairs, lambda p: phi_fiber[w3_need(*p)], cons_eps,
-                        eps, budget):
-            eps_done = [tuple(eps[x, y] for y in range(h1.order))
-                        for x in range(h1.order)]
-            # p2 from the W1 fibers, pruned by W2
-            cands2 = {a: phi_fiber.get(p1_done[psi[a]], []) for a in free2}
-            if not all(cands2.values()):
-                continue
-            for _ in search(free2, cands2.__getitem__, cons_p2, p2, budget):
-                yield (p1_done, tuple(p2[a] for a in range(h2.order)),
-                       eps_done)
-
-
 def enumerate_xmod_weak_maps(H: CrossedModule, G: CrossedModule,
-                             pointed_only: bool = False,
                              cap: int | Budget = 10 ** 6) -> list[XmodWeakMap]:
-    """Exhaustive list of weak maps H -> G.  Every weak map is pointed by
-    definition; the flag is accepted for interface symmetry."""
-    out = []
-    for (p1, p2, eps) in _weak_map_candidates(H, G, cap=cap):
-        if _w5_holds(H, G, p1, p2, eps) is True:
-            out.append(XmodWeakMap(dom=H, cod=G, p1=tuple(p1), p2=tuple(p2),
-                                   eps=tuple(tuple(r) for r in eps)))
-    return out
+    """Exhaustive list of weak maps H -> G in product order (p1, eps, then
+    p2), read off the weak functors BH -> BG of the one-object 2-groupoids.
+    Each map keeps the functor that the search found."""
+    BH, BG = (_coerce_weak(xmod_to_2group(X)) for X in (H, G))
+    maps = [_weak_map_of(WeakFunctor(dom=BH, cod=BG, obj_map=obj_map,
+                                     map1=map1, map2=map2, eps=tuple(eps)),
+                         H, G)
+            for obj_map, map1, eps, map2 in _functor_tables(
+                BH, BG, True, False, as_budget(cap, "weak map search"))]
+    # the functors come in the order of map2, whose first 2-cells leave
+    # 1-cell 0: that is the order of p2 only when 0 is the identity of H1
+    return sorted(maps, key=lambda P: (P.p1, P.eps, P.p2))
 
 
 def check_w5_equivalence(H: CrossedModule, G: CrossedModule,
                          cap: int = 10 ** 6) -> bool:
-    """Over every candidate satisfying W0-W4 (and W2), the one-variable and
-    two-variable equivariance axioms select the same subset."""
-    for (p1, p2, eps) in _weak_map_candidates(H, G, cap=cap):
-        if (_w5_holds(H, G, p1, p2, eps) is True) != \
-           (_w5_prime_holds(H, G, p1, p2, eps) is True):
-            return False
-    return True
-
-
-def _t0(P: XmodWeakMap, Q: XmodWeakMap, a, theta, x, y) -> bool:
-    G = P.cod
-    g1, g2 = G.g1, G.g2
-    lhs = g2.mul[G.act(P.eps[x][y], a)][theta[P.dom.g1.mul[x][y]]]
-    rhs = g2.mul[g2.mul[G.act(theta[x], g1.conj(P.p1[y], a))][theta[y]]][
-        Q.eps[x][y]]
-    return lhs == rhs
-
-
-def _t1(P: XmodWeakMap, Q: XmodWeakMap, a, theta, x) -> bool:
-    g1 = P.cod.g1
-    return g1.mul[g1.conj(P.p1[x], a)][P.cod.phi.image[theta[x]]] == Q.p1[x]
-
-
-def _t2(P: XmodWeakMap, Q: XmodWeakMap, a, theta, alpha) -> bool:
-    G = P.cod
-    return G.g2.mul[G.act(P.p2[alpha], a)][
-        theta[P.dom.phi.image[alpha]]] == Q.p2[alpha]
+    """Whether the one-variable W5 and the two-variable W5' select the same
+    subset of the candidates that satisfy W0-W4.  Once eps is normalised
+    (W0), W5' at y = x^-1 is exactly W5, so W5' never accepts a candidate
+    that W5 rejects: the two agree exactly when every weak map (W0-W5)
+    satisfies W5'."""
+    return all(_w5_prime_holds(H, G, P.p1, P.p2, P.eps) is True
+               for P in enumerate_xmod_weak_maps(H, G, cap=cap))
 
 
 def _transformation_witness(P: XmodWeakMap, Q: XmodWeakMap, a, theta):
-    h1, h2 = P.dom.g1, P.dom.g2
+    """None, or (axiom, witness) for the first failing condition T0-T2."""
+    H, G = P.dom, P.cod
+    h1, g1, g2 = H.g1, G.g1, G.g2
     for x in range(h1.order):
         for y in range(h1.order):
-            if not _t0(P, Q, a, theta, x, y):
+            lhs = g2.mul[G.act(P.eps[x][y], a)][theta[h1.mul[x][y]]]
+            rhs = g2.mul[g2.mul[G.act(theta[x], g1.conj(P.p1[y], a))][
+                theta[y]]][Q.eps[x][y]]
+            if lhs != rhs:
                 return ("T0", (x, y))
     for x in range(h1.order):
-        if not _t1(P, Q, a, theta, x):
+        if g1.mul[g1.conj(P.p1[x], a)][G.phi.image[theta[x]]] != Q.p1[x]:
             return ("T1", x)
-    for alpha in range(h2.order):
-        if not _t2(P, Q, a, theta, alpha):
+    for alpha in range(H.g2.order):
+        if g2.mul[G.act(P.p2[alpha], a)][theta[H.phi.image[alpha]]] != \
+           Q.p2[alpha]:
             return ("T2", alpha)
     return None
 
@@ -527,49 +457,47 @@ def check_xmod_transformation(P: XmodWeakMap, Q: XmodWeakMap,
     return XmodTransformation(src=P, tgt=Q, a=a, theta=theta)
 
 
+def _functors(*maps: XmodWeakMap) -> list[WeakFunctor]:
+    """The weak functor of each map: the one its search found, else one
+    realized over a single pair of one-object 2-groupoids."""
+    if all(P.functor is not None for P in maps):
+        return [P.functor for P in maps]
+    BH, BG = (_coerce_weak(xmod_to_2group(X))
+              for X in (maps[0].dom, maps[0].cod))
+    return [weak_functor_from_xmod_weak_map(P, BH, BG) if P.functor is None
+            else P.functor for P in maps]
+
+
 def enumerate_transformations(P: XmodWeakMap, Q: XmodWeakMap,
                               pointed_only: bool = False,
                               cap: int | Budget = 10 ** 6
                               ) -> list[XmodTransformation]:
-    h1, h2, g1, g2 = P.dom.g1, P.dom.g2, P.cod.g1, P.cod.g2
-    psi = P.dom.phi.image
-    # theta[x] for x in h1, and the conjugating element under the key "a"
-    theta: dict = {h1.identity: g2.identity}
-    constraints = (
-        [(("a", x, y, h1.mul[x][y]),
-          lambda x=x, y=y: _t0(P, Q, theta["a"], theta, x, y))
-         for x, y in itertools.product(range(h1.order), repeat=2)]
-        + [(("a", x), lambda x=x: _t1(P, Q, theta["a"], theta, x))
-           for x in range(h1.order)]
-        + [(("a", psi[alpha]),
-            lambda alpha=alpha: _t2(P, Q, theta["a"], theta, alpha))
-           for alpha in range(h2.order)])
-    a_opts = [g1.identity] if pointed_only else range(g1.order)
-    order = ["a"] + [x for x in range(h1.order) if x != h1.identity]
-    return [XmodTransformation(src=P, tgt=Q, a=theta["a"], theta=tuple(
-                theta[x] for x in range(h1.order)))
-            for _ in search(order, lambda v: a_opts if v == "a"
-                            else range(g2.order), constraints, theta,
-                            as_budget(cap, "transformation search"))]
+    """All (a, theta) from P to Q in lexicographic order, read off the
+    transformations of their weak functors: a = t[0] and theta(x) the top
+    element of the 2-cell theta[x].  When pointed_only, a is the identity."""
+    n2 = P.cod.g2.order
+    return [XmodTransformation(src=P, tgt=Q, a=t[0],
+                               theta=tuple(c % n2 for c in theta))
+            for t, theta in enumerate_2transformations(
+                *_functors(P, Q), pointed_only, cap=cap)]
 
 
 def enumerate_modifications(T: XmodTransformation, S: XmodTransformation
                             ) -> list[XmodModification]:
-    """Elements mu with a phi(mu) = b and mu sigma(x) = theta(x) mu^{q1(x)}."""
-    P, Q = T.src, T.tgt
-    G = P.cod
-    g1, g2 = G.g1, G.g2
-    phi = G.phi.image
-    h1 = P.dom.g1
-    out = []
-    for mu in range(g2.order):
-        if g1.mul[T.a][phi[mu]] != S.a:
-            continue
-        if all(g2.mul[mu][S.theta[x]] ==
-               g2.mul[T.theta[x]][G.act(mu, Q.p1[x])]
-               for x in range(h1.order)):
-            out.append(XmodModification(src=T, tgt=S, mu=mu))
-    return out
+    """Elements mu with a phi(mu) = b and mu sigma(x) = theta(x) mu^{q1(x)},
+    in the order of G2, read off the modifications of the weak functors
+    under the default cap."""
+    P = T.src
+    g1, n2 = P.cod.g1, P.cod.g2.order
+
+    def cells(X):
+        # (t, theta) in BG: theta[x] runs from p1(x) a
+        return (X.a,), tuple(g1.mul[f][X.a] * n2 + v
+                             for f, v in zip(P.p1, X.theta))
+
+    return [XmodModification(src=T, tgt=S, mu=mu[0] % n2)
+            for mu in enumerate_2modifications(
+                *_functors(P, T.tgt), cells(T), cells(S))]
 
 
 # -- dictionary with one-object 2-groupoids -----------------------------------
@@ -592,17 +520,24 @@ def weak_functor_from_xmod_weak_map(P: XmodWeakMap, BH: TwoGroupoid,
     return check_weak_functor(BH, BG, (0,), map1, map2, eps, pointed=True)
 
 
-def xmod_weak_map_from_weak_functor(F: WeakFunctor, H: CrossedModule,
-                                    G: CrossedModule) -> XmodWeakMap:
-    """Inverse reading: p1 from the 1-cell map, p2 from the 2-cells out of
-    the identity 1-cell, eps from the coherence cells."""
+def _weak_map_of(F: WeakFunctor, H: CrossedModule,
+                 G: CrossedModule) -> XmodWeakMap:
+    """Inverse reading, kept with F: p1 from the 1-cell map, p2 from the
+    2-cells out of the identity 1-cell, eps from the coherence cells."""
     n2h, n2g = H.g2.order, G.g2.order
     e = H.g1.identity
-    p1 = F.map1
-    p2 = tuple(F.map2[e * n2h + alpha] % n2g for alpha in range(n2h))
-    eps = tuple(tuple(F.eps[f][h] % n2g for h in range(H.g1.order))
-                for f in range(H.g1.order))
-    return check_xmod_weak_map(H, G, p1, p2, eps)
+    return XmodWeakMap(
+        dom=H, cod=G, p1=F.map1,
+        p2=tuple(F.map2[e * n2h + alpha] % n2g for alpha in range(n2h)),
+        eps=tuple(tuple(c % n2g for c in row) for row in F.eps), functor=F)
+
+
+def xmod_weak_map_from_weak_functor(F: WeakFunctor, H: CrossedModule,
+                                    G: CrossedModule) -> XmodWeakMap:
+    """The reading of _weak_map_of, audited against W0-W5."""
+    P = _weak_map_of(F, H, G)
+    check_xmod_weak_map(H, G, P.p1, P.p2, P.eps)
+    return P
 
 
 # -- transformations versus simplicial homotopies -----------------------------

@@ -14,7 +14,8 @@ from conftest import build_corpus
 from twotypes.cli import _as_2gpd, _subject
 from twotypes.cohom import crossed_homs, two_cocycles
 from twotypes.fingroup import (
-    NotAHom, cyclic, inversion_action_z2_on, klein_four, make_hom,
+    NotAHom, cyclic, inversion_action_z2_on, klein_four, make_group,
+    make_hom, trivial_action,
 )
 from twotypes.search import as_budget, search
 from twotypes.twogpd import (
@@ -28,8 +29,9 @@ from twotypes.weakmaps import (
     enumerate_weak_functors, enumerate_xmod_weak_maps, vseq,
 )
 from twotypes.xmod import (
-    Violation, check_morphism, check_pointed, check_strict_transformation,
-    enumerate_strict_transformations, xmod_b2g, xmod_bg, xmod_identity,
+    Violation, check_crossed_module, check_morphism, check_pointed,
+    check_strict_transformation, enumerate_strict_transformations, xmod_b2g,
+    xmod_bg, xmod_identity,
 )
 
 PAIRS = [("bg2", "b2g2"), ("bg3", "b2g2"), ("bg2", "bg2")]
@@ -56,11 +58,17 @@ def pair(request):
 
 
 # the crossed-module listers also run on pairs with a nontrivial boundary
-# (z4to2) and with a nontrivial action (z3_inv)
+# (z4to2), with a nontrivial action (z3_inv), and with a base group whose
+# identity is not element 0 (z4to2r, Z/4 onto Z/2 = {1, 0})
 XMODS["z4to2"] = _subject(str(Path(__file__).resolve().parent.parent /
                               "fixtures" / "z4to2.xmod"), ("xmod",))[2]
 XMODS.update((k, v) for k, v in build_corpus() if k in ("z3_inv", "b2_z3"))
-XMOD_PAIRS = PAIRS + [("z4to2", "z4to2"), ("z3_inv", "b2_z3")]
+_Z2R = make_group([[1, 0], [0, 1]])
+XMODS["z4to2r"] = check_crossed_module(
+    cyclic(4), _Z2R, make_hom(cyclic(4), _Z2R, [1, 0, 1, 0]),
+    trivial_action(_Z2R, cyclic(4)))
+XMOD_PAIRS = PAIRS + [("z4to2", "z4to2"), ("z3_inv", "b2_z3"),
+                      ("z4to2r", "b2g2")]
 
 
 @pytest.fixture(params=XMOD_PAIRS, ids=["->".join(p) for p in XMOD_PAIRS])

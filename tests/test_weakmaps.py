@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import sys
@@ -11,7 +12,7 @@ from test_twogpd import (
     _two_in_a_row, _with,
 )
 
-from twotypes import simpset
+from twotypes import simpset, weakmaps
 from twotypes.fingroup import cyclic
 from twotypes.nerve import nerve
 from twotypes.reconstruct import choose_fillers, reconstruct
@@ -149,6 +150,52 @@ class TestXmodWeakMaps:
         assert [(P.p1, P.p2, P.eps) for P in enumerate_xmod_weak_maps(H, G)] \
             == [c for c, v in verdicts.items() if v is True]
         assert check_w5_equivalence(H, G)
+
+    def test_each_map_keeps_the_functor_of_its_search(self):
+        corpus = dict(build_corpus())
+        for h, g in [("z4_to_z2", "z4_to_z2"), ("z3_inv", "z3_inv"),
+                     ("b_s3", "b2_z2")]:
+            H, G = corpus[h], corpus[g]
+            BH, BG = xmod_to_2group(H), xmod_to_2group(G)
+            maps = enumerate_xmod_weak_maps(H, G)
+            assert maps
+            for P in maps:
+                F = weak_functor_from_xmod_weak_map(P, BH, BG)
+                assert (P.functor.obj_map, P.functor.map1, P.functor.map2,
+                        P.functor.eps) == (F.obj_map, F.map1, F.map2, F.eps)
+
+    def test_one_pair_of_2groupoids_per_lister_call(self, monkeypatch):
+        built = []
+
+        def counted(xm):
+            built.append(xm)
+            return xmod_to_2group(xm)
+
+        monkeypatch.setattr(weakmaps, "xmod_to_2group", counted)
+        corpus = dict(build_corpus())
+        H, G = corpus["z4_to_z2"], corpus["z4_to_z2"]
+        maps = enumerate_xmod_weak_maps(H, G)
+        assert built == [H, G]
+        # listed maps run on the functors of their search: nothing is built
+        trans = enumerate_transformations(maps[1], maps[1])
+        mods = enumerate_modifications(trans[0], trans[-1])
+        assert len(built) == 2 and trans
+        # a map built by hand has no functor: one pair per call realizes it
+        bare = [dataclasses.replace(P, functor=None) for P in maps[:2]]
+        assert bare == maps[:2]
+        for P, Q in itertools.product(bare, repeat=2):
+            del built[:]
+            got = enumerate_transformations(P, Q)
+            assert built == [H, G]
+            assert [(T.a, T.theta) for T in got] == [
+                (T.a, T.theta)
+                for T in enumerate_transformations(maps[bare.index(P)],
+                                                   maps[bare.index(Q)])]
+        del built[:]
+        T = enumerate_transformations(bare[1], bare[1])
+        assert [M.mu for M in enumerate_modifications(T[0], T[-1])] == \
+            [M.mu for M in mods]
+        assert len(built) == 4
 
     def test_dictionary_roundtrip(self):
         for n, m in [(2, 2), (3, 2), (2, 3)]:
