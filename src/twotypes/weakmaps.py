@@ -309,7 +309,8 @@ class XmodWeakMap:
     p2: tuple[int, ...]
     eps: tuple[tuple[int, ...], ...]
     # the weak functor BH -> BG of the search that listed this map, which
-    # the transformation searches run on; None for a map built by hand
+    # the transformation and modification searches run on; None for a map
+    # built by hand
     functor: Optional[WeakFunctor] = field(default=None, compare=False,
                                            repr=False)
 
