@@ -18,6 +18,20 @@ constraint cuts only the assignments that extend the current one, all of
 which violate it.  So the kernel yields exactly the full assignments that
 satisfy every constraint, in that order; a search that tested a constraint
 later, or again, or only at the leaf, kept the same set in the same order.
+
+Why a variable with one possible value may be set before the search and
+left out of the order: every full assignment gives it that value, so the
+full assignments of the shorter order are those of the longer one, and
+their lexicographic order is the same, as a position with one value never
+decides between two of them.  A constraint that closed at its position now
+closes at the last of its other variables in order, or runs ahead when it
+has none; it is the same test on the same values, made at a node that
+extends to the same full assignments.  Only the budget changes, as the
+variable is no longer a node.
+
+A `Plan` is the order with every constraint bucketed by the position that
+closes it, made once; `run` searches it as often as wanted, so a caller
+that searches the same constraints many times buckets them once.
 """
 
 from __future__ import annotations
@@ -56,6 +70,27 @@ def as_budget(cap: int | Budget, stage: str) -> Budget:
 Constraint = tuple[Iterable[Hashable], Callable[[], bool]]
 
 
+class Plan:
+    """A search compiled once: the variable order, the predicate of each
+    constraint under the position of the last of its vars in order, and the
+    predicates with no var in order, which run ahead of the search.  The
+    predicates read the assign they were written for, so a plan is run
+    with that assign."""
+
+    __slots__ = ("order", "closing", "ahead")
+
+    def __init__(self, order: Iterable[Hashable],
+                 constraints: Iterable[Constraint]):
+        self.order = list(order)
+        at = {v: i for i, v in enumerate(self.order)}
+        self.closing: list[list[Callable[[], bool]]] = [
+            [] for _ in self.order]
+        self.ahead: list[Callable[[], bool]] = []
+        for cvars, pred in constraints:
+            last = max((at[v] for v in cvars if v in at), default=-1)
+            (self.closing[last] if last >= 0 else self.ahead).append(pred)
+
+
 def search(order: Iterable[Hashable],
            domain: Callable[[Hashable], Iterable],
            constraints: Iterable[Constraint],
@@ -73,16 +108,17 @@ def search(order: Iterable[Hashable],
     yielded.  Each node (the root and every partial assignment that passes
     its constraints) is one budget step.  The variables in order start out
     of assign and are taken out again on backtrack, and when the caller
-    stops iterating.
+    stops iterating.  This is `run` on a plan made for this call.
     """
-    order = list(order)
-    at = {v: i for i, v in enumerate(order)}
-    closing: list[list[Callable[[], bool]]] = [[] for _ in order]
-    ahead = []
-    for cvars, pred in constraints:
-        last = max((at[v] for v in cvars if v in at), default=-1)
-        (closing[last] if last >= 0 else ahead).append(pred)
-    if not all(pred() for pred in ahead):
+    return run(Plan(order, constraints), domain, assign, budget)
+
+
+def run(plan: Plan, domain: Callable[[Hashable], Iterable],
+        assign: MutableMapping, budget: Optional[Budget] = None):
+    """The search of plan, as `search` describes it; the one backtracking
+    loop of the library."""
+    order, closing = plan.order, plan.closing
+    if not all(pred() for pred in plan.ahead):
         return
     if budget is not None:
         budget.tick()
@@ -93,10 +129,14 @@ def search(order: Iterable[Hashable],
     try:
         while values:
             depth = len(values) - 1
-            v = order[depth]
+            v, preds = order[depth], closing[depth]
+            # the next value of v that passes every predicate closing here
             for value in values[depth]:
                 assign[v] = value
-                if all(pred() for pred in closing[depth]):
+                for pred in preds:
+                    if not pred():
+                        break
+                else:
                     break
             else:
                 assign.pop(v, None)

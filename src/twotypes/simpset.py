@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import eq, itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .search import Budget, SizeCapExceeded, as_budget, classes, search
+from .search import Budget, Plan, SizeCapExceeded, as_budget, classes, run
 from .xmod import Violation, check_pointed
 
 
@@ -889,10 +889,18 @@ def _constraint_order(variables, constraints):
 
 class MapPlan:
     """The tables of the searches for maps x -> y of 3-truncations, built
-    once per (x, y) and independent of the fixed cells: y's simplices by
-    boundary and its boundary tuples one level up, and per level the search
-    order of x's nondegenerate simplices with the up-face keys that prune
-    them.  A level is planned when a search first reaches it."""
+    once per (x, y): y's simplices by boundary and its boundary tuples one
+    level up, and per level the search order of x's nondegenerate
+    simplices with the up-face constraints that prune them.
+
+    A level is planned when a search first reaches it, and compiled into a
+    `search.Plan` once per set of its simplices that the search pins (the
+    fixed images of nondegenerate simplices; see `enumerate_maps_3trunc`).
+    So the searches of one `Homotopies`, whose ends pin the same cells each
+    time, share one compiled plan per level.  The constraints read the
+    map being built from assign, one dict per level; every search clears a
+    level's dict when it enters that level, so no search sees another's
+    cells, also after one stopped at the cap."""
 
     def __init__(self, x: TruncatedSimplicialSet, y: TruncatedSimplicialSet):
         self.x, self.y = x, y
@@ -909,57 +917,72 @@ class MapPlan:
         self.up_keys = [set(d) for d in self.by_boundary[1:]] + [
             set(y.faces[top])
             if self.ordered_top and not _join_over(y, top) else None]
-        self._levels: dict[int, tuple[list[int], list[tuple]]] = {}
+        self.assign: list[dict[int, int]] = [{} for _ in range(depth + 1)]
+        self._levels: dict[int, tuple[list[int], list]] = {}
+        self._compiled: dict[tuple[int, frozenset], Plan] = {}
 
     def level(self, n: int):
-        """Level n's variable order and the keys of its up-face constraints,
-        each the faces of a level-(n+1) simplex of x."""
+        """Level n's variable order, over all its nondegenerate simplices,
+        and its up-face constraints on assign[n], each keyed by the faces
+        of a level-(n+1) simplex of x."""
         if n not in self._levels:
             order = [z for z, degenerate in
                      enumerate(self.x.degenerate_flags(n)) if not degenerate]
             up = list(dict.fromkeys(self.x.faces[n + 1])) \
                 if n < self.depth or self.ordered_top else []
-            self._levels[n] = (_constraint_order(order, up) if up else order,
-                               up if self.up_keys[n] is not None else [])
+            keys, a = self.up_keys[n], self.assign[n]
+            self._levels[n] = (
+                _constraint_order(order, up) if up else order,
+                [] if keys is None else
+                [(key, lambda get=itemgetter(*key): get(a) in keys)
+                 for key in up])
         return self._levels[n]
 
-    def _extend(self, n, assign, fixed, budget, cons):
-        """Extend assign through level n; yields once per full map.  cons
-        caches, per level, one search's up-face constraints on assign."""
+    def compiled(self, n: int, pinned: frozenset) -> Plan:
+        """Level n's search with the pinned simplices left out of its
+        order; built once per level and set of pinned simplices."""
+        plan = self._compiled.get((n, pinned))
+        if plan is None:
+            order, cons = self.level(n)
+            plan = self._compiled[(n, pinned)] = Plan(
+                [z for z in order if z not in pinned], cons)
+        return plan
+
+    def _extend(self, n, pins, budget):
+        """Extend self.assign through level n; yields once per full map.
+        pins[n] maps level-n simplices to their fixed images."""
         if n > self.depth:
             yield
             return
-        x, y, a = self.x, self.y, assign[n]
+        x, y, a, fixed = self.x, self.y, self.assign[n], pins[n]
+        a.clear()
+        below = self.assign[n - 1] if n else None
         # degenerate simplices are forced from the level below
         for w in range(x.counts[n - 1] if n else 0):
             for j in range(n):
                 z = x.degens[n - 1][w][j]
-                img = y.degens[n - 1][assign[n - 1][w]][j]
-                if a.setdefault(z, img) != img or \
-                   fixed.get((n, z), img) != img:
-                    a.clear()
+                img = y.degens[n - 1][below[w]][j]
+                if a.setdefault(z, img) != img or fixed.get(z, img) != img:
                     return
-        order, up = self.level(n)
-        if n not in cons:
-            keys = self.up_keys[n]
-            cons[n] = [(key, lambda key=key: tuple(map(a.__getitem__, key))
-                        in keys) for key in up]
-        by_boundary = self.by_boundary[n]
+        faces, by_boundary = x.faces[n], self.by_boundary[n]
 
         def candidates(z):
             if n == 0:
-                cands = range(y.counts[0])
-            else:
-                cands = by_boundary.get(
-                    tuple(assign[n - 1][f] for f in x.faces[n][z]), [])
-            if (n, z) in fixed:
-                want = fixed[(n, z)]
-                return [want] if want in cands else []
-            return cands
+                return range(y.counts[0])
+            return by_boundary.get(tuple(map(below.__getitem__, faces[z])),
+                                   ())
 
-        for _ in search(order, candidates, cons[n], a, budget):
-            yield from self._extend(n + 1, assign, fixed, budget, cons)
-        a.clear()
+        # a fixed nondegenerate simplex (one not set above) is checked and
+        # set here, once, and left out of the search's order
+        pinned = {z: img for z, img in fixed.items() if z not in a
+                  and 0 <= z < x.counts[n]}
+        for z, img in pinned.items():
+            if img not in candidates(z):
+                return
+            a[z] = img
+        for _ in run(self.compiled(n, frozenset(pinned)), candidates, a,
+                     budget):
+            yield from self._extend(n + 1, pins, budget)
 
 
 def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
@@ -974,7 +997,14 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
     fixed maps (level, simplex) -> forced image.  Degenerate simplices are
     always forced from below; the search runs over nondegenerate simplices
     level by level, pruned by the requirement that every level-(n+1) boundary
-    image is the boundary of some target simplex.
+    image is the boundary of some target simplex.  A fixed nondegenerate
+    simplex (the basepoint when pointed) is pinned: when the search enters
+    its level it is checked once (its image must have the boundary of its
+    faces' images) and set, and it is no node of the search.  A fixed
+    degenerate simplex must agree with the image forced from below.
+    Either failure leaves no map.  The maps and their order are those of a
+    search that tried each pinned simplex at its place with one candidate;
+    only the budget steps differ.
 
     Level 3 is pruned so by level 4 only when x and y both hold level 4,
     and y's level 4 is not the join of its level 3 (`coskeleton` builds
@@ -985,7 +1015,7 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
     into it.
 
     plan, a MapPlan(x, y), lets the searches from x to y share their
-    tables; without it this search builds its own.
+    tables and compiled levels; without it this search builds its own.
     """
     plan = MapPlan(x, y) if plan is None else plan
     if plan.x is not x or plan.y is not y:
@@ -994,10 +1024,13 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
     if pointed:
         check_pointed(x, y)
         fixed.setdefault((0, x.basepoint), y.basepoint)
-    assign: list[dict[int, int]] = [dict() for _ in range(plan.depth + 1)]
+    pins: list[dict[int, int]] = [{} for _ in range(plan.depth + 1)]
+    for (n, z), img in fixed.items():
+        if 0 <= n <= plan.depth:
+            pins[n][z] = img
+    assign = plan.assign
     out = []
-    for _ in plan._extend(0, assign, fixed, as_budget(cap, "map search"),
-                          {}):
+    for _ in plan._extend(0, pins, as_budget(cap, "map search")):
         out.append(check_simplicial_map(
             x, y, [tuple(assign[m][z] for z in range(x.counts[m]))
                    for m in range(plan.depth + 1)]))
@@ -1051,6 +1084,14 @@ def _end_inclusion_fixed(x: TruncatedSimplicialSet, vertex: int,
 class Homotopies:
     """Homotopies Delta^1 x X -> Y between maps X -> Y: one prism I x X
     and one MapPlan, built once and searched for every pair of ends.
+
+    The ends {0} x X and {1} x X, and when pointed the base column, are
+    fixed cells of the search (see `fixed`), so a find pins them: they are
+    set before the search and are no nodes of it, and the budget counts
+    only the other cells of the prism.  Every find pins the same cells, so
+    all finds share one compiled search per level, and a pointed find one
+    more.  A find that stopped at the cap leaves nothing behind: the next
+    find answers, and counts its steps, as on a fresh instance.
 
     The prism is truncated at 3 when Y is 3-coskeletal by construction
     (coskeletal_at <= 3, which only `coskeleton` sets; every nerve is).

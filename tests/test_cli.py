@@ -206,6 +206,13 @@ class TestExitCodes:
             assert f"{command} transformations exceeded the cap of 100 " \
                    f"steps" in err
 
+    def test_cap_of_pointed_enumerate_maps(self, capsys):
+        # 12 steps: the basepoint is set before the search and takes none
+        nz2 = str(FIX / "nz2.sset")
+        for cap, code, out in (("12", 0, "maps: 2\n"), ("11", 3, "")):
+            assert run(capsys, "enumerate-maps", nz2, nz2, "--pointed",
+                       "--cap", cap)[:2] == (code, out)
+
     def test_pointed_without_basepoint_is_1(self, capsys, tmp_path):
         p = tmp_path / "unpointed.2gpd"
         p.write_text((FIX / "bz2.2gpd").read_text().replace(

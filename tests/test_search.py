@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
-from twotypes.search import Budget, SizeCapExceeded, classes, search
+from twotypes.search import (
+    Budget, Plan, SizeCapExceeded, classes, run, search,
+)
 from twotypes.simpset import SizeCapExceeded as SimpsetCap
 from twotypes.twogpd import SizeCapExceeded as TwogpdCap
 
@@ -88,6 +90,55 @@ class TestSearch:
             list(search("xy", lambda v: range(2), [], {},
                         Budget(6, "test search")))
 
+
+class TestPlan:
+    def test_one_plan_run_twice_equals_two_searches(self):
+        assign = {}
+        plan = Plan("xyz", _problem(assign))
+
+        def solutions(make):
+            budget = Budget(10 ** 6, "test search")
+            got = [dict(assign) for _ in make(budget)]
+            return got, budget.steps
+
+        for _ in range(2):
+            assert solutions(lambda b: run(plan, lambda v: range(4), assign,
+                                           b)) == \
+                solutions(lambda b: search("xyz", lambda v: range(4),
+                                           _problem(assign), assign, b))
+        assert assign == {}
+
+    def test_buckets_by_the_last_var_in_order(self):
+        plan = Plan("xyz", [(("z", "x"), "zx"), (("y",), "y"),
+                            (("w", "x"), "wx"), (("w",), "w")])
+        assert plan.order == ["x", "y", "z"]
+        assert plan.closing == [["wx"], ["y"], ["zx"]]
+        assert plan.ahead == ["w"]
+
+    def test_constraint_outside_the_order_runs_once_per_run_first(self):
+        assign = {"w": 1}
+        events = []
+
+        def ahead():
+            events.append("ahead")
+            return assign["w"] == 1
+
+        def domain(v):
+            events.append(v)
+            return range(2)
+
+        plan = Plan("xy", [(("w",), ahead)])
+        for _ in range(2):
+            events.clear()
+            budget = Budget(10, "test search")
+            assert sum(1 for _ in run(plan, domain, assign, budget)) == 4
+            assert events[0] == "ahead" and events.count("ahead") == 1
+            assert budget.steps == 7
+        assign["w"] = 0
+        events.clear()
+        budget = Budget(10, "test search")
+        assert list(run(plan, domain, assign, budget)) == []
+        assert events == ["ahead"] and budget.steps == 0
 
 class TestBudget:
     def test_raises_past_the_cap(self):

@@ -2,13 +2,14 @@ import dataclasses
 import functools
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from twotypes import simpset
 from twotypes.fingroup import cyclic, symmetric3
 from twotypes.nerve import nerve
-from twotypes.search import classes
+from twotypes.search import Budget, classes
 from twotypes.simpset import (
     Homotopies, MapPlan, SizeCapExceeded, TruncatedSimplicialSet,
     _end_inclusion_fixed, boundary, check_simplicial_identities,
@@ -17,8 +18,11 @@ from twotypes.simpset import (
     horn, identity_map, in_sset2, interval, is_coskeletal_at, is_k_minimal,
     is_kan, make_sset, product, relabel, simplicial_maps, standard_simplex,
 )
+from twotypes.textio import parse_text
 from twotypes.twogpd import xmod_to_2group
 from twotypes.xmod import Violation, xmod_b2g, xmod_bg
+
+FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def sphere_base():
@@ -436,6 +440,125 @@ class TestHomotopy:
             Homotopies(standard_simplex(1), sphere_fixture()).fixed(
                 f, g, pointed=True)
 
+
+
+# -- pinned cells ------------------------------------------------------------
+
+def nerve_b2g(m):
+    return nerve(xmod_to_2group(xmod_b2g(cyclic(m))))
+
+
+def filtered_maps(x, y, fixed, maps=None):
+    """Every map of the 3-truncations that sends each fixed cell to its
+    image, filtered from maps, by default the search with nothing fixed:
+    the oracle of a search with pinned cells, in the same order."""
+    maps = enumerate_maps_3trunc(x, y) if maps is None else maps
+    return [m for m in maps
+            if all(m.levels[n][z] == img for (n, z), img in fixed.items())]
+
+
+def found_levels(found):
+    return None if found is None else found.levels
+
+
+class TestPinnedCells:
+    def test_pointed_equals_filter(self):
+        x, y = nerve_bg(2), nerve_b2g(2)
+        base = {(0, x.basepoint): y.basepoint}
+        want = filtered_maps(x, y, base)
+        assert want
+        assert enumerate_maps_3trunc(x, y, pointed=True) == want
+        assert enumerate_maps_3trunc(x, y, fixed=base) == want
+
+    @pytest.mark.parametrize("pair, homotopic_ends", [((0, 5), True),
+                                                      ((0, 1), False)])
+    def test_prism_with_fixed_ends_equals_filter(self, pair, homotopic_ends):
+        x, y = nerve_bg(3), nerve_b2g(3)
+        maps = simplicial_maps(x, y, pointed=True)
+        h = Homotopies(x, y)
+        every = enumerate_maps_3trunc(h.prism, y)
+        for f, g in (pair, pair[::-1]):
+            for pointed in (False, True):
+                fixed = h.fixed(maps[f], maps[g], pointed)
+                want = filtered_maps(h.prism, y, fixed, every)
+                assert bool(want) == homotopic_ends
+                assert enumerate_maps_3trunc(h.prism, y, fixed=fixed,
+                                             plan=h.plan) == want
+                assert enumerate_maps_3trunc(h.prism, y, fixed=fixed) == want
+
+    def test_fixed_image_with_the_wrong_boundary(self):
+        x = y = nerve_bg(3)
+        # a nondegenerate 2-simplex sent to one whose faces differ from the
+        # images of its faces under every map: the identity fixes its edges
+        z = x.degenerate_flags(2).index(False)
+        ident = identity_map(x, depth=3)
+        wrong = next(w for w in range(y.counts[2])
+                     if y.faces[2][w] != x.faces[2][z])
+        fixed = {(1, e): ident.levels[1][e] for e in range(x.counts[1])}
+        fixed[(2, z)] = wrong
+        assert filtered_maps(x, y, fixed) == []
+        assert enumerate_maps_3trunc(x, y, fixed=fixed) == []
+        fixed[(2, z)] = z
+        assert enumerate_maps_3trunc(x, y, fixed=fixed) == [ident]
+
+    def test_fixed_degenerate_cell_that_disagrees(self):
+        x, y = nerve_bg(2), nerve_bg(3)
+        s0 = x.degens[0][x.basepoint][0]
+        edge = y.degenerate_flags(1).index(False)
+        assert enumerate_maps_3trunc(x, y, fixed={(1, s0): edge}) == []
+        assert filtered_maps(x, y, {(1, s0): edge}) == []
+        forced = y.degens[0][y.basepoint][0]
+        assert enumerate_maps_3trunc(x, y, fixed={(1, s0): forced}) == \
+            enumerate_maps_3trunc(x, y)
+
+    def test_pinned_level_3_cell(self):
+        x, y = nerve_bg(2), nerve_b2g(2)
+        z = x.degenerate_flags(3).index(False)
+        every = enumerate_maps_3trunc(x, y)
+        assert len({m.levels[3][z] for m in every}) > 1
+        for img in range(y.counts[3]):
+            want = filtered_maps(x, y, {(3, z): img}, every)
+            assert enumerate_maps_3trunc(x, y, fixed={(3, z): img}) == want
+
+    def test_one_homotopies_across_pins_equals_fresh_ones(self):
+        x, y = nerve_bg(3), nerve_b2g(3)
+        maps = simplicial_maps(x, y, pointed=True)
+        h = Homotopies(x, y)
+        for f, g in ((0, 5), (5, 0), (0, 1), (1, 0), (3, 3)):
+            for pointed in (True, False):
+                assert found_levels(h.find(maps[f], maps[g], pointed)) == \
+                    found_levels(Homotopies(x, y).find(maps[f], maps[g],
+                                                       pointed))
+
+    def test_find_after_a_cap_equals_a_fresh_one(self):
+        x, y = nerve_bg(3), nerve_b2g(3)
+        maps = simplicial_maps(x, y, pointed=True)
+        for f, g in ((0, 5), (0, 1)):
+            h = Homotopies(x, y)
+            with pytest.raises(SizeCapExceeded):
+                h.find(maps[g], maps[f], pointed=True, cap=20)
+            reused, fresh = Budget(10 ** 6, "map search"), \
+                Budget(10 ** 6, "map search")
+            assert found_levels(h.find(maps[f], maps[g], cap=reused)) == \
+                found_levels(Homotopies(x, y).find(maps[f], maps[g],
+                                                   cap=fresh))
+            assert reused.steps == fresh.steps
+
+    def test_pinned_cells_take_no_step(self):
+        # one step per node: the basepoint of nz2, its only vertex, and the
+        # ends and base column of a homotopy are set before the search
+        x = parse_text((FIX / "nz2.sset").read_text()).subject()[2]
+        for pointed, steps in ((False, 13), (True, 12)):
+            budget = Budget(10 ** 6, "map search")
+            assert len(simplicial_maps(x, x, pointed, budget)) == 2
+            assert budget.steps == steps
+        bz3, b2z3 = nerve_bg(3), nerve_b2g(3)
+        maps = simplicial_maps(bz3, b2z3, pointed=True)
+        h = Homotopies(bz3, b2z3)
+        for f, g, steps in ((0, 0, 54), (0, 1, 128)):
+            budget = Budget(10 ** 6, "map search")
+            h.find(maps[f], maps[g], pointed=True, cap=budget)
+            assert budget.steps == steps
 
 # -- the map audit against a walk over every entry ---------------------------
 
