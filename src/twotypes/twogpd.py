@@ -12,10 +12,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 from typing import Optional, Sequence
 
 from .fingroup import FiniteGroup, make_action, make_group, make_hom
-from .search import Budget, as_budget, classes, search
+from .search import Budget, Plan, as_budget, classes, run, search
 from .search import SizeCapExceeded  # noqa: F401  (re-exported)
 from .xmod import (
     CrossedModule, Violation, check_crossed_module, check_pointed,
@@ -54,6 +55,11 @@ class _Cells:
     def between2(self) -> dict:
         """The 2-cells by (source, target), each group ascending."""
         return _group(zip(self.src2, self.tgt2))
+
+    @functools.cached_property
+    def transformation_searches(self) -> dict:
+        """The searches out of these cells, by id of their codomain."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -152,8 +158,39 @@ def _check_domain(table, right, name, ends_name, ends_ok):
             raise Violation(name, (x, bad))
 
 
+def _generators(table, right, left) -> list[int]:
+    """Cells whose left-bracketed products reach every cell: each cell not
+    yet reached joins, in ascending order, and the reached cells are closed
+    again under right products by the generators."""
+    reached, gens = [False] * len(table), set()
+    for g in range(len(table)):
+        if reached[g]:
+            continue
+        gens.add(g)
+        todo = [g] + [table[x][g] for x in left[g] if reached[x]]
+        while todo:
+            y = todo.pop()
+            if not reached[y]:
+                reached[y] = True
+                todo += [table[y][s] for s in right[y] if s in gens]
+    return sorted(gens)
+
+
 def _check_assoc(table, right, name):
-    """(ab)c = a(bc) for every a, b in right[a], c in right[b]."""
+    """(ab)c = a(bc) for every a, b in right[a], c in right[b], tested for
+    b among _generators first (F. W. Light's test, Clifford and Preston,
+    The Algebraic Theory of Semigroups I, sec. 1.2).  After the domain and
+    endpoint audits, the b that pass are closed under composition: (a(b1b2))c
+    = ((ab1)b2)c = (ab1)(b2c) = a(b1(b2c)) = a((b1b2)c).  So all pass when
+    those do; else the full scan raises what it finds first."""
+    left = [[] for _ in table]
+    for a, bs in enumerate(right):
+        for b in bs:
+            left[b].append(a)
+    if all(table[table[a][b]][c] == table[a][table[b][c]]
+           for b in _generators(table, right, left)
+           for a in left[b] for c in right[b]):
+        return
     for a, row_a in enumerate(table):
         for b in right[a]:
             row_ab, row_b = table[row_a[b]], table[b]
@@ -546,7 +583,10 @@ def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
     (-1 elsewhere), then 2-cells, each in index order.  When strict, the
     only coherence cell is the identity, and only where F(f)F(h) = F(fh):
     so eps is fixed by map1 and filled without a search, it is coherent,
-    and its naturality is the preservation of hcomp2."""
+    and its naturality is the preservation of hcomp2.  Each condition of
+    check_2functor and check_weak_functor holds: the ends, identities and
+    eps's domain by the domains, and vcomp, naturality, coherence (the
+    hexagon, for identity associators) and strict comp1 by constraints."""
     if pointed:
         check_pointed(dom, cod)
     by1, by2 = cod.between1, cod.between2
@@ -635,8 +675,9 @@ def enumerate_2functors(dom: TwoGroupoid, cod: TwoGroupoid,
                         cap: int | Budget = 10 ** 6) -> list[TwoFunctor]:
     """All strict functors, in product order: by object map, then 1-cell
     map, then 2-cell map.  They are the weak functors with identity
-    coherence cells, found by the same search."""
-    return [check_2functor(dom, cod, obj_map, map1, map2, pointed=pointed)
+    coherence cells, found by the same search, which guarantees what
+    check_2functor checks (see _functor_tables), so none is audited."""
+    return [TwoFunctor(dom, cod, obj_map, map1, map2)
             for obj_map, map1, _, map2 in _functor_tables(
                 dom, cod, pointed, True, as_budget(cap, "functor search"))]
 
@@ -708,38 +749,62 @@ def vseq(g, *cells: int) -> int:
     return out
 
 
-def _transformation_constraints(P, Q, assign) -> list:
-    """The conditions on a transformation P => Q held in assign, t[A] at
-    key A and theta[c] at key n_objects + c: one naturality square per
-    2-cell and one coherence condition per composable pair of 1-cells.
-    Whiskering by a fixed cell is read as a row of hcomp2."""
-    dom, cod = P.dom, P.cod
-    no, vcomp, hcomp, id2 = dom.n_objects, cod.vcomp, cod.hcomp2, cod.id2
+def _transformation_search(dom, cod) -> "_TransformationSearch":
+    """The search of dom into cod, kept on dom by id(cod) with cod itself."""
+    hit = dom.transformation_searches.get(id(cod))
+    if hit is None or hit.cod is not cod:
+        hit = _TransformationSearch(dom, cod)
+        dom.transformation_searches[id(cod)] = hit
+    return hit
 
-    def natural(A, B, c, cp, p_gamma, q_gamma):
-        # [P(gamma) t_B][theta_c'] = [theta_c][t_A Q(gamma)]
-        return vcomp[p_gamma[id2[assign[B]]]][assign[cp]] == \
-            vcomp[assign[c]][hcomp[id2[assign[A]]][q_gamma]]
 
-    def coherent(A, C, a, b, ab, p_eps, p_a, q_b, q_eps):
-        # [eps^P t_C][theta_ab] = [P(a) theta_b][theta_a Q(b)][t_A eps^Q]
-        return vcomp[p_eps[id2[assign[C]]]][assign[ab]] == \
-            vseq(cod, p_a[assign[b]], hcomp[assign[a]][q_b],
-                 hcomp[id2[assign[A]]][q_eps])
+class _TransformationSearch:
+    """The conditions on transformations P => Q of functors dom -> cod,
+    made once for all P, Q (read from `functors`), with t[A] at key A and
+    theta[c] at n_objects + c: naturality per 2-cell and coherence per
+    composable pair of 1-cells.  `every` lists them, for is_2transformation;
+    `plan` leaves out those that the search's domains make true, so it has
+    the same solutions, order and nodes: naturality on an identity 2-cell
+    (both sides are theta_c), and coherence on a pair with an identity
+    1-cell (its filler and coherence cells are identities)."""
 
-    cons = []
-    for gamma, (c, cp) in enumerate(zip(dom.src2, dom.tgt2)):
-        keys = (dom.src1[c], dom.tgt1[c], no + c, no + cp)
-        cons.append((keys, functools.partial(
-            natural, *keys, hcomp[P.map2[gamma]], Q.map2[gamma])))
-    for a, row in enumerate(dom.comp1):
-        for b, ab in enumerate(row):
-            if ab >= 0:
-                keys = (dom.src1[a], dom.tgt1[b], no + a, no + b, no + ab)
-                cons.append((keys, functools.partial(
-                    coherent, *keys, hcomp[P.eps[a][b]],
-                    hcomp[id2[P.map1[a]]], id2[Q.map1[b]], Q.eps[a][b])))
-    return cons
+    def __init__(self, dom, cod):
+        no, vcomp, hcomp, id2 = dom.n_objects, cod.vcomp, cod.hcomp2, cod.id2
+        self.cod, self.ids = cod, set(dom.id1)
+        assign, pq = self.assign, self.functors = {}, []
+
+        def natural(A, B, c, cp, gamma):
+            # [P(gamma) t_B][theta_c'] = [theta_c][t_A Q(gamma)]
+            P, Q = pq
+            return vcomp[hcomp[P.map2[gamma]][id2[assign[B]]]][assign[cp]] == \
+                vcomp[assign[c]][hcomp[id2[assign[A]]][Q.map2[gamma]]]
+
+        def coherent(A, C, ka, kb, kab, a, b):
+            # [eps^P t_C][theta_ab] = [P(a) theta_b][theta_a Q(b)][t_A eps^Q]
+            P, Q = pq
+            return vcomp[hcomp[P.eps[a][b]][id2[assign[C]]]][assign[kab]] == \
+                vseq(cod, hcomp[id2[P.map1[a]]][assign[kb]],
+                     hcomp[assign[ka]][id2[Q.map1[b]]],
+                     hcomp[id2[assign[A]]][Q.eps[a][b]])
+
+        ids, ids2, cons = self.ids, set(dom.id2), []
+        for gamma, (c, cp) in enumerate(zip(dom.src2, dom.tgt2)):
+            keys = (dom.src1[c], dom.tgt1[c], no + c, no + cp)
+            cons.append((keys, functools.partial(natural, *keys, gamma),
+                         gamma in ids2))
+        for a, row in enumerate(dom.comp1):
+            for b, ab in enumerate(row):
+                if ab >= 0:
+                    keys = (dom.src1[a], dom.tgt1[b], no + a, no + b, no + ab)
+                    cons.append((keys, functools.partial(coherent, *keys, a, b),
+                                 a in ids or b in ids))
+        self.every = [pred for _, pred, _ in cons]
+        self.plan = Plan(range(no + dom.n1),
+                         [(keys, pred) for keys, pred, true in cons if not true])
+
+    def load(self, P, Q) -> "_TransformationSearch":
+        self.functors[:] = P, Q
+        return self
 
 
 def enumerate_2transformations(P, Q, pointed: bool = False,
@@ -751,12 +816,13 @@ def enumerate_2transformations(P, Q, pointed: bool = False,
     t_A Q(c) per 1-cell c: A -> B, natural in 2-cells and coherent with
     composition.  An identity c gets the identity filler, and when strict
     every c does, so the square must commute.  When pointed, t at the
-    basepoint is the identity."""
+    basepoint is the identity.  All functors dom -> cod share one plan."""
     dom, cod = P.dom, P.cod
-    no, ids = dom.n_objects, set(dom.id1)
+    no = dom.n_objects
     if pointed:
         check_pointed(dom, cod)
-    assign: dict[int, int] = {}
+    found = _transformation_search(dom, cod).load(P, Q)
+    assign, ids = found.assign, found.ids
 
     def domain(v):
         if v < no:
@@ -774,18 +840,20 @@ def enumerate_2transformations(P, Q, pointed: bool = False,
     n = no + dom.n1
     return [(tuple(assign[A] for A in range(no)),
              tuple(assign[v] for v in range(no, n)))
-            for _ in search(range(n), domain,
-                            _transformation_constraints(P, Q, assign), assign,
-                            as_budget(cap, "transformation search"))]
+            for _ in run(found.plan, domain, assign,
+                         as_budget(cap, "transformation search"))]
 
 
 def is_2transformation(P, Q, t, theta) -> bool:
-    """Whether (t, theta) meets the constraints of enumerate_2transformations
-    (not the ends of its cells): the kernel runs them once on the filled
-    assignment, with nothing to search."""
-    assign = dict(enumerate(tuple(t) + tuple(theta)))
-    return any(True for _ in search(
-        (), None, _transformation_constraints(P, Q, assign), assign))
+    """Whether (t, theta) meets every condition of the transformation
+    search, those its plan leaves out included, in order (not the ends of
+    its cells)."""
+    found = _transformation_search(P.dom, P.cod).load(P, Q)
+    found.assign.update(enumerate(tuple(t) + tuple(theta)))
+    try:
+        return all(pred() for pred in found.every)
+    finally:
+        found.assign.clear()
 
 
 def enumerate_2modifications(P, Q, x, y, pointed: bool = False,
@@ -842,7 +910,9 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
                                                        budget):
                 one_cells.append((i, j, t, theta if weak else None))
                 fillers.append(theta)
-    cell_pos = {c: k for k, c in enumerate(one_cells)}
+    # a 1-cell by its flat key (i, j, *t, *theta)
+    cell_pos = {(c[0], c[1], *c[2], *(c[3] or ())): k
+                for k, c in enumerate(one_cells)}
     n1 = len(one_cells)
     src1 = tuple(c[0] for c in one_cells)
     tgt1 = tuple(c[1] for c in one_cells)
@@ -850,19 +920,28 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
     id1 = []
     for i, P in enumerate(functors):
         t = tuple(C.id1[P.obj_map[A]] for A in objs)
-        theta = tuple(C.id2[P.map1[c]] for c in range(D.n1)) if weak else None
-        id1.append(cell_pos[(i, i, t, theta)])
+        theta = tuple(C.id2[P.map1[c]] for c in range(D.n1)) if weak else ()
+        id1.append(cell_pos[(i, i, *t, *theta)])
+    # x then y for all y out of j = tgt1[x] at once, down columns of s_y[A],
+    # id2[s_y[B]], sigma_y[c] (c: A -> B): t_x s_y, [theta_x s_y][t_x sigma_y]
+    after = {}
+    for j, ys in out_of.items():
+        cells = [one_cells[y] for y in ys]
+        after[j] = (ys, [c[1] for c in cells],
+                    [[c[2][A] for c in cells] for A in objs],
+                    [([C.id2[c[2][B]] for c in cells], [c[3][k] for c in cells])
+                     for k, B in enumerate(D.tgt1)] if weak else [])
     comp1 = []
     for x, (i, j, t, theta) in enumerate(one_cells):
+        ys, ks, s_cols, w_cols = after[j]
+        cols = [map(C.comp1[f].__getitem__, col) for f, col in zip(t, s_cols)]
+        cols += [[C.vcomp[right[a]][left[b]] for a, b in zip(*ab)]
+                 for right, left, ab in zip(
+                     [C.hcomp2[a] for a in theta or ()],
+                     [C.hcomp2[C.id2[t[A]]] for A in D.src1], w_cols)]
         row = [-1] * n1
-        for y in out_of[j]:
-            _, k, s, sigma = one_cells[y]
-            st = tuple(C.comp1[t[A]][s[A]] for A in objs)
-            comp_theta = tuple(
-                C.vcomp[C.whisker_right(theta[c], s[D.tgt1[c]])][
-                    C.whisker_left(t[D.src1[c]], sigma[c])]
-                for c in range(D.n1)) if weak else None
-            row[y] = cell_pos[(i, k, st, comp_theta)]
+        for y, key in zip(ys, zip(itertools.repeat(i), ks, *cols)):
+            row[y] = cell_pos[key]
         comp1.append(tuple(row))
     # 2-cells: modifications
     between = _group(zip(src1, tgt1))
@@ -887,14 +966,14 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
     vcomp, hcomp = [], []
     for x, y, mu in two_cells:
         vrow, hrow = [-1] * n2, [-1] * n2
+        vrows, hrows = [C.vcomp[m] for m in mu], [C.hcomp2[m] for m in mu]
         for q in from_cell[y]:
             _, z, nu = two_cells[q]
-            comp = tuple(C.vcomp[mu[A]][nu[A]] for A in objs)
-            vrow[q] = mod_pos[(x, z, comp)]
+            vrow[q] = mod_pos[(x, z, tuple(map(getitem, vrows, nu)))]
         for q in from_functor[tgt1[x]]:
             u, v, nu = two_cells[q]
-            comp = tuple(C.hcomp2[mu[A]][nu[A]] for A in objs)
-            hrow[q] = mod_pos[(comp1[x][u], comp1[y][v], comp)]
+            hrow[q] = mod_pos[(comp1[x][u], comp1[y][v],
+                               tuple(map(getitem, hrows, nu)))]
         vcomp.append(tuple(vrow))
         hcomp.append(tuple(hrow))
     bp = None

@@ -74,14 +74,18 @@ def as_weak(g: TwoGroupoid) -> WeakTwoGroupoid:
     return check_weak_2groupoid(_coerce_weak(g))
 
 
+def _nonidentity_associator(w) -> Optional[tuple]:
+    """The first (a, b, c) whose associator in w is not an identity."""
+    return next(((a, b, c) for a, plane in enumerate(getattr(w, "assoc", ()))
+                 for b, row in enumerate(plane) for c, v in enumerate(row)
+                 if v >= 0 and v != w.id2[w.src2[v]]), None)
+
+
 def to_strict(w: WeakTwoGroupoid) -> TwoGroupoid:
     """Forget the associators; valid only when they are all identities."""
-    for a in range(w.n1):
-        for b in range(w.n1):
-            for c in range(w.n1):
-                v = w.assoc[a][b][c]
-                if v >= 0 and v != w.id2[w.src2[v]]:
-                    raise Violation("nonidentity-associator", (a, b, c))
+    bad = _nonidentity_associator(w)
+    if bad is not None:
+        raise Violation("nonidentity-associator", bad)
     return build_two_groupoid(
         w.n_objects, w.src1, w.tgt1, w.id1, w.comp1,
         w.src2, w.tgt2, w.id2, w.vcomp, w.hcomp2, basepoint=w.basepoint)
@@ -272,11 +276,15 @@ def enumerate_weak_functors(dom: TwoGroupoid, cod: TwoGroupoid,
                             pointed: bool = False,
                             cap: int | Budget = 10 ** 6) -> list[WeakFunctor]:
     """All weak functors between strict 2-groupoids, in product order: by
-    object map, 1-cell map, coherence cells, then 2-cell map."""
+    object map, 1-cell map, coherence cells, then 2-cell map.  The search
+    guarantees what check_weak_functor checks (see _functor_tables) but
+    for inputs whose associators are not all identities, so only their
+    functors are audited."""
+    build = WeakFunctor if all(_nonidentity_associator(g) is None for g in (
+        dom, cod)) else lambda *a: check_weak_functor(*a, pointed=pointed)
     # one weak view of each, shared by every functor found
     dom, cod = _coerce_weak(dom), _coerce_weak(cod)
-    return [check_weak_functor(dom, cod, obj_map, map1, map2, eps,
-                               pointed=pointed)
+    return [build(dom, cod, obj_map, map1, map2, tuple(eps))
             for obj_map, map1, eps, map2 in _functor_tables(
                 dom, cod, pointed, False,
                 as_budget(cap, "weak functor search"))]

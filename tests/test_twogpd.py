@@ -3,12 +3,18 @@ import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_corpus
 
-from twotypes.fingroup import cyclic, find_isomorphism, trivial_group
+from twotypes import twogpd
+from twotypes.fingroup import (
+    cyclic, find_isomorphism, klein_four, symmetric3, trivial_group,
+)
 from twotypes.twogpd import (
-    NotATwoGroup, TwoGroupoid, build_two_groupoid, check_2functor,
+    NotATwoGroup, TwoGroupoid, _check_assoc, _partners, build_two_groupoid,
+    check_2functor,
     check_exponential_law, check_two_groupoid, compose_2functors,
     disjoint_union, enumerate_2functors,
     enumerate_2transformations, fundamental_groupoid, hom_strict,
@@ -511,3 +517,110 @@ class TestAuditMatchesScan:
                     seen.add(want[0])
         assert {"comp1-domain", "comp1-endpoints", "vcomp-domain",
                 "hcomp-domain", "invertibility", "interchange"} <= seen, seen
+
+
+# -- associativity audited on generators ----------------------------------------
+#
+# _check_assoc tests (ab)c = a(bc) for b among the generators only, and
+# falls back to the scan on a failure.  Its precondition is that the domain
+# and endpoint audits passed, so the mutants below keep every composite
+# between the same objects.
+
+def _scan_assoc(table, name):
+    """The all-triples scan, in index order."""
+    n = len(table)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[a][b] >= 0 and table[b][c] >= 0 and \
+           table[table[a][b]][c] != table[a][table[b][c]]:
+            raise Violation(name, (a, b, c))
+
+
+def _category(k, group, all_pairs):
+    """Cells (i, j, g) over objects 0..k-1, with i <= j unless all_pairs,
+    composed as (i, j, g)(j, l, h) = (i, l, gh); returns (src, tgt,
+    table)."""
+    cells = [(i, j, g) for i in range(k) for j in range(k)
+             for g in range(group.order) if all_pairs or i <= j]
+    pos = {c: x for x, c in enumerate(cells)}
+    table = [[pos[(i, l, group.mul[g][h])] if j == jj else -1
+              for jj, l, h in cells] for i, j, g in cells]
+    return [c[0] for c in cells], [c[1] for c in cells], table
+
+
+def _assoc_outcome(check, table):
+    try:
+        check(table)
+    except Violation as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
+def _same_as_scan(src, tgt, table):
+    right = _partners(tgt, src)
+    got = _assoc_outcome(lambda t: _check_assoc(t, right, "assoc"), table)
+    assert got == _assoc_outcome(lambda t: _scan_assoc(t, "assoc"), table)
+    return got
+
+
+def _moved(table, x, y, w):
+    """table with its composite at (x, y) replaced by w."""
+    out = [list(r) for r in table]
+    out[x][y] = w
+    return out
+
+
+GROUPS = [trivial_group(), cyclic(2), cyclic(3), klein_four(), symmetric3()]
+
+
+class TestAssocOnGenerators:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 3), st.sampled_from(GROUPS), st.booleans(),
+           st.data())
+    def test_one_changed_entry_raises_as_the_scan(self, k, group,
+                                                  all_pairs, data):
+        src, tgt, table = _category(k, group, all_pairs)
+        pairs = [(x, y) for x, row in enumerate(table)
+                 for y, v in enumerate(row) if v >= 0]
+        x, y = data.draw(st.sampled_from(pairs))
+        same_ends = [w for w in range(len(table))
+                     if src[w] == src[x] and tgt[w] == tgt[y]]
+        w = data.draw(st.sampled_from(same_ends))
+        _same_as_scan(src, tgt, _moved(table, x, y, w))
+
+    @pytest.mark.parametrize("k, group, all_pairs", [
+        (2, cyclic(3), True), (3, cyclic(2), False), (1, symmetric3(), True),
+        (2, klein_four(), False)])
+    def test_every_changed_entry_raises_as_the_scan(self, k, group,
+                                                    all_pairs):
+        src, tgt, table = _category(k, group, all_pairs)
+        assert _same_as_scan(src, tgt, table) is None
+        raised = 0
+        for x, row in enumerate(table):
+            for y, v in enumerate(row):
+                for w in range(len(table)):
+                    if v >= 0 and w != v and src[w] == src[x] and \
+                       tgt[w] == tgt[y]:
+                        raised += _same_as_scan(
+                            src, tgt, _moved(table, x, y, w)) \
+                            is not None
+        assert raised > 0
+
+    def test_hom_audits_comp1_on_few_generators(self, monkeypatch):
+        """The pointed hom BZ/4 -> B2Z/3 has 729 1-cells and 729 2-cells;
+        comp1 and hcomp2 are audited on 53 generators each."""
+        seen = []
+
+        def spy(table, right, left):
+            gens = generators(table, right, left)
+            seen.append((table, gens))
+            return gens
+
+        generators = twogpd._generators
+        monkeypatch.setattr(twogpd, "_generators", spy)
+        h = hom_full(xmod_to_2group(xmod_bg(cyclic(4))),
+                     xmod_to_2group(xmod_b2g(cyclic(3))), pointed_only=True)
+        counts = {name: len(gens) for table, gens in seen
+                  for name in ("comp1", "vcomp", "hcomp2")
+                  if table is getattr(h, name)}
+        assert counts["comp1"] <= 60 and counts["hcomp2"] <= 60, counts
+        assert counts["vcomp"] == 729

@@ -18,12 +18,12 @@ from twotypes.nerve import nerve
 from twotypes.reconstruct import choose_fillers, reconstruct
 from twotypes.simpset import SizeCapExceeded
 from twotypes.twogpd import (
-    disjoint_union, enumerate_2functors, enumerate_2transformations,
+    check_2functor, disjoint_union, enumerate_2functors, enumerate_2transformations,
     hom_strict, hom_weak_trans, pi0, product_2gpd, xmod_to_2group,
 )
 from twotypes.weakmaps import (
     WeakTwoGroupoid, as_weak, build_weak_2groupoid, check_w5_equivalence,
-    check_weak_2groupoid, check_xmod_weak_map, enumerate_modifications,
+    check_weak_2groupoid, check_weak_functor, check_xmod_weak_map, enumerate_modifications,
     enumerate_transformations, enumerate_weak_functors,
     enumerate_xmod_weak_maps, hom_full,
     identity_weak_functor, pi0_hom_vs_homotopy_classes, to_strict,
@@ -112,6 +112,53 @@ class TestWeakFunctors:
     def test_cap_raises(self):
         with pytest.raises(SizeCapExceeded):
             enumerate_weak_functors(bg(3), b2g(3), cap=3)
+
+
+class TestListedFunctorsPassTheAudit:
+    """The functor listers build each functor without auditing it, as their
+    search guarantees every condition; the audits must accept them all.
+    Weak functors out of b_s3 and id_s3 (six 1-cells) are left out: those
+    searches take minutes."""
+
+    CORPUS = dict(build_corpus())
+
+    @pytest.mark.parametrize("pointed", [False, True])
+    @pytest.mark.parametrize("dom", sorted(CORPUS))
+    def test_every_corpus_pair(self, dom, pointed):
+        D = xmod_to_2group(self.CORPUS[dom])
+        listed = 0
+        for C in map(xmod_to_2group, self.CORPUS.values()):
+            for F in enumerate_2functors(D, C, pointed=pointed):
+                assert check_2functor(D, C, F.obj_map, F.map1, F.map2,
+                                      pointed=pointed) == F
+                listed += 1
+            if dom in ("b_s3", "id_s3"):
+                continue
+            for W in enumerate_weak_functors(D, C, pointed=pointed):
+                assert check_weak_functor(D, C, W.obj_map, W.map1, W.map2,
+                                          W.eps, pointed=pointed) == W
+                listed += 1
+        assert listed >= len(self.CORPUS)
+
+    def test_associators_that_are_not_identities_keep_the_audit(
+            self, monkeypatch):
+        audited = []
+        real = weakmaps.check_weak_functor
+
+        def spy(*args, **kwargs):
+            audited.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(weakmaps, "check_weak_functor", spy)
+        corpus = dict(build_corpus())
+        for name, weak in (("b_z3", False), ("id_z3", True)):
+            x = nerve(xmod_to_2group(corpus[name]))
+            w = reconstruct(x, choose_fillers(x, "seeded:1"))
+            assert (weakmaps._nonidentity_associator(w) is not None) == weak
+            for d, c in ((w, w), (w, b2g(2)), (bg(2), w)):
+                audited.clear()
+                found = enumerate_weak_functors(d, c)
+                assert found and len(audited) == (len(found) if weak else 0)
 
 
 class TestXmodWeakMaps:
