@@ -37,14 +37,8 @@ def two_simplices(g) -> list[tuple[int, int, int]]:
     out2: dict[int, list[int]] = {}
     for a in range(w.n2):
         out2.setdefault(w.src2[a], []).append(a)
-    tris = []
-    for f in range(w.n1):
-        for h in range(w.n1):
-            fh = w.comp1[f][h]
-            if fh < 0:
-                continue
-            for a in out2.get(fh, []):
-                tris.append((f, h, a))
+    tris = [(f, h, a) for f, row in enumerate(w.comp1)
+            for h, fh in row.items() for a in out2.get(fh, [])]
     tris.sort(key=lambda t: (t[0], t[1],
                              0 if t[2] == w.id2[w.comp1[t[0]][t[1]]] else 1,
                              t[2]))
@@ -81,15 +75,9 @@ def nerve(g, cap: int | None = None) -> TruncatedSimplicialSet:
     for a in range(w.n2):
         out2.setdefault(w.src2[a], []).append(a)
     quads = []
-    for f in range(w.n1):
-        for h in range(w.n1):
-            fh = w.comp1[f][h]
-            if fh < 0:
-                continue
-            for m in range(w.n1):
-                hm = w.comp1[h][m]
-                if hm < 0:
-                    continue
+    for f, row in enumerate(w.comp1):
+        for h, fh in row.items():
+            for m, hm in w.comp1[h].items():
                 for alpha in out2.get(fh, []):
                     top = w.tgt2[alpha]                      # f h => top
                     for gamma in out2.get(hm, []):
@@ -165,12 +153,9 @@ def simplicial_map_to_weak_functor(m: SimplicialMap, dom_gpd,
         tri = (u, w.id1[w.tgt1[u]], a)
         map2.append(ctris[m.levels[2][pos2d[tri]]][2])
     eps = [[-1] * w.n1 for _ in range(w.n1)]
-    for f in range(w.n1):
-        for h in range(w.n1):
-            fh = w.comp1[f][h]
-            if fh >= 0:
-                tri = (f, h, w.id2[fh])
-                eps[f][h] = ctris[m.levels[2][pos2d[tri]]][2]
+    for f, row in enumerate(w.comp1):
+        for h, fh in row.items():
+            eps[f][h] = ctris[m.levels[2][pos2d[(f, h, w.id2[fh])]]][2]
     return check_weak_functor(w, c, obj_map, map1, map2, eps)
 
 
@@ -227,25 +212,21 @@ def fiber_product_2gpd(F: TwoFunctor, G: TwoFunctor):
             if F.map2[a] == G.map2[b]]
     pos2 = {p: i for i, p in enumerate(twos)}
 
+    def table(tx, ty, cells, pos):
+        # pairs compose where both sides do
+        return [{j: pos[(tx[a][a2], ty[b][b2])]
+                 for j, (a2, b2) in enumerate(cells)
+                 if a2 in tx[a] and b2 in ty[b]} for a, b in cells]
+
     src1 = [opos[(X.src1[u], Y.src1[v])] for (u, v) in ones]
     tgt1 = [opos[(X.tgt1[u], Y.tgt1[v])] for (u, v) in ones]
     id1 = [pos1[(X.id1[a], Y.id1[b])] for (a, b) in objs]
-    comp1 = [[-1] * len(ones) for _ in ones]
-    for i, (u, v) in enumerate(ones):
-        for j, (u2, v2) in enumerate(ones):
-            if X.comp1[u][u2] >= 0 and Y.comp1[v][v2] >= 0:
-                comp1[i][j] = pos1[(X.comp1[u][u2], Y.comp1[v][v2])]
+    comp1 = table(X.comp1, Y.comp1, ones, pos1)
     src2 = [pos1[(X.src2[a], Y.src2[b])] for (a, b) in twos]
     tgt2 = [pos1[(X.tgt2[a], Y.tgt2[b])] for (a, b) in twos]
     id2 = [pos2[(X.id2[u], Y.id2[v])] for (u, v) in ones]
-    vcomp = [[-1] * len(twos) for _ in twos]
-    hcomp = [[-1] * len(twos) for _ in twos]
-    for i, (a, b) in enumerate(twos):
-        for j, (a2, b2) in enumerate(twos):
-            if X.vcomp[a][a2] >= 0 and Y.vcomp[b][b2] >= 0:
-                vcomp[i][j] = pos2[(X.vcomp[a][a2], Y.vcomp[b][b2])]
-            if X.hcomp2[a][a2] >= 0 and Y.hcomp2[b][b2] >= 0:
-                hcomp[i][j] = pos2[(X.hcomp2[a][a2], Y.hcomp2[b][b2])]
+    vcomp = table(X.vcomp, Y.vcomp, twos, pos2)
+    hcomp = table(X.hcomp2, Y.hcomp2, twos, pos2)
     bp = None
     if X.basepoint is not None and Y.basepoint is not None and \
        (X.basepoint, Y.basepoint) in opos:

@@ -118,8 +118,8 @@ def reconstruct(x: TruncatedSimplicialSet,
     tgt1 = tuple(x.faces[1][f][0] for f in range(n1))
     id1 = ids
     I = fillers.pairs
-    comp1 = [[-1] * n1 for _ in range(n1)]
-    for (f, g), u in I.items():
+    comp1 = [{} for _ in range(n1)]
+    for (f, g), u in sorted(I.items()):
         comp1[f][g] = x.faces[2][u][1]
 
     # 2-cells: 2-simplices whose d0 is an identity edge
@@ -136,7 +136,7 @@ def reconstruct(x: TruncatedSimplicialSet,
         z = fill1(x.degens[1][g][1], u, I[(f, g)])
         return x.faces[3][z][1]
 
-    vcomp = [[-1] * n2 for _ in range(n2)]
+    vcomp = [{} for _ in range(n2)]
     for i, u in enumerate(cells):
         e = x.faces[2][u][0]           # identity edge at the target object
         for j, v in enumerate(cells):
@@ -157,7 +157,7 @@ def reconstruct(x: TruncatedSimplicialSet,
         z = fill1(c, I[(f, gp)], I[(f, g)])
         return x.faces[3][z][1]
 
-    hcomp2 = [[-1] * n2 for _ in range(n2)]
+    hcomp2 = [{} for _ in range(n2)]
     for i, u in enumerate(cells):
         f, fp = src2[i], tgt2[i]
         for j, v in enumerate(cells):
@@ -168,15 +168,11 @@ def reconstruct(x: TruncatedSimplicialSet,
             b = whisker_left_cell(fp, v)
             hcomp2[i][j] = vcomp[pos[a]][pos[b]]
 
-    assoc = [[[-1] * n1 for _ in range(n1)] for _ in range(n1)]
-    for f in range(n1):
-        for g in range(n1):
-            if comp1[f][g] < 0:
-                continue
-            for h in range(n1):
-                if comp1[g][h] < 0:
-                    continue
-                z = fill1(I[(g, h)], I[(f, comp1[g][h])], I[(f, g)])
+    assoc = [{g: {} for g in row} for row in comp1]
+    for f, row in enumerate(comp1):
+        for g in row:
+            for h, gh in comp1[g].items():
+                z = fill1(I[(g, h)], I[(f, gh)], I[(f, g)])
                 assoc[f][g][h] = pos[right(x.faces[3][z][1])]
 
     return build_weak_2groupoid(
@@ -216,19 +212,10 @@ def pentagon_via_4simplex(x: TruncatedSimplicialSet,
         z = fill2(x.degens[1][gg][1], cell_of[c], I[(f, gg)])
         return x.faces[3][z][2]
 
-    for a in range(g.n1):
-        for b in range(g.n1):
-            ab = g.comp1[a][b]
-            if ab < 0:
-                continue
-            for c in range(g.n1):
-                bc = g.comp1[b][c]
-                if bc < 0:
-                    continue
-                for d in range(g.n1):
-                    cd = g.comp1[c][d]
-                    if cd < 0:
-                        continue
+    for a, row in enumerate(g.comp1):
+        for b, ab in row.items():
+            for c, bc in g.comp1[b].items():
+                for d, cd in g.comp1[c].items():
                     bcd = g.comp1[b][cd]
                     a_bc = g.comp1[a][bc]
                     # ten triangles, indexed by their vertex triples

@@ -26,7 +26,7 @@ from .fingroup import (
     make_hom,
 )
 from .simpset import make_sset
-from .twogpd import build_two_groupoid
+from .twogpd import build_two_groupoid, dense_table
 from .xmod import Violation, check_crossed_module
 
 
@@ -301,12 +301,12 @@ def format_2gpd(name: str, g) -> str:
              "src1 " + vec(map(str, g.src1)),
              "tgt1 " + vec(map(str, g.tgt1)),
              "id1 " + vec(map(str, g.id1)),
-             "comp1", _rows(g.comp1),
+             "comp1", _rows(dense_table(g.comp1)),
              "src2 " + vec(map(str, g.src2)),
              "tgt2 " + vec(map(str, g.tgt2)),
              "id2 " + vec(map(str, g.id2)),
-             "vcomp", _rows(g.vcomp),
-             "hcomp2", _rows(g.hcomp2)]
+             "vcomp", _rows(dense_table(g.vcomp)),
+             "hcomp2", _rows(dense_table(g.hcomp2))]
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,12 @@
 """Strict 2-groupoids as finite composition tables.
 
 Conventions: 1-cell composition is diagrammatic, comp1[f][g] is "f then g"
-and is defined when tgt1[f] == src1[g].  A -1 entry means "not composable".
-Vertical composition of 2-cells follows the same order; horizontal
-composition hcomp2[alpha][beta] pastes alpha (over f: A -> B) before beta
-(over h: B -> C).
+and is defined when tgt1[f] == src1[g].  Row f of comp1 is a dict from each
+g composable with f to the composite, so "composable" is `g in comp1[f]`;
+the builders also take a dense row, -1 where not composable, which is the
+file format.  Vertical composition of 2-cells follows the same order;
+horizontal composition hcomp2[alpha][beta] pastes alpha (over f: A -> B)
+before beta (over h: B -> C).
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from operator import getitem
 from typing import Optional, Sequence
 
 from .fingroup import FiniteGroup, make_action, make_group, make_hom
-from .search import Budget, Plan, as_budget, classes, run, search
-from .search import SizeCapExceeded  # noqa: F401  (re-exported)
+from .search import (
+    Budget, Plan, SizeCapExceeded, as_budget, classes, run, search,
+)
 from .xmod import (
     CrossedModule, Violation, check_crossed_module, check_pointed,
 )
@@ -68,13 +71,13 @@ class TwoGroupoid(_Cells):
     src1: tuple[int, ...]
     tgt1: tuple[int, ...]
     id1: tuple[int, ...]            # per object
-    comp1: tuple[tuple[int, ...], ...]
+    comp1: tuple[dict[int, int], ...]
     inv1: tuple[int, ...]
     src2: tuple[int, ...]           # into 1-cells
     tgt2: tuple[int, ...]
     id2: tuple[int, ...]            # per 1-cell
-    vcomp: tuple[tuple[int, ...], ...]
-    hcomp2: tuple[tuple[int, ...], ...]
+    vcomp: tuple[dict[int, int], ...]
+    hcomp2: tuple[dict[int, int], ...]
     vinv: tuple[int, ...]
     basepoint: Optional[int] = None
 
@@ -92,19 +95,18 @@ def _group(keys) -> dict:
 
 
 def _derive_inverses(src, tgt, ident, comp):
-    """inv[f]: the least g with comp[f][g] = ident[src[f]] and comp[g][f] =
-    ident[tgt[f]].  While e = ident[src[f]] >= 0, the cells g with src[g]
-    = tgt[f] are tried first, then all cells.  That order cannot change a
-    result: a g outside the first group that passes is a defined entry
-    comp[f][g] at a pair that is not composable, which the audit rejects
-    before it reads inv."""
+    """inv[f]: a g with comp[f][g] = ident[src[f]] and comp[g][f] =
+    ident[tgt[f]], the cells g with src[g] = tgt[f] tried first, in
+    ascending order, then the other keys of f's row.  That order cannot
+    change a result: a g outside the first group that passes is a defined
+    entry comp[f][g] at a pair that is not composable, which the audit
+    rejects before it reads inv."""
     starts = _group(src)
     inv = []
-    for f in range(len(src)):
-        row, e = comp[f], ident[src[f]]
-        first = starts.get(tgt[f], []) if e >= 0 else []
-        for g in itertools.chain(first, range(len(src))):
-            if row[g] == e and comp[g][f] == ident[tgt[f]]:
+    for f, row in enumerate(comp):
+        e, back = ident[src[f]], ident[tgt[f]]
+        for g in itertools.chain(starts.get(tgt[f], []), row):
+            if row.get(g) == e and comp[g].get(f) == back:
                 inv.append(g)
                 break
         else:
@@ -112,21 +114,73 @@ def _derive_inverses(src, tgt, ident, comp):
     return tuple(inv)
 
 
+def _indices(name, vec, bound, length=None) -> tuple[int, ...]:
+    """vec as a tuple of indices in range(bound), of the given length."""
+    vec = tuple(vec)
+    if length is not None and len(vec) != length:
+        raise Violation(f"{name}-length", len(vec))
+    for i, v in enumerate(vec):
+        if not 0 <= v < bound:
+            raise Violation(f"{name}-range", i)
+    return vec
+
+
+def _dict_row(row) -> dict:
+    """row as it is when a dict, else a dense row without its -1 entries."""
+    return row if isinstance(row, dict) else {
+        y: v for y, v in enumerate(row) if v != -1}
+
+
+def _rows(name, table, n) -> tuple[dict, ...]:
+    """table as n dict rows (see _dict_row), every key and value in
+    range(n)."""
+    rows = tuple(map(_dict_row, table))
+    if len(rows) != n:
+        raise Violation(f"{name}-length", len(rows))
+    for x, row in enumerate(rows):
+        if row and not (0 <= min(row) and max(row) < n and
+                        0 <= min(row.values()) and max(row.values()) < n):
+            raise Violation(f"{name}-range", (x, min(
+                y for y, v in row.items() if not (0 <= y < n and 0 <= v < n))))
+    return rows
+
+
+def dense_table(table) -> tuple[tuple[int, ...], ...]:
+    """A composition table as n x n rows, -1 where not composable: the
+    file format."""
+    n = len(table)
+    return tuple(tuple(map(row.get, range(n), itertools.repeat(-1)))
+                 for row in table)
+
+
+def _checked(n_objects, src1, tgt1, id1, comp1, src2, tgt2, id2, vcomp,
+             hcomp2) -> dict:
+    """The fields of a 2-groupoid, each index checked, field by field in
+    file order, before anything reads one.  -1 may stand only in a dense
+    row, where it marks a pair that does not compose and is dropped."""
+    src1, src2 = tuple(src1), tuple(src2)
+    n1, n2 = len(src1), len(src2)
+    return dict(
+        n_objects=n_objects, src1=_indices("src1", src1, n_objects),
+        tgt1=_indices("tgt1", tgt1, n_objects, n1),
+        id1=_indices("id1", id1, n1, n_objects),
+        comp1=_rows("comp1", comp1, n1), src2=_indices("src2", src2, n1),
+        tgt2=_indices("tgt2", tgt2, n1, n2),
+        id2=_indices("id2", id2, n2, n1), vcomp=_rows("vcomp", vcomp, n2),
+        hcomp2=_rows("hcomp2", hcomp2, n2))
+
+
 def build_two_groupoid(n_objects, src1, tgt1, id1, comp1,
                        src2, tgt2, id2, vcomp, hcomp2,
                        basepoint=None) -> TwoGroupoid:
-    """Derive inverse tables and run the full audit; tuple rows are kept."""
-    src1, tgt1, id1 = tuple(src1), tuple(tgt1), tuple(id1)
-    comp1 = tuple(tuple(r) for r in comp1)
-    src2, tgt2, id2 = tuple(src2), tuple(tgt2), tuple(id2)
-    vcomp = tuple(tuple(r) for r in vcomp)
-    hcomp2 = tuple(tuple(r) for r in hcomp2)
-    inv1 = _derive_inverses(src1, tgt1, id1, comp1)
-    vinv = _derive_inverses(src2, tgt2, id2, vcomp)
-    g = TwoGroupoid(n_objects=n_objects, src1=src1, tgt1=tgt1, id1=id1,
-                    comp1=comp1, inv1=inv1, src2=src2, tgt2=tgt2, id2=id2,
-                    vcomp=vcomp, hcomp2=hcomp2, vinv=vinv, basepoint=basepoint)
-    return check_two_groupoid(g)
+    """Check every index, derive inverse tables and run the full audit;
+    dict rows are kept as given."""
+    t = _checked(n_objects, src1, tgt1, id1, comp1, src2, tgt2, id2, vcomp,
+                 hcomp2)
+    inv1 = _derive_inverses(t["src1"], t["tgt1"], t["id1"], t["comp1"])
+    vinv = _derive_inverses(t["src2"], t["tgt2"], t["id2"], t["vcomp"])
+    return check_two_groupoid(TwoGroupoid(inv1=inv1, vinv=vinv,
+                                          basepoint=basepoint, **t))
 
 
 def _partners(left_keys, right_keys):
@@ -137,24 +191,21 @@ def _partners(left_keys, right_keys):
 
 
 def _check_domain(table, right, name, ends_name, ends_ok):
-    """table[x][y] is defined (>= 0) exactly for y in right[x], and each
-    composite passes ends_ok(x, y, table[x][y]).  Raises what one scan of
-    all pairs (x, y) in order, testing the domain and then the endpoints of
-    each, raises first.  A full row that is -1 but at its partners, and
-    >= 0 there, is accepted without listing its defined entries."""
+    """The keys of table[x] are the cells of right[x], and each composite
+    passes ends_ok(x, y, table[x][y]).  Raises what one scan of all pairs
+    (x, y) in order, testing the domain and then the endpoints of each,
+    raises first."""
+    n = len(table)
     for x, row in enumerate(table):
-        partners, bad = right[x], len(row)
-        if not (row.count(-1) + len(partners) == bad == len(right) and
-                min(map(row.__getitem__, partners), default=0) >= 0):
-            defined = [y for y, v in enumerate(row) if v >= 0]
-            if defined != partners:  # bad: the first y where they differ
-                bad = min(set(defined).symmetric_difference(partners))
+        partners, bad = right[x], n
+        if row.keys() != set(partners):  # bad: the first y where they differ
+            bad = min(row.keys() ^ set(partners))
         for y in partners:
             if y >= bad:
                 break
             if not ends_ok(x, y, row[y]):
                 raise Violation(ends_name, (x, y))
-        if bad < len(row):
+        if bad < n:
             raise Violation(name, (x, bad))
 
 
@@ -289,14 +340,47 @@ def _check_horizontal(g) -> list[list[int]]:
     return beside
 
 
+def _interchange_on_whiskers(g, below, beside) -> bool:
+    """Whether, with o for hcomp2, juxtaposition for vcomp and 1 for
+    identity 2-cells, a o c = (a o 1)(1 o c) = (1 o c)(a o 1) for a, c not
+    identities, and (ab) o e = (a o e)(b o e), e o (ab) = (e o a)(e o b) for
+    a, b not identities and e one.  With the vertical units and
+    associativity and hcomp of identities, these are the interchange law on
+    every quadruple: (ab) o (cd) = (a o 1)(b o 1)(1 o c)(1 o d) = (a o 1)
+    (1 o c)(b o 1)(1 o d) = (a o c)(b o d); each is the law, and is a unit
+    law where a cell is an identity."""
+    vcomp, hcomp2 = g.vcomp, g.hcomp2
+    s1, t1 = [g.id2[f] for f in g.src2], [g.id2[f] for f in g.tgt2]
+    ident = [a == e for a, e in enumerate(s1)]
+    for a, ha in enumerate(hcomp2):
+        if ident[a]:
+            if any(ha[vcomp[b][c]] != vcomp[ha[b]][ha[c]] for b in beside[a]
+                   if not ident[b] for c in below[b] if not ident[c]):
+                return False
+            continue
+        left, right = hcomp2[t1[a]], hcomp2[s1[a]]
+        for c in beside[a]:
+            if ident[c]:
+                if any(hcomp2[vcomp[a][b]][c] != vcomp[ha[c]][hcomp2[b][c]]
+                       for b in below[a] if not ident[b]):
+                    return False
+            elif not vcomp[ha[s1[c]]][left[c]] == ha[c] == \
+                    vcomp[right[c]][ha[t1[c]]]:
+                return False
+    return True
+
+
 def _check_interchange(g, right1, below, beside) -> None:
     """Identity 2-cells compose horizontally like their 1-cells, and the
-    interchange law holds on every composable quadruple."""
+    interchange law holds on every composable quadruple: tested on whiskers
+    first, else the full scan raises what it finds first."""
     vcomp, hcomp2, id2 = g.vcomp, g.hcomp2, g.id2
     for f in range(g.n1):
         for h in right1[f]:
             if hcomp2[id2[f]][id2[h]] != id2[g.comp1[f][h]]:
                 raise Violation("hcomp-of-identities", (f, h))
+    if _interchange_on_whiskers(g, below, beside):
+        return
     for a in range(g.n2):
         vrow_a, hrow_a = vcomp[a], hcomp2[a]
         for b in below[a]:
@@ -313,12 +397,10 @@ def point_2gpd() -> TwoGroupoid:
                               [0], [0], [0], [[0]], [[0]], basepoint=0)
 
 
-def _block_sum(a, b) -> list[tuple]:
-    """The table of a's cells then b's, b's shifted past a's, -1 across."""
-    na, nb = len(a), len(b)
-    return ([tuple(r) + (-1,) * nb for r in a] +
-            [(-1,) * na + tuple(-1 if v < 0 else na + v for v in r)
-             for r in b])
+def _block_sum(a, b) -> list[dict]:
+    """The table of a's cells then b's, b's shifted past a's."""
+    na = len(a)
+    return list(a) + [{na + y: na + v for y, v in r.items()} for r in b]
 
 
 def disjoint_union(g: TwoGroupoid, h: TwoGroupoid) -> TwoGroupoid:
@@ -342,18 +424,10 @@ def product_2gpd(g: TwoGroupoid, h: TwoGroupoid) -> TwoGroupoid:
         return tuple(sg[i] * n_h + sh[j]
                      for i in range(len(sg)) for j in range(len(sh)))
 
-    def comp_table(tg, th, width_h):
-        ng, nh = len(tg), len(th)
-        out = []
-        for i in range(ng):
-            for j in range(nh):
-                row = []
-                for k in range(ng):
-                    for m in range(nh):
-                        a, b = tg[i][k], th[j][m]
-                        row.append(-1 if a < 0 or b < 0 else a * width_h + b)
-                out.append(row)
-        return out
+    def comp_table(tg, th):
+        nh = len(th)
+        return [{k * nh + m: a * nh + b for k, a in rg.items()
+                 for m, b in rh.items()} for rg in tg for rh in th]
 
     src1 = pair_tables(g.n_objects, h.n_objects, g.src1, h.src1)
     tgt1 = pair_tables(g.n_objects, h.n_objects, g.tgt1, h.tgt1)
@@ -368,10 +442,8 @@ def product_2gpd(g: TwoGroupoid, h: TwoGroupoid) -> TwoGroupoid:
         bp = g.basepoint * h.n_objects + h.basepoint
     return build_two_groupoid(
         g.n_objects * h.n_objects, src1, tgt1, id1,
-        comp_table(g.comp1, h.comp1, h.n1),
-        src2, tgt2, id2,
-        comp_table(g.vcomp, h.vcomp, h.n2),
-        comp_table(g.hcomp2, h.hcomp2, h.n2),
+        comp_table(g.comp1, h.comp1), src2, tgt2, id2,
+        comp_table(g.vcomp, h.vcomp), comp_table(g.hcomp2, h.hcomp2),
         basepoint=bp)
 
 
@@ -391,8 +463,7 @@ def xmod_to_2group(xm: CrossedModule) -> TwoGroupoid:
     tgt2 = tuple(g1.mul[f][phi.image[alpha]]
                  for f in range(n1) for alpha in range(n2loc))
     id2 = tuple(pack(f, g2.identity) for f in range(n1))
-    vcomp = [[-1] * n2 for _ in range(n2)]
-    hcomp = [[0] * n2 for _ in range(n2)]
+    vcomp, hcomp = [{} for _ in range(n2)], [{} for _ in range(n2)]
     for f in range(n1):
         for alpha in range(n2loc):
             a = pack(f, alpha)
@@ -415,7 +486,7 @@ def two_group_to_xmod(g: TwoGroupoid) -> CrossedModule:
     if g.n_objects != 1:
         raise NotATwoGroup(f"expected one object, found {g.n_objects}")
     e1 = g.id1[0]
-    g1 = make_group(g.comp1)
+    g1 = make_group([[row[h] for h in range(g.n1)] for row in g.comp1])
     if g1.identity != e1:
         raise NotATwoGroup("identity 1-cell is not the unit")
     tops = [a for a in range(g.n2) if g.src2[a] == e1]
@@ -472,27 +543,18 @@ def pi2_at(g: TwoGroupoid, obj: int) -> FiniteGroup:
 def fundamental_groupoid(g: TwoGroupoid) -> TwoGroupoid:
     """Collapse 2-cells: 1-cells become their 2-isomorphism classes."""
     reps, cls = _two_cell_classes(g, range(g.n1))
-    n1 = len(reps)
-    comp1 = [[-1] * n1 for _ in range(n1)]
-    for f in range(g.n1):
-        for h in range(g.n1):
-            if g.comp1[f][h] >= 0:
-                comp1[cls[f]][cls[h]] = cls[g.comp1[f][h]]
+    cells = range(len(reps))
+    comp1 = [{} for _ in cells]
+    for f, row in enumerate(g.comp1):
+        for h, fh in row.items():
+            comp1[cls[f]][cls[h]] = cls[fh]
     src1 = tuple(g.src1[r] for r in reps)
     tgt1 = tuple(g.tgt1[r] for r in reps)
     id1 = tuple(cls[g.id1[a]] for a in range(g.n_objects))
-    ident2 = list(range(n1))
-    vcomp = [[-1] * n1 for _ in range(n1)]
-    hcomp = [[-1] * n1 for _ in range(n1)]
-    for f in range(n1):
-        vcomp[f][f] = f
-        for h in range(n1):
-            if comp1[f][h] >= 0:
-                hcomp[f][h] = comp1[f][h]
+    # one identity 2-cell per 1-cell, composed horizontally as its 1-cell
     return build_two_groupoid(g.n_objects, src1, tgt1, id1, comp1,
-                              tuple(range(n1)), tuple(range(n1)),
-                              tuple(ident2), vcomp, hcomp,
-                              basepoint=g.basepoint)
+                              cells, cells, cells, [{f: f} for f in cells],
+                              comp1, basepoint=g.basepoint)
 
 
 # -- functors ----------------------------------------------------------------
@@ -514,47 +576,40 @@ class TwoFunctor:
 
 def _identity_eps(dom, cod, map1) -> tuple[tuple[int, ...], ...]:
     """eps[f][h]: the identity 2-cell on map1[f] map1[h] at each composable
-    pair (f, h) of dom, -1 elsewhere."""
-    return tuple(tuple(cod.id2[cod.comp1[map1[f]][map1[h]]] if fh >= 0
-                       else -1 for h, fh in enumerate(row))
+    pair (f, h) of dom, -1 elsewhere and where those two do not compose.
+    Coherence cells are dense: a functor's domain is small."""
+    def cell(f, h):
+        fh = cod.comp1[map1[f]].get(map1[h])
+        return -1 if fh is None else cod.id2[fh]
+
+    return tuple(tuple(cell(f, h) if h in row else -1 for h in range(dom.n1))
                  for f, row in enumerate(dom.comp1))
+
+
+# the weak-functor audit's names, for its reading of a strict functor
+_STRICT_NAMES = {"wf-1cell-endpoints": "functor-1cell-endpoints",
+                 "wf-id1": "functor-id1", "wf-eps-endpoints": "functor-comp1",
+                 "wf-2cell-endpoints": "functor-2cell-endpoints",
+                 "wf-id2": "functor-id2", "wf-vcomp": "functor-vcomp",
+                 "wf-naturality": "functor-hcomp"}
 
 
 def check_2functor(dom: TwoGroupoid, cod: TwoGroupoid,
                    obj_map, map1, map2, pointed: bool = False) -> TwoFunctor:
-    obj_map, map1, map2 = tuple(obj_map), tuple(map1), tuple(map2)
-    for f in range(dom.n1):
-        if cod.src1[map1[f]] != obj_map[dom.src1[f]] or \
-           cod.tgt1[map1[f]] != obj_map[dom.tgt1[f]]:
-            raise Violation("functor-1cell-endpoints", f)
-    for a in range(dom.n_objects):
-        if map1[dom.id1[a]] != cod.id1[obj_map[a]]:
-            raise Violation("functor-id1", a)
-    for f in range(dom.n1):
-        for h in range(dom.n1):
-            if dom.comp1[f][h] >= 0 and \
-               map1[dom.comp1[f][h]] != cod.comp1[map1[f]][map1[h]]:
-                raise Violation("functor-comp1", (f, h))
-    for a in range(dom.n2):
-        if cod.src2[map2[a]] != map1[dom.src2[a]] or \
-           cod.tgt2[map2[a]] != map1[dom.tgt2[a]]:
-            raise Violation("functor-2cell-endpoints", a)
-    for f in range(dom.n1):
-        if map2[dom.id2[f]] != cod.id2[map1[f]]:
-            raise Violation("functor-id2", f)
-    for a in range(dom.n2):
-        for b in range(dom.n2):
-            if dom.vcomp[a][b] >= 0 and \
-               map2[dom.vcomp[a][b]] != cod.vcomp[map2[a]][map2[b]]:
-                raise Violation("functor-vcomp", (a, b))
-            if dom.hcomp2[a][b] >= 0 and \
-               map2[dom.hcomp2[a][b]] != cod.hcomp2[map2[a]][map2[b]]:
-                raise Violation("functor-hcomp", (a, b))
-    if pointed:
-        check_pointed(dom, cod)
-        if obj_map[dom.basepoint] != cod.basepoint:
-            raise Violation("basepoint-not-preserved", dom.basepoint)
-    return TwoFunctor(dom=dom, cod=cod, obj_map=obj_map, map1=map1, map2=map2)
+    """The weak-functor audit with identity coherence cells.  Their
+    endpoints are the preservation of comp1, their naturality that of
+    hcomp2, and they are coherent once those hold; its violations are named
+    functor-* (functor-comp1 and functor-hcomp for those two)."""
+    from .weakmaps import check_weak_functor
+    map1 = tuple(map1)
+    try:
+        F = check_weak_functor(dom, cod, obj_map, map1, map2,
+                               _identity_eps(dom, cod, map1), pointed)
+    except Violation as exc:
+        raise Violation(_STRICT_NAMES.get(exc.axiom, exc.axiom),
+                        exc.witness) from None
+    return TwoFunctor(dom=dom, cod=cod, obj_map=F.obj_map, map1=map1,
+                      map2=F.map2)
 
 
 def identity_functor(g: TwoGroupoid) -> TwoFunctor:
@@ -567,13 +622,6 @@ def compose_2functors(f: TwoFunctor, g: TwoFunctor) -> TwoFunctor:
                           (g.obj_map[x] for x in f.obj_map),
                           (g.map1[x] for x in f.map1),
                           (g.map2[x] for x in f.map2))
-
-
-def _preserves(pairs, dtab, ctab, m):
-    """One search constraint per composable pair (a, b) of pairs: the map
-    m sends the composite dtab[a][b] to ctab[m[a]][m[b]]."""
-    return [((a, b, c), lambda a=a, b=b, c=c: m[c] == ctab[m[a]][m[b]])
-            for a, b in pairs if (c := dtab[a][b]) >= 0]
 
 
 def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
@@ -590,8 +638,7 @@ def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
     if pointed:
         check_pointed(dom, cod)
     by1, by2 = cod.between1, cod.between2
-    pairs = [(f, h) for f in range(dom.n1) for h in range(dom.n1)
-             if dom.comp1[f][h] >= 0]
+    pairs = [(f, h) for f, row in enumerate(dom.comp1) for h in sorted(row)]
     free_pairs = [(f, h) for (f, h) in pairs
                   if f not in dom.id1 and h not in dom.id1]
     free1 = [f for f in range(dom.n1) if f not in dom.id1]
@@ -620,7 +667,7 @@ def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
     cons_eps = [] if strict else [
         (((a, b), (dom.comp1[a][b], c), (b, c), (a, dom.comp1[b][c])),
          lambda a=a, b=b, c=c: coherent(a, b, c))
-        for a, b in pairs for c in range(dom.n1) if dom.comp1[b][c] >= 0]
+        for a, b in pairs for c in dom.comp1[b]]
 
     def natural(a, b):
         f0, h0 = dom.src2[a], dom.src2[b]
@@ -629,10 +676,11 @@ def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
         rhs = cod.vcomp[cod.hcomp2[map2[a]][map2[b]]][eps[f1, h1]]
         return lhs == rhs
 
-    pairs2 = list(itertools.product(range(dom.n2), repeat=2))
-    cons2 = _preserves(pairs2, dom.vcomp, cod.vcomp, map2) + [
-        ((a, b, dom.hcomp2[a][b]), lambda a=a, b=b: natural(a, b))
-        for a, b in pairs2 if dom.hcomp2[a][b] >= 0]
+    cons2 = [((a, b, ab), lambda a=a, b=b, ab=ab:
+               map2[ab] == cod.vcomp[map2[a]][map2[b]])
+              for a, row in enumerate(dom.vcomp) for b, ab in row.items()] + [
+        ((a, b, ab), lambda a=a, b=b: natural(a, b))
+        for a, row in enumerate(dom.hcomp2) for b, ab in row.items()]
 
     obj_opts = [list(range(cod.n_objects))] * dom.n_objects
     if pointed:
@@ -743,8 +791,8 @@ def vseq(g, *cells: int) -> int:
     """Vertical composite of a chain of 2-cells, left to right."""
     out = cells[0]
     for c in cells[1:]:
-        out = g.vcomp[out][c]
-        if out < 0:
+        out = g.vcomp[out].get(c)
+        if out is None:
             raise Violation("vseq-not-composable", cells)
     return out
 
@@ -793,11 +841,10 @@ class _TransformationSearch:
             cons.append((keys, functools.partial(natural, *keys, gamma),
                          gamma in ids2))
         for a, row in enumerate(dom.comp1):
-            for b, ab in enumerate(row):
-                if ab >= 0:
-                    keys = (dom.src1[a], dom.tgt1[b], no + a, no + b, no + ab)
-                    cons.append((keys, functools.partial(coherent, *keys, a, b),
-                                 a in ids or b in ids))
+            for b, ab in row.items():
+                keys = (dom.src1[a], dom.tgt1[b], no + a, no + b, no + ab)
+                cons.append((keys, functools.partial(coherent, *keys, a, b),
+                             a in ids or b in ids))
         self.every = [pred for _, pred, _ in cons]
         self.plan = Plan(range(no + dom.n1),
                          [(keys, pred) for keys, pred, true in cons if not true])
@@ -847,11 +894,14 @@ def enumerate_2transformations(P, Q, pointed: bool = False,
 def is_2transformation(P, Q, t, theta) -> bool:
     """Whether (t, theta) meets every condition of the transformation
     search, those its plan leaves out included, in order (not the ends of
-    its cells)."""
+    its cells; with wrong ends a composite is undefined, and the answer is
+    False)."""
     found = _transformation_search(P.dom, P.cod).load(P, Q)
     found.assign.update(enumerate(tuple(t) + tuple(theta)))
     try:
         return all(pred() for pred in found.every)
+    except (KeyError, Violation):
+        return False
     finally:
         found.assign.clear()
 
@@ -898,7 +948,10 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
     its stage set to the one reached.  A 1-cell is (i, j, t, theta), theta
     None when strict.  Each composite is formed only from cells that
     compose: 1-cells grouped by source functor, 2-cells by source 1-cell
-    and by its source functor.  Each table row is made once, as a tuple."""
+    and by its source functor.  Once every cell is listed, and before any
+    row is built, the defined entries are counted from those groups; more
+    than budget.cap raises SizeCapExceeded, as a coskeleton level over its
+    cap does, and costs no step.  Each row is made once, as a dict."""
     objs = range(D.n_objects)
     weak = not strict
     one_cells = []           # (dom functor idx, cod functor idx, t, theta)
@@ -910,13 +963,31 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
                                                        budget):
                 one_cells.append((i, j, t, theta if weak else None))
                 fillers.append(theta)
+    src1 = tuple(c[0] for c in one_cells)
+    tgt1 = tuple(c[1] for c in one_cells)
+    # 2-cells: modifications
+    between = _group(zip(src1, tgt1))
+    two_cells = []
+    budget.stage = "hom modifications"
+    for x, (i, j, t, _) in enumerate(one_cells):
+        for y in between[(i, j)]:
+            for mu in enumerate_2modifications(
+                    functors[i], functors[j], (t, fillers[x]),
+                    (one_cells[y][2], fillers[y]), pointed, budget):
+                two_cells.append((x, y, mu))
+    src2 = tuple(m[0] for m in two_cells)
+    tgt2 = tuple(m[1] for m in two_cells)
+    out_of, from_cell = _group(src1), _group(src2)
+    from_functor = _group(src1[x] for x in src2)
+    entries = (sum(len(out_of[j]) for j in tgt1) +
+               sum(len(from_cell[y]) for y in tgt2) +
+               sum(len(from_functor[tgt1[x]]) for x in src2))
+    if entries > budget.cap:
+        raise SizeCapExceeded(f"hom tables of {entries} entries exceed the "
+                              f"cap of {budget.cap}")
     # a 1-cell by its flat key (i, j, *t, *theta)
     cell_pos = {(c[0], c[1], *c[2], *(c[3] or ())): k
                 for k, c in enumerate(one_cells)}
-    n1 = len(one_cells)
-    src1 = tuple(c[0] for c in one_cells)
-    tgt1 = tuple(c[1] for c in one_cells)
-    out_of = _group(src1)
     id1 = []
     for i, P in enumerate(functors):
         t = tuple(C.id1[P.obj_map[A]] for A in objs)
@@ -939,33 +1010,16 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
                  for right, left, ab in zip(
                      [C.hcomp2[a] for a in theta or ()],
                      [C.hcomp2[C.id2[t[A]]] for A in D.src1], w_cols)]
-        row = [-1] * n1
-        for y, key in zip(ys, zip(itertools.repeat(i), ks, *cols)):
-            row[y] = cell_pos[key]
-        comp1.append(tuple(row))
-    # 2-cells: modifications
-    between = _group(zip(src1, tgt1))
-    two_cells = []
-    budget.stage = "hom modifications"
-    for x, (i, j, t, _) in enumerate(one_cells):
-        for y in between[(i, j)]:
-            for mu in enumerate_2modifications(
-                    functors[i], functors[j], (t, fillers[x]),
-                    (one_cells[y][2], fillers[y]), pointed, budget):
-                two_cells.append((x, y, mu))
+        comp1.append(dict(zip(ys, map(cell_pos.__getitem__, zip(
+            itertools.repeat(i), ks, *cols)))))
     mod_pos = {m: k for k, m in enumerate(two_cells)}
-    n2 = len(two_cells)
-    src2 = tuple(m[0] for m in two_cells)
-    tgt2 = tuple(m[1] for m in two_cells)
-    from_cell = _group(src2)
-    from_functor = _group(src1[x] for x in src2)
     id2 = []
     for x, (i, j, t, theta) in enumerate(one_cells):
         mu = tuple(C.id2[t[A]] for A in objs)
         id2.append(mod_pos[(x, x, mu)])
     vcomp, hcomp = [], []
     for x, y, mu in two_cells:
-        vrow, hrow = [-1] * n2, [-1] * n2
+        vrow, hrow = {}, {}
         vrows, hrows = [C.vcomp[m] for m in mu], [C.hcomp2[m] for m in mu]
         for q in from_cell[y]:
             _, z, nu = two_cells[q]
@@ -974,8 +1028,8 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
             u, v, nu = two_cells[q]
             hrow[q] = mod_pos[(comp1[x][u], comp1[y][v],
                                tuple(map(getitem, hrows, nu)))]
-        vcomp.append(tuple(vrow))
-        hcomp.append(tuple(hrow))
+        vcomp.append(vrow)
+        hcomp.append(hrow)
     bp = None
     if D.basepoint is not None and C.basepoint is not None:
         based = [i for i, P in enumerate(functors)

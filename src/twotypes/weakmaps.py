@@ -21,8 +21,9 @@ from .search import Budget, as_budget
 from .xmod import CrossedModule, Violation, check_pointed
 from .twogpd import (
     TwoFunctor, TwoGroupoid, _Cells, _assemble_hom, _check_1cells,
-    _check_horizontal, _check_interchange, _check_vertical, _derive_inverses,
-    _functor_tables, _identity_eps, build_two_groupoid,
+    _check_horizontal, _check_interchange, _check_vertical, _checked,
+    _derive_inverses, _dict_row, _functor_tables, _identity_eps,
+    build_two_groupoid,
     enumerate_2modifications, enumerate_2transformations, is_2transformation,
     vseq, xmod_to_2group,
 )
@@ -30,18 +31,22 @@ from .twogpd import (
 
 @dataclass(frozen=True)
 class WeakTwoGroupoid(_Cells):
+    """Tables as in twogpd.TwoGroupoid, rows of dicts from composable
+    partner to composite, and the associators: assoc[a] is a dict from each
+    b composable with a to a dict from each c composable with b to the
+    2-cell (ab)c => a(bc)."""
     n_objects: int
     src1: tuple[int, ...]
     tgt1: tuple[int, ...]
     id1: tuple[int, ...]
-    comp1: tuple[tuple[int, ...], ...]
+    comp1: tuple[dict[int, int], ...]
     src2: tuple[int, ...]
     tgt2: tuple[int, ...]
     id2: tuple[int, ...]
-    vcomp: tuple[tuple[int, ...], ...]
-    hcomp2: tuple[tuple[int, ...], ...]
+    vcomp: tuple[dict[int, int], ...]
+    hcomp2: tuple[dict[int, int], ...]
     vinv: tuple[int, ...]
-    assoc: tuple[tuple[tuple[int, ...], ...], ...]
+    assoc: tuple[dict[int, dict[int, int]], ...]
     basepoint: Optional[int] = None
 
     def __repr__(self) -> str:
@@ -49,13 +54,10 @@ class WeakTwoGroupoid(_Cells):
                 f"one_cells={self.n1}, two_cells={self.n2})")
 
 
-def _identity_assoc(n1, comp1, id2):
-    """assoc[a][b][c]: the identity on (ab)c at each composable triple,
-    -1 elsewhere."""
-    return tuple(tuple(tuple(
-        id2[comp1[ab][c]] if ab >= 0 and comp1[b][c] >= 0 else -1
-        for c in range(n1)) for b, ab in enumerate(comp1[a]))
-        for a in range(n1))
+def _identity_assoc(comp1, id2):
+    """assoc[a][b][c]: the identity on (ab)c at each composable triple."""
+    return tuple({b: {c: id2[comp1[ab][c]] for c in comp1[b]}
+                  for b, ab in row.items()} for row in comp1)
 
 
 def _coerce_weak(g) -> WeakTwoGroupoid:
@@ -66,7 +68,7 @@ def _coerce_weak(g) -> WeakTwoGroupoid:
         n_objects=g.n_objects, src1=g.src1, tgt1=g.tgt1, id1=g.id1,
         comp1=g.comp1, src2=g.src2, tgt2=g.tgt2, id2=g.id2,
         vcomp=g.vcomp, hcomp2=g.hcomp2, vinv=g.vinv,
-        assoc=_identity_assoc(g.n1, g.comp1, g.id2), basepoint=g.basepoint)
+        assoc=_identity_assoc(g.comp1, g.id2), basepoint=g.basepoint)
 
 
 def as_weak(g: TwoGroupoid) -> WeakTwoGroupoid:
@@ -77,8 +79,8 @@ def as_weak(g: TwoGroupoid) -> WeakTwoGroupoid:
 def _nonidentity_associator(w) -> Optional[tuple]:
     """The first (a, b, c) whose associator in w is not an identity."""
     return next(((a, b, c) for a, plane in enumerate(getattr(w, "assoc", ()))
-                 for b, row in enumerate(plane) for c, v in enumerate(row)
-                 if v >= 0 and v != w.id2[w.src2[v]]), None)
+                 for b, row in plane.items() for c, v in row.items()
+                 if v != w.id2[w.src2[v]]), None)
 
 
 def to_strict(w: WeakTwoGroupoid) -> TwoGroupoid:
@@ -91,21 +93,35 @@ def to_strict(w: WeakTwoGroupoid) -> TwoGroupoid:
         w.src2, w.tgt2, w.id2, w.vcomp, w.hcomp2, basepoint=w.basepoint)
 
 
+def _assoc_planes(assoc, n1, n2) -> tuple[dict, ...]:
+    """assoc as a dict per a from each b to a dict row, a dict plane kept
+    as given and a dense one without its -1 entries and empty rows; every
+    b and c in range(n1), every value in range(n2)."""
+    planes = tuple(p if isinstance(p, dict) else
+                   {b: r for b, r in enumerate(map(_dict_row, p)) if r}
+                   for p in assoc)
+    if len(planes) != n1:
+        raise Violation("assoc-length", len(planes))
+    for a, plane in enumerate(planes):
+        for b, row in plane.items():
+            bad = [c for c, v in row.items()
+                   if not (0 <= c < n1 and 0 <= v < n2)]
+            if bad or not 0 <= b < n1:
+                raise Violation("assoc-range", (a, b, min(bad, default=None)))
+    return planes
+
+
 def build_weak_2groupoid(n_objects, src1, tgt1, id1, comp1,
                          src2, tgt2, id2, vcomp, hcomp2, assoc,
                          basepoint=None) -> WeakTwoGroupoid:
-    src1, tgt1, id1 = tuple(src1), tuple(tgt1), tuple(id1)
-    comp1 = tuple(tuple(r) for r in comp1)
-    src2, tgt2, id2 = tuple(src2), tuple(tgt2), tuple(id2)
-    vcomp = tuple(tuple(r) for r in vcomp)
-    hcomp2 = tuple(tuple(r) for r in hcomp2)
-    assoc = tuple(tuple(tuple(r) for r in plane) for plane in assoc)
-    vinv = _derive_inverses(src2, tgt2, id2, vcomp)
-    w = WeakTwoGroupoid(n_objects=n_objects, src1=src1, tgt1=tgt1, id1=id1,
-                        comp1=comp1, src2=src2, tgt2=tgt2, id2=id2,
-                        vcomp=vcomp, hcomp2=hcomp2, vinv=vinv, assoc=assoc,
-                        basepoint=basepoint)
-    return check_weak_2groupoid(w)
+    """Check every index, as twogpd.build_two_groupoid does, then audit;
+    dict rows and planes are kept as given."""
+    t = _checked(n_objects, src1, tgt1, id1, comp1, src2, tgt2, id2, vcomp,
+                 hcomp2)
+    assoc = _assoc_planes(assoc, len(t["src1"]), len(t["src2"]))
+    vinv = _derive_inverses(t["src2"], t["tgt2"], t["id2"], t["vcomp"])
+    return check_weak_2groupoid(WeakTwoGroupoid(
+        vinv=vinv, assoc=assoc, basepoint=basepoint, **t))
 
 
 def check_weak_2groupoid(g: WeakTwoGroupoid) -> WeakTwoGroupoid:
@@ -119,23 +135,27 @@ def check_weak_2groupoid(g: WeakTwoGroupoid) -> WeakTwoGroupoid:
     beside = _check_horizontal(g)
     _check_interchange(g, right1, below, beside)
 
-    # associators: shape, A2, naturality, pentagon
-    for a in range(g.n1):
-        for b in range(g.n1):
-            for c in range(g.n1):
-                composable = g.comp1[a][b] >= 0 and g.comp1[b][c] >= 0
-                phi = g.assoc[a][b][c]
-                if (phi >= 0) != composable:
-                    raise Violation("assoc-domain", (a, b, c))
-                if not composable:
-                    continue
-                lhs = g.comp1[g.comp1[a][b]][c]
-                rhs = g.comp1[a][g.comp1[b][c]]
-                if g.src2[phi] != lhs or g.tgt2[phi] != rhs:
+    # associators: shape, A2, naturality, pentagon.  The first violation is
+    # that of a scan of all (a, b, c): at each b that composes with a or has
+    # associators at a, the endpoints and A2 at the c composable with b that
+    # come before the least c where those and the keys of assoc[a][b] differ
+    comp1, n1 = g.comp1, g.n1
+    for a, plane in enumerate(g.assoc):
+        for b in sorted({*plane, *right1[a]}):
+            row = plane.get(b, {})
+            cs = right1[b] if b in comp1[a] else []
+            bad = min(row.keys() ^ set(cs), default=n1)
+            for c in cs:
+                if c >= bad:
+                    break
+                phi, lhs = row[c], comp1[comp1[a][b]][c]
+                if g.src2[phi] != lhs or g.tgt2[phi] != comp1[a][comp1[b][c]]:
                     raise Violation("assoc-endpoints", (a, b, c))
                 if (a in g.id1 or b in g.id1 or c in g.id1) and \
                    phi != g.id2[lhs]:
                     raise Violation("A2", (a, b, c))
+            if bad < n1:
+                raise Violation("assoc-domain", (a, b, bad))
     for x in range(g.n2):
         for y in beside[x]:
             for z in beside[y]:
@@ -205,45 +225,34 @@ def check_weak_functor(dom, cod, obj_map, map1, map2, eps,
     for f in range(dom.n1):
         if map2[dom.id2[f]] != cod.id2[map1[f]]:
             raise Violation("wf-id2", f)
-    for a in range(dom.n2):
-        for b in range(dom.n2):
-            if dom.vcomp[a][b] >= 0 and \
-               map2[dom.vcomp[a][b]] != cod.vcomp[map2[a]][map2[b]]:
+    for a, row in enumerate(dom.vcomp):
+        for b, ab in row.items():
+            if map2[ab] != cod.vcomp[map2[a]][map2[b]]:
                 raise Violation("wf-vcomp", (a, b))
-    for f in range(dom.n1):
-        for h in range(dom.n1):
-            defined = eps[f][h] >= 0
-            if defined != (dom.comp1[f][h] >= 0):
+    for f, row in enumerate(dom.comp1):
+        for h, e in enumerate(eps[f]):
+            if (e >= 0) != (h in row):
                 raise Violation("wf-eps-domain", (f, h))
-            if not defined:
+            if e < 0:
                 continue
-            e = eps[f][h]
             if cod.src2[e] != cod.comp1[map1[f]][map1[h]] or \
-               cod.tgt2[e] != map1[dom.comp1[f][h]]:
+               cod.tgt2[e] != map1[row[h]]:
                 raise Violation("wf-eps-endpoints", (f, h))
             if (f in dom.id1 or h in dom.id1) and e != cod.id2[cod.src2[e]]:
                 raise Violation("wf-eps-identity", (f, h))
     # naturality: [eps_{f,h}][F(alpha . beta)] = [F(alpha) F(beta)][eps_{f',h'}]
-    for a in range(dom.n2):
-        for b in range(dom.n2):
-            if dom.hcomp2[a][b] < 0:
-                continue
+    for a, row in enumerate(dom.hcomp2):
+        for b, ab in row.items():
             f, h = dom.src2[a], dom.src2[b]
             fp, hp = dom.tgt2[a], dom.tgt2[b]
-            lhs = cod.vcomp[eps[f][h]][map2[dom.hcomp2[a][b]]]
+            lhs = cod.vcomp[eps[f][h]][map2[ab]]
             rhs = cod.vcomp[cod.hcomp2[map2[a]][map2[b]]][eps[fp][hp]]
             if lhs != rhs:
                 raise Violation("wf-naturality", (a, b))
     # coherence hexagon over composable triples
-    for a in range(dom.n1):
-        for b in range(dom.n1):
-            ab = dom.comp1[a][b]
-            if ab < 0:
-                continue
-            for c in range(dom.n1):
-                bc = dom.comp1[b][c]
-                if bc < 0:
-                    continue
+    for a, row in enumerate(dom.comp1):
+        for b, ab in row.items():
+            for c, bc in dom.comp1[b].items():
                 lhs = vseq(cod,
                            cod.whisker_right(eps[a][b], map1[c]),
                            eps[ab][c],

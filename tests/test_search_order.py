@@ -231,7 +231,7 @@ def old_weak_trans_ok(P, Q, t, theta):
             return False
     for a in range(dom.n1):
         for b in range(dom.n1):
-            ab = dom.comp1[a][b]
+            ab = dom.comp1[a].get(b, -1)
             if ab < 0:
                 continue
             paste = cod.vcomp[cod.whisker_left(P.map1[a], theta[b])][
@@ -252,7 +252,7 @@ def old_weak_trans_wf_ok(P, Q, t, theta):
             return False
     for a in range(dom.n1):
         for b in range(dom.n1):
-            ab = dom.comp1[a][b]
+            ab = dom.comp1[a].get(b, -1)
             if ab < 0:
                 continue
             A = dom.src1[a]
@@ -394,10 +394,11 @@ def test_hom_listers(d, c, D, C, variant, pointed):
 
 
 def _verdict(check, *args):
+    """check's answer, False where a composite it reads is missing."""
     try:
         return check(*args)
-    except Violation as exc:
-        return exc.axiom
+    except (KeyError, Violation):
+        return False
 
 
 @pytest.mark.parametrize("d, c, D, C", HOM_PAIRS,
@@ -427,7 +428,7 @@ def test_bridge_check(d, c, D, C):
 
 def old_preserves(pairs, dtab, ctab, m):
     return [((a, b, c), lambda a=a, b=b, c=c: m[c] == ctab[m[a]][m[b]])
-            for a, b in pairs if (c := dtab[a][b]) >= 0]
+            for a, b in pairs if (c := dtab[a].get(b, -1)) >= 0]
 
 
 def old_2functors(dom, cod, pointed=False, cap=10 ** 6):

@@ -45,7 +45,7 @@ def old_constraints(P, Q, assign):
         cons.append((keys, functools.partial(
             natural, *keys, hcomp[P.map2[gamma]], Q.map2[gamma])))
     for a, row in enumerate(dom.comp1):
-        for b, ab in enumerate(row):
+        for b, ab in row.items():
             if ab >= 0:
                 keys = (dom.src1[a], dom.tgt1[b], no + a, no + b, no + ab)
                 cons.append((keys, functools.partial(
@@ -110,10 +110,11 @@ def _check_three_ways(functors, pointed, strict):
 
 
 def _verdict(check, *args):
+    """check's answer, False where a composite it reads is missing."""
     try:
         return check(*args)
-    except Violation as exc:
-        return exc.axiom
+    except (KeyError, Violation):
+        return False
 
 
 def bg(n):

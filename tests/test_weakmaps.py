@@ -8,8 +8,8 @@ import pytest
 
 from conftest import build_corpus
 from test_twogpd import (
-    TABLE_FIELDS, _fake_inverses, _mutants, _outcome, _scan_derive_inverses,
-    _two_in_a_row, _with,
+    TABLE_FIELDS, _dict_rows, _fake_inverses, _frozen, _mutants, _outcome,
+    _scan_derive_inverses, _scan_ranges, _sparse, _two_in_a_row, _with,
 )
 
 from twotypes import simpset, weakmaps
@@ -402,6 +402,16 @@ class TestHomTower:
 # shared the partner lists of twogpd.check_two_groupoid: every index tuple is
 # visited and the non-composable ones are skipped.
 
+def _dense_vseq(g, *cells):
+    """vseq on dense tables, as the scan read them."""
+    out = cells[0]
+    for c in cells[1:]:
+        out = g.vcomp[out][c]
+        if out < 0:
+            raise Violation("vseq-not-composable", cells)
+    return out
+
+
 def _scan_check_weak_2groupoid(g: WeakTwoGroupoid) -> WeakTwoGroupoid:
     # 1-cell level: endpoints, strict units, no associativity requirement
     for a, f in enumerate(g.id1):
@@ -534,11 +544,11 @@ def _scan_check_weak_2groupoid(g: WeakTwoGroupoid) -> WeakTwoGroupoid:
                 for d in range(g.n1):
                     if g.comp1[c][d] < 0:
                         continue
-                    lhs = vseq(g,
+                    lhs = _dense_vseq(g,
                                g.whisker_right(g.assoc[a][b][c], d),
                                g.assoc[a][g.comp1[b][c]][d],
                                g.whisker_left(a, g.assoc[b][c][d]))
-                    rhs = vseq(g,
+                    rhs = _dense_vseq(g,
                                g.assoc[g.comp1[a][b]][c][d],
                                g.assoc[a][b][g.comp1[c][d]])
                     if lhs != rhs:
@@ -569,11 +579,20 @@ WEAK_FIELDS = TABLE_FIELDS + ("assoc",)
 
 
 def _scan_build_weak(t):
+    _scan_ranges(t)
+    n1, n2 = len(t["src1"]), len(t["src2"])
+    if len(t["assoc"]) != n1:
+        raise Violation("assoc-length", len(t["assoc"]))
+    for a, b, c in itertools.product(range(n1), repeat=3):
+        if not -1 <= t["assoc"][a][b][c] < n2:
+            raise Violation("assoc-range", (a, b, c))
     src2, tgt2, id2 = t["src2"], t["tgt2"], t["id2"]
     vinv = _scan_derive_inverses(
         len(src2), src2, tgt2, id2, t["vcomp"],
         lambda a: id2[src2[a]], lambda a: id2[tgt2[a]])
-    return _scan_check_weak_2groupoid(WeakTwoGroupoid(vinv=vinv, **t))
+    w = _sparse(_scan_check_weak_2groupoid(WeakTwoGroupoid(vinv=vinv, **t)))
+    return dataclasses.replace(w, assoc=tuple(
+        {b: r for b, r in enumerate(_dict_rows(p)) if r} for p in w.assoc))
 
 
 def _assoc_mutants(t):
@@ -585,6 +604,12 @@ def _assoc_mutants(t):
                 plane = _with({"p": t["assoc"][a]}, "p", b, c, w)["p"]
                 yield dict(t, assoc=t["assoc"][:a] + (plane,)
                            + t["assoc"][a + 1:])
+
+
+def _dense_assoc(w):
+    """w.assoc read back as an n1 x n1 x n1 table, -1 where undefined."""
+    return tuple(tuple(tuple(plane.get(b, {}).get(c, -1) for c in range(w.n1))
+                       for b in range(w.n1)) for plane in w.assoc)
 
 
 @functools.cache
@@ -606,7 +631,7 @@ def _weak_audit_tables():
         assoc=tuple(tuple(tuple(max(a, b, c) for c in (0, 1))
                           for b in (0, 1)) for a in (0, 1)),
         basepoint=None)
-    return [{f: getattr(w, f) for f in WEAK_FIELDS} for w in ws] + [monoid]
+    return [dict(_frozen(w), assoc=_dense_assoc(w)) for w in ws] + [monoid]
 
 
 class TestWeakAuditMatchesScan:
@@ -631,3 +656,44 @@ class TestWeakAuditMatchesScan:
         assert any(v >= 0 and v != t["id2"][t["src2"][v]]
                    for t in _weak_audit_tables()
                    for plane in t["assoc"] for row in plane for v in row)
+
+
+# -- interchange audited on whiskers ---------------------------------------------
+#
+# One object, 1-cells Z/2 = {0, h}, and the 2-cells (f, x) over each f, x in
+# Z/5 under addition.  With (f, x) o (g, y) = (f + g, x + s(y)), s a
+# bijection of Z/5 that fixes 0 but is not additive, used when f = h
+# (whiskering on the left by h) and the identity otherwise, every audit
+# before interchange passes and only whiskering on the left fails to
+# preserve vertical composites; s on the x when g = h fails only whiskering
+# on the right.  Identity associators; the weak audit runs interchange first.
+
+def _whiskered(side):
+    s = (0, 2, 1, 3, 4)
+    n = 10
+
+    def h(a, b):
+        (f, x), (g, y) = divmod(a, 5), divmod(b, 5)
+        if side == "left":
+            y = s[y] if f else y
+        else:
+            x = s[x] if g else x
+        return (f ^ g) * 5 + (x + y) % 5
+
+    vcomp = tuple(tuple((a // 5) * 5 + (a + b) % 5 if a // 5 == b // 5
+                        else -1 for b in range(n)) for a in range(n))
+    return dict(n_objects=1, src1=(0, 0), tgt1=(0, 0), id1=(0,),
+                comp1=((0, 1), (1, 0)), src2=(0,) * 5 + (1,) * 5,
+                tgt2=(0,) * 5 + (1,) * 5, id2=(0, 5), vcomp=vcomp,
+                hcomp2=tuple(tuple(h(a, b) for b in range(n))
+                             for a in range(n)),
+                assoc=(((0, 5), (5, 0)), ((5, 0), (0, 5))), basepoint=0)
+
+
+class TestInterchangeOnWhiskers:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_each_whiskering_is_needed(self, side):
+        t = _whiskered(side)
+        want = _outcome(_scan_build_weak, t)
+        assert want[0] == "interchange"
+        assert _outcome(lambda m: build_weak_2groupoid(**m), t) == want
