@@ -1,10 +1,12 @@
-"""Golden outputs of the search commands on every fixture pair.
+"""Golden outputs of every command on the fixtures.
 
 `enumerate-maps`, `hom` and `pi0hom` run over every ordered pair of
 fixtures of a matching kind, with and without `--pointed`, and
-`cohomology` over every ordered pair of `fixtures/*.group`.  The exit code
-and stdout of each must equal `cli_golden.json`.  To record that file
-again from the current source:
+`cohomology` over every ordered pair of `fixtures/*.group`.  `check` runs
+on every fixture, and `invariants`, `nerve`, `sset2`, `reconstruct` and
+`roundtrip` on every fixture of a kind they read.  The exit code and
+stdout of each must equal `cli_golden.json`.  To record that file again
+from the current source:
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
@@ -13,6 +15,8 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,6 +42,16 @@ def commands():
             yield (command, dom, cod, "--pointed")
     for gamma, coeff in itertools.product(GROUPS, repeat=2):
         yield ("cohomology", "--gamma", gamma, "--coeff", coeff)
+    for name in GROUPS + SSETS + TWO_GPDS:
+        yield ("check", name)
+    for name in TWO_GPDS:
+        yield ("invariants", name)
+        yield ("nerve", name)
+    for name in SSETS:
+        yield ("sset2", name)
+        yield ("reconstruct", name)
+    for name in TWO_GPDS + SSETS:
+        yield ("roundtrip", name)
 
 
 def run(cmd):
@@ -57,6 +71,25 @@ def golden():
 @pytest.mark.parametrize("cmd", list(commands()), ids=" ".join)
 def test_matches_golden(cmd, golden):
     assert run(cmd) == golden[" ".join(cmd)]
+
+
+# one command per input kind, each in a fresh interpreter, so that no
+# module is loaded before the command imports what it needs
+FRESH = (("check", "z2.group"), ("invariants", "z3.xmod"),
+         ("roundtrip", "bz2.2gpd"), ("reconstruct", "nz2.sset"))
+
+
+@pytest.mark.parametrize("cmd", FRESH, ids=" ".join)
+def test_fresh_interpreter_matches_golden(cmd, golden):
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    argv = [str(FIX / a) if (FIX / a).is_file() else a for a in cmd]
+    done = subprocess.run([sys.executable, "-m", "twotypes.cli", *argv],
+                          capture_output=True, encoding="utf-8", env=env,
+                          timeout=120)
+    assert [done.returncode, done.stdout] == golden[" ".join(cmd)]
+    assert "Traceback" not in done.stderr
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
