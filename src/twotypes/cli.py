@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation failure, 2 parse or usage error,
 3 search cap exceeded.  Reports are deterministic: the same inputs and
-flags always produce byte-identical output.
+flags always produce byte-identical output.  Each command imports the
+modules it runs, so that it loads only what its input kind needs.
 """
 
 from __future__ import annotations
@@ -10,15 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import cohom, nerve, reconstruct, weakmaps
 from .search import Budget, SizeCapExceeded, classes
-from .simpset import COSKELETON_CAP, in_sset2, simplicial_maps
 from .textio import (
     ParseError, ValidationError, Workspace, describe_group, parse_file,
 )
-from .twogpd import pi1_at, pi2_at, xmod_to_2group
 from .xmod import (
-    Violation, check_pointed, pi1 as xmod_pi1, pi2 as xmod_pi2,
+    ANotAbelian, FillingFailure, Violation, check_pointed, pi1 as xmod_pi1,
+    pi2 as xmod_pi2,
 )
 
 
@@ -44,7 +43,10 @@ def _subject(path: str, kinds) -> tuple:
 
 def _as_2gpd(path: str):
     kind, _, obj = _subject(path, ("2gpd", "xmod"))
-    return xmod_to_2group(obj) if kind == "xmod" else obj
+    if kind == "xmod":
+        from .twogpd import xmod_to_2group
+        return xmod_to_2group(obj)
+    return obj
 
 
 def _strategy(text: str) -> str:
@@ -75,6 +77,7 @@ def _natural(text: str) -> int:
 
 
 def _fillers(x, args):
+    from . import reconstruct
     strategy = args.strategy
     if args.seed is not None:
         strategy = f"seeded:{args.seed}"
@@ -94,6 +97,7 @@ def cmd_invariants(args) -> int:
     if kind == "xmod":
         p1, p2 = xmod_pi1(obj), xmod_pi2(obj)
     else:
+        from .twogpd import pi1_at, pi2_at
         check_pointed(obj)
         p1, p2 = pi1_at(obj, obj.basepoint), pi2_at(obj, obj.basepoint)
     print(f"pi1: {describe_group(p1)}; pi2: {describe_group(p2)}")
@@ -101,6 +105,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_nerve(args) -> int:
+    from . import nerve
     g = _as_2gpd(args.file)
     x = nerve.nerve(g, cap=args.cap)
     top = min(args.trunc, x.trunc) if args.trunc is not None else x.trunc
@@ -109,6 +114,7 @@ def cmd_nerve(args) -> int:
 
 
 def cmd_sset2(args) -> int:
+    from .simpset import in_sset2
     _, _, x = _subject(args.file, ("sset",))
     rep = in_sset2(x)
 
@@ -121,6 +127,7 @@ def cmd_sset2(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from . import reconstruct
     _, _, x = _subject(args.file, ("sset",))
     fillers = _fillers(x, args)
     g = reconstruct.reconstruct(x, fillers)
@@ -131,6 +138,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_enumerate_maps(args) -> int:
+    from .simpset import simplicial_maps
     _, _, x = _subject(args.dom, ("sset",))
     _, _, y = _subject(args.cod, ("sset",))
     maps = simplicial_maps(x, y, pointed=args.pointed, cap=args.cap)
@@ -139,6 +147,7 @@ def cmd_enumerate_maps(args) -> int:
 
 
 def cmd_hom(args) -> int:
+    from . import weakmaps
     d = _as_2gpd(args.dom)
     c = _as_2gpd(args.cod)
     h = weakmaps.hom_full(d, c, pointed_only=args.pointed, cap=args.cap)
@@ -147,6 +156,7 @@ def cmd_hom(args) -> int:
 
 
 def cmd_pi0hom(args) -> int:
+    from . import weakmaps
     _, _, h = _subject(args.dom, ("xmod",))
     _, _, g = _subject(args.cod, ("xmod",))
     budget = Budget(args.cap, "pi0hom weak maps")
@@ -161,6 +171,7 @@ def cmd_pi0hom(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    from . import cohom
     _, _, gamma = _subject(args.gamma, ("group",))
     _, _, a = _subject(args.coeff, ("group",))
     action = None
@@ -174,6 +185,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    from . import nerve, reconstruct
+    from .twogpd import xmod_to_2group
     kind, _, obj = _subject(args.file, ("2gpd", "xmod", "sset"))
     if kind == "sset":
         x = obj
@@ -210,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("nerve", cmd_nerve, help="simplex counts of the nerve")
     sp.add_argument("file")
     sp.add_argument("--trunc", type=_natural, default=None)
-    sp.add_argument("--cap", type=_natural, default=COSKELETON_CAP)
+    sp.add_argument("--cap", type=_natural, default=None)
 
     sp = add("sset2", cmd_sset2,
              help="test the Kan, coskeletal and minimality conditions")
@@ -227,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--strategy", type=_strategy, default="first")
         sp.add_argument("--seed", type=int, default=None)
         if name == "roundtrip":
-            sp.add_argument("--cap", type=_natural, default=COSKELETON_CAP)
+            sp.add_argument("--cap", type=_natural, default=None)
 
     sp = add("enumerate-maps", cmd_enumerate_maps,
              help="count simplicial maps between two complexes")
@@ -279,8 +292,7 @@ def main(argv=None) -> int:
         print(f"parse error: a directory, not a file: {exc.filename}",
               file=sys.stderr)
         return 2
-    except (ValidationError, Violation, reconstruct.FillingFailure,
-            cohom.ANotAbelian) as exc:
+    except (ValidationError, Violation, FillingFailure, ANotAbelian) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except SizeCapExceeded as exc:

@@ -37,13 +37,7 @@ from .fingroup import (
     trivial_action,
 )
 from .search import Budget, as_budget, classes, search
-from .xmod import CrossedModule, Violation, check_crossed_module
-
-
-class ANotAbelian(ValueError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"coefficient group is not abelian: {witness!r}")
+from .xmod import ANotAbelian, CrossedModule, Violation, check_crossed_module
 
 
 def _require_abelian(a: FiniteGroup) -> None:

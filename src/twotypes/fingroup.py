@@ -96,12 +96,15 @@ def check_group_axioms(mul: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ..
     n = len(mul)
     if n == 0:
         raise NotAGroup("empty table")
+    # shape and range in Python first: numpy cannot hold every int
+    for a, row in enumerate(mul):
+        if len(row) != n:
+            raise NotAGroup("table is not square", a)
+    for a, row in enumerate(mul):
+        if min(row) < 0 or max(row) >= n:
+            raise NotAGroup("entry out of range", (a, next(
+                b for b, v in enumerate(row) if not 0 <= v < n)))
     m = np.asarray(mul, dtype=np.int64)
-    if m.shape != (n, n):
-        raise NotAGroup(f"table is not square: shape {m.shape}")
-    if m.min() < 0 or m.max() >= n:
-        bad = np.argwhere((m < 0) | (m >= n))[0]
-        raise NotAGroup("entry out of range", (int(bad[0]), int(bad[1])))
 
     # associativity, vectorized: mul[mul[a,b],c] == mul[a,mul[b,c]]
     # chunk over a to bound memory for larger orders
@@ -222,6 +225,10 @@ def make_action(actor: FiniteGroup, space: FiniteGroup, act_table) -> GroupActio
     act = _as_table(act_table)
     if len(act) != space.order or any(len(row) != actor.order for row in act):
         raise NotAnAction("table dimensions do not match", (len(act),))
+    for alpha, row in enumerate(act):
+        for g, beta in enumerate(row):
+            if not 0 <= beta < space.order:
+                raise NotAnAction("entry out of range", (alpha, g))
     for alpha in range(space.order):
         if act[alpha][actor.identity] != alpha:
             raise NotAnAction("identity must act trivially", alpha)

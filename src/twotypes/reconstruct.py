@@ -20,14 +20,7 @@ from .simpset import (
 from .weakmaps import (
     WeakFunctor, WeakTwoGroupoid, build_weak_2groupoid, check_weak_functor,
 )
-from .xmod import Violation
-
-
-class FillingFailure(ValueError):
-    def __init__(self, reason: str, witness=None):
-        self.reason = reason
-        self.witness = witness
-        super().__init__(f"{reason}: {witness!r}")
+from .xmod import FillingFailure, Violation
 
 
 @dataclass(frozen=True)

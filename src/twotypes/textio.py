@@ -25,8 +25,6 @@ from .fingroup import (
     ImageNotNormal, NotAGroup, NotAHom, NotAnAction, make_action, make_group,
     make_hom,
 )
-from .simpset import make_sset
-from .twogpd import build_two_groupoid, dense_table
 from .xmod import Violation, check_crossed_module
 
 
@@ -208,6 +206,7 @@ def parse_text(text: str, ws: Workspace | None = None) -> Workspace:
                 id2 = vector("id2", n1)
                 vcomp = labeled_matrix("vcomp", n2, n2)
                 hcomp2 = labeled_matrix("hcomp2", n2, n2)
+                from .twogpd import build_two_groupoid
                 obj = build_two_groupoid(k, src1, tgt1, id1, comp1,
                                          src2, tgt2, id2, vcomp, hcomp2,
                                          basepoint=bp)
@@ -239,6 +238,7 @@ def parse_text(text: str, ws: Workspace | None = None) -> Workspace:
                         raise ParseError(l2, f"degens {n}")
                     degens.append(_matrix(cur, counts[n], n + 1,
                                           f"degens {n}"))
+                from .simpset import make_sset
                 obj = make_sset(t, counts, faces, degens, basepoint=bp)
             else:
                 raise ParseError(line, "block kind group|hom|action|xmod|"
@@ -292,6 +292,7 @@ def format_xmod(name: str, xm) -> str:
 
 
 def format_2gpd(name: str, g) -> str:
+    from .twogpd import dense_table
     head = (f"2gpd {name} objects {g.n_objects} "
             f"cells1 {g.n1} cells2 {g.n2}")
     if g.basepoint is not None:

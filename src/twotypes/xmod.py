@@ -32,6 +32,19 @@ class Violation(ValueError):
         self.witness = witness
 
 
+class FillingFailure(ValueError):
+    def __init__(self, reason: str, witness=None):
+        self.reason = reason
+        self.witness = witness
+        super().__init__(f"{reason}: {witness!r}")
+
+
+class ANotAbelian(ValueError):
+    def __init__(self, witness):
+        self.witness = witness
+        super().__init__(f"coefficient group is not abelian: {witness!r}")
+
+
 def check_pointed(*objects) -> None:
     """A pointed search or check needs a basepoint on every object."""
     if any(x.basepoint is None for x in objects):

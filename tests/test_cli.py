@@ -263,6 +263,25 @@ class TestExitCodes:
             capture_output=True, text=True, env=env, timeout=120)
         assert (done.returncode, done.stdout, done.stderr) == (1, "", want)
 
+    def test_group_entry_past_int64_is_1(self, capsys, tmp_path):
+        p = tmp_path / "big.group"
+        p.write_text("group z2 order 2\n0 99999999999999999999\n1 0\n")
+        assert run(capsys, "check", str(p)) == (
+            1, "", "validation error: z2: entry out of range (witness: "
+                   "(0, 1))\n")
+
+    def test_action_entry_out_of_range_is_1(self, capsys, tmp_path):
+        lines = (FIX / "z2.xmod").read_text().splitlines()
+        assert lines[11] == "0 0"
+        for entry in ("-2", "-1", "99999999999999999999"):
+            lines[11] = f"0 {entry}"
+            p = tmp_path / "bad.xmod"
+            p.write_text("\n".join(lines) + "\n")
+            for command in ("check", "invariants"):
+                assert run(capsys, command, str(p)) == (
+                    1, "", "validation error: z2_act: entry out of range "
+                           "(witness: (0, 1))\n")
+
     def test_cohomology_action_of_other_groups_is_1(self, capsys, tmp_path):
         # an action of Z/2 on Z/2, given with Gamma = A = Z/4
         p = tmp_path / "z2.action"

@@ -45,6 +45,21 @@ class TestMakeGroup:
         with pytest.raises(NotAGroup):
             make_group(bad)
 
+    def test_entry_past_int64_is_out_of_range(self):
+        with pytest.raises(NotAGroup, match="out of range") as err:
+            make_group([[0, 10 ** 20], [1, 0]])
+        assert err.value.witness == (0, 1)
+
+    def test_first_out_of_range_entry_in_row_major_order(self):
+        with pytest.raises(NotAGroup, match="out of range") as err:
+            check_group_axioms([[0, 1, 2], [1, 2, -1], [5, 0, 1]])
+        assert err.value.witness == (1, 2)
+
+    def test_ragged_table_is_not_square(self):
+        with pytest.raises(NotAGroup, match="not square") as err:
+            make_group([[0, 1], [1]])
+        assert err.value.witness == 1
+
     def test_rechecks_pass_on_standard_groups(self):
         for g in (trivial_group(), cyclic(5), klein_four(), symmetric3()):
             # re-validating the table of a constructed group must succeed
@@ -145,6 +160,13 @@ class TestActions:
         z2, z4 = cyclic(2), cyclic(4)
         with pytest.raises(NotAnAction):
             make_action(z2, z4, [[0, 0], [1, 2], [2, 1], [3, 3]])
+
+    @pytest.mark.parametrize("entry", [-1, -2, 4, 10 ** 20])
+    def test_entry_out_of_range(self, entry):
+        z2, z4 = cyclic(2), cyclic(4)
+        with pytest.raises(NotAnAction, match="out of range") as err:
+            make_action(z2, z4, [[0, 0], [1, 1], [2, entry], [3, 3]])
+        assert err.value.witness == (2, 1)
 
     def test_conjugation_action_on_s3(self):
         conjugation_action(symmetric3())
