@@ -100,7 +100,6 @@ def check_group_axioms(mul: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ..
     for a, row in enumerate(mul):
         if len(row) != n:
             raise NotAGroup("table is not square", a)
-    for a, row in enumerate(mul):
         if min(row) < 0 or max(row) >= n:
             raise NotAGroup("entry out of range", (a, next(
                 b for b, v in enumerate(row) if not 0 <= v < n)))
