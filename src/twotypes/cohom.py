@@ -21,19 +21,21 @@ and the number of cyclic factors of A, not on how Gamma is labelled.  See
 Holt, Eick and O'Brien, Handbook of Computational Group Theory, 7.6, and
 Cohen, A Course in Computational Algebraic Number Theory, 2.4.
 
-The 2-cocycle and crossed homomorphism searches remain for the coboundary
-map d: C^1 -> Z^2 as a homomorphism of pointwise groups, which assembles
-into a crossed module whose homotopy groups recover the cohomology;
-extension_xmod builds it.
+The same lattices give the coboundary map d: C^1 -> Z^2 as a homomorphism
+of sums of cyclic groups: Z^2 is the Hermite basis of the cocycles modulo
+the orders of C^2, put in cyclic coordinates by a Smith form.  It assembles
+into a crossed module whose pi1 is H^2 and whose pi2 is Z^1;
+extension_xmod builds it.  two_cocycles lists the 2-cocycles by a search
+over the entries of their tables; no other function here calls it.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .fingroup import (
-    FiniteGroup, GroupAction, generating_set, make_group, make_hom,
+    FiniteGroup, GroupAction, GroupHom, generating_set, make_group, make_hom,
     trivial_action,
 )
 from .search import Budget, as_budget, classes, search
@@ -82,72 +84,6 @@ def two_cocycles(gamma: FiniteGroup, a: FiniteGroup, action=None,
     return [tuple(tuple(f[x, y] for y in range(n)) for x in range(n))
             for _ in search(entries, lambda e: range(a.order), constraints,
                             f, budget)]
-
-
-def coboundary(gamma: FiniteGroup, a: FiniteGroup, theta,
-               action=None) -> tuple[tuple[int, ...], ...]:
-    """(d theta)(x, y) = theta(x)^y theta(y) theta(xy)^{-1}."""
-    action = _resolve_action(gamma, a, action)
-    n = gamma.order
-    return tuple(tuple(
-        a.mul[a.mul[action.act[theta[x]][y]][theta[y]]][
-            a.inv[theta[gamma.mul[x][y]]]]
-        for y in range(n)) for x in range(n))
-
-
-def crossed_homs(gamma: FiniteGroup, a: FiniteGroup, action=None,
-                 budget=None) -> list[tuple[int, ...]]:
-    """1-cocycles: theta with theta(xy) = theta(x)^y theta(y)."""
-    _require_abelian(a)
-    action = _resolve_action(gamma, a, action)
-    n = gamma.order
-    theta: dict[int, int] = {}
-    constraints = [((x, y, gamma.mul[x][y]), lambda x=x, y=y:
-                    theta[gamma.mul[x][y]]
-                    == a.mul[action.act[theta[x]][y]][theta[y]])
-                   for x, y in itertools.product(range(n), repeat=2)]
-    return [tuple(theta[x] for x in range(n))
-            for _ in search(range(n), lambda x: range(a.order), constraints,
-                            theta, budget)]
-
-
-def _flat(table) -> tuple[int, ...]:
-    return tuple(itertools.chain.from_iterable(table))
-
-
-def _times(a: FiniteGroup, u, v) -> tuple[int, ...]:
-    return tuple(a.mul[x][y] for x, y in zip(u, v))
-
-
-def _pointwise_group(flat, a: FiniteGroup) -> FiniteGroup:
-    """Group of flat A-valued tuples under pointwise multiplication, keyed
-    by the exact tuples.  The axioms are inherited entrywise from A, so the
-    full Cayley audit is skipped."""
-    pos = {e: i for i, e in enumerate(flat)}
-    return FiniteGroup(
-        order=len(flat),
-        mul=tuple(tuple(pos[_times(a, u, v)] for v in flat) for u in flat),
-        identity=pos[(a.identity,) * len(flat[0])],
-        inv=tuple(pos[tuple(a.inv[x] for x in u)] for u in flat))
-
-
-def coboundary_hom(gamma: FiniteGroup, a: FiniteGroup, action=None,
-                   cap: int | Budget = 10 ** 6):
-    """The homomorphism d: C^1 -> Z^2 between pointwise groups.  The list
-    of the 1-cochains and the cocycle search share one budget, one step per
-    cochain or search node."""
-    _require_abelian(a)
-    action = _resolve_action(gamma, a, action)
-    budget = as_budget(cap, "coboundary hom")
-    cochains = []
-    for theta in itertools.product(range(a.order), repeat=gamma.order):
-        budget.tick()
-        cochains.append(theta)
-    cocycles = [_flat(z) for z in two_cocycles(gamma, a, action, budget)]
-    zpos = {z: i for i, z in enumerate(cocycles)}
-    values = [zpos[_flat(coboundary(gamma, a, t, action))] for t in cochains]
-    return make_hom(_pointwise_group(cochains, a),
-                    _pointwise_group(cocycles, a), values)
 
 
 # -- H^1 and H^2 by integer linear algebra ----------------------------------
@@ -222,14 +158,26 @@ def _smith(rows, ncols: int, mod: int, cols=None) -> list[int]:
     return out
 
 
+def _presentation(rels, k: int, mod: int):
+    """(orders, to): Z^k modulo the lattice spanned by rels and mod Z^k is
+    the sum of the Z/f for f in orders (each > 1), and to(w) is the
+    coordinate tuple of the class of w.  A Smith form of rels, with its
+    column transform V, gives the orders, and to sends w to w V."""
+    v = [[int(i == j) for j in range(k)] for i in range(k)]
+    diag = _smith(rels, k, mod, v)
+    keep = [(t, diag[t]) for t in range(k) if diag[t] > 1]
+    return [f for _, f in keep], lambda w: tuple(
+        sum(c * v[j][t] for j, c in enumerate(w)) % f for t, f in keep)
+
+
 def _cyclic_decomposition(a: FiniteGroup):
     """(orders, coords): A is the sum of the Z/d for d in orders (each > 1),
     and coords[x] is the coordinate tuple of the element x.
 
     The generators of fingroup.generating_set map Z^k onto A; the relations
     of a spanning tree of the Cayley graph (one per edge off the tree) span
-    the kernel, and a Smith form of them, with its column transform V, sends
-    the word w of x to the coordinates w V."""
+    the kernel, and their presentation sends the word of x to its
+    coordinates."""
     gens = generating_set(a)
     k = len(gens)
     word = {a.identity: (0,) * k}
@@ -244,12 +192,8 @@ def _cyclic_decomposition(a: FiniteGroup):
             else:
                 word[y] = w
                 queue.append(y)
-    v = [[int(i == j) for j in range(k)] for i in range(k)]
-    diag = _smith(rels, k, a.order, v)
-    keep = [t for t in range(k) if diag[t] > 1]
-    coords = [tuple(sum(c * v[j][t] for j, c in enumerate(word[x])) % diag[t]
-                    for t in keep) for x in range(a.order)]
-    return [diag[t] for t in keep], coords
+    orders, to = _presentation(rels, k, a.order)
+    return orders, [to(word[x]) for x in range(a.order)]
 
 
 def _coboundary_rows(gamma: FiniteGroup, mats, orders, n: int):
@@ -353,22 +297,34 @@ def _coordinates(basis, b) -> list[int]:
     return out
 
 
-def _abelian_group(orders) -> FiniteGroup:
-    """The sum of the Z/f for f in orders, in mixed radix."""
-    elems = list(itertools.product(*(range(f) for f in orders)))
-    pos = {x: i for i, x in enumerate(elems)}
-    return make_group([[pos[tuple((u + v) % f for u, v, f
-                                  in zip(x, y, orders))] for y in elems]
-                       for x in elems])
+def _diagonal(moduli) -> list[list[int]]:
+    """The generators d e_i of the lattice of the d in moduli."""
+    return [[d * (i == j) for j in range(len(moduli))]
+            for i, d in enumerate(moduli)]
 
 
-def _cohomology(gamma: FiniteGroup, a: FiniteGroup, action, n: int,
-                cap: int | Budget) -> FiniteGroup:
-    """ker dn / im d(n-1), n = 1 or 2; one budget step per entry of each
-    matrix, counted before it is built."""
+def _sum_group(orders) -> FiniteGroup:
+    """The sum of the Z/f for f in orders, its elements numbered in mixed
+    radix with the first coordinate slowest.  The group axioms hold in each
+    Z/f, so the table gets no Cayley audit."""
+    mul = ((0,),)
+    for f in reversed(orders):
+        n = len(mul)
+        mul = tuple(tuple(b + v for b in [(c + d) % f * n for d in range(f)]
+                          for v in row) for c in range(f) for row in mul)
+    return FiniteGroup(order=len(mul), mul=mul, identity=0,
+                       inv=tuple(row.index(0) for row in mul))
+
+
+def _cocycle_lattice(gamma: FiniteGroup, a: FiniteGroup, action, n: int,
+                     budget: Budget):
+    """(orders, images, cocycles) for C^n, the vectors of Z^width modulo
+    the orders of the cyclic factors of A, repeated for each cell of
+    Gamma^n: images[j] is d(n-1) of the j-th coordinate of C^(n-1), and
+    cocycles is the Hermite basis of the preimage of ker dn in Z^width.
+    One budget step per entry of each matrix, counted before it is built."""
     _require_abelian(a)
     action = _resolve_action(gamma, a, action)
-    budget = as_budget(cap, "cohomology")
     orders, coords = _cyclic_decomposition(a)
     r, size = len(orders), gamma.order
     e = lcm(*orders)
@@ -383,15 +339,22 @@ def _cohomology(gamma: FiniteGroup, a: FiniteGroup, action, n: int,
     upper = _coboundary_rows(gamma, mats, orders, n)
     cocycles = _hermite(_cut(upper, orders * size ** (n + 1), width, e),
                         width, e)
-    moduli = orders * size ** n
-    bounds = [[0] * width for _ in range(size ** (n - 1) * r)]
+    images = [[0] * width for _ in range(size ** (n - 1) * r)]
     for i, row in enumerate(lower):
         for j, c in row.items():
-            bounds[j][i] = c
-    bounds += [[d * (i == j) for j in range(width)]
-               for i, d in enumerate(moduli)]
-    return _abelian_group(sorted(f for f in _smith(
-        (_coordinates(cocycles, b) for b in bounds), width, e) if f > 1))
+            images[j][i] = c
+    return orders, images, cocycles
+
+
+def _cohomology(gamma: FiniteGroup, a: FiniteGroup, action, n: int,
+                cap: int | Budget) -> FiniteGroup:
+    """ker dn / im d(n-1), n = 1 or 2."""
+    orders, images, cocycles = _cocycle_lattice(
+        gamma, a, action, n, as_budget(cap, "cohomology"))
+    bounds = images + _diagonal(orders * gamma.order ** n)
+    return make_group(_sum_group(sorted(f for f in _smith(
+        (_coordinates(cocycles, b) for b in bounds), len(cocycles),
+        lcm(*orders)) if f > 1)).mul)
 
 
 def h1(gamma: FiniteGroup, a: FiniteGroup, action=None,
@@ -406,14 +369,47 @@ def h2(gamma: FiniteGroup, a: FiniteGroup, action=None,
     return _cohomology(gamma, a, action, 2, cap)
 
 
+def coboundary_hom(gamma: FiniteGroup, a: FiniteGroup, action=None,
+                   cap: int | Budget = 10 ** 6) -> GroupHom:
+    """The homomorphism d: C^1 -> Z^2, both groups in cyclic coordinates:
+    C^1 is the sum of the cyclic factors of A, one copy per element of
+    Gamma, and Z^2 comes from the presentation of the cocycle lattice
+    modulo the orders of C^2.  One budget step per entry of d1 and d2, as
+    h2 counts them, then one per element of C^1 and of Z^2, all counted
+    before a table is built."""
+    budget = as_budget(cap, "coboundary hom")
+    orders, images, cocycles = _cocycle_lattice(gamma, a, action, 2, budget)
+    zorders, to = _presentation(
+        (_coordinates(cocycles, b) for b in _diagonal(
+            orders * gamma.order ** 2)), len(cocycles), lcm(*orders))
+    corders = orders * gamma.order
+    budget.tick(prod(corders) + prod(zorders))
+    dom, cod = _sum_group(corders), _sum_group(zorders)
+
+    def index(coords) -> int:
+        i = 0
+        for c, f in zip(coords, zorders):
+            i = i * f + c % f
+        return i
+
+    # d is additive, so its values fill in mixed radix from the last
+    # coordinate of C^1, each taking the multiples of its image in Z^2
+    values = [0]
+    for d, image in zip(reversed(corders), reversed(images)):
+        z = to(_coordinates(cocycles, image))
+        values = [cod.mul[index([k * c for c in z])][v]
+                  for k in range(d) for v in values]
+    return make_hom(dom, cod, values)
+
+
 def extension_xmod(gamma: FiniteGroup, a: FiniteGroup, action=None,
                    cap: int | Budget = 10 ** 6) -> CrossedModule:
     """The crossed module d: C^1 -> Z^2 with trivial Z^2-action; its pi1 is
-    H2 and, for the trivial coefficient action, its pi2 is H1.  The cap
-    bounds the cochain list and the cocycle search of coboundary_hom."""
+    H2 and its pi2 is Z^1, the crossed homomorphisms, which is H1 for the
+    trivial coefficient action.  The cap is that of coboundary_hom."""
     hom = coboundary_hom(gamma, a, action, cap)
     # the trivial action needs no axiom audit; building it directly avoids
-    # the O(|Z^2|^2 |C^1|) action check on these large pointwise groups
+    # the O(|Z^2|^2 |C^1|) action check
     triv = GroupAction(actor=hom.cod, space=hom.dom,
                        act=tuple(tuple([b] * hom.cod.order)
                                  for b in range(hom.dom.order)))

@@ -74,8 +74,7 @@ class FiniteGroup:
         return range(self.order)
 
     def is_abelian(self) -> bool:
-        m = np.asarray(self.mul)
-        return bool(np.array_equal(m, m.T))
+        return self.mul == tuple(zip(*self.mul))
 
     def element_order(self, a: int) -> int:
         k, x = 1, a

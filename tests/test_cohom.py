@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from twotypes import cohom, fingroup
 from twotypes.cohom import (
-    ANotAbelian, _flat, _pointwise_group, _times, coboundary, coboundary_hom,
-    crossed_homs, extension_xmod, h1, h2, two_cocycles,
-    weakmap_class_count_vs_h2,
+    ANotAbelian, _require_abelian, _resolve_action, coboundary_hom,
+    extension_xmod, h1, h2, two_cocycles, weakmap_class_count_vs_h2,
 )
 from twotypes.fingroup import (
     cyclic, direct_product, find_isomorphism, inversion_action_z2_on,
@@ -19,7 +18,7 @@ from twotypes.fingroup import (
     make_action, make_group, make_hom, symmetric3, trivial_action,
     trivial_group,
 )
-from twotypes.search import Budget, SizeCapExceeded
+from twotypes.search import Budget, SizeCapExceeded, search
 from twotypes.xmod import pi1, pi2
 
 
@@ -68,6 +67,41 @@ class TestCocycles:
         prod = tuple(tuple(a.mul[f[x][y]][d[x][y]] for y in range(2))
                      for x in range(2))
         assert prod in zs
+
+
+# -- oracles: cochains listed as tables and flat tuples of A ----------------
+
+def coboundary(gamma, a, theta, action=None):
+    """(d theta)(x, y) = theta(x)^y theta(y) theta(xy)^{-1}."""
+    action = _resolve_action(gamma, a, action)
+    n = gamma.order
+    return tuple(tuple(
+        a.mul[a.mul[action.act[theta[x]][y]][theta[y]]][
+            a.inv[theta[gamma.mul[x][y]]]]
+        for y in range(n)) for x in range(n))
+
+
+def crossed_homs(gamma, a, action=None):
+    """1-cocycles: theta with theta(xy) = theta(x)^y theta(y)."""
+    _require_abelian(a)
+    action = _resolve_action(gamma, a, action)
+    n = gamma.order
+    theta = {}
+    constraints = [((x, y, gamma.mul[x][y]), lambda x=x, y=y:
+                    theta[gamma.mul[x][y]]
+                    == a.mul[action.act[theta[x]][y]][theta[y]])
+                   for x, y in itertools.product(range(n), repeat=2)]
+    return [tuple(theta[x] for x in range(n))
+            for _ in search(range(n), lambda x: range(a.order), constraints,
+                            theta)]
+
+
+def _flat(table):
+    return tuple(itertools.chain.from_iterable(table))
+
+
+def _times(a, u, v):
+    return tuple(a.mul[x][y] for x, y in zip(u, v))
 
 
 def _quotient(a, cocycles, bounds):
@@ -228,11 +262,10 @@ class TestCohomologyGroups:
         def boom(*args, **kwargs):
             raise AssertionError("called")
 
-        for module, name in ((cohom, "_pointwise_group"), (cohom, "make_hom"),
+        for module, name in ((cohom, "coboundary_hom"), (cohom, "make_hom"),
                              (fingroup, "make_hom"),
                              (fingroup, "cokernel_of_image"),
-                             (cohom, "two_cocycles"), (cohom, "crossed_homs"),
-                             (cohom, "search")):
+                             (cohom, "two_cocycles"), (cohom, "search")):
             monkeypatch.setattr(module, name, boom)
         assert h1(symmetric3(), cyclic(2)).order == 2
         assert h2(klein_four(), cyclic(2)).order == 8
@@ -267,7 +300,7 @@ class TestCohomologyGroups:
     @pytest.mark.parametrize("fn", [coboundary_hom, extension_xmod])
     def test_cochain_list_and_cocycle_search_share_a_cap(self, fn):
         with pytest.raises(SizeCapExceeded):
-            fn(cyclic(2), cyclic(2), cap=3)     # 4 cochains
+            fn(cyclic(2), cyclic(2), cap=3)     # d1 has 8 entries
         budget = Budget(10 ** 6, "coboundary hom")
         fn(cyclic(2), cyclic(2), cap=budget)
         assert budget.steps > 4
@@ -275,11 +308,17 @@ class TestCohomologyGroups:
         with pytest.raises(SizeCapExceeded):
             fn(cyclic(2), cyclic(2), cap=budget.steps - 1)
 
-    def test_pointwise_group_keys_are_exact(self):
-        # 4^35 > 2^63: no int64 code can index these tables
-        g = _pointwise_group([(0,) * 36, (2,) * 36], cyclic(4))
-        assert g.order == 2
-        assert g.mul == ((0, 1), (1, 0))
+    def test_cap_counts_every_element_before_a_table(self, monkeypatch):
+        # V4 on V4: 256 entries of d1, 4 096 of d2, |C^1| = 256 and
+        # |Z^2| = 1 024, so 5 632 steps, all before the first table
+        def boom(*args, **kwargs):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(cohom, "_sum_group", boom)
+        with pytest.raises(SizeCapExceeded):
+            extension_xmod(klein_four(), klein_four(), cap=5632 - 1)
+        with pytest.raises(AssertionError, match="table built"):
+            extension_xmod(klein_four(), klein_four(), cap=5632)
 
     @pytest.mark.parametrize("gamma,a,action", ORACLE_CASES)
     def test_matches_coset_oracle(self, gamma, a, action):
@@ -304,6 +343,18 @@ class TestExtensionXmod:
             e = extension_xmod(gamma, a)
             assert find_isomorphism(pi1(e), h2(gamma, a)) is not None
             assert find_isomorphism(pi2(e), h1(gamma, a)) is not None
+
+    @pytest.mark.parametrize("action", [
+        inversion_action_z2_on(cyclic(3)), inversion_action_z2_on(cyclic(4)),
+        _sign_action(cyclic(3))], ids=["z2-inv/z3", "z2-inv/z4",
+                                       "s3-sign/z3"])
+    def test_invariants_with_an_action(self, action):
+        # pi2 is Z^1, not H^1: for S3 on Z/3 by its sign |Z^1| = 9 and
+        # |H^1| = 3
+        gamma, a = action.actor, action.space
+        e = extension_xmod(gamma, a, action)
+        assert find_isomorphism(pi1(e), h2(gamma, a, action)) is not None
+        assert pi2(e).order == len(crossed_homs(gamma, a, action))
 
     def test_trivial_group_cases(self):
         t = trivial_group()

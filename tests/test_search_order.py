@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from conftest import build_corpus
+from test_cohom import crossed_homs
 from twotypes.cli import _as_2gpd, _subject
-from twotypes.cohom import crossed_homs, two_cocycles
+from twotypes.cohom import two_cocycles
 from twotypes.fingroup import (
     NotAHom, cyclic, inversion_action_z2_on, klein_four, make_group,
     make_hom, trivial_action,
