@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import weakref
 
-from .fingroup import make_group, make_hom
+from .fingroup import make_hom
 from .simpset import (
     COSKELETON_CAP, SimplicialMap, TruncatedSimplicialSet,
-    check_simplicial_map, coskeleton, extend_to_level4, make_sset, over_cap,
+    check_simplicial_map, coskeleton, extend_to_level4, level_by_boundary,
+    make_sset, over_cap,
 )
-from .twogpd import TwoFunctor, TwoGroupoid, _loop_classes, pi0
+from .twogpd import (
+    TwoFunctor, TwoGroupoid, _loop_classes, pi0, pi1_at, pi2_at,
+)
 from .weakmaps import (
     WeakFunctor, WeakTwoGroupoid, _coerce_weak, check_weak_functor,
     weak_functor_from_strict,
@@ -127,9 +130,7 @@ def nerve_of_weak_functor(F: WeakFunctor) -> SimplicialMap:
     lvl2 = [pos2c[(F.map1[f], F.map1[h],
                    C.vcomp[F.eps[f][h]][F.map2[a]])]
             for (f, h, a) in tris]
-    pos3c = {nc.faces[3][z]: z for z in range(nc.counts[3])}
-    lvl3 = [pos3c[tuple(lvl2[v] for v in nd.faces[3][z])]
-            for z in range(nd.counts[3])]
+    lvl3 = level_by_boundary(nc, 3, lvl2, nd.faces[3])
     return check_simplicial_map(nd, nc, [lvl0, lvl1, lvl2, lvl3])
 
 
@@ -172,26 +173,15 @@ def induced_pi(F) -> tuple:
     pi0_map = tuple(comp_of_c[F.obj_map[comp[0]]] for comp in comps_d)
 
     bd, bc = D.basepoint, C.basepoint
-    reps_d, cls_d = _loop_classes(D, bd)
-    reps_c, cls_c = _loop_classes(C, bc)
-    g1d = make_group([[cls_d[D.comp1[a][b]] for b in reps_d]
-                      for a in reps_d])
-    g1c = make_group([[cls_c[C.comp1[a][b]] for b in reps_c]
-                      for a in reps_c])
-    pi1_hom = make_hom(g1d, g1c, [cls_c[F.map1[r]] for r in reps_d])
-
+    reps_d = _loop_classes(D, bd)[0]
+    cls_c = _loop_classes(C, bc)[1]
+    pi1_hom = make_hom(pi1_at(D, bd), pi1_at(C, bc),
+                       [cls_c[F.map1[r]] for r in reps_d])
     ed, ec = D.id1[bd], C.id1[bc]
-    cells_d = [a for a in range(D.n2)
-               if D.src2[a] == ed and D.tgt2[a] == ed]
-    cells_c = [a for a in range(C.n2)
-               if C.src2[a] == ec and C.tgt2[a] == ec]
-    pos_d = {a: i for i, a in enumerate(cells_d)}
-    pos_c = {a: i for i, a in enumerate(cells_c)}
-    g2d = make_group([[pos_d[D.vcomp[a][b]] for b in cells_d]
-                      for a in cells_d])
-    g2c = make_group([[pos_c[C.vcomp[a][b]] for b in cells_c]
-                      for a in cells_c])
-    pi2_hom = make_hom(g2d, g2c, [pos_c[F.map2[a]] for a in cells_d])
+    pos_c = {a: i for i, a in enumerate(C.between2.get((ec, ec), []))}
+    loops_d = D.between2.get((ed, ed), [])
+    pi2_hom = make_hom(pi2_at(D, bd), pi2_at(C, bc),
+                       [pos_c[F.map2[a]] for a in loops_d])
     return pi0_map, pi1_hom, pi2_hom
 
 

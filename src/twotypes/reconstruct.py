@@ -6,16 +6,25 @@ Objects and 1-cells are the 0- and 1-simplices.  A 2-cell f => g is a
 composite is produced by filling inner 3-horns, which 2-minimality makes
 unique; a chosen family of filler 2-simplices I_{f,g} fixes the composition
 law, and different choices differ by associators.
+
+`_Reading` reads a complex with its fillers once: the horn tables, the
+identity edges, the 2-cells, and the weak 2-groupoid they determine.
+`reconstruct`, the pentagon check, the functor transport and the round
+trip all read through it.  A complex without the levels a reading needs
+(2 for fillers, 3 for horns, 4 for the pentagon) raises `FillingFailure`
+naming the missing level.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .simpset import (
     JoinLevel, SimplicialMap, TruncatedSimplicialSet, check_simplicial_map,
+    level_by_boundary,
 )
 from .weakmaps import (
     WeakFunctor, WeakTwoGroupoid, build_weak_2groupoid, check_weak_functor,
@@ -27,6 +36,11 @@ from .xmod import FillingFailure, Violation
 class FillerChoice:
     strategy: str
     pairs: dict  # (f, g) composable edge pair -> 2-simplex index
+
+
+def _need_level(x: TruncatedSimplicialSet, n: int) -> None:
+    if x.trunc < n:
+        raise FillingFailure("missing-level", n)
 
 
 def _identity_edges(x: TruncatedSimplicialSet) -> tuple[int, ...]:
@@ -44,6 +58,7 @@ def choose_fillers(x: TruncatedSimplicialSet,
         rng = random.Random(int(strategy.split(":", 1)[1]))
     elif strategy != "first":
         raise ValueError(f"unknown strategy {strategy!r}")
+    _need_level(x, 2)
     ids = set(_identity_edges(x))
     by_pair: dict[tuple[int, int], list[int]] = {}
     for z in range(x.counts[2]):
@@ -83,95 +98,93 @@ def _unique_horn_tables(x: TruncatedSimplicialSet):
     return tables
 
 
+class _Reading:
+    """x read with a filler choice (chosen "first" when None).  The 2-cells
+    are the 2-simplices whose d0 is an identity edge, ascending, and pos
+    is their position.  The horn tables and the weak 2-groupoid are built
+    on first use."""
+
+    def __init__(self, x: TruncatedSimplicialSet,
+                 fillers: Optional[FillerChoice] = None):
+        _need_level(x, 3)
+        self.x = x
+        self.I = (choose_fillers(x) if fillers is None else fillers).pairs
+        self.ids = _identity_edges(x)
+        ids = set(self.ids)
+        self.cells = [u for u in range(x.counts[2])
+                      if x.faces[2][u][0] in ids]
+        self.pos = {u: i for i, u in enumerate(self.cells)}
+
+    @functools.cached_property
+    def tables(self) -> list:
+        return _unique_horn_tables(self.x)
+
+    def fill(self, k: int, *faces: int) -> int:
+        """The 3-simplex with these faces, all but d_k."""
+        z = self.tables[k].get(faces)
+        if z is None:
+            raise FillingFailure(f"missing-horn-{k}", faces)
+        return z
+
+    def right(self, u: int) -> int:
+        """The 2-cell comp1(d2 u, d0 u) => d1 u carried by a 2-simplex."""
+        x = self.x
+        f, g = x.faces[2][u][2], x.faces[2][u][0]
+        return x.faces[3][self.fill(1, x.degens[1][g][1], u,
+                                    self.I[(f, g)])][1]
+
+    @functools.cached_property
+    def gpd(self) -> WeakTwoGroupoid:
+        x, I, pos, cells = self.x, self.I, self.pos, self.cells
+        fill, right = self.fill, self.right
+        n1 = x.counts[1]
+        src1 = tuple(x.faces[1][f][1] for f in range(n1))
+        tgt1 = tuple(x.faces[1][f][0] for f in range(n1))
+        comp1 = [{} for _ in range(n1)]
+        for (f, g), u in sorted(I.items()):
+            comp1[f][g] = x.faces[2][u][1]
+        src2 = tuple(x.faces[2][u][2] for u in cells)
+        tgt2 = tuple(x.faces[2][u][1] for u in cells)
+        id2 = tuple(pos[x.degens[1][f][1]] for f in range(n1))
+
+        vcomp = [{} for _ in cells]
+        for i, u in enumerate(cells):
+            e = x.faces[2][u][0]           # identity edge at the target object
+            for j, v in enumerate(cells):
+                if tgt2[i] == src2[j]:
+                    z = fill(2, x.degens[1][e][0], v, u)
+                    vcomp[i][j] = pos[x.faces[3][z][2]]
+
+        hcomp2 = [{} for _ in cells]
+        for i, u in enumerate(cells):
+            f, fp = src2[i], tgt2[i]
+            for j, v in enumerate(cells):
+                h, hp = src2[j], tgt2[j]
+                if tgt1[f] != src1[h]:
+                    continue
+                # u whiskered by h on the right, then fp by v on the left
+                z = fill(2, x.degens[1][h][0], I[(fp, h)], u)
+                a = right(x.faces[3][z][2])
+                b = x.faces[3][fill(1, v, I[(fp, hp)], I[(fp, h)])][1]
+                hcomp2[i][j] = vcomp[pos[a]][pos[b]]
+
+        assoc = [{g: {} for g in row} for row in comp1]
+        for f, row in enumerate(comp1):
+            for g in row:
+                for h, gh in comp1[g].items():
+                    z = fill(1, I[(g, h)], I[(f, gh)], I[(f, g)])
+                    assoc[f][g][h] = pos[right(x.faces[3][z][1])]
+
+        return build_weak_2groupoid(
+            x.counts[0], src1, tgt1, self.ids, comp1,
+            src2, tgt2, id2, vcomp, hcomp2, assoc, basepoint=x.basepoint)
+
+
 def reconstruct(x: TruncatedSimplicialSet,
                 fillers: Optional[FillerChoice] = None) -> WeakTwoGroupoid:
     """Weak 2-groupoid on the cells of x determined by the filler choice.
     The output is fully audited, including the pentagon (A1) sweep."""
-    if fillers is None:
-        fillers = choose_fillers(x)
-    tables = _unique_horn_tables(x)
-    ids = _identity_edges(x)
-    id_set = set(ids)
-
-    def fill1(d0, d2, d3):
-        z = tables[1].get((d0, d2, d3))
-        if z is None:
-            raise FillingFailure("missing-horn-1", (d0, d2, d3))
-        return z
-
-    def fill2(d0, d1, d3):
-        z = tables[2].get((d0, d1, d3))
-        if z is None:
-            raise FillingFailure("missing-horn-2", (d0, d1, d3))
-        return z
-
-    n_obj = x.counts[0]
-    n1 = x.counts[1]
-    src1 = tuple(x.faces[1][f][1] for f in range(n1))
-    tgt1 = tuple(x.faces[1][f][0] for f in range(n1))
-    id1 = ids
-    I = fillers.pairs
-    comp1 = [{} for _ in range(n1)]
-    for (f, g), u in sorted(I.items()):
-        comp1[f][g] = x.faces[2][u][1]
-
-    # 2-cells: 2-simplices whose d0 is an identity edge
-    cells = [u for u in range(x.counts[2]) if x.faces[2][u][0] in id_set]
-    pos = {u: i for i, u in enumerate(cells)}
-    n2 = len(cells)
-    src2 = tuple(x.faces[2][u][2] for u in cells)
-    tgt2 = tuple(x.faces[2][u][1] for u in cells)
-    id2 = tuple(pos[x.degens[1][f][1]] for f in range(n1))
-
-    def right(u):
-        """The 2-cell comp1(d2 u, d0 u) => d1 u carried by a 2-simplex."""
-        f, g = x.faces[2][u][2], x.faces[2][u][0]
-        z = fill1(x.degens[1][g][1], u, I[(f, g)])
-        return x.faces[3][z][1]
-
-    vcomp = [{} for _ in range(n2)]
-    for i, u in enumerate(cells):
-        e = x.faces[2][u][0]           # identity edge at the target object
-        for j, v in enumerate(cells):
-            if tgt2[i] != src2[j]:
-                continue
-            z = fill2(x.degens[1][e][0], v, u)
-            vcomp[i][j] = pos[x.faces[3][z][2]]
-
-    def whisker_right_cell(c, h):
-        """c: f => g composed with the edge h on the right."""
-        g = tgt2[pos[c]]
-        z = fill2(x.degens[1][h][0], I[(g, h)], c)
-        return right(x.faces[3][z][2])
-
-    def whisker_left_cell(f, c):
-        g = src2[pos[c]]
-        gp = tgt2[pos[c]]
-        z = fill1(c, I[(f, gp)], I[(f, g)])
-        return x.faces[3][z][1]
-
-    hcomp2 = [{} for _ in range(n2)]
-    for i, u in enumerate(cells):
-        f, fp = src2[i], tgt2[i]
-        for j, v in enumerate(cells):
-            h, hp = src2[j], tgt2[j]
-            if tgt1[f] != src1[h]:
-                continue
-            a = whisker_right_cell(u, h)
-            b = whisker_left_cell(fp, v)
-            hcomp2[i][j] = vcomp[pos[a]][pos[b]]
-
-    assoc = [{g: {} for g in row} for row in comp1]
-    for f, row in enumerate(comp1):
-        for g in row:
-            for h, gh in comp1[g].items():
-                z = fill1(I[(g, h)], I[(f, gh)], I[(f, g)])
-                assoc[f][g][h] = pos[right(x.faces[3][z][1])]
-
-    return build_weak_2groupoid(
-        n_obj, src1, tgt1, id1, comp1,
-        src2, tgt2, id2, vcomp, hcomp2, assoc,
-        basepoint=x.basepoint)
+    return _Reading(x, fillers).gpd
 
 
 def pentagon_via_4simplex(x: TruncatedSimplicialSet,
@@ -179,30 +192,17 @@ def pentagon_via_4simplex(x: TruncatedSimplicialSet,
     """Independent pentagon verification: for every composable edge
     quadruple, assemble the ten triangles of the would-be 4-simplex, check
     that its five tetrahedra exist, and that they bound a 4-simplex."""
-    if fillers is None:
-        fillers = choose_fillers(x)
-    g = reconstruct(x, fillers)
-    tables = _unique_horn_tables(x)
-    I = fillers.pairs
-    ids = _identity_edges(x)
-    id_set = set(ids)
-    cells = [u for u in range(x.counts[2]) if x.faces[2][u][0] in id_set]
-    pos = {u: i for i, u in enumerate(cells)}
-    cell_of = {i: u for u, i in pos.items()}
+    _need_level(x, 4)
+    r = _Reading(x, fillers)
+    g, I = r.gpd, r.I
     pos3 = {x.faces[3][z]: z for z in range(x.counts[3])}
     # a JoinLevel tests membership by compatibility, without its rows
     rows4 = x.faces[4] if isinstance(x.faces[4], JoinLevel) else \
         set(x.faces[4])
 
-    def fill2(d0, d1, d3):
-        z = tables[2].get((d0, d1, d3))
-        if z is None:
-            raise FillingFailure("missing-horn-2", (d0, d1, d3))
-        return z
-
     def untilt(f, gg, c):
         """2-simplex over the pair (f, gg) whose interior cell is c."""
-        z = fill2(x.degens[1][gg][1], cell_of[c], I[(f, gg)])
+        z = r.fill(2, x.degens[1][gg][1], r.cells[c], I[(f, gg)])
         return x.faces[3][z][2]
 
     for a, row in enumerate(g.comp1):
@@ -245,30 +245,13 @@ def reconstruct_functor(m: SimplicialMap, dom_fillers: FillerChoice,
     """The weak functor between reconstructions induced by a simplicial map;
     its coherence cells compare images of chosen fillers with chosen fillers
     of images."""
-    X, Y = m.dom, m.cod
-    gd = reconstruct(X, dom_fillers)
-    gc = reconstruct(Y, cod_fillers)
-    idsY = set(_identity_edges(Y))
-    cells_d = [u for u in range(X.counts[2])
-               if X.faces[2][u][0] in set(_identity_edges(X))]
-    cells_c = [u for u in range(Y.counts[2]) if Y.faces[2][u][0] in idsY]
-    pos_c = {u: i for i, u in enumerate(cells_c)}
-    tables_c = _unique_horn_tables(Y)
-
-    def right_c(u):
-        f, g = Y.faces[2][u][2], Y.faces[2][u][0]
-        z = tables_c[1].get((Y.degens[1][g][1], u, cod_fillers.pairs[(f, g)]))
-        if z is None:
-            raise FillingFailure("missing-horn-1", u)
-        return Y.faces[3][z][1]
-
-    obj_map = m.levels[0]
-    map1 = m.levels[1]
-    map2 = [pos_c[m.levels[2][u]] for u in cells_d]
-    eps = [[-1] * X.counts[1] for _ in range(X.counts[1])]
-    for (f, g), u in dom_fillers.pairs.items():
-        eps[f][g] = pos_c[right_c(m.levels[2][u])]
-    return check_weak_functor(gd, gc, obj_map, map1, map2, eps)
+    rd, rc = _Reading(m.dom, dom_fillers), _Reading(m.cod, cod_fillers)
+    gd, gc = rd.gpd, rc.gpd
+    map2 = [rc.pos[m.levels[2][u]] for u in rd.cells]
+    eps = [[-1] * m.dom.counts[1] for _ in range(m.dom.counts[1])]
+    for (f, g), u in rd.I.items():
+        eps[f][g] = rc.pos[rc.right(m.levels[2][u])]
+    return check_weak_functor(gd, gc, m.levels[0], m.levels[1], map2, eps)
 
 
 @dataclass(frozen=True)
@@ -288,46 +271,24 @@ def roundtrip_report(x: TruncatedSimplicialSet,
                      cap: Optional[int] = None) -> RoundtripReport:
     """Compare x with the nerve of its reconstruction via the canonical
     cellwise map (identity on vertices and edges, tilt on 2-simplices).
-    cap bounds level 4 of that nerve, as in `nerve.nerve`."""
+    cap bounds level 4 of that nerve, as in `nerve.nerve`.  Given gpd, the
+    nerve is built before the horn tables, which keeps the peak lower."""
     from .nerve import nerve, two_simplex_index
 
-    if fillers is None:
-        fillers = choose_fillers(x)
+    r = _Reading(x, fillers)
     if gpd is None:
-        gpd = reconstruct(x, fillers)
+        gpd = r.gpd
     n = nerve(gpd, cap=cap)
-    tables = _unique_horn_tables(x)
-    ids = set(_identity_edges(x))
-    cells = [u for u in range(x.counts[2]) if x.faces[2][u][0] in ids]
-    pos = {u: i for i, u in enumerate(cells)}
     pos2n = two_simplex_index(gpd)
-
-    def right(u):
-        f, g = x.faces[2][u][2], x.faces[2][u][0]
-        z = tables[1].get((x.degens[1][g][1], u, fillers.pairs[(f, g)]))
-        if z is None:
-            raise FillingFailure("missing-horn-1", u)
-        return x.faces[3][z][1]
-
-    lvl0 = list(range(x.counts[0]))
-    lvl1 = list(range(x.counts[1]))
-    lvl2 = [pos2n[(x.faces[2][u][2], x.faces[2][u][0], pos[right(u)])]
+    lvl2 = [pos2n[(x.faces[2][u][2], x.faces[2][u][0], r.pos[r.right(u)])]
             for u in range(x.counts[2])]
-    pos3n = {n.faces[3][z]: z for z in range(n.counts[3])}
-    simplicial = True
-    lvl3 = []
-    for z in range(x.counts[3]):
-        key = tuple(lvl2[v] for v in x.faces[3][z])
-        if key not in pos3n:
-            simplicial = False
-            break
-        lvl3.append(pos3n[key])
-    levels = [lvl0, lvl1, lvl2, lvl3]
-    if simplicial:
-        try:
-            check_simplicial_map(x, n, levels)
-        except Violation:
-            simplicial = False
+    levels = [list(range(x.counts[0])), list(range(x.counts[1])), lvl2]
+    try:
+        levels.append(level_by_boundary(n, 3, lvl2, x.faces[3]))
+        check_simplicial_map(x, n, levels)
+        simplicial = True
+    except Violation:
+        simplicial = False
     bij = tuple(sorted(levels[k]) == list(range(n.counts[k]))
                 for k in range(4)) if simplicial else (False,) * 4
     counts_match = x.counts[:5] == n.counts[:5]

@@ -1051,19 +1051,28 @@ def _images(level, rows) -> list[tuple]:
     return [tuple(map(level.__getitem__, row)) for row in rows]
 
 
+def level_by_boundary(y: TruncatedSimplicialSet, n: int, below,
+                      rows) -> list[int]:
+    """Level n of a map into y, by boundary: rows are the faces of the
+    domain's n-simplices, below is the map's level n-1, and each simplex
+    goes to the n-simplex of y whose faces are the images of its own.
+    Violation("level<n>-image", z) at the first z with no such simplex."""
+    images = _images(below, rows)
+    if isinstance(y.faces[n], JoinLevel):
+        level = y.faces[n].ranks(images)
+    else:
+        pos = {row: z for z, row in enumerate(y.faces[n])}
+        level = [pos.get(row) for row in images]
+    if None in level:
+        raise Violation(f"level{n}-image", level.index(None))
+    return level
+
+
 def extend_to_level4(m: SimplicialMap) -> SimplicialMap:
     """Unique level-4 extension into a 3-coskeletal target: each 4-simplex
     goes to the 4-simplex of the images of its faces."""
-    y = m.cod
-    images = _images(m.levels[3], m.dom.faces[4])
-    if isinstance(y.faces[4], JoinLevel):
-        lvl4 = y.faces[4].ranks(images)
-    else:
-        pos = {row: z for z, row in enumerate(y.faces[4])}
-        lvl4 = [pos.get(row) for row in images]
-    if None in lvl4:
-        raise Violation("level4-image", lvl4.index(None))
-    return check_simplicial_map(m.dom, y, list(m.levels[:4]) + [lvl4])
+    lvl4 = level_by_boundary(m.cod, 4, m.levels[3], m.dom.faces[4])
+    return check_simplicial_map(m.dom, m.cod, list(m.levels[:4]) + [lvl4])
 
 
 # -- homotopy ----------------------------------------------------------------

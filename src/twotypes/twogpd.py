@@ -533,7 +533,7 @@ def pi1_at(g: TwoGroupoid, obj: int) -> FiniteGroup:
 
 def pi2_at(g: TwoGroupoid, obj: int) -> FiniteGroup:
     e = g.id1[obj]
-    cells = [a for a in range(g.n2) if g.src2[a] == e and g.tgt2[a] == e]
+    cells = g.between2.get((e, e), [])
     pos = {a: i for i, a in enumerate(cells)}
     grp = make_group([[pos[g.vcomp[a][b]] for b in cells] for a in cells])
     assert grp.is_abelian()
@@ -776,9 +776,8 @@ def is_equivalence_2functor(F: TwoFunctor) -> bool:
             return False
         if pi2_at(dom, obj).order != pi2_at(cod, img).order:
             return False
-        e, ce = dom.id1[obj], cod.id1[img]
-        cells = [a for a in range(dom.n2)
-                 if dom.src2[a] == e and dom.tgt2[a] == e]
+        e = dom.id1[obj]
+        cells = dom.between2.get((e, e), [])
         imgs = {F.map2[a] for a in cells}
         if len(imgs) != len(cells):
             return False

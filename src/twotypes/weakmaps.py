@@ -568,14 +568,15 @@ def transformation_to_homotopy(P: WeakFunctor, Q: WeakFunctor, t, theta,
     defined on prism, I x N(dom) through level 3 or more, built here when
     not given."""
     from . import nerve as nerve_mod
-    from .simpset import check_simplicial_map, interval, product
+    from .simpset import (
+        check_simplicial_map, interval, level_by_boundary, product,
+    )
 
     D = P.dom
     C = P.cod
     ND = nerve_mod.nerve(D)
     NC = nerve_mod.nerve(C)
     tri_pos = nerve_mod.two_simplex_index(C)
-    tri3_pos = {NC.faces[3][z]: z for z in range(NC.counts[3])}
     tris = nerve_mod.two_simplices(D)
     prod = product(interval(), ND, 3) if prism is None else prism
 
@@ -609,10 +610,7 @@ def transformation_to_homotopy(P: WeakFunctor, Q: WeakFunctor, t, theta,
                 beta = C.hcomp2[C.id2[t[A]]][qcell(x)]
                 tri = (C.comp1[t[A]][Q.map1[f]], Q.map1[g], beta)
             lvl2.append(tri_pos[tri])
-    lvl3 = []
-    for z in range(prod.counts[3]):
-        key = tuple(lvl2[v] for v in prod.faces[3][z])
-        lvl3.append(tri3_pos[key])
+    lvl3 = level_by_boundary(NC, 3, lvl2, prod.faces[3])
     return check_simplicial_map(prod, NC, [lvl0, lvl1, lvl2, lvl3])
 
 

@@ -3,11 +3,11 @@
 Each mutant is a fixture with one to three edits: a number set to -2 ..
 100, a huge or malformed number, a token copied over another, deleted or
 doubled, the file cut short, or two lines swapped.  Every mutant runs
-through `check`, `invariants`, `nerve`, `sset2` and `roundtrip`, and, as
-the domain with its own fixture as the codomain, through `hom`, `pi0hom`
-and `enumerate-maps` under `--cap 2000`.  Each run must return 0, 1, 2 or
-3 and write no traceback.  The mutants are fixed by the seed; to run more
-of them:
+through `check`, `invariants`, `nerve`, `sset2`, `reconstruct` and
+`roundtrip`, and, as the domain with its own fixture as the codomain,
+through `hom`, `pi0hom` and `enumerate-maps` under `--cap 2000`.  Each
+run must return 0, 1, 2 or 3 and write no traceback.  The mutants are
+fixed by the seed; to run more of them:
 
     PYTHONPATH=src python tests/test_fuzz.py <seed> <count>
 """
@@ -28,7 +28,8 @@ COUNT = 160
 
 MALFORMED = ("99999999999999999999", "-99999999999999999999", "1x", "-",
              "0.5", "--3", "+1", "")
-SINGLE = ("check", "invariants", "nerve", "sset2", "roundtrip")
+SINGLE = ("check", "invariants", "nerve", "sset2", "reconstruct",
+          "roundtrip")
 PAIRED = ("hom", "pi0hom", "enumerate-maps")
 
 

@@ -11,12 +11,13 @@ from twotypes.fingroup import cyclic, symmetric3
 from twotypes.nerve import nerve
 from twotypes.search import Budget, classes
 from twotypes.simpset import (
-    Homotopies, MapPlan, SizeCapExceeded, TruncatedSimplicialSet,
-    _end_inclusion_fixed, boundary, check_simplicial_identities,
-    check_simplicial_map, compose_maps, coskeleton, enumerate_horns,
-    enumerate_maps_3trunc, extend_to_level4, homotopic, homotopy_classes,
-    horn, identity_map, in_sset2, interval, is_coskeletal_at, is_k_minimal,
-    is_kan, make_sset, product, relabel, simplicial_maps, standard_simplex,
+    Homotopies, JoinLevel, MapPlan, SimplicialMap, SizeCapExceeded,
+    TruncatedSimplicialSet, _end_inclusion_fixed, boundary,
+    check_simplicial_identities, check_simplicial_map, compose_maps,
+    coskeleton, enumerate_horns, enumerate_maps_3trunc, extend_to_level4,
+    homotopic, homotopy_classes, horn, identity_map, in_sset2, interval,
+    is_coskeletal_at, is_k_minimal, is_kan, level_by_boundary, make_sset,
+    product, relabel, simplicial_maps, standard_simplex,
 )
 from twotypes.textio import parse_text
 from twotypes.twogpd import xmod_to_2group
@@ -636,3 +637,62 @@ class TestMapAuditMatchesWalk:
             assert got == want, levels
             outcomes.add(want if isinstance(want, type) else want[0])
         assert {"map-face", IndexError} <= outcomes, outcomes
+
+
+def _first_missing(y, n, below, rows):
+    """The first z whose faces' images under below are no n-simplex of y."""
+    have = set(y.faces[n])
+    return next(z for z, row in enumerate(rows)
+                if tuple(below[v] for v in row) not in have)
+
+
+def _assert_first_missing(y, n, rows):
+    """level_by_boundary into y, with the last (n-1)-simplex sent to 0,
+    names the first z with no image."""
+    below = list(range(y.counts[n - 1]))
+    below[-1] = 0
+    with pytest.raises(Violation) as err:
+        level_by_boundary(y, n, below, rows)
+    want = _first_missing(y, n, below, rows)
+    assert want > 0
+    assert (err.value.axiom, err.value.witness) == (f"level{n}-image", want)
+
+
+class TestLevelByBoundary:
+    def test_stored_level_gives_the_maps_level(self):
+        bz2, b2z2 = nerve_bg(2), nerve(xmod_to_2group(xmod_b2g(cyclic(2))))
+        assert not isinstance(b2z2.faces[3], JoinLevel)
+        for m in simplicial_maps(bz2, b2z2):
+            assert level_by_boundary(b2z2, 3, m.levels[2], bz2.faces[3]) \
+                == list(m.levels[3])
+
+    def test_join_level_is_ranked_without_its_rows(self):
+        x = nerve(xmod_to_2group(xmod_b2g(cyclic(2))))
+        ident = list(range(x.counts[3]))
+        level = x.faces[4]
+        assert isinstance(level, JoinLevel) and level._rows is None
+        dom_rows = list(level.join)
+        got = level_by_boundary(x, 4, ident, dom_rows)
+        assert level._rows is None
+        stored = dataclasses.replace(x, faces=x.faces[:4] + (tuple(level),))
+        assert got == level_by_boundary(stored, 4, ident, dom_rows) == \
+            list(range(x.counts[4]))
+
+    def test_missing_image_names_the_first_simplex(self):
+        x = nerve(xmod_to_2group(xmod_b2g(cyclic(3))))
+        _assert_first_missing(x, 3, x.faces[3])
+        rows4 = list(x.faces[4].join)
+        assert x.faces[4]._rows is None  # so ranks walks the join
+        _assert_first_missing(x, 4, rows4)
+        _assert_first_missing(dataclasses.replace(
+            x, faces=x.faces[:4] + (tuple(x.faces[4]),)), 4, rows4)
+
+    def test_extend_to_level4_keeps_its_name(self):
+        x = nerve(xmod_to_2group(xmod_b2g(cyclic(3))))
+        levels = tuple(tuple(range(x.counts[k])) for k in range(3))
+        lvl3 = tuple(range(x.counts[3] - 1)) + (0,)
+        with pytest.raises(Violation) as err:
+            extend_to_level4(SimplicialMap(dom=x, cod=x,
+                                           levels=levels + (lvl3,)))
+        assert (err.value.axiom, err.value.witness) == \
+            ("level4-image", _first_missing(x, 4, lvl3, x.faces[4]))
