@@ -7,11 +7,14 @@ desk-size (orders up to a few hundred).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .search import search
 
 
 class NotAGroup(ValueError):
@@ -378,45 +381,52 @@ def generates(g: FiniteGroup, gens: Iterable[int]) -> bool:
     return len(closure) == g.order
 
 
-def _extend_hom(g: FiniteGroup, h: FiniteGroup, gens: list[int], images: list[int]):
-    """Grow the partial map gens -> images to a full hom table, or None.
-
-    Brute force by closure; exponential in principle, fine at desk scale.
-    """
-    table = {g.identity: h.identity}
-    for a, b in zip(gens, images):
-        table[a] = b
-    frontier = list(table)
+def _hom_on_span(g: FiniteGroup, h: FiniteGroup, gens, images):
+    """The hom from the subgroup gens generate that sends each to its
+    image, as a dict, or None when there is none.  The closure under right
+    multiplication by gens sets x a -> F(x) F(a) and checks it wherever x a
+    is reached again; every element is a product of gens, so a map that
+    passes is a hom."""
+    table, frontier = {g.identity: h.identity}, [g.identity]
     while frontier:
         x = frontier.pop()
-        for y in list(table):
-            for z, w in ((g.mul[x][y], h.mul[table[x]][table[y]]),
-                         (g.mul[y][x], h.mul[table[y]][table[x]])):
-                if z in table:
-                    if table[z] != w:
-                        return None
-                else:
-                    table[z] = w
-                    frontier.append(z)
-    if len(table) != g.order:
-        return None  # gens did not generate
-    return tuple(table[a] for a in range(g.order))
+        for a, b in zip(gens, images):
+            z, w = g.mul[x][a], h.mul[table[x]][b]
+            if z not in table:
+                table[z] = w
+                frontier.append(z)
+            elif table[z] != w:
+                return None
+    return table
 
 
 def find_isomorphism(g: FiniteGroup, h: FiniteGroup):
     """An explicit isomorphism g -> h as a GroupHom, or None.
 
-    Brute force over generator images (documented exponential; orders <= 12).
+    The first in the order of the images of generating_set(g), each among
+    the elements of h of its order, ascending.  They are chosen one
+    generator at a time, and a prefix stays only while it extends to an
+    injective hom on the subgroup its generators span.  An isomorphism
+    restricts to one there, so none is cut, and the first found is the
+    first of the full product of images (exponential in the worst case).
     """
     if g.order != h.order:
         return None
     gens = generating_set(g)
-    orders = [g.element_order(a) for a in gens]
-    candidates = [[b for b in range(h.order) if h.element_order(b) == o] for o in orders]
-    for images in itertools.product(*candidates):
-        table = _extend_hom(g, h, gens, list(images))
-        if table is not None and len(set(table)) == g.order:
-            return make_hom(g, h, table)
+    candidates = [[b for b in range(h.order)
+                   if h.element_order(b) == g.element_order(a)] for a in gens]
+    images: dict[int, int] = {}
+
+    def injective(k):
+        table = _hom_on_span(g, h, gens[:k + 1],
+                             [images[i] for i in range(k + 1)])
+        return table is not None and len(set(table.values())) == len(table)
+
+    for _ in search(range(len(gens)), candidates.__getitem__,
+                    [((k,), functools.partial(injective, k))
+                     for k in range(len(gens))], images):
+        table = _hom_on_span(g, h, gens, [images[i] for i in range(len(gens))])
+        return make_hom(g, h, map(table.get, range(g.order)))
     return None
 
 

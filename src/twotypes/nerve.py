@@ -21,12 +21,9 @@ from .simpset import (
     make_sset, over_cap,
 )
 from .twogpd import (
-    TwoFunctor, TwoGroupoid, _loop_classes, pi0, pi1_at, pi2_at,
+    TwoFunctor, _loop_classes, pi0, pi1_at, pi2_at,
 )
-from .weakmaps import (
-    WeakFunctor, WeakTwoGroupoid, _coerce_weak, check_weak_functor,
-    weak_functor_from_strict,
-)
+from .weakmaps import WeakFunctor, check_weak_functor
 from .xmod import Violation
 
 # id(g) -> (a weak reference to g, its nerve); an entry leaves with g
@@ -36,14 +33,13 @@ _NERVE_CACHE: dict[int, tuple[weakref.ref, TruncatedSimplicialSet]] = {}
 def two_simplices(g) -> list[tuple[int, int, int]]:
     """The 2-simplex triples (f, g, alpha) in nerve order: sorted by the
     pair of edges, identity filler first."""
-    w = _coerce_weak(g)
     out2: dict[int, list[int]] = {}
-    for a in range(w.n2):
-        out2.setdefault(w.src2[a], []).append(a)
-    tris = [(f, h, a) for f, row in enumerate(w.comp1)
+    for a in range(g.n2):
+        out2.setdefault(g.src2[a], []).append(a)
+    tris = [(f, h, a) for f, row in enumerate(g.comp1)
             for h, fh in row.items() for a in out2.get(fh, [])]
     tris.sort(key=lambda t: (t[0], t[1],
-                             0 if t[2] == w.id2[w.comp1[t[0]][t[1]]] else 1,
+                             0 if t[2] == g.id2[g.comp1[t[0]][t[1]]] else 1,
                              t[2]))
     return tris
 
@@ -62,39 +58,38 @@ def nerve(g, cap: int | None = None) -> TruncatedSimplicialSet:
         if cached[1].counts[4] > cap:
             raise over_cap(4, cap)
         return cached[1]
-    w = _coerce_weak(g)
-    faces1 = [(w.tgt1[f], w.src1[f]) for f in range(w.n1)]
-    degens0 = [(w.id1[a],) for a in range(w.n_objects)]
-    tris = two_simplices(w)
+    faces1 = [(g.tgt1[f], g.src1[f]) for f in range(g.n1)]
+    degens0 = [(g.id1[a],) for a in range(g.n_objects)]
+    tris = two_simplices(g)
     pos2 = {t: i for i, t in enumerate(tris)}
-    faces2 = [(t[1], w.tgt2[t[2]], t[0]) for t in tris]
+    faces2 = [(t[1], g.tgt2[t[2]], t[0]) for t in tris]
     degens1 = []
-    for f in range(w.n1):
-        s0 = pos2[(w.id1[w.src1[f]], f, w.id2[f])]
-        s1 = pos2[(f, w.id1[w.tgt1[f]], w.id2[f])]
+    for f in range(g.n1):
+        s0 = pos2[(g.id1[g.src1[f]], f, g.id2[f])]
+        s1 = pos2[(f, g.id1[g.tgt1[f]], g.id2[f])]
         degens1.append((s0, s1))
 
     out2: dict[int, list[int]] = {}
-    for a in range(w.n2):
-        out2.setdefault(w.src2[a], []).append(a)
+    for a in range(g.n2):
+        out2.setdefault(g.src2[a], []).append(a)
     quads = []
-    for f, row in enumerate(w.comp1):
+    for f, row in enumerate(g.comp1):
         for h, fh in row.items():
-            for m, hm in w.comp1[h].items():
+            for m, hm in g.comp1[h].items():
                 for alpha in out2.get(fh, []):
-                    top = w.tgt2[alpha]                      # f h => top
+                    top = g.tgt2[alpha]                      # f h => top
                     for gamma in out2.get(hm, []):
-                        mid = w.tgt2[gamma]                  # h m => mid
-                        for beta in out2.get(w.comp1[f][mid], []):
+                        mid = g.tgt2[gamma]                  # h m => mid
+                        for beta in out2.get(g.comp1[f][mid], []):
                             # interior: top m => tgt(beta), via the associator
-                            delta = w.vcomp[w.vinv[
-                                w.hcomp2[alpha][w.id2[m]]]][
-                                w.vcomp[w.assoc[f][h][m]][
-                                    w.vcomp[w.hcomp2[w.id2[f]][gamma]][beta]]]
+                            delta = g.vcomp[g.vinv[
+                                g.hcomp2[alpha][g.id2[m]]]][
+                                g.vcomp[g.assoc[f][h][m]][
+                                    g.vcomp[g.hcomp2[g.id2[f]][gamma]][beta]]]
                             quads.append((
                                 pos2[(h, m, gamma)],
-                                pos2[(w.tgt2[alpha], m, delta)],
-                                pos2[(f, w.tgt2[gamma], beta)],
+                                pos2[(g.tgt2[alpha], m, delta)],
+                                pos2[(f, g.tgt2[gamma], beta)],
                                 pos2[(f, h, alpha)]))
     quads.sort()
     pos3 = {q: i for i, q in enumerate(quads)}
@@ -108,19 +103,20 @@ def nerve(g, cap: int | None = None) -> TruncatedSimplicialSet:
 
     base = make_sset(
         3,
-        [w.n_objects, w.n1, len(tris), len(quads)],
+        [g.n_objects, g.n1, len(tris), len(quads)],
         [(), faces1, faces2, quads],
         [degens0, degens1, degens2],
-        basepoint=w.basepoint)
+        basepoint=g.basepoint)
     full = coskeleton(base, 3, trunc=4, cap=cap)
     _NERVE_CACHE[id(g)] = (weakref.ref(g), full)
     weakref.finalize(g, _NERVE_CACHE.pop, id(g), None)
     return full
 
 
-def nerve_of_weak_functor(F: WeakFunctor) -> SimplicialMap:
-    """The induced map of nerves: a 2-simplex (f, g, alpha) goes to
-    (F f, F g, [eps_{f,g}][F alpha]); level 3 follows by boundary lookup."""
+def nerve_of_weak_functor(F: WeakFunctor | TwoFunctor) -> SimplicialMap:
+    """The induced map of nerves of a weak or strict functor: a 2-simplex
+    (f, g, alpha) goes to (F f, F g, [eps_{f,g}][F alpha]); level 3 follows
+    by boundary lookup."""
     nd, nc = nerve(F.dom), nerve(F.cod)
     C = F.cod
     tris = two_simplices(F.dom)
@@ -134,16 +130,12 @@ def nerve_of_weak_functor(F: WeakFunctor) -> SimplicialMap:
     return check_simplicial_map(nd, nc, [lvl0, lvl1, lvl2, lvl3])
 
 
-def nerve_of_2functor(F: TwoFunctor) -> SimplicialMap:
-    return nerve_of_weak_functor(weak_functor_from_strict(F))
-
-
 def simplicial_map_to_weak_functor(m: SimplicialMap, dom_gpd,
                                    cod_gpd) -> WeakFunctor:
     """Read a weak functor off a simplicial map between nerves: the 2-cell
     map from prisms over identity edges and the coherence cells from the
     identity fillers of composable pairs."""
-    w, c = _coerce_weak(dom_gpd), _coerce_weak(cod_gpd)
+    w, c = dom_gpd, cod_gpd
     pos2d = two_simplex_index(w)
     ctris = two_simplices(c)
     obj_map = m.levels[0]
@@ -264,10 +256,10 @@ def nerve_preserves_fiber_products(F: TwoFunctor, G: TwoFunctor) -> bool:
     """The canonical map N(X x_Z Y) -> N(X) x_{N(Z)} N(Y) is an isomorphism
     of truncated simplicial sets."""
     P, px, py = fiber_product_2gpd(F, G)
-    nf = extend_to_level4(nerve_of_2functor(F))
-    ng = extend_to_level4(nerve_of_2functor(G))
-    npx = extend_to_level4(nerve_of_2functor(px))
-    npy = extend_to_level4(nerve_of_2functor(py))
+    nf = extend_to_level4(nerve_of_weak_functor(F))
+    ng = extend_to_level4(nerve_of_weak_functor(G))
+    npx = extend_to_level4(nerve_of_weak_functor(px))
+    npy = extend_to_level4(nerve_of_weak_functor(py))
     fib, pairs, pos = sset_fiber_product(nf, ng)
     NP = nerve(P)
     levels = []

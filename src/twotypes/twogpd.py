@@ -85,6 +85,14 @@ class TwoGroupoid(_Cells):
         return (f"TwoGroupoid(objects={self.n_objects}, "
                 f"one_cells={self.n1}, two_cells={self.n2})")
 
+    @functools.cached_property
+    def assoc(self) -> tuple[dict[int, dict[int, int]], ...]:
+        """Its weak reading: assoc[a][b][c] is the identity on (ab)c at each
+        composable triple, so every reader of weak tables takes these."""
+        comp1, id2 = self.comp1, self.id2
+        return tuple({b: {c: id2[comp1[ab][c]] for c in comp1[b]}
+                      for b, ab in row.items()} for row in comp1)
+
 
 def _group(keys) -> dict:
     """Indices grouped by their key, each group ascending."""
@@ -626,15 +634,18 @@ def compose_2functors(f: TwoFunctor, g: TwoFunctor) -> TwoFunctor:
 
 def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
     """Yield (obj_map, map1, eps, map2) for each functor dom -> cod between
-    strict 2-groupoid tables, in product order: objects, 1-cells, the
-    coherence cells eps[f][h]: F(f)F(h) => F(fh) of the composable pairs
-    (-1 elsewhere), then 2-cells, each in index order.  When strict, the
-    only coherence cell is the identity, and only where F(f)F(h) = F(fh):
-    so eps is fixed by map1 and filled without a search, it is coherent,
-    and its naturality is the preservation of hcomp2.  Each condition of
-    check_2functor and check_weak_functor holds: the ends, identities and
-    eps's domain by the domains, and vcomp, naturality, coherence (the
-    hexagon, for identity associators) and strict comp1 by constraints."""
+    strict or weak 2-groupoid tables, in product order: objects, 1-cells,
+    the coherence cells eps[f][h]: F(f)F(h) => F(fh) of the composable
+    pairs (-1 elsewhere), then 2-cells, each in index order.  When strict,
+    the only coherence cell is the identity, and only where F(f)F(h) =
+    F(fh): so eps is fixed by map1 and filled without a search, it is
+    coherent between strict tables, and its naturality is the preservation
+    of hcomp2.  Each condition of check_2functor and check_weak_functor holds:
+    the ends, identities and eps's domain by the domains, and vcomp,
+    naturality, strict comp1 and the coherence hexagon by constraints.  The
+    hexagon at (a, b, c) reads F(phi) for phi = dom.assoc[a][b][c]: an
+    identity when phi is one, so it closes among the coherence cells, and
+    else among the 2-cells, keyed by phi."""
     if pointed:
         check_pointed(dom, cod)
     by1, by2 = cod.between1, cod.between2
@@ -657,17 +668,27 @@ def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
     cons1 = [((f, h, dom.comp1[f][h]),
               lambda f=f, h=h: bool(eps_candidates(f, h))) for f, h in pairs]
 
-    def coherent(a, b, c):
-        ab, bc = dom.comp1[a][b], dom.comp1[b][c]
+    def coherent(a, b, c, phi=None):
+        # [eps_ab F(c)][eps_(ab)c][F(phi)] = [assoc][F(a) eps_bc][eps_a(bc)]
+        ab, bc, f = dom.comp1[a][b], dom.comp1[b][c], map1[a]
         lhs = cod.vcomp[cod.whisker_right(eps[a, b], map1[c])][eps[ab, c]]
-        rhs = cod.vcomp[cod.whisker_left(map1[a], eps[b, c])][eps[a, bc]]
+        if phi is not None:
+            lhs = cod.vcomp[lhs][map2[phi]]
+        rhs = cod.vcomp[cod.vcomp[cod.assoc[f][map1[b]][map1[c]]][
+            cod.whisker_left(f, eps[b, c])]][eps[a, bc]]
         return lhs == rhs
 
     # identity coherence cells are coherent, so strict needs no constraint
-    cons_eps = [] if strict else [
-        (((a, b), (dom.comp1[a][b], c), (b, c), (a, dom.comp1[b][c])),
-         lambda a=a, b=b, c=c: coherent(a, b, c))
-        for a, b in pairs for c in dom.comp1[b]]
+    cons_eps, cons_phi, ids2 = [], [], set(dom.id2)
+    for a, b in [] if strict else pairs:
+        for c, bc in dom.comp1[b].items():
+            phi = dom.assoc[a][b][c]
+            if phi in ids2:
+                keys = ((a, b), (dom.comp1[a][b], c), (b, c), (a, bc))
+                cons_eps.append((keys, functools.partial(coherent, a, b, c)))
+            else:
+                cons_phi.append(((phi,),
+                                 functools.partial(coherent, a, b, c, phi)))
 
     def natural(a, b):
         f0, h0 = dom.src2[a], dom.src2[b]
@@ -680,7 +701,8 @@ def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
                map2[ab] == cod.vcomp[map2[a]][map2[b]])
               for a, row in enumerate(dom.vcomp) for b, ab in row.items()] + [
         ((a, b, ab), lambda a=a, b=b: natural(a, b))
-        for a, row in enumerate(dom.hcomp2) for b, ab in row.items()]
+        for a, row in enumerate(dom.hcomp2) for b, ab in row.items()
+    ] + cons_phi
 
     obj_opts = [list(range(cod.n_objects))] * dom.n_objects
     if pointed:
@@ -1054,16 +1076,12 @@ def hom_strict(D: TwoGroupoid, C: TwoGroupoid,
     return hom_strict_data(D, C, cap=cap)[0]
 
 
-def hom_weak_trans_data(D: TwoGroupoid, C: TwoGroupoid, cap: int = 10 ** 6):
-    budget = Budget(cap, "hom functors")
-    functors = enumerate_2functors(D, C, cap=budget)
-    return _assemble_hom(D, C, functors, budget)
-
-
 def hom_weak_trans(D: TwoGroupoid, C: TwoGroupoid,
                    cap: int = 10 ** 6) -> TwoGroupoid:
     """Functors, weak transformations, and modifications."""
-    return hom_weak_trans_data(D, C, cap=cap)[0]
+    budget = Budget(cap, "hom functors")
+    functors = enumerate_2functors(D, C, cap=budget)
+    return _assemble_hom(D, C, functors, budget)[0]
 
 
 # -- exponential law ---------------------------------------------------------

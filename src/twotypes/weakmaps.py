@@ -20,7 +20,7 @@ from typing import Optional
 from .search import Budget, as_budget
 from .xmod import CrossedModule, Violation, check_pointed
 from .twogpd import (
-    TwoFunctor, TwoGroupoid, _Cells, _assemble_hom, _check_1cells,
+    TwoGroupoid, _Cells, _assemble_hom, _check_1cells,
     _check_horizontal, _check_interchange, _check_vertical, _checked,
     _derive_inverses, _dict_row, _functor_tables, _identity_eps,
     build_two_groupoid,
@@ -54,31 +54,18 @@ class WeakTwoGroupoid(_Cells):
                 f"one_cells={self.n1}, two_cells={self.n2})")
 
 
-def _identity_assoc(comp1, id2):
-    """assoc[a][b][c]: the identity on (ab)c at each composable triple."""
-    return tuple({b: {c: id2[comp1[ab][c]] for c in comp1[b]}
-                  for b, ab in row.items()} for row in comp1)
-
-
-def _coerce_weak(g) -> WeakTwoGroupoid:
-    """View an already-audited strict TwoGroupoid as weak, without re-audit."""
-    if isinstance(g, WeakTwoGroupoid):
-        return g
-    return WeakTwoGroupoid(
-        n_objects=g.n_objects, src1=g.src1, tgt1=g.tgt1, id1=g.id1,
-        comp1=g.comp1, src2=g.src2, tgt2=g.tgt2, id2=g.id2,
-        vcomp=g.vcomp, hcomp2=g.hcomp2, vinv=g.vinv,
-        assoc=_identity_assoc(g.comp1, g.id2), basepoint=g.basepoint)
-
-
 def as_weak(g: TwoGroupoid) -> WeakTwoGroupoid:
     """Strict 2-groupoid with identity associators, fully re-audited."""
-    return check_weak_2groupoid(_coerce_weak(g))
+    return check_weak_2groupoid(WeakTwoGroupoid(
+        n_objects=g.n_objects, src1=g.src1, tgt1=g.tgt1, id1=g.id1,
+        comp1=g.comp1, src2=g.src2, tgt2=g.tgt2, id2=g.id2,
+        vcomp=g.vcomp, hcomp2=g.hcomp2, vinv=g.vinv, assoc=g.assoc,
+        basepoint=g.basepoint))
 
 
 def _nonidentity_associator(w) -> Optional[tuple]:
     """The first (a, b, c) whose associator in w is not an identity."""
-    return next(((a, b, c) for a, plane in enumerate(getattr(w, "assoc", ()))
+    return next(((a, b, c) for a, plane in enumerate(w.assoc)
                  for b, row in plane.items() for c, v in row.items()
                  if v != w.id2[w.src2[v]]), None)
 
@@ -195,8 +182,8 @@ def check_weak_2groupoid(g: WeakTwoGroupoid) -> WeakTwoGroupoid:
 
 @dataclass(frozen=True)
 class WeakFunctor:
-    dom: WeakTwoGroupoid
-    cod: WeakTwoGroupoid
+    dom: TwoGroupoid | WeakTwoGroupoid
+    cod: TwoGroupoid | WeakTwoGroupoid
     obj_map: tuple[int, ...]
     map1: tuple[int, ...]
     map2: tuple[int, ...]
@@ -208,7 +195,6 @@ def check_weak_functor(dom, cod, obj_map, map1, map2, eps,
     """Audit a weak functor: strict identities, vertical functoriality,
     naturality of eps, and the associativity coherence hexagon (which
     degenerates to a square when both sides are strict)."""
-    dom, cod = _coerce_weak(dom), _coerce_weak(cod)
     obj_map, map1, map2 = tuple(obj_map), tuple(map1), tuple(map2)
     eps = tuple(tuple(r) for r in eps)
     for f in range(dom.n1):
@@ -271,29 +257,18 @@ def check_weak_functor(dom, cod, obj_map, map1, map2, eps,
                        map2=map2, eps=eps)
 
 
-def weak_functor_from_strict(F: TwoFunctor) -> WeakFunctor:
-    return check_weak_functor(F.dom, F.cod, F.obj_map, F.map1, F.map2, F.eps)
-
-
 def identity_weak_functor(g) -> WeakFunctor:
-    w = _coerce_weak(g)
-    return check_weak_functor(w, w, range(w.n_objects), range(w.n1),
-                              range(w.n2), _identity_eps(w, w, range(w.n1)))
+    return check_weak_functor(g, g, range(g.n_objects), range(g.n1),
+                              range(g.n2), _identity_eps(g, g, range(g.n1)))
 
 
-def enumerate_weak_functors(dom: TwoGroupoid, cod: TwoGroupoid,
-                            pointed: bool = False,
+def enumerate_weak_functors(dom, cod, pointed: bool = False,
                             cap: int | Budget = 10 ** 6) -> list[WeakFunctor]:
-    """All weak functors between strict 2-groupoids, in product order: by
-    object map, 1-cell map, coherence cells, then 2-cell map.  The search
-    guarantees what check_weak_functor checks (see _functor_tables) but
-    for inputs whose associators are not all identities, so only their
-    functors are audited."""
-    build = WeakFunctor if all(_nonidentity_associator(g) is None for g in (
-        dom, cod)) else lambda *a: check_weak_functor(*a, pointed=pointed)
-    # one weak view of each, shared by every functor found
-    dom, cod = _coerce_weak(dom), _coerce_weak(cod)
-    return [build(dom, cod, obj_map, map1, map2, tuple(eps))
+    """All weak functors between strict or weak 2-groupoids, in product
+    order: by object map, 1-cell map, coherence cells, then 2-cell map.
+    The search guarantees what check_weak_functor checks (see
+    _functor_tables), so none is audited."""
+    return [WeakFunctor(dom, cod, obj_map, map1, map2, tuple(eps))
             for obj_map, map1, eps, map2 in _functor_tables(
                 dom, cod, pointed, False,
                 as_budget(cap, "weak functor search"))]
@@ -301,19 +276,13 @@ def enumerate_weak_functors(dom: TwoGroupoid, cod: TwoGroupoid,
 
 # -- the hom 2-groupoid of weak functors --------------------------------------
 
-def hom_full_data(D: TwoGroupoid, C: TwoGroupoid,
-                  pointed_only: bool = False, cap: int = 10 ** 6):
-    """The 2-groupoid of weak functors, weak transformations, and
-    modifications, with its underlying cell lists; one cap bounds every
-    search."""
-    budget = Budget(cap, "hom functors")
-    functors = enumerate_weak_functors(D, C, pointed=pointed_only, cap=budget)
-    return _assemble_hom(D, C, functors, budget, pointed=pointed_only)
-
-
 def hom_full(D: TwoGroupoid, C: TwoGroupoid, pointed_only: bool = False,
              cap: int = 10 ** 6) -> TwoGroupoid:
-    return hom_full_data(D, C, pointed_only=pointed_only, cap=cap)[0]
+    """The 2-groupoid of weak functors, weak transformations, and
+    modifications; one cap bounds every search."""
+    budget = Budget(cap, "hom functors")
+    functors = enumerate_weak_functors(D, C, pointed=pointed_only, cap=budget)
+    return _assemble_hom(D, C, functors, budget, pointed=pointed_only)[0]
 
 
 # -- crossed-module form ------------------------------------------------------
@@ -423,7 +392,7 @@ def enumerate_xmod_weak_maps(H: CrossedModule, G: CrossedModule,
     """Exhaustive list of weak maps H -> G in product order (p1, eps, then
     p2), read off the weak functors BH -> BG of the one-object 2-groupoids.
     Each map keeps the functor that the search found."""
-    BH, BG = (_coerce_weak(xmod_to_2group(X)) for X in (H, G))
+    BH, BG = xmod_to_2group(H), xmod_to_2group(G)
     maps = [_weak_map_of(WeakFunctor(dom=BH, cod=BG, obj_map=obj_map,
                                      map1=map1, map2=map2, eps=tuple(eps)),
                          H, G)
@@ -480,8 +449,7 @@ def _functors(*maps: XmodWeakMap) -> list[WeakFunctor]:
     realized over a single pair of one-object 2-groupoids."""
     if all(P.functor is not None for P in maps):
         return [P.functor for P in maps]
-    BH, BG = (_coerce_weak(xmod_to_2group(X))
-              for X in (maps[0].dom, maps[0].cod))
+    BH, BG = xmod_to_2group(maps[0].dom), xmod_to_2group(maps[0].cod)
     return [weak_functor_from_xmod_weak_map(P, BH, BG) if P.functor is None
             else P.functor for P in maps]
 
@@ -644,8 +612,6 @@ def pi0_hom_vs_homotopy_classes(H: TwoGroupoid, G: TwoGroupoid,
     from . import nerve as nerve_mod
     from .simpset import Homotopies, simplicial_maps
 
-    # the functors, and every nerve below, share these two weak views
-    H, G = _coerce_weak(H), _coerce_weak(G)
     funcs = enumerate_weak_functors(H, G, pointed=True, cap=cap)
     NH = nerve_mod.nerve(H)
     NG = nerve_mod.nerve(G)

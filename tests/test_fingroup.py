@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 import tracemalloc
 
 import pytest
@@ -6,11 +8,11 @@ from hypothesis import given, strategies as st
 
 from twotypes.fingroup import (
     FreeWord, ImageNotNormal, NotAGroup, NotAHom, NotAnAction,
-    check_group_axioms, cokernel_of_image, compose_homs, conjugation_action, cyclic,
-    direct_product, empty_word, find_isomorphism, free_reduce, generator,
-    identity_hom, inversion_action_z2_on, kernel, klein_four, make_action,
-    make_group, make_hom, semidirect, subgroup, symmetric3, trivial_action,
-    trivial_group,
+    check_group_axioms, cokernel_of_image, compose_homs, conjugation_action,
+    cyclic, direct_product, empty_word, find_isomorphism, free_reduce,
+    generating_set, generator, identity_hom, inversion_action_z2_on, kernel,
+    klein_four, make_action, make_group, make_hom, semidirect, subgroup,
+    symmetric3, trivial_action, trivial_group,
 )
 
 
@@ -265,3 +267,70 @@ class TestIsomorphismSearch:
 
     def test_z6_is_z2_times_z3(self):
         assert find_isomorphism(cyclic(6), direct_product(cyclic(2), cyclic(3))) is not None
+
+    def test_relabelled_large_abelian_groups_are_quick(self):
+        z2_z4_z4 = direct_product(direct_product(cyclic(2), cyclic(4)),
+                                  cyclic(4))
+        for g in (make_group(elementary_abelian(6)), z2_z4_z4):
+            h = _relabelled(g, 3)
+            start = time.process_time()
+            iso = find_isomorphism(h, g)
+            assert time.process_time() - start < 1
+            assert iso is not None and iso.is_bijective()
+
+    def test_first_isomorphism_is_that_of_the_product_search(self):
+        # every ordered pair of equal order among small groups and
+        # relabelled copies, isomorphic or not
+        d4 = semidirect(cyclic(2), cyclic(4),
+                        inversion_action_z2_on(cyclic(4)))
+        groups = [trivial_group(), klein_four(), symmetric3(), d4,
+                  direct_product(cyclic(2), cyclic(4)),
+                  make_group(elementary_abelian(3)),
+                  direct_product(cyclic(3), cyclic(3)),
+                  direct_product(cyclic(2), cyclic(3))]
+        groups += [cyclic(n) for n in range(2, 10)]
+        groups += [_relabelled(g, seed) for seed in (1, 2) for g in groups]
+        pairs = 0
+        for g, h in itertools.product(groups, repeat=2):
+            if g.order == h.order:
+                iso = find_isomorphism(g, h)
+                want = _first_by_product(g, h)
+                assert (iso and iso.image) == want
+                pairs += 1
+        assert pairs > 300
+
+
+def _relabelled(g, seed):
+    """g with its elements renamed by a permutation drawn from the seed."""
+    perm = list(range(g.order))
+    random.Random(seed).shuffle(perm)
+    back = {new: old for old, new in enumerate(perm)}
+    return make_group([[perm[g.mul[back[x]][back[y]]] for y in g.elements]
+                       for x in g.elements])
+
+
+def _first_by_product(g, h):
+    """The image table of the first isomorphism of the search that
+    find_isomorphism replaced, or None: every tuple of generator images in
+    product order, each grown by closure over all pairs of elements."""
+    if g.order != h.order:
+        return None
+    gens = generating_set(g)
+    candidates = [[b for b in range(h.order)
+                   if h.element_order(b) == g.element_order(a)] for a in gens]
+    for images in itertools.product(*candidates):
+        table = {g.identity: h.identity, **dict(zip(gens, images))}
+        frontier, ok = list(table), True
+        while frontier and ok:
+            x = frontier.pop()
+            for y in list(table):
+                for z, w in ((g.mul[x][y], h.mul[table[x]][table[y]]),
+                             (g.mul[y][x], h.mul[table[y]][table[x]])):
+                    if z not in table:
+                        table[z] = w
+                        frontier.append(z)
+                    elif table[z] != w:
+                        ok = False
+        if ok and len(table) == len(set(table.values())) == g.order:
+            return tuple(table[a] for a in range(g.order))
+    return None

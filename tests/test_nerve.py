@@ -1,6 +1,6 @@
 from twotypes.fingroup import cyclic, find_isomorphism, trivial_group
 from twotypes.nerve import (
-    induced_pi, nerve, nerve_of_2functor, nerve_of_weak_functor,
+    induced_pi, nerve, nerve_of_weak_functor,
     nerve_preserves_fiber_products, simplicial_map_to_weak_functor,
     two_simplex_index, two_simplices,
 )
@@ -59,7 +59,7 @@ class TestConditions:
 class TestFunctorNerves:
     def test_nerve_of_identity(self):
         g = bg(2)
-        m = nerve_of_2functor(identity_functor(g))
+        m = nerve_of_weak_functor(identity_functor(g))
         x = nerve(g)
         assert m.levels == tuple(tuple(range(c)) for c in x.counts[:4])
 
@@ -68,8 +68,9 @@ class TestFunctorNerves:
         funcs = enumerate_2functors(g, g)
         for F in funcs:
             for G in funcs:
-                lhs = nerve_of_2functor(compose_2functors(F, G))
-                rhs = compose_maps(nerve_of_2functor(F), nerve_of_2functor(G))
+                lhs = nerve_of_weak_functor(compose_2functors(F, G))
+                rhs = compose_maps(nerve_of_weak_functor(F),
+                                   nerve_of_weak_functor(G))
                 assert lhs.levels == rhs.levels
 
     def test_weak_functor_bijection(self):

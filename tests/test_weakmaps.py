@@ -28,7 +28,7 @@ from twotypes.weakmaps import (
     enumerate_xmod_weak_maps, hom_full,
     identity_weak_functor, pi0_hom_vs_homotopy_classes, to_strict,
     transformation_from_homotopy, transformation_to_homotopy, vseq,
-    weak_functor_from_strict, weak_functor_from_xmod_weak_map,
+    weak_functor_from_xmod_weak_map,
     xmod_weak_map_from_weak_functor,
 )
 from twotypes.xmod import Violation, xmod_b2g, xmod_bg
@@ -91,7 +91,8 @@ class TestWeakFunctors:
     def test_strict_functors_lift(self):
         g = bg(2)
         for F in enumerate_2functors(g, g):
-            W = weak_functor_from_strict(F)
+            W = check_weak_functor(F.dom, F.cod, F.obj_map, F.map1, F.map2,
+                                   F.eps)
             assert W.map1 == F.map1
 
     def test_enumeration_counts(self):
@@ -106,7 +107,8 @@ class TestWeakFunctors:
         weak = {(W.obj_map, W.map1, W.map2, W.eps)
                 for W in enumerate_weak_functors(d, c)}
         for F in enumerate_2functors(d, c):
-            W = weak_functor_from_strict(F)
+            W = check_weak_functor(F.dom, F.cod, F.obj_map, F.map1, F.map2,
+                                   F.eps)
             assert (W.obj_map, W.map1, W.map2, W.eps) in weak
 
     def test_cap_raises(self):
@@ -140,25 +142,84 @@ class TestListedFunctorsPassTheAudit:
                 listed += 1
         assert listed >= len(self.CORPUS)
 
-    def test_associators_that_are_not_identities_keep_the_audit(
-            self, monkeypatch):
-        audited = []
-        real = weakmaps.check_weak_functor
 
-        def spy(*args, **kwargs):
-            audited.append(args[:2])
-            return real(*args, **kwargs)
+def _product_filter(dom, cod, pointed=False):
+    """The weak functors dom -> cod, by brute force: every candidate
+    (object map, 1-cell map, coherence cells, 2-cell map) in product order,
+    kept when check_weak_functor accepts it.  A cell's candidates are those
+    with the ends it needs, and only the identity where the audit asks for
+    one (wf-id2, wf-eps-identity): the audit rejects every other value
+    there, so the survivors and their order are those of the full
+    product."""
+    by1, by2 = cod.between1, cod.between2
+    pairs = [(f, h) for f, row in enumerate(dom.comp1) for h in sorted(row)]
+    out = []
+    for obj in itertools.product(range(cod.n_objects), repeat=dom.n_objects):
+        for m1 in itertools.product(*(
+                by1.get((obj[dom.src1[f]], obj[dom.tgt1[f]]), [])
+                for f in range(dom.n1))):
+            def cells_of(f, h):
+                ends = (cod.comp1[m1[f]][m1[h]], m1[dom.comp1[f][h]])
+                if f in dom.id1 or h in dom.id1:
+                    return [cod.id2[ends[0]]]
+                return by2.get(ends, [])
 
-        monkeypatch.setattr(weakmaps, "check_weak_functor", spy)
+            def images(a):
+                if a in dom.id2:
+                    return [cod.id2[m1[dom.src2[a]]]]
+                return by2.get((m1[dom.src2[a]], m1[dom.tgt2[a]]), [])
+
+            for cells in itertools.product(*itertools.starmap(cells_of,
+                                                               pairs)):
+                eps = [[-1] * dom.n1 for _ in range(dom.n1)]
+                for (f, h), e in zip(pairs, cells):
+                    eps[f][h] = e
+                for m2 in itertools.product(*map(images, range(dom.n2))):
+                    try:
+                        out.append(check_weak_functor(dom, cod, obj, m1, m2,
+                                                      eps, pointed=pointed))
+                    except Violation:
+                        pass
+    return out
+
+
+def _reconstructed(name, k):
+    """The weak 2-groupoid read off the nerve of a corpus entry with the
+    fillers of seed k."""
+    x = nerve(xmod_to_2group(dict(build_corpus())[name]))
+    return reconstruct(x, choose_fillers(x, f"seeded:{k}"))
+
+
+class TestWeakFunctorSearchIsExact:
+    """enumerate_weak_functors lists exactly the functors that the audit
+    accepts, in product order, on strict and on weak ends."""
+
+    @pytest.mark.parametrize("ends", ["w-w", "w-b2z2", "bz2-w"])
+    @pytest.mark.parametrize("name, k", [("id_z3", 1), ("z3_inv", 5)])
+    def test_weak_ends(self, name, k, ends):
+        w = _reconstructed(name, k)
+        # the associators of w are not all identities
+        assert weakmaps._nonidentity_associator(w) is not None
+        d, c = {"w-w": (w, w), "w-b2z2": (w, b2g(2)),
+                "bz2-w": (bg(2), w)}[ends]
+        want = _product_filter(d, c)
+        assert want
+        assert enumerate_weak_functors(d, c) == want
+
+    @pytest.mark.parametrize("pointed", [False, True])
+    @pytest.mark.parametrize("d, c", [("b_z2", "b2_z2"), ("b_z3", "b2_z2"),
+                                      ("z3_inv", "z3_inv"), ("id_z2", "b_z2"),
+                                      ("b2_z2", "z4_to_z2")])
+    def test_strict_ends(self, d, c, pointed):
         corpus = dict(build_corpus())
-        for name, weak in (("b_z3", False), ("id_z3", True)):
-            x = nerve(xmod_to_2group(corpus[name]))
-            w = reconstruct(x, choose_fillers(x, "seeded:1"))
-            assert (weakmaps._nonidentity_associator(w) is not None) == weak
-            for d, c in ((w, w), (w, b2g(2)), (bg(2), w)):
-                audited.clear()
-                found = enumerate_weak_functors(d, c)
-                assert found and len(audited) == (len(found) if weak else 0)
+        D, C = xmod_to_2group(corpus[d]), xmod_to_2group(corpus[c])
+        assert enumerate_weak_functors(D, C, pointed=pointed) == \
+            _product_filter(D, C, pointed=pointed)
+
+    @pytest.mark.parametrize("name, k", [("id_z3", 1), ("z3_inv", 5)])
+    def test_identity_is_listed(self, name, k):
+        w = _reconstructed(name, k)
+        assert identity_weak_functor(w) in enumerate_weak_functors(w, w)
 
 
 class TestXmodWeakMaps:
@@ -377,6 +438,13 @@ class TestHomotopyBridge:
         # the nerves of H and G, and no other
         assert [c.counts for c in coskeleta] == \
             [nerve(H).counts, nerve(G).counts]
+
+    def test_bridge_reuses_the_nerves_built_before(self, monkeypatch):
+        H, G = bg(2), b2g(2)
+        nerve(H), nerve(G)
+        coskeleta = self.record_results(monkeypatch, "coskeleton")
+        assert pi0_hom_vs_homotopy_classes(H, G)
+        assert coskeleta == []
 
 
 class TestHomTower:
