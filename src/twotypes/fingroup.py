@@ -409,12 +409,16 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup):
     injective hom on the subgroup its generators span.  An isomorphism
     restricts to one there, so none is cut, and the first found is the
     first of the full product of images (exponential in the worst case).
+    Groups whose element orders differ, counted with multiplicity, are not
+    isomorphic, and are refused before the search.
     """
-    if g.order != h.order:
+    g_orders = [g.element_order(a) for a in g.elements]
+    h_orders = [h.element_order(b) for b in h.elements]
+    if sorted(g_orders) != sorted(h_orders):
         return None
     gens = generating_set(g)
-    candidates = [[b for b in range(h.order)
-                   if h.element_order(b) == g.element_order(a)] for a in gens]
+    candidates = [[b for b in h.elements if h_orders[b] == g_orders[a]]
+                  for a in gens]
     images: dict[int, int] = {}
 
     def injective(k):

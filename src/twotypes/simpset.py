@@ -607,8 +607,10 @@ def is_kan(x: TruncatedSimplicialSet, dims: Iterable[int] = (1, 2, 3, 4)):
     Every dimension is an exhaustive audit: by counts, and on a mismatch by
     listing the horns in lexicographic order to report the first one that
     no simplex fills.  A JoinLevel over x's level below is audited from
-    that level (`_kan_join`), and a stored level from its rows
-    (`_kan_rows`).
+    that level (`_kan_join`: R rows fill R of the H_k horns at k, and
+    R <= H_k <= |a join one position shorter|, so that join holding R
+    tuples settles k, else H_k is counted), and a stored level from its
+    rows (`_kan_rows`).
     """
     for n in dims:
         if n > x.trunc:
@@ -651,16 +653,25 @@ def _kan_join(x: TruncatedSimplicialSet, n: int):
     fixed by the horn, so it fills exactly when some (n-1)-simplex has
     that boundary.  Suppose the (n-1)-simplices are unique by boundary.
     The rows are distinct and compatible, so dropping position k is
-    injective on them, and every horn at k fills exactly when there are as
-    many horns as rows.  Otherwise, or on a count mismatch, the horns are
-    listed to report the first that does not fill.
+    injective on them, and R rows fill R of the H_k horns: all fill
+    exactly when R = H_k.  For j != k let m be the face of x_j opposite
+    vertex k (k for k < j, else k - 1); its other faces are faces of the
+    other x_p.  So when the faces other than d_m tell the (n-1)-simplices
+    apart, R <= H_k <= |the join over the positions but j, k|, and that
+    join holding R tuples settles k.  Else H_k is counted; on a mismatch
+    or repeated boundaries, horns are listed to the first unfilled one.
     """
     below, size = x.faces[n - 1], x.counts[n - 1]
     boundaries = set(below)
     unique = len(boundaries) == size
     rows = len(x.faces[n])
+    drops = _telling_faces(below, n) if unique else ()
     for k in range(n + 1):
         positions = [i for i in range(n + 1) if i != k]
+        j = next((j for j in positions if k - (k > j) in drops), None)
+        if j is not None and _Join(below, size, [
+                p for p in positions if p != j]).count(rows) == rows:
+            continue
         horns = _Join(below, size, positions)
         if unique and horns.count(rows) == rows:
             continue
@@ -670,6 +681,12 @@ def _kan_join(x: TruncatedSimplicialSet, n: int):
             if need not in boundaries:
                 return (n, k, dict(zip(positions, row)))
     return True
+
+
+def _telling_faces(below, n: int) -> set:
+    """The m < n whose face table below, less column m, is injective."""
+    return {m for m in range(n)
+            if len({row[:m] + row[m + 1:] for row in below}) == len(below)}
 
 
 # -- minimality --------------------------------------------------------------

@@ -818,8 +818,17 @@ def vseq(g, *cells: int) -> int:
     return out
 
 
+def _refuse_weak_codomain(cod) -> None:
+    """Raise a Violation unless cod is a strict TwoGroupoid: transformations
+    and the hom compose in their codomain with no associators."""
+    if not isinstance(cod, TwoGroupoid):
+        raise Violation("strict-codomain", type(cod).__name__)
+
+
 def _transformation_search(dom, cod) -> "_TransformationSearch":
-    """The search of dom into cod, kept on dom by id(cod) with cod itself."""
+    """The search of dom into cod, kept on dom by id(cod) with cod itself;
+    a Violation when cod is not strict."""
+    _refuse_weak_codomain(cod)
     hit = dom.transformation_searches.get(id(cod))
     if hit is None or hit.cod is not cod:
         hit = _TransformationSearch(dom, cod)
@@ -884,7 +893,8 @@ def enumerate_2transformations(P, Q, pointed: bool = False,
     t_A Q(c) per 1-cell c: A -> B, natural in 2-cells and coherent with
     composition.  An identity c gets the identity filler, and when strict
     every c does, so the square must commute.  When pointed, t at the
-    basepoint is the identity.  All functors dom -> cod share one plan."""
+    basepoint is the identity.  All functors dom -> cod share one plan; a
+    weak cod raises a Violation before the search."""
     dom, cod = P.dom, P.cod
     no = dom.n_objects
     if pointed:

@@ -23,7 +23,7 @@ from .twogpd import (
     TwoGroupoid, _Cells, _assemble_hom, _check_1cells,
     _check_horizontal, _check_interchange, _check_vertical, _checked,
     _derive_inverses, _dict_row, _functor_tables, _identity_eps,
-    build_two_groupoid,
+    _refuse_weak_codomain, build_two_groupoid,
     enumerate_2modifications, enumerate_2transformations, is_2transformation,
     vseq, xmod_to_2group,
 )
@@ -279,7 +279,9 @@ def enumerate_weak_functors(dom, cod, pointed: bool = False,
 def hom_full(D: TwoGroupoid, C: TwoGroupoid, pointed_only: bool = False,
              cap: int = 10 ** 6) -> TwoGroupoid:
     """The 2-groupoid of weak functors, weak transformations, and
-    modifications; one cap bounds every search."""
+    modifications; one cap bounds every search.  D may be weak; a weak C
+    raises a Violation before any search."""
+    _refuse_weak_codomain(C)
     budget = Budget(cap, "hom functors")
     functors = enumerate_weak_functors(D, C, pointed=pointed_only, cap=budget)
     return _assemble_hom(D, C, functors, budget, pointed=pointed_only)[0]
@@ -608,10 +610,12 @@ def pi0_hom_vs_homotopy_classes(H: TwoGroupoid, G: TwoGroupoid,
                                 cap: int = 10 ** 6) -> bool:
     """The transformation relation on weak functors coincides with pointed
     simplicial homotopy of their nerves, verified constructively in both
-    directions, so the two class counts agree."""
+    directions, so the two class counts agree.  H may be weak; a weak G
+    raises a Violation before any search."""
     from . import nerve as nerve_mod
     from .simpset import Homotopies, simplicial_maps
 
+    _refuse_weak_codomain(G)
     funcs = enumerate_weak_functors(H, G, pointed=True, cap=cap)
     NH = nerve_mod.nerve(H)
     NG = nerve_mod.nerve(G)

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from twotypes import fingroup
 from twotypes.fingroup import (
     FreeWord, ImageNotNormal, NotAGroup, NotAHom, NotAnAction,
     check_group_axioms, cokernel_of_image, compose_homs, conjugation_action,
@@ -298,6 +299,38 @@ class TestIsomorphismSearch:
                 assert (iso and iso.image) == want
                 pairs += 1
         assert pairs > 300
+
+    @pytest.mark.parametrize("rank", [5, 6])
+    def test_other_element_orders_answer_at_once(self, rank):
+        # (Z/2)^r against Z/4 x (Z/2)^(r-2): same order, more involutions
+        g = make_group(elementary_abelian(rank))
+        h = cyclic(4)
+        for _ in range(rank - 2):
+            h = direct_product(h, cyclic(2))
+        assert g.order == h.order
+        for a, b in ((g, h), (h, g)):
+            start = time.process_time()
+            assert find_isomorphism(a, b) is None
+            assert time.process_time() - start < 1
+
+    def test_same_element_orders_take_the_search(self, monkeypatch):
+        z4 = cyclic(4)
+        product = direct_product(z4, z4)
+        inverting = semidirect(z4, z4, make_action(
+            z4, z4, [[a, z4.inv[a], a, z4.inv[a]] for a in z4.elements]))
+        assert not inverting.is_abelian()
+        assert sorted(map(product.element_order, product.elements)) == \
+            sorted(map(inverting.element_order, inverting.elements))
+        searches = []
+        original = fingroup.search
+
+        def search(*args):
+            searches.append(args)
+            return original(*args)
+        monkeypatch.setattr(fingroup, "search", search)
+        assert find_isomorphism(product, inverting) is None
+        assert find_isomorphism(inverting, product) is None
+        assert len(searches) == 2
 
 
 def _relabelled(g, seed):

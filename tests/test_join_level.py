@@ -6,6 +6,8 @@ before `coskeleton` returned `JoinLevel`s: the compatible-tuple join over
 (prefix, bucket) pairs, `is_kan`, `is_coskeletal_at`, and the face-row and
 d-d loops of `check_simplicial_identities`.  They run on the rows of each
 level, listed, and must agree with the library run on the level itself.
+`old_kan_join` is the Kan audit of a joined level before it counted a join
+one position shorter first.
 """
 
 import dataclasses
@@ -27,7 +29,7 @@ from twotypes.simpset import (
     JoinDegens, JoinLevel, TruncatedSimplicialSet, boundary,
     check_simplicial_map, coskeleton, extend_to_level4, horn, in_sset2,
     is_coskeletal_at, is_k_minimal, is_kan, product, relabel,
-    simplicial_maps,
+    simplicial_maps, standard_simplex,
 )
 from twotypes.textio import parse_file
 from twotypes.twogpd import xmod_to_2group
@@ -644,3 +646,124 @@ class TestEachLevelCountedOnce:
             list(sizes[k + 1:])
         assert len(joins) == len(levels) and \
             all(a is b for a, b in zip(joins, levels))
+
+
+# -- Kan over a joined level, settled by a shorter join ---------------------
+
+def old_kan_join(x, n):
+    """`simpset._kan_join` before the shorter join: the join over every
+    position but k is counted, and listed on a mismatch."""
+    below, size = x.faces[n - 1], x.counts[n - 1]
+    boundaries = set(below)
+    unique = len(boundaries) == size
+    rows = len(x.faces[n])
+    for k in range(n + 1):
+        positions = [i for i in range(n + 1) if i != k]
+        horns = simpset._Join(below, size, positions)
+        if unique and horns.count(rows) == rows:
+            continue
+        for row in horns:
+            need = tuple(below[row[i]][k - 1 if i < k else k]
+                         for i in range(n))
+            if need not in boundaries:
+                return (n, k, dict(zip(positions, row)))
+    return True
+
+
+def kan_shapes(x):
+    """For each joined level n >= 2 of x, checked against the old audit:
+    (verdict, whether boundaries are unique, whether some face can be
+    dropped)."""
+    out = []
+    for n in range(2, x.trunc + 1):
+        if simpset._join_over(x, n):
+            found = simpset._kan_join(x, n)
+            assert found == old_kan_join(x, n)
+            below = x.faces[n - 1]
+            out.append((found, len(set(below)) == len(below),
+                        bool(simpset._telling_faces(below, n))))
+    return out
+
+
+class TestKanFromAShorterJoin:
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus_nerve(self, gpd_nerves, name):
+        x = corpus_nerve(gpd_nerves, name)
+        for y in (x, relabelled(x, 1), relabelled(x, 2)):
+            # every face of a 3-simplex of a nerve may be dropped: a
+            # 3-horn of a 2-groupoid has one filler
+            assert kan_shapes(y) == [(True, True, True)]
+
+    @pytest.mark.parametrize("name", ["b_s3", "b2_z3", "z3_inv"])
+    def test_mutated_level_3(self, gpd_nerves, name):
+        x = corpus_nerve(gpd_nerves, name)
+        shapes = {edit: kan_shapes(with_level3(x, rows))
+                  for edit, rows in mutants(x).items()}
+        assert shapes["dropped"][0][0] is not True
+        assert shapes["duplicated"] == [(True, False, False)]
+
+    def test_coskeleta_of_simplices(self):
+        bases = [standard_simplex(n) for n in range(5)] + \
+            [boundary(n) for n in range(1, 5)] + \
+            [horn(n, k) for n in range(1, 5) for k in range(n + 1)]
+        shapes = [s for base in bases for k in (1, 2, 3)
+                  for s in kan_shapes(coskeleton(base, k, trunc=4))]
+        assert len(shapes) == 138
+        # unfillable horns, and unique boundaries with no face to drop
+        assert sum(found is not True for found, _, _ in shapes) == 28
+        assert sum(unique and not drop for _, unique, drop in shapes) == 19
+
+    def test_sphere(self):
+        # two 2-cells share a boundary, and the 16 3-simplices are the
+        # tuples over them: no face of a 3-simplex may be dropped
+        base = parse_file(str(FIX / "sphere.sset")).subject()[2]
+        assert kan_shapes(coskeleton(base, 2, trunc=4)) == \
+            [(True, False, False), (True, True, False)]
+        assert kan_shapes(coskeleton(base, 3, trunc=4)) == \
+            [(True, True, False)]
+
+    @staticmethod
+    def over_level_2(rows, e):
+        """Level 2 the triples rows over e edges, and level 3 their join;
+        no simplicial identity is assumed by the audit, so none holds."""
+        level = JoinLevel(rows, len(rows), 3)
+        return TruncatedSimplicialSet(
+            trunc=3, counts=(1, e, len(rows), len(level)),
+            faces=((), ((0, 0),) * e, rows, level), degens=((), (), ()))
+
+    def test_random_level_2_tables(self):
+        shapes = []
+        for e in (2, 3):
+            triples = list(itertools.product(range(e), repeat=3))
+            rng = random.Random(e)
+            for _ in range(150):
+                shapes += kan_shapes(self.over_level_2(tuple(sorted(
+                    rng.sample(triples, rng.randrange(1, len(triples) + 1)))),
+                    e))
+        assert len(shapes) == 300
+        for drop in (False, True):
+            verdicts = [found is True for found, _, d in shapes if d == drop]
+            assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("rows, want", [
+        (((0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 2)),
+         (3, 1, {0: 1, 2: 2, 3: 3})),
+        (((0, 0, 2), (0, 1, 2), (2, 2, 2)), (3, 2, {0: 1, 1: 0, 3: 2})),
+    ])
+    def test_only_the_face_opposite_k_counts(self, rows, want):
+        # d_0 and d_2 may be dropped and d_1 may not; a short join over the
+        # wrong position would count as many tuples as rows at k = want[1]
+        assert simpset._telling_faces(rows, 3) == {0, 2}
+        assert kan_shapes(self.over_level_2(rows, 3)) == [(want, True, True)]
+
+    def test_id_z3_counts_no_join_over_four_positions(self, gpd_nerves,
+                                                       monkeypatch):
+        x = corpus_nerve(gpd_nerves, "id_z3")
+        widths, original = [], simpset._Join.count
+
+        def count(self, *args):
+            widths.append(self.r)
+            return original(self, *args)
+        monkeypatch.setattr(simpset._Join, "count", count)
+        assert is_kan(x, (4,)) is True
+        assert 4 not in widths and widths.count(3) == 5

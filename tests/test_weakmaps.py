@@ -12,14 +12,15 @@ from test_twogpd import (
     _scan_derive_inverses, _scan_ranges, _sparse, _two_in_a_row, _with,
 )
 
-from twotypes import simpset, weakmaps
+from twotypes import simpset, twogpd, weakmaps
 from twotypes.fingroup import cyclic
 from twotypes.nerve import nerve
 from twotypes.reconstruct import choose_fillers, reconstruct
 from twotypes.simpset import SizeCapExceeded
 from twotypes.twogpd import (
     check_2functor, disjoint_union, enumerate_2functors, enumerate_2transformations,
-    hom_strict, hom_weak_trans, pi0, product_2gpd, xmod_to_2group,
+    hom_strict, hom_weak_trans, is_2transformation, pi0, product_2gpd,
+    xmod_to_2group,
 )
 from twotypes.weakmaps import (
     WeakTwoGroupoid, as_weak, build_weak_2groupoid, check_w5_equivalence,
@@ -220,6 +221,45 @@ class TestWeakFunctorSearchIsExact:
     def test_identity_is_listed(self, name, k):
         w = _reconstructed(name, k)
         assert identity_weak_functor(w) in enumerate_weak_functors(w, w)
+
+
+class TestWeakCodomainIsRefused:
+    """The hom, the transformation search and the bridge compose in their
+    codomain with no associators, so a weak codomain is refused before any
+    search; a weak domain is read as it is."""
+
+    WEAK = [("id_z3", 1), ("z3_inv", 5), ("z4_to_z2", 1)]
+
+    @pytest.mark.parametrize("dom", ["bz2", "b2z2"])
+    @pytest.mark.parametrize("name, k", WEAK)
+    def test_refused_before_any_search(self, name, k, dom, monkeypatch):
+        w, d = _reconstructed(name, k), {"bz2": bg(2), "b2z2": b2g(2)}[dom]
+        functors = enumerate_weak_functors(d, w)
+        assert functors
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran")
+        monkeypatch.setattr(weakmaps, "enumerate_weak_functors", no_search)
+        monkeypatch.setattr(twogpd, "run", no_search)
+        calls = [lambda: hom_full(d, w), lambda: hom_full(d, w, True),
+                 lambda: pi0_hom_vs_homotopy_classes(d, w),
+                 lambda: enumerate_2transformations(functors[0],
+                                                    functors[-1]),
+                 lambda: is_2transformation(functors[0], functors[0], (), ())]
+        for call in calls:
+            with pytest.raises(Violation) as err:
+                call()
+            assert (err.value.axiom, err.value.witness) == \
+                ("strict-codomain", "WeakTwoGroupoid")
+
+    @pytest.mark.parametrize("name, k", WEAK)
+    def test_weak_domain_is_kept(self, name, k):
+        w = _reconstructed(name, k)
+        g = xmod_to_2group(dict(build_corpus())[name])
+        for c in (bg(2), b2g(2)):
+            for pointed in (False, True):
+                assert len(pi0(hom_full(w, c, pointed))) == \
+                    len(pi0(hom_full(g, c, pointed)))
 
 
 class TestXmodWeakMaps:
