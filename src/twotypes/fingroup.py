@@ -346,39 +346,23 @@ def cokernel_of_image(hom: GroupHom) -> tuple[FiniteGroup, GroupHom]:
 # -- isomorphism search ------------------------------------------------------
 
 def generating_set(g: FiniteGroup) -> list[int]:
-    """A small (greedy, not necessarily minimal) generating set."""
+    """A small (greedy, not necessarily minimal) generating set: each
+    element outside the subgroup spanned so far joins, in ascending order,
+    until the span is g."""
     gens: list[int] = []
-    closure = {g.identity}
+    span = {g.identity}
     for a in range(g.order):
-        if a in closure:
-            continue
-        gens.append(a)
-        frontier = list(closure | {a})
-        closure.add(a)
-        while frontier:
-            x = frontier.pop()
-            for y in list(closure):
-                for z in (g.mul[x][y], g.mul[y][x]):
-                    if z not in closure:
-                        closure.add(z)
-                        frontier.append(z)
-        if len(closure) == g.order:
-            break
+        if a not in span:
+            gens.append(a)
+            span = _hom_on_span(g, g, gens, gens)
+            if len(span) == g.order:
+                break
     return gens
 
 
 def generates(g: FiniteGroup, gens: Iterable[int]) -> bool:
-    closure = {g.identity}
-    frontier = list(set(gens) | closure)
-    closure |= set(gens)
-    while frontier:
-        x = frontier.pop()
-        for y in list(closure):
-            for z in (g.mul[x][y], g.mul[y][x]):
-                if z not in closure:
-                    closure.add(z)
-                    frontier.append(z)
-    return len(closure) == g.order
+    gens = list(gens)
+    return len(_hom_on_span(g, g, gens, gens)) == g.order
 
 
 def _hom_on_span(g: FiniteGroup, h: FiniteGroup, gens, images):
@@ -386,7 +370,7 @@ def _hom_on_span(g: FiniteGroup, h: FiniteGroup, gens, images):
     image, as a dict, or None when there is none.  The closure under right
     multiplication by gens sets x a -> F(x) F(a) and checks it wherever x a
     is reached again; every element is a product of gens, so a map that
-    passes is a hom."""
+    passes is a hom.  Its keys, with images gens, are the subgroup."""
     table, frontier = {g.identity: h.identity}, [g.identity]
     while frontier:
         x = frontier.pop()

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import weakref
 
-from .fingroup import make_hom
+from .search import group
 from .simpset import (
     COSKELETON_CAP, SimplicialMap, TruncatedSimplicialSet,
     check_simplicial_map, coskeleton, extend_to_level4, level_by_boundary,
-    make_sset, over_cap,
+    make_sset, over_cap, sset_fiber_product,
 )
 from .twogpd import (
-    TwoFunctor, _loop_classes, pi0, pi1_at, pi2_at,
+    TwoFunctor, fiber_product_2gpd, induced_homs, induced_pi0,
 )
 from .weakmaps import WeakFunctor, check_weak_functor
 from .xmod import Violation
@@ -33,9 +33,7 @@ _NERVE_CACHE: dict[int, tuple[weakref.ref, TruncatedSimplicialSet]] = {}
 def two_simplices(g) -> list[tuple[int, int, int]]:
     """The 2-simplex triples (f, g, alpha) in nerve order: sorted by the
     pair of edges, identity filler first."""
-    out2: dict[int, list[int]] = {}
-    for a in range(g.n2):
-        out2.setdefault(g.src2[a], []).append(a)
+    out2 = group(g.src2)
     tris = [(f, h, a) for f, row in enumerate(g.comp1)
             for h, fh in row.items() for a in out2.get(fh, [])]
     tris.sort(key=lambda t: (t[0], t[1],
@@ -69,9 +67,7 @@ def nerve(g, cap: int | None = None) -> TruncatedSimplicialSet:
         s1 = pos2[(f, g.id1[g.tgt1[f]], g.id2[f])]
         degens1.append((s0, s1))
 
-    out2: dict[int, list[int]] = {}
-    for a in range(g.n2):
-        out2.setdefault(g.src2[a], []).append(a)
+    out2 = group(g.src2)
     quads = []
     for f, row in enumerate(g.comp1):
         for h, fh in row.items():
@@ -155,102 +151,11 @@ def simplicial_map_to_weak_functor(m: SimplicialMap, dom_gpd,
 # -- homotopy invariants of a (weak) functor ----------------------------------
 
 def induced_pi(F) -> tuple:
-    """(pi0 component map, pi1 hom, pi2 hom) at the basepoints."""
-    D, C = F.dom, F.cod
-    comps_d, comps_c = pi0(D), pi0(C)
-    comp_of_c = {}
-    for i, comp in enumerate(comps_c):
-        for a in comp:
-            comp_of_c[a] = i
-    pi0_map = tuple(comp_of_c[F.obj_map[comp[0]]] for comp in comps_d)
-
-    bd, bc = D.basepoint, C.basepoint
-    reps_d = _loop_classes(D, bd)[0]
-    cls_c = _loop_classes(C, bc)[1]
-    pi1_hom = make_hom(pi1_at(D, bd), pi1_at(C, bc),
-                       [cls_c[F.map1[r]] for r in reps_d])
-    ed, ec = D.id1[bd], C.id1[bc]
-    pos_c = {a: i for i, a in enumerate(C.between2.get((ec, ec), []))}
-    loops_d = D.between2.get((ed, ed), [])
-    pi2_hom = make_hom(pi2_at(D, bd), pi2_at(C, bc),
-                       [pos_c[F.map2[a]] for a in loops_d])
-    return pi0_map, pi1_hom, pi2_hom
+    """(pi0 component map, pi1 hom, pi2 hom) at the basepoint of F.dom."""
+    return (induced_pi0(F), *induced_homs(F, F.dom.basepoint))
 
 
 # -- fiber products -----------------------------------------------------------
-
-def fiber_product_2gpd(F: TwoFunctor, G: TwoFunctor):
-    """Strict pullback of a cospan X -> Z <- Y, cellwise on pairs with equal
-    images, with the two projection functors."""
-    from .twogpd import build_two_groupoid, check_2functor
-    X, Y = F.dom, G.dom
-    objs = [(a, b) for a in range(X.n_objects) for b in range(Y.n_objects)
-            if F.obj_map[a] == G.obj_map[b]]
-    opos = {p: i for i, p in enumerate(objs)}
-    ones = [(u, v) for u in range(X.n1) for v in range(Y.n1)
-            if F.map1[u] == G.map1[v]]
-    pos1 = {p: i for i, p in enumerate(ones)}
-    twos = [(a, b) for a in range(X.n2) for b in range(Y.n2)
-            if F.map2[a] == G.map2[b]]
-    pos2 = {p: i for i, p in enumerate(twos)}
-
-    def table(tx, ty, cells, pos):
-        # pairs compose where both sides do
-        return [{j: pos[(tx[a][a2], ty[b][b2])]
-                 for j, (a2, b2) in enumerate(cells)
-                 if a2 in tx[a] and b2 in ty[b]} for a, b in cells]
-
-    src1 = [opos[(X.src1[u], Y.src1[v])] for (u, v) in ones]
-    tgt1 = [opos[(X.tgt1[u], Y.tgt1[v])] for (u, v) in ones]
-    id1 = [pos1[(X.id1[a], Y.id1[b])] for (a, b) in objs]
-    comp1 = table(X.comp1, Y.comp1, ones, pos1)
-    src2 = [pos1[(X.src2[a], Y.src2[b])] for (a, b) in twos]
-    tgt2 = [pos1[(X.tgt2[a], Y.tgt2[b])] for (a, b) in twos]
-    id2 = [pos2[(X.id2[u], Y.id2[v])] for (u, v) in ones]
-    vcomp = table(X.vcomp, Y.vcomp, twos, pos2)
-    hcomp = table(X.hcomp2, Y.hcomp2, twos, pos2)
-    bp = None
-    if X.basepoint is not None and Y.basepoint is not None and \
-       (X.basepoint, Y.basepoint) in opos:
-        bp = opos[(X.basepoint, Y.basepoint)]
-    P = build_two_groupoid(len(objs), src1, tgt1, id1, comp1,
-                           src2, tgt2, id2, vcomp, hcomp, basepoint=bp)
-    px = check_2functor(P, X, [p[0] for p in objs],
-                        [p[0] for p in ones], [p[0] for p in twos])
-    py = check_2functor(P, Y, [p[1] for p in objs],
-                        [p[1] for p in ones], [p[1] for p in twos])
-    return P, px, py
-
-
-def sset_fiber_product(f: SimplicialMap, g: SimplicialMap):
-    """Levelwise pullback of a cospan of simplicial maps (full depth 4),
-    with the pair lists per level."""
-    X, Y = f.dom, g.dom
-    trunc = min(X.trunc, Y.trunc, len(f.levels) - 1, len(g.levels) - 1)
-    pairs = []
-    pos = []
-    for n in range(trunc + 1):
-        lvl = [(u, v) for u in range(X.counts[n]) for v in range(Y.counts[n])
-               if f.levels[n][u] == g.levels[n][v]]
-        pairs.append(lvl)
-        pos.append({p: i for i, p in enumerate(lvl)})
-    faces = [()]
-    for n in range(1, trunc + 1):
-        faces.append([tuple(pos[n - 1][(X.faces[n][u][i], Y.faces[n][v][i])]
-                            for i in range(n + 1))
-                      for (u, v) in pairs[n]])
-    degens = []
-    for n in range(trunc):
-        degens.append([tuple(pos[n + 1][(X.degens[n][u][j], Y.degens[n][v][j])]
-                             for j in range(n + 1))
-                       for (u, v) in pairs[n]])
-    bp = None
-    if X.basepoint is not None and Y.basepoint is not None and \
-       (X.basepoint, Y.basepoint) in pos[0]:
-        bp = pos[0][(X.basepoint, Y.basepoint)]
-    return make_sset(trunc, [len(l) for l in pairs], faces, degens,
-                     basepoint=bp), pairs, pos
-
 
 def nerve_preserves_fiber_products(F: TwoFunctor, G: TwoFunctor) -> bool:
     """The canonical map N(X x_Z Y) -> N(X) x_{N(Z)} N(Y) is an isomorphism

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from .search import group
 from .simpset import (
     JoinLevel, SimplicialMap, TruncatedSimplicialSet, check_simplicial_map,
     level_by_boundary,
@@ -60,10 +61,7 @@ def choose_fillers(x: TruncatedSimplicialSet,
         raise ValueError(f"unknown strategy {strategy!r}")
     _need_level(x, 2)
     ids = set(_identity_edges(x))
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for z in range(x.counts[2]):
-        d0, d1, d2 = x.faces[2][z]
-        by_pair.setdefault((d2, d0), []).append(z)
+    by_pair = group((d2, d0) for d0, _, d2 in x.faces[2])
     pairs = {}
     for f in range(x.counts[1]):
         for g in range(x.counts[1]):

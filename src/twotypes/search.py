@@ -1,4 +1,5 @@
-"""One backtracking kernel, one search budget and one union-find helper.
+"""One backtracking kernel, one search budget, one union-find helper and
+one grouping helper.
 
 `search` runs every exhaustive search of the library: maps of nerves,
 functors, weak maps of crossed modules, transformations and
@@ -32,6 +33,10 @@ variable is no longer a node.
 A `Plan` is the order with every constraint bucketed by the position that
 closes it, made once; `run` searches it as often as wanted, so a caller
 that searches the same constraints many times buckets them once.
+
+`group` is the one grouping of indices by key in the library: cells by
+their ends, simplices by boundary, 2-simplices by edge pair, and the
+classes of `classes` by root.
 """
 
 from __future__ import annotations
@@ -173,7 +178,13 @@ def classes(n: int, linked: Callable[[int, int], bool]) -> list[list[int]]:
             a, b = root(i), root(j)
             if a != b and linked(i, j):
                 parent[max(a, b)] = min(a, b)
-    out: dict[int, list[int]] = {}
-    for i in range(n):
-        out.setdefault(root(i), []).append(i)
-    return list(out.values())
+    return list(group(map(root, range(n))).values())
+
+
+def group(keys) -> dict:
+    """Indices grouped by their key, each group ascending, the groups in
+    order of first index."""
+    out: dict = {}
+    for x, k in enumerate(keys):
+        out.setdefault(k, []).append(x)
+    return out

@@ -1,5 +1,6 @@
 """Finite truncated simplicial sets with coskeleta, horn filling, Kan and
-minimality analysis, products, map enumeration, and simplicial homotopy.
+minimality analysis, products and fiber products, map enumeration, and
+simplicial homotopy.
 
 A TruncatedSimplicialSet stores levels 0..trunc (default 4) as plain index
 sets with face and degeneracy tables.  faces[n][x] is the tuple
@@ -22,7 +23,9 @@ from dataclasses import dataclass
 from operator import eq, itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .search import Budget, Plan, SizeCapExceeded, as_budget, classes, run
+from .search import (
+    Budget, Plan, SizeCapExceeded, as_budget, classes, group, run,
+)
 from .xmod import Violation, check_pointed
 
 
@@ -691,14 +694,6 @@ def _telling_faces(below, n: int) -> set:
 
 # -- minimality --------------------------------------------------------------
 
-def _by_boundary(x: TruncatedSimplicialSet, n: int) -> dict[tuple, list[int]]:
-    """The level-n simplices of x by boundary tuple, ascending."""
-    out: dict[tuple, list[int]] = {}
-    for z, row in enumerate(x.faces[n]):
-        out.setdefault(row, []).append(z)
-    return out
-
-
 def homotopic_rel_boundary(x: TruncatedSimplicialSet, n: int,
                            a: int, b: int) -> bool:
     """Witness criterion: an (n+1)-simplex z with d_n z = a, d_{n+1} z = b,
@@ -719,8 +714,8 @@ def is_k_minimal(x: TruncatedSimplicialSet, k: int):
     higher levels are rigid by coskeletality.
     """
     for n in range(max(k, 1), min(3, x.trunc) + 1):
-        for group in _by_boundary(x, n).values():
-            for a, b in itertools.combinations(group, 2):
+        for alike in group(x.faces[n]).values():
+            for a, b in itertools.combinations(alike, 2):
                 if homotopic_rel_boundary(x, n, a, b):
                     return (n, a, b)
     return True
@@ -745,18 +740,9 @@ def in_sset2(x: TruncatedSimplicialSet) -> SSet2Report:
     # redundant cross-check: distinct simplices above level 2 have distinct
     # boundary tuples, so the unit to the 2-coskeleton is injective; the
     # rows of a JoinLevel are distinct by construction
-    inj = True
-    for m in (3, 4):
-        if m > x.trunc:
-            break
-        if isinstance(x.faces[m], JoinLevel):
-            continue
-        seen = set()
-        for z in range(x.counts[m]):
-            key = x.faces[m][z]
-            if key in seen:
-                inj = False
-            seen.add(key)
+    inj = all(isinstance(x.faces[m], JoinLevel)
+              or len(set(x.faces[m])) == x.counts[m]
+              for m in (3, 4) if m <= x.trunc)
     return SSet2Report(kan=kan, coskeletal3=cosk3, minimal2=minimal,
                        injective_to_cosk2=inj)
 
@@ -780,32 +766,6 @@ def relabel(x: TruncatedSimplicialSet, perms) -> TruncatedSimplicialSet:
             for z in range(x.counts[n])))
     bp = None if x.basepoint is None else perms[0][x.basepoint]
     return make_sset(x.trunc, x.counts, faces, degens, basepoint=bp)
-
-
-# -- products ----------------------------------------------------------------
-
-def product(x: TruncatedSimplicialSet, y: TruncatedSimplicialSet,
-            trunc: Optional[int] = None) -> TruncatedSimplicialSet:
-    """Levelwise product through level min(x.trunc, y.trunc, trunc); the
-    level-n pair (a, b) has index a*|Y_n|+b."""
-    trunc = min(x.trunc, y.trunc, x.trunc if trunc is None else trunc)
-    counts = [x.counts[n] * y.counts[n] for n in range(trunc + 1)]
-    faces = [()]
-    for n in range(1, trunc + 1):
-        faces.append(tuple(
-            tuple(x.faces[n][a][i] * y.counts[n - 1] + y.faces[n][b][i]
-                  for i in range(n + 1))
-            for a in range(x.counts[n]) for b in range(y.counts[n])))
-    degens = []
-    for n in range(trunc):
-        degens.append(tuple(
-            tuple(x.degens[n][a][j] * y.counts[n + 1] + y.degens[n][b][j]
-                  for j in range(n + 1))
-            for a in range(x.counts[n]) for b in range(y.counts[n])))
-    bp = None
-    if x.basepoint is not None and y.basepoint is not None:
-        bp = x.basepoint * y.counts[0] + y.basepoint
-    return make_sset(trunc, counts, faces, degens, basepoint=bp)
 
 
 # -- simplicial maps ---------------------------------------------------------
@@ -855,6 +815,47 @@ def _commutes(rows, level, other, dom_rows, count) -> bool:
             == itemgetter(*itertools.chain.from_iterable(dom_rows))(other)
     except IndexError:
         return False
+
+
+# -- products and fiber products ---------------------------------------------
+
+def sset_fiber_product(f: SimplicialMap, g: SimplicialMap):
+    """Levelwise pullback of a cospan X -> Z <- Y of simplicial maps,
+    through the levels both maps and both complexes hold, with the pair
+    lists per level, in lexicographic order, and their indices."""
+    X, Y = f.dom, g.dom
+    trunc = min(X.trunc, Y.trunc, len(f.levels) - 1, len(g.levels) - 1)
+    pairs, pos = [], []
+    for n in range(trunc + 1):
+        over = group(g.levels[n])
+        lvl = [(u, v) for u in range(X.counts[n])
+               for v in over.get(f.levels[n][u], ())]
+        pairs.append(lvl)
+        pos.append({p: i for i, p in enumerate(lvl)})
+
+    def rows(tx, ty, pairs, pos):
+        return [tuple(map(pos.__getitem__, zip(tx[u], ty[v])))
+                for u, v in pairs]
+
+    faces = [()] + [rows(X.faces[n], Y.faces[n], pairs[n], pos[n - 1])
+                    for n in range(1, trunc + 1)]
+    degens = [rows(X.degens[n], Y.degens[n], pairs[n], pos[n + 1])
+              for n in range(trunc)]
+    fib = make_sset(trunc, list(map(len, pairs)), faces, degens,
+                    basepoint=pos[0].get((X.basepoint, Y.basepoint)))
+    return fib, pairs, pos
+
+
+def product(x: TruncatedSimplicialSet, y: TruncatedSimplicialSet,
+            trunc: Optional[int] = None) -> TruncatedSimplicialSet:
+    """Levelwise product through level min(x.trunc, y.trunc, trunc), the
+    fiber product over Delta^0: the level-n pair (a, b) has index
+    a*|Y_n|+b."""
+    trunc = min(x.trunc, y.trunc, x.trunc if trunc is None else trunc)
+    point = standard_simplex(0, trunc)
+    return sset_fiber_product(*(check_simplicial_map(
+        z, point, [(0,) * z.counts[n] for n in range(trunc + 1)])
+        for z in (x, y)))[0]
 
 
 def identity_map(x: TruncatedSimplicialSet, depth: Optional[int] = None) -> SimplicialMap:
@@ -922,7 +923,7 @@ class MapPlan:
     def __init__(self, x: TruncatedSimplicialSet, y: TruncatedSimplicialSet):
         self.x, self.y = x, y
         self.depth = depth = min(3, x.trunc, y.trunc)
-        self.by_boundary = [None] + [_by_boundary(y, n)
+        self.by_boundary = [None] + [group(y.faces[n])
                                      for n in range(1, depth + 1)]
         # realized boundary tuples one level up.  The top level is ordered
         # by x's faces one level up when both complexes hold that level,

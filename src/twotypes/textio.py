@@ -66,13 +66,6 @@ class Workspace:
         kind, obj = self.objects[name]
         return kind, name, obj
 
-    def last_of_kind(self, kind: str):
-        for name in reversed(self.order):
-            k, obj = self.objects[name]
-            if k == kind:
-                return name, obj
-        raise KeyError(kind)
-
 
 class _Cursor:
     def __init__(self, text: str):
@@ -85,9 +78,6 @@ class _Cursor:
 
     def done(self) -> bool:
         return self.at >= len(self.rows)
-
-    def peek(self):
-        return self.rows[self.at]
 
     def take(self, expected: str):
         if self.done():

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Optional, Sequence
 
-from .fingroup import FiniteGroup, make_action, make_group, make_hom
+from .fingroup import FiniteGroup, GroupHom, make_action, make_group, make_hom
 from .search import (
-    Budget, Plan, SizeCapExceeded, as_budget, classes, run, search,
+    Budget, Plan, SizeCapExceeded, as_budget, classes, group, run, search,
 )
 from .xmod import (
     CrossedModule, Violation, check_crossed_module, check_pointed,
@@ -52,12 +52,12 @@ class _Cells:
     @functools.cached_property
     def between1(self) -> dict:
         """The 1-cells by (source, target), each group ascending."""
-        return _group(zip(self.src1, self.tgt1))
+        return group(zip(self.src1, self.tgt1))
 
     @functools.cached_property
     def between2(self) -> dict:
         """The 2-cells by (source, target), each group ascending."""
-        return _group(zip(self.src2, self.tgt2))
+        return group(zip(self.src2, self.tgt2))
 
     @functools.cached_property
     def transformation_searches(self) -> dict:
@@ -94,14 +94,6 @@ class TwoGroupoid(_Cells):
                       for b, ab in row.items()} for row in comp1)
 
 
-def _group(keys) -> dict:
-    """Indices grouped by their key, each group ascending."""
-    out: dict = {}
-    for x, k in enumerate(keys):
-        out.setdefault(k, []).append(x)
-    return out
-
-
 def _derive_inverses(src, tgt, ident, comp):
     """inv[f]: a g with comp[f][g] = ident[src[f]] and comp[g][f] =
     ident[tgt[f]], the cells g with src[g] = tgt[f] tried first, in
@@ -109,7 +101,7 @@ def _derive_inverses(src, tgt, ident, comp):
     change a result: a g outside the first group that passes is a defined
     entry comp[f][g] at a pair that is not composable, which the audit
     rejects before it reads inv."""
-    starts = _group(src)
+    starts = group(src)
     inv = []
     for f, row in enumerate(comp):
         e, back = ident[src[f]], ident[tgt[f]]
@@ -194,7 +186,7 @@ def build_two_groupoid(n_objects, src1, tgt1, id1, comp1,
 def _partners(left_keys, right_keys):
     """For each cell x, the ascending cells y with right_keys[y] equal to
     left_keys[x]: the right partners of x."""
-    starts = _group(right_keys)
+    starts = group(right_keys)
     return [starts.get(k, []) for k in left_keys]
 
 
@@ -426,35 +418,6 @@ def disjoint_union(g: TwoGroupoid, h: TwoGroupoid) -> TwoGroupoid:
         basepoint=g.basepoint)
 
 
-def product_2gpd(g: TwoGroupoid, h: TwoGroupoid) -> TwoGroupoid:
-    """Componentwise product; cell (x, y) has index x * |h| + y at each level."""
-    def pair_tables(n_g, n_h, sg, sh):
-        return tuple(sg[i] * n_h + sh[j]
-                     for i in range(len(sg)) for j in range(len(sh)))
-
-    def comp_table(tg, th):
-        nh = len(th)
-        return [{k * nh + m: a * nh + b for k, a in rg.items()
-                 for m, b in rh.items()} for rg in tg for rh in th]
-
-    src1 = pair_tables(g.n_objects, h.n_objects, g.src1, h.src1)
-    tgt1 = pair_tables(g.n_objects, h.n_objects, g.tgt1, h.tgt1)
-    id1 = tuple(g.id1[a] * h.n1 + h.id1[b]
-                for a in range(g.n_objects) for b in range(h.n_objects))
-    src2 = pair_tables(g.n1, h.n1, g.src2, h.src2)
-    tgt2 = pair_tables(g.n1, h.n1, g.tgt2, h.tgt2)
-    id2 = tuple(g.id2[f] * h.n2 + h.id2[k]
-                for f in range(g.n1) for k in range(h.n1))
-    bp = None
-    if g.basepoint is not None and h.basepoint is not None:
-        bp = g.basepoint * h.n_objects + h.basepoint
-    return build_two_groupoid(
-        g.n_objects * h.n_objects, src1, tgt1, id1,
-        comp_table(g.comp1, h.comp1), src2, tgt2, id2,
-        comp_table(g.vcomp, h.vcomp), comp_table(g.hcomp2, h.hcomp2),
-        basepoint=bp)
-
-
 # -- conversion to and from crossed modules ----------------------------------
 
 def xmod_to_2group(xm: CrossedModule) -> TwoGroupoid:
@@ -546,6 +509,28 @@ def pi2_at(g: TwoGroupoid, obj: int) -> FiniteGroup:
     grp = make_group([[pos[g.vcomp[a][b]] for b in cells] for a in cells])
     assert grp.is_abelian()
     return grp
+
+
+def induced_pi0(F) -> tuple[int, ...]:
+    """The map of a strict or weak functor on components: entry i is the
+    component of F.cod, as pi0 lists them, of the image of component i of
+    F.dom."""
+    comp_of = {a: i for i, comp in enumerate(pi0(F.cod)) for a in comp}
+    return tuple(comp_of[F.obj_map[comp[0]]] for comp in pi0(F.dom))
+
+
+def induced_homs(F, obj: int) -> tuple[GroupHom, GroupHom]:
+    """The homs pi1 and pi2 of F.dom at obj -> those of F.cod at F(obj)
+    that a strict or weak functor induces."""
+    D, C, img = F.dom, F.cod, F.obj_map[obj]
+    cls = _loop_classes(C, img)[1]
+    pi1 = make_hom(pi1_at(D, obj), pi1_at(C, img),
+                   [cls[F.map1[r]] for r in _loop_classes(D, obj)[0]])
+    ed, ec = D.id1[obj], C.id1[img]
+    pos = {a: i for i, a in enumerate(C.between2.get((ec, ec), []))}
+    pi2 = make_hom(pi2_at(D, obj), pi2_at(C, img),
+                   [pos[F.map2[a]] for a in D.between2.get((ed, ed), [])])
+    return pi1, pi2
 
 
 def fundamental_groupoid(g: TwoGroupoid) -> TwoGroupoid:
@@ -752,6 +737,64 @@ def enumerate_2functors(dom: TwoGroupoid, cod: TwoGroupoid,
                 dom, cod, pointed, True, as_budget(cap, "functor search"))]
 
 
+def fiber_product_2gpd(F: TwoFunctor, G: TwoFunctor):
+    """Strict pullback of a cospan X -> Z <- Y, with the two projection
+    functors (see _pullback)."""
+    P, levels = _pullback(F, G)
+    px, py = (check_2functor(P, Z, *([p[k] for p in cells] for cells in levels))
+              for k, Z in enumerate((F.dom, G.dom)))
+    return P, px, py
+
+
+def _pullback(F: TwoFunctor, G: TwoFunctor):
+    """The strict pullback of F and G, and the pairs of cells that are its
+    objects, 1-cells and 2-cells: at each level the pairs with equal
+    images, in lexicographic order.  A pair composes with the pairs whose
+    sides its own sides compose with, so each row is read off the defined
+    entries of its two sides' rows."""
+    X, Y = F.dom, G.dom
+
+    def cells(n, fx, gy):
+        # the pairs, and index[a][b] the position of the pair (a, b)
+        over, index = group(gy), [{} for _ in range(n)]
+        pairs = [(a, b) for a in range(n) for b in over.get(fx[a], ())]
+        for i, (a, b) in enumerate(pairs):
+            index[a][b] = i
+        return pairs, index
+
+    objs, opos = cells(X.n_objects, F.obj_map, G.obj_map)
+    ones, pos1 = cells(X.n1, F.map1, G.map1)
+    twos, pos2 = cells(X.n2, F.map2, G.map2)
+
+    def mapped(pos, sx, sy, pairs):
+        return [pos[sx[a]][sy[b]] for a, b in pairs]
+
+    def table(tx, ty, pairs, pos):
+        return [{ra[b2]: rc[bc] for a2, ac in tx[a].items()
+                 for ra, rc in ((pos[a2], pos[ac]),)
+                 for b2, bc in ty[b].items() if b2 in ra} for a, b in pairs]
+
+    P = build_two_groupoid(
+        len(objs), mapped(opos, X.src1, Y.src1, ones),
+        mapped(opos, X.tgt1, Y.tgt1, ones), mapped(pos1, X.id1, Y.id1, objs),
+        table(X.comp1, Y.comp1, ones, pos1),
+        mapped(pos1, X.src2, Y.src2, twos), mapped(pos1, X.tgt2, Y.tgt2, twos),
+        mapped(pos2, X.id2, Y.id2, ones),
+        table(X.vcomp, Y.vcomp, twos, pos2),
+        table(X.hcomp2, Y.hcomp2, twos, pos2),
+        basepoint=None if X.basepoint is None
+        else opos[X.basepoint].get(Y.basepoint))
+    return P, (objs, ones, twos)
+
+
+def product_2gpd(g: TwoGroupoid, h: TwoGroupoid) -> TwoGroupoid:
+    """The pullback over the point: cell (x, y) has index x * |h| + y at
+    each level.  Its projections are not built."""
+    pt = point_2gpd()
+    return _pullback(*(check_2functor(
+        x, pt, [0] * x.n_objects, [0] * x.n1, [0] * x.n2) for x in (g, h)))[0]
+
+
 def is_fibration_2gpd(F: TwoFunctor) -> bool:
     """Arrow lifting along the target object and 2-cell lifting along the
     target 1-cell, both checked exhaustively."""
@@ -776,34 +819,13 @@ def is_fibration_2gpd(F: TwoFunctor) -> bool:
 
 
 def is_equivalence_2functor(F: TwoFunctor) -> bool:
-    """Bijective on connected components and on every pi1, pi2."""
-    dom, cod = F.dom, F.cod
-    dom_comps = pi0(dom)
-    cod_comps = pi0(cod)
-    cod_comp_of = {}
-    for i, comp in enumerate(cod_comps):
-        for x in comp:
-            cod_comp_of[x] = i
-    hit = {cod_comp_of[F.obj_map[comp[0]]] for comp in dom_comps}
-    if len(hit) != len(dom_comps) or len(hit) != len(cod_comps):
+    """Bijective on connected components, and on pi1 and pi2 at an object
+    of each."""
+    comps = induced_pi0(F)
+    if len(set(comps)) != len(comps) or len(comps) != len(pi0(F.cod)):
         return False
-    for comp in dom_comps:
-        obj = comp[0]
-        img = F.obj_map[obj]
-        # induced map on loop classes
-        reps, class_of = _loop_classes(dom, obj)
-        creps, cclass_of = _loop_classes(cod, img)
-        seen = {cclass_of[F.map1[r]] for r in reps}
-        if len(seen) != len(reps) or len(seen) != len(creps):
-            return False
-        if pi2_at(dom, obj).order != pi2_at(cod, img).order:
-            return False
-        e = dom.id1[obj]
-        cells = dom.between2.get((e, e), [])
-        imgs = {F.map2[a] for a in cells}
-        if len(imgs) != len(cells):
-            return False
-    return True
+    return all(hom.is_bijective() for comp in pi0(F.dom)
+               for hom in induced_homs(F, comp[0]))
 
 
 # -- hom 2-groupoids ---------------------------------------------------------
@@ -997,7 +1019,7 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
     src1 = tuple(c[0] for c in one_cells)
     tgt1 = tuple(c[1] for c in one_cells)
     # 2-cells: modifications
-    between = _group(zip(src1, tgt1))
+    between = group(zip(src1, tgt1))
     two_cells = []
     budget.stage = "hom modifications"
     for x, (i, j, t, _) in enumerate(one_cells):
@@ -1008,8 +1030,8 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
                 two_cells.append((x, y, mu))
     src2 = tuple(m[0] for m in two_cells)
     tgt2 = tuple(m[1] for m in two_cells)
-    out_of, from_cell = _group(src1), _group(src2)
-    from_functor = _group(src1[x] for x in src2)
+    out_of, from_cell = group(src1), group(src2)
+    from_functor = group(src1[x] for x in src2)
     entries = (sum(len(out_of[j]) for j in tgt1) +
                sum(len(from_cell[y]) for y in tgt2) +
                sum(len(from_functor[tgt1[x]]) for x in src2))

@@ -32,7 +32,11 @@ GROUP_ONLY = {"simpset", "twogpd", "weakmaps", "nerve", "reconstruct"}
      GROUP_ONLY),
     (["sset2", "nz2.sset"],
      {"twogpd", "weakmaps", "nerve", "reconstruct", "cohom"}),
-], ids=["check", "cohomology", "sset2"])
+    # simplicial maps group by boundary and may build products, which
+    # load no 2-groupoid code
+    (["enumerate-maps", "nz2.sset", "nz2.sset"],
+     {"twogpd", "weakmaps", "nerve", "reconstruct", "cohom"}),
+], ids=["check", "cohomology", "sset2", "enumerate-maps"])
 def test_command_loads_only_what_it_runs(argv, unloaded):
     argv = [str(FIX / a) if (FIX / a).is_file() else a for a in argv]
     done = subprocess.run([sys.executable, "-c", LOADED, *argv],
@@ -42,6 +46,13 @@ def test_command_loads_only_what_it_runs(argv, unloaded):
     assert code == "0"
     assert "twotypes.cli" in modules
     assert not {f"twotypes.{m}" for m in unloaded} & set(modules)
+
+
+def test_fiber_products_and_induced_pi_import_from_nerve():
+    from twotypes import nerve, simpset, twogpd
+    assert nerve.fiber_product_2gpd is twogpd.fiber_product_2gpd
+    assert nerve.sset_fiber_product is simpset.sset_fiber_product
+    assert callable(nerve.induced_pi)
 
 
 def test_cli_still_imports_numpy():
