@@ -7,10 +7,11 @@ sets with face and degeneracy tables.  faces[n][x] is the tuple
 (d_0 x, ..., d_n x); degens[n][x] is (s_0 x, ..., s_n x) landing in level
 n+1.  Degenerate simplices are stored explicitly.  A level that
 `coskeleton` rebuilds, such as level 4 of a nerve, is a JoinLevel: it holds
-the join of the level below instead of its rows, so it is counted, tested
-for membership and ranked from that level, and lists its rows only when
-they are read.  The degeneracies into it are a JoinDegens, ranked on the
-first read.  The audits tell such a level by its type.
+the join of the level below instead of its rows, so it is counted once,
+tested for membership and ranked from that level, and lists its rows only
+when they are read.  The degeneracies into it, checked down columns, are a
+JoinDegens, ranked on the first read.  The audits tell such a level by its
+type.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .search import (
@@ -313,13 +314,6 @@ def _split(node, col):
     return out
 
 
-def _widest(node) -> int:
-    """The size of the largest leaf of a trie node."""
-    if isinstance(node, dict):
-        return max(map(_widest, node.values()), default=0)
-    return len(node)
-
-
 def _count_tail(cands, nodes, cols) -> int:
     """`_Join._count` when at most three positions follow: the tuples are
     summed from the bucket sizes of the last, with no prefix built."""
@@ -491,15 +485,15 @@ def coskeleton(x: TruncatedSimplicialSet, k: int,
     compatible boundary tuples in lexicographic order.  trunc may exceed
     x.trunc to extend a low-truncation complex.
 
-    Each level is counted before anything is listed or ranked, and
-    SizeCapExceeded is raised when it would hold more than cap simplices
-    (COSKELETON_CAP by default).  Levels <= k are x's and not audited
+    Each level is counted once, before anything is listed or ranked, by a
+    count that stops only past cap (COSKELETON_CAP by default), so it is
+    exact or raises SizeCapExceeded.  Levels <= k are x's and not audited
     again, and the face identities of a joined level are its compatibility
     condition.  So only the degeneracies into each joined level are
     checked: s_j y has the faces that the identities d_i s_j give it, and
-    that tuple must be a row.  The check tests compatibility and reads no
-    rank; the degeneracy table is a JoinDegens, which ranks the tuples
-    only when it is read.
+    that tuple must be a row.  The check reads the targets down columns
+    and no rank, and builds them as rows only to name the first failure.
+    The degeneracy table is a JoinDegens, ranked only when it is read.
     """
     if trunc is None:
         trunc = x.trunc
@@ -510,17 +504,13 @@ def coskeleton(x: TruncatedSimplicialSet, k: int,
     degens = list(x.degens[:k])
     for m in range(k + 1, trunc + 1):
         level = JoinLevel(faces[m - 1], counts[m - 1], m)
-        # the product of the largest buckets bounds the level; a level it
-        # does not keep under the cap is counted against the cap, once
-        join = level.join
-        if math.prod(map(_widest, join.roots), start=join.size) > cap:
-            level._count = join.count(cap)
-            if level._count > cap:
-                raise over_cap(m, cap)
+        level._count = level.join.count(cap)
+        if level._count > cap:
+            raise over_cap(m, cap)
         down = degens[m - 2] if m >= 2 else ()
-        bad = _first_not_row(join, _degen_targets(faces[m - 1], down,
-                                                  counts[m - 1], m))
-        if bad is not None:
+        if not _degens_fit(level.join, down, m):
+            bad = _first_not_row(level.join, _degen_targets(
+                faces[m - 1], down, counts[m - 1], m))
             raise Violation("ds-identity", (m - 1, *divmod(bad, m)))
         counts.append(len(level))
         faces.append(level)
@@ -545,17 +535,32 @@ def _degen_targets(below, down, count: int, m: int) -> list:
     return out
 
 
+def _degens_fit(join: _Join, down, m: int) -> bool:
+    """Whether each s_j y is a tuple of join, over positions 0..m of level
+    m-1, down the degeneracies of level m-2.  For each j, column i of the
+    targets is y for i = j, j + 1, else a column of down read through one
+    of join.cols (d_i is cols[i + 1]); each is range-checked, and each pair
+    of positions compared as one tuple."""
+    size, face, downs = join.size, join.cols, list(zip(*down))
+    for j in range(m if size else 0):
+        cols = [range(size) if j <= i <= j + 1 else
+                _gather(downs[j - 1], face[i + 1]) if i < j else
+                _gather(downs[j], face[i]) for i in range(m + 1)]
+        if not all(0 <= min(c) and max(c) < size for c in cols) or not all(
+                _gather(face[a + 1], cols[b]) == _gather(face[b], cols[a])
+                for b in range(1, m + 1) for a in range(b)):
+            return False
+    return True
+
+
+def _gather(col, keys) -> tuple:
+    """col[key] for each of keys, as a tuple."""
+    return itemgetter(*keys)(col) if len(keys) > 1 else \
+        tuple(col[key] for key in keys)
+
+
 def _first_not_row(join: _Join, rows) -> Optional[int]:
-    """The index of the first of rows that is not a tuple of join, a join
-    over all positions 0..m, or None.  Each pair of positions is tested on
-    all rows at once, column by column, once every entry is known to index
-    the level below; join.cols[i + 1] is the column of the faces d_i."""
-    cols, face = list(zip(*rows)), join.cols
-    if all(0 <= min(c) and max(c) < join.size for c in cols) and all(
-            all(map(eq, map(face[a + 1].__getitem__, cols[b]),
-                    map(face[b].__getitem__, cols[a])))
-            for b in range(1, len(cols)) for a in range(b)):
-        return None
+    """The index of the first of rows not in join, or None."""
     return next((i for i, row in enumerate(rows) if row not in join), None)
 
 
@@ -611,9 +616,9 @@ def is_kan(x: TruncatedSimplicialSet, dims: Iterable[int] = (1, 2, 3, 4)):
     listing the horns in lexicographic order to report the first one that
     no simplex fills.  A JoinLevel over x's level below is audited from
     that level (`_kan_join`: R rows fill R of the H_k horns at k, and
-    R <= H_k <= |a join one position shorter|, so that join holding R
-    tuples settles k, else H_k is counted), and a stored level from its
-    rows (`_kan_rows`).
+    R <= H_k <= |the join without positions k and k +- 1|, so that join
+    holding R tuples settles k, and k +- 1 with it; else H_k is counted),
+    and a stored level from its rows (`_kan_rows`).
     """
     for n in dims:
         if n > x.trunc:
@@ -661,20 +666,26 @@ def _kan_join(x: TruncatedSimplicialSet, n: int):
     vertex k (k for k < j, else k - 1); its other faces are faces of the
     other x_p.  So when the faces other than d_m tell the (n-1)-simplices
     apart, R <= H_k <= |the join over the positions but j, k|, and that
-    join holding R tuples settles k.  Else H_k is counted; on a mismatch
-    or repeated boundaries, horns are listed to the first unfilled one.
+    join holding R tuples settles k.  With j = k +- 1, the join without m
+    and m + 1 settles both k = m and k = m + 1, and is counted once.  Else
+    H_k is counted; on a mismatch or repeated boundaries, horns are listed
+    to the first unfilled one.
     """
     below, size = x.faces[n - 1], x.counts[n - 1]
     boundaries = set(below)
     unique = len(boundaries) == size
     rows = len(x.faces[n])
     drops = _telling_faces(below, n) if unique else ()
+    short = {}  # m -> the count of the join without positions m, m + 1
     for k in range(n + 1):
         positions = [i for i in range(n + 1) if i != k]
-        j = next((j for j in positions if k - (k > j) in drops), None)
-        if j is not None and _Join(below, size, [
-                p for p in positions if p != j]).count(rows) == rows:
-            continue
+        m = k - 1 if k - 1 in short or k not in drops else k
+        if m in drops:
+            if m not in short:
+                short[m] = _Join(below, size, positions[:m] +
+                                 positions[m + 1:]).count(rows)
+            if short[m] == rows:
+                continue
         horns = _Join(below, size, positions)
         if unique and horns.count(rows) == rows:
             continue
@@ -781,16 +792,24 @@ class SimplicialMap:
 
 
 def check_simplicial_map(dom, cod, levels) -> SimplicialMap:
-    """Audit faces, then degeneracies; a table that _commutes is not walked."""
+    """Audit the number of levels ("map-levels", (top level, given, held))
+    and their lengths ("map-level-size", (n, given, dom.counts[n])), then
+    faces, then degeneracies; a table that _commutes is not walked."""
     levels = tuple(tuple(lvl) for lvl in levels)
     depth = len(levels) - 1
+    if depth > min(dom.trunc, cod.trunc):
+        raise Violation("map-levels", (depth, len(levels),
+                                       min(dom.trunc, cod.trunc) + 1))
+    for n, lvl in enumerate(levels):
+        if len(lvl) != dom.counts[n]:
+            raise Violation("map-level-size", (n, len(lvl), dom.counts[n]))
     tables = itertools.chain(
         (("map-face", n, cod.faces[n], levels[n - 1], dom.faces[n])
          for n in range(1, depth + 1)),
         (("map-degen", n, cod.degens[n], levels[n + 1], dom.degens[n])
          for n in range(depth)))
     for name, n, rows, other, dom_rows in tables:
-        if _commutes(rows, levels[n], other, dom_rows, dom.counts[n]):
+        if _commutes(rows, levels[n], other, dom_rows):
             continue
         for z in range(dom.counts[n]):
             for i in range(n + 1):
@@ -799,20 +818,17 @@ def check_simplicial_map(dom, cod, levels) -> SimplicialMap:
     return SimplicialMap(dom=dom, cod=cod, levels=levels)
 
 
-def _commutes(rows, level, other, dom_rows, count) -> bool:
+def _commutes(rows, level, other, dom_rows) -> bool:
     """Whether rows[level[z]] is the image of dom_rows[z] under other for
-    all z < count.  Into a JoinLevel the images are ranked.  Otherwise both
-    sides are compared as one flat tuple, which is exact as every row of a
-    level holds n + 1 entries.  False for fewer than two rows (itemgetter
-    returns no tuple there), on a mismatch and on an IndexError: the walk
-    then finds the first violation."""
+    every z.  Into a JoinLevel the images are ranked.  Otherwise both sides
+    are compared as one flat tuple, which is exact as every row of a level
+    holds n + 1 entries.  False on a mismatch and on an IndexError: the
+    walk then finds the first violation."""
     if isinstance(rows, JoinLevel):
         return list(level) == rows.ranks(_images(other, dom_rows))
-    if len(level) != count or count < 2:
-        return False
     try:
-        return tuple(itertools.chain.from_iterable(itemgetter(*level)(rows))) \
-            == itemgetter(*itertools.chain.from_iterable(dom_rows))(other)
+        return tuple(itertools.chain.from_iterable(_gather(rows, level))) \
+            == _gather(other, tuple(itertools.chain.from_iterable(dom_rows)))
     except IndexError:
         return False
 

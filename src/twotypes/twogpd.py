@@ -739,9 +739,10 @@ def enumerate_2functors(dom: TwoGroupoid, cod: TwoGroupoid,
 
 def fiber_product_2gpd(F: TwoFunctor, G: TwoFunctor):
     """Strict pullback of a cospan X -> Z <- Y, with the two projection
-    functors (see _pullback)."""
+    functors (see _pullback), built unaudited: they are by construction."""
     P, levels = _pullback(F, G)
-    px, py = (check_2functor(P, Z, *([p[k] for p in cells] for cells in levels))
+    px, py = (TwoFunctor(P, Z, *(tuple(p[k] for p in cells)
+                                 for cells in levels))
               for k, Z in enumerate((F.dom, G.dom)))
     return P, px, py
 

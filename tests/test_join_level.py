@@ -7,13 +7,15 @@ before `coskeleton` returned `JoinLevel`s: the compatible-tuple join over
 d-d loops of `check_simplicial_identities`.  They run on the rows of each
 level, listed, and must agree with the library run on the level itself.
 `old_kan_join` is the Kan audit of a joined level before it counted a join
-one position shorter first.
+one position shorter first, and `old_degen_witness` the check of the
+degeneracies into a joined level before it read their targets down columns.
 """
 
 import dataclasses
 import gc
 import itertools
 import math
+import operator
 import random
 from pathlib import Path
 
@@ -590,9 +592,11 @@ class TestFirstNotRow:
             want = next((i for i, r in enumerate(batch) if not is_row(r)),
                         None)
             assert simpset._first_not_row(x.faces[4].join, batch) == want
-        # true rows pass on the columns alone, with no row tested by itself
-        monkeypatch.setattr(simpset._Join, "__contains__", None)
         assert simpset._first_not_row(x.faces[4].join, rows) is None
+        # the degeneracies into a true level pass on the columns alone, with
+        # no row tested by itself
+        monkeypatch.setattr(simpset._Join, "__contains__", None)
+        assert coskeleton(truncated(x, 3), 3, trunc=4).counts == x.counts
 
 
 class TestNoRanksInTheAudit:
@@ -608,6 +612,13 @@ class TestNoRanksInTheAudit:
         assert is_coskeletal_at(x, 3)
         assert is_k_minimal(x, 2) is True
         assert roundtrip_report(x).ok
+
+
+def widest(node):
+    """The size of the largest leaf of a trie node of a `simpset._Join`."""
+    if isinstance(node, dict):
+        return max(map(widest, node.values()), default=0)
+    return len(node)
 
 
 class TestEachLevelCountedOnce:
@@ -626,7 +637,8 @@ class TestEachLevelCountedOnce:
         (sphere_base, 2, None),
         (lambda: boundary(2), 1, None),
         # the product of the largest buckets passes the cap at levels 3 and
-        # 4 (30 and 45), so that bound counts them; no level passes it
+        # 4 (30 and 45), but the count stops only past the cap; no level
+        # passes it
         (lambda: boundary(2), 1, 21),
         (lambda: horn(4, 2), 3, 121),
     ])
@@ -637,7 +649,7 @@ class TestEachLevelCountedOnce:
         y = coskeleton(x, k, trunc=4, cap=cap)
         levels = [y.faces[m].join for m in range(k + 1, 5)]
         if cap is not None:
-            bounds = [math.prod(map(simpset._widest, j.roots), start=j.size)
+            bounds = [math.prod(map(widest, j.roots), start=j.size)
                       for j in levels]
             assert max(bounds) > cap >= max(sizes[k + 1:])
         assert y.counts == sizes
@@ -766,4 +778,178 @@ class TestKanFromAShorterJoin:
             return original(self, *args)
         monkeypatch.setattr(simpset._Join, "count", count)
         assert is_kan(x, (4,)) is True
-        assert 4 not in widths and widths.count(3) == 5
+        # the joins without positions {0, 1}, {2, 3} and {3, 4}
+        assert 4 not in widths and widths.count(3) == 3
+
+
+class TestOneCountPerNerve:
+    @staticmethod
+    def record(monkeypatch):
+        """The joins made and the joins counted, in order."""
+        made, counted = [], []
+        init, count = simpset._Join.__init__, simpset._Join.count
+
+        def record_init(self, *args):
+            made.append(self)
+            init(self, *args)
+
+        def record_count(self, *args):
+            counted.append(self)
+            return count(self, *args)
+        monkeypatch.setattr(simpset._Join, "__init__", record_init)
+        monkeypatch.setattr(simpset._Join, "count", record_count)
+        return made, counted
+
+    def test_id_z3(self, corpus, monkeypatch):
+        xm = next(xm for name, xm in corpus if name == "id_z3")
+        g = xmod_to_2group(xm)  # a 2-groupoid of its own: no cache
+        made, counted = self.record(monkeypatch)
+        x = nerve(g)
+        assert made == counted == [x.faces[4].join]
+        del made[:], counted[:]
+        assert is_kan(x, (4,)) is True
+        assert len(made) == 3 and counted == made
+
+
+# -- degeneracy witnesses, against the check that listed every target --------
+
+def old_degen_targets(below, down, count, m):
+    """`simpset._degen_targets`, as it was: the faces of s_j y in (y, j)
+    order."""
+    out = []
+    for y in range(count):
+        fy = below[y] if m >= 2 else ()
+        for j in range(m):
+            out.append(tuple(
+                y if i == j or i == j + 1 else
+                down[fy[i]][j - 1] if i < j else down[fy[i - 1]][j]
+                for i in range(m + 1)))
+    return out
+
+
+def old_first_not_row(join, rows):
+    """`simpset._first_not_row` with its column phase, as it was: each pair
+    of positions tested on all rows at once, then a scan on a failure."""
+    cols, face = list(zip(*rows)), join.cols
+    if all(0 <= min(c) and max(c) < join.size for c in cols) and all(
+            all(map(operator.eq, map(face[a + 1].__getitem__, cols[b]),
+                    map(face[b].__getitem__, cols[a])))
+            for b in range(1, len(cols)) for a in range(b)):
+        return None
+    return next((i for i, row in enumerate(rows) if row not in join), None)
+
+
+def old_degen_witness(x, k, trunc=4):
+    """The witness (m-1, y, j) of the first degeneracy s_j y that is no row
+    of its joined level in coskeleton(x, k, trunc), found as the check
+    found it that listed every target, or None."""
+    counts, faces = list(x.counts[:k + 1]), list(x.faces[:k + 1])
+    degens = list(x.degens[:k])
+    for m in range(k + 1, trunc + 1):
+        level = JoinLevel(faces[m - 1], counts[m - 1], m)
+        down = degens[m - 2] if m >= 2 else ()
+        bad = old_first_not_row(level.join, old_degen_targets(
+            faces[m - 1], down, counts[m - 1], m))
+        if bad is not None:
+            return (m - 1, *divmod(bad, m))
+        counts.append(len(level))
+        faces.append(level)
+        degens.append(JoinDegens(level, down))
+    return None
+
+
+def degen_witness(x, k):
+    """The witness of the ds-identity Violation that coskeleton(x, k,
+    trunc=4) raises, or None when it raises none."""
+    try:
+        coskeleton(x, k, trunc=4)
+    except Violation as v:
+        assert v.axiom == "ds-identity"
+        return v.witness
+    return None
+
+
+def with_degens(x, t, edits):
+    """x with degens[t][y][j] set to v for each (y, j, v) of edits."""
+    table = [list(row) for row in x.degens[t]]
+    for y, j, v in edits:
+        table[y][j] = v
+    return dataclasses.replace(x, degens=x.degens[:t] + (
+        tuple(map(tuple, table)),) + x.degens[t + 1:])
+
+
+def degen_edits(x, t, rng, cells):
+    """Edits of degens[t] at up to cells sampled entries: each set to -1,
+    to one past the end and to another simplex; and two entries set at
+    once, the later row's at a lower j where there is one, so that a later
+    column fails at an earlier row."""
+    table, count = x.degens[t], x.counts[t + 1]
+    every = [(y, j) for y in range(len(table)) for j in range(t + 1)]
+    picks = rng.sample(every, min(cells, len(every)))
+    out = [[(y, j, v)] for y, j in picks
+           for v in (-1, count, rng.randrange(count)) if v != table[y][j]]
+    for (y1, j1), (y2, j2) in itertools.combinations(sorted(picks), 2):
+        if y1 < y2 and j1 > j2:
+            out.append([(y1, j1, rng.randrange(count)),
+                        (y2, j2, rng.randrange(count))])
+            break
+    return out
+
+
+SIMPLICES = {
+    **{f"simplex{n}": (lambda n=n: standard_simplex(n)) for n in range(5)},
+    **{f"boundary{n}": (lambda n=n: boundary(n)) for n in range(5)},
+    **{f"horn{n}{i}": (lambda n=n, i=i: horn(n, i))
+       for n in range(1, 5) for i in range(n + 1)},
+}
+
+
+class TestDegeneracyWitnesses:
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus_nerve(self, gpd_nerves, name):
+        x = truncated(corpus_nerve(gpd_nerves, name), 3)
+        rng = random.Random(name)
+        assert degen_witness(x, 3) is old_degen_witness(x, 3) is None
+        found = []
+        # only the table into level 3 is read; the lower two take a few
+        # edits each
+        for t, cells in ((0, 1), (1, 2), (2, 6 if name in LARGE else 12)):
+            for edits in degen_edits(x, t, rng, cells):
+                z = with_degens(x, t, edits)
+                want = old_degen_witness(z, 3)
+                assert degen_witness(z, 3) == want, (t, edits)
+                found.append(want)
+        assert any(w is None for w in found)
+        assert any(w is not None for w in found)
+
+    @pytest.mark.parametrize("name", SIMPLICES)
+    def test_simplices(self, name):
+        base, rng, found = SIMPLICES[name](), random.Random(name), []
+        for k in (1, 2, 3):
+            assert degen_witness(base, k) is old_degen_witness(base, k) \
+                is None
+            if not base.counts[k]:
+                continue
+            for edits in degen_edits(base, k - 1, rng, 4):
+                z = with_degens(base, k - 1, edits)
+                want = old_degen_witness(z, k)
+                assert degen_witness(z, k) == want, (k, edits)
+                found.append(want)
+        # boundary0 is empty
+        assert any(w is not None for w in found) or not any(base.counts)
+
+    def test_a_correct_level_builds_no_target_row(self, gpd_nerves,
+                                                  monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("a target row was built")
+        monkeypatch.setattr(simpset, "_degen_targets", no_rows)
+        monkeypatch.setattr(simpset, "_first_not_row", no_rows)
+        for name in CORPUS:
+            x = corpus_nerve(gpd_nerves, name)
+            assert coskeleton(truncated(x, 3), 3, trunc=4).counts == \
+                x.counts
+        # one joined level each, so no lower JoinDegens is ranked
+        for make in SIMPLICES.values():
+            base = make()
+            for k in (1, 2, 3):
+                coskeleton(base, k, trunc=k + 1)

@@ -1,3 +1,5 @@
+import pytest
+
 from twotypes.fingroup import cyclic, find_isomorphism, trivial_group
 from twotypes.nerve import (
     induced_pi, nerve, nerve_of_weak_functor,
@@ -8,11 +10,11 @@ from twotypes.simpset import (
     check_simplicial_map, compose_maps, in_sset2, simplicial_maps,
 )
 from twotypes.twogpd import (
-    check_2functor, compose_2functors, enumerate_2functors, identity_functor,
-    point_2gpd, xmod_to_2group,
+    check_2functor, compose_2functors, enumerate_2functors,
+    fiber_product_2gpd, identity_functor, point_2gpd, xmod_to_2group,
 )
 from twotypes.weakmaps import enumerate_weak_functors
-from twotypes.xmod import pi1, pi2, xmod_b2g, xmod_bg
+from twotypes.xmod import pi1, pi2, xmod_b2g, xmod_bg, xmod_identity
 
 
 def bg(n):
@@ -113,21 +115,52 @@ class TestInducedPi:
             assert find_isomorphism(p2h.dom, pi2(xm)) is not None
 
 
+def collapse(g):
+    """The functor from g to the point."""
+    return check_2functor(g, point_2gpd(), [0] * g.n_objects, [0] * g.n1,
+                          [0] * g.n2)
+
+
+def point_over_group():
+    g = bg(2)
+    return check_2functor(point_2gpd(), g, [0], [g.id1[0]],
+                          [g.id2[g.id1[0]]]), identity_functor(g)
+
+
+# name -> the cospan (F, G); every fiber product these tests build
+COSPANS = {
+    "point_over_group": point_over_group,
+    "diagonal": lambda: (identity_functor(b2g(2)),) * 2,
+    "two_collapses": lambda: (collapse(bg(2)),) * 2,
+    "id_z3_times_b2_z2": lambda: (
+        collapse(xmod_to_2group(xmod_identity(cyclic(3)))), collapse(b2g(2))),
+    "b2_z2_over_b_z2": lambda: (
+        check_2functor(b2g(2), bg(2), [0], [0], [0, 0]),
+        identity_functor(bg(2))),
+}
+
+
 class TestFiberProducts:
     def test_point_over_group(self):
-        g = bg(2)
-        F = check_2functor(point_2gpd(), g, [0], [g.id1[0]],
-                           [g.id2[g.id1[0]]])
-        G = identity_functor(g)
-        assert nerve_preserves_fiber_products(F, G)
+        assert nerve_preserves_fiber_products(*COSPANS["point_over_group"]())
 
     def test_diagonal(self):
-        g = b2g(2)
-        G = identity_functor(g)
-        assert nerve_preserves_fiber_products(G, G)
+        assert nerve_preserves_fiber_products(*COSPANS["diagonal"]())
 
     def test_two_collapses(self):
-        g = bg(2)
-        pt = point_2gpd()
-        F = check_2functor(g, pt, [0], [0, 0], [0, 0])
-        assert nerve_preserves_fiber_products(F, F)
+        assert nerve_preserves_fiber_products(*COSPANS["two_collapses"]())
+
+    @pytest.mark.parametrize("name", COSPANS)
+    def test_projections_pass_the_audit(self, name):
+        # fiber_product_2gpd builds its projections without an audit
+        F, G = COSPANS[name]()
+        P, px, py = fiber_product_2gpd(F, G)
+        for proj, Z in ((px, F.dom), (py, G.dom)):
+            assert proj.dom is P and proj.cod is Z
+            assert check_2functor(P, Z, proj.obj_map, proj.map1,
+                                  proj.map2) == proj
+        # the square commutes on every cell
+        for a, b, f, g in ((px.obj_map, py.obj_map, F.obj_map, G.obj_map),
+                           (px.map1, py.map1, F.map1, G.map1),
+                           (px.map2, py.map2, F.map2, G.map2)):
+            assert [f[v] for v in a] == [g[v] for v in b]

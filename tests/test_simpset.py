@@ -565,9 +565,17 @@ class TestPinnedCells:
 
 def _walk_check_map(dom, cod, levels):
     """check_simplicial_map as a walk over every face entry, then every
-    degeneracy entry: the reference for its first violation."""
+    degeneracy entry, once the number and lengths of the levels are
+    checked: the reference for its first violation."""
     levels = tuple(tuple(lvl) for lvl in levels)
     depth = len(levels) - 1
+    held = min(dom.trunc, cod.trunc) + 1
+    if len(levels) > held:
+        raise Violation("map-levels", (depth, len(levels), held))
+    for n in range(depth + 1):
+        if len(levels[n]) != dom.counts[n]:
+            raise Violation("map-level-size",
+                            (n, len(levels[n]), dom.counts[n]))
     for n in range(1, depth + 1):
         for z in range(dom.counts[n]):
             for i in range(n + 1):
@@ -637,6 +645,47 @@ class TestMapAuditMatchesWalk:
             assert got == want, levels
             outcomes.add(want if isinstance(want, type) else want[0])
         assert {"map-face", IndexError} <= outcomes, outcomes
+
+
+class TestMapLevelLengths:
+    """A level of the wrong length, or a level the complexes do not hold,
+    is a Violation naming the level and both lengths."""
+
+    @staticmethod
+    def identity_with(n, level):
+        x = standard_simplex(1, 2)
+        levels = [list(range(c)) for c in x.counts]
+        return x, levels[:n] + [level] + levels[n + 1:]
+
+    def test_level_longer_than_the_domain(self):
+        # the extra entry names no vertex; the faces alone would commute
+        x, levels = self.identity_with(0, [0, 1, 5])
+        with pytest.raises(Violation) as err:
+            check_simplicial_map(x, x, levels)
+        assert (err.value.axiom, err.value.witness) == \
+            ("map-level-size", (0, 3, 2))
+        with pytest.raises(Violation) as err:
+            check_simplicial_map(x, x, levels[:1])
+        assert err.value.witness == (0, 3, 2)
+
+    def test_level_shorter_than_the_domain(self):
+        x, levels = self.identity_with(0, [0])
+        with pytest.raises(Violation) as err:
+            check_simplicial_map(x, x, levels)
+        assert (err.value.axiom, err.value.witness) == \
+            ("map-level-size", (0, 1, 2))
+
+    def test_more_levels_than_the_complexes_hold(self):
+        x, levels = self.identity_with(3, [0] * 5)
+        with pytest.raises(Violation) as err:
+            check_simplicial_map(x, x, levels)
+        assert (err.value.axiom, err.value.witness) == \
+            ("map-levels", (3, 4, 3))
+        # the codomain alone may hold fewer levels than the domain
+        with pytest.raises(Violation) as err:
+            check_simplicial_map(standard_simplex(1, 3), x,
+                                 [range(c) for c in (2, 3, 4, 5)])
+        assert err.value.witness == (3, 4, 3)
 
 
 def _first_missing(y, n, below, rows):
