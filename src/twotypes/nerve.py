@@ -21,9 +21,9 @@ from .simpset import (
     make_sset, over_cap, sset_fiber_product,
 )
 from .twogpd import (
-    TwoFunctor, fiber_product_2gpd, induced_homs, induced_pi0,
+    WeakFunctor, check_weak_functor, fiber_product_2gpd, induced_homs,
+    induced_pi0,
 )
-from .weakmaps import WeakFunctor, check_weak_functor
 from .xmod import Violation
 
 # id(g) -> (a weak reference to g, its nerve); an entry leaves with g
@@ -48,8 +48,8 @@ def two_simplex_index(g) -> dict[tuple[int, int, int], int]:
 
 def nerve(g, cap: int | None = None) -> TruncatedSimplicialSet:
     """3-coskeletal nerve, truncated at level 4, of a strict or weak
-    2-groupoid.  Raises SizeCapExceeded when level 4 would hold more than
-    cap simplices (COSKELETON_CAP by default)."""
+    2-groupoid.  Level 4 is counted before levels 0-3 are audited: past cap
+    simplices (COSKELETON_CAP by default) it raises SizeCapExceeded."""
     cap = COSKELETON_CAP if cap is None else cap
     cached = _NERVE_CACHE.get(id(g))
     if cached is not None and cached[0]() is g:
@@ -97,19 +97,18 @@ def nerve(g, cap: int | None = None) -> TruncatedSimplicialSet:
         s2 = pos3[(degens1[d0x][1], degens1[d1x][1], x, x)]
         degens2.append((s0, s1, s2))
 
-    base = make_sset(
-        3,
-        [g.n_objects, g.n1, len(tris), len(quads)],
-        [(), faces1, faces2, quads],
-        [degens0, degens1, degens2],
-        basepoint=g.basepoint)
-    full = coskeleton(base, 3, trunc=4, cap=cap)
+    counts = (g.n_objects, g.n1, len(tris), len(quads))
+    faces = ((), tuple(faces1), tuple(faces2), tuple(quads))
+    degens = (tuple(degens0), tuple(degens1), tuple(degens2))
+    full = coskeleton(TruncatedSimplicialSet(
+        3, counts, faces, degens, basepoint=g.basepoint), 3, trunc=4, cap=cap)
+    make_sset(3, counts, faces, degens, basepoint=g.basepoint)
     _NERVE_CACHE[id(g)] = (weakref.ref(g), full)
     weakref.finalize(g, _NERVE_CACHE.pop, id(g), None)
     return full
 
 
-def nerve_of_weak_functor(F: WeakFunctor | TwoFunctor) -> SimplicialMap:
+def nerve_of_weak_functor(F: WeakFunctor) -> SimplicialMap:
     """The induced map of nerves of a weak or strict functor: a 2-simplex
     (f, g, alpha) goes to (F f, F g, [eps_{f,g}][F alpha]); level 3 follows
     by boundary lookup."""
@@ -157,7 +156,7 @@ def induced_pi(F) -> tuple:
 
 # -- fiber products -----------------------------------------------------------
 
-def nerve_preserves_fiber_products(F: TwoFunctor, G: TwoFunctor) -> bool:
+def nerve_preserves_fiber_products(F: WeakFunctor, G: WeakFunctor) -> bool:
     """The canonical map N(X x_Z Y) -> N(X) x_{N(Z)} N(Y) is an isomorphism
     of truncated simplicial sets."""
     P, px, py = fiber_product_2gpd(F, G)

@@ -792,9 +792,10 @@ class SimplicialMap:
 
 
 def check_simplicial_map(dom, cod, levels) -> SimplicialMap:
-    """Audit the number of levels ("map-levels", (top level, given, held))
-    and their lengths ("map-level-size", (n, given, dom.counts[n])), then
-    faces, then degeneracies; a table that _commutes is not walked."""
+    """Audit the number of levels ("map-levels", (top level, given, held)),
+    their lengths ("map-level-size", (n, given, dom.counts[n])) and entries
+    ("map-level-range", (n, z), z the first not in range(cod.counts[n])),
+    then faces, then degeneracies; a table that _commutes is not walked."""
     levels = tuple(tuple(lvl) for lvl in levels)
     depth = len(levels) - 1
     if depth > min(dom.trunc, cod.trunc):
@@ -803,6 +804,10 @@ def check_simplicial_map(dom, cod, levels) -> SimplicialMap:
     for n, lvl in enumerate(levels):
         if len(lvl) != dom.counts[n]:
             raise Violation("map-level-size", (n, len(lvl), dom.counts[n]))
+    for n, lvl in enumerate(levels):
+        if lvl and not (0 <= min(lvl) and max(lvl) < cod.counts[n]):
+            raise Violation("map-level-range", (n, next(
+                z for z, v in enumerate(lvl) if not 0 <= v < cod.counts[n])))
     tables = itertools.chain(
         (("map-face", n, cod.faces[n], levels[n - 1], dom.faces[n])
          for n in range(1, depth + 1)),
@@ -822,15 +827,12 @@ def _commutes(rows, level, other, dom_rows) -> bool:
     """Whether rows[level[z]] is the image of dom_rows[z] under other for
     every z.  Into a JoinLevel the images are ranked.  Otherwise both sides
     are compared as one flat tuple, which is exact as every row of a level
-    holds n + 1 entries.  False on a mismatch and on an IndexError: the
-    walk then finds the first violation."""
+    holds n + 1 entries.  False on a mismatch: the walk then finds the
+    first violation."""
     if isinstance(rows, JoinLevel):
         return list(level) == rows.ranks(_images(other, dom_rows))
-    try:
-        return tuple(itertools.chain.from_iterable(_gather(rows, level))) \
-            == _gather(other, tuple(itertools.chain.from_iterable(dom_rows)))
-    except IndexError:
-        return False
+    return tuple(itertools.chain.from_iterable(_gather(rows, level))) \
+        == _gather(other, tuple(itertools.chain.from_iterable(dom_rows)))
 
 
 # -- products and fiber products ---------------------------------------------

@@ -1,4 +1,6 @@
-"""Strict 2-groupoids as finite composition tables.
+"""Strict 2-groupoids as finite composition tables, and the one functor
+type: a WeakFunctor between strict or weak tables, which is strict when
+its coherence cells are identities.
 
 Conventions: 1-cell composition is diagrammatic, comp1[f][g] is "f then g"
 and is defined when tgt1[f] == src1[g].  Row f of comp1 is a dict from each
@@ -553,18 +555,17 @@ def fundamental_groupoid(g: TwoGroupoid) -> TwoGroupoid:
 # -- functors ----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TwoFunctor:
-    dom: TwoGroupoid
-    cod: TwoGroupoid
+class WeakFunctor:
+    """A functor between strict or weak 2-groupoid tables, with coherence
+    cells eps[f][h]: F(f)F(h) => F(fh) at each composable pair (f, h) of
+    dom, -1 elsewhere.  A strict functor is one whose eps is _identity_eps:
+    every coherence cell an identity."""
+    dom: _Cells
+    cod: _Cells
     obj_map: tuple[int, ...]
     map1: tuple[int, ...]
     map2: tuple[int, ...]
-
-    @functools.cached_property
-    def eps(self) -> tuple[tuple[int, ...], ...]:
-        """The coherence cells of a strict functor, all identities, so that
-        the weak-functor conditions read it as they read a weak one."""
-        return _identity_eps(self.dom, self.cod, self.map1)
+    eps: tuple[tuple[int, ...], ...]
 
 
 def _identity_eps(dom, cod, map1) -> tuple[tuple[int, ...], ...]:
@@ -579,6 +580,84 @@ def _identity_eps(dom, cod, map1) -> tuple[tuple[int, ...], ...]:
                  for f, row in enumerate(dom.comp1))
 
 
+def _refuse_weak_functors(*functors: WeakFunctor) -> None:
+    """A Violation at the first composable pair whose coherence cell is not
+    an identity, in the first such functor: strict constructions have none."""
+    for F in functors:
+        ids = _identity_eps(F.dom, F.cod, F.map1)
+        if F.eps != ids:
+            raise Violation("strict-functor", next(
+                (f, h) for f, row in enumerate(F.eps)
+                for h, e in enumerate(row) if e != ids[f][h]))
+
+
+def check_weak_functor(dom, cod, obj_map, map1, map2, eps,
+                       pointed: bool = False) -> WeakFunctor:
+    """Audit a weak functor: strict identities, vertical functoriality,
+    naturality of eps, and the associativity coherence hexagon (which
+    degenerates to a square when both sides are strict)."""
+    obj_map, map1, map2 = tuple(obj_map), tuple(map1), tuple(map2)
+    eps = tuple(tuple(r) for r in eps)
+    for f in range(dom.n1):
+        if cod.src1[map1[f]] != obj_map[dom.src1[f]] or \
+           cod.tgt1[map1[f]] != obj_map[dom.tgt1[f]]:
+            raise Violation("wf-1cell-endpoints", f)
+    for a in range(dom.n_objects):
+        if map1[dom.id1[a]] != cod.id1[obj_map[a]]:
+            raise Violation("wf-id1", a)
+    for a in range(dom.n2):
+        if cod.src2[map2[a]] != map1[dom.src2[a]] or \
+           cod.tgt2[map2[a]] != map1[dom.tgt2[a]]:
+            raise Violation("wf-2cell-endpoints", a)
+    for f in range(dom.n1):
+        if map2[dom.id2[f]] != cod.id2[map1[f]]:
+            raise Violation("wf-id2", f)
+    for a, row in enumerate(dom.vcomp):
+        for b, ab in row.items():
+            if map2[ab] != cod.vcomp[map2[a]][map2[b]]:
+                raise Violation("wf-vcomp", (a, b))
+    for f, row in enumerate(dom.comp1):
+        for h, e in enumerate(eps[f]):
+            if (e >= 0) != (h in row):
+                raise Violation("wf-eps-domain", (f, h))
+            if e < 0:
+                continue
+            if cod.src2[e] != cod.comp1[map1[f]][map1[h]] or \
+               cod.tgt2[e] != map1[row[h]]:
+                raise Violation("wf-eps-endpoints", (f, h))
+            if (f in dom.id1 or h in dom.id1) and e != cod.id2[cod.src2[e]]:
+                raise Violation("wf-eps-identity", (f, h))
+    # naturality: [eps_{f,h}][F(alpha . beta)] = [F(alpha) F(beta)][eps_{f',h'}]
+    for a, row in enumerate(dom.hcomp2):
+        for b, ab in row.items():
+            f, h = dom.src2[a], dom.src2[b]
+            fp, hp = dom.tgt2[a], dom.tgt2[b]
+            lhs = cod.vcomp[eps[f][h]][map2[ab]]
+            rhs = cod.vcomp[cod.hcomp2[map2[a]][map2[b]]][eps[fp][hp]]
+            if lhs != rhs:
+                raise Violation("wf-naturality", (a, b))
+    # coherence hexagon over composable triples
+    for a, row in enumerate(dom.comp1):
+        for b, ab in row.items():
+            for c, bc in dom.comp1[b].items():
+                lhs = vseq(cod,
+                           cod.whisker_right(eps[a][b], map1[c]),
+                           eps[ab][c],
+                           map2[dom.assoc[a][b][c]])
+                rhs = vseq(cod,
+                           cod.assoc[map1[a]][map1[b]][map1[c]],
+                           cod.whisker_left(map1[a], eps[b][c]),
+                           eps[a][bc])
+                if lhs != rhs:
+                    raise Violation("wf-coherence", (a, b, c))
+    if pointed:
+        check_pointed(dom, cod)
+        if obj_map[dom.basepoint] != cod.basepoint:
+            raise Violation("basepoint-not-preserved", dom.basepoint)
+    return WeakFunctor(dom=dom, cod=cod, obj_map=obj_map, map1=map1,
+                       map2=map2, eps=eps)
+
+
 # the weak-functor audit's names, for its reading of a strict functor
 _STRICT_NAMES = {"wf-1cell-endpoints": "functor-1cell-endpoints",
                  "wf-id1": "functor-id1", "wf-eps-endpoints": "functor-comp1",
@@ -587,30 +666,30 @@ _STRICT_NAMES = {"wf-1cell-endpoints": "functor-1cell-endpoints",
                  "wf-naturality": "functor-hcomp"}
 
 
-def check_2functor(dom: TwoGroupoid, cod: TwoGroupoid,
-                   obj_map, map1, map2, pointed: bool = False) -> TwoFunctor:
+def check_2functor(dom, cod, obj_map, map1, map2,
+                   pointed: bool = False) -> WeakFunctor:
     """The weak-functor audit with identity coherence cells.  Their
     endpoints are the preservation of comp1, their naturality that of
     hcomp2, and they are coherent once those hold; its violations are named
     functor-* (functor-comp1 and functor-hcomp for those two)."""
-    from .weakmaps import check_weak_functor
     map1 = tuple(map1)
     try:
-        F = check_weak_functor(dom, cod, obj_map, map1, map2,
-                               _identity_eps(dom, cod, map1), pointed)
+        return check_weak_functor(dom, cod, obj_map, map1, map2,
+                                  _identity_eps(dom, cod, map1), pointed)
     except Violation as exc:
         raise Violation(_STRICT_NAMES.get(exc.axiom, exc.axiom),
                         exc.witness) from None
-    return TwoFunctor(dom=dom, cod=cod, obj_map=F.obj_map, map1=map1,
-                      map2=F.map2)
 
 
-def identity_functor(g: TwoGroupoid) -> TwoFunctor:
+def identity_functor(g) -> WeakFunctor:
+    """The identity of strict or weak tables, audited as a strict functor."""
     return check_2functor(g, g, range(g.n_objects), range(g.n1), range(g.n2))
 
 
-def compose_2functors(f: TwoFunctor, g: TwoFunctor) -> TwoFunctor:
-    """g after f."""
+def compose_2functors(f: WeakFunctor, g: WeakFunctor) -> WeakFunctor:
+    """g after f, both strict: a Violation names the first coherence cell
+    of f, then of g, that is not an identity."""
+    _refuse_weak_functors(f, g)
     return check_2functor(f.dom, g.cod,
                           (g.obj_map[x] for x in f.obj_map),
                           (g.map1[x] for x in f.map1),
@@ -618,19 +697,20 @@ def compose_2functors(f: TwoFunctor, g: TwoFunctor) -> TwoFunctor:
 
 
 def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
-    """Yield (obj_map, map1, eps, map2) for each functor dom -> cod between
-    strict or weak 2-groupoid tables, in product order: objects, 1-cells,
-    the coherence cells eps[f][h]: F(f)F(h) => F(fh) of the composable
-    pairs (-1 elsewhere), then 2-cells, each in index order.  When strict,
-    the only coherence cell is the identity, and only where F(f)F(h) =
-    F(fh): so eps is fixed by map1 and filled without a search, it is
-    coherent between strict tables, and its naturality is the preservation
-    of hcomp2.  Each condition of check_2functor and check_weak_functor holds:
-    the ends, identities and eps's domain by the domains, and vcomp,
-    naturality, strict comp1 and the coherence hexagon by constraints.  The
-    hexagon at (a, b, c) reads F(phi) for phi = dom.assoc[a][b][c]: an
-    identity when phi is one, so it closes among the coherence cells, and
-    else among the 2-cells, keyed by phi."""
+    """Yield each functor dom -> cod between strict or weak 2-groupoid
+    tables, unaudited, in product order: objects, 1-cells, the coherence
+    cells eps[f][h]: F(f)F(h) => F(fh) of the composable pairs (-1
+    elsewhere), then 2-cells, each in index order.  When strict, the only
+    coherence cell is the identity, and only where F(f)F(h) = F(fh): so eps
+    is _identity_eps, fixed by map1, filled without a search and shared by
+    the functors with that map1; it is coherent between strict tables, and
+    its naturality is the preservation of hcomp2.  Each condition of
+    check_2functor and check_weak_functor holds: the ends, identities and
+    eps's domain by the domains, and vcomp, naturality, strict comp1 and
+    the coherence hexagon by constraints.  The hexagon at (a, b, c) reads
+    F(phi) for phi = dom.assoc[a][b][c]: an identity when phi is one, so it
+    closes among the coherence cells, and else among the 2-cells, keyed by
+    phi."""
     if pointed:
         check_pointed(dom, cod)
     by1, by2 = cod.between1, cod.between2
@@ -712,8 +792,9 @@ def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
             for _ in [()] if strict else search(
                     free_pairs, lambda p: eps_candidates(*p), cons_eps, eps,
                     budget):
-                eps_done = [tuple(eps.get((f, h), -1) for h in range(dom.n1))
-                            for f in range(dom.n1)]
+                eps_done = tuple(tuple(eps.get((f, h), -1)
+                                       for h in range(dom.n1))
+                                 for f in range(dom.n1))
                 # ---- 2-cell map
                 map2.clear()
                 for f in range(dom.n1):
@@ -721,33 +802,37 @@ def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
                 for _ in search(free2, lambda a: by2.get(
                         (m1[dom.src2[a]], m1[dom.tgt2[a]]), []),
                         cons2, map2, budget):
-                    yield (obj_map, m1, eps_done,
-                           tuple(map2[a] for a in range(dom.n2)))
+                    yield WeakFunctor(dom, cod, obj_map, m1, tuple(
+                        map2[a] for a in range(dom.n2)), eps_done)
 
 
 def enumerate_2functors(dom: TwoGroupoid, cod: TwoGroupoid,
                         pointed: bool = False,
-                        cap: int | Budget = 10 ** 6) -> list[TwoFunctor]:
+                        cap: int | Budget = 10 ** 6) -> list[WeakFunctor]:
     """All strict functors, in product order: by object map, then 1-cell
     map, then 2-cell map.  They are the weak functors with identity
     coherence cells, found by the same search, which guarantees what
     check_2functor checks (see _functor_tables), so none is audited."""
-    return [TwoFunctor(dom, cod, obj_map, map1, map2)
-            for obj_map, map1, _, map2 in _functor_tables(
-                dom, cod, pointed, True, as_budget(cap, "functor search"))]
+    return list(_functor_tables(dom, cod, pointed, True,
+                                as_budget(cap, "functor search")))
 
 
-def fiber_product_2gpd(F: TwoFunctor, G: TwoFunctor):
-    """Strict pullback of a cospan X -> Z <- Y, with the two projection
-    functors (see _pullback), built unaudited: they are by construction."""
+def fiber_product_2gpd(F: WeakFunctor, G: WeakFunctor):
+    """Strict pullback of a cospan X -> Z <- Y of strict functors, with the
+    two projection functors (see _pullback), built unaudited: they are by
+    construction.  A Violation names the first coherence cell of F, then
+    of G, that is not an identity."""
+    _refuse_weak_functors(F, G)
     P, levels = _pullback(F, G)
-    px, py = (TwoFunctor(P, Z, *(tuple(p[k] for p in cells)
-                                 for cells in levels))
-              for k, Z in enumerate((F.dom, G.dom)))
-    return P, px, py
+
+    def projection(k, Z):
+        maps = [tuple(p[k] for p in cells) for cells in levels]
+        return WeakFunctor(P, Z, *maps, _identity_eps(P, Z, maps[1]))
+
+    return P, projection(0, F.dom), projection(1, G.dom)
 
 
-def _pullback(F: TwoFunctor, G: TwoFunctor):
+def _pullback(F: WeakFunctor, G: WeakFunctor):
     """The strict pullback of F and G, and the pairs of cells that are its
     objects, 1-cells and 2-cells: at each level the pairs with equal
     images, in lexicographic order.  A pair composes with the pairs whose
@@ -796,7 +881,7 @@ def product_2gpd(g: TwoGroupoid, h: TwoGroupoid) -> TwoGroupoid:
         x, pt, [0] * x.n_objects, [0] * x.n1, [0] * x.n2) for x in (g, h)))[0]
 
 
-def is_fibration_2gpd(F: TwoFunctor) -> bool:
+def is_fibration_2gpd(F: WeakFunctor) -> bool:
     """Arrow lifting along the target object and 2-cell lifting along the
     target 1-cell, both checked exhaustively."""
     dom, cod = F.dom, F.cod
@@ -819,7 +904,7 @@ def is_fibration_2gpd(F: TwoFunctor) -> bool:
     return True
 
 
-def is_equivalence_2functor(F: TwoFunctor) -> bool:
+def is_equivalence_2functor(F: WeakFunctor) -> bool:
     """Bijective on connected components, and on pi1 and pi2 at an object
     of each."""
     comps = induced_pi0(F)
@@ -1153,7 +1238,7 @@ def check_exponential_law(E: TwoGroupoid, D: TwoGroupoid, C: TwoGroupoid,
     rhs_one_pos = {c: i for i, c in enumerate(rhs_one)}
     rhs_two_pos = {m: i for i, m in enumerate(rhs_two)}
 
-    def restrict(F: TwoFunctor, e: int) -> int:
+    def restrict(F: WeakFunctor, e: int) -> int:
         """Index in dc_fun of the restriction F(e, -)."""
         obj_map = tuple(F.obj_map[e * D.n_objects + A]
                         for A in range(D.n_objects))

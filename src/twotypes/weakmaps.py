@@ -1,15 +1,19 @@
-"""Weak 2-groupoids, weak functors, and their crossed-module form.
+"""Weak 2-groupoids, the audit and search of weak functors, and their
+crossed-module form.
 
 A WeakTwoGroupoid relaxes associativity of 1-cell composition to a chosen
 family of invertible associator 2-cells phi_{a,b,c}: (ab)c => a(bc)
-satisfying the pentagon identity; identities stay strict.  A WeakFunctor
-carries coherence 2-cells eps_{a,b}: F(a)F(b) => F(ab).  For one-object
-2-groups the same data can be written in crossed-module form as a triple
-(p1, p2, eps) subject to the axioms W0-W5; transformations and
-modifications translate to (a, theta) pairs and single elements mu.  The
-crossed-module listers run the 2-group searches on BH -> BG and read each
-result back through this dictionary, so one search serves each kind of
-cell; the W and T conditions stay as audits.
+satisfying the pentagon identity; identities stay strict, and a strict
+twogpd.TwoGroupoid reads as one in place.  The one functor type,
+twogpd.WeakFunctor (re-exported here with its audit check_weak_functor),
+carries coherence 2-cells eps_{a,b}: F(a)F(b) => F(ab); a strict functor
+is one whose cells are all identities.  For one-object 2-groups the same
+data can be written in crossed-module form as a triple (p1, p2, eps)
+subject to the axioms W0-W5; transformations and modifications translate
+to (a, theta) pairs and single elements mu.  The crossed-module listers
+run the 2-group searches on BH -> BG and read each result back through
+this dictionary, so one search serves each kind of cell; the W and T
+conditions stay as audits.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .search import Budget, as_budget
-from .xmod import CrossedModule, Violation, check_pointed
+from .xmod import CrossedModule, Violation
 from .twogpd import (
-    TwoGroupoid, _Cells, _assemble_hom, _check_1cells,
+    TwoGroupoid, WeakFunctor, _Cells, _assemble_hom, _check_1cells,
     _check_horizontal, _check_interchange, _check_vertical, _checked,
-    _derive_inverses, _dict_row, _functor_tables, _identity_eps,
-    _refuse_weak_codomain, build_two_groupoid,
+    _derive_inverses, _dict_row, _functor_tables, _refuse_weak_codomain,
+    build_two_groupoid, check_weak_functor,
     enumerate_2modifications, enumerate_2transformations, is_2transformation,
     vseq, xmod_to_2group,
 )
@@ -52,15 +56,6 @@ class WeakTwoGroupoid(_Cells):
     def __repr__(self) -> str:
         return (f"WeakTwoGroupoid(objects={self.n_objects}, "
                 f"one_cells={self.n1}, two_cells={self.n2})")
-
-
-def as_weak(g: TwoGroupoid) -> WeakTwoGroupoid:
-    """Strict 2-groupoid with identity associators, fully re-audited."""
-    return check_weak_2groupoid(WeakTwoGroupoid(
-        n_objects=g.n_objects, src1=g.src1, tgt1=g.tgt1, id1=g.id1,
-        comp1=g.comp1, src2=g.src2, tgt2=g.tgt2, id2=g.id2,
-        vcomp=g.vcomp, hcomp2=g.hcomp2, vinv=g.vinv, assoc=g.assoc,
-        basepoint=g.basepoint))
 
 
 def _nonidentity_associator(w) -> Optional[tuple]:
@@ -180,98 +175,14 @@ def check_weak_2groupoid(g: WeakTwoGroupoid) -> WeakTwoGroupoid:
 
 # -- weak functors ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeakFunctor:
-    dom: TwoGroupoid | WeakTwoGroupoid
-    cod: TwoGroupoid | WeakTwoGroupoid
-    obj_map: tuple[int, ...]
-    map1: tuple[int, ...]
-    map2: tuple[int, ...]
-    eps: tuple[tuple[int, ...], ...]
-
-
-def check_weak_functor(dom, cod, obj_map, map1, map2, eps,
-                       pointed: bool = False) -> WeakFunctor:
-    """Audit a weak functor: strict identities, vertical functoriality,
-    naturality of eps, and the associativity coherence hexagon (which
-    degenerates to a square when both sides are strict)."""
-    obj_map, map1, map2 = tuple(obj_map), tuple(map1), tuple(map2)
-    eps = tuple(tuple(r) for r in eps)
-    for f in range(dom.n1):
-        if cod.src1[map1[f]] != obj_map[dom.src1[f]] or \
-           cod.tgt1[map1[f]] != obj_map[dom.tgt1[f]]:
-            raise Violation("wf-1cell-endpoints", f)
-    for a in range(dom.n_objects):
-        if map1[dom.id1[a]] != cod.id1[obj_map[a]]:
-            raise Violation("wf-id1", a)
-    for a in range(dom.n2):
-        if cod.src2[map2[a]] != map1[dom.src2[a]] or \
-           cod.tgt2[map2[a]] != map1[dom.tgt2[a]]:
-            raise Violation("wf-2cell-endpoints", a)
-    for f in range(dom.n1):
-        if map2[dom.id2[f]] != cod.id2[map1[f]]:
-            raise Violation("wf-id2", f)
-    for a, row in enumerate(dom.vcomp):
-        for b, ab in row.items():
-            if map2[ab] != cod.vcomp[map2[a]][map2[b]]:
-                raise Violation("wf-vcomp", (a, b))
-    for f, row in enumerate(dom.comp1):
-        for h, e in enumerate(eps[f]):
-            if (e >= 0) != (h in row):
-                raise Violation("wf-eps-domain", (f, h))
-            if e < 0:
-                continue
-            if cod.src2[e] != cod.comp1[map1[f]][map1[h]] or \
-               cod.tgt2[e] != map1[row[h]]:
-                raise Violation("wf-eps-endpoints", (f, h))
-            if (f in dom.id1 or h in dom.id1) and e != cod.id2[cod.src2[e]]:
-                raise Violation("wf-eps-identity", (f, h))
-    # naturality: [eps_{f,h}][F(alpha . beta)] = [F(alpha) F(beta)][eps_{f',h'}]
-    for a, row in enumerate(dom.hcomp2):
-        for b, ab in row.items():
-            f, h = dom.src2[a], dom.src2[b]
-            fp, hp = dom.tgt2[a], dom.tgt2[b]
-            lhs = cod.vcomp[eps[f][h]][map2[ab]]
-            rhs = cod.vcomp[cod.hcomp2[map2[a]][map2[b]]][eps[fp][hp]]
-            if lhs != rhs:
-                raise Violation("wf-naturality", (a, b))
-    # coherence hexagon over composable triples
-    for a, row in enumerate(dom.comp1):
-        for b, ab in row.items():
-            for c, bc in dom.comp1[b].items():
-                lhs = vseq(cod,
-                           cod.whisker_right(eps[a][b], map1[c]),
-                           eps[ab][c],
-                           map2[dom.assoc[a][b][c]])
-                rhs = vseq(cod,
-                           cod.assoc[map1[a]][map1[b]][map1[c]],
-                           cod.whisker_left(map1[a], eps[b][c]),
-                           eps[a][bc])
-                if lhs != rhs:
-                    raise Violation("wf-coherence", (a, b, c))
-    if pointed:
-        check_pointed(dom, cod)
-        if obj_map[dom.basepoint] != cod.basepoint:
-            raise Violation("basepoint-not-preserved", dom.basepoint)
-    return WeakFunctor(dom=dom, cod=cod, obj_map=obj_map, map1=map1,
-                       map2=map2, eps=eps)
-
-
-def identity_weak_functor(g) -> WeakFunctor:
-    return check_weak_functor(g, g, range(g.n_objects), range(g.n1),
-                              range(g.n2), _identity_eps(g, g, range(g.n1)))
-
-
 def enumerate_weak_functors(dom, cod, pointed: bool = False,
                             cap: int | Budget = 10 ** 6) -> list[WeakFunctor]:
     """All weak functors between strict or weak 2-groupoids, in product
     order: by object map, 1-cell map, coherence cells, then 2-cell map.
     The search guarantees what check_weak_functor checks (see
     _functor_tables), so none is audited."""
-    return [WeakFunctor(dom, cod, obj_map, map1, map2, tuple(eps))
-            for obj_map, map1, eps, map2 in _functor_tables(
-                dom, cod, pointed, False,
-                as_budget(cap, "weak functor search"))]
+    return list(_functor_tables(dom, cod, pointed, False,
+                                as_budget(cap, "weak functor search")))
 
 
 # -- the hom 2-groupoid of weak functors --------------------------------------
@@ -395,11 +306,8 @@ def enumerate_xmod_weak_maps(H: CrossedModule, G: CrossedModule,
     p2), read off the weak functors BH -> BG of the one-object 2-groupoids.
     Each map keeps the functor that the search found."""
     BH, BG = xmod_to_2group(H), xmod_to_2group(G)
-    maps = [_weak_map_of(WeakFunctor(dom=BH, cod=BG, obj_map=obj_map,
-                                     map1=map1, map2=map2, eps=tuple(eps)),
-                         H, G)
-            for obj_map, map1, eps, map2 in _functor_tables(
-                BH, BG, True, False, as_budget(cap, "weak map search"))]
+    maps = [_weak_map_of(F, H, G) for F in _functor_tables(
+        BH, BG, True, False, as_budget(cap, "weak map search"))]
     # the functors come in the order of map2, whose first 2-cells leave
     # 1-cell 0: that is the order of p2 only when 0 is the identity of H1
     return sorted(maps, key=lambda P: (P.p1, P.eps, P.p2))

@@ -349,6 +349,30 @@ class TestCountBeforeBuilding:
         with pytest.raises(SizeCapExceeded, match="level 4.*1000 "):
             nerve(g, cap=1000)
 
+    def test_levels_0_to_3_are_audited_only_under_the_cap(self, monkeypatch):
+        audited = []
+        audit = simpset.check_simplicial_identities
+
+        def spy(x):
+            audited.append(x)
+            return audit(x)
+        monkeypatch.setattr(simpset, "check_simplicial_identities", spy)
+        with pytest.raises(SizeCapExceeded) as err:
+            nerve(xmod_to_2group(xmod_identity(symmetric3())))
+        assert str(err.value) == \
+            "coskeleton level 4 exceeds the cap of 1000000 simplices"
+        assert audited == []
+        g = xmod_to_2group(xmod_bg(cyclic(3)))
+        with pytest.raises(SizeCapExceeded, match="level 4.*80 "):
+            nerve(g, cap=80)
+        assert audited == []
+        x = nerve(g)
+        assert [y.counts for y in audited] == [(1, 3, 9, 27)]
+        assert simpset._join_over(x, 4) and x.counts[4] == 81
+        # levels 0-3 are those the audit passed
+        y = audited[0]
+        assert (x.faces[:4], x.degens[:3]) == (y.faces, y.degens)
+
     def test_cap_is_checked_on_a_cached_nerve(self):
         g = xmod_to_2group(xmod_bg(cyclic(3)))
         assert nerve(g, cap=81).counts[4] == 81

@@ -565,8 +565,9 @@ class TestPinnedCells:
 
 def _walk_check_map(dom, cod, levels):
     """check_simplicial_map as a walk over every face entry, then every
-    degeneracy entry, once the number and lengths of the levels are
-    checked: the reference for its first violation."""
+    degeneracy entry, once the number and lengths of the levels and the
+    range of each entry are checked: the reference for its first
+    violation."""
     levels = tuple(tuple(lvl) for lvl in levels)
     depth = len(levels) - 1
     held = min(dom.trunc, cod.trunc) + 1
@@ -576,6 +577,10 @@ def _walk_check_map(dom, cod, levels):
         if len(levels[n]) != dom.counts[n]:
             raise Violation("map-level-size",
                             (n, len(levels[n]), dom.counts[n]))
+    for n in range(depth + 1):
+        for z, v in enumerate(levels[n]):
+            if not 0 <= v < cod.counts[n]:
+                raise Violation("map-level-range", (n, z))
     for n in range(1, depth + 1):
         for z in range(dom.counts[n]):
             for i in range(n + 1):
@@ -644,7 +649,8 @@ class TestMapAuditMatchesWalk:
             got = _map_outcome(check_simplicial_map, levels, m.dom, m.cod)
             assert got == want, levels
             outcomes.add(want if isinstance(want, type) else want[0])
-        assert {"map-face", IndexError} <= outcomes, outcomes
+        assert {"map-face", "map-level-range"} <= outcomes, outcomes
+        assert IndexError not in outcomes
 
 
 class TestMapLevelLengths:
@@ -686,6 +692,24 @@ class TestMapLevelLengths:
             check_simplicial_map(standard_simplex(1, 3), x,
                                  [range(c) for c in (2, 3, 4, 5)])
         assert err.value.witness == (3, 4, 3)
+
+    @pytest.mark.parametrize("n, z, value", [
+        (2, 0, 4), (1, 0, 7), (2, 0, -1), (0, 1, 2), (0, 0, -3), (1, 2, 3)])
+    def test_entry_out_of_range(self, n, z, value):
+        # past the end and negative entries, at the top level and below
+        x = standard_simplex(1, 2)
+        levels = [list(range(c)) for c in x.counts]
+        levels[n][z] = value
+        with pytest.raises(Violation) as err:
+            check_simplicial_map(x, x, levels)
+        assert (err.value.axiom, err.value.witness) == \
+            ("map-level-range", (n, z))
+
+    def test_first_entry_out_of_range_is_named(self):
+        x, levels = self.identity_with(1, [0, 5, -1])
+        with pytest.raises(Violation) as err:
+            check_simplicial_map(x, x, levels)
+        assert err.value.witness == (1, 1)
 
 
 def _first_missing(y, n, below, rows):

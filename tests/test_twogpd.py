@@ -152,7 +152,6 @@ class TestFunctors:
         assert not is_equivalence_2functor(f)
 
     def test_fibration_predicate_agreement(self, corpus):
-        from twotypes.twogpd import TwoFunctor
         cases = 0
         for name, xm in corpus:
             if xm.g1.order * xm.g2.order > 16:

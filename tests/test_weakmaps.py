@@ -19,15 +19,15 @@ from twotypes.reconstruct import choose_fillers, reconstruct
 from twotypes.simpset import SizeCapExceeded
 from twotypes.twogpd import (
     check_2functor, disjoint_union, enumerate_2functors, enumerate_2transformations,
-    hom_strict, hom_weak_trans, is_2transformation, pi0, product_2gpd,
-    xmod_to_2group,
+    hom_strict, hom_weak_trans, identity_functor, is_2transformation, pi0,
+    product_2gpd, xmod_to_2group,
 )
 from twotypes.weakmaps import (
-    WeakTwoGroupoid, as_weak, build_weak_2groupoid, check_w5_equivalence,
+    WeakTwoGroupoid, build_weak_2groupoid, check_w5_equivalence,
     check_weak_2groupoid, check_weak_functor, check_xmod_weak_map, enumerate_modifications,
     enumerate_transformations, enumerate_weak_functors,
     enumerate_xmod_weak_maps, hom_full,
-    identity_weak_functor, pi0_hom_vs_homotopy_classes, to_strict,
+    pi0_hom_vs_homotopy_classes, to_strict,
     transformation_from_homotopy, transformation_to_homotopy, vseq,
     weak_functor_from_xmod_weak_map,
     xmod_weak_map_from_weak_functor,
@@ -46,15 +46,14 @@ def b2g(m):
 class TestWeakGroupoids:
     def test_strict_roundtrip(self):
         g = bg(3)
-        w = as_weak(g)
-        back = to_strict(w)
+        back = to_strict(g)
         assert back.comp1 == g.comp1
         assert back.vcomp == g.vcomp
         assert back.hcomp2 == g.hcomp2
         assert back.basepoint == g.basepoint
 
     def test_strict_associators_are_identities(self):
-        w = as_weak(b2g(2))
+        w = b2g(2)
         for f in range(w.n1):
             for g in range(w.n1):
                 for h in range(w.n1):
@@ -62,7 +61,7 @@ class TestWeakGroupoids:
                     assert a == w.id2[w.comp1[w.comp1[f][g]][h]]
 
     def test_audit_rejects_tampered_associator(self):
-        w = as_weak(b2g(2))
+        w = b2g(2)
         assoc = [[[w.assoc[f][g][h] for h in range(w.n1)]
                   for g in range(w.n1)] for f in range(w.n1)]
         # the other 2-cell on the same 1-cell breaks naturality
@@ -74,19 +73,19 @@ class TestWeakGroupoids:
                 basepoint=w.basepoint)
 
     def test_vseq_folds_vertical_composition(self):
-        w = as_weak(b2g(3))
+        w = b2g(3)
         e = w.id2[0]
         assert vseq(w, e, 1, e) == 1
         assert vseq(w, 1, 1, 1) == w.vcomp[w.vcomp[1][1]][1]
 
     def test_check_accepts_strict_audit(self):
-        check_weak_2groupoid(as_weak(bg(2)))
+        check_weak_2groupoid(bg(2))
 
 
 class TestWeakFunctors:
     def test_identity_functor(self):
         for g in (bg(2), b2g(3)):
-            F = identity_weak_functor(g)
+            F = identity_functor(g)
             assert F.map1 == tuple(range(g.n1))
 
     def test_strict_functors_lift(self):
@@ -220,7 +219,7 @@ class TestWeakFunctorSearchIsExact:
     @pytest.mark.parametrize("name, k", [("id_z3", 1), ("z3_inv", 5)])
     def test_identity_is_listed(self, name, k):
         w = _reconstructed(name, k)
-        assert identity_weak_functor(w) in enumerate_weak_functors(w, w)
+        assert identity_functor(w) in enumerate_weak_functors(w, w)
 
 
 class TestWeakCodomainIsRefused:
@@ -725,9 +724,8 @@ def _weak_audit_tables():
     """Weak 2-groupoids as tables: strict ones with identity associators,
     reconstructions from nerves with seeded fillers, and the monoid
     {e, m}, m m = m, which fails only weak invertibility."""
-    ws = [as_weak(g) for g in (
-        bg(2), b2g(2), hom_full(bg(2), b2g(2)),
-        disjoint_union(bg(2), b2g(2)), product_2gpd(bg(2), b2g(3)))]
+    ws = [bg(2), b2g(2), hom_full(bg(2), b2g(2)),
+          disjoint_union(bg(2), b2g(2)), product_2gpd(bg(2), b2g(3))]
     corpus = dict(build_corpus())
     for name in ("b_z3", "z4_to_z2", "z3_inv", "id_z3"):
         x = nerve(xmod_to_2group(corpus[name]))
