@@ -1,8 +1,11 @@
 """Low-degree group cohomology by exact integer linear algebra.
 
 For a finite group Gamma acting on the right on an abelian group A, the
-n-cochains are all functions Gamma^n -> A (no normalization imposed) and,
-written additively,
+n-cochains are the normalized functions Gamma^n -> A, zero on each cell
+with an identity entry, so C^n has one copy of A per cell of Gamma*^n,
+Gamma* = Gamma minus its identity.  They form a subcomplex of the bar
+complex whose inclusion is a homotopy equivalence, so H^n is the same
+(K. S. Brown, Cohomology of Groups, III.1).  Written additively,
 
     (d0 a)(x)       = a^x - a,
     (d1 theta)(x,y) = theta(x)^y + theta(y) - theta(xy),
@@ -38,7 +41,7 @@ from .fingroup import (
     FiniteGroup, GroupAction, GroupHom, generating_set, make_group, make_hom,
     trivial_action,
 )
-from .search import Budget, as_budget, classes, search
+from .search import Budget, SizeCapExceeded, as_budget, classes, search
 from .xmod import ANotAbelian, CrossedModule, Violation, check_crossed_module
 
 
@@ -197,19 +200,22 @@ def _cyclic_decomposition(a: FiniteGroup):
 
 
 def _coboundary_rows(gamma: FiniteGroup, mats, orders, n: int):
-    """The rows of dn, one per coordinate (cell, i) of C^(n+1) in the order
-    of the cells of Gamma^(n+1) and then i, each a dict from the coordinates
-    of C^n to coefficients, reduced modulo d_i."""
-    size, mul, r = gamma.order, gamma.mul, len(orders)
+    """The rows of dn on normalized cochains, one per coordinate (cell, i)
+    of C^(n+1) in the order of the cells of Gamma*^(n+1) and then i, each a
+    dict from the coordinates of C^n to coefficients, reduced modulo d_i.
+    A term whose source cell holds the identity is 0, and is dropped."""
+    mul, r, one = gamma.mul, len(orders), gamma.identity
+    index = {x: k for k, x in enumerate(
+        x for x in gamma.elements if x != one)}
 
     def at(cell):
         pos = 0
         for x in cell:
-            pos = pos * size + x
+            pos = pos * len(index) + index[x]
         return pos * r
 
     rows = []
-    for cell in itertools.product(range(size), repeat=n + 1):
+    for cell in itertools.product(index, repeat=n + 1):
         if n == 0:
             (x,) = cell
             terms = [(mats[x], ()), (-1, ())]
@@ -220,10 +226,10 @@ def _coboundary_rows(gamma: FiniteGroup, mats, orders, n: int):
             x, y, z = cell
             terms = [(mats[z], (x, y)), (1, (mul[x][y], z)), (-1, (y, z)),
                      (-1, (x, mul[y][z]))]
+        terms = [(coef, at(src)) for coef, src in terms if one not in src]
         for i, d in enumerate(orders):
             row: dict[int, int] = {}
-            for coef, src in terms:
-                base = at(src)
+            for coef, base in terms:
                 if isinstance(coef, int):
                     row[base + i] = row.get(base + i, 0) + coef
                 else:
@@ -320,18 +326,18 @@ def _cocycle_lattice(gamma: FiniteGroup, a: FiniteGroup, action, n: int,
                      budget: Budget):
     """(orders, images, cocycles) for C^n, the vectors of Z^width modulo
     the orders of the cyclic factors of A, repeated for each cell of
-    Gamma^n: images[j] is d(n-1) of the j-th coordinate of C^(n-1), and
-    cocycles is the Hermite basis of the preimage of ker dn in Z^width.
+    Gamma*^n: images[j] is d(n-1) of the j-th coordinate of C^(n-1),
+    and cocycles is the Hermite basis of the preimage of ker dn in Z^width.
     One budget step per entry of each matrix, counted before it is built."""
     _require_abelian(a)
     action = _resolve_action(gamma, a, action)
     orders, coords = _cyclic_decomposition(a)
-    r, size = len(orders), gamma.order
+    r, size = len(orders), gamma.order - 1
     e = lcm(*orders)
     unit = {coords[x]: x for x in range(a.order)}
     basis = [unit[tuple(int(i == j) for j in range(r))] for i in range(r)]
     mats = [[[coords[action.act[basis[j]][x]][i] for j in range(r)]
-             for i in range(r)] for x in range(size)]
+             for i in range(r)] for x in gamma.elements]
     width = size ** n * r
     budget.tick(width * size ** (n - 1) * r)
     lower = _coboundary_rows(gamma, mats, orders, n - 1)
@@ -348,13 +354,19 @@ def _cocycle_lattice(gamma: FiniteGroup, a: FiniteGroup, action, n: int,
 
 def _cohomology(gamma: FiniteGroup, a: FiniteGroup, action, n: int,
                 cap: int | Budget) -> FiniteGroup:
-    """ker dn / im d(n-1), n = 1 or 2."""
-    orders, images, cocycles = _cocycle_lattice(
-        gamma, a, action, n, as_budget(cap, "cohomology"))
-    bounds = images + _diagonal(orders * gamma.order ** n)
-    return make_group(_sum_group(sorted(f for f in _smith(
+    """ker dn / im d(n-1), n = 1 or 2.  The |H|^2 entries of its table are
+    compared with the cap before it is built, and take no step."""
+    budget = as_budget(cap, "cohomology")
+    orders, images, cocycles = _cocycle_lattice(gamma, a, action, n, budget)
+    bounds = images + _diagonal(orders * (gamma.order - 1) ** n)
+    factors = sorted(f for f in _smith(
         (_coordinates(cocycles, b) for b in bounds), len(cocycles),
-        lcm(*orders)) if f > 1)).mul)
+        lcm(*orders)) if f > 1)
+    entries = prod(factors) ** 2
+    if entries > budget.cap:
+        raise SizeCapExceeded(f"{budget.stage} table of {entries} entries "
+                              f"exceeds the cap of {budget.cap}")
+    return make_group(_sum_group(factors).mul)
 
 
 def h1(gamma: FiniteGroup, a: FiniteGroup, action=None,
@@ -371,18 +383,18 @@ def h2(gamma: FiniteGroup, a: FiniteGroup, action=None,
 
 def coboundary_hom(gamma: FiniteGroup, a: FiniteGroup, action=None,
                    cap: int | Budget = 10 ** 6) -> GroupHom:
-    """The homomorphism d: C^1 -> Z^2, both groups in cyclic coordinates:
-    C^1 is the sum of the cyclic factors of A, one copy per element of
-    Gamma, and Z^2 comes from the presentation of the cocycle lattice
-    modulo the orders of C^2.  One budget step per entry of d1 and d2, as
-    h2 counts them, then one per element of C^1 and of Z^2, all counted
-    before a table is built."""
+    """The homomorphism d: C^1 -> Z^2 of normalized cochains, both groups
+    in cyclic coordinates: C^1 is the sum of the cyclic factors of A, one
+    copy per element of Gamma*, and Z^2 comes from the
+    presentation of the cocycle lattice modulo the orders of C^2.  One
+    budget step per entry of d1 and d2, as h2 counts them, then one per
+    element of C^1 and of Z^2, all counted before a table is built."""
     budget = as_budget(cap, "coboundary hom")
     orders, images, cocycles = _cocycle_lattice(gamma, a, action, 2, budget)
     zorders, to = _presentation(
         (_coordinates(cocycles, b) for b in _diagonal(
-            orders * gamma.order ** 2)), len(cocycles), lcm(*orders))
-    corders = orders * gamma.order
+            orders * (gamma.order - 1) ** 2)), len(cocycles), lcm(*orders))
+    corders = orders * (gamma.order - 1)
     budget.tick(prod(corders) + prod(zorders))
     dom, cod = _sum_group(corders), _sum_group(zorders)
 
@@ -404,9 +416,11 @@ def coboundary_hom(gamma: FiniteGroup, a: FiniteGroup, action=None,
 
 def extension_xmod(gamma: FiniteGroup, a: FiniteGroup, action=None,
                    cap: int | Budget = 10 ** 6) -> CrossedModule:
-    """The crossed module d: C^1 -> Z^2 with trivial Z^2-action; its pi1 is
-    H2 and its pi2 is Z^1, the crossed homomorphisms, which is H1 for the
-    trivial coefficient action.  The cap is that of coboundary_hom."""
+    """The crossed module d: C^1 -> Z^2 with trivial Z^2-action, where C^1
+    has one copy of A per element of Gamma*; its pi1 is H2 and its pi2 is
+    Z^1, the crossed homomorphisms (each is 0 at the identity), which is
+    H1 for the trivial coefficient action.  The cap is that of
+    coboundary_hom."""
     hom = coboundary_hom(gamma, a, action, cap)
     # the trivial action needs no axiom audit; building it directly avoids
     # the O(|Z^2|^2 |C^1|) action check

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from twotypes.cli import main
-from twotypes.fingroup import symmetric3
+from twotypes.fingroup import direct_product, klein_four, symmetric3
 from twotypes.textio import (
-    ParseError, ValidationError, describe_group, format_xmod, parse_text,
+    ParseError, ValidationError, describe_group, format_group, format_xmod,
+    parse_text,
 )
 from twotypes.xmod import xmod_identity
 
@@ -312,9 +314,11 @@ class TestExitCodes:
         assert "cohomology exceeded the cap of 1000 steps" in err
 
     def test_cohomology_cap_is_the_count_of_matrix_entries(self, capsys):
-        # S3 on Z/4: h1 builds d0 (6 x 1) and d1 (36 x 6), h2 builds d1
-        # again and d2 (216 x 36), all under one cap
-        total = 6 * 1 + 36 * 6 + 36 * 6 + 216 * 36
+        # S3 on Z/4, on the 5 elements other than e: h1 builds d0 (5 x 1)
+        # and d1 (25 x 5), h2 builds d1 again and d2 (125 x 25), all under
+        # one cap
+        total = 5 * 1 + 25 * 5 + 25 * 5 + 125 * 25
+        assert total == 3380
         argv = ["cohomology", "--gamma", str(FIX / "s3.group"),
                 "--coeff", str(FIX / "z4.group"), "--cap"]
         assert run(capsys, *argv, str(total)) == (
@@ -322,6 +326,23 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, str(total - 1))
         assert (code, out) == (3, "")
         assert f"cohomology exceeded the cap of {total - 1} steps" in err
+
+    def test_cohomology_answer_table_is_counted_against_the_cap(
+            self, capsys, tmp_path):
+        # V4 on (Z/2)^4: the matrices take 4 800 steps and the table of
+        # H1 (256 elements) 65 536 entries, but H2 has 4 096 elements, so
+        # its table would hold 16 777 216 entries; none is built
+        p = tmp_path / "z2x4.group"
+        p.write_text(format_group(
+            "z2x4", direct_product(klein_four(), klein_four())))
+        start = time.process_time()
+        code, out, err = run(capsys, "cohomology", "--gamma",
+                             str(FIX / "v4.group"), "--coeff", str(p),
+                             "--cap", "100000")
+        assert time.process_time() - start < 10
+        assert (code, out) == (3, "")
+        assert err == ("cap exceeded: cohomology table of 16777216 entries "
+                       "exceeds the cap of 100000\n")
 
     def test_nerve_over_size_cap_is_3(self, tmp_path):
         # level 4 of the nerve of id_s3 would hold 6^10 simplices; it is

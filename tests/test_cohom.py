@@ -231,9 +231,11 @@ class TestCohomologyGroups:
         assert len(crossed_homs(gamma, a)) == 2
 
     def test_coboundary_hom_kernel_is_h1_for_trivial_gamma_part(self):
+        # normalized cochains: C^1 and Z^2 each hold one copy of Z/2, for
+        # the one element of Z/2 other than e and the one cell (1, 1)
         d = coboundary_hom(cyclic(2), cyclic(2))
-        assert d.dom.order == 4
-        assert d.cod.order == 4
+        assert d.dom.order == 2
+        assert d.cod.order == 2
 
     def test_h2_z6_z4_is_cyclic_of_order_2(self):
         g = h2(cyclic(6), cyclic(4))
@@ -277,24 +279,42 @@ class TestCohomologyGroups:
                 assert other.steps == budget.steps
 
     def test_steps_are_matrix_entries(self):
-        # S3 on Z/4, one cyclic factor: h1 builds d0 (6 x 1) and d1
-        # (36 x 6), h2 builds d1 and d2 (216 x 36)
+        # S3 on Z/4, one cyclic factor, on the 5 elements other than e:
+        # h1 builds d0 (5 x 1) and d1 (25 x 5), h2 builds d1 and d2
+        # (125 x 25)
         budget = Budget(10 ** 6, "cohomology")
         h1(symmetric3(), cyclic(4), cap=budget)
-        assert budget.steps == 6 + 216
+        assert budget.steps == 5 + 125 == 130
         h2(symmetric3(), cyclic(4), cap=budget)
-        assert budget.steps == 6 + 216 + 216 + 216 * 36
-        # V4 on V4, two cyclic factors: d1 is (16*2) x (4*2)
+        assert budget.steps == 5 + 125 + 125 + 125 * 25 == 3380
+        # V4 on V4, two cyclic factors: d0 is (3*2) x 2, d1 (9*2) x (3*2)
         budget = Budget(10 ** 6, "cohomology")
         h1(klein_four(), klein_four(), cap=budget)
-        assert budget.steps == 8 * 2 + 32 * 8
+        assert budget.steps == 6 * 2 + 18 * 6 == 120
         with pytest.raises(SizeCapExceeded):
-            h2(symmetric3(), cyclic(4), cap=216 + 216 * 36 - 1)
+            h2(symmetric3(), cyclic(4), cap=125 + 125 * 25 - 1)
+
+    def test_cap_counts_the_answer_table(self, monkeypatch):
+        # H1(Z/2, V4) = Hom(Z/2, V4) has 4 elements, so 16 table entries,
+        # against 8 steps of d0 and d1; the entries take no step
+        budget = Budget(16, "cohomology")
+        assert h1(cyclic(2), klein_four(), cap=budget).order == 4
+        assert budget.steps == 8
+        with pytest.raises(SizeCapExceeded, match="^cohomology table of 16 "
+                           "entries exceeds the cap of 15$"):
+            h1(cyclic(2), klein_four(), cap=15)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(cohom, "_sum_group", boom)
+        with pytest.raises(SizeCapExceeded, match="16777216 entries"):
+            h2(klein_four(), direct_product(klein_four(), klein_four()))
 
     @pytest.mark.parametrize("fn", [coboundary_hom, extension_xmod])
     def test_cochain_list_and_cocycle_search_share_a_cap(self, fn):
         with pytest.raises(SizeCapExceeded):
-            fn(cyclic(2), cyclic(2), cap=3)     # d1 has 8 entries
+            fn(cyclic(2), cyclic(2), cap=3)     # 6 steps
         budget = Budget(10 ** 6, "coboundary hom")
         fn(cyclic(2), cyclic(2), cap=budget)
         assert budget.steps > 4
@@ -303,16 +323,16 @@ class TestCohomologyGroups:
             fn(cyclic(2), cyclic(2), cap=budget.steps - 1)
 
     def test_cap_counts_every_element_before_a_table(self, monkeypatch):
-        # V4 on V4: 256 entries of d1, 4 096 of d2, |C^1| = 256 and
-        # |Z^2| = 1 024, so 5 632 steps, all before the first table
+        # V4 on V4: 108 entries of d1, 972 of d2, |C^1| = 64 and
+        # |Z^2| = 256, so 1 400 steps, all before the first table
         def boom(*args, **kwargs):
             raise AssertionError("table built")
 
         monkeypatch.setattr(cohom, "_sum_group", boom)
         with pytest.raises(SizeCapExceeded):
-            extension_xmod(klein_four(), klein_four(), cap=5632 - 1)
+            extension_xmod(klein_four(), klein_four(), cap=1400 - 1)
         with pytest.raises(AssertionError, match="table built"):
-            extension_xmod(klein_four(), klein_four(), cap=5632)
+            extension_xmod(klein_four(), klein_four(), cap=1400)
 
     @pytest.mark.parametrize("gamma,a,action", ORACLE_CASES)
     def test_matches_coset_oracle(self, gamma, a, action):
