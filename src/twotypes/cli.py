@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .search import Budget, SizeCapExceeded, classes
+from .search import DEFAULT_CAP, Budget, SizeCapExceeded, classes
 from .textio import (
     ParseError, ValidationError, Workspace, describe_group, parse_file,
 )
@@ -41,11 +41,11 @@ def _subject(path: str, kinds) -> tuple:
     return kind, name, obj
 
 
-def _as_2gpd(path: str):
+def _as_2gpd(path: str, cap: int | Budget = DEFAULT_CAP):
     kind, _, obj = _subject(path, ("2gpd", "xmod"))
     if kind == "xmod":
         from .twogpd import xmod_to_2group
-        return xmod_to_2group(obj)
+        return xmod_to_2group(obj, cap)
     return obj
 
 
@@ -106,8 +106,8 @@ def cmd_invariants(args) -> int:
 
 def cmd_nerve(args) -> int:
     from . import nerve
-    g = _as_2gpd(args.file)
-    x = nerve.nerve(g, cap=args.cap)
+    budget = Budget(args.cap, "nerve")
+    x = nerve.nerve(_as_2gpd(args.file, budget), cap=budget)
     top = min(args.trunc, x.trunc) if args.trunc is not None else x.trunc
     print("levels: " + " ".join(str(c) for c in x.counts[:top + 1]))
     return 0
@@ -148,9 +148,9 @@ def cmd_enumerate_maps(args) -> int:
 
 def cmd_hom(args) -> int:
     from . import weakmaps
-    d = _as_2gpd(args.dom)
-    c = _as_2gpd(args.cod)
-    h = weakmaps.hom_full(d, c, pointed_only=args.pointed, cap=args.cap)
+    budget = Budget(args.cap, "hom")
+    d, c = _as_2gpd(args.dom, budget), _as_2gpd(args.cod, budget)
+    h = weakmaps.hom_full(d, c, pointed_only=args.pointed, cap=budget)
     print(f"objects: {h.n_objects}; cells1: {h.n1}; cells2: {h.n2}")
     return 0
 
@@ -188,13 +188,14 @@ def cmd_roundtrip(args) -> int:
     from . import nerve, reconstruct
     from .twogpd import xmod_to_2group
     kind, _, obj = _subject(args.file, ("2gpd", "xmod", "sset"))
+    budget = Budget(args.cap, "roundtrip")
     if kind == "sset":
         x = obj
     else:
-        x = nerve.nerve(xmod_to_2group(obj) if kind == "xmod" else obj,
-                        cap=args.cap)
+        x = nerve.nerve(xmod_to_2group(obj, budget) if kind == "xmod"
+                        else obj, cap=budget)
     fillers = _fillers(x, args)
-    rep = reconstruct.roundtrip_report(x, fillers, cap=args.cap)
+    rep = reconstruct.roundtrip_report(x, fillers, cap=budget)
     pent = reconstruct.pentagon_via_4simplex(x, fillers)
     iso = "isomorphic" if rep.ok else "not-isomorphic"
     print(f"nerve∘reconstruct: {iso}; pentagon: {'ok' if pent else 'fail'}")
@@ -223,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("nerve", cmd_nerve, help="simplex counts of the nerve")
     sp.add_argument("file")
     sp.add_argument("--trunc", type=_natural, default=None)
-    sp.add_argument("--cap", type=_natural, default=None)
+    sp.add_argument("--cap", type=_natural, default=DEFAULT_CAP)
 
     sp = add("sset2", cmd_sset2,
              help="test the Kan, coskeletal and minimality conditions")
@@ -240,28 +241,28 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--strategy", type=_strategy, default="first")
         sp.add_argument("--seed", type=int, default=None)
         if name == "roundtrip":
-            sp.add_argument("--cap", type=_natural, default=None)
+            sp.add_argument("--cap", type=_natural, default=DEFAULT_CAP)
 
     sp = add("enumerate-maps", cmd_enumerate_maps,
              help="count simplicial maps between two complexes")
     sp.add_argument("dom")
     sp.add_argument("cod")
     sp.add_argument("--pointed", action="store_true")
-    sp.add_argument("--cap", type=_natural, default=10 ** 6)
+    sp.add_argument("--cap", type=_natural, default=DEFAULT_CAP)
 
     sp = add("hom", cmd_hom,
              help="cell counts of the weak functor 2-groupoid")
     sp.add_argument("dom")
     sp.add_argument("cod")
     sp.add_argument("--pointed", action="store_true")
-    sp.add_argument("--cap", type=_natural, default=10 ** 6)
+    sp.add_argument("--cap", type=_natural, default=DEFAULT_CAP)
 
     sp = add("pi0hom", cmd_pi0hom,
              help="transformation classes of weak maps of crossed modules")
     sp.add_argument("dom")
     sp.add_argument("cod")
     sp.add_argument("--pointed", action="store_true")
-    sp.add_argument("--cap", type=_natural, default=10 ** 6)
+    sp.add_argument("--cap", type=_natural, default=DEFAULT_CAP)
 
     sp = add("cohomology", cmd_cohomology,
              help="first and second cohomology of a group with abelian "
@@ -269,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma", required=True)
     sp.add_argument("--coeff", required=True)
     sp.add_argument("--action", default=None)
-    sp.add_argument("--cap", type=_natural, default=10 ** 6)
+    sp.add_argument("--cap", type=_natural, default=DEFAULT_CAP)
 
     return p
 

@@ -41,7 +41,7 @@ from .fingroup import (
     FiniteGroup, GroupAction, GroupHom, generating_set, make_group, make_hom,
     trivial_action,
 )
-from .search import Budget, SizeCapExceeded, as_budget, classes, search
+from .search import DEFAULT_CAP, Budget, as_budget, classes, search
 from .xmod import ANotAbelian, CrossedModule, Violation, check_crossed_module
 
 
@@ -355,7 +355,7 @@ def _cocycle_lattice(gamma: FiniteGroup, a: FiniteGroup, action, n: int,
 def _cohomology(gamma: FiniteGroup, a: FiniteGroup, action, n: int,
                 cap: int | Budget) -> FiniteGroup:
     """ker dn / im d(n-1), n = 1 or 2.  The |H|^2 entries of its table are
-    compared with the cap before it is built, and take no step."""
+    admitted by the cap before it is built, and take no step."""
     budget = as_budget(cap, "cohomology")
     orders, images, cocycles = _cocycle_lattice(gamma, a, action, n, budget)
     bounds = images + _diagonal(orders * (gamma.order - 1) ** n)
@@ -363,32 +363,30 @@ def _cohomology(gamma: FiniteGroup, a: FiniteGroup, action, n: int,
         (_coordinates(cocycles, b) for b in bounds), len(cocycles),
         lcm(*orders)) if f > 1)
     entries = prod(factors) ** 2
-    if entries > budget.cap:
-        raise SizeCapExceeded(f"{budget.stage} table of {entries} entries "
-                              f"exceeds the cap of {budget.cap}")
+    budget.admit(entries, f"{entries} table entries")
     return make_group(_sum_group(factors).mul)
 
 
 def h1(gamma: FiniteGroup, a: FiniteGroup, action=None,
-       cap: int | Budget = 10 ** 6) -> FiniteGroup:
+       cap: int | Budget = DEFAULT_CAP) -> FiniteGroup:
     """Crossed homomorphisms modulo principal ones: ker d1 / im d0."""
     return _cohomology(gamma, a, action, 1, cap)
 
 
 def h2(gamma: FiniteGroup, a: FiniteGroup, action=None,
-       cap: int | Budget = 10 ** 6) -> FiniteGroup:
+       cap: int | Budget = DEFAULT_CAP) -> FiniteGroup:
     """2-cocycles modulo coboundaries: ker d2 / im d1."""
     return _cohomology(gamma, a, action, 2, cap)
 
 
 def coboundary_hom(gamma: FiniteGroup, a: FiniteGroup, action=None,
-                   cap: int | Budget = 10 ** 6) -> GroupHom:
+                   cap: int | Budget = DEFAULT_CAP) -> GroupHom:
     """The homomorphism d: C^1 -> Z^2 of normalized cochains, both groups
     in cyclic coordinates: C^1 is the sum of the cyclic factors of A, one
     copy per element of Gamma*, and Z^2 comes from the
     presentation of the cocycle lattice modulo the orders of C^2.  One
-    budget step per entry of d1 and d2, as h2 counts them, then one per
-    element of C^1 and of Z^2, all counted before a table is built."""
+    budget step per entry of d1 and d2, as h2 counts them, and one per
+    element of C^1 and of Z^2; then the budget admits their tables."""
     budget = as_budget(cap, "coboundary hom")
     orders, images, cocycles = _cocycle_lattice(gamma, a, action, 2, budget)
     zorders, to = _presentation(
@@ -396,6 +394,8 @@ def coboundary_hom(gamma: FiniteGroup, a: FiniteGroup, action=None,
             orders * (gamma.order - 1) ** 2)), len(cocycles), lcm(*orders))
     corders = orders * (gamma.order - 1)
     budget.tick(prod(corders) + prod(zorders))
+    entries = prod(corders) ** 2 + prod(zorders) ** 2
+    budget.admit(entries, f"tables of {entries} entries")
     dom, cod = _sum_group(corders), _sum_group(zorders)
 
     def index(coords) -> int:
@@ -415,7 +415,7 @@ def coboundary_hom(gamma: FiniteGroup, a: FiniteGroup, action=None,
 
 
 def extension_xmod(gamma: FiniteGroup, a: FiniteGroup, action=None,
-                   cap: int | Budget = 10 ** 6) -> CrossedModule:
+                   cap: int | Budget = DEFAULT_CAP) -> CrossedModule:
     """The crossed module d: C^1 -> Z^2 with trivial Z^2-action, where C^1
     has one copy of A per element of Gamma*; its pi1 is H2 and its pi2 is
     Z^1, the crossed homomorphisms (each is 0 at the identity), which is

@@ -6,19 +6,19 @@ the composite, and 3-simplices are boundary-compatible quadruples whose
 interior 2-cell equation pins the d1 face.  Level 4 is the 3-coskeleton,
 held as the join of level 3 (`simpset.JoinLevel`): it is counted once, and
 its rows are listed, and the degeneracies into it (`simpset.JoinDegens`)
-ranked, only when something reads them.  Weak functors induce simplicial
-maps and conversely.
+ranked, only when something reads them.  Levels 2 and 3 are counted from
+the cells first.  Weak functors induce simplicial maps and conversely.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 
-from .search import group
+from .search import DEFAULT_CAP, Budget, as_budget, group
 from .simpset import (
-    COSKELETON_CAP, SimplicialMap, TruncatedSimplicialSet,
-    check_simplicial_map, coskeleton, extend_to_level4, level_by_boundary,
-    make_sset, over_cap, sset_fiber_product,
+    SimplicialMap, TruncatedSimplicialSet, check_simplicial_map, coskeleton,
+    extend_to_level4, level_by_boundary, make_sset, sset_fiber_product,
 )
 from .twogpd import (
     WeakFunctor, check_weak_functor, fiber_product_2gpd, induced_homs,
@@ -46,16 +46,30 @@ def two_simplex_index(g) -> dict[tuple[int, int, int], int]:
     return {t: i for i, t in enumerate(two_simplices(g))}
 
 
-def nerve(g, cap: int | None = None) -> TruncatedSimplicialSet:
+def _level_counts(g) -> tuple[int, int]:
+    """The sizes of levels 2 and 3 of the nerve of g: |out2(fh)| per
+    composable (f, h), and |out2(fh)| times the sum of |out2(f mid)| over
+    the 2-cells h m => mid, per composable (f, h, m)."""
+    out2, size = group(g.src2), Counter(g.src2)
+    mids = [Counter(g.tgt2[a] for hm in row.values() for a in out2.get(hm, ()))
+            for row in g.comp1]
+    return (sum(size[fh] for row in g.comp1 for fh in row.values()),
+            sum(size[fh] * sum(k * size[g.comp1[f][mid]]
+                               for mid, k in mids[h].items())
+                for f, row in enumerate(g.comp1) for h, fh in row.items()))
+
+
+def nerve(g, cap: int | Budget = DEFAULT_CAP) -> TruncatedSimplicialSet:
     """3-coskeletal nerve, truncated at level 4, of a strict or weak
-    2-groupoid.  Level 4 is counted before levels 0-3 are audited: past cap
-    simplices (COSKELETON_CAP by default) it raises SizeCapExceeded."""
-    cap = COSKELETON_CAP if cap is None else cap
+    2-groupoid.  The budget admits levels 2 and 3 before either is listed,
+    and level 4 before levels 0-3 are audited."""
+    budget = as_budget(cap, "nerve")
     cached = _NERVE_CACHE.get(id(g))
-    if cached is not None and cached[0]() is g:
-        if cached[1].counts[4] > cap:
-            raise over_cap(4, cap)
-        return cached[1]
+    x = cached[1] if cached is not None and cached[0]() is g else None
+    for m, count in enumerate(x.counts[2:] if x else _level_counts(g), 2):
+        budget.admit(count, f"the simplices of level {m}")
+    if x:
+        return x
     faces1 = [(g.tgt1[f], g.src1[f]) for f in range(g.n1)]
     degens0 = [(g.id1[a],) for a in range(g.n_objects)]
     tris = two_simplices(g)
@@ -101,7 +115,8 @@ def nerve(g, cap: int | None = None) -> TruncatedSimplicialSet:
     faces = ((), tuple(faces1), tuple(faces2), tuple(quads))
     degens = (tuple(degens0), tuple(degens1), tuple(degens2))
     full = coskeleton(TruncatedSimplicialSet(
-        3, counts, faces, degens, basepoint=g.basepoint), 3, trunc=4, cap=cap)
+        3, counts, faces, degens, basepoint=g.basepoint), 3, trunc=4,
+        cap=budget)
     make_sset(3, counts, faces, degens, basepoint=g.basepoint)
     _NERVE_CACHE[id(g)] = (weakref.ref(g), full)
     weakref.finalize(g, _NERVE_CACHE.pop, id(g), None)

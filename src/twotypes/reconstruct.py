@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .search import group
+from .search import DEFAULT_CAP, Budget, group
 from .simpset import (
     JoinLevel, SimplicialMap, TruncatedSimplicialSet, check_simplicial_map,
     level_by_boundary,
@@ -266,10 +266,10 @@ class RoundtripReport:
 def roundtrip_report(x: TruncatedSimplicialSet,
                      fillers: Optional[FillerChoice] = None,
                      gpd: Optional[WeakTwoGroupoid] = None,
-                     cap: Optional[int] = None) -> RoundtripReport:
+                     cap: int | Budget = DEFAULT_CAP) -> RoundtripReport:
     """Compare x with the nerve of its reconstruction via the canonical
     cellwise map (identity on vertices and edges, tilt on 2-simplices).
-    cap bounds level 4 of that nerve, as in `nerve.nerve`.  Given gpd, the
+    cap bounds the levels of that nerve, as in `nerve.nerve`.  Given gpd, the
     nerve is built before the horn tables, which keeps the peak lower."""
     from .nerve import nerve, two_simplex_index
 

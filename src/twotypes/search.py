@@ -1,6 +1,9 @@
 """One backtracking kernel, one search budget, one union-find helper and
 one grouping helper.
 
+`Budget` enforces every cap: `tick` counts steps, and `admit` compares a
+size about to be built with the cap, at no step.  Caps default to DEFAULT_CAP.
+
 `search` runs every exhaustive search of the library: maps of nerves,
 functors, weak maps of crossed modules, transformations and
 modifications, crossed homomorphisms and 2-cocycles.  One functor search
@@ -44,14 +47,17 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable, MutableMapping, Optional
 
 
+DEFAULT_CAP = 10 ** 6
+
+
 class SizeCapExceeded(RuntimeError):
     pass
 
 
 class Budget:
-    """A step count shared by the stages of one search; one step is one
+    """A step count shared by the stages of one command; one step is one
     node of the kernel, or a unit of work its caller names (a cochain, an
-    entry of a coboundary matrix).  Raises SizeCapExceeded past cap steps."""
+    entry of a coboundary matrix).  Raises SizeCapExceeded past cap."""
 
     def __init__(self, cap: int, stage: str):
         self.cap = cap
@@ -63,6 +69,12 @@ class Budget:
         if self.steps > self.cap:
             raise SizeCapExceeded(
                 f"{self.stage} exceeded the cap of {self.cap} steps")
+
+    def admit(self, count: int, what: str) -> None:
+        """Raise when count, the size of what is to be built, is over cap."""
+        if count > self.cap:
+            raise SizeCapExceeded(
+                f"{self.stage}: {what} exceed the cap of {self.cap}")
 
 
 def as_budget(cap: int | Budget, stage: str) -> Budget:

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .search import (
-    Budget, Plan, SizeCapExceeded, as_budget, classes, group, run,
+from .search import (  # SizeCapExceeded is re-exported
+    DEFAULT_CAP, Budget, Plan, SizeCapExceeded, as_budget, classes, group,
+    run,
 )
 from .xmod import Violation, check_pointed
 
@@ -473,21 +474,16 @@ def _indexes(rows, width: int, count: int) -> bool:
                         and max(map(max, rows)) < count)
 
 
-# Most simplices a rebuilt coskeleton level may hold, unless a caller
-# passes its own cap.
-COSKELETON_CAP = 10 ** 6
-
-
 def coskeleton(x: TruncatedSimplicialSet, k: int,
                trunc: Optional[int] = None,
-               cap: Optional[int] = None) -> TruncatedSimplicialSet:
+               cap: int | Budget = DEFAULT_CAP) -> TruncatedSimplicialSet:
     """Copy levels <= k; hold every higher level as a JoinLevel, the
     compatible boundary tuples in lexicographic order.  trunc may exceed
     x.trunc to extend a low-truncation complex.
 
     Each level is counted once, before anything is listed or ranked, by a
-    count that stops only past cap (COSKELETON_CAP by default), so it is
-    exact or raises SizeCapExceeded.  Levels <= k are x's and not audited
+    count that stops only past the cap, so it is exact or the budget
+    refuses the level, at no step.  Levels <= k are x's and not audited
     again, and the face identities of a joined level are its compatibility
     condition.  So only the degeneracies into each joined level are
     checked: s_j y has the faces that the identities d_i s_j give it, and
@@ -497,16 +493,14 @@ def coskeleton(x: TruncatedSimplicialSet, k: int,
     """
     if trunc is None:
         trunc = x.trunc
-    if cap is None:
-        cap = COSKELETON_CAP
+    budget = as_budget(cap, "coskeleton")
     counts = list(x.counts[:k + 1])
     faces = list(x.faces[:k + 1])
     degens = list(x.degens[:k])
     for m in range(k + 1, trunc + 1):
         level = JoinLevel(faces[m - 1], counts[m - 1], m)
-        level._count = level.join.count(cap)
-        if level._count > cap:
-            raise over_cap(m, cap)
+        level._count = level.join.count(budget.cap)
+        budget.admit(level._count, f"the simplices of level {m}")
         down = degens[m - 2] if m >= 2 else ()
         if not _degens_fit(level.join, down, m):
             bad = _first_not_row(level.join, _degen_targets(
@@ -562,12 +556,6 @@ def _gather(col, keys) -> tuple:
 def _first_not_row(join: _Join, rows) -> Optional[int]:
     """The index of the first of rows not in join, or None."""
     return next((i for i, row in enumerate(rows) if row not in join), None)
-
-
-def over_cap(m: int, cap: int) -> SizeCapExceeded:
-    """The error for a coskeleton level m with more than cap simplices."""
-    return SizeCapExceeded(f"coskeleton level {m} exceeds the cap of "
-                           f"{cap} simplices")
 
 
 def is_coskeletal_at(x: TruncatedSimplicialSet, k: int) -> bool:
@@ -1025,7 +1013,7 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
                           y: TruncatedSimplicialSet,
                           fixed: Optional[dict] = None,
                           pointed: bool = False,
-                          cap: int | Budget = 10 ** 6,
+                          cap: int | Budget = DEFAULT_CAP,
                           first_only: bool = False,
                           plan: Optional[MapPlan] = None):
     """All simplicial maps between the 3-truncations.
@@ -1076,7 +1064,7 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
 
 
 def simplicial_maps(x: TruncatedSimplicialSet, y: TruncatedSimplicialSet,
-                    pointed: bool = False, cap: int | Budget = 10 ** 6):
+                    pointed: bool = False, cap: int | Budget = DEFAULT_CAP):
     """All maps of 3-truncations; for a 3-coskeletal target these are exactly
     the maps of the full complexes."""
     return enumerate_maps_3trunc(x, y, pointed=pointed, cap=cap)
@@ -1172,7 +1160,7 @@ class Homotopies:
         return fixed
 
     def find(self, f: SimplicialMap, g: SimplicialMap, pointed: bool = False,
-             cap: int = 10 ** 6) -> Optional[SimplicialMap]:
+             cap: int = DEFAULT_CAP) -> Optional[SimplicialMap]:
         """A homotopy from f to g, or None."""
         found = enumerate_maps_3trunc(
             self.prism, self.y, fixed=self.fixed(f, g, pointed), cap=cap,
@@ -1180,7 +1168,7 @@ class Homotopies:
         return found[0] if found else None
 
 
-def homotopic(f: SimplicialMap, g: SimplicialMap, cap: int = 10 ** 6,
+def homotopic(f: SimplicialMap, g: SimplicialMap, cap: int = DEFAULT_CAP,
               pointed: bool = False) -> bool:
     """Existence of H on Delta^1 x dom restricting to f and g on the ends
     and, when pointed, to the basepoint on the base column.
@@ -1194,7 +1182,7 @@ def homotopic(f: SimplicialMap, g: SimplicialMap, cap: int = 10 ** 6,
     return Homotopies(f.dom, f.cod).find(f, g, pointed, cap) is not None
 
 
-def homotopy_classes(maps: Sequence[SimplicialMap], cap: int = 10 ** 6):
+def homotopy_classes(maps: Sequence[SimplicialMap], cap: int = DEFAULT_CAP):
     """Partition by the equivalence closure of the homotopy relation.  The
     maps share their domain and codomain, so one prism serves every pair."""
     if not maps:

@@ -20,8 +20,9 @@ from operator import getitem
 from typing import Optional, Sequence
 
 from .fingroup import FiniteGroup, GroupHom, make_action, make_group, make_hom
-from .search import (
-    Budget, Plan, SizeCapExceeded, as_budget, classes, group, run, search,
+from .search import (  # SizeCapExceeded is re-exported
+    DEFAULT_CAP, Budget, Plan, SizeCapExceeded, as_budget, classes, group,
+    run, search,
 )
 from .xmod import (
     CrossedModule, Violation, check_crossed_module, check_pointed,
@@ -422,12 +423,17 @@ def disjoint_union(g: TwoGroupoid, h: TwoGroupoid) -> TwoGroupoid:
 
 # -- conversion to and from crossed modules ----------------------------------
 
-def xmod_to_2group(xm: CrossedModule) -> TwoGroupoid:
+def xmod_to_2group(xm: CrossedModule,
+                   cap: int | Budget = DEFAULT_CAP) -> TwoGroupoid:
     """One object; 1-cells the base group; 2-cells its semidirect product with
-    the top group, the 2-cell g*|G2|+alpha running g => g phi(alpha)."""
+    the top group, the 2-cell g*|G2|+alpha running g => g phi(alpha); its
+    table entries are admitted by the cap first."""
     g1, g2, phi = xm.g1, xm.g2, xm.phi
     n1, n2loc = g1.order, g2.order
     n2 = n1 * n2loc
+    entries = n1 * n1 + n2 * n2loc + n2 * n2
+    as_budget(cap, "crossed module").admit(
+        entries, f"2-group tables of {entries} entries")
 
     def pack(f, alpha):
         return f * n2loc + alpha
@@ -808,7 +814,7 @@ def _functor_tables(dom, cod, pointed: bool, strict: bool, budget: Budget):
 
 def enumerate_2functors(dom: TwoGroupoid, cod: TwoGroupoid,
                         pointed: bool = False,
-                        cap: int | Budget = 10 ** 6) -> list[WeakFunctor]:
+                        cap: int | Budget = DEFAULT_CAP) -> list[WeakFunctor]:
     """All strict functors, in product order: by object map, then 1-cell
     map, then 2-cell map.  They are the weak functors with identity
     coherence cells, found by the same search, which guarantees what
@@ -994,7 +1000,7 @@ class _TransformationSearch:
 
 def enumerate_2transformations(P, Q, pointed: bool = False,
                                strict: bool = False,
-                               cap: int | Budget = 10 ** 6) -> list[tuple]:
+                               cap: int | Budget = DEFAULT_CAP) -> list[tuple]:
     """The transformations P => Q between strict or weak functors into a
     strict 2-groupoid, as (t, theta) pairs in lexicographic order: t[A] a
     1-cell P(A) -> Q(A) per object A, then theta[c] a 2-cell P(c) t_B =>
@@ -1046,7 +1052,7 @@ def is_2transformation(P, Q, t, theta) -> bool:
 
 
 def enumerate_2modifications(P, Q, x, y, pointed: bool = False,
-                             cap: int | Budget = 10 ** 6) -> list[tuple]:
+                             cap: int | Budget = DEFAULT_CAP) -> list[tuple]:
     """The modifications between transformations x = (t, theta) and y =
     (s, sigma) from P to Q, in lexicographic order: families of 2-cells
     mu_A: t_A => s_A with [theta_c][mu_A Q(c)] = [P(c) mu_B][sigma_c] for
@@ -1079,18 +1085,20 @@ def enumerate_2modifications(P, Q, x, y, pointed: bool = False,
                             as_budget(cap, "modification search"))]
 
 
-def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
+def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, lister, cap: int | Budget,
                   pointed: bool = False, strict: bool = False):
-    """Build the 2-groupoid of functors, transformations, modifications.
+    """The hom 2-groupoid of the functors that lister lists.
 
-    Every transformation and modification search runs under budget, with
-    its stage set to the one reached.  A 1-cell is (i, j, t, theta), theta
-    None when strict.  Each composite is formed only from cells that
-    compose: 1-cells grouped by source functor, 2-cells by source 1-cell
-    and by its source functor.  Once every cell is listed, and before any
-    row is built, the defined entries are counted from those groups; more
-    than budget.cap raises SizeCapExceeded, as a coskeleton level over its
-    cap does, and costs no step.  Each row is made once, as a dict."""
+    Every search runs under one budget, with its stage set to the one
+    reached.  A 1-cell is (i, j, t, theta), theta None when strict.  Each
+    composite is formed only from cells that compose: 1-cells grouped by
+    source functor, 2-cells by source 1-cell and by its source functor.
+    Once every cell is listed, and before any row is built, the defined
+    entries are counted from those groups and admitted by the budget, at
+    no step.  Each row is made once, as a dict."""
+    budget = as_budget(cap, "hom")
+    budget.stage = "hom functors"
+    functors = lister(D, C, pointed=pointed, cap=budget)
     objs = range(D.n_objects)
     weak = not strict
     one_cells = []           # (dom functor idx, cod functor idx, t, theta)
@@ -1121,9 +1129,8 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
     entries = (sum(len(out_of[j]) for j in tgt1) +
                sum(len(from_cell[y]) for y in tgt2) +
                sum(len(from_functor[tgt1[x]]) for x in src2))
-    if entries > budget.cap:
-        raise SizeCapExceeded(f"hom tables of {entries} entries exceed the "
-                              f"cap of {budget.cap}")
+    budget.stage = "hom"
+    budget.admit(entries, f"tables of {entries} entries")
     # a 1-cell by its flat key (i, j, *t, *theta)
     cell_pos = {(c[0], c[1], *c[2], *(c[3] or ())): k
                 for k, c in enumerate(one_cells)}
@@ -1180,32 +1187,29 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, functors, budget: Budget,
     return gpd, functors, one_cells, two_cells
 
 
-def hom_strict_data(D: TwoGroupoid, C: TwoGroupoid, cap: int = 10 ** 6):
+def hom_strict_data(D: TwoGroupoid, C: TwoGroupoid,
+                    cap: int | Budget = DEFAULT_CAP):
     """hom 2-groupoid plus the underlying functor/transformation/modification
     lists, indexed in cell order; one cap bounds every search."""
-    budget = Budget(cap, "hom functors")
-    functors = enumerate_2functors(D, C, cap=budget)
-    return _assemble_hom(D, C, functors, budget, strict=True)
+    return _assemble_hom(D, C, enumerate_2functors, cap, strict=True)
 
 
 def hom_strict(D: TwoGroupoid, C: TwoGroupoid,
-               cap: int = 10 ** 6) -> TwoGroupoid:
+               cap: int | Budget = DEFAULT_CAP) -> TwoGroupoid:
     """Functors, strict transformations, and modifications."""
     return hom_strict_data(D, C, cap=cap)[0]
 
 
 def hom_weak_trans(D: TwoGroupoid, C: TwoGroupoid,
-                   cap: int = 10 ** 6) -> TwoGroupoid:
+                   cap: int | Budget = DEFAULT_CAP) -> TwoGroupoid:
     """Functors, weak transformations, and modifications."""
-    budget = Budget(cap, "hom functors")
-    functors = enumerate_2functors(D, C, cap=budget)
-    return _assemble_hom(D, C, functors, budget)[0]
+    return _assemble_hom(D, C, enumerate_2functors, cap)[0]
 
 
 # -- exponential law ---------------------------------------------------------
 
 def two_groupoid_isomorphic(g: TwoGroupoid, h: TwoGroupoid,
-                            cap: int = 10 ** 6):
+                            cap: int = DEFAULT_CAP):
     """An invertible strict functor g -> h, or None."""
     if (g.n_objects, g.n1, g.n2) != (h.n_objects, h.n1, h.n2):
         return None
@@ -1217,7 +1221,7 @@ def two_groupoid_isomorphic(g: TwoGroupoid, h: TwoGroupoid,
 
 
 def check_exponential_law(E: TwoGroupoid, D: TwoGroupoid, C: TwoGroupoid,
-                          cap: int = 10 ** 6) -> bool:
+                          cap: int = DEFAULT_CAP) -> bool:
     """Currying is an isomorphism hom(E x D, C) ~ hom(E, hom(D, C)).
 
     The currying map is built cell by cell: a functor on the product

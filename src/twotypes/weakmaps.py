@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .search import Budget, as_budget
+from .search import DEFAULT_CAP, Budget, as_budget
 from .xmod import CrossedModule, Violation
 from .twogpd import (
     TwoGroupoid, WeakFunctor, _Cells, _assemble_hom, _check_1cells,
@@ -176,7 +176,8 @@ def check_weak_2groupoid(g: WeakTwoGroupoid) -> WeakTwoGroupoid:
 # -- weak functors ------------------------------------------------------------
 
 def enumerate_weak_functors(dom, cod, pointed: bool = False,
-                            cap: int | Budget = 10 ** 6) -> list[WeakFunctor]:
+                            cap: int | Budget = DEFAULT_CAP
+                            ) -> list[WeakFunctor]:
     """All weak functors between strict or weak 2-groupoids, in product
     order: by object map, 1-cell map, coherence cells, then 2-cell map.
     The search guarantees what check_weak_functor checks (see
@@ -188,14 +189,13 @@ def enumerate_weak_functors(dom, cod, pointed: bool = False,
 # -- the hom 2-groupoid of weak functors --------------------------------------
 
 def hom_full(D: TwoGroupoid, C: TwoGroupoid, pointed_only: bool = False,
-             cap: int = 10 ** 6) -> TwoGroupoid:
+             cap: int | Budget = DEFAULT_CAP) -> TwoGroupoid:
     """The 2-groupoid of weak functors, weak transformations, and
     modifications; one cap bounds every search.  D may be weak; a weak C
     raises a Violation before any search."""
     _refuse_weak_codomain(C)
-    budget = Budget(cap, "hom functors")
-    functors = enumerate_weak_functors(D, C, pointed=pointed_only, cap=budget)
-    return _assemble_hom(D, C, functors, budget, pointed=pointed_only)[0]
+    return _assemble_hom(D, C, enumerate_weak_functors, cap,
+                         pointed=pointed_only)[0]
 
 
 # -- crossed-module form ------------------------------------------------------
@@ -301,20 +301,22 @@ def check_xmod_weak_map(H: CrossedModule, G: CrossedModule,
 
 
 def enumerate_xmod_weak_maps(H: CrossedModule, G: CrossedModule,
-                             cap: int | Budget = 10 ** 6) -> list[XmodWeakMap]:
+                             cap: int | Budget = DEFAULT_CAP
+                             ) -> list[XmodWeakMap]:
     """Exhaustive list of weak maps H -> G in product order (p1, eps, then
     p2), read off the weak functors BH -> BG of the one-object 2-groupoids.
     Each map keeps the functor that the search found."""
-    BH, BG = xmod_to_2group(H), xmod_to_2group(G)
+    budget = as_budget(cap, "weak map search")
+    BH, BG = xmod_to_2group(H, budget), xmod_to_2group(G, budget)
     maps = [_weak_map_of(F, H, G) for F in _functor_tables(
-        BH, BG, True, False, as_budget(cap, "weak map search"))]
+        BH, BG, True, False, budget)]
     # the functors come in the order of map2, whose first 2-cells leave
     # 1-cell 0: that is the order of p2 only when 0 is the identity of H1
     return sorted(maps, key=lambda P: (P.p1, P.eps, P.p2))
 
 
 def check_w5_equivalence(H: CrossedModule, G: CrossedModule,
-                         cap: int = 10 ** 6) -> bool:
+                         cap: int = DEFAULT_CAP) -> bool:
     """Whether the one-variable W5 and the two-variable W5' select the same
     subset of the candidates that satisfy W0-W4.  Once eps is normalised
     (W0), W5' at y = x^-1 is exactly W5, so W5' never accepts a candidate
@@ -366,7 +368,7 @@ def _functors(*maps: XmodWeakMap) -> list[WeakFunctor]:
 
 def enumerate_transformations(P: XmodWeakMap, Q: XmodWeakMap,
                               pointed_only: bool = False,
-                              cap: int | Budget = 10 ** 6
+                              cap: int | Budget = DEFAULT_CAP
                               ) -> list[XmodTransformation]:
     """All (a, theta) from P to Q in lexicographic order, read off the
     transformations of their weak functors: a = t[0] and theta(x) the top
@@ -515,7 +517,7 @@ def transformation_from_homotopy(hmap, P: WeakFunctor, Q: WeakFunctor):
 
 
 def pi0_hom_vs_homotopy_classes(H: TwoGroupoid, G: TwoGroupoid,
-                                cap: int = 10 ** 6) -> bool:
+                                cap: int = DEFAULT_CAP) -> bool:
     """The transformation relation on weak functors coincides with pointed
     simplicial homotopy of their nerves, verified constructively in both
     directions, so the two class counts agree.  H may be weak; a weak G

@@ -341,8 +341,8 @@ class TestExitCodes:
                              "--cap", "100000")
         assert time.process_time() - start < 10
         assert (code, out) == (3, "")
-        assert err == ("cap exceeded: cohomology table of 16777216 entries "
-                       "exceeds the cap of 100000\n")
+        assert err == ("cap exceeded: cohomology: 16777216 table entries "
+                       "exceed the cap of 100000\n")
 
     def test_nerve_over_size_cap_is_3(self, tmp_path):
         # level 4 of the nerve of id_s3 would hold 6^10 simplices; it is
@@ -362,9 +362,11 @@ class TestExitCodes:
     def test_cap_of_nerve_and_roundtrip(self, capsys, tmp_path):
         p = tmp_path / "ids3.xmod"
         p.write_text(format_xmod("ids3", xmod_identity(symmetric3())))
+        # the 2-group of id_s3 has 6^2 + 6 * 6^2 + 36^2 = 1 548 entries
         code, out, err = run(capsys, "nerve", str(p), "--cap", "1000")
         assert (code, out) == (3, "")
-        assert "coskeleton level 4 exceeds the cap of 1000 simplices" in err
+        assert err == ("cap exceeded: nerve: 2-group tables of 1548 entries "
+                       "exceed the cap of 1000\n")
         # level 4 of the nerve of BZ/3 holds 81 simplices
         for cap, code in (("80", 3), ("81", 0)):
             for command in ("nerve", "roundtrip"):

@@ -300,39 +300,62 @@ class TestCohomologyGroups:
         budget = Budget(16, "cohomology")
         assert h1(cyclic(2), klein_four(), cap=budget).order == 4
         assert budget.steps == 8
-        with pytest.raises(SizeCapExceeded, match="^cohomology table of 16 "
-                           "entries exceeds the cap of 15$"):
+        with pytest.raises(SizeCapExceeded, match="^cohomology: 16 table "
+                           "entries exceed the cap of 15$"):
             h1(cyclic(2), klein_four(), cap=15)
 
         def boom(*args, **kwargs):
             raise AssertionError("table built")
 
         monkeypatch.setattr(cohom, "_sum_group", boom)
-        with pytest.raises(SizeCapExceeded, match="16777216 entries"):
+        with pytest.raises(SizeCapExceeded, match="16777216 table entries"):
             h2(klein_four(), direct_product(klein_four(), klein_four()))
 
     @pytest.mark.parametrize("fn", [coboundary_hom, extension_xmod])
     def test_cochain_list_and_cocycle_search_share_a_cap(self, fn):
-        with pytest.raises(SizeCapExceeded):
-            fn(cyclic(2), cyclic(2), cap=3)     # 6 steps
+        # Z/2 on Z/2: d1 and d2 have 1 entry each, |C^1| = |Z^2| = 2, so 6
+        # steps, and then two tables of 4 entries
+        with pytest.raises(SizeCapExceeded, match="exceeded the cap of 5 "
+                           "steps"):
+            fn(cyclic(2), cyclic(2), cap=5)
         budget = Budget(10 ** 6, "coboundary hom")
         fn(cyclic(2), cyclic(2), cap=budget)
-        assert budget.steps > 4
-        fn(cyclic(2), cyclic(2), cap=budget.steps)
-        with pytest.raises(SizeCapExceeded):
-            fn(cyclic(2), cyclic(2), cap=budget.steps - 1)
+        assert budget.steps == 6
+        fn(cyclic(2), cyclic(2), cap=8)
+        with pytest.raises(SizeCapExceeded, match="^coboundary hom: tables "
+                           "of 8 entries exceed the cap of 7$"):
+            fn(cyclic(2), cyclic(2), cap=7)
 
     def test_cap_counts_every_element_before_a_table(self, monkeypatch):
         # V4 on V4: 108 entries of d1, 972 of d2, |C^1| = 64 and
-        # |Z^2| = 256, so 1 400 steps, all before the first table
-        def boom(*args, **kwargs):
-            raise AssertionError("table built")
+        # |Z^2| = 256, so 1 400 steps, all before the first table; the two
+        # tables then hold 64^2 + 256^2 = 69 632 entries
+        built = []
+        sum_group = cohom._sum_group
 
-        monkeypatch.setattr(cohom, "_sum_group", boom)
-        with pytest.raises(SizeCapExceeded):
+        def spy(orders):
+            built.append(orders)
+            return sum_group(orders)
+
+        monkeypatch.setattr(cohom, "_sum_group", spy)
+        with pytest.raises(SizeCapExceeded, match="exceeded the cap of "
+                           "1399 steps"):
             extension_xmod(klein_four(), klein_four(), cap=1400 - 1)
-        with pytest.raises(AssertionError, match="table built"):
-            extension_xmod(klein_four(), klein_four(), cap=1400)
+        with pytest.raises(SizeCapExceeded, match="^coboundary hom: tables "
+                           "of 69632 entries exceed the cap of 69631$"):
+            extension_xmod(klein_four(), klein_four(), cap=69_632 - 1)
+        assert built == []
+        xm = extension_xmod(klein_four(), klein_four(), cap=69_632)
+        assert (xm.g2.order, xm.g1.order) == (64, 256) and len(built) == 2
+
+    def test_tables_of_coboundary_hom_are_admitted_at_once(self):
+        # Z/6 on Z/4: 5 298 steps, and |C^1| = |Z^2| = 1 024, so tables of
+        # 2 097 152 entries
+        start = time.process_time()
+        with pytest.raises(SizeCapExceeded, match="^coboundary hom: tables "
+                           "of 2097152 entries exceed the cap of 5298$"):
+            extension_xmod(cyclic(6), cyclic(4), cap=5298)
+        assert time.process_time() - start < 1
 
     @pytest.mark.parametrize("gamma,a,action", ORACLE_CASES)
     def test_matches_coset_oracle(self, gamma, a, action):

@@ -121,8 +121,8 @@ class TestHomCap:
         h = hom_full(d, c, pointed_only=True, cap=40_095)
         assert sum(map(len, h.comp1 + h.vcomp + h.hcomp2)) == 40_095
         with pytest.raises(SizeCapExceeded,
-                           match="hom tables of 40095 entries exceed the "
-                                 "cap of 40094"):
+                           match="^hom: tables of 40095 entries exceed the "
+                                 "cap of 40094$"):
             hom_full(d, c, pointed_only=True, cap=40_094)
 
     def test_unpointed_4_4_raises_before_any_row(self):
@@ -148,7 +148,7 @@ class TestHomCap:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True,
                              timeout=120).stdout.splitlines()
-        assert out[0] == ("hom tables of 4521984 entries exceed the cap of "
+        assert out[0] == ("hom: tables of 4521984 entries exceed the cap of "
                           "1000000")
         assert int(out[1]) < 150 * 1024, out  # KB
 
@@ -163,7 +163,7 @@ class TestHomCap:
             "objects: 27; cells1: 729; cells2: 729\n"
         assert cli.main(argv + ["40094"]) == 3
         assert capsys.readouterr().err == (
-            "cap exceeded: hom tables of 40095 entries exceed the cap of "
+            "cap exceeded: hom: tables of 40095 entries exceed the cap of "
             "40094\n")
 
 

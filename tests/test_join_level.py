@@ -17,6 +17,7 @@ import itertools
 import math
 import operator
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,9 @@ from twotypes import nerve as nerve_mod
 from twotypes import simpset
 from twotypes.fingroup import cyclic, symmetric3
 from twotypes.nerve import nerve
-from twotypes.reconstruct import pentagon_via_4simplex, roundtrip_report
+from twotypes.reconstruct import (
+    choose_fillers, pentagon_via_4simplex, reconstruct, roundtrip_report,
+)
 from twotypes.search import Budget, SizeCapExceeded
 from twotypes.simpset import (
     JoinDegens, JoinLevel, TruncatedSimplicialSet, boundary,
@@ -344,10 +347,13 @@ class TestCountBeforeBuilding:
         monkeypatch.setattr(simpset._Join, "_rows", no_rows)
         monkeypatch.setattr(simpset._Join, "locate", no_rows)
         g = xmod_to_2group(xmod_identity(symmetric3()))
-        with pytest.raises(SizeCapExceeded, match="level 4.*1000000"):
+        with pytest.raises(SizeCapExceeded, match="^nerve: the simplices of "
+                           "level 4 exceed the cap of 1000000$"):
             nerve(g)
-        with pytest.raises(SizeCapExceeded, match="level 4.*1000 "):
-            nerve(g, cap=1000)
+        # level 3 holds 6^3 * 6^3 = 46 656 simplices
+        with pytest.raises(SizeCapExceeded, match="^nerve: the simplices of "
+                           "level 4 exceed the cap of 46656$"):
+            nerve(g, cap=46_656)
 
     def test_levels_0_to_3_are_audited_only_under_the_cap(self, monkeypatch):
         audited = []
@@ -360,10 +366,11 @@ class TestCountBeforeBuilding:
         with pytest.raises(SizeCapExceeded) as err:
             nerve(xmod_to_2group(xmod_identity(symmetric3())))
         assert str(err.value) == \
-            "coskeleton level 4 exceeds the cap of 1000000 simplices"
+            "nerve: the simplices of level 4 exceed the cap of 1000000"
         assert audited == []
         g = xmod_to_2group(xmod_bg(cyclic(3)))
-        with pytest.raises(SizeCapExceeded, match="level 4.*80 "):
+        with pytest.raises(SizeCapExceeded, match="^nerve: the simplices of "
+                           "level 4 exceed the cap of 80$"):
             nerve(g, cap=80)
         assert audited == []
         x = nerve(g)
@@ -376,8 +383,45 @@ class TestCountBeforeBuilding:
     def test_cap_is_checked_on_a_cached_nerve(self):
         g = xmod_to_2group(xmod_bg(cyclic(3)))
         assert nerve(g, cap=81).counts[4] == 81
-        with pytest.raises(SizeCapExceeded, match="level 4.*80 "):
+        with pytest.raises(SizeCapExceeded, match="^nerve: the simplices of "
+                           "level 4 exceed the cap of 80$"):
             nerve(g, cap=80)
+        with pytest.raises(SizeCapExceeded, match="^nerve: the simplices of "
+                           "level 3 exceed the cap of 26$"):
+            nerve(g, cap=26)
+
+    def test_levels_2_and_3_are_counted_exactly(self, gpd_nerves):
+        # on every strict corpus entry and on a weak reconstruction of it
+        for name, _, g, x in gpd_nerves:
+            w = reconstruct(x, choose_fillers(x, "seeded:1"))
+            assert nerve_mod._level_counts(g) == x.counts[2:4], name
+            assert nerve_mod._level_counts(w) == nerve(w).counts[2:4], name
+
+    def test_level_3_of_id_z16_raises_before_any_simplex(self, monkeypatch):
+        # the 2-group has 16^2 + 16 * 16^2 + 256^2 = 69 888 entries and
+        # level 2 16^3; level 3 would hold 16^6 = 16 777 216 simplices
+        g = xmod_to_2group(xmod_identity(cyclic(16)), cap=70_000)
+        listed = []
+        monkeypatch.setattr(nerve_mod, "two_simplices", listed.append)
+        start = time.process_time()
+        with pytest.raises(SizeCapExceeded, match="^nerve: the simplices of "
+                           "level 3 exceed the cap of 70000$"):
+            nerve(g, cap=70_000)
+        assert time.process_time() - start < 1
+        assert listed == []
+
+    @pytest.mark.parametrize("xm, level3, level4", [
+        (xmod_bg(symmetric3()), 216, 1296),
+        (xmod_identity(cyclic(3)), 729, 59049)])
+    def test_level_3_at_its_count(self, xm, level3, level4):
+        with pytest.raises(SizeCapExceeded, match="^nerve: the simplices of "
+                           f"level 3 exceed the cap of {level3 - 1}$"):
+            nerve(xmod_to_2group(xm), cap=level3 - 1)
+        with pytest.raises(SizeCapExceeded, match="^nerve: the simplices of "
+                           f"level 4 exceed the cap of {level3}$"):
+            nerve(xmod_to_2group(xm), cap=level3)
+        assert nerve(xmod_to_2group(xm), cap=level4).counts[3:] == \
+            (level3, level4)
 
 
 class TestNerveCache:
@@ -670,7 +714,7 @@ class TestEachLevelCountedOnce:
         x = make()
         sizes = coskeleton(x, k, trunc=4).counts
         joins = self.record_counts(monkeypatch)
-        y = coskeleton(x, k, trunc=4, cap=cap)
+        y = coskeleton(x, k, trunc=4, **({} if cap is None else {"cap": cap}))
         levels = [y.faces[m].join for m in range(k + 1, 5)]
         if cap is not None:
             bounds = [math.prod(map(widest, j.roots), start=j.size)

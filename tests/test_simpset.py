@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from twotypes import simpset
 from twotypes.fingroup import cyclic, symmetric3
 from twotypes.nerve import nerve
 from twotypes.search import Budget, classes
@@ -153,12 +152,12 @@ class TestCoskeleton:
         for m in range(k + 1, x.trunc + 1):
             assert list(x.faces[m]) == brute_force_tuples(x, m, range(m + 1))
 
-    def test_size_cap(self, monkeypatch):
-        monkeypatch.setattr(simpset, "COSKELETON_CAP", 1023)
-        with pytest.raises(SizeCapExceeded, match="level 4.*1023"):
-            coskeleton(sphere_base(), 2, trunc=4)
-        monkeypatch.setattr(simpset, "COSKELETON_CAP", 1024)
-        assert coskeleton(sphere_base(), 2, trunc=4).counts[4] == 1024
+    def test_size_cap(self):
+        with pytest.raises(SizeCapExceeded, match="^coskeleton: the "
+                           "simplices of level 4 exceed the cap of 1023$"):
+            coskeleton(sphere_base(), 2, trunc=4, cap=1023)
+        assert coskeleton(sphere_base(), 2, trunc=4, cap=1024).counts[4] \
+            == 1024
 
 
 class TestCoskeletalAudit:

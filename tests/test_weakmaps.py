@@ -314,9 +314,9 @@ class TestXmodWeakMaps:
     def test_one_pair_of_2groupoids_per_lister_call(self, monkeypatch):
         built = []
 
-        def counted(xm):
+        def counted(xm, *cap):
             built.append(xm)
-            return xmod_to_2group(xm)
+            return xmod_to_2group(xm, *cap)
 
         monkeypatch.setattr(weakmaps, "xmod_to_2group", counted)
         corpus = dict(build_corpus())
