@@ -6,8 +6,8 @@ the composite, and 3-simplices are boundary-compatible quadruples whose
 interior 2-cell equation pins the d1 face.  Level 4 is the 3-coskeleton,
 held as the join of level 3 (`simpset.JoinLevel`): it is counted once, and
 its rows are listed, and the degeneracies into it (`simpset.JoinDegens`)
-ranked, only when something reads them.  Levels 2 and 3 are counted from
-the cells first.  Weak functors induce simplicial maps and conversely.
+ranked, only when something reads them.  Level 3 is counted from the
+cells first.  Weak functors induce simplicial maps and conversely.
 """
 
 from __future__ import annotations
@@ -46,30 +46,28 @@ def two_simplex_index(g) -> dict[tuple[int, int, int], int]:
     return {t: i for i, t in enumerate(two_simplices(g))}
 
 
-def _level_counts(g) -> tuple[int, int]:
-    """The sizes of levels 2 and 3 of the nerve of g: |out2(fh)| per
-    composable (f, h), and |out2(fh)| times the sum of |out2(f mid)| over
-    the 2-cells h m => mid, per composable (f, h, m)."""
+def _level3_count(g) -> int:
+    """The size of level 3 of the nerve of g: per composable (f, h, m),
+    |out2(fh)| times the sum of |out2(f mid)| over the 2-cells h m => mid."""
     out2, size = group(g.src2), Counter(g.src2)
     mids = [Counter(g.tgt2[a] for hm in row.values() for a in out2.get(hm, ()))
             for row in g.comp1]
-    return (sum(size[fh] for row in g.comp1 for fh in row.values()),
-            sum(size[fh] * sum(k * size[g.comp1[f][mid]]
-                               for mid, k in mids[h].items())
-                for f, row in enumerate(g.comp1) for h, fh in row.items()))
+    return sum(size[fh] * sum(k * size[g.comp1[f][mid]]
+                              for mid, k in mids[h].items())
+               for f, row in enumerate(g.comp1) for h, fh in row.items())
 
 
 def nerve(g, cap: int | Budget = DEFAULT_CAP) -> TruncatedSimplicialSet:
     """3-coskeletal nerve, truncated at level 4, of a strict or weak
-    2-groupoid.  The budget admits levels 2 and 3 before either is listed,
-    and level 4 before levels 0-3 are audited."""
+    2-groupoid.  The budget admits level 3 before levels 2-3 are listed and
+    level 4 before levels 0-3 are audited (or alone, when cached): s0 embeds
+    each level in the next, so the lower levels are no larger."""
     budget = as_budget(cap, "nerve")
     cached = _NERVE_CACHE.get(id(g))
-    x = cached[1] if cached is not None and cached[0]() is g else None
-    for m, count in enumerate(x.counts[2:] if x else _level_counts(g), 2):
-        budget.admit(count, f"the simplices of level {m}")
-    if x:
-        return x
+    if cached is not None and cached[0]() is g:
+        budget.admit(cached[1].counts[4], "the simplices of level 4")
+        return cached[1]
+    budget.admit(_level3_count(g), "the simplices of level 3")
     faces1 = [(g.tgt1[f], g.src1[f]) for f in range(g.n1)]
     degens0 = [(g.id1[a],) for a in range(g.n_objects)]
     tris = two_simplices(g)

@@ -356,12 +356,13 @@ def check_xmod_transformation(P: XmodWeakMap, Q: XmodWeakMap,
     return XmodTransformation(src=P, tgt=Q, a=a, theta=theta)
 
 
-def _functors(*maps: XmodWeakMap) -> list[WeakFunctor]:
+def _functors(*maps: XmodWeakMap, cap: int | Budget = DEFAULT_CAP
+              ) -> list[WeakFunctor]:
     """The weak functor of each map: the one its search found, else one
-    realized over a single pair of one-object 2-groupoids."""
+    realized over a single pair of one-object 2-groupoids built under cap."""
     if all(P.functor is not None for P in maps):
         return [P.functor for P in maps]
-    BH, BG = xmod_to_2group(maps[0].dom), xmod_to_2group(maps[0].cod)
+    BH, BG = (xmod_to_2group(xm, cap) for xm in (maps[0].dom, maps[0].cod))
     return [weak_functor_from_xmod_weak_map(P, BH, BG) if P.functor is None
             else P.functor for P in maps]
 
@@ -374,10 +375,11 @@ def enumerate_transformations(P: XmodWeakMap, Q: XmodWeakMap,
     transformations of their weak functors: a = t[0] and theta(x) the top
     element of the 2-cell theta[x].  When pointed_only, a is the identity."""
     n2 = P.cod.g2.order
+    budget = as_budget(cap, "transformation search")
     return [XmodTransformation(src=P, tgt=Q, a=t[0],
                                theta=tuple(c % n2 for c in theta))
             for t, theta in enumerate_2transformations(
-                *_functors(P, Q), pointed_only, cap=cap)]
+                *_functors(P, Q, cap=budget), pointed_only, cap=budget)]
 
 
 def enumerate_modifications(T: XmodTransformation, S: XmodTransformation

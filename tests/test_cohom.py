@@ -338,9 +338,13 @@ class TestCohomologyGroups:
             return sum_group(orders)
 
         monkeypatch.setattr(cohom, "_sum_group", spy)
-        with pytest.raises(SizeCapExceeded, match="exceeded the cap of "
-                           "1399 steps"):
+        with pytest.raises(SizeCapExceeded, match="^coboundary hom exceeded "
+                           "the cap of 1399 steps$"):
             extension_xmod(klein_four(), klein_four(), cap=1400 - 1)
+        # at 1 400 every step passes, and the tables are the first refused
+        with pytest.raises(SizeCapExceeded, match="^coboundary hom: tables "
+                           "of 69632 entries exceed the cap of 1400$"):
+            extension_xmod(klein_four(), klein_four(), cap=1400)
         with pytest.raises(SizeCapExceeded, match="^coboundary hom: tables "
                            "of 69632 entries exceed the cap of 69631$"):
             extension_xmod(klein_four(), klein_four(), cap=69_632 - 1)

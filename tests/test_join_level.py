@@ -386,16 +386,13 @@ class TestCountBeforeBuilding:
         with pytest.raises(SizeCapExceeded, match="^nerve: the simplices of "
                            "level 4 exceed the cap of 80$"):
             nerve(g, cap=80)
-        with pytest.raises(SizeCapExceeded, match="^nerve: the simplices of "
-                           "level 3 exceed the cap of 26$"):
-            nerve(g, cap=26)
 
-    def test_levels_2_and_3_are_counted_exactly(self, gpd_nerves):
+    def test_level_3_is_counted_exactly(self, gpd_nerves):
         # on every strict corpus entry and on a weak reconstruction of it
         for name, _, g, x in gpd_nerves:
             w = reconstruct(x, choose_fillers(x, "seeded:1"))
-            assert nerve_mod._level_counts(g) == x.counts[2:4], name
-            assert nerve_mod._level_counts(w) == nerve(w).counts[2:4], name
+            assert nerve_mod._level3_count(g) == x.counts[3], name
+            assert nerve_mod._level3_count(w) == nerve(w).counts[3], name
 
     def test_level_3_of_id_z16_raises_before_any_simplex(self, monkeypatch):
         # the 2-group has 16^2 + 16 * 16^2 + 256^2 = 69 888 entries and

@@ -16,6 +16,7 @@ from twotypes import simpset, twogpd, weakmaps
 from twotypes.fingroup import cyclic
 from twotypes.nerve import nerve
 from twotypes.reconstruct import choose_fillers, reconstruct
+from twotypes.search import Budget
 from twotypes.simpset import SizeCapExceeded
 from twotypes.twogpd import (
     check_2functor, disjoint_union, enumerate_2functors, enumerate_2transformations,
@@ -343,6 +344,23 @@ class TestXmodWeakMaps:
         assert [M.mu for M in enumerate_modifications(T[0], T[-1])] == \
             [M.mu for M in mods]
         assert len(built) == 4
+
+    def test_a_bare_map_builds_its_2groups_under_the_cap(self):
+        # z4_to_z2's 2-group has 2^2 + 2 * 4^2 + 8^2 = 100 table entries
+        H = dict(build_corpus())["z4_to_z2"]
+        P = enumerate_xmod_weak_maps(H, H)[1]
+        bare = dataclasses.replace(P, functor=None)
+        with pytest.raises(SizeCapExceeded, match="^transformation search: "
+                           "2-group tables of 100 entries exceed the cap "
+                           "of 99$"):
+            enumerate_transformations(bare, bare, cap=99)
+        # the shared budget admits both 2-groups at no step
+        steps = []
+        for Q in (P, bare):
+            budget = Budget(10 ** 6, "transformations")
+            enumerate_transformations(Q, Q, cap=budget)
+            steps.append(budget.steps)
+        assert steps[0] == steps[1] > 0
 
     def test_dictionary_roundtrip(self):
         for n, m in [(2, 2), (3, 2), (2, 3)]:
