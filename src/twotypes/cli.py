@@ -49,6 +49,16 @@ def _as_2gpd(path: str, cap: int | Budget = DEFAULT_CAP):
     return obj
 
 
+def _nerve(kind, obj, budget: Budget):
+    """The nerve; a crossed module's level 3 is admitted before its 2-group."""
+    from . import nerve
+    if kind == "xmod":
+        from .twogpd import xmod_to_2group
+        budget.admit(nerve.xmod_level3_count(obj), "the simplices of level 3")
+        obj = xmod_to_2group(obj, budget)
+    return nerve.nerve(obj, cap=budget)
+
+
 def _strategy(text: str) -> str:
     """A filler strategy: "first" or "seeded:<int>"."""
     if text == "first":
@@ -105,9 +115,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_nerve(args) -> int:
-    from . import nerve
-    budget = Budget(args.cap, "nerve")
-    x = nerve.nerve(_as_2gpd(args.file, budget), cap=budget)
+    kind, _, obj = _subject(args.file, ("2gpd", "xmod"))
+    x = _nerve(kind, obj, Budget(args.cap, "nerve"))
     top = min(args.trunc, x.trunc) if args.trunc is not None else x.trunc
     print("levels: " + " ".join(str(c) for c in x.counts[:top + 1]))
     return 0
@@ -185,15 +194,10 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
-    from . import nerve, reconstruct
-    from .twogpd import xmod_to_2group
+    from . import reconstruct
     kind, _, obj = _subject(args.file, ("2gpd", "xmod", "sset"))
     budget = Budget(args.cap, "roundtrip")
-    if kind == "sset":
-        x = obj
-    else:
-        x = nerve.nerve(xmod_to_2group(obj, budget) if kind == "xmod"
-                        else obj, cap=budget)
+    x = obj if kind == "sset" else _nerve(kind, obj, budget)
     fillers = _fillers(x, args)
     rep = reconstruct.roundtrip_report(x, fillers, cap=budget)
     pent = reconstruct.pentagon_via_4simplex(x, fillers)

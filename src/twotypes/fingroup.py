@@ -1,8 +1,8 @@
 """Finite groups as Cayley tables, homomorphisms, right actions, and free words.
 
 Everything is index-based: a group of order n has elements 0..n-1 and a full
-n x n multiplication table.  All validation is exhaustive; intended scale is
-desk-size (orders up to a few hundred).
+n x n multiplication table.  All validation is exhaustive, for orders up to
+a few hundred; assoc_witness is the one associativity audit of the library.
 """
 
 from __future__ import annotations
@@ -10,9 +10,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-import numpy as np
+import numpy  # unused; see tests/test_imports.py::test_cli_still_imports_numpy
 
 from .search import search
 
@@ -90,51 +91,77 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
+def _generators(table, right, left) -> list[int]:
+    """Cells whose left-bracketed products reach every cell: each cell not
+    yet reached joins, in ascending order, and the reached cells are closed
+    again under right products by the generators."""
+    reached, gens = [False] * len(table), set()
+    for g in range(len(table)):
+        if reached[g]:
+            continue
+        gens.add(g)
+        todo = [g] + [table[x][g] for x in left[g] if reached[x]]
+        while todo:
+            y = todo.pop()
+            if not reached[y]:
+                reached[y] = True
+                todo += [table[y][s] for s in right[y] if s in gens]
+    return sorted(gens)
+
+
+def assoc_witness(table, right, left):
+    """The first (a, b, c) in index order with (ab)c != a(bc), b in right[a]
+    and c in right[b], or None; left[b] lists the a with b in right[a], and
+    no right[b] is empty.  By F. W. Light's test (Clifford and Preston, The
+    Algebraic Theory of Semigroups I, sec. 1.2) only b in _generators is
+    tried first: the b that pass are closed under composition, as (a(b1b2))c
+    = ((ab1)b2)c = (ab1)(b2c) = a(b1(b2c)) = a((b1b2)c).  Only on a failure
+    is every (a, b) tried, in order.  Trying (a, b) compares row ab read at
+    right[b] with row a read at the values of row b, each row read whole."""
+    def rows(b):
+        return itemgetter(*right[b]), itemgetter(*map(table[b].__getitem__,
+                                                      right[b]))
+    if all(at_c(table[table[a][b]]) == at_bc(table[a])
+           for b in _generators(table, right, left)
+           for at_c, at_bc in [rows(b)] for a in left[b]):
+        return None
+    getters = [rows(b) for b in range(len(table))]
+    for a, row_a in enumerate(table):
+        for b in right[a]:
+            row_ab, (at_c, at_bc) = table[row_a[b]], getters[b]
+            if at_c(row_ab) != at_bc(row_a):
+                return a, b, next(c for c in right[b]
+                                  if row_ab[c] != row_a[table[b][c]])
+
+
 def check_group_axioms(mul: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
-    """Verify closure, associativity, identity and inverses for a square table.
+    """Verify closure, associativity (assoc_witness), identity and inverses.
 
     Returns (identity, inverse table) or raises NotAGroup with a witness.
     """
     n = len(mul)
     if n == 0:
         raise NotAGroup("empty table")
-    # shape and range in Python first: numpy cannot hold every int
     for a, row in enumerate(mul):
         if len(row) != n:
             raise NotAGroup("table is not square", a)
         if min(row) < 0 or max(row) >= n:
             raise NotAGroup("entry out of range", (a, next(
                 b for b, v in enumerate(row) if not 0 <= v < n)))
-    m = np.asarray(mul, dtype=np.int64)
-
-    # associativity, vectorized: mul[mul[a,b],c] == mul[a,mul[b,c]]
-    # chunk over a to bound memory for larger orders
-    chunk = max(1, min(n, 2 ** 22 // (n * n + 1)))
-    for a0 in range(0, n, chunk):
-        sub = m[a0:a0 + chunk]
-        left = m[sub]                                 # left[a,b,c] = mul[mul[a,b],c]
-        right = sub[:, m]                             # right[a,b,c] = mul[a, mul[b,c]]
-        if not np.array_equal(left, right):
-            bad = np.argwhere(left != right)[0]
-            raise NotAGroup("associativity fails",
-                            (int(bad[0]) + a0, int(bad[1]), int(bad[2])))
-
-    # identity: a row AND column equal to range(n)
-    idx = np.arange(n)
-    e = None
-    for cand in range(n):
-        if np.array_equal(m[cand], idx) and np.array_equal(m[:, cand], idx):
-            e = cand
-            break
+    every = [range(n)] * n
+    bad = assoc_witness(mul, every, every)
+    if bad is not None:
+        raise NotAGroup("associativity fails", bad)
+    idx = list(range(n))
+    e = next((x for x in idx if list(mul[x]) == idx and
+              [row[x] for row in mul] == idx), None)
     if e is None:
         raise NotAGroup("no two-sided identity")
-
-    inv = [-1] * n
-    for a in range(n):
-        hits = np.flatnonzero(m[a] == e)
-        if hits.size == 0 or m[hits[0]][a] != e:
+    inv = []
+    for a, row in enumerate(mul):
+        if e not in row or mul[row.index(e)][a] != e:
             raise NotAGroup("no inverse for element", a)
-        inv[a] = int(hits[0])
+        inv.append(row.index(e))
     return e, tuple(inv)
 
 

@@ -57,6 +57,11 @@ def _level3_count(g) -> int:
                for f, row in enumerate(g.comp1) for h, fh in row.items())
 
 
+def xmod_level3_count(xm) -> int:
+    """_level3_count of xm's 2-group: all compose, |G2| 2-cells per 1-cell."""
+    return (xm.g1.order * xm.g2.order) ** 3
+
+
 def nerve(g, cap: int | Budget = DEFAULT_CAP) -> TruncatedSimplicialSet:
     """3-coskeletal nerve, truncated at level 4, of a strict or weak
     2-groupoid.  The budget admits level 3 before levels 2-3 are listed and

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from twotypes import twogpd
+from twotypes import cli, twogpd
 from twotypes.fingroup import cyclic
-from twotypes.nerve import nerve
+from twotypes.nerve import _level3_count, nerve, xmod_level3_count
 from twotypes.search import Budget, SizeCapExceeded
 from twotypes.textio import format_group, format_sset, format_xmod
 from twotypes.twogpd import xmod_to_2group
@@ -130,19 +130,64 @@ def test_each_capped_command_stops_at_cap_10(inputs, command, i):
     _holds(*_run(_argv(command, inputs, i) + ["--cap", "10"]))
 
 
-@pytest.mark.parametrize("n, err", [
-    (16, "nerve: the simplices of level 3 exceed the cap of 1000000"),
-    (32, "nerve: 2-group tables of 1082368 entries exceed the cap of "
-         "1000000")], ids=["id16", "id32"])
-def test_nerve_stops_at_the_default_cap(inputs, n, err):
+@pytest.mark.parametrize("n", [16, 32], ids=["id16", "id32"])
+def test_nerve_stops_at_the_default_cap(inputs, n):
+    # level 3 holds n^6 simplices, admitted before the 2-group is built
     assert _run(["nerve", str(inputs / f"id{n}.xmod")]) == (
-        3, "", f"cap exceeded: {err}\n")
+        3, "", "cap exceeded: nerve: the simplices of level 3 exceed the "
+               "cap of 1000000\n")
 
 
 @pytest.mark.parametrize("command, stage", [
     ("nerve", "nerve"), ("roundtrip", "roundtrip"), ("hom", "hom"),
     ("pi0hom", "pi0hom weak maps")])
 def test_2groups_are_admitted_under_the_command_cap(inputs, command, stage):
+    # a nerve's level 3, of 32^6 simplices, is admitted before its 2-group
+    what = ("the simplices of level 3" if command in ("nerve", "roundtrip")
+            else "2-group tables of 1082368 entries")
     assert _run(_argv(command, inputs, ORDERS.index(32)) + ["--cap", "10"]) \
-        == (3, "", f"cap exceeded: {stage}: 2-group tables of 1082368 "
-                   f"entries exceed the cap of 10\n")
+        == (3, "", f"cap exceeded: {stage}: {what} exceed the cap of 10\n")
+
+
+class TestNerveOfACrossedModule:
+    """`nerve` and `roundtrip` admit level 3 of the nerve of a crossed
+    module, (|G1| |G2|)^3 simplices, before its 2-group is built."""
+
+    def test_count_is_level_3_of_the_2group(self, corpus):
+        for name, xm in corpus:
+            assert xmod_level3_count(xm) == \
+                _level3_count(xmod_to_2group(xm)), name
+
+    def test_exact_count_passes_level_3(self, corpus):
+        for name, xm in corpus:
+            n = xmod_level3_count(xm)
+            with pytest.raises(SizeCapExceeded, match=(
+                    f"^nerve: the simplices of level 3 exceed the cap of "
+                    f"{n - 1}$")):
+                cli._nerve("xmod", xm, Budget(n - 1, "nerve"))
+            try:
+                cli._nerve("xmod", xm, Budget(n, "nerve"))
+            except SizeCapExceeded as exc:
+                assert "level 3" not in str(exc), name
+
+    @pytest.mark.parametrize("command", ["nerve", "roundtrip"])
+    def test_identity_on_z30_stops_before_its_2group(
+            self, tmp_path, monkeypatch, command, capsys):
+        # 30^6 simplices; the 2-group has 837 900 entries, under the
+        # default cap, and took about 2 s of CPU to build and audit
+        p = tmp_path / "id30.xmod"
+        p.write_text(format_xmod("id30", xmod_identity(cyclic(30))))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        code, out, err = _run([command, str(p)])
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert (code, out, err) == (
+            3, "", f"cap exceeded: {command}: the simplices of level 3 "
+                   f"exceed the cap of 1000000\n")
+        assert (after.ru_utime + after.ru_stime) - \
+            (before.ru_utime + before.ru_stime) < 1
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("2-group built")
+        monkeypatch.setattr(twogpd, "build_two_groupoid", no_build)
+        assert cli.main([command, str(p)]) == 3
+        assert capsys.readouterr().err == err

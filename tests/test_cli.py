@@ -362,10 +362,11 @@ class TestExitCodes:
     def test_cap_of_nerve_and_roundtrip(self, capsys, tmp_path):
         p = tmp_path / "ids3.xmod"
         p.write_text(format_xmod("ids3", xmod_identity(symmetric3())))
-        # the 2-group of id_s3 has 6^2 + 6 * 6^2 + 36^2 = 1 548 entries
+        # level 3 of the nerve of id_s3 holds (6 * 6)^3 = 46 656 simplices,
+        # admitted before its 2-group of 1 548 table entries is built
         code, out, err = run(capsys, "nerve", str(p), "--cap", "1000")
         assert (code, out) == (3, "")
-        assert err == ("cap exceeded: nerve: 2-group tables of 1548 entries "
+        assert err == ("cap exceeded: nerve: the simplices of level 3 "
                        "exceed the cap of 1000\n")
         # level 4 of the nerve of BZ/3 holds 81 simplices
         for cap, code in (("80", 3), ("81", 0)):

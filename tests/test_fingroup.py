@@ -3,6 +3,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,6 +120,117 @@ class TestAssociativityInChunks:
         with pytest.raises(NotAGroup, match="associativity") as err:
             check_group_axioms(mul)
         assert err.value.witness == want
+
+
+def numpy_check_group_axioms(mul):
+    """The numpy audit that check_group_axioms replaced, kept as an oracle:
+    associativity by a chunked scan of all triples, then the identity and
+    the inverses."""
+    n = len(mul)
+    if n == 0:
+        raise NotAGroup("empty table")
+    for a, row in enumerate(mul):
+        if len(row) != n:
+            raise NotAGroup("table is not square", a)
+        if min(row) < 0 or max(row) >= n:
+            raise NotAGroup("entry out of range", (a, next(
+                b for b, v in enumerate(row) if not 0 <= v < n)))
+    m = np.asarray(mul, dtype=np.int64)
+    chunk = max(1, min(n, 2 ** 22 // (n * n + 1)))
+    for a0 in range(0, n, chunk):
+        sub = m[a0:a0 + chunk]
+        left, right = m[sub], sub[:, m]
+        if not np.array_equal(left, right):
+            bad = np.argwhere(left != right)[0]
+            raise NotAGroup("associativity fails",
+                            (int(bad[0]) + a0, int(bad[1]), int(bad[2])))
+    idx = np.arange(n)
+    e = None
+    for cand in range(n):
+        if np.array_equal(m[cand], idx) and np.array_equal(m[:, cand], idx):
+            e = cand
+            break
+    if e is None:
+        raise NotAGroup("no two-sided identity")
+    inv = [-1] * n
+    for a in range(n):
+        hits = np.flatnonzero(m[a] == e)
+        if hits.size == 0 or m[hits[0]][a] != e:
+            raise NotAGroup("no inverse for element", a)
+        inv[a] = int(hits[0])
+    return e, tuple(inv)
+
+
+def _outcome(check, mul):
+    try:
+        return "group", check(mul)
+    except NotAGroup as exc:
+        return exc.reason, exc.witness
+
+
+def _renamed(mul, rng):
+    """mul with its elements renamed by a random permutation."""
+    n = len(mul)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[mul[a][b]]
+    return out
+
+
+def _oracle_tables():
+    """Group tables, and tables that are not groups: left-zero (ab = a),
+    right-zero (ab = b), constant, and ab = min(a + b + 1, n - 1), which is
+    associative with no identity."""
+    groups = [cyclic(n) for n in range(1, 17)] + [klein_four(), symmetric3()]
+    c = {n: cyclic(n) for n in (2, 3, 4, 8, 16)}
+    groups += [direct_product(*pair) for pair in [
+        (klein_four(), symmetric3()), (symmetric3(), symmetric3()),
+        (c[4], c[16]), (c[8], c[8]), (symmetric3(), c[8]),
+        (direct_product(klein_four(), klein_four()), klein_four()),
+        (c[2], c[3])]]
+    assert max(g.order for g in groups) == 64
+    tables = [[list(row) for row in g.mul] for g in groups]
+    for n in (1, 2, 3, 5, 8, 12):
+        tables += [[[a] * n for a in range(n)],
+                   [list(range(n)) for _ in range(n)],
+                   [[n - 1] * n for _ in range(n)],
+                   [[min(a + b + 1, n - 1) for b in range(n)]
+                    for a in range(n)]]
+    return tables
+
+
+class TestWitnessOracle:
+    """check_group_axioms gives the outcome of the numpy audit it replaced,
+    result or (reason, witness), on seeded mutants with one or two changed
+    entries of relabelled tables."""
+
+    def test_mutants_match_the_numpy_audit(self):
+        rng = random.Random(27)
+        reasons, compared = set(), 0
+        for base in _oracle_tables():
+            n = len(base)
+            for _ in range(24):
+                mul = _renamed(base, rng)
+                for _ in range(rng.choice((0, 1, 1, 2, 2))):
+                    a, b = rng.randrange(n), rng.randrange(n)
+                    mul[a][b] = rng.randrange(n)
+                want = _outcome(numpy_check_group_axioms, mul)
+                assert _outcome(check_group_axioms, mul) == want, mul
+                reasons.add(want[0])
+                compared += 1
+        assert compared >= 1000
+        assert reasons == {"group", "associativity fails",
+                           "no two-sided identity", "no inverse for element"}
+
+    def test_left_zero_table_of_order_256_is_quick(self):
+        mul = [[a] * 256 for a in range(256)]
+        start = time.process_time()
+        with pytest.raises(NotAGroup, match="no two-sided identity"):
+            check_group_axioms(mul)
+        assert time.process_time() - start < 1
 
 
 class TestHoms:

@@ -5,6 +5,7 @@ checking a group or computing its cohomology compiles no simplicial or
 2-groupoid code.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -64,3 +65,27 @@ def test_cli_still_imports_numpy():
         capture_output=True, text=True, env=ENV, timeout=120, check=True)
     assert any(line.split("|")[-1].strip() == "numpy"
                for line in done.stderr.splitlines())
+
+
+def test_numpy_is_only_imported_by_fingroup():
+    # numpy is imported once, unused, for the benchmark's import probe
+    # above: no module reads it, so dropping it is one line
+    found = []
+    for path in sorted((ROOT / "src" / "twotypes").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [(a.name, a.asname) for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module, None)]
+            elif isinstance(node, ast.Name):
+                names = [(node.id, None)]
+            elif isinstance(node, ast.Attribute):
+                names = [(node.attr, None)]
+            elif isinstance(node, ast.Constant) and node.value == "numpy":
+                names = [(node.value, None)]  # importlib.import_module
+            else:
+                continue
+            found += [(path.name, type(node).__name__, name, alias)
+                      for name, alias in names
+                      if (name or "").split(".")[0] in ("numpy", "np")]
+    assert found == [("fingroup.py", "Import", "numpy", None)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import build_corpus
 
-from twotypes import twogpd
+from twotypes import fingroup, twogpd
 from twotypes.fingroup import (
     cyclic, find_isomorphism, klein_four, symmetric3, trivial_group,
 )
@@ -655,8 +655,8 @@ class TestAssocOnGenerators:
             seen.append((table, gens))
             return gens
 
-        generators = twogpd._generators
-        monkeypatch.setattr(twogpd, "_generators", spy)
+        generators = fingroup._generators
+        monkeypatch.setattr(fingroup, "_generators", spy)
         h = hom_full(xmod_to_2group(xmod_bg(cyclic(4))),
                      xmod_to_2group(xmod_b2g(cyclic(3))), pointed_only=True)
         counts = {name: len(gens) for table, gens in seen
