@@ -116,22 +116,24 @@ def assoc_witness(table, right, left):
     Algebraic Theory of Semigroups I, sec. 1.2) only b in _generators is
     tried first: the b that pass are closed under composition, as (a(b1b2))c
     = ((ab1)b2)c = (ab1)(b2c) = a(b1(b2c)) = a((b1b2)c).  Only on a failure
-    is every (a, b) tried, in order.  Trying (a, b) compares row ab read at
-    right[b] with row a read at the values of row b, each row read whole."""
+    is every (a, b) tried, in order.  Trying (a, b) reads whole rows through
+    two getters built once per b: row ab at each c, row a at each bc."""
+    @functools.cache
     def rows(b):
         return itemgetter(*right[b]), itemgetter(*map(table[b].__getitem__,
                                                       right[b]))
-    if all(at_c(table[table[a][b]]) == at_bc(table[a])
-           for b in _generators(table, right, left)
-           for at_c, at_bc in [rows(b)] for a in left[b]):
+
+    def differ(a, b):
+        at_c, at_bc = rows(b)
+        return at_c(table[table[a][b]]) != at_bc(table[a])
+
+    if not any(differ(a, b) for b in _generators(table, right, left)
+               for a in left[b]):
         return None
-    getters = [rows(b) for b in range(len(table))]
-    for a, row_a in enumerate(table):
-        for b in right[a]:
-            row_ab, (at_c, at_bc) = table[row_a[b]], getters[b]
-            if at_c(row_ab) != at_bc(row_a):
-                return a, b, next(c for c in right[b]
-                                  if row_ab[c] != row_a[table[b][c]])
+    a, b = next((a, b) for a, bs in enumerate(right) for b in bs
+                if differ(a, b))
+    return a, b, next(c for c in right[b]
+                      if table[table[a][b]][c] != table[a][table[b][c]])
 
 
 def check_group_axioms(mul: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:

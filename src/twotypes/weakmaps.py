@@ -382,13 +382,11 @@ def enumerate_transformations(P: XmodWeakMap, Q: XmodWeakMap,
                 *_functors(P, Q, cap=budget), pointed_only, cap=budget)]
 
 
-def enumerate_modifications(T: XmodTransformation, S: XmodTransformation,
-                            cap: int | Budget = DEFAULT_CAP
+def enumerate_modifications(T: XmodTransformation, S: XmodTransformation
                             ) -> list[XmodModification]:
     """Elements mu with a phi(mu) = b and mu sigma(x) = theta(x) mu^{q1(x)},
-    in the order of G2, read off the modifications of the weak functors;
-    one cap bounds the functors and the search."""
-    budget = as_budget(cap, "modification search")
+    in the order of G2, read off the modifications of the weak functors
+    under the default cap."""
     P = T.src
     g1, n2 = P.cod.g1, P.cod.g2.order
 
@@ -399,8 +397,7 @@ def enumerate_modifications(T: XmodTransformation, S: XmodTransformation,
 
     return [XmodModification(src=T, tgt=S, mu=mu[0] % n2)
             for mu in enumerate_2modifications(
-                *_functors(P, T.tgt, cap=budget), cells(T), cells(S),
-                cap=budget)]
+                *_functors(P, T.tgt), cells(T), cells(S))]
 
 
 # -- dictionary with one-object 2-groupoids -----------------------------------

@@ -21,7 +21,6 @@ from .fingroup import (
     conjugation_action, empty_word, free_reduce, generates, kernel, make_action,
     make_hom, trivial_action, trivial_group,
 )
-from .search import DEFAULT_CAP, Budget
 
 
 class Violation(ValueError):
@@ -255,14 +254,13 @@ def check_strict_transformation(p: XmodMorphism, q: XmodMorphism,
 
 
 def enumerate_strict_transformations(p: XmodMorphism, q: XmodMorphism,
-                                     pointed_only: bool = False,
-                                     cap: int | Budget = DEFAULT_CAP):
+                                     pointed_only: bool = False):
     """All (a, theta) linking p to q, in lexicographic order, by the
-    search for transformations of weak maps under cap."""
+    search for transformations of weak maps under its default cap."""
     from .weakmaps import enumerate_transformations
 
     return [(T.a, T.theta) for T in enumerate_transformations(
-        _as_weak_map(p), _as_weak_map(q), pointed_only, cap)]
+        _as_weak_map(p), _as_weak_map(q), pointed_only)]
 
 
 # -- free resolution of the base group ---------------------------------------

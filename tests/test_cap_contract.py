@@ -171,6 +171,18 @@ class TestNerveOfACrossedModule:
                 assert "level 3" not in str(exc), name
 
     @pytest.mark.parametrize("command", ["nerve", "roundtrip"])
+    def test_2group_is_admitted_under_the_command_cap(
+            self, tmp_path, command, capsys):
+        # B^2 Z/2: level 3 holds (1 * 2)^3 = 8 simplices and passes the cap
+        # of 8; the 2-group, of 1 + 4 + 4 = 9 table entries, does not
+        p = tmp_path / "b2z2.xmod"
+        p.write_text(format_xmod("b2z2", xmod_b2g(cyclic(2))))
+        assert cli.main([command, str(p), "--cap", "8"]) == 3
+        assert capsys.readouterr() == (
+            "", f"cap exceeded: {command}: 2-group tables of 9 entries "
+                f"exceed the cap of 8\n")
+
+    @pytest.mark.parametrize("command", ["nerve", "roundtrip"])
     def test_identity_on_z30_stops_before_its_2group(
             self, tmp_path, monkeypatch, command, capsys):
         # 30^6 simplices; the 2-group has 837 900 entries, under the

@@ -7,10 +7,8 @@ from twotypes.fingroup import (
     cyclic, find_isomorphism, free_reduce, generator, make_hom, symmetric3,
     trivial_action, trivial_group,
 )
-from twotypes.search import Budget, SizeCapExceeded
-from twotypes.weakmaps import enumerate_transformations, enumerate_xmod_weak_maps
 from twotypes.xmod import (
-    NotGenerating, _as_weak_map, Violation, check_crossed_module, check_morphism,
+    NotGenerating, Violation, check_crossed_module, check_morphism,
     check_strict_transformation, cofibrant_replacement, compose_morphisms,
     enumerate_strict_transformations, identity_morphism, is_equivalence,
     is_fibration, is_trivial_fibration, pi1, pi2, xmod_b2g, xmod_bg,
@@ -147,29 +145,6 @@ class TestStrictTransformations:
         found = enumerate_strict_transformations(m, m)
         assert len(found) >= 1
         assert (0, (0, 0)) in found
-
-    def test_strict_transformations_take_a_cap(self):
-        # a strict morphism is a weak map with no functor: its 2-groups,
-        # of 2^2 + 2 * 4^2 + 8^2 = 100 entries, are built under the cap
-        xm = z4_to_z2()
-        m = identity_morphism(xm)
-        with pytest.raises(SizeCapExceeded, match="^transformation search: "
-                           "2-group tables of 100 entries exceed the cap "
-                           "of 99$"):
-            enumerate_strict_transformations(m, m, cap=99)
-        # the same steps as the search from the listed weak map
-        listed = next(P for P in enumerate_xmod_weak_maps(xm, xm)
-                      if P.p1 == m.p1.image and P.p2 == m.p2.image and
-                      P.eps == _as_weak_map(m).eps)
-        steps = []
-        for listing in (
-                lambda b: enumerate_strict_transformations(m, m, cap=b),
-                lambda b: [(T.a, T.theta) for T in
-                           enumerate_transformations(listed, listed, cap=b)]):
-            budget = Budget(10 ** 6, "transformations")
-            got = listing(budget)
-            steps.append((budget.steps, got))
-        assert steps[0] == steps[1] and steps[0][0] > 0
 
     def test_crossed_hom_law_failure_detected(self):
         xm = xmod_identity(cyclic(2))
