@@ -94,19 +94,30 @@ class FiniteGroup:
 def _generators(table, right, left) -> list[int]:
     """Cells whose left-bracketed products reach every cell: each cell not
     yet reached joins, in ascending order, and the reached cells are closed
-    again under right products by the generators."""
-    reached, gens = [False] * len(table), set()
+    again under right products by the generators.  Each reached y walks the
+    shorter of right[y] and the generators, few in a group: a generator s
+    is in right[y] exactly when row y is defined at s, a key of a dict
+    partner row and an entry other than -1 of a dense row, so either walk
+    tests each cell in O(1)."""
+    reached, gens, is_gen = [False] * len(table), [], set()
     for g in range(len(table)):
         if reached[g]:
             continue
-        gens.add(g)
+        gens.append(g)
+        is_gen.add(g)
         todo = [g] + [table[x][g] for x in left[g] if reached[x]]
         while todo:
             y = todo.pop()
             if not reached[y]:
                 reached[y] = True
-                todo += [table[y][s] for s in right[y] if s in gens]
-    return sorted(gens)
+                row = table[y]
+                if len(right[y]) <= len(gens):
+                    todo += [row[s] for s in right[y] if s in is_gen]
+                elif isinstance(row, dict):
+                    todo += [row[s] for s in gens if s in row]
+                else:
+                    todo += [v for v in map(row.__getitem__, gens) if v >= 0]
+    return gens
 
 
 def assoc_witness(table, right, left):

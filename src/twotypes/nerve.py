@@ -18,7 +18,8 @@ from collections import Counter
 from .search import DEFAULT_CAP, Budget, as_budget, group
 from .simpset import (
     SimplicialMap, TruncatedSimplicialSet, check_simplicial_map, coskeleton,
-    extend_to_level4, level_by_boundary, make_sset, sset_fiber_product,
+    derived, extend_to_level4, level_by_boundary, make_sset,
+    sset_fiber_product,
 )
 from .twogpd import (
     WeakFunctor, check_weak_functor, fiber_product_2gpd, induced_homs,
@@ -30,20 +31,26 @@ from .xmod import Violation
 _NERVE_CACHE: dict[int, tuple[weakref.ref, TruncatedSimplicialSet]] = {}
 
 
-def two_simplices(g) -> list[tuple[int, int, int]]:
+def two_simplices(g) -> tuple[tuple[int, int, int], ...]:
     """The 2-simplex triples (f, g, alpha) in nerve order: sorted by the
-    pair of edges, identity filler first."""
-    out2 = group(g.src2)
-    tris = [(f, h, a) for f, row in enumerate(g.comp1)
-            for h, fh in row.items() for a in out2.get(fh, [])]
-    tris.sort(key=lambda t: (t[0], t[1],
-                             0 if t[2] == g.id2[g.comp1[t[0]][t[1]]] else 1,
-                             t[2]))
-    return tris
+    pair of edges, identity filler first.  Sorted once per 2-groupoid and
+    shared by every caller (`simpset.derived`)."""
+    def make():
+        out2 = group(g.src2)
+        return tuple(sorted(
+            ((f, h, a) for f, row in enumerate(g.comp1)
+             for h, fh in row.items() for a in out2.get(fh, [])),
+            key=lambda t: (t[0], t[1],
+                           0 if t[2] == g.id2[g.comp1[t[0]][t[1]]] else 1,
+                           t[2])))
+    return derived(g, "two_simplices", make)
 
 
 def two_simplex_index(g) -> dict[tuple[int, int, int], int]:
-    return {t: i for i, t in enumerate(two_simplices(g))}
+    """Each triple of `two_simplices` to its index; made once per
+    2-groupoid and shared, so callers only read it."""
+    return derived(g, "two_simplex_index", lambda: {
+        t: i for i, t in enumerate(two_simplices(g))})
 
 
 def _level3_count(g) -> int:
@@ -76,7 +83,7 @@ def nerve(g, cap: int | Budget = DEFAULT_CAP) -> TruncatedSimplicialSet:
     faces1 = [(g.tgt1[f], g.src1[f]) for f in range(g.n1)]
     degens0 = [(g.id1[a],) for a in range(g.n_objects)]
     tris = two_simplices(g)
-    pos2 = {t: i for i, t in enumerate(tris)}
+    pos2 = two_simplex_index(g)
     faces2 = [(t[1], g.tgt2[t[2]], t[0]) for t in tris]
     degens1 = []
     for f in range(g.n1):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import weakref
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from operator import itemgetter
@@ -29,6 +30,25 @@ from .search import (  # SizeCapExceeded is re-exported
     run,
 )
 from .xmod import Violation, check_pointed
+
+# id(obj) -> (a weak reference to obj, the tables built from it by key);
+# an entry leaves with obj.  A complex's fields are copied whole by callers
+# (make_sset(**vars(x))), so the tables of a complex live here, not on it.
+_TABLES: dict[int, tuple[weakref.ref, dict]] = {}
+
+
+def derived(obj, key, make):
+    """The table key of obj, a complex or a 2-groupoid: make() on the first
+    call, then the same table for every caller while obj lives, released
+    with it.  obj is never modified, so a table made once stays right."""
+    hit = _TABLES.get(id(obj))
+    if hit is None or hit[0]() is not obj:
+        hit = _TABLES[id(obj)] = (weakref.ref(obj), {})
+        weakref.finalize(obj, _TABLES.pop, id(obj), None)
+    tables = hit[1]
+    if key not in tables:
+        tables[key] = make()
+    return tables[key]
 
 
 @dataclass(frozen=True)
@@ -783,7 +803,13 @@ def check_simplicial_map(dom, cod, levels) -> SimplicialMap:
     """Audit the number of levels ("map-levels", (top level, given, held)),
     their lengths ("map-level-size", (n, given, dom.counts[n])) and entries
     ("map-level-range", (n, z), z the first not in range(cod.counts[n])),
-    then faces, then degeneracies; a table that _commutes is not walked."""
+    then faces, then degeneracies; a table that _commutes is not walked.
+
+    The domain's face and degeneracy rows of each level are flattened once
+    per complex (`_flat`) and shared by every map out of it, as the maps
+    of one search, prism or nerve all leave the same complex.  Each table
+    is still compared whole for every map, and a table that fails is
+    walked in the same order, so the first violation is unchanged."""
     levels = tuple(tuple(lvl) for lvl in levels)
     depth = len(levels) - 1
     if depth > min(dom.trunc, cod.trunc):
@@ -797,13 +823,14 @@ def check_simplicial_map(dom, cod, levels) -> SimplicialMap:
             raise Violation("map-level-range", (n, next(
                 z for z, v in enumerate(lvl) if not 0 <= v < cod.counts[n])))
     tables = itertools.chain(
-        (("map-face", n, cod.faces[n], levels[n - 1], dom.faces[n])
+        (("map-face", "faces", n, cod.faces[n], levels[n - 1])
          for n in range(1, depth + 1)),
-        (("map-degen", n, cod.degens[n], levels[n + 1], dom.degens[n])
+        (("map-degen", "degens", n, cod.degens[n], levels[n + 1])
          for n in range(depth)))
-    for name, n, rows, other, dom_rows in tables:
-        if _commutes(rows, levels[n], other, dom_rows):
+    for name, kind, n, rows, other in tables:
+        if _commutes(rows, levels[n], other, _flat(dom, kind, n), n + 1):
             continue
+        dom_rows = getattr(dom, kind)[n]
         for z in range(dom.counts[n]):
             for i in range(n + 1):
                 if rows[levels[n][z]][i] != other[dom_rows[z][i]]:
@@ -811,16 +838,30 @@ def check_simplicial_map(dom, cod, levels) -> SimplicialMap:
     return SimplicialMap(dom=dom, cod=cod, levels=levels)
 
 
-def _commutes(rows, level, other, dom_rows) -> bool:
-    """Whether rows[level[z]] is the image of dom_rows[z] under other for
+def _flat(x: TruncatedSimplicialSet, kind: str, n: int) -> tuple:
+    """x's rows of level n in its table kind ("faces" or "degens") as one
+    flat tuple, made once per complex."""
+    return derived(x, (kind, n), lambda: tuple(
+        itertools.chain.from_iterable(getattr(x, kind)[n])))
+
+
+def _cut(flat, width: int) -> list[tuple]:
+    """flat cut into rows of width entries."""
+    return list(zip(*[iter(flat)] * width))
+
+
+def _commutes(rows, level, other, flat, width: int) -> bool:
+    """Whether rows[level[z]] is the image under other of the domain's row
+    z, flat holding those rows of width entries one after the other, for
     every z.  Into a JoinLevel the images are ranked.  Otherwise both sides
     are compared as one flat tuple, which is exact as every row of a level
-    holds n + 1 entries.  False on a mismatch: the walk then finds the
+    holds width entries.  False on a mismatch: the walk then finds the
     first violation."""
+    images = _gather(other, flat)
     if isinstance(rows, JoinLevel):
-        return list(level) == rows.ranks(_images(other, dom_rows))
+        return list(level) == rows.ranks(_cut(images, width))
     return tuple(itertools.chain.from_iterable(_gather(rows, level))) \
-        == _gather(other, tuple(itertools.chain.from_iterable(dom_rows)))
+        == images
 
 
 # -- products and fiber products ---------------------------------------------
@@ -915,7 +956,8 @@ class MapPlan:
     """The tables of the searches for maps x -> y of 3-truncations, built
     once per (x, y): y's simplices by boundary and its boundary tuples one
     level up, and per level the search order of x's nondegenerate
-    simplices with the up-face constraints that prune them.
+    simplices with the up-face constraints that prune them, and a getter
+    of each simplex's face images (`boundaries`).
 
     A level is planned when a search first reaches it, and compiled into a
     `search.Plan` once per set of its simplices that the search pins (the
@@ -944,6 +986,7 @@ class MapPlan:
         self.assign: list[dict[int, int]] = [{} for _ in range(depth + 1)]
         self._levels: dict[int, tuple[list[int], list]] = {}
         self._compiled: dict[tuple[int, frozenset], Plan] = {}
+        self._boundaries: dict[int, list] = {}
 
     def level(self, n: int):
         """Level n's variable order, over all its nondegenerate simplices,
@@ -962,6 +1005,14 @@ class MapPlan:
                  for key in up])
         return self._levels[n]
 
+    def boundaries(self, n: int) -> list:
+        """Per level-n simplex z of x, a getter of the images of its faces
+        from the map's level n-1; made once per level."""
+        if n not in self._boundaries:
+            self._boundaries[n] = [itemgetter(*row)
+                                   for row in self.x.faces[n]] if n else []
+        return self._boundaries[n]
+
     def compiled(self, n: int, pinned: frozenset) -> Plan:
         """Level n's search with the pinned simplices left out of its
         order; built once per level and set of pinned simplices."""
@@ -974,27 +1025,39 @@ class MapPlan:
 
     def _extend(self, n, pins, budget):
         """Extend self.assign through level n; yields once per full map.
-        pins[n] maps level-n simplices to their fixed images."""
+        pins[n] maps level-n simplices to their fixed images.
+
+        The degenerate simplices are forced down x's flat degeneracy rows
+        (`_flat`, made once per complex): s_j w goes to s_j of w's image,
+        and a simplex forced twice, or fixed, must get one image, else
+        there is no map, as in a walk over every (w, j).  No step is taken
+        there.  A level with no constraint, whose cells have at most one
+        candidate each (y's level has one simplex per boundary), is set by
+        boundary: the kernel would set each cell in order to its candidate
+        and stop at the first with none, so the same cells are set and the
+        budget takes the kernel's steps, its root and one per cell set.
+        The top level of a homotopy into a nerve is such a level."""
         if n > self.depth:
             yield
             return
         x, y, a, fixed = self.x, self.y, self.assign[n], pins[n]
         a.clear()
         below = self.assign[n - 1] if n else None
-        # degenerate simplices are forced from the level below
-        for w in range(x.counts[n - 1] if n else 0):
-            for j in range(n):
-                z = x.degens[n - 1][w][j]
-                img = y.degens[n - 1][below[w]][j]
-                if a.setdefault(z, img) != img or fixed.get(z, img) != img:
-                    return
-        faces, by_boundary = x.faces[n], self.by_boundary[n]
+        if n:
+            zs = _flat(x, "degens", n - 1)
+            imgs = tuple(itertools.chain.from_iterable(_gather(
+                y.degens[n - 1], _gather(below, range(x.counts[n - 1])))))
+            a.update(zip(zs, imgs))
+            both = tuple(fixed.keys() & a.keys())
+            if _gather(a, zs) != imgs or \
+                    _gather(fixed, both) != _gather(a, both):
+                return
+        by_boundary, boundary = self.by_boundary[n], self.boundaries(n)
 
         def candidates(z):
             if n == 0:
                 return range(y.counts[0])
-            return by_boundary.get(tuple(map(below.__getitem__, faces[z])),
-                                   ())
+            return by_boundary.get(boundary[z](below), ())
 
         # a fixed nondegenerate simplex (one not set above) is checked and
         # set here, once, and left out of the search's order
@@ -1004,8 +1067,18 @@ class MapPlan:
             if img not in candidates(z):
                 return
             a[z] = img
-        for _ in run(self.compiled(n, frozenset(pinned)), candidates, a,
-                     budget):
+        plan = self.compiled(n, frozenset(pinned))
+        if n and not self.level(n)[1] and len(by_boundary) == y.counts[n]:
+            pos = _positions(y, n)
+            found = [pos.get(boundary[z](below)) for z in plan.order]
+            k = found.index(None) if None in found else len(found)
+            # past the cap the kernel stops at its (cap + 1)-th step
+            budget.tick(min(1 + k, budget.cap + 1 - budget.steps))
+            if k == len(found):
+                a.update(zip(plan.order, found))
+                yield from self._extend(n + 1, pins, budget)
+            return
+        for _ in run(plan, candidates, a, budget):
             yield from self._extend(n + 1, pins, budget)
 
 
@@ -1056,7 +1129,7 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
     out = []
     for _ in plan._extend(0, pins, as_budget(cap, "map search")):
         out.append(check_simplicial_map(
-            x, y, [tuple(assign[m][z] for z in range(x.counts[m]))
+            x, y, [_gather(assign[m], range(x.counts[m]))
                    for m in range(plan.depth + 1)]))
         if first_only:
             break
@@ -1070,26 +1143,33 @@ def simplicial_maps(x: TruncatedSimplicialSet, y: TruncatedSimplicialSet,
     return enumerate_maps_3trunc(x, y, pointed=pointed, cap=cap)
 
 
-def _images(level, rows) -> list[tuple]:
-    """The rows with each entry sent through level, a map's table."""
-    return [tuple(map(level.__getitem__, row)) for row in rows]
-
-
 def level_by_boundary(y: TruncatedSimplicialSet, n: int, below,
                       rows) -> list[int]:
     """Level n of a map into y, by boundary: rows are the faces of the
     domain's n-simplices, below is the map's level n-1, and each simplex
     goes to the n-simplex of y whose faces are the images of its own.
-    Violation("level<n>-image", z) at the first z with no such simplex."""
-    images = _images(below, rows)
+    Violation("level<n>-image", z) at the first z with no such simplex.
+
+    The images are gathered in one pass.  A stored level of y is looked up
+    in its boundary -> index dict (`_positions`), made once per complex, as
+    the maps of the homotopy bridge all land in one nerve; a JoinLevel is
+    ranked by one walk of its join, as before."""
+    images = _cut(_gather(below, tuple(itertools.chain.from_iterable(rows))),
+                  n + 1)
     if isinstance(y.faces[n], JoinLevel):
         level = y.faces[n].ranks(images)
     else:
-        pos = {row: z for z, row in enumerate(y.faces[n])}
-        level = [pos.get(row) for row in images]
+        level = list(map(_positions(y, n).get, images))
     if None in level:
         raise Violation(f"level{n}-image", level.index(None))
     return level
+
+
+def _positions(y: TruncatedSimplicialSet, n: int) -> dict:
+    """y's stored level n by boundary: each row to its index (the last, for
+    a row held twice), made once per complex."""
+    return derived(y, ("pos", n), lambda: {
+        row: z for z, row in enumerate(y.faces[n])})
 
 
 def extend_to_level4(m: SimplicialMap) -> SimplicialMap:
@@ -1126,6 +1206,13 @@ class Homotopies:
     more.  A find that stopped at the cap leaves nothing behind: the next
     find answers, and counts its steps, as on a fresh instance.
 
+    The tables derived from the prism and from Y (the flat rows of the map
+    audit, Y's simplices by boundary) are made once per complex and kept
+    while it lives (`derived`), so every pair reads the same ones;
+    the audit of each homotopy found and each budget step stay as they
+    were.  A caller that reads the fixed cells of a pair as well hands
+    them to `find`, so they are made once per pair.
+
     The prism is truncated at 3 when Y is 3-coskeletal by construction
     (coskeletal_at <= 3, which only `coskeleton` sets; every nerve is).
     There the level-4 pruning of the search never fails (see
@@ -1160,11 +1247,15 @@ class Homotopies:
         return fixed
 
     def find(self, f: SimplicialMap, g: SimplicialMap, pointed: bool = False,
-             cap: int = DEFAULT_CAP) -> Optional[SimplicialMap]:
-        """A homotopy from f to g, or None."""
+             cap: int = DEFAULT_CAP,
+             fixed: Optional[dict] = None) -> Optional[SimplicialMap]:
+        """A homotopy from f to g, or None; fixed, when given, is
+        self.fixed(f, g, pointed)."""
+        if fixed is None:
+            fixed = self.fixed(f, g, pointed)
         found = enumerate_maps_3trunc(
-            self.prism, self.y, fixed=self.fixed(f, g, pointed), cap=cap,
-            first_only=True, plan=self.plan)
+            self.prism, self.y, fixed=fixed, cap=cap, first_only=True,
+            plan=self.plan)
         return found[0] if found else None
 
 

@@ -544,14 +544,15 @@ def pi0_hom_vs_homotopy_classes(H: TwoGroupoid, G: TwoGroupoid,
         for j in range(n):
             trans = enumerate_2transformations(funcs[i], funcs[j],
                                                pointed=True, cap=cap)
-            hmt = homotopies.find(nmaps[i], nmaps[j], pointed=True, cap=cap)
+            fixed = homotopies.fixed(nmaps[i], nmaps[j], pointed=True)
+            hmt = homotopies.find(nmaps[i], nmaps[j], pointed=True, cap=cap,
+                                  fixed=fixed)
             if bool(trans) != (hmt is not None):
                 return False
             if trans:
                 t, theta = trans[0]
                 built = transformation_to_homotopy(funcs[i], funcs[j], t,
                                                    theta, homotopies.prism)
-                fixed = homotopies.fixed(nmaps[i], nmaps[j], pointed=True)
                 if any(built.levels[lvl][z] != img
                        for (lvl, z), img in fixed.items()):
                     return False

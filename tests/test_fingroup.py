@@ -89,8 +89,11 @@ def elementary_abelian(bits):
     return [[a ^ b for b in range(1 << bits)] for a in range(1 << bits)]
 
 
-class TestAssociativityInChunks:
-    """At order 256 the associativity scan runs in chunks of 63 rows."""
+class TestLightsTestAtOrder256:
+    """At order 256 associativity is Light's test: rows compared on a few
+    generators, with a bounded peak; on a failure every (a, b) is tried in
+    order, so the first witness is named, also at a = 200 of a left-zero
+    table, whose cells are all generators."""
 
     def test_peak_memory_at_order_256(self):
         table = elementary_abelian(8)
@@ -112,7 +115,7 @@ class TestAssociativityInChunks:
             mul[77][201] ^= 5
         else:
             # ab = a is associative, and an entry changed in row 200 breaks
-            # only triples with a = 200: the witness is in the fourth chunk
+            # only triples with a = 200: the witness is past a = 189
             mul = [[a] * n for a in range(n)]
             mul[200][7] = 3
         want = first_associativity_witness(mul)

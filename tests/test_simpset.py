@@ -1,13 +1,18 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import random
 from pathlib import Path
 
 import pytest
 
+from twotypes import nerve as nerve_mod
+from twotypes import simpset as simpset_mod
+from twotypes import twogpd as twogpd_mod
+from twotypes import weakmaps as weakmaps_mod
 from twotypes.fingroup import cyclic, symmetric3
-from twotypes.nerve import nerve
+from twotypes.nerve import nerve, nerve_of_weak_functor, two_simplices
 from twotypes.search import Budget, classes
 from twotypes.simpset import (
     Homotopies, JoinLevel, MapPlan, SimplicialMap, SizeCapExceeded,
@@ -19,7 +24,11 @@ from twotypes.simpset import (
     product, relabel, simplicial_maps, standard_simplex,
 )
 from twotypes.textio import parse_text
-from twotypes.twogpd import xmod_to_2group
+from twotypes.twogpd import enumerate_2transformations, xmod_to_2group
+from twotypes.weakmaps import (
+    enumerate_weak_functors, pi0_hom_vs_homotopy_classes,
+    transformation_to_homotopy,
+)
 from twotypes.xmod import Violation, xmod_b2g, xmod_bg
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
@@ -768,3 +777,119 @@ class TestLevelByBoundary:
                                            levels=levels + (lvl3,)))
         assert (err.value.axiom, err.value.witness) == \
             ("level4-image", _first_missing(x, 4, lvl3, x.faces[4]))
+
+
+# -- tables built once per complex --------------------------------------------
+
+def bg(n):
+    return xmod_to_2group(xmod_bg(cyclic(n)))
+
+
+def b2g(m):
+    return xmod_to_2group(xmod_b2g(cyclic(m)))
+
+
+class KernelPlan(MapPlan):
+    """A MapPlan whose every level holds a constraint that always passes,
+    so the kernel searches each level, also one that `MapPlan._extend`
+    sets by boundary: the reference for that shortcut."""
+
+    def level(self, n):
+        order, cons = super().level(n)
+        return order, cons or [((), lambda: True)]
+
+
+def _counted(monkeypatch, *functions):
+    """Count the calls of each function, wherever a module binds it."""
+    calls = {f.__name__: 0 for f in functions}
+    for f in functions:
+        def counting(*args, _f=f, **kwargs):
+            calls[_f.__name__] += 1
+            return _f(*args, **kwargs)
+        for mod in (simpset_mod, nerve_mod, twogpd_mod, weakmaps_mod):
+            for attr, value in list(vars(mod).items()):
+                if value is f:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+class TestTablesBuiltOnce:
+    def test_bridge_audits_as_many_maps_and_transformations(self,
+                                                            monkeypatch):
+        # counted at the commit before the tables were kept per complex
+        calls = _counted(monkeypatch, check_simplicial_map,
+                         twogpd_mod.is_2transformation)
+        assert pi0_hom_vs_homotopy_classes(bg(3), b2g(3))
+        assert calls == {"check_simplicial_map": 74,
+                         "is_2transformation": 27}
+
+    def test_settled_level_takes_the_kernels_steps(self):
+        for n, m in ((2, 2), (3, 3), (2, 4)):
+            x, y = nerve_bg(n), nerve_b2g(m)
+            ends = simplicial_maps(x, y, pointed=True)
+            h, ref = Homotopies(x, y), Homotopies(x, y)
+            ref.plan = KernelPlan(ref.prism, y)
+            for (f, g), pointed in itertools.product(
+                    itertools.product(ends[:3], repeat=2), (False, True)):
+                budgets = [Budget(10 ** 6, "map search") for _ in range(2)]
+                got, want = (found_levels(k.find(f, g, pointed, budget))
+                             for k, budget in zip((h, ref), budgets))
+                assert got == want
+                assert budgets[0].steps == budgets[1].steps
+            # at every cap below a find's steps both stop at its next step
+            steps = budgets[1].steps
+            for cap in range(steps):
+                for k in (h, ref):
+                    budget = Budget(cap, "map search")
+                    with pytest.raises(SizeCapExceeded):
+                        k.find(f, g, True, budget)
+                    assert budget.steps == cap + 1
+            # and the maps of the nerves, whose level 3 is settled too
+            budgets = [Budget(10 ** 6, "map search") for _ in range(2)]
+            assert enumerate_maps_3trunc(x, y, cap=budgets[0]) == \
+                enumerate_maps_3trunc(x, y, cap=budgets[1],
+                                      plan=KernelPlan(x, y))
+            assert budgets[0].steps == budgets[1].steps
+
+    def test_mutants_of_maps_out_of_cached_complexes(self):
+        H, G = bg(2), b2g(2)
+        x, y = nerve(H), nerve(G)
+        F = enumerate_weak_functors(H, G, pointed=True)
+        maps = [nerve_of_weak_functor(P) for P in F]
+        h = Homotopies(x, y)
+        t, theta = enumerate_2transformations(F[1], F[1], pointed=True)[0]
+        found = [h.find(maps[1], maps[1], pointed=True),
+                 transformation_to_homotopy(F[1], F[1], t, theta, h.prism)]
+        assert None not in found
+        for m in maps[:2] + found:
+            tables = simpset_mod._TABLES[id(m.dom)][1]
+            held = dict(tables)
+            assert ("faces", 3) in held and ("degens", 2) in held
+            outcomes = set()
+            for levels in _level_mutants(m):
+                want = _map_outcome(_walk_check_map, levels, m.dom, m.cod)
+                got = _map_outcome(check_simplicial_map, levels, m.dom,
+                                   m.cod)
+                assert got == want, levels
+                outcomes.add(want if isinstance(want, type) else want[0])
+            assert {"map-face", "map-level-range"} <= outcomes, outcomes
+            # the same tables served every mutant
+            assert all(tables[key] is table for key, table in held.items())
+
+    def test_tables_leave_with_their_complex_and_2groupoid(self):
+        gc.collect()
+        baseline = len(simpset_mod._TABLES)
+        H, G = bg(2), b2g(2)
+        h = Homotopies(nerve(H), nerve(G))
+        f = simplicial_maps(h.x, h.y, pointed=True)[0]
+        assert h.find(f, f, pointed=True) is not None
+        nerve_of_weak_functor(enumerate_weak_functors(H, G)[0])
+        keyed = {id(H), id(G), id(h.x), id(h.y), id(h.prism)}
+        assert keyed <= simpset_mod._TABLES.keys()
+        assert two_simplices(H) is two_simplices(H)
+        del f, h
+        gc.collect()
+        assert len(simpset_mod._TABLES) == baseline + 4
+        del H, G
+        gc.collect()
+        assert len(simpset_mod._TABLES) == baseline
