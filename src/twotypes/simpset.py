@@ -1152,8 +1152,9 @@ def level_by_boundary(y: TruncatedSimplicialSet, n: int, below,
 
     The images are gathered in one pass.  A stored level of y is looked up
     in its boundary -> index dict (`_positions`), made once per complex, as
-    the maps of the homotopy bridge all land in one nerve; a JoinLevel is
-    ranked by one walk of its join, as before."""
+    the maps of the homotopy bridge all land in one nerve; it is the dict a
+    call used to build, so the level and the first missing z are the same.
+    A JoinLevel is ranked by one walk of its join."""
     images = _cut(_gather(below, tuple(itertools.chain.from_iterable(rows))),
                   n + 1)
     if isinstance(y.faces[n], JoinLevel):
