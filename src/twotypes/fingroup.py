@@ -245,8 +245,10 @@ def identity_hom(g: FiniteGroup) -> GroupHom:
 
 
 def compose_homs(f: GroupHom, g: GroupHom) -> GroupHom:
-    """g after f (f first)."""
-    assert f.cod is g.dom or f.cod == g.dom
+    """g after f (f first); NotAHom when g does not start where f ends."""
+    if f.cod != g.dom:
+        raise NotAHom(("codomain is not the next domain",
+                       (f.cod.order, g.dom.order)))
     return make_hom(f.dom, g.cod, (g.image[v] for v in f.image))
 
 
@@ -295,16 +297,17 @@ def conjugation_action(g: FiniteGroup) -> GroupAction:
 
 
 def inversion_action_z2_on(space: FiniteGroup) -> GroupAction:
-    """Z/2 acting on an abelian group by inversion."""
-    assert space.is_abelian()
+    """Z/2 acting on an abelian group by inversion (else NotAnAction)."""
     z2 = cyclic(2)
     return make_action(z2, space, [[alpha, space.inv[alpha]] for alpha in range(space.order)])
 
 
 def semidirect(g1: FiniteGroup, g2: FiniteGroup, action: GroupAction) -> FiniteGroup:
-    """G1 |x G2 with (g,a)(h,b) = (gh, a^h b); element (g,a) has index g*|G2|+a."""
-    assert action.actor is g1 or action.actor == g1
-    assert action.space is g2 or action.space == g2
+    """G1 |x G2 with (g,a)(h,b) = (gh, a^h b); element (g,a) has index g*|G2|+a.
+    NotAnAction when action is not of g1 on g2."""
+    if (action.actor, action.space) != (g1, g2):
+        raise NotAnAction("the action is not of these groups",
+                          (action.actor.order, action.space.order))
     n2 = g2.order
     n = g1.order * n2
 

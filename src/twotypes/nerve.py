@@ -12,14 +12,12 @@ cells first.  Weak functors induce simplicial maps and conversely.
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 
-from .search import DEFAULT_CAP, Budget, as_budget, group
+from .search import DEFAULT_CAP, Budget, as_budget, derived, group
 from .simpset import (
     SimplicialMap, TruncatedSimplicialSet, check_simplicial_map, coskeleton,
-    derived, extend_to_level4, level_by_boundary, make_sset,
-    sset_fiber_product,
+    extend_to_level4, level_by_boundary, make_sset, sset_fiber_product,
 )
 from .twogpd import (
     WeakFunctor, check_weak_functor, fiber_product_2gpd, induced_homs,
@@ -27,14 +25,11 @@ from .twogpd import (
 )
 from .xmod import Violation
 
-# id(g) -> (a weak reference to g, its nerve); an entry leaves with g
-_NERVE_CACHE: dict[int, tuple[weakref.ref, TruncatedSimplicialSet]] = {}
-
 
 def two_simplices(g) -> tuple[tuple[int, int, int], ...]:
     """The 2-simplex triples (f, g, alpha) in nerve order: sorted by the
     pair of edges, identity filler first.  Sorted once per 2-groupoid and
-    shared by every caller (`simpset.derived`)."""
+    shared by every caller (`search.derived`)."""
     def make():
         out2 = group(g.src2)
         return tuple(sorted(
@@ -71,14 +66,17 @@ def xmod_level3_count(xm) -> int:
 
 def nerve(g, cap: int | Budget = DEFAULT_CAP) -> TruncatedSimplicialSet:
     """3-coskeletal nerve, truncated at level 4, of a strict or weak
-    2-groupoid.  The budget admits level 3 before levels 2-3 are listed and
-    level 4 before levels 0-3 are audited (or alone, when cached): s0 embeds
-    each level in the next, so the lower levels are no larger."""
+    2-groupoid, kept on it (`derived`).  The budget admits level 3 before
+    levels 2-3 are listed and level 4 before levels 0-3 are audited, and
+    level 4 again on every call, a kept nerve too: s0 embeds each level in
+    the next, so the lower levels are no larger."""
     budget = as_budget(cap, "nerve")
-    cached = _NERVE_CACHE.get(id(g))
-    if cached is not None and cached[0]() is g:
-        budget.admit(cached[1].counts[4], "the simplices of level 4")
-        return cached[1]
+    full = derived(g, "nerve", lambda: _nerve(g, budget))
+    budget.admit(full.counts[4], "the simplices of level 4")
+    return full
+
+
+def _nerve(g, budget: Budget) -> TruncatedSimplicialSet:
     budget.admit(_level3_count(g), "the simplices of level 3")
     faces1 = [(g.tgt1[f], g.src1[f]) for f in range(g.n1)]
     degens0 = [(g.id1[a],) for a in range(g.n_objects)]
@@ -128,8 +126,6 @@ def nerve(g, cap: int | Budget = DEFAULT_CAP) -> TruncatedSimplicialSet:
         3, counts, faces, degens, basepoint=g.basepoint), 3, trunc=4,
         cap=budget)
     make_sset(3, counts, faces, degens, basepoint=g.basepoint)
-    _NERVE_CACHE[id(g)] = (weakref.ref(g), full)
-    weakref.finalize(g, _NERVE_CACHE.pop, id(g), None)
     return full
 
 

@@ -1,5 +1,5 @@
-"""One backtracking kernel, one search budget, one union-find helper and
-one grouping helper.
+"""One backtracking kernel, one search budget, one union-find helper, one
+grouping helper and one store of tables built from a fixed object.
 
 `Budget` enforces every cap: `tick` counts steps, and `admit` compares a
 size about to be built with the cap, at no step.  Caps default to DEFAULT_CAP.
@@ -40,6 +40,11 @@ that searches the same constraints many times buckets them once.
 `group` is the one grouping of indices by key in the library: cells by
 their ends, simplices by boundary, 2-simplices by edge pair, and the
 classes of `classes` by root.
+
+`derived` keeps each table built from a fixed complex or 2-groupoid (a
+nerve, a prism, flat rows, lookup dicts) in the object's own `__dict__`,
+as `functools.cached_property` does: it is released with the object, and a
+copy made by `dataclasses.replace` starts with none.
 """
 
 from __future__ import annotations
@@ -200,3 +205,12 @@ def group(keys) -> dict:
     for x, k in enumerate(keys):
         out.setdefault(k, []).append(x)
     return out
+
+
+def derived(obj, key, make):
+    """The table key of obj: make() on the first call, then the same table
+    for every caller; obj is never modified, so the table stays right."""
+    tables = vars(obj).setdefault("_derived", {})
+    if key not in tables:
+        tables[key] = make()
+    return tables[key]

@@ -19,36 +19,16 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import weakref
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .search import (  # SizeCapExceeded is re-exported
-    DEFAULT_CAP, Budget, Plan, SizeCapExceeded, as_budget, classes, group,
-    run,
+    DEFAULT_CAP, Budget, Plan, SizeCapExceeded, as_budget, classes, derived,
+    group, run,
 )
 from .xmod import Violation, check_pointed
-
-# id(obj) -> (a weak reference to obj, the tables built from it by key);
-# an entry leaves with obj.  A complex's fields are copied whole by callers
-# (make_sset(**vars(x))), so the tables of a complex live here, not on it.
-_TABLES: dict[int, tuple[weakref.ref, dict]] = {}
-
-
-def derived(obj, key, make):
-    """The table key of obj, a complex or a 2-groupoid: make() on the first
-    call, then the same table for every caller while obj lives, released
-    with it.  obj is never modified, so a table made once stays right."""
-    hit = _TABLES.get(id(obj))
-    if hit is None or hit[0]() is not obj:
-        hit = _TABLES[id(obj)] = (weakref.ref(obj), {})
-        weakref.finalize(obj, _TABLES.pop, id(obj), None)
-    tables = hit[1]
-    if key not in tables:
-        tables[key] = make()
-    return tables[key]
 
 
 @dataclass(frozen=True)
@@ -1031,12 +1011,7 @@ class MapPlan:
         (`_flat`, made once per complex): s_j w goes to s_j of w's image,
         and a simplex forced twice, or fixed, must get one image, else
         there is no map, as in a walk over every (w, j).  No step is taken
-        there.  A level with no constraint, whose cells have at most one
-        candidate each (y's level has one simplex per boundary), is set by
-        boundary: the kernel would set each cell in order to its candidate
-        and stop at the first with none, so the same cells are set and the
-        budget takes the kernel's steps, its root and one per cell set.
-        The top level of a homotopy into a nerve is such a level."""
+        there.  The other cells of every level are set by `search.run`."""
         if n > self.depth:
             yield
             return
@@ -1067,18 +1042,8 @@ class MapPlan:
             if img not in candidates(z):
                 return
             a[z] = img
-        plan = self.compiled(n, frozenset(pinned))
-        if n and not self.level(n)[1] and len(by_boundary) == y.counts[n]:
-            pos = _positions(y, n)
-            found = [pos.get(boundary[z](below)) for z in plan.order]
-            k = found.index(None) if None in found else len(found)
-            # past the cap the kernel stops at its (cap + 1)-th step
-            budget.tick(min(1 + k, budget.cap + 1 - budget.steps))
-            if k == len(found):
-                a.update(zip(plan.order, found))
-                yield from self._extend(n + 1, pins, budget)
-            return
-        for _ in run(plan, candidates, a, budget):
+        for _ in run(self.compiled(n, frozenset(pinned)), candidates, a,
+                     budget):
             yield from self._extend(n + 1, pins, budget)
 
 
@@ -1151,10 +1116,9 @@ def level_by_boundary(y: TruncatedSimplicialSet, n: int, below,
     Violation("level<n>-image", z) at the first z with no such simplex.
 
     The images are gathered in one pass.  A stored level of y is looked up
-    in its boundary -> index dict (`_positions`), made once per complex, as
-    the maps of the homotopy bridge all land in one nerve; it is the dict a
-    call used to build, so the level and the first missing z are the same.
-    A JoinLevel is ranked by one walk of its join."""
+    in its boundary -> index dict (`_positions`), kept on y by `derived`,
+    as the maps of the homotopy bridge all land in one nerve.  A JoinLevel
+    is ranked by one walk of its join."""
     images = _cut(_gather(below, tuple(itertools.chain.from_iterable(rows))),
                   n + 1)
     if isinstance(y.faces[n], JoinLevel):
@@ -1186,6 +1150,14 @@ def interval() -> TruncatedSimplicialSet:
     return standard_simplex(1)
 
 
+def prism(x: TruncatedSimplicialSet, trunc: int) -> TruncatedSimplicialSet:
+    """I x X through level min(x.trunc, trunc), trunc at most the
+    interval's 4; made once per complex and level, and kept on x."""
+    trunc = min(x.trunc, trunc)
+    return derived(x, ("prism", trunc),
+                   lambda: product(interval(), x, trunc))
+
+
 def _end_inclusion_fixed(x: TruncatedSimplicialSet, vertex: int,
                          m: SimplicialMap, depth: int) -> dict:
     """Fix the images of the end {vertex} x X inside a map Delta^1 x X -> Y.
@@ -1207,12 +1179,12 @@ class Homotopies:
     more.  A find that stopped at the cap leaves nothing behind: the next
     find answers, and counts its steps, as on a fresh instance.
 
-    The tables derived from the prism and from Y (the flat rows of the map
-    audit, Y's simplices by boundary) are made once per complex and kept
-    while it lives (`derived`), so every pair reads the same ones;
-    the audit of each homotopy found and each budget step stay as they
-    were.  A caller that reads the fixed cells of a pair as well hands
-    them to `find`, so they are made once per pair.
+    The prism is a table of X (`prism`), and the tables derived from the
+    prism and from Y (the flat rows of the map audit, Y's simplices by
+    boundary) are kept on their complex (`derived`): every Homotopies of X
+    at one truncation, and every pair, reads the same ones.  A caller that
+    reads the fixed cells of a pair as well hands them to `find`, so they
+    are made once per pair.
 
     The prism is truncated at 3 when Y is 3-coskeletal by construction
     (coskeletal_at <= 3, which only `coskeleton` sets; every nerve is).
@@ -1225,7 +1197,7 @@ class Homotopies:
     def __init__(self, x: TruncatedSimplicialSet, y: TruncatedSimplicialSet):
         cosk = y.coskeletal_at is not None and y.coskeletal_at <= 3
         self.x, self.y = x, y
-        self.prism = product(interval(), x, 3 if cosk else None)
+        self.prism = prism(x, 3 if cosk else 4)
         self.plan = MapPlan(self.prism, y)
 
     def fixed(self, f: SimplicialMap, g: SimplicialMap,

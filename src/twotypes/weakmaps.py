@@ -442,17 +442,14 @@ def xmod_weak_map_from_weak_functor(F: WeakFunctor, H: CrossedModule,
 
 # -- transformations versus simplicial homotopies -----------------------------
 
-def transformation_to_homotopy(P: WeakFunctor, Q: WeakFunctor, t, theta,
-                               prism=None):
+def transformation_to_homotopy(P: WeakFunctor, Q: WeakFunctor, t, theta):
     """The simplicial homotopy N P => N Q induced by a weak transformation:
     each prism over a 1-cell is split along the diagonal t_A Q(c), the upper
     triangle carrying the identity and the lower carrying theta_c.  It is
-    defined on prism, I x N(dom) through level 3 or more, built here when
-    not given."""
+    defined on I x N(dom) through level 3, the prism kept on N(dom)
+    (`simpset.prism`) that `Homotopies` into a nerve searches."""
     from . import nerve as nerve_mod
-    from .simpset import (
-        check_simplicial_map, interval, level_by_boundary, product,
-    )
+    from .simpset import check_simplicial_map, level_by_boundary, prism
 
     D = P.dom
     C = P.cod
@@ -460,7 +457,7 @@ def transformation_to_homotopy(P: WeakFunctor, Q: WeakFunctor, t, theta,
     NC = nerve_mod.nerve(C)
     tri_pos = nerve_mod.two_simplex_index(C)
     tris = nerve_mod.two_simplices(D)
-    prod = product(interval(), ND, 3) if prism is None else prism
+    prod = prism(ND, 3)
 
     def qcell(alpha):
         # image in C of a 2-simplex cell alpha: f g => h of D, through Q
@@ -551,8 +548,7 @@ def pi0_hom_vs_homotopy_classes(H: TwoGroupoid, G: TwoGroupoid,
                 return False
             if trans:
                 t, theta = trans[0]
-                built = transformation_to_homotopy(funcs[i], funcs[j], t,
-                                                   theta, homotopies.prism)
+                built = transformation_to_homotopy(funcs[i], funcs[j], t, theta)
                 if any(built.levels[lvl][z] != img
                        for (lvl, z), img in fixed.items()):
                     return False

@@ -257,6 +257,13 @@ class TestHoms:
                          identity_hom(cyclic(2)))
         assert h.image == (0, 1, 0, 1)
 
+    def test_compose_refuses_maps_that_do_not_meet(self):
+        # f after f with f: Z/4 -> Z/2 reads as the hom (0, 1, 0, 1) when
+        # the codomain check is an assert and runs under python -O
+        f = make_hom(cyclic(4), cyclic(2), [0, 1, 0, 1])
+        with pytest.raises(NotAHom, match="codomain is not the next domain"):
+            compose_homs(f, f)
+
 
 class TestActions:
     def test_trivial_action(self):
@@ -267,6 +274,10 @@ class TestActions:
         a = inversion_action_z2_on(cyclic(3))
         assert a(1, 1) == 2
         assert a(1, 0) == 1
+
+    def test_inversion_action_refuses_a_nonabelian_group(self):
+        with pytest.raises(NotAnAction, match="automorphisms"):
+            inversion_action_z2_on(symmetric3())
 
     def test_identity_must_act_trivially(self):
         z2, z4 = cyclic(2), cyclic(4)
@@ -316,6 +327,12 @@ class TestSemidirect:
         g = semidirect(z2, z3, inversion_action_z2_on(z3))
         # (1,1)*(1,0) = (0, 1^1 * 0) = (0, 2) -> index 2
         assert g.mul[1 * 3 + 1][1 * 3 + 0] == 2
+
+    def test_action_of_other_groups(self):
+        z2, z3, z4 = cyclic(2), cyclic(3), cyclic(4)
+        for g1, g2 in ((z4, z3), (z2, z4)):
+            with pytest.raises(NotAnAction, match="not of these groups"):
+                semidirect(g1, g2, inversion_action_z2_on(z3))
 
 
 class TestKernelCokernel:

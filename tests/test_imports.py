@@ -89,3 +89,24 @@ def test_numpy_is_only_imported_by_fingroup():
                       for name, alias in names
                       if (name or "").split(".")[0] in ("numpy", "np")]
     assert found == [("fingroup.py", "Import", "numpy", None)]
+
+
+def test_tables_are_kept_on_their_objects():
+    # one store of derived tables (`search.derived`) keeps them on the
+    # object they are read from, so no module keeps a registry keyed by id
+    weak, defined = [], []
+    for path in sorted((ROOT / "src" / "twotypes").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                if isinstance(node, ast.FunctionDef) and \
+                        node.name == "derived":
+                    defined.append(path.name)
+                continue
+            weak += [path.name for m in modules
+                     if m.split(".")[0] == "weakref"]
+    assert weak == []
+    assert defined == ["search.py"]

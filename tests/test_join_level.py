@@ -18,6 +18,7 @@ import math
 import operator
 import random
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -423,15 +424,16 @@ class TestCountBeforeBuilding:
 
 class TestNerveCache:
     def test_entry_leaves_with_its_2groupoid(self):
-        gc.collect()
-        baseline = len(nerve_mod._NERVE_CACHE)
         g = xmod_to_2group(xmod_bg(cyclic(2)))
         x = nerve(g)
         assert nerve(g) is x
-        assert len(nerve_mod._NERVE_CACHE) == baseline + 1
+        ref = weakref.ref(x)
+        del x
+        gc.collect()
+        assert ref() is not None and nerve(g) is ref()
         del g
         gc.collect()
-        assert len(nerve_mod._NERVE_CACHE) == baseline
+        assert ref() is None
 
 
 # -- map search into a joined level ------------------------------------------

@@ -3,6 +3,7 @@ import functools
 import gc
 import itertools
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from twotypes import twogpd as twogpd_mod
 from twotypes import weakmaps as weakmaps_mod
 from twotypes.fingroup import cyclic, symmetric3
 from twotypes.nerve import nerve, nerve_of_weak_functor, two_simplices
-from twotypes.search import Budget, classes
+from twotypes.search import Budget, classes, derived
 from twotypes.simpset import (
     Homotopies, JoinLevel, MapPlan, SimplicialMap, SizeCapExceeded,
     TruncatedSimplicialSet, _end_inclusion_fixed, boundary,
@@ -21,7 +22,7 @@ from twotypes.simpset import (
     coskeleton, enumerate_horns, enumerate_maps_3trunc, extend_to_level4,
     homotopic, homotopy_classes, horn, identity_map, in_sset2, interval,
     is_coskeletal_at, is_k_minimal, is_kan, level_by_boundary, make_sset,
-    product, relabel, simplicial_maps, standard_simplex,
+    prism, product, relabel, simplicial_maps, standard_simplex,
 )
 from twotypes.textio import parse_text
 from twotypes.twogpd import enumerate_2transformations, xmod_to_2group
@@ -397,8 +398,12 @@ class TestHomotopy:
         x = nerve_bg(2)
         assert Homotopies(x, x).prism.trunc == 3
         assert Homotopies(x, without_4_simplex(x)[0]).prism.trunc == 4
-        assert Homotopies(x, make_sset(**vars(x) | {"coskeletal_at": None})
+        assert Homotopies(x, dataclasses.replace(x, coskeletal_at=None)
                           ).prism.trunc == 4
+        # one prism per complex and truncation
+        assert Homotopies(x, x).prism is Homotopies(x, nerve_bg(3)).prism
+        assert Homotopies(x, without_4_simplex(x)[0]).prism is \
+            Homotopies(x, dataclasses.replace(x, coskeletal_at=None)).prism
 
     def test_target_that_is_not_coskeletal(self):
         # level 4 of y misses one compatible tuple; a homotopy into y on
@@ -791,12 +796,20 @@ def b2g(m):
 
 class KernelPlan(MapPlan):
     """A MapPlan whose every level holds a constraint that always passes,
-    so the kernel searches each level, also one that `MapPlan._extend`
-    sets by boundary: the reference for that shortcut."""
+    also a level with no constraint of its own (the top level of a
+    homotopy into a nerve): the same maps and steps as a MapPlan."""
 
     def level(self, n):
         order, cons = super().level(n)
         return order, cons or [((), lambda: True)]
+
+
+class Watched:
+    """A table that a weak reference can watch."""
+
+
+def _not_kept():
+    raise AssertionError("the table was not kept")
 
 
 def _counted(monkeypatch, *functions):
@@ -859,12 +872,12 @@ class TestTablesBuiltOnce:
         h = Homotopies(x, y)
         t, theta = enumerate_2transformations(F[1], F[1], pointed=True)[0]
         found = [h.find(maps[1], maps[1], pointed=True),
-                 transformation_to_homotopy(F[1], F[1], t, theta, h.prism)]
+                 transformation_to_homotopy(F[1], F[1], t, theta)]
         assert None not in found
         for m in maps[:2] + found:
-            tables = simpset_mod._TABLES[id(m.dom)][1]
-            held = dict(tables)
-            assert ("faces", 3) in held and ("degens", 2) in held
+            # the audit of m kept these tables on its domain
+            held = {key: derived(m.dom, key, _not_kept)
+                    for key in (("faces", 3), ("degens", 2))}
             outcomes = set()
             for levels in _level_mutants(m):
                 want = _map_outcome(_walk_check_map, levels, m.dom, m.cod)
@@ -874,22 +887,46 @@ class TestTablesBuiltOnce:
                 outcomes.add(want if isinstance(want, type) else want[0])
             assert {"map-face", "map-level-range"} <= outcomes, outcomes
             # the same tables served every mutant
-            assert all(tables[key] is table for key, table in held.items())
+            assert all(derived(m.dom, key, _not_kept) is table
+                       for key, table in held.items())
 
     def test_tables_leave_with_their_complex_and_2groupoid(self):
-        gc.collect()
-        baseline = len(simpset_mod._TABLES)
         H, G = bg(2), b2g(2)
         h = Homotopies(nerve(H), nerve(G))
         f = simplicial_maps(h.x, h.y, pointed=True)[0]
         assert h.find(f, f, pointed=True) is not None
         nerve_of_weak_functor(enumerate_weak_functors(H, G)[0])
-        keyed = {id(H), id(G), id(h.x), id(h.y), id(h.prism)}
-        assert keyed <= simpset_mod._TABLES.keys()
         assert two_simplices(H) is two_simplices(H)
+        assert derived(h.prism, ("faces", 3), _not_kept) is \
+            simpset_mod._flat(h.prism, "faces", 3)
+        # tables of each object, and one more table that can be watched
+        refs = [weakref.ref(obj) for obj in (h.x, h.y, h.prism)] + \
+            [weakref.ref(derived(obj, "watched", Watched))
+             for obj in (H, G, h.x, h.y, h.prism)]
+        # a nerve is a table of its 2-groupoid, a prism of its complex
         del f, h
         gc.collect()
-        assert len(simpset_mod._TABLES) == baseline + 4
+        assert all(ref() is not None for ref in refs)
         del H, G
         gc.collect()
-        assert len(simpset_mod._TABLES) == baseline
+        assert all(ref() is None for ref in refs)
+
+    def test_a_copy_builds_its_own_tables(self):
+        # a copy is a new object: no table of the original reaches it, so
+        # a complex made where another died cannot read the dead one's
+        x = nerve_bg(2)
+        rows = x.faces[3][::-1]
+        y = dataclasses.replace(x, faces=x.faces[:3] + (rows,) + x.faces[4:])
+        for c in (x, y):
+            simpset_mod._positions(c, 3)
+            simpset_mod._flat(c, "faces", 3)
+        assert simpset_mod._positions(y, 3) == \
+            {row: z for z, row in enumerate(rows)}
+        assert simpset_mod._positions(y, 3) != simpset_mod._positions(x, 3)
+        assert simpset_mod._flat(y, "faces", 3) == \
+            tuple(itertools.chain.from_iterable(rows))
+        same = dataclasses.replace(x)
+        assert prism(same, 3) is not prism(x, 3)
+        assert prism(same, 3) == prism(x, 3)
+        g = bg(2)
+        assert nerve(dataclasses.replace(g)) is not nerve(g)

@@ -486,9 +486,18 @@ class TestHomotopyBridge:
         products = self.record_results(monkeypatch, "product")
         orders = self.record_results(monkeypatch, "_constraint_order")
         coskeleta = self.record_results(monkeypatch, "coskeleton")
+        built = []
+
+        def to_homotopy(*args):
+            built.append(transformation_to_homotopy(*args))
+            return built[-1]
+        monkeypatch.setattr(weakmaps, "transformation_to_homotopy",
+                            to_homotopy)
         assert pi0_hom_vs_homotopy_classes(H, G)
-        # one prism I x N(H), cut at 3 as N(G) is 3-coskeletal
+        # one prism I x N(H), cut at 3 as N(G) is 3-coskeletal, that the
+        # homotopies of the transformations leave too
         assert [p.trunc for p in products] == [3]
+        assert built and all(m.dom is products[0] for m in built)
         # two plans, maps N(H) -> N(G) and homotopies I x N(H) -> N(G),
         # each ordering a level of 0..3 at most once
         assert len(orders) <= 2 * 4
