@@ -7,8 +7,9 @@ composite is produced by filling inner 3-horns, which 2-minimality makes
 unique; a chosen family of filler 2-simplices I_{f,g} fixes the composition
 law, and different choices differ by associators.
 
-`_Reading` reads a complex with its fillers once: the horn tables, the
-identity edges, the 2-cells, and the weak 2-groupoid they determine.
+`_Reading` reads a complex with its fillers once: the identity edges, the
+2-cells, and the weak 2-groupoid they determine.  The horn tables depend
+on the complex alone, so they are built once per complex and kept on it.
 `reconstruct`, the pentagon check, the functor transport and the round
 trip all read through it.  A complex without the levels a reading needs
 (2 for fillers, 3 for horns, 4 for the pentagon) raises `FillingFailure`
@@ -22,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .search import DEFAULT_CAP, Budget, group
+from .search import DEFAULT_CAP, Budget, derived, group
 from .simpset import (
     JoinLevel, SimplicialMap, TruncatedSimplicialSet, check_simplicial_map,
     level_by_boundary,
@@ -99,8 +100,9 @@ def _unique_horn_tables(x: TruncatedSimplicialSet):
 class _Reading:
     """x read with a filler choice (chosen "first" when None).  The 2-cells
     are the 2-simplices whose d0 is an identity edge, ascending, and pos
-    is their position.  The horn tables and the weak 2-groupoid are built
-    on first use."""
+    is their position.  The horn tables depend on x alone and are kept on
+    it (`derived`), built on the first use by any reading of x; the weak
+    2-groupoid is built on first use."""
 
     def __init__(self, x: TruncatedSimplicialSet,
                  fillers: Optional[FillerChoice] = None):
@@ -115,7 +117,7 @@ class _Reading:
 
     @functools.cached_property
     def tables(self) -> list:
-        return _unique_horn_tables(self.x)
+        return derived(self.x, "horns", lambda: _unique_horn_tables(self.x))
 
     def fill(self, k: int, *faces: int) -> int:
         """The 3-simplex with these faces, all but d_k."""
@@ -270,7 +272,8 @@ def roundtrip_report(x: TruncatedSimplicialSet,
     """Compare x with the nerve of its reconstruction via the canonical
     cellwise map (identity on vertices and edges, tilt on 2-simplices).
     cap bounds the levels of that nerve, as in `nerve.nerve`.  Given gpd, the
-    nerve is built before the horn tables, which keeps the peak lower."""
+    nerve is built before x's horn tables when no reading of x has built
+    them yet, which keeps the peak lower."""
     from .nerve import nerve, two_simplex_index
 
     r = _Reading(x, fillers)

@@ -177,6 +177,12 @@ class _Join:
     m-1 and size its count; vertices have no faces, so over level 0 every
     tuple is compatible.  Iteration gives the tuples in lexicographic order.
 
+    This is the one statement of compatibility in the library.  The level
+    below is transposed once, face[p][x] = d_p x, and pairs holds, per pair
+    of slots a < b, the columns (d_{p_a}, b, d_{p_b - 1}, a) that the test
+    compares: membership reads them on one row, and `_degens_fit` down
+    whole columns of rows.
+
     The walk is depth first, one position at a time.  For each position t
     after the first, a trie holds every simplex w under its faces d_p w at
     the earlier positions p, in order.  Placing x at an earlier position
@@ -187,28 +193,28 @@ class _Join:
 
     def __init__(self, below, size: int, positions: Sequence[int]):
         self.size = size
-        self.positions = positions = tuple(positions)
-        self.r = r = len(positions)
-        self.faces = faces = below if below else \
-            [(0,) * (positions[-1] + 1)] * size
-        # cols[t][x] = d_{p_t - 1} x, the face that position t must match
-        self.cols = [None] + [[row[p - 1] for row in faces]
-                              for p in positions[1:]]
+        positions = tuple(positions)
+        self.r = len(positions)
+        self.face = face = list(zip(*below)) if below else \
+            [(0,) * size] * (positions[-1] + 1)
+        # cols[t] = d_{p_t - 1}, the face that position t must match
+        self.cols = [None] + [face[p - 1] for p in positions[1:]]
+        self.pairs = [(face[p], b, face[q - 1], a)
+                      for b, q in enumerate(positions)
+                      for a, p in enumerate(positions[:b])]
         # the trie of position t+1 is that of position t with each leaf
         # split by one more face
         self.roots, trie = [], range(size)
         for p in positions[:-1]:
-            trie = _split(trie, [row[p] for row in faces])
+            trie = _split(trie, face[p])
             self.roots.append(trie)
 
     def __contains__(self, row) -> bool:
-        """Whether row is one of the tuples: the compatibility test."""
+        """Whether row, a tuple of r ints each in range, is compatible."""
         if not (isinstance(row, tuple) and len(row) == self.r and all(
                 isinstance(v, int) and 0 <= v < self.size for v in row)):
             return False
-        faces, ps = self.faces, self.positions
-        return all(faces[row[j]][ps[i]] == faces[row[i]][ps[j] - 1]
-                   for j in range(1, self.r) for i in range(j))
+        return all(di[row[b]] == dj[row[a]] for di, b, dj, a in self.pairs)
 
     def _step(self, a: int, x: int, nodes):
         """The nodes of positions a+1.. once x is placed at position a, or
@@ -454,26 +460,6 @@ def _join_over(x: TruncatedSimplicialSet, n: int) -> bool:
         and level.size == x.counts[n - 1]
 
 
-def _count_compatible(below, positions: Sequence[int], rows) -> int:
-    """How many of rows, tuples over positions that index the level below,
-    are compatible."""
-    if not below:
-        return len(rows)
-    cols = list(zip(*below))
-    pairs = [(cols[i], b, cols[j - 1], a) for b, j in enumerate(positions)
-             for a, i in enumerate(positions[:b])]
-    return sum(all(di[row[b]] == dj[row[a]] for di, b, dj, a in pairs)
-               for row in rows)
-
-
-def _indexes(rows, width: int, count: int) -> bool:
-    """Whether every row has width entries, each one of the count simplices
-    of the level below; a negative entry would index from the end."""
-    return not rows or (set(map(len, rows)) == {width}
-                        and min(map(min, rows)) >= 0
-                        and max(map(max, rows)) < count)
-
-
 def coskeleton(x: TruncatedSimplicialSet, k: int,
                trunc: Optional[int] = None,
                cap: int | Budget = DEFAULT_CAP) -> TruncatedSimplicialSet:
@@ -532,17 +518,17 @@ def _degen_targets(below, down, count: int, m: int) -> list:
 def _degens_fit(join: _Join, down, m: int) -> bool:
     """Whether each s_j y is a tuple of join, over positions 0..m of level
     m-1, down the degeneracies of level m-2.  For each j, column i of the
-    targets is y for i = j, j + 1, else a column of down read through one
-    of join.cols (d_i is cols[i + 1]); each is range-checked, and each pair
-    of positions compared as one tuple."""
-    size, face, downs = join.size, join.cols, list(zip(*down))
+    targets is y for i = j, j + 1, else a column of down read through
+    join.face[i] or join.face[i - 1]; each is range-checked, and each of
+    join.pairs compared down the columns as one tuple."""
+    size, face, downs = join.size, join.face, list(zip(*down))
     for j in range(m if size else 0):
         cols = [range(size) if j <= i <= j + 1 else
-                _gather(downs[j - 1], face[i + 1]) if i < j else
-                _gather(downs[j], face[i]) for i in range(m + 1)]
+                _gather(downs[j - 1], face[i]) if i < j else
+                _gather(downs[j], face[i - 1]) for i in range(m + 1)]
         if not all(0 <= min(c) and max(c) < size for c in cols) or not all(
-                _gather(face[a + 1], cols[b]) == _gather(face[b], cols[a])
-                for b in range(1, m + 1) for a in range(b)):
+                _gather(di, cols[b]) == _gather(dj, cols[a])
+                for di, b, dj, a in join.pairs):
             return False
     return True
 
@@ -562,26 +548,22 @@ def is_coskeletal_at(x: TruncatedSimplicialSet, k: int) -> bool:
     """Levels above k hold each compatible boundary tuple exactly once.
 
     A JoinLevel over x's own level below does by construction.  Any other
-    level is audited by counting: the stored rows of level m are a set S
-    of distinct rows, each a compatible tuple, so S is a subset of the
-    finite set C of all compatible tuples, and S = C exactly when
-    |S| = |C|.  |C| is read off the join without building C.  A row of the
-    wrong length, or with an entry outside the level below, is not
-    compatible, so the audit fails on it; the rows of level k must index
-    level k-1.  The simplicial identities are not assumed.
+    level is audited through the join of its level below: the stored rows
+    of level m are a set S of distinct rows, each a tuple of the join C, so
+    S is a subset of C, and S = C exactly when |S| = |C|.  |C| is read off
+    the join without building C.  A row of the wrong length, or with an
+    entry outside the level below, is no tuple of the join, so the audit
+    fails on it; the rows of level k must index level k-1.  The simplicial
+    identities are not assumed.
     """
     for m in range(k + 1, x.trunc + 1):
         if _join_over(x, m):
             continue
-        below, rows = x.faces[m - 1], x.faces[m]
-        if len(set(rows)) != len(rows):
-            return False
-        if not _indexes(rows, m + 1, x.counts[m - 1]):
-            return False
-        if _count_compatible(below, range(m + 1), rows) != len(rows):
-            return False
-        if _Join(below, x.counts[m - 1], range(m + 1)).count(len(rows)) \
-           != len(rows):
+        rows = x.faces[m]
+        join = _Join(x.faces[m - 1], x.counts[m - 1], range(m + 1))
+        if len(set(rows)) != len(rows) \
+                or not all(row in join for row in rows) \
+                or join.count(len(rows)) != len(rows):
             return False
     return True
 
@@ -619,26 +601,25 @@ def is_kan(x: TruncatedSimplicialSet, dims: Iterable[int] = (1, 2, 3, 4)):
 
 
 def _kan_rows(x: TruncatedSimplicialSet, n: int):
-    """Kan at n for stored rows.  The horns at k form a finite set H,
-    counted by the join.  The boundary of a level-n simplex with its k-th
-    face left out is a tuple over the positions i != k; let F be the set of
-    those that are compatible, checked key by key, so F is a subset of H
-    and holds exactly the fillable horns.  Every horn is fillable exactly
-    when |F| = |H|.  A projection with an entry outside level n-1 fills no
-    horn; the rows of level n-1 must index level n-2.  The simplicial
-    identities are not assumed."""
+    """Kan at n for stored rows.  The horns at k are the tuples of the
+    join H over the positions i != k.  The boundary of a level-n simplex
+    with its k-th face left out is a tuple over those positions; let F be
+    the set of those in H, so F holds exactly the fillable horns.  Every
+    horn is fillable exactly when |F| = |H|, so the count of H stops once
+    it passes |F|; on a mismatch H is listed to the first unfilled horn.  A
+    projection with an entry outside level n-1 fills no horn; the rows of
+    level n-1 must index level n-2.  The simplicial identities are not
+    assumed."""
     below, size = x.faces[n - 1], x.counts[n - 1]
-    clean = _indexes(x.faces[n], n + 1, size)
     for k in range(n + 1):
         positions = [i for i in range(n + 1) if i != k]
-        horns = _Join(below, size, positions).count()
+        horns = _Join(below, size, positions)
         filled = {row[:k] + row[k + 1:] for row in x.faces[n]}
-        fillers = filled if clean else \
-            [key for key in filled if _indexes((key,), n, size)]
-        if _count_compatible(below, positions, fillers) != horns:
-            for config in enumerate_horns(x, n, k):
-                if tuple(config.values()) not in filled:
-                    return (n, k, config)
+        fillable = sum(key in horns for key in filled)
+        if horns.count(fillable) != fillable:
+            for row in horns:
+                if row not in filled:
+                    return (n, k, dict(zip(positions, row)))
     return True
 
 
@@ -951,6 +932,7 @@ class MapPlan:
     def __init__(self, x: TruncatedSimplicialSet, y: TruncatedSimplicialSet):
         self.x, self.y = x, y
         self.depth = depth = min(3, x.trunc, y.trunc)
+        self.degenerate = [x.degenerate_flags(n) for n in range(depth + 1)]
         self.by_boundary = [None] + [group(y.faces[n])
                                      for n in range(1, depth + 1)]
         # realized boundary tuples one level up.  The top level is ordered
@@ -973,8 +955,8 @@ class MapPlan:
         and its up-face constraints on assign[n], each keyed by the faces
         of a level-(n+1) simplex of x."""
         if n not in self._levels:
-            order = [z for z, degenerate in
-                     enumerate(self.x.degenerate_flags(n)) if not degenerate]
+            order = [z for z, degenerate in enumerate(self.degenerate[n])
+                     if not degenerate]
             up = list(dict.fromkeys(self.x.faces[n + 1])) \
                 if n < self.depth or self.ordered_top else []
             keys, a = self.up_keys[n], self.assign[n]
@@ -1005,7 +987,9 @@ class MapPlan:
 
     def _extend(self, n, pins, budget):
         """Extend self.assign through level n; yields once per full map.
-        pins[n] maps level-n simplices to their fixed images.
+        pins[n] is (held, pinned, key): the fixed images of x's degenerate
+        level-n simplices, those of the others, and the set of the others,
+        which names the level's compiled plan; made once per search.
 
         The degenerate simplices are forced down x's flat degeneracy rows
         (`_flat`, made once per complex): s_j w goes to s_j of w's image,
@@ -1015,7 +999,8 @@ class MapPlan:
         if n > self.depth:
             yield
             return
-        x, y, a, fixed = self.x, self.y, self.assign[n], pins[n]
+        x, y, a = self.x, self.y, self.assign[n]
+        held, pinned, key = pins[n]
         a.clear()
         below = self.assign[n - 1] if n else None
         if n:
@@ -1023,9 +1008,8 @@ class MapPlan:
             imgs = tuple(itertools.chain.from_iterable(_gather(
                 y.degens[n - 1], _gather(below, range(x.counts[n - 1])))))
             a.update(zip(zs, imgs))
-            both = tuple(fixed.keys() & a.keys())
             if _gather(a, zs) != imgs or \
-                    _gather(fixed, both) != _gather(a, both):
+                    _gather(a, held) != _gather(held, held):
                 return
         by_boundary, boundary = self.by_boundary[n], self.boundaries(n)
 
@@ -1034,16 +1018,13 @@ class MapPlan:
                 return range(y.counts[0])
             return by_boundary.get(boundary[z](below), ())
 
-        # a fixed nondegenerate simplex (one not set above) is checked and
-        # set here, once, and left out of the search's order
-        pinned = {z: img for z, img in fixed.items() if z not in a
-                  and 0 <= z < x.counts[n]}
+        # a fixed nondegenerate simplex is checked and set here, once, and
+        # left out of the search's order
         for z, img in pinned.items():
             if img not in candidates(z):
                 return
             a[z] = img
-        for _ in run(self.compiled(n, frozenset(pinned)), candidates, a,
-                     budget):
+        for _ in run(self.compiled(n, key), candidates, a, budget):
             yield from self._extend(n + 1, pins, budget)
 
 
@@ -1086,10 +1067,12 @@ def enumerate_maps_3trunc(x: TruncatedSimplicialSet,
     if pointed:
         check_pointed(x, y)
         fixed.setdefault((0, x.basepoint), y.basepoint)
-    pins: list[dict[int, int]] = [{} for _ in range(plan.depth + 1)]
+    pins = [({}, {}) for _ in range(plan.depth + 1)]
     for (n, z), img in fixed.items():
-        if 0 <= n <= plan.depth:
-            pins[n][z] = img
+        if 0 <= n <= plan.depth and 0 <= z < x.counts[n]:
+            held, pinned = pins[n]
+            (held if plan.degenerate[n][z] else pinned)[z] = img
+    pins = [(held, pinned, frozenset(pinned)) for held, pinned in pins]
     assign = plan.assign
     out = []
     for _ in plan._extend(0, pins, as_budget(cap, "map search")):
