@@ -1009,7 +1009,7 @@ class MapPlan:
                 y.degens[n - 1], _gather(below, range(x.counts[n - 1])))))
             a.update(zip(zs, imgs))
             if _gather(a, zs) != imgs or \
-                    _gather(a, held) != _gather(held, held):
+                    _gather(a, held) != tuple(held.values()):
                 return
         by_boundary, boundary = self.by_boundary[n], self.boundaries(n)
 
