@@ -7,12 +7,15 @@ composite is produced by filling inner 3-horns, which 2-minimality makes
 unique; a chosen family of filler 2-simplices I_{f,g} fixes the composition
 law, and different choices differ by associators.
 
-`_Reading` reads a complex with its fillers once: the identity edges, the
-2-cells, and the weak 2-groupoid they determine.  The horn tables depend
-on the complex alone, so they are built once per complex and kept on it.
+A `FillerChoice` is the reading of its complex with those fillers: it
+holds the identity edges, the 2-cells, and the weak 2-groupoid they
+determine, built once, on first use.  The horn tables depend on the
+complex alone, so they are built once per complex and kept on it.
 `reconstruct`, the pentagon check, the functor transport and the round
-trip all read through it.  A complex without the levels a reading needs
-(2 for fillers, 3 for horns, 4 for the pentagon) raises `FillingFailure`
+trip all read the choice they are given, so they build its weak
+2-groupoid once between them; a choice made on another complex is read
+again on the one given.  A complex without the levels a reader needs (2
+for fillers, 3 for horns, 4 for the pentagon) raises `FillingFailure`
 naming the missing level.
 """
 
@@ -20,24 +23,18 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .search import DEFAULT_CAP, Budget, derived, group
 from .simpset import (
-    JoinLevel, SimplicialMap, TruncatedSimplicialSet, check_simplicial_map,
-    level_by_boundary,
+    JoinLevel, SimplicialMap, TruncatedSimplicialSet, _positions,
+    check_simplicial_map, level_by_boundary,
 )
 from .weakmaps import (
     WeakFunctor, WeakTwoGroupoid, build_weak_2groupoid, check_weak_functor,
 )
 from .xmod import FillingFailure, Violation
-
-
-@dataclass(frozen=True)
-class FillerChoice:
-    strategy: str
-    pairs: dict  # (f, g) composable edge pair -> 2-simplex index
 
 
 def _need_level(x: TruncatedSimplicialSet, n: int) -> None:
@@ -78,7 +75,7 @@ def choose_fillers(x: TruncatedSimplicialSet,
                     raise FillingFailure("no-2-simplex-over-pair", (f, g))
                 pairs[(f, g)] = cands[0] if rng is None else rng.choice(
                     sorted(cands))
-    return FillerChoice(strategy=strategy, pairs=pairs)
+    return FillerChoice(x, strategy, pairs)
 
 
 def _unique_horn_tables(x: TruncatedSimplicialSet):
@@ -97,23 +94,31 @@ def _unique_horn_tables(x: TruncatedSimplicialSet):
     return tables
 
 
-class _Reading:
-    """x read with a filler choice (chosen "first" when None).  The 2-cells
-    are the 2-simplices whose d0 is an identity edge, ascending, and pos
-    is their position.  The horn tables depend on x alone and are kept on
-    it (`derived`), built on the first use by any reading of x; the weak
-    2-groupoid is built on first use."""
+@dataclass(frozen=True)
+class FillerChoice:
+    """One filler 2-simplex per composable edge pair of x, and x read with
+    them.  pairs maps (f, g) to the 2-simplex I_{f,g}.  The 2-cells are the
+    2-simplices whose d0 is an identity edge, ascending, and pos is their
+    position.  The horn tables depend on x alone and are kept on it
+    (`derived`), built on the first use by any choice on x; the weak
+    2-groupoid is built on first use and kept on the choice."""
 
-    def __init__(self, x: TruncatedSimplicialSet,
-                 fillers: Optional[FillerChoice] = None):
-        _need_level(x, 3)
-        self.x = x
-        self.I = (choose_fillers(x) if fillers is None else fillers).pairs
-        self.ids = _identity_edges(x)
-        ids = set(self.ids)
-        self.cells = [u for u in range(x.counts[2])
-                      if x.faces[2][u][0] in ids]
-        self.pos = {u: i for i, u in enumerate(self.cells)}
+    x: TruncatedSimplicialSet = field(compare=False, repr=False)
+    strategy: str
+    pairs: dict
+
+    @functools.cached_property
+    def ids(self) -> tuple[int, ...]:
+        return _identity_edges(self.x)
+
+    @functools.cached_property
+    def cells(self) -> list:
+        ids, faces = set(self.ids), self.x.faces[2]
+        return [u for u in range(self.x.counts[2]) if faces[u][0] in ids]
+
+    @functools.cached_property
+    def pos(self) -> dict:
+        return {u: i for i, u in enumerate(self.cells)}
 
     @functools.cached_property
     def tables(self) -> list:
@@ -131,11 +136,11 @@ class _Reading:
         x = self.x
         f, g = x.faces[2][u][2], x.faces[2][u][0]
         return x.faces[3][self.fill(1, x.degens[1][g][1], u,
-                                    self.I[(f, g)])][1]
+                                    self.pairs[(f, g)])][1]
 
     @functools.cached_property
     def gpd(self) -> WeakTwoGroupoid:
-        x, I, pos, cells = self.x, self.I, self.pos, self.cells
+        x, I, pos, cells = self.x, self.pairs, self.pos, self.cells
         fill, right = self.fill, self.right
         n1 = x.counts[1]
         src1 = tuple(x.faces[1][f][1] for f in range(n1))
@@ -180,11 +185,23 @@ class _Reading:
             src2, tgt2, id2, vcomp, hcomp2, assoc, basepoint=x.basepoint)
 
 
+def _read(x: TruncatedSimplicialSet, fillers: Optional[FillerChoice],
+          n: int) -> FillerChoice:
+    """fillers read on x, which must hold level n: the choice itself when
+    made on x, else its pairs on x; "first" fillers when None."""
+    _need_level(x, n)
+    if fillers is None:
+        return choose_fillers(x)
+    if fillers.x is x:
+        return fillers
+    return FillerChoice(x, fillers.strategy, fillers.pairs)
+
+
 def reconstruct(x: TruncatedSimplicialSet,
                 fillers: Optional[FillerChoice] = None) -> WeakTwoGroupoid:
     """Weak 2-groupoid on the cells of x determined by the filler choice.
     The output is fully audited, including the pentagon (A1) sweep."""
-    return _Reading(x, fillers).gpd
+    return _read(x, fillers, 3).gpd
 
 
 def pentagon_via_4simplex(x: TruncatedSimplicialSet,
@@ -192,10 +209,8 @@ def pentagon_via_4simplex(x: TruncatedSimplicialSet,
     """Independent pentagon verification: for every composable edge
     quadruple, assemble the ten triangles of the would-be 4-simplex, check
     that its five tetrahedra exist, and that they bound a 4-simplex."""
-    _need_level(x, 4)
-    r = _Reading(x, fillers)
-    g, I = r.gpd, r.I
-    pos3 = {x.faces[3][z]: z for z in range(x.counts[3])}
+    r = _read(x, fillers, 4)
+    g, I, pos3 = r.gpd, r.pairs, _positions(x, 3)
     # a JoinLevel tests membership by compatibility, without its rows
     rows4 = x.faces[4] if isinstance(x.faces[4], JoinLevel) else \
         set(x.faces[4])
@@ -230,12 +245,8 @@ def pentagon_via_4simplex(x: TruncatedSimplicialSet,
                         (t124, t024, t014, t012),   # d3: 0124
                         (t123, t023, t013, t012),   # d4: 0123
                     )
-                    zs = []
-                    for q in tets:
-                        if q not in pos3:
-                            return False
-                        zs.append(pos3[q])
-                    if tuple(zs) not in rows4:
+                    zs = tuple(map(pos3.get, tets))
+                    if None in zs or zs not in rows4:
                         return False
     return True
 
@@ -245,11 +256,11 @@ def reconstruct_functor(m: SimplicialMap, dom_fillers: FillerChoice,
     """The weak functor between reconstructions induced by a simplicial map;
     its coherence cells compare images of chosen fillers with chosen fillers
     of images."""
-    rd, rc = _Reading(m.dom, dom_fillers), _Reading(m.cod, cod_fillers)
+    rd, rc = _read(m.dom, dom_fillers, 3), _read(m.cod, cod_fillers, 3)
     gd, gc = rd.gpd, rc.gpd
     map2 = [rc.pos[m.levels[2][u]] for u in rd.cells]
     eps = [[-1] * m.dom.counts[1] for _ in range(m.dom.counts[1])]
-    for (f, g), u in rd.I.items():
+    for (f, g), u in rd.pairs.items():
         eps[f][g] = rc.pos[rc.right(m.levels[2][u])]
     return check_weak_functor(gd, gc, m.levels[0], m.levels[1], map2, eps)
 
@@ -271,14 +282,14 @@ def roundtrip_report(x: TruncatedSimplicialSet,
                      cap: int | Budget = DEFAULT_CAP) -> RoundtripReport:
     """Compare x with the nerve of its reconstruction via the canonical
     cellwise map (identity on vertices and edges, tilt on 2-simplices).
-    cap bounds the levels of that nerve, as in `nerve.nerve`.  Given gpd, the
-    nerve is built before x's horn tables when no reading of x has built
-    them yet, which keeps the peak lower."""
+    cap bounds the levels of that nerve, as in `nerve.nerve`.  gpd, when
+    given, is the reconstruction; else the choice's is read.  Given gpd,
+    the nerve is built before x's horn tables when no reader of x has
+    built them yet, which keeps the peak lower."""
     from .nerve import nerve, two_simplex_index
 
-    r = _Reading(x, fillers)
-    if gpd is None:
-        gpd = r.gpd
+    r = _read(x, fillers, 3)
+    gpd = r.gpd if gpd is None else gpd
     n = nerve(gpd, cap=cap)
     pos2n = two_simplex_index(gpd)
     lvl2 = [pos2n[(x.faces[2][u][2], x.faces[2][u][0], r.pos[r.right(u)])]

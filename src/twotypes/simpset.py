@@ -7,11 +7,11 @@ sets with face and degeneracy tables.  faces[n][x] is the tuple
 (d_0 x, ..., d_n x); degens[n][x] is (s_0 x, ..., s_n x) landing in level
 n+1.  Degenerate simplices are stored explicitly.  A level that
 `coskeleton` rebuilds, such as level 4 of a nerve, is a JoinLevel: it holds
-the join of the level below instead of its rows, so it is counted once,
-tested for membership and ranked from that level, and lists its rows only
-when they are read.  The degeneracies into it, checked down columns, are a
-JoinDegens, ranked on the first read.  The audits tell such a level by its
-type.
+the join of the level below instead of its rows, so it is counted once
+and tested for membership from that level, and lists its rows only when
+they are read or ranked.  The degeneracies into it, checked down columns,
+are a JoinDegens, ranked on the first read.  The audits tell such a level
+by its type.
 """
 
 from __future__ import annotations
@@ -180,8 +180,8 @@ class _Join:
     This is the one statement of compatibility in the library.  The level
     below is transposed once, face[p][x] = d_p x, and pairs holds, per pair
     of slots a < b, the columns (d_{p_a}, b, d_{p_b - 1}, a) that the test
-    compares: membership reads them on one row, and `_degens_fit` down
-    whole columns of rows.
+    compares.  Only `fits` reads them, down whole columns of rows; `holds`
+    and membership are that test on rows.
 
     The walk is depth first, one position at a time.  For each position t
     after the first, a trie holds every simplex w under its faces d_p w at
@@ -209,12 +209,27 @@ class _Join:
             trie = _split(trie, face[p])
             self.roots.append(trie)
 
+    def fits(self, cols) -> bool:
+        """Whether every row of the columns cols is a tuple here: cols[p],
+        one per position, holds the rows' entries at p.  Every entry must
+        be an int in range, and each of pairs is compared down the columns
+        at once (an itemgetter of one key gives the entry, of more a
+        tuple, alike on both sides)."""
+        flat = tuple(itertools.chain.from_iterable(cols))
+        return not flat or all(map(isinstance, flat, itertools.repeat(int))) \
+            and 0 <= min(flat) and max(flat) < self.size \
+            and all(itemgetter(*cols[b])(di) == itemgetter(*cols[a])(dj)
+                    for di, b, dj, a in self.pairs)
+
+    def holds(self, rows) -> bool:
+        """Whether each of rows, a tuple of r ints each in range, is
+        compatible: one `fits` down the rows' columns."""
+        return all(map(isinstance, rows, itertools.repeat(tuple))) \
+            and set(map(len, rows)) <= {self.r} \
+            and self.fits(tuple(zip(*rows)))
+
     def __contains__(self, row) -> bool:
-        """Whether row, a tuple of r ints each in range, is compatible."""
-        if not (isinstance(row, tuple) and len(row) == self.r and all(
-                isinstance(v, int) and 0 <= v < self.size for v in row)):
-            return False
-        return all(di[row[b]] == dj[row[a]] for di, b, dj, a in self.pairs)
+        return self.holds((row,))
 
     def _step(self, a: int, x: int, nodes):
         """The nodes of positions a+1.. once x is placed at position a, or
@@ -269,43 +284,6 @@ class _Join:
             nxt = self._step(a, x, nodes)
             if nxt is not None:
                 yield from self._rows(a + 1, prefix + (x,), nxt[0], nxt[1:])
-
-    def locate(self, rows):
-        """(count, ranks) in one walk: the number of tuples, and the
-        lexicographic rank of each of rows, None for a row that is not a
-        tuple here."""
-        ranks = [None] * len(rows)
-        want = sorted((row, i) for i, row in enumerate(rows)
-                      if isinstance(row, tuple) and len(row) == self.r)
-        n = self._locate(0, range(self.size), self.roots, want, 0,
-                         len(want), 0, ranks)
-        return n, ranks
-
-    def _locate(self, a, cands, nodes, want, lo, hi, base, ranks):
-        """`_count`, which also ranks want[lo:hi], the sorted (row, index)
-        pairs of the wanted rows through the prefix.  The candidates that
-        no wanted row passes through are counted in runs."""
-        if a == self.r - 1:
-            for row, i in want[lo:hi]:
-                j = bisect.bisect_left(cands, row[a])
-                if j < len(cands) and cands[j] == row[a]:
-                    ranks[i] = base + j
-            return len(cands)
-        total = done = 0  # cands[:done] are counted
-        while lo < hi:
-            x, q = want[lo][0][a], lo + 1
-            while q < hi and want[q][0][a] == x:
-                q += 1
-            j = bisect.bisect_left(cands, x)
-            if j < len(cands) and cands[j] == x:
-                total += self._count(a, cands[done:j], nodes)
-                nxt = self._step(a, x, nodes)
-                if nxt is not None:
-                    total += self._locate(a + 1, nxt[0], nxt[1:], want, lo,
-                                          q, base + total, ranks)
-                done = j + 1
-            lo = q
-        return total + self._count(a, cands[done:], nodes)
 
 
 def _split(node, col):
@@ -391,9 +369,9 @@ class JoinLevel(_Listed):
 
     below is the face table of level m-1 and size its count.  The length
     is counted from the join once (`coskeleton` keeps a count it makes
-    against the cap), membership is the compatibility test, and `rank` and
-    `ranks` walk the join without listing it.  The rows are listed once,
-    on the first indexed access or iteration, and kept.
+    against the cap), and membership is the compatibility test.  The rows
+    are listed once, on the first indexed access, iteration or rank, and
+    kept; `rank` and `ranks` read them.
     """
 
     def __init__(self, below, size: int, m: int):
@@ -413,13 +391,11 @@ class JoinLevel(_Listed):
         return row in self.join
 
     def ranks(self, rows) -> list:
-        """The index of each of rows, None for a row not in the level; one
-        walk of the join, which also counts it, until the rows are listed."""
-        if self._rows is not None:
-            return [bisect.bisect_left(self._rows, row) if row in self
-                    else None for row in rows]
-        self._count, ranks = self.join.locate(rows)
-        return ranks
+        """The index of each of rows in the listed level, None for a row
+        not in the level."""
+        listed = self.rows()
+        return [bisect.bisect_left(listed, row) if row in self else None
+                for row in rows]
 
     def rank(self, row) -> int:
         """The index of row; ValueError when it is not in the level."""
@@ -435,7 +411,7 @@ class JoinDegens(_Listed):
     """The degeneracies of level m-1 into a JoinLevel at m, ranked on the
     first read: row y is (s_0 y, ..., s_{m-1} y).  down is the degeneracy
     table of level m-2 (empty for m = 1).  The targets are rebuilt from
-    level m-1 and down for the one `JoinLevel.ranks` walk, and not kept;
+    level m-1 and down, ranked in the listed level, and not kept;
     `coskeleton` has checked that each is a row of the level."""
 
     def __init__(self, level: JoinLevel, down):
@@ -519,18 +495,13 @@ def _degens_fit(join: _Join, down, m: int) -> bool:
     """Whether each s_j y is a tuple of join, over positions 0..m of level
     m-1, down the degeneracies of level m-2.  For each j, column i of the
     targets is y for i = j, j + 1, else a column of down read through
-    join.face[i] or join.face[i - 1]; each is range-checked, and each of
-    join.pairs compared down the columns as one tuple."""
+    join.face[i] or join.face[i - 1], and the columns are one `fits`."""
     size, face, downs = join.size, join.face, list(zip(*down))
-    for j in range(m if size else 0):
-        cols = [range(size) if j <= i <= j + 1 else
-                _gather(downs[j - 1], face[i]) if i < j else
-                _gather(downs[j], face[i - 1]) for i in range(m + 1)]
-        if not all(0 <= min(c) and max(c) < size for c in cols) or not all(
-                _gather(di, cols[b]) == _gather(dj, cols[a])
-                for di, b, dj, a in join.pairs):
-            return False
-    return True
+    return all(join.fits([range(size) if j <= i <= j + 1 else
+                          _gather(downs[j - 1], face[i]) if i < j else
+                          _gather(downs[j], face[i - 1])
+                          for i in range(m + 1)])
+               for j in range(m if size else 0))
 
 
 def _gather(col, keys) -> tuple:
@@ -550,10 +521,11 @@ def is_coskeletal_at(x: TruncatedSimplicialSet, k: int) -> bool:
     A JoinLevel over x's own level below does by construction.  Any other
     level is audited through the join of its level below: the stored rows
     of level m are a set S of distinct rows, each a tuple of the join C, so
-    S is a subset of C, and S = C exactly when |S| = |C|.  |C| is read off
-    the join without building C.  A row of the wrong length, or with an
-    entry outside the level below, is no tuple of the join, so the audit
-    fails on it; the rows of level k must index level k-1.  The simplicial
+    S is a subset of C, and S = C exactly when |S| = |C|.  The rows are
+    tested down their columns (`_Join.holds`), and |C| is read off the join
+    without building C.  A row of the wrong length, or with an entry
+    outside the level below, is no tuple of the join, so the audit fails on
+    it; the rows of level k must index level k-1.  The simplicial
     identities are not assumed.
     """
     for m in range(k + 1, x.trunc + 1):
@@ -562,7 +534,7 @@ def is_coskeletal_at(x: TruncatedSimplicialSet, k: int) -> bool:
         rows = x.faces[m]
         join = _Join(x.faces[m - 1], x.counts[m - 1], range(m + 1))
         if len(set(rows)) != len(rows) \
-                or not all(row in join for row in rows) \
+                or not join.holds(rows) \
                 or join.count(len(rows)) != len(rows):
             return False
     return True
@@ -604,18 +576,20 @@ def _kan_rows(x: TruncatedSimplicialSet, n: int):
     """Kan at n for stored rows.  The horns at k are the tuples of the
     join H over the positions i != k.  The boundary of a level-n simplex
     with its k-th face left out is a tuple over those positions; let F be
-    the set of those in H, so F holds exactly the fillable horns.  Every
-    horn is fillable exactly when |F| = |H|, so the count of H stops once
-    it passes |F|; on a mismatch H is listed to the first unfilled horn.  A
-    projection with an entry outside level n-1 fills no horn; the rows of
-    level n-1 must index level n-2.  The simplicial identities are not
-    assumed."""
+    the set of those in H, so F holds exactly the fillable horns: every
+    projection when they hold down their columns, else those counted one
+    by one.  Every horn is fillable exactly when |F| = |H|, so the count
+    of H stops once it passes |F|; on a mismatch H is listed to the first
+    unfilled horn.  A projection with an entry outside level n-1 fills no
+    horn; the rows of level n-1 must index level n-2.  The simplicial
+    identities are not assumed."""
     below, size = x.faces[n - 1], x.counts[n - 1]
     for k in range(n + 1):
         positions = [i for i in range(n + 1) if i != k]
         horns = _Join(below, size, positions)
         filled = {row[:k] + row[k + 1:] for row in x.faces[n]}
-        fillable = sum(key in horns for key in filled)
+        fillable = len(filled) if horns.holds(filled) else \
+            sum(key in horns for key in filled)
         if horns.count(fillable) != fillable:
             for row in horns:
                 if row not in filled:

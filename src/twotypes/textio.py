@@ -247,7 +247,11 @@ def parse_file(path: str, ws: Workspace | None = None) -> Workspace:
     except UnicodeDecodeError as exc:
         raise ParseError(data.count(b"\n", 0, exc.start) + 1,
                          f"UTF-8 text in {path}") from None
-    return parse_text(text, ws)
+    try:
+        return parse_text(text, ws)
+    except (ParseError, ValidationError) as exc:
+        exc.args = (f"{path}: {exc}",)  # the message names the file
+        raise
 
 
 def _rows(table) -> str:

@@ -1182,10 +1182,12 @@ def hom_weak_trans(D: TwoGroupoid, C: TwoGroupoid,
 
 def two_groupoid_isomorphic(g: TwoGroupoid, h: TwoGroupoid,
                             cap: int = DEFAULT_CAP):
-    """An invertible strict functor g -> h, or None."""
+    """The first invertible strict functor g -> h, in the order of
+    `enumerate_2functors`, found without listing the rest; or None."""
     if (g.n_objects, g.n1, g.n2) != (h.n_objects, h.n1, h.n2):
         return None
-    for F in enumerate_2functors(g, h, cap=cap):
+    for F in _functor_tables(g, h, False, True,
+                             as_budget(cap, "functor search")):
         if len(set(F.obj_map)) == g.n_objects and \
            len(set(F.map1)) == g.n1 and len(set(F.map2)) == g.n2:
             return F

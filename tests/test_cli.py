@@ -150,6 +150,25 @@ class TestExitCodes:
         assert code == 2
         assert "parse error" in err
 
+    def test_errors_name_the_file(self, capsys, tmp_path):
+        # with several files, the message says which one is bad
+        short, bad = tmp_path / "short.group", tmp_path / "bad.group"
+        short.write_text("group z3 order 3\n0 1 2\n1 2 0\n")
+        bad.write_text("group z3 order 3\n0 1 2\n1 2 7\n2 0 1\n")
+        z2 = str(FIX / "z2.group")
+        assert run(capsys, "check", z2, str(short)) == (
+            2, "", f"parse error: {short}: line 4: expected row of group "
+                   "table\n")
+        assert run(capsys, "check", z2, str(bad)) == (
+            1, "", f"validation error: {bad}: z3: entry out of range "
+                   "(witness: (1, 2))\n")
+        # parse_text reads no file, and names none
+        try:
+            parse_text(short.read_text())
+            assert False
+        except ParseError as exc:
+            assert str(exc) == "line 4: expected row of group table"
+
     def test_validation_error_is_1(self, capsys, tmp_path):
         p = tmp_path / "bad.group"
         p.write_text("group g order 2\n0 1\n0 1\n")
@@ -237,17 +256,17 @@ class TestExitCodes:
         bads = tmp_path / "bp7.sset"
         bads.write_text((FIX / "nz2.sset").read_text().replace(
             "basepoint 0", "basepoint 7"))
-        for argv, name, bp in (
-                (("check", str(bad2)), "bz2", 5),
-                (("invariants", str(bad2)), "bz2", 5),
-                (("hom", str(bad2), str(bad2), "--pointed"), "bz2", 5),
-                (("check", str(bads)), "nz2", 7),
+        for argv, name, path, bp in (
+                (("check", str(bad2)), "bz2", bad2, 5),
+                (("invariants", str(bad2)), "bz2", bad2, 5),
+                (("hom", str(bad2), str(bad2), "--pointed"), "bz2", bad2, 5),
+                (("check", str(bads)), "nz2", bads, 7),
                 (("enumerate-maps", str(bads), str(bads), "--pointed"),
-                 "nz2", 7)):
+                 "nz2", bads, 7)):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")
-            assert err == (f"validation error: {name}: basepoint-range "
-                           f"fails at {bp}\n")
+            assert err == (f"validation error: {path}: {name}: "
+                           f"basepoint-range fails at {bp}\n")
 
     def test_xmod_shape_is_1(self, capsys, tmp_path):
         # the boundary maps G1 -> G1; the check must hold under python -O
@@ -255,7 +274,7 @@ class TestExitCodes:
         p.write_text((FIX / "z2.xmod").read_text().replace(
             "hom z2_phi dom z2_g2 cod z2_g1\n0\n",
             "hom z2_phi dom z2_g1 cod z2_g1\n0 1\n"))
-        want = "validation error: z2: phi-domain fails at None\n"
+        want = f"validation error: {p}: z2: phi-domain fails at None\n"
         for command in ("check", "invariants"):
             assert run(capsys, command, str(p)) == (1, "", want)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -269,8 +288,8 @@ class TestExitCodes:
         p = tmp_path / "big.group"
         p.write_text("group z2 order 2\n0 99999999999999999999\n1 0\n")
         assert run(capsys, "check", str(p)) == (
-            1, "", "validation error: z2: entry out of range (witness: "
-                   "(0, 1))\n")
+            1, "", f"validation error: {p}: z2: entry out of range "
+                   "(witness: (0, 1))\n")
 
     def test_action_entry_out_of_range_is_1(self, capsys, tmp_path):
         lines = (FIX / "z2.xmod").read_text().splitlines()
@@ -281,8 +300,8 @@ class TestExitCodes:
             p.write_text("\n".join(lines) + "\n")
             for command in ("check", "invariants"):
                 assert run(capsys, command, str(p)) == (
-                    1, "", "validation error: z2_act: entry out of range "
-                           "(witness: (0, 1))\n")
+                    1, "", f"validation error: {p}: z2_act: entry out of "
+                           "range (witness: (0, 1))\n")
 
     def test_cohomology_action_of_other_groups_is_1(self, capsys, tmp_path):
         # an action of Z/2 on Z/2, given with Gamma = A = Z/4

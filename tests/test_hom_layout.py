@@ -190,7 +190,7 @@ class TestRangeAudit:
         for command in (["check"], ["nerve"], ["invariants"]):
             assert cli.main(command + [str(path)]) == 1
             err = capsys.readouterr().err
-            assert err == f"validation error: bz2: {error}\n"
+            assert err == f"validation error: {path}: bz2: {error}\n"
 
     def test_lengths_and_dict_rows(self):
         base = dict(n_objects=1, src1=[0], tgt1=[0], id1=[0], comp1=[[0]],

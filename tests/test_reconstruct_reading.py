@@ -1,8 +1,9 @@
-"""One reading of a filled complex per call, and complexes cut below the
-levels a reconstruction reads.
+"""One reading of a filled complex per filler choice, and complexes cut
+below the levels a reconstruction reads.
 
 `reconstruct`, `pentagon_via_4simplex`, `reconstruct_functor` and
-`roundtrip_report` read a complex with its fillers through one reading,
+`roundtrip_report` read the filler choice they are given, which is the
+reading of its complex: its weak 2-groupoid is built once between them,
 and the horn tables are kept on the complex, so all of them together build
 a complex's horn tables once.  A complex truncated below level
 4 is a valid simplicial set, but it cannot carry the pentagon check; the
@@ -100,6 +101,50 @@ class TestHornTablesOncePerCall:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["roundtrip", str(FIX / "nz2.sset")]) == 0
         assert list(horn_builds.values()) == [1]
+
+
+@pytest.fixture
+def gpd_builds(monkeypatch):
+    """Counts the weak 2-groupoids that readers build."""
+    built = []
+    real = rec.build_weak_2groupoid
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rec, "build_weak_2groupoid", counting)
+    return built
+
+
+class TestOneWeak2GroupoidPerChoice:
+    def test_readers_of_one_choice_share_it(self, gpd_builds):
+        x = nerve(b2g(3))
+        fc = rec.choose_fillers(x, "seeded:7")
+        w = rec.reconstruct(x, fc)
+        assert rec.pentagon_via_4simplex(x, fc)
+        assert rec.roundtrip_report(x, fc).ok
+        assert rec.reconstruct(x, fc) is w and fc.gpd is w
+        assert len(gpd_builds) == 1
+
+    def test_functor_reads_each_choice_once(self, gpd_builds):
+        xa, xb = nerve(bg(2)), nerve(b2g(2))
+        fa, fb = rec.choose_fillers(xa), rec.choose_fillers(xb)
+        for m in simplicial_maps(xa, xb):
+            rec.reconstruct_functor(m, fa, fb)
+        assert len(gpd_builds) == 2
+
+    def test_a_choice_on_another_complex_is_read_again(self, gpd_builds):
+        x, y = nerve(b2g(3)), nerve(b2g(3))  # equal complexes, two objects
+        fc = rec.choose_fillers(x)
+        w = rec.reconstruct(x, fc)
+        v = rec.reconstruct(y, fc)
+        assert v is not w and v == w and len(gpd_builds) == 2
+        assert rec.pentagon_via_4simplex(y, fc)
+        assert len(gpd_builds) == 3
+        # without a choice, each call chooses "first" afresh
+        assert rec.reconstruct(x) == rec.reconstruct(x, rec.choose_fillers(
+            x, "first"))
 
 
 def _nz2_cut(trunc):

@@ -759,7 +759,6 @@ class TestLevelByBoundary:
         assert isinstance(level, JoinLevel) and level._rows is None
         dom_rows = list(level.join)
         got = level_by_boundary(x, 4, ident, dom_rows)
-        assert level._rows is None
         stored = dataclasses.replace(x, faces=x.faces[:4] + (tuple(level),))
         assert got == level_by_boundary(stored, 4, ident, dom_rows) == \
             list(range(x.counts[4]))

@@ -21,8 +21,9 @@ from twotypes.twogpd import (
     enumerate_2transformations, fundamental_groupoid, hom_strict,
     hom_strict_data, hom_weak_trans, identity_functor, is_equivalence_2functor,
     is_fibration_2gpd, pi0, pi1_at, pi2_at, point_2gpd, product_2gpd,
-    two_group_to_xmod, xmod_to_2group,
+    two_group_to_xmod, two_groupoid_isomorphic, xmod_to_2group,
 )
+from twotypes.search import DEFAULT_CAP, Budget, SizeCapExceeded
 from twotypes.weakmaps import hom_full
 from twotypes.xmod import (
     Violation, identity_morphism, is_fibration, pi1, pi2, xmod_b2g, xmod_bg,
@@ -701,3 +702,27 @@ class TestInterchangeOnWhiskers:
         beside = _partners([g.tgt1[f] for f in g.src2],
                            [g.src1[f] for f in g.src2])
         assert twogpd._interchange_on_whiskers(g, below, beside)
+
+
+class TestIsomorphismStopsAtTheFirst:
+    @pytest.mark.parametrize("name, xm", [
+        (name, xm) for name, xm in build_corpus() if name != "id_s3"])
+    def test_the_first_bijective_functor(self, name, xm):
+        g = xmod_to_2group(xm)
+        found, listed = Budget(DEFAULT_CAP, "iso"), Budget(DEFAULT_CAP, "all")
+        first = next(F for F in enumerate_2functors(g, g, cap=listed)
+                     if len(set(F.obj_map)) == g.n_objects and
+                     len(set(F.map1)) == g.n1 and len(set(F.map2)) == g.n2)
+        assert two_groupoid_isomorphic(g, g, cap=found) == first
+        assert found.steps <= listed.steps
+
+    def test_an_early_isomorphism_under_a_cap_the_list_exceeds(self):
+        g = xmod_to_2group(xmod_bg(symmetric3()))
+        # the first of the 10 strict functors of B(S3) to itself that is
+        # invertible is found in 26 steps; all 10 take 67
+        assert two_groupoid_isomorphic(g, g, cap=26) is not None
+        with pytest.raises(SizeCapExceeded):
+            two_groupoid_isomorphic(g, g, cap=25)
+        with pytest.raises(SizeCapExceeded):
+            enumerate_2functors(g, g, cap=66)
+        assert len(enumerate_2functors(g, g, cap=67)) == 10
