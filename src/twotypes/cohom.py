@@ -438,7 +438,9 @@ def weakmap_class_count_vs_h2(n: int, m: int) -> bool:
     from .weakmaps import enumerate_transformations, enumerate_xmod_weak_maps
     from .xmod import xmod_b2g, xmod_bg
 
-    maps = enumerate_xmod_weak_maps(xmod_bg(cyclic(n)), xmod_b2g(cyclic(m)))
-    found = classes(len(maps), lambda i, j: bool(
-        enumerate_transformations(maps[i], maps[j], pointed_only=True)))
-    return len(found) == h2(cyclic(n), cyclic(m)).order
+    budget = as_budget(DEFAULT_CAP, "weak map classes")
+    maps = enumerate_xmod_weak_maps(xmod_bg(cyclic(n)), xmod_b2g(cyclic(m)),
+                                    cap=budget)
+    found = classes(len(maps), lambda i, j: bool(enumerate_transformations(
+        maps[i], maps[j], pointed_only=True, cap=budget)))
+    return len(found) == h2(cyclic(n), cyclic(m), cap=budget).order

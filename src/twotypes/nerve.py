@@ -129,11 +129,13 @@ def _nerve(g, budget: Budget) -> TruncatedSimplicialSet:
     return full
 
 
-def nerve_of_weak_functor(F: WeakFunctor) -> SimplicialMap:
+def nerve_of_weak_functor(F: WeakFunctor, cap: int | Budget = DEFAULT_CAP
+                          ) -> SimplicialMap:
     """The induced map of nerves of a weak or strict functor: a 2-simplex
     (f, g, alpha) goes to (F f, F g, [eps_{f,g}][F alpha]); level 3 follows
     by boundary lookup."""
-    nd, nc = nerve(F.dom), nerve(F.cod)
+    budget = as_budget(cap, "nerve")
+    nd, nc = nerve(F.dom, budget), nerve(F.cod, budget)
     C = F.cod
     tris = two_simplices(F.dom)
     pos2c = two_simplex_index(F.cod)

@@ -211,9 +211,7 @@ def pentagon_via_4simplex(x: TruncatedSimplicialSet,
     that its five tetrahedra exist, and that they bound a 4-simplex."""
     r = _read(x, fillers, 4)
     g, I, pos3 = r.gpd, r.pairs, _positions(x, 3)
-    # a JoinLevel tests membership by compatibility, without its rows
-    rows4 = x.faces[4] if isinstance(x.faces[4], JoinLevel) else \
-        set(x.faces[4])
+    rows = []
 
     def untilt(f, gg, c):
         """2-simplex over the pair (f, gg) whose interior cell is c."""
@@ -246,9 +244,13 @@ def pentagon_via_4simplex(x: TruncatedSimplicialSet,
                         (t123, t023, t013, t012),   # d4: 0123
                     )
                     zs = tuple(map(pos3.get, tets))
-                    if None in zs or zs not in rows4:
+                    if None in zs:
                         return False
-    return True
+                    rows.append(zs)
+    # every row at once: a JoinLevel tests them by compatibility, unlisted
+    level = x.faces[4]
+    return level.join.holds(rows) if isinstance(level, JoinLevel) else \
+        set(rows) <= set(level)
 
 
 def reconstruct_functor(m: SimplicialMap, dom_fillers: FillerChoice,

@@ -3,6 +3,8 @@ grouping helper and one store of tables built from a fixed object.
 
 `Budget` enforces every cap: `tick` counts steps, and `admit` compares a
 size about to be built with the cap, at no step.  Caps default to DEFAULT_CAP.
+A library call makes one budget, at its top (`as_budget`), and hands it to
+every search and nerve it runs, so that its cap bounds the whole call.
 
 `search` runs every exhaustive search of the library: maps of nerves,
 functors, weak maps of crossed modules, transformations and
@@ -83,7 +85,7 @@ class Budget:
 
 
 def as_budget(cap: int | Budget, stage: str) -> Budget:
-    """A search's cap as a Budget: an int starts one for this stage, and a
+    """A call's cap as a Budget: an int starts one for this stage, and a
     Budget is shared as it is, so that one cap bounds every stage of a
     command."""
     return cap if isinstance(cap, Budget) else Budget(cap, stage)

@@ -1075,7 +1075,7 @@ def level_by_boundary(y: TruncatedSimplicialSet, n: int, below,
     The images are gathered in one pass.  A stored level of y is looked up
     in its boundary -> index dict (`_positions`), kept on y by `derived`,
     as the maps of the homotopy bridge all land in one nerve.  A JoinLevel
-    is ranked by one walk of its join."""
+    is ranked in its listed rows."""
     images = _cut(_gather(below, tuple(itertools.chain.from_iterable(rows))),
                   n + 1)
     if isinstance(y.faces[n], JoinLevel):
@@ -1177,20 +1177,20 @@ class Homotopies:
         return fixed
 
     def find(self, f: SimplicialMap, g: SimplicialMap, pointed: bool = False,
-             cap: int = DEFAULT_CAP,
+             cap: int | Budget = DEFAULT_CAP,
              fixed: Optional[dict] = None) -> Optional[SimplicialMap]:
         """A homotopy from f to g, or None; fixed, when given, is
         self.fixed(f, g, pointed)."""
         if fixed is None:
             fixed = self.fixed(f, g, pointed)
         found = enumerate_maps_3trunc(
-            self.prism, self.y, fixed=fixed, cap=cap, first_only=True,
-            plan=self.plan)
+            self.prism, self.y, fixed=fixed, first_only=True, plan=self.plan,
+            cap=as_budget(cap, "homotopy search"))
         return found[0] if found else None
 
 
-def homotopic(f: SimplicialMap, g: SimplicialMap, cap: int = DEFAULT_CAP,
-              pointed: bool = False) -> bool:
+def homotopic(f: SimplicialMap, g: SimplicialMap,
+              cap: int | Budget = DEFAULT_CAP, pointed: bool = False) -> bool:
     """Existence of H on Delta^1 x dom restricting to f and g on the ends
     and, when pointed, to the basepoint on the base column.
 
@@ -1203,11 +1203,13 @@ def homotopic(f: SimplicialMap, g: SimplicialMap, cap: int = DEFAULT_CAP,
     return Homotopies(f.dom, f.cod).find(f, g, pointed, cap) is not None
 
 
-def homotopy_classes(maps: Sequence[SimplicialMap], cap: int = DEFAULT_CAP):
+def homotopy_classes(maps: Sequence[SimplicialMap],
+                     cap: int | Budget = DEFAULT_CAP):
     """Partition by the equivalence closure of the homotopy relation.  The
     maps share their domain and codomain, so one prism serves every pair."""
+    budget = as_budget(cap, "homotopy classes")
     if not maps:
         return []
     h = Homotopies(maps[0].dom, maps[0].cod)
     return classes(len(maps), lambda i, j: h.find(maps[i], maps[j],
-                                                  cap=cap) is not None)
+                                                  cap=budget) is not None)

@@ -1061,21 +1061,22 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, lister, cap: int | Budget,
                   pointed: bool = False, strict: bool = False):
     """The hom 2-groupoid of the functors that lister lists.
 
-    Every search runs under one budget, with its stage set to the one
-    reached.  A 1-cell is (i, j, t, theta), theta None when strict.  Each
+    Every search runs under one budget, its stage suffixed by the cells
+    listed.  A 1-cell is (i, j, t, theta), theta None when strict.  Each
     composite is formed only from cells that compose: 1-cells grouped by
     source functor, 2-cells by source 1-cell and by its source functor.
     Once every cell is listed, and before any row is built, the defined
     entries are counted from those groups and admitted by the budget, at
     no step.  Each row is made once, as a dict."""
     budget = as_budget(cap, "hom")
-    budget.stage = "hom functors"
+    stage = budget.stage
+    budget.stage = f"{stage} functors"
     functors = lister(D, C, pointed=pointed, cap=budget)
     objs = range(D.n_objects)
     weak = not strict
     one_cells = []           # (dom functor idx, cod functor idx, t, theta)
     fillers = []             # theta of each, identities when strict
-    budget.stage = "hom transformations"
+    budget.stage = f"{stage} transformations"
     for i, P in enumerate(functors):
         for j, Q in enumerate(functors):
             for t, theta in enumerate_2transformations(P, Q, pointed, strict,
@@ -1087,7 +1088,7 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, lister, cap: int | Budget,
     # 2-cells: modifications
     between = group(zip(src1, tgt1))
     two_cells = []
-    budget.stage = "hom modifications"
+    budget.stage = f"{stage} modifications"
     for x, (i, j, t, _) in enumerate(one_cells):
         for y in between[(i, j)]:
             for mu in enumerate_2modifications(
@@ -1101,7 +1102,7 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, lister, cap: int | Budget,
     entries = (sum(len(out_of[j]) for j in tgt1) +
                sum(len(from_cell[y]) for y in tgt2) +
                sum(len(from_functor[tgt1[x]]) for x in src2))
-    budget.stage = "hom"
+    budget.stage = stage
     budget.admit(entries, f"tables of {entries} entries")
     # a 1-cell by its flat key (i, j, *t, *theta)
     cell_pos = {(c[0], c[1], *c[2], *(c[3] or ())): k
@@ -1162,7 +1163,7 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, lister, cap: int | Budget,
 def hom_strict_data(D: TwoGroupoid, C: TwoGroupoid,
                     cap: int | Budget = DEFAULT_CAP):
     """hom 2-groupoid plus the underlying functor/transformation/modification
-    lists, indexed in cell order; one cap bounds every search."""
+    lists, indexed in cell order."""
     return _assemble_hom(D, C, enumerate_2functors, cap, strict=True)
 
 
@@ -1181,13 +1182,13 @@ def hom_weak_trans(D: TwoGroupoid, C: TwoGroupoid,
 # -- exponential law ---------------------------------------------------------
 
 def two_groupoid_isomorphic(g: TwoGroupoid, h: TwoGroupoid,
-                            cap: int = DEFAULT_CAP):
+                            cap: int | Budget = DEFAULT_CAP):
     """The first invertible strict functor g -> h, in the order of
     `enumerate_2functors`, found without listing the rest; or None."""
     if (g.n_objects, g.n1, g.n2) != (h.n_objects, h.n1, h.n2):
         return None
     for F in _functor_tables(g, h, False, True,
-                             as_budget(cap, "functor search")):
+                             as_budget(cap, "isomorphism search")):
         if len(set(F.obj_map)) == g.n_objects and \
            len(set(F.map1)) == g.n1 and len(set(F.map2)) == g.n2:
             return F
@@ -1195,7 +1196,7 @@ def two_groupoid_isomorphic(g: TwoGroupoid, h: TwoGroupoid,
 
 
 def check_exponential_law(E: TwoGroupoid, D: TwoGroupoid, C: TwoGroupoid,
-                          cap: int = DEFAULT_CAP) -> bool:
+                          cap: int | Budget = DEFAULT_CAP) -> bool:
     """Currying is an isomorphism hom(E x D, C) ~ hom(E, hom(D, C)).
 
     The currying map is built cell by cell: a functor on the product
@@ -1204,10 +1205,11 @@ def check_exponential_law(E: TwoGroupoid, D: TwoGroupoid, C: TwoGroupoid,
     between those restrictions.  The resulting assignment is checked to be a
     strict functor and bijective at every level.
     """
+    budget = as_budget(cap, "exponential law")
     ed = product_2gpd(E, D)
-    lhs, lhs_fun, lhs_one, lhs_two = hom_strict_data(ed, C, cap=cap)
-    hom_dc, dc_fun, dc_one, dc_two = hom_strict_data(D, C, cap=cap)
-    rhs, rhs_fun, rhs_one, rhs_two = hom_strict_data(E, hom_dc, cap=cap)
+    lhs, lhs_fun, lhs_one, lhs_two = hom_strict_data(ed, C, cap=budget)
+    hom_dc, dc_fun, dc_one, dc_two = hom_strict_data(D, C, cap=budget)
+    rhs, rhs_fun, rhs_one, rhs_two = hom_strict_data(E, hom_dc, cap=budget)
 
     dc_fun_pos = {(F.obj_map, F.map1, F.map2): i for i, F in enumerate(dc_fun)}
     dc_one_pos = {c: i for i, c in enumerate(dc_one)}

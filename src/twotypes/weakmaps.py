@@ -191,7 +191,7 @@ def enumerate_weak_functors(dom, cod, pointed: bool = False,
 def hom_full(D: TwoGroupoid, C: TwoGroupoid, pointed_only: bool = False,
              cap: int | Budget = DEFAULT_CAP) -> TwoGroupoid:
     """The 2-groupoid of weak functors, weak transformations, and
-    modifications; one cap bounds every search.  D may be weak; a weak C
+    modifications.  D may be weak; a weak C
     raises a Violation before any search."""
     _refuse_weak_codomain(C)
     return _assemble_hom(D, C, enumerate_weak_functors, cap,
@@ -316,14 +316,15 @@ def enumerate_xmod_weak_maps(H: CrossedModule, G: CrossedModule,
 
 
 def check_w5_equivalence(H: CrossedModule, G: CrossedModule,
-                         cap: int = DEFAULT_CAP) -> bool:
+                         cap: int | Budget = DEFAULT_CAP) -> bool:
     """Whether the one-variable W5 and the two-variable W5' select the same
     subset of the candidates that satisfy W0-W4.  Once eps is normalised
     (W0), W5' at y = x^-1 is exactly W5, so W5' never accepts a candidate
     that W5 rejects: the two agree exactly when every weak map (W0-W5)
     satisfies W5'."""
     return all(_w5_prime_holds(H, G, P.p1, P.p2, P.eps) is True
-               for P in enumerate_xmod_weak_maps(H, G, cap=cap))
+               for P in enumerate_xmod_weak_maps(
+                   H, G, cap=as_budget(cap, "W5 equivalence")))
 
 
 def _transformation_witness(P: XmodWeakMap, Q: XmodWeakMap, a, theta):
@@ -385,8 +386,8 @@ def enumerate_transformations(P: XmodWeakMap, Q: XmodWeakMap,
 def enumerate_modifications(T: XmodTransformation, S: XmodTransformation
                             ) -> list[XmodModification]:
     """Elements mu with a phi(mu) = b and mu sigma(x) = theta(x) mu^{q1(x)},
-    in the order of G2, read off the modifications of the weak functors
-    under the default cap."""
+    in the order of G2, read off the modifications of the weak functors."""
+    budget = as_budget(DEFAULT_CAP, "modification search")
     P = T.src
     g1, n2 = P.cod.g1, P.cod.g2.order
 
@@ -397,7 +398,8 @@ def enumerate_modifications(T: XmodTransformation, S: XmodTransformation
 
     return [XmodModification(src=T, tgt=S, mu=mu[0] % n2)
             for mu in enumerate_2modifications(
-                *_functors(P, T.tgt), cells(T), cells(S))]
+                *_functors(P, T.tgt, cap=budget), cells(T), cells(S),
+                cap=budget)]
 
 
 # -- dictionary with one-object 2-groupoids -----------------------------------
@@ -442,7 +444,8 @@ def xmod_weak_map_from_weak_functor(F: WeakFunctor, H: CrossedModule,
 
 # -- transformations versus simplicial homotopies -----------------------------
 
-def transformation_to_homotopy(P: WeakFunctor, Q: WeakFunctor, t, theta):
+def transformation_to_homotopy(P: WeakFunctor, Q: WeakFunctor, t, theta,
+                               cap: int | Budget = DEFAULT_CAP):
     """The simplicial homotopy N P => N Q induced by a weak transformation:
     each prism over a 1-cell is split along the diagonal t_A Q(c), the upper
     triangle carrying the identity and the lower carrying theta_c.  It is
@@ -451,10 +454,9 @@ def transformation_to_homotopy(P: WeakFunctor, Q: WeakFunctor, t, theta):
     from . import nerve as nerve_mod
     from .simpset import check_simplicial_map, level_by_boundary, prism
 
-    D = P.dom
-    C = P.cod
-    ND = nerve_mod.nerve(D)
-    NC = nerve_mod.nerve(C)
+    D, C = P.dom, P.cod
+    budget = as_budget(cap, "nerve")
+    ND, NC = nerve_mod.nerve(D, budget), nerve_mod.nerve(C, budget)
     tri_pos = nerve_mod.two_simplex_index(C)
     tris = nerve_mod.two_simplices(D)
     prod = prism(ND, 3)
@@ -493,14 +495,15 @@ def transformation_to_homotopy(P: WeakFunctor, Q: WeakFunctor, t, theta):
     return check_simplicial_map(prod, NC, [lvl0, lvl1, lvl2, lvl3])
 
 
-def transformation_from_homotopy(hmap, P: WeakFunctor, Q: WeakFunctor):
+def transformation_from_homotopy(hmap, P: WeakFunctor, Q: WeakFunctor,
+                                 cap: int | Budget = DEFAULT_CAP):
     """Read (t, theta) off a homotopy N P => N Q: t from the diagonal over
     each identity edge, theta_c from the two triangles of the prism over c
     as [lower][upper]^{-1}."""
     from . import nerve as nerve_mod
 
     D, C = P.dom, P.cod
-    ND = nerve_mod.nerve(D)
+    ND = nerve_mod.nerve(D, cap)
     ctris = nerve_mod.two_simplices(C)
     c1, c2 = ND.counts[1], ND.counts[2]
     t = tuple(hmap.levels[1][1 * c1 + ND.degens[0][A][0]]
@@ -516,7 +519,7 @@ def transformation_from_homotopy(hmap, P: WeakFunctor, Q: WeakFunctor):
 
 
 def pi0_hom_vs_homotopy_classes(H: TwoGroupoid, G: TwoGroupoid,
-                                cap: int = DEFAULT_CAP) -> bool:
+                                cap: int | Budget = DEFAULT_CAP) -> bool:
     """The transformation relation on weak functors coincides with pointed
     simplicial homotopy of their nerves, verified constructively in both
     directions, so the two class counts agree.  H may be weak; a weak G
@@ -525,36 +528,30 @@ def pi0_hom_vs_homotopy_classes(H: TwoGroupoid, G: TwoGroupoid,
     from .simpset import Homotopies, simplicial_maps
 
     _refuse_weak_codomain(G)
-    funcs = enumerate_weak_functors(H, G, pointed=True, cap=cap)
-    NH = nerve_mod.nerve(H)
-    NG = nerve_mod.nerve(G)
-    nmaps = [nerve_mod.nerve_of_weak_functor(F) for F in funcs]
+    budget = as_budget(cap, "homotopy bridge")
+    funcs = enumerate_weak_functors(H, G, pointed=True, cap=budget)
+    NH, NG = nerve_mod.nerve(H, budget), nerve_mod.nerve(G, budget)
+    nmaps = [nerve_mod.nerve_of_weak_functor(F, budget) for F in funcs]
     keyed = {m.levels[:4] for m in nmaps}
-    all_maps = simplicial_maps(NH, NG, cap=cap)
-    if len(keyed) != len(funcs) or \
-       keyed != {m.levels[:4] for m in all_maps}:
+    if len(keyed) != len(funcs) or keyed != {
+            m.levels[:4] for m in simplicial_maps(NH, NG, cap=budget)}:
         return False
 
     homotopies = Homotopies(NH, NG)
-    n = len(funcs)
-    for i in range(n):
-        for j in range(n):
-            trans = enumerate_2transformations(funcs[i], funcs[j],
-                                               pointed=True, cap=cap)
-            fixed = homotopies.fixed(nmaps[i], nmaps[j], pointed=True)
-            hmt = homotopies.find(nmaps[i], nmaps[j], pointed=True, cap=cap,
-                                  fixed=fixed)
+    for P, f in zip(funcs, nmaps):
+        for Q, g in zip(funcs, nmaps):
+            trans = enumerate_2transformations(P, Q, pointed=True, cap=budget)
+            fixed = homotopies.fixed(f, g, pointed=True)
+            hmt = homotopies.find(f, g, pointed=True, cap=budget, fixed=fixed)
             if bool(trans) != (hmt is not None):
                 return False
             if trans:
-                t, theta = trans[0]
-                built = transformation_to_homotopy(funcs[i], funcs[j], t, theta)
+                built = transformation_to_homotopy(P, Q, *trans[0], budget)
                 if any(built.levels[lvl][z] != img
                        for (lvl, z), img in fixed.items()):
                     return False
             if hmt is not None:
-                t, theta = transformation_from_homotopy(hmt, funcs[i],
-                                                        funcs[j])
-                if not is_2transformation(funcs[i], funcs[j], t, theta):
+                t, theta = transformation_from_homotopy(hmt, P, Q, budget)
+                if not is_2transformation(P, Q, t, theta):
                     return False
     return True

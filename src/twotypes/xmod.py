@@ -256,7 +256,7 @@ def check_strict_transformation(p: XmodMorphism, q: XmodMorphism,
 def enumerate_strict_transformations(p: XmodMorphism, q: XmodMorphism,
                                      pointed_only: bool = False):
     """All (a, theta) linking p to q, in lexicographic order, by the
-    search for transformations of weak maps under its default cap."""
+    search for transformations of weak maps."""
     from .weakmaps import enumerate_transformations
 
     return [(T.a, T.theta) for T in enumerate_transformations(

@@ -110,3 +110,27 @@ def test_tables_are_kept_on_their_objects():
                      if m.split(".")[0] == "weakref"]
     assert weak == []
     assert defined == ["search.py"]
+
+
+def test_a_cap_is_one_budget_for_the_whole_call():
+    # every function makes at most one budget, by `search.as_budget`, and
+    # hands it on, so each cap takes an int or a Budget to share; only
+    # Budget's own cap is the int it holds, and only the commands start a
+    # Budget by name
+    loose, made = [], set()
+    for path in sorted((ROOT / "src" / "twotypes").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == \
+                        "Budget":
+                    made.add(path.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                hints = [arg.annotation and ast.unparse(arg.annotation)
+                         for arg in a.posonlyargs + a.args + a.kwonlyargs
+                         if arg.arg == "cap"]
+                loose += [(path.name, node.name, hint) for hint in hints
+                          if hint != "int | Budget"]
+    assert loose == [("search.py", "__init__", "int")]
+    assert made == {"cli.py", "search.py"}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from twotypes.fingroup import cyclic
@@ -84,6 +86,24 @@ class TestPentagon:
             fc = choose_fillers(x)
             reconstruct(x, fc)  # audits the direct associativity sweep
             assert pentagon_via_4simplex(x, fc)
+
+    def test_a_stored_level_4_without_an_assembled_row_fails(self):
+        # the check assembles one 4-simplex per composable quadruple of
+        # edges; B^2 Z/2 has one edge, so its one row is s0 s0 s0 s0 of the
+        # vertex, each face s0 s0 s0 of it
+        x = nerve(b2g(2))
+        fc = choose_fillers(x)
+        stored = tuple(x.faces[4])
+
+        def without(row):
+            return dataclasses.replace(x, faces=x.faces[:4] + (
+                tuple(r for r in stored if r != row),))
+
+        e = x.degens[0][x.basepoint][0]
+        t = x.degens[2][x.degens[1][e][0]][0]
+        assert pentagon_via_4simplex(without(None), fc)
+        assert [row for row in stored
+                if not pentagon_via_4simplex(without(row), fc)] == [(t,) * 5]
 
 
 class TestFailures:

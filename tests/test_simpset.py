@@ -752,7 +752,7 @@ class TestLevelByBoundary:
             assert level_by_boundary(b2z2, 3, m.levels[2], bz2.faces[3]) \
                 == list(m.levels[3])
 
-    def test_join_level_is_ranked_without_its_rows(self):
+    def test_join_level_is_ranked_from_its_listed_rows(self):
         x = nerve(xmod_to_2group(xmod_b2g(cyclic(2))))
         ident = list(range(x.counts[3]))
         level = x.faces[4]
@@ -767,7 +767,7 @@ class TestLevelByBoundary:
         x = nerve(xmod_to_2group(xmod_b2g(cyclic(3))))
         _assert_first_missing(x, 3, x.faces[3])
         rows4 = list(x.faces[4].join)
-        assert x.faces[4]._rows is None  # so ranks walks the join
+        assert x.faces[4]._rows is None  # so ranks lists the rows itself
         _assert_first_missing(x, 4, rows4)
         _assert_first_missing(dataclasses.replace(
             x, faces=x.faces[:4] + (tuple(x.faces[4]),)), 4, rows4)
