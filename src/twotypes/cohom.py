@@ -66,10 +66,11 @@ def _resolve_action(gamma: FiniteGroup, a: FiniteGroup,
 
 
 def two_cocycles(gamma: FiniteGroup, a: FiniteGroup, action=None,
-                 budget=None) -> list[tuple[tuple[int, ...], ...]]:
+                 cap: int | Budget = DEFAULT_CAP
+                 ) -> list[tuple[tuple[int, ...], ...]]:
     """All 2-cocycles as |Gamma| x |Gamma| tables, by backtracking over the
     entries in row order, each cocycle identity checked once its four
-    entries are set."""
+    entries are set; cap bounds the nodes of that search."""
     _require_abelian(a)
     action = _resolve_action(gamma, a, action)
     n = gamma.order
@@ -86,7 +87,7 @@ def two_cocycles(gamma: FiniteGroup, a: FiniteGroup, action=None,
     entries = list(itertools.product(range(n), repeat=2))
     return [tuple(tuple(f[x, y] for y in range(n)) for x in range(n))
             for _ in search(entries, lambda e: range(a.order), constraints,
-                            f, budget)]
+                            f, as_budget(cap, "2-cocycle search"))]
 
 
 # -- H^1 and H^2 by integer linear algebra ----------------------------------

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy  # unused; see tests/test_imports.py::test_cli_still_imports_numpy
 
-from .search import search
+from .search import DEFAULT_CAP, as_budget, search
 
 
 class NotAGroup(ValueError):
@@ -435,9 +435,11 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup):
     generator at a time, and a prefix stays only while it extends to an
     injective hom on the subgroup its generators span.  An isomorphism
     restricts to one there, so none is cut, and the first found is the
-    first of the full product of images (exponential in the worst case).
-    Groups whose element orders differ, counted with multiplicity, are not
-    isomorphic, and are refused before the search.
+    first of the full product of images.  That search is exponential in
+    the worst case, so it runs under one budget of DEFAULT_CAP steps and
+    raises SizeCapExceeded past it.  Groups whose element orders differ,
+    counted with multiplicity, are not isomorphic, and are refused before
+    the search.
     """
     g_orders = [g.element_order(a) for a in g.elements]
     h_orders = [h.element_order(b) for b in h.elements]
@@ -455,7 +457,8 @@ def find_isomorphism(g: FiniteGroup, h: FiniteGroup):
 
     for _ in search(range(len(gens)), candidates.__getitem__,
                     [((k,), functools.partial(injective, k))
-                     for k in range(len(gens))], images):
+                     for k in range(len(gens))], images,
+                    as_budget(DEFAULT_CAP, "group isomorphism search")):
         table = _hom_on_span(g, h, gens, [images[i] for i in range(len(gens))])
         return make_hom(g, h, map(table.get, range(g.order)))
     return None

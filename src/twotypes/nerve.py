@@ -181,14 +181,14 @@ def induced_pi(F) -> tuple:
 
 def nerve_preserves_fiber_products(F: WeakFunctor, G: WeakFunctor) -> bool:
     """The canonical map N(X x_Z Y) -> N(X) x_{N(Z)} N(Y) is an isomorphism
-    of truncated simplicial sets."""
+    of truncated simplicial sets.  One budget of DEFAULT_CAP admits every
+    nerve it reads."""
+    budget = as_budget(DEFAULT_CAP, "nerve fiber product")
     P, px, py = fiber_product_2gpd(F, G)
-    nf = extend_to_level4(nerve_of_weak_functor(F))
-    ng = extend_to_level4(nerve_of_weak_functor(G))
-    npx = extend_to_level4(nerve_of_weak_functor(px))
-    npy = extend_to_level4(nerve_of_weak_functor(py))
+    nf, ng, npx, npy = (extend_to_level4(nerve_of_weak_functor(H, budget))
+                        for H in (F, G, px, py))
     fib, pairs, pos = sset_fiber_product(nf, ng)
-    NP = nerve(P)
+    NP = nerve(P, budget)
     levels = []
     for n in range(5):
         lvl = []

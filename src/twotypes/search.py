@@ -6,9 +6,10 @@ size about to be built with the cap, at no step.  Caps default to DEFAULT_CAP.
 A library call makes one budget, at its top (`as_budget`), and hands it to
 every search and nerve it runs, so that its cap bounds the whole call.
 
-`search` runs every exhaustive search of the library: maps of nerves,
-functors, weak maps of crossed modules, transformations and
-modifications, crossed homomorphisms and 2-cocycles.  One functor search
+`search` runs every exhaustive search of the library, always under the
+budget it is given (no search runs unbounded): maps of nerves, functors,
+weak maps of crossed modules, transformations and modifications, group
+isomorphisms and 2-cocycles.  One functor search
 serves strict and weak functors, and one transformation search serves
 strict and weak morphisms of crossed modules: a strict one is the weak
 one whose coherence cells are identities.  A caller states
@@ -51,7 +52,7 @@ copy made by `dataclasses.replace` starts with none.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, MutableMapping, Optional
+from typing import Callable, Hashable, Iterable, MutableMapping
 
 
 DEFAULT_CAP = 10 ** 6
@@ -118,8 +119,7 @@ class Plan:
 def search(order: Iterable[Hashable],
            domain: Callable[[Hashable], Iterable],
            constraints: Iterable[Constraint],
-           assign: MutableMapping,
-           budget: Optional[Budget] = None):
+           assign: MutableMapping, budget: Budget):
     """Yield once per full assignment of order that satisfies every
     constraint; the values are in assign when it yields.
 
@@ -138,14 +138,13 @@ def search(order: Iterable[Hashable],
 
 
 def run(plan: Plan, domain: Callable[[Hashable], Iterable],
-        assign: MutableMapping, budget: Optional[Budget] = None):
+        assign: MutableMapping, budget: Budget):
     """The search of plan, as `search` describes it; the one backtracking
     loop of the library."""
     order, closing = plan.order, plan.closing
     if not all(pred() for pred in plan.ahead):
         return
-    if budget is not None:
-        budget.tick()
+    budget.tick()
     if not order:
         yield
         return
@@ -166,8 +165,7 @@ def run(plan: Plan, domain: Callable[[Hashable], Iterable],
                 assign.pop(v, None)
                 values.pop()
                 continue
-            if budget is not None:
-                budget.tick()
+            budget.tick()
             if depth + 1 == len(order):
                 yield
             else:

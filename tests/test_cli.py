@@ -4,6 +4,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from twotypes.cli import main
 from twotypes.fingroup import direct_product, klein_four, symmetric3
 from twotypes.textio import (
@@ -168,6 +170,23 @@ class TestExitCodes:
             assert False
         except ParseError as exc:
             assert str(exc) == "line 4: expected row of group table"
+
+    @pytest.mark.parametrize("text, line, expected", [
+        ("sset x trunc 1 sizes 1 1\n", 1, "counts"),
+        ("sset x trunc 1 counts 1 1 base 0\n", 1, "basepoint <i>"),
+        ("sset x trunc 1 counts 1 1\nfaces 2\n", 2, "faces 1"),
+        ("sset x trunc 1 counts 1 1\nfaces 1\n0 0\ndegens 1\n0\n", 4,
+         "degens 0"),
+        ("# no name\ngroup\n0\n", 2, "block header with a name"),
+        ("group g\n0\n", 1, "header key order"),
+    ], ids=["sset-counts", "sset-basepoint", "sset-faces", "sset-degens",
+            "header-name", "header-key"])
+    def test_header_errors_name_the_file_and_line(self, capsys, tmp_path,
+                                                  text, line, expected):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        assert run(capsys, "check", str(p)) == (
+            2, "", f"parse error: {p}: line {line}: expected {expected}\n")
 
     def test_validation_error_is_1(self, capsys, tmp_path):
         p = tmp_path / "bad.group"

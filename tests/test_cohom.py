@@ -93,7 +93,7 @@ def crossed_homs(gamma, a, action=None):
                    for x, y in itertools.product(range(n), repeat=2)]
     return [tuple(theta[x] for x in range(n))
             for _ in search(range(n), lambda x: range(a.order), constraints,
-                            theta)]
+                            theta, Budget(10 ** 6, "crossed homs"))]
 
 
 def _flat(table):

@@ -1,5 +1,6 @@
 import pytest
 
+from twotypes import nerve as nerve_mod
 from twotypes.fingroup import cyclic, find_isomorphism, trivial_group
 from twotypes.nerve import (
     induced_pi, nerve, nerve_of_weak_functor,
@@ -149,6 +150,34 @@ class TestFiberProducts:
 
     def test_two_collapses(self):
         assert nerve_preserves_fiber_products(*COSPANS["two_collapses"]())
+
+    @staticmethod
+    def broken(monkeypatch, breaks):
+        """The check on two collapses of BZ/2, with breaks(pairs, pos)
+        applied to the levelwise pullback it reads."""
+        real = nerve_mod.sset_fiber_product
+
+        def broken_product(f, g):
+            fib, pairs, pos = real(f, g)
+            breaks(pairs, pos)
+            return fib, pairs, pos
+        monkeypatch.setattr(nerve_mod, "sset_fiber_product", broken_product)
+        return nerve_preserves_fiber_products(*COSPANS["two_collapses"]())
+
+    def test_a_simplex_missing_from_the_pullback(self, monkeypatch):
+        assert not self.broken(
+            monkeypatch, lambda pairs, pos: pos[1].pop(pairs[1][-1]))
+
+    def test_a_pullback_level_with_an_extra_simplex(self, monkeypatch):
+        assert not self.broken(
+            monkeypatch, lambda pairs, pos: pairs[1].append(pairs[1][0]))
+
+    def test_a_bijection_that_is_not_simplicial(self, monkeypatch):
+        # the identity edge (0, 0) swapped with (1, 1): s0 fails
+        def swap(pairs, pos):
+            a, b = pairs[1][0], pairs[1][-1]
+            pos[1][a], pos[1][b] = pos[1][b], pos[1][a]
+        assert not self.broken(monkeypatch, swap)
 
     @pytest.mark.parametrize("name", COSPANS)
     def test_projections_pass_the_audit(self, name):

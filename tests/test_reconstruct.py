@@ -2,14 +2,17 @@ import dataclasses
 
 import pytest
 
+from twotypes import reconstruct as reconstruct_mod
 from twotypes.fingroup import cyclic
 from twotypes.nerve import nerve
 from twotypes.reconstruct import (
-    FillingFailure, choose_fillers, pentagon_via_4simplex, reconstruct,
-    reconstruct_functor, roundtrip_report,
+    FillingFailure, RoundtripReport, choose_fillers, pentagon_via_4simplex,
+    reconstruct, reconstruct_functor, roundtrip_report,
 )
 from twotypes.simpset import coskeleton, make_sset, simplicial_maps
-from twotypes.twogpd import two_groupoid_isomorphic, xmod_to_2group
+from twotypes.twogpd import (
+    build_two_groupoid, two_groupoid_isomorphic, xmod_to_2group,
+)
 from twotypes.weakmaps import to_strict
 from twotypes.xmod import xmod_b2g, xmod_bg
 
@@ -105,8 +108,34 @@ class TestPentagon:
         assert [row for row in stored
                 if not pentagon_via_4simplex(without(row), fc)] == [(t,) * 5]
 
+    def test_a_missing_tetrahedron_fails(self, monkeypatch):
+        # every tetrahedron of N(BZ/2) is a face of an assembled 4-simplex
+        x = nerve(bg(2))
+        fc = choose_fillers(x)
+        real = reconstruct_mod._positions
+
+        def without_one(y, n):
+            pos = dict(real(y, n))
+            if n == 3:
+                del pos[x.faces[3][-1]]
+            return pos
+        monkeypatch.setattr(reconstruct_mod, "_positions", without_one)
+        assert not pentagon_via_4simplex(x, fc)
+
 
 class TestFailures:
+    def test_roundtrip_against_another_2groupoid_is_not_simplicial(self):
+        # B^2 Z/2 with its identity 2-cell at index 1: the cells and counts
+        # of the reconstruction of N(B^2 Z/2), but another labelling, so
+        # the cellwise map sends a degenerate 2-simplex to one that is not
+        x = nerve(b2g(2))
+        swapped = [[1, 0], [0, 1]]
+        gpd = build_two_groupoid(1, [0], [0], [0], [[0]], [0, 0], [0, 0],
+                                 [1], swapped, swapped, basepoint=0)
+        assert roundtrip_report(x, gpd=gpd) == RoundtripReport(
+            simplicial=False, bijective=(False,) * 4, counts_match=True)
+        assert roundtrip_report(x).ok
+
     def test_sphere_has_nonunique_fillers(self):
         with pytest.raises(FillingFailure):
             reconstruct(sphere_fixture())

@@ -20,7 +20,8 @@ class TestSearch:
     def test_equals_product_filter_in_order(self):
         assign = {}
         got = [dict(assign) for _ in search(
-            "xyz", lambda v: range(4), _problem(assign), assign)]
+            "xyz", lambda v: range(4), _problem(assign), assign,
+            Budget(10 ** 6, "test search"))]
         want = []
         for x, y, z in itertools.product(range(4), repeat=3):
             assign = {"x": x, "y": y, "z": z}
@@ -33,7 +34,7 @@ class TestSearch:
         assign = {}
         got = [(assign["x"], assign["y"]) for _ in search(
             "xy", lambda v: range(assign["x"]) if v == "y" else range(3),
-            [], assign)]
+            [], assign, Budget(10 ** 6, "test search"))]
         assert got == [(1, 0), (2, 0), (2, 1)]
 
     def test_predicate_runs_once_per_node_with_its_vars_set(self):
@@ -45,7 +46,8 @@ class TestSearch:
             return True
 
         nodes = sum(1 for _ in search("xyz", lambda v: range(3),
-                                      [(("z", "x"), pred)], assign))
+                                      [(("z", "x"), pred)], assign,
+                                      Budget(10 ** 6, "test search")))
         assert nodes == 27
         assert sorted(seen) == sorted(
             (x, z) for x, _, z in itertools.product(range(3), repeat=3))
@@ -61,7 +63,8 @@ class TestSearch:
             return check
 
         assert sum(1 for _ in search("xy", lambda v: range(2),
-                                     [(("w",), pred(1))], assign)) == 4
+                                     [(("w",), pred(1))], assign,
+                                     Budget(10 ** 6, "test search"))) == 4
         assert calls == [1]
         budget = Budget(10, "test search")
         assert list(search("xy", lambda v: range(2), [(("w",), pred(0))],
@@ -71,14 +74,17 @@ class TestSearch:
 
     def test_restores_assign(self):
         assign = {"w": 0}
-        assert len(list(search("xy", lambda v: range(2), [], assign))) == 4
+        assert len(list(search("xy", lambda v: range(2), [], assign,
+                               Budget(10 ** 6, "test search")))) == 4
         assert assign == {"w": 0}
-        for _ in search("xy", lambda v: range(2), [], assign):
+        for _ in search("xy", lambda v: range(2), [], assign,
+                        Budget(10 ** 6, "test search")):
             break
         assert assign == {"w": 0}
 
     def test_empty_order_yields_once(self):
-        assert len(list(search([], lambda v: [], [], {}))) == 1
+        assert len(list(search([], lambda v: [], [], {},
+                               Budget(10 ** 6, "test search")))) == 1
 
     def test_one_step_per_node(self):
         # root, 2 values of x, 2 * 2 values of y
@@ -89,6 +95,16 @@ class TestSearch:
         with pytest.raises(SizeCapExceeded):
             list(search("xy", lambda v: range(2), [], {},
                         Budget(6, "test search")))
+
+
+    def test_a_budget_is_required(self):
+        # no search runs unbounded: the kernel has no unbudgeted mode
+        with pytest.raises(TypeError):
+            search("xy", lambda v: range(2), [], {})
+        with pytest.raises(TypeError):
+            run(Plan("xy", []), lambda v: range(2), {})
+        with pytest.raises(AttributeError):
+            list(search("xy", lambda v: range(2), [], {}, None))
 
 
 class TestPlan:

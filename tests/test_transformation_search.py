@@ -85,7 +85,8 @@ def old_transformations(P, Q, pointed=False, strict=False, cap=10 ** 6):
 def old_is_2transformation(P, Q, t, theta):
     assign = dict(enumerate(tuple(t) + tuple(theta)))
     return any(True for _ in search(
-        (), None, old_constraints(P, Q, assign), assign))
+        (), None, old_constraints(P, Q, assign), assign,
+        Budget(10 ** 6, "old")))
 
 
 def _runs(functors, pointed, strict, lister, fresh=False):

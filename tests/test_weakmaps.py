@@ -14,7 +14,7 @@ from test_twogpd import (
 
 from twotypes import simpset, twogpd, weakmaps
 from twotypes.fingroup import cyclic
-from twotypes.nerve import nerve
+from twotypes.nerve import nerve, nerve_of_weak_functor
 from twotypes.reconstruct import choose_fillers, reconstruct
 from twotypes.search import Budget
 from twotypes.simpset import SizeCapExceeded
@@ -511,6 +511,60 @@ class TestHomotopyBridge:
         coskeleta = self.record_results(monkeypatch, "coskeleton")
         assert pi0_hom_vs_homotopy_classes(H, G)
         assert coskeleta == []
+
+
+class TestTheBridgeCanSayNo:
+    """Each exit of the bridge that returns False, reached by breaking one
+    reader it calls, on BZ/2 -> B^2 Z/2, where it holds."""
+
+    def test_a_map_list_that_drops_a_map(self, monkeypatch):
+        real = simpset.simplicial_maps
+        monkeypatch.setattr(simpset, "simplicial_maps",
+                            lambda *args, **kwargs: real(*args, **kwargs)[:-1])
+        assert not pi0_hom_vs_homotopy_classes(bg(2), b2g(2))
+
+    def test_no_transformation_for_one_pair(self, monkeypatch):
+        # the first pair is a functor and itself, which has its identity
+        real, calls = enumerate_2transformations, []
+
+        def first_empty(*args, **kwargs):
+            calls.append(args)
+            return [] if len(calls) == 1 else real(*args, **kwargs)
+        monkeypatch.setattr(weakmaps, "enumerate_2transformations",
+                            first_empty)
+        assert not pi0_hom_vs_homotopy_classes(bg(2), b2g(2))
+        assert calls[0][0] is calls[0][1]
+
+    def test_a_built_homotopy_with_one_end_cell_moved(self, monkeypatch):
+        H, G = bg(2), b2g(2)
+        real = transformation_to_homotopy
+
+        def moved(*args):
+            m = real(*args)
+            lvl2 = list(m.levels[2])
+            lvl2[0] = 1 - lvl2[0]       # N(B^2 Z/2) has two 2-simplices
+            return dataclasses.replace(
+                m, levels=m.levels[:2] + (tuple(lvl2),) + m.levels[3:])
+        monkeypatch.setattr(weakmaps, "transformation_to_homotopy", moved)
+        assert not pi0_hom_vs_homotopy_classes(H, G)
+        # (2, 0) lies on the end {0} x N(BZ/2), so each homotopy fixes it
+        f = nerve_of_weak_functor(
+            enumerate_weak_functors(H, G, pointed=True)[0])
+        assert (2, 0) in simpset.Homotopies(nerve(H), nerve(G)).fixed(
+            f, f, pointed=True)
+
+    def test_a_read_back_theta_with_one_entry_changed(self, monkeypatch):
+        # theta at the identity 1-cell must be an identity 2-cell, and
+        # B^2 Z/2 has two 2-cells
+        real = transformation_from_homotopy
+
+        def changed(hmap, P, Q, cap):
+            t, theta = real(hmap, P, Q, cap)
+            e = P.dom.id1[P.dom.basepoint]
+            return t, theta[:e] + (1 - theta[e],) + theta[e + 1:]
+        monkeypatch.setattr(weakmaps, "transformation_from_homotopy",
+                            changed)
+        assert not pi0_hom_vs_homotopy_classes(bg(2), b2g(2))
 
 
 class TestHomTower:
