@@ -11,18 +11,21 @@ complex whose inclusion is a homotopy equivalence, so H^n is the same
     (d1 theta)(x,y) = theta(x)^y + theta(y) - theta(xy),
     (d2 f)(x,y,z)   = f(x,y)^z + f(xy,z) - f(y,z) - f(x,yz).
 
-h1 and h2 compute H^n = ker dn / im d(n-1) without listing a cochain.  A
-is decomposed once as a sum of cyclic groups Z/d_i, by a Smith form of the
+h1 and h2 compute H^n = ker dn / im d(n-1) without listing a cochain.  A is
+decomposed once as a sum of cyclic groups Z/d_i, by a Smith form of the
 relations of its Cayley graph, and each x in Gamma acts on that basis by an
-integer matrix M_x.  Then C^n is Z^N modulo the d_i, and dn is a sparse
-integer matrix.  Every lattice involved contains e Z^N, e = exp(A), so its
-entries are kept modulo e: the cocycles are Z^N cut by one row of dn at a
-time, then put in Hermite form; the image of d(n-1) and the d_i Z^N are
-written in that basis by exact back-substitution; and a Smith form of those
-coordinates gives H^n as a sum of cyclic groups.  The cost depends on |Gamma|
-and the number of cyclic factors of A, not on how Gamma is labelled.  See
-Holt, Eick and O'Brien, Handbook of Computational Group Theory, 7.6, and
-Cohen, A Course in Computational Algebraic Number Theory, 2.4.
+integer matrix M_x.  Then C^n is Z^N modulo the d_i, and dn is a sparse integer
+matrix.  Every lattice involved contains e Z^N, e = exp(A), so its entries are
+kept modulo e.  A cochain c with dc = 0 is fixed by its values at the cells
+that start in a generating set S of Gamma: dc = 0 at (s, x, ...) gives
+c(sx, ...) = c(x, ...) + terms at cells that start with s, and c is 0 at
+(1, ...).  So, with c = dn f, the cocycles are Z^N cut by the rows of dn at
+those cells; with c a cocycle, they are put in Hermite form on the coordinates
+at those cells alone, listed first, and the image of d(n-1) and the d_i Z^N are
+written in that basis.  A Smith form of those coordinates gives H^n as a sum of
+cyclic groups.  The cost depends on |Gamma|, |S| and the number of cyclic
+factors of A.  See Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 7.6, and Cohen, A Course in Computational Algebraic Number Theory, 2.4.
 
 The same lattices give the coboundary map d: C^1 -> Z^2 as a homomorphism
 of sums of cyclic groups: Z^2 is the Hermite basis of the cocycles modulo
@@ -200,14 +203,13 @@ def _cyclic_decomposition(a: FiniteGroup):
     return orders, [to(word[x]) for x in range(a.order)]
 
 
-def _coboundary_rows(gamma: FiniteGroup, mats, orders, n: int):
-    """The rows of dn on normalized cochains, one per coordinate (cell, i)
-    of C^(n+1) in the order of the cells of Gamma*^(n+1) and then i, each a
-    dict from the coordinates of C^n to coefficients, reduced modulo d_i.
-    A term whose source cell holds the identity is 0, and is dropped."""
+def _coboundary_rows(gamma: FiniteGroup, mats, orders, n: int, cells, first):
+    """The rows of dn on normalized cochains at the cells of Gamma*^(n+1)
+    that start in first, Gamma* listed as cells, one per coordinate (cell,
+    i) in that order and then i: dicts from the coordinates of C^n to
+    coefficients modulo d_i, without the terms at cells with an identity."""
     mul, r, one = gamma.mul, len(orders), gamma.identity
-    index = {x: k for k, x in enumerate(
-        x for x in gamma.elements if x != one)}
+    index = {x: k for k, x in enumerate(cells)}
 
     def at(cell):
         pos = 0
@@ -216,7 +218,7 @@ def _coboundary_rows(gamma: FiniteGroup, mats, orders, n: int):
         return pos * r
 
     rows = []
-    for cell in itertools.product(index, repeat=n + 1):
+    for cell in itertools.product(first, *[cells] * n):
         if n == 0:
             (x,) = cell
             terms = [(mats[x], ()), (-1, ())]
@@ -288,8 +290,8 @@ def _hermite(gens, size: int, e: int):
 
 
 def _coordinates(basis, b) -> list[int]:
-    """The integer coordinates of the vector b in the triangular basis,
-    by exact back-substitution; b must lie in its lattice."""
+    """The coordinates in the triangular basis of b's prefix on its columns,
+    by exact back-substitution; that prefix must lie in its lattice."""
     b = list(b)
     out = []
     for k, row in enumerate(basis):
@@ -299,7 +301,7 @@ def _coordinates(basis, b) -> list[int]:
                                   f"of {row[k]}")
         out.append(q)
         if q:
-            for j in range(k, len(b)):
+            for j in range(k, len(row)):
                 b[j] -= q * row[j]
     return out
 
@@ -325,31 +327,32 @@ def _sum_group(orders) -> FiniteGroup:
 
 def _cocycle_lattice(gamma: FiniteGroup, a: FiniteGroup, action, n: int,
                      budget: Budget):
-    """(orders, images, cocycles) for C^n, the vectors of Z^width modulo
-    the orders of the cyclic factors of A, repeated for each cell of
-    Gamma*^n: images[j] is d(n-1) of the j-th coordinate of C^(n-1),
-    and cocycles is the Hermite basis of the preimage of ker dn in Z^width.
-    One budget step per entry of each matrix, counted before it is built."""
+    """(orders, images, cocycles) for C^n, Z^width modulo the orders of the
+    cyclic factors of A per cell of Gamma*^n, generators first in Gamma*:
+    images[j] is d(n-1) of the j-th coordinate of C^(n-1), and cocycles the
+    Hermite basis of the preimage of ker dn, cut by its rows at the generators,
+    on the coordinates at the cells that start with a generator.  One step
+    per entry of d(n-1) and of those rows, counted before it is built."""
     _require_abelian(a)
     action = _resolve_action(gamma, a, action)
     orders, coords = _cyclic_decomposition(a)
-    r, size = len(orders), gamma.order - 1
+    r, size, one = len(orders), gamma.order - 1, gamma.identity
     e = lcm(*orders)
     unit = {coords[x]: x for x in range(a.order)}
     basis = [unit[tuple(int(i == j) for j in range(r))] for i in range(r)]
     mats = [[[coords[action.act[basis[j]][x]][i] for j in range(r)]
              for i in range(r)] for x in gamma.elements]
+    gens = generating_set(gamma)
+    cells = gens + [x for x in gamma.elements if x != one and x not in gens]
     width = size ** n * r
     budget.tick(width * size ** (n - 1) * r)
-    lower = _coboundary_rows(gamma, mats, orders, n - 1)
-    budget.tick(size ** (n + 1) * r * width)
-    upper = _coboundary_rows(gamma, mats, orders, n)
-    cocycles = _hermite(_cut(upper, orders * size ** (n + 1), width, e),
-                        width, e)
-    images = [[0] * width for _ in range(size ** (n - 1) * r)]
-    for i, row in enumerate(lower):
-        for j, c in row.items():
-            images[j][i] = c
+    lower = _coboundary_rows(gamma, mats, orders, n - 1, cells, cells)
+    budget.tick(len(gens) * size ** n * r * width)
+    upper = _coboundary_rows(gamma, mats, orders, n, cells, gens)
+    cocycles = _hermite(_cut(upper, orders * len(gens) * size ** n, width, e),
+                        len(gens) * size ** (n - 1) * r, e)
+    images = [[row.get(j, 0) for row in lower]
+              for j in range(size ** (n - 1) * r)]
     return orders, images, cocycles
 
 
@@ -384,10 +387,10 @@ def coboundary_hom(gamma: FiniteGroup, a: FiniteGroup, action=None,
                    cap: int | Budget = DEFAULT_CAP) -> GroupHom:
     """The homomorphism d: C^1 -> Z^2 of normalized cochains, both groups
     in cyclic coordinates: C^1 is the sum of the cyclic factors of A, one
-    copy per element of Gamma*, and Z^2 comes from the
-    presentation of the cocycle lattice modulo the orders of C^2.  One
-    budget step per entry of d1 and d2, as h2 counts them, and one per
-    element of C^1 and of Z^2; then the budget admits their tables."""
+    copy per element of Gamma*, and Z^2 comes from the presentation of the
+    cocycle lattice modulo the orders of C^2.  One budget step per entry of
+    d1 and of the rows of d2 that h2 builds, and one per element of C^1 and
+    of Z^2; then the budget admits their tables."""
     budget = as_budget(cap, "coboundary hom")
     orders, images, cocycles = _cocycle_lattice(gamma, a, action, 2, budget)
     zorders, to = _presentation(

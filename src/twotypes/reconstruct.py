@@ -294,10 +294,12 @@ def roundtrip_report(x: TruncatedSimplicialSet,
     gpd = r.gpd if gpd is None else gpd
     n = nerve(gpd, cap=cap)
     pos2n = two_simplex_index(gpd)
-    lvl2 = [pos2n[(x.faces[2][u][2], x.faces[2][u][0], r.pos[r.right(u)])]
+    lvl2 = [pos2n.get((x.faces[2][u][2], x.faces[2][u][0], r.pos[r.right(u)]))
             for u in range(x.counts[2])]
     levels = [list(range(x.counts[0])), list(range(x.counts[1])), lvl2]
     try:
+        if None in lvl2:
+            raise Violation("level2-image", lvl2.index(None))
         levels.append(level_by_boundary(n, 3, lvl2, x.faces[3]))
         check_simplicial_map(x, n, levels)
         simplicial = True

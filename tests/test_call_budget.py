@@ -216,7 +216,7 @@ UNCAPPED = {
     "enumerate_modifications": (weakmaps, _modifications, [0, 1, 2, 3], 5,
                                 "modification search"),
     "weakmap_class_count_vs_h2": (
-        cohom, lambda: lambda: weakmap_class_count_vs_h2(3, 3), True, 299,
+        cohom, lambda: lambda: weakmap_class_count_vs_h2(3, 3), True, 283,
         "weak map classes"),
     "find_isomorphism": (fingroup, _isomorphism, (0, 2, 4, 6, 1, 3, 5, 7), 3,
                          "group isomorphism search"),

@@ -352,11 +352,12 @@ class TestExitCodes:
         assert "cohomology exceeded the cap of 1000 steps" in err
 
     def test_cohomology_cap_is_the_count_of_matrix_entries(self, capsys):
-        # S3 on Z/4, on the 5 elements other than e: h1 builds d0 (5 x 1)
-        # and d1 (25 x 5), h2 builds d1 again and d2 (125 x 25), all under
-        # one cap
-        total = 5 * 1 + 25 * 5 + 25 * 5 + 125 * 25
-        assert total == 3380
+        # S3 on Z/4, on the 5 elements other than e, with 2 generators: h1
+        # builds d0 (5 x 1) and the rows of d1 at the generators (10 x 5),
+        # h2 builds d1 whole (25 x 5) and the rows of d2 at the generators
+        # (50 x 25), all under one cap
+        total = 5 * 1 + 10 * 5 + 25 * 5 + 50 * 25
+        assert total == 1430
         argv = ["cohomology", "--gamma", str(FIX / "s3.group"),
                 "--coeff", str(FIX / "z4.group"), "--cap"]
         assert run(capsys, *argv, str(total)) == (
@@ -367,7 +368,7 @@ class TestExitCodes:
 
     def test_cohomology_answer_table_is_counted_against_the_cap(
             self, capsys, tmp_path):
-        # V4 on (Z/2)^4: the matrices take 4 800 steps and the table of
+        # V4 on (Z/2)^4: the matrices take 3 360 steps and the table of
         # H1 (256 elements) 65 536 entries, but H2 has 4 096 elements, so
         # its table would hold 16 777 216 entries; none is built
         p = tmp_path / "z2x4.group"

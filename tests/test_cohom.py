@@ -279,20 +279,23 @@ class TestCohomologyGroups:
                 assert other.steps == budget.steps
 
     def test_steps_are_matrix_entries(self):
-        # S3 on Z/4, one cyclic factor, on the 5 elements other than e:
-        # h1 builds d0 (5 x 1) and d1 (25 x 5), h2 builds d1 and d2
-        # (125 x 25)
+        # S3 on Z/4, one cyclic factor, on the 5 elements other than e,
+        # with a generating set of 2: h1 builds d0 (5 x 1) and the rows of
+        # d1 at the generators (10 x 5), h2 builds d1 whole (25 x 5) and
+        # the rows of d2 at the generators (50 x 25)
         budget = Budget(10 ** 6, "cohomology")
         h1(symmetric3(), cyclic(4), cap=budget)
-        assert budget.steps == 5 + 125 == 130
+        assert budget.steps == 5 + 50 == 55
         h2(symmetric3(), cyclic(4), cap=budget)
-        assert budget.steps == 5 + 125 + 125 + 125 * 25 == 3380
-        # V4 on V4, two cyclic factors: d0 is (3*2) x 2, d1 (9*2) x (3*2)
+        assert budget.steps == 5 + 50 + 125 + 50 * 25 == 1430
+        # V4 on V4, two cyclic factors and two generators: d0 is (3*2) x 2,
+        # the rows of d1 at the generators (2*3*2) x (3*2)
         budget = Budget(10 ** 6, "cohomology")
         h1(klein_four(), klein_four(), cap=budget)
-        assert budget.steps == 6 * 2 + 18 * 6 == 120
+        assert budget.steps == 6 * 2 + 12 * 6 == 84
+        h2(symmetric3(), cyclic(4), cap=125 + 50 * 25)
         with pytest.raises(SizeCapExceeded):
-            h2(symmetric3(), cyclic(4), cap=125 + 125 * 25 - 1)
+            h2(symmetric3(), cyclic(4), cap=125 + 50 * 25 - 1)
 
     def test_cap_counts_the_answer_table(self, monkeypatch):
         # H1(Z/2, V4) = Hom(Z/2, V4) has 4 elements, so 16 table entries,
@@ -327,9 +330,10 @@ class TestCohomologyGroups:
             fn(cyclic(2), cyclic(2), cap=7)
 
     def test_cap_counts_every_element_before_a_table(self, monkeypatch):
-        # V4 on V4: 108 entries of d1, 972 of d2, |C^1| = 64 and
-        # |Z^2| = 256, so 1 400 steps, all before the first table; the two
-        # tables then hold 64^2 + 256^2 = 69 632 entries
+        # V4 on V4: 108 entries of d1, 648 of the rows of d2 at the two
+        # generators, |C^1| = 64 and |Z^2| = 256, so 1 076 steps, all
+        # before the first table; the two tables then hold
+        # 64^2 + 256^2 = 69 632 entries
         built = []
         sum_group = cohom._sum_group
 
@@ -339,12 +343,12 @@ class TestCohomologyGroups:
 
         monkeypatch.setattr(cohom, "_sum_group", spy)
         with pytest.raises(SizeCapExceeded, match="^coboundary hom exceeded "
-                           "the cap of 1399 steps$"):
-            extension_xmod(klein_four(), klein_four(), cap=1400 - 1)
-        # at 1 400 every step passes, and the tables are the first refused
+                           "the cap of 1075 steps$"):
+            extension_xmod(klein_four(), klein_four(), cap=1076 - 1)
+        # at 1 076 every step passes, and the tables are the first refused
         with pytest.raises(SizeCapExceeded, match="^coboundary hom: tables "
-                           "of 69632 entries exceed the cap of 1400$"):
-            extension_xmod(klein_four(), klein_four(), cap=1400)
+                           "of 69632 entries exceed the cap of 1076$"):
+            extension_xmod(klein_four(), klein_four(), cap=1076)
         with pytest.raises(SizeCapExceeded, match="^coboundary hom: tables "
                            "of 69632 entries exceed the cap of 69631$"):
             extension_xmod(klein_four(), klein_four(), cap=69_632 - 1)
@@ -353,7 +357,7 @@ class TestCohomologyGroups:
         assert (xm.g2.order, xm.g1.order) == (64, 256) and len(built) == 2
 
     def test_tables_of_coboundary_hom_are_admitted_at_once(self):
-        # Z/6 on Z/4: 5 298 steps, and |C^1| = |Z^2| = 1 024, so tables of
+        # Z/6 on Z/4: 2 798 steps, and |C^1| = |Z^2| = 1 024, so tables of
         # 2 097 152 entries
         start = time.process_time()
         with pytest.raises(SizeCapExceeded, match="^coboundary hom: tables "

@@ -136,6 +136,13 @@ class TestFailures:
             simplicial=False, bijective=(False,) * 4, counts_match=True)
         assert roundtrip_report(x).ok
 
+    def test_roundtrip_against_a_2groupoid_without_its_cells(self):
+        # B^2 Z/2 has one 1-cell, so no 2-simplex of N(BZ/2) with a
+        # nonidentity edge has an image there
+        report = roundtrip_report(nerve(bg(2)), gpd=b2g(2))
+        assert report == RoundtripReport(
+            simplicial=False, bijective=(False,) * 4, counts_match=False)
+
     def test_sphere_has_nonunique_fillers(self):
         with pytest.raises(FillingFailure):
             reconstruct(sphere_fixture())
