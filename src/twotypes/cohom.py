@@ -387,10 +387,10 @@ def coboundary_hom(gamma: FiniteGroup, a: FiniteGroup, action=None,
                    cap: int | Budget = DEFAULT_CAP) -> GroupHom:
     """The homomorphism d: C^1 -> Z^2 of normalized cochains, both groups
     in cyclic coordinates: C^1 is the sum of the cyclic factors of A, one
-    copy per element of Gamma*, and Z^2 comes from the presentation of the
-    cocycle lattice modulo the orders of C^2.  One budget step per entry of
-    d1 and of the rows of d2 that h2 builds, and one per element of C^1 and
-    of Z^2; then the budget admits their tables."""
+    copy per element of Gamma*, generators first, and Z^2 the presentation
+    of the cocycle lattice modulo the orders of C^2, read at the generators.
+    One step per entry of d1 and of the rows of d2 that h2 builds, and one
+    per element of C^1 and of Z^2; then the budget admits their tables."""
     budget = as_budget(cap, "coboundary hom")
     orders, images, cocycles = _cocycle_lattice(gamma, a, action, 2, budget)
     zorders, to = _presentation(
