@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .search import DEFAULT_CAP, Budget, SizeCapExceeded, classes
+from .search import DEFAULT_CAP, Budget, SizeCapExceeded
 from .textio import (
     ParseError, ValidationError, Workspace, describe_group, parse_file,
 )
@@ -166,16 +166,15 @@ def cmd_hom(args) -> int:
 
 def cmd_pi0hom(args) -> int:
     from . import weakmaps
+    from .twogpd import _components
     _, _, h = _subject(args.dom, ("xmod",))
     _, _, g = _subject(args.cod, ("xmod",))
     budget = Budget(args.cap, "pi0hom weak maps")
     maps = weakmaps.enumerate_xmod_weak_maps(h, g, cap=budget)
     budget.stage = "pi0hom transformations"
-    found = classes(len(maps), lambda i, j: bool(
-        weakmaps.enumerate_transformations(maps[i], maps[j],
-                                           pointed_only=args.pointed,
-                                           cap=budget)))
-    print(f"classes: {len(found)}")
+    found = _components([P.functor for P in maps], args.pointed, False,
+                        budget)
+    print(f"classes: {len({r for r, _ in found})}")
     return 0
 
 

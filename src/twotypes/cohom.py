@@ -44,7 +44,7 @@ from .fingroup import (
     FiniteGroup, GroupAction, GroupHom, generating_set, make_group, make_hom,
     trivial_action,
 )
-from .search import DEFAULT_CAP, Budget, as_budget, classes, search
+from .search import DEFAULT_CAP, Budget, as_budget, search
 from .xmod import ANotAbelian, CrossedModule, Violation, check_crossed_module
 
 
@@ -439,12 +439,13 @@ def weakmap_class_count_vs_h2(n: int, m: int) -> bool:
     from the one-object 2-group on Z/n to the one-2-cell 2-group on Z/m
     equals the order of H2(Z/n, Z/m)."""
     from .fingroup import cyclic
-    from .weakmaps import enumerate_transformations, enumerate_xmod_weak_maps
+    from .twogpd import _components
+    from .weakmaps import enumerate_xmod_weak_maps
     from .xmod import xmod_b2g, xmod_bg
 
     budget = as_budget(DEFAULT_CAP, "weak map classes")
     maps = enumerate_xmod_weak_maps(xmod_bg(cyclic(n)), xmod_b2g(cyclic(m)),
                                     cap=budget)
-    found = classes(len(maps), lambda i, j: bool(enumerate_transformations(
-        maps[i], maps[j], pointed_only=True, cap=budget)))
-    return len(found) == h2(cyclic(n), cyclic(m), cap=budget).order
+    found = _components([P.functor for P in maps], True, False, budget)
+    return len({r for r, _ in found}) == \
+        h2(cyclic(n), cyclic(m), cap=budget).order

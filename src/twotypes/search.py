@@ -180,7 +180,8 @@ def classes(n: int, linked: Callable[[int, int], bool]) -> list[list[int]]:
 
     linked(i, j) is asked only for i < j, in ascending order of (i, j), and
     only while i and j are in different classes.  Classes are sorted lists,
-    ordered by least member.
+    ordered by least member.  This closes any relation; for one known to
+    be an equivalence, `twogpd.representatives` asks far fewer pairs.
     """
     parent = list(range(n))
 

@@ -21,7 +21,7 @@ import itertools
 import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, not_
 from typing import Iterable, Optional, Sequence
 
 from .search import (  # SizeCapExceeded is re-exported
@@ -892,7 +892,10 @@ class MapPlan:
     once per (x, y): y's simplices by boundary and its boundary tuples one
     level up, and per level the search order of x's nondegenerate
     simplices with the up-face constraints that prune them, and a getter
-    of each simplex's face images (`boundaries`).
+    of each simplex's face images (`boundaries`).  Only the faces of x's
+    nondegenerate simplices one level up are constraints, as those of a
+    degenerate one cannot fail (`level`), and the constraints that close
+    at one position of the order are tested in one call (`compiled`).
 
     A level is planned when a search first reaches it, and compiled into a
     `search.Plan` once per set of its simplices that the search pins (the
@@ -926,19 +929,23 @@ class MapPlan:
 
     def level(self, n: int):
         """Level n's variable order, over all its nondegenerate simplices,
-        and its up-face constraints on assign[n], each keyed by the faces
-        of a level-(n+1) simplex of x."""
+        and the keys of its up-face constraints: the distinct faces of the
+        nondegenerate level-(n+1) simplices of x, whose images must be the
+        faces of a simplex of y.  The order is made from the faces of every
+        level-(n+1) simplex.  A degenerate one, s_j w, needs no constraint:
+        its faces go to those of s_j F(w), as the search forces the
+        degenerate cells and each candidate has the boundary of its faces'
+        images."""
         if n not in self._levels:
             order = [z for z, degenerate in enumerate(self.degenerate[n])
                      if not degenerate]
             up = list(dict.fromkeys(self.x.faces[n + 1])) \
                 if n < self.depth or self.ordered_top else []
-            keys, a = self.up_keys[n], self.assign[n]
+            keys = [] if self.up_keys[n] is None or not up else list(
+                dict.fromkeys(itertools.compress(self.x.faces[n + 1], map(
+                    not_, self.x.degenerate_flags(n + 1)))))
             self._levels[n] = (
-                _constraint_order(order, up) if up else order,
-                [] if keys is None else
-                [(key, lambda get=itemgetter(*key): get(a) in keys)
-                 for key in up])
+                _constraint_order(order, up) if up else order, keys)
         return self._levels[n]
 
     def boundaries(self, n: int) -> list:
@@ -951,12 +958,25 @@ class MapPlan:
 
     def compiled(self, n: int, pinned: frozenset) -> Plan:
         """Level n's search with the pinned simplices left out of its
-        order; built once per level and set of pinned simplices."""
+        order; built once per level and set of pinned simplices.  The
+        constraints that close at one position are tested in one call: one
+        getter reads the images of all their keys, cut into tuples of n + 2
+        faces, and y's boundary set must hold every tuple."""
         plan = self._compiled.get((n, pinned))
         if plan is None:
-            order, cons = self.level(n)
-            plan = self._compiled[(n, pinned)] = Plan(
-                [z for z in order if z not in pinned], cons)
+            order, keys = self.level(n)
+            order = [z for z in order if z not in pinned]
+            at = {z: i for i, z in enumerate(order)}
+            closing = group(max((at[z] for z in key if z in at), default=-1)
+                            for key in keys)
+            bounds, a, width = self.up_keys[n], self.assign[n], n + 2
+            cons = []
+            for ks in closing.values():
+                flat = tuple(itertools.chain.from_iterable(
+                    keys[k] for k in ks))
+                cons.append((flat, lambda get=itemgetter(*flat): bounds.
+                             issuperset(zip(*[iter(get(a))] * width))))
+            plan = self._compiled[(n, pinned)] = Plan(order, cons)
         return plan
 
     def _extend(self, n, pins, budget):
@@ -1205,11 +1225,23 @@ def homotopic(f: SimplicialMap, g: SimplicialMap,
 
 def homotopy_classes(maps: Sequence[SimplicialMap],
                      cap: int | Budget = DEFAULT_CAP):
-    """Partition by the equivalence closure of the homotopy relation.  The
-    maps share their domain and codomain, so one prism serves every pair."""
+    """Partition by the equivalence closure of the homotopy relation, as
+    sorted lists ordered by least member.  The maps share their domain and
+    codomain, so one prism serves every pair.
+
+    Into a Kan complex homotopy is an equivalence (Goerss and Jardine,
+    ch. I), so each map is tested only against the least member of each
+    class found so far (`twogpd.representatives`).  Into any other target
+    the relation is closed over every pair (`search.classes`)."""
+    from .twogpd import representatives
+
     budget = as_budget(cap, "homotopy classes")
     if not maps:
         return []
     h = Homotopies(maps[0].dom, maps[0].cod)
+    if is_kan(maps[0].cod) is True:
+        return list(group(r for r, _ in representatives(
+            len(maps), lambda r, i: h.find(maps[r], maps[i],
+                                           cap=budget))).values())
     return classes(len(maps), lambda i, j: h.find(maps[i], maps[j],
                                                   cap=budget) is not None)

@@ -981,6 +981,13 @@ def enumerate_2transformations(P, Q, pointed: bool = False,
     every c does, so the square must commute.  When pointed, t at the
     basepoint is the identity.  All functors dom -> cod share one plan; a
     weak cod raises a Violation before the search."""
+    return list(_transformations(P, Q, pointed, strict,
+                                 as_budget(cap, "transformation search")))
+
+
+def _transformations(P, Q, pointed: bool, strict: bool, budget: Budget):
+    """The search of `enumerate_2transformations`, yielding each (t, theta)
+    as it is found, so that a caller may stop at the first (`_first`)."""
     dom, cod = P.dom, P.cod
     no = dom.n_objects
     if pointed:
@@ -1002,10 +1009,18 @@ def enumerate_2transformations(P, Q, pointed: bool = False,
         return cod.between2.get((lhs, rhs), [])
 
     n = no + dom.n1
-    return [(tuple(assign[A] for A in range(no)),
-             tuple(assign[v] for v in range(no, n)))
-            for _ in run(found.plan, domain, assign,
-                         as_budget(cap, "transformation search"))]
+    for _ in run(found.plan, domain, assign, budget):
+        yield (tuple(assign[A] for A in range(no)),
+               tuple(assign[v] for v in range(no, n)))
+
+
+def _first(found):
+    """The first item of the search generator found, or None; the search is
+    closed either way, so that its variables leave their assign."""
+    try:
+        return next(found, None)
+    finally:
+        found.close()
 
 
 def is_2transformation(P, Q, t, theta) -> bool:
@@ -1030,6 +1045,13 @@ def enumerate_2modifications(P, Q, x, y, pointed: bool = False,
     mu_A: t_A => s_A with [theta_c][mu_A Q(c)] = [P(c) mu_B][sigma_c] for
     every 1-cell c: A -> B.  When pointed, mu at the basepoint is the
     identity."""
+    return list(_modifications(P, Q, x, y, pointed,
+                               as_budget(cap, "modification search")))
+
+
+def _modifications(P, Q, x, y, pointed: bool, budget: Budget):
+    """The search of `enumerate_2modifications`, yielding each mu as it is
+    found."""
     (t, theta), (s, sigma) = x, y
     dom, cod = P.dom, P.cod
     vcomp, hcomp, id2 = cod.vcomp, cod.hcomp2, cod.id2
@@ -1052,9 +1074,89 @@ def enumerate_2modifications(P, Q, x, y, pointed: bool = False,
         square, A, B, theta[c], id2[Q.map1[c]], hcomp[id2[P.map1[c]]],
         sigma[c])) for c, (A, B) in enumerate(zip(dom.src1, dom.tgt1))]
     no = dom.n_objects
-    return [tuple(mu[A] for A in range(no))
-            for _ in search(range(no), domain, cons, mu,
-                            as_budget(cap, "modification search"))]
+    for _ in search(range(no), domain, cons, mu, budget):
+        yield tuple(mu[A] for A in range(no))
+
+
+def representatives(n: int, link) -> list[tuple[int, object]]:
+    """Each i in range(n) as (r, link(r, i)): r the least member of its
+    class and the witness that links it, or (i, None) when i starts a class.
+
+    i is tested only against the least member of each class found so far,
+    in ascending order, and joins the first r for which link(r, i) is not
+    None.  That is exact when "link(r, i) is not None" is an equivalence;
+    else `search.classes`, which closes the relation over every pair, is
+    the one to use."""
+    reps, out = [], []
+    for i in range(n):
+        for r in reps:
+            found = link(r, i)
+            if found is not None:
+                out.append((r, found))
+                break
+        else:
+            reps.append(i)
+            out.append((i, None))
+    return out
+
+
+def _components(functors, pointed: bool, strict: bool, budget: Budget):
+    """`representatives` of the functors into one strict 2-groupoid under
+    "a transformation exists", each with the first transformation from its
+    representative; exact, as every transformation is invertible there."""
+    return representatives(len(functors), lambda r, i: _first(
+        _transformations(functors[r], functors[i], pointed, strict, budget)))
+
+
+def _identity_transformation(P) -> tuple:
+    C = P.cod
+    return (tuple(C.id1[A] for A in P.obj_map),
+            tuple(C.id2[c] for c in P.map1))
+
+
+def _then(D, C, x, y) -> tuple:
+    """x then y, for transformations x = (t, theta): P => Q and y = (s,
+    sigma): Q => R of functors D -> C: (t s, [theta s][t sigma])."""
+    (t, theta), (s, sigma) = x, y
+    hcomp, id2 = C.hcomp2, C.id2
+    return (tuple(C.comp1[f][g] for f, g in zip(t, s)),
+            tuple(C.vcomp[hcomp[a][id2[s[B]]]][hcomp[id2[t[A]]][b]]
+                  for a, b, A, B in zip(theta, sigma, D.src1, D.tgt1)))
+
+
+def _hom_sets(functors, pointed: bool, strict: bool, budget: Budget) -> dict:
+    """Trans(P, Q) of the functors into one strict 2-groupoid, keyed by
+    their indices (i, j), for the pairs in one component; no key, no
+    transformation.  Each list is in the order of
+    `enumerate_2transformations(P, Q)`.
+
+    `_components` sorts the functors into components.  Then, per functor
+    P with representative R, one search stops at the first transformation
+    P => R, and one lists Aut(P).  Composing with any rho: P => Q is a
+    bijection Aut(Q) -> Trans(P, Q), so Trans(P, Q) is rho then each of
+    Aut(Q), with rho through R.  Sorted, it is in the search's order: the
+    search reads each domain from `between1` and `between2`, whose lists
+    are ascending, so it lists in lexicographic order.  No pair of
+    functors is searched but those `_components` tests."""
+    if not functors:
+        return {}
+    D, C = functors[0].dom, functors[0].cod
+    found = _components(functors, pointed, strict, budget)
+    forth, back, aut = [], [], []
+    for i, (r, x) in enumerate(found):
+        ident = _identity_transformation(functors[i])
+        forth.append(ident if x is None else x)
+        back.append(ident if r == i else _first(_transformations(
+            functors[i], functors[r], pointed, strict, budget)))
+        aut.append(enumerate_2transformations(functors[i], functors[i],
+                                              pointed, strict, budget))
+    table = {}
+    for members in group(r for r, _ in found).values():
+        for i in members:
+            for j in members:
+                rho = _then(D, C, back[i], forth[j])
+                table[(i, j)] = sorted(_then(D, C, rho, s) for s in aut[j])
+    return table
 
 
 def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, lister, cap: int | Budget,
@@ -1062,7 +1164,13 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, lister, cap: int | Budget,
     """The hom 2-groupoid of the functors that lister lists.
 
     Every search runs under one budget, its stage suffixed by the cells
-    listed.  A 1-cell is (i, j, t, theta), theta None when strict.  Each
+    listed.  A 1-cell is (i, j, t, theta), theta None when strict.  The
+    1-cells are the lists of `_hom_sets`, in order of (i, j).  The 2-cells
+    are listed the same way: Aut(1_P) once per functor P, Aut(y) for y =
+    (s, sigma) out of P as its whiskering nu_A s_A, and Mod(x, y) as mu0
+    then each of Aut(y), sorted, with mu0 the first modification x => y
+    (the identity when x = y), so a pair of parallel 1-cells takes at most
+    one search, stopped at its first find.  Each
     composite is formed only from cells that compose: 1-cells grouped by
     source functor, 2-cells by source 1-cell and by its source functor.
     Once every cell is listed, and before any row is built, the defined
@@ -1077,24 +1185,32 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, lister, cap: int | Budget,
     one_cells = []           # (dom functor idx, cod functor idx, t, theta)
     fillers = []             # theta of each, identities when strict
     budget.stage = f"{stage} transformations"
-    for i, P in enumerate(functors):
-        for j, Q in enumerate(functors):
-            for t, theta in enumerate_2transformations(P, Q, pointed, strict,
-                                                       budget):
-                one_cells.append((i, j, t, theta if weak else None))
-                fillers.append(theta)
+    hom_sets = _hom_sets(functors, pointed, strict, budget)
+    for i, j in sorted(hom_sets):
+        for t, theta in hom_sets[(i, j)]:
+            one_cells.append((i, j, t, theta if weak else None))
+            fillers.append(theta)
     src1 = tuple(c[0] for c in one_cells)
     tgt1 = tuple(c[1] for c in one_cells)
     # 2-cells: modifications
     between = group(zip(src1, tgt1))
     two_cells = []
     budget.stage = f"{stage} modifications"
+    idents = [_identity_transformation(P) for P in functors]
+    auts = [enumerate_2modifications(P, P, e, e, pointed, budget)
+            for P, e in zip(functors, idents)]
     for x, (i, j, t, _) in enumerate(one_cells):
         for y in between[(i, j)]:
-            for mu in enumerate_2modifications(
-                    functors[i], functors[j], (t, fillers[x]),
-                    (one_cells[y][2], fillers[y]), pointed, budget):
-                two_cells.append((x, y, mu))
+            s = one_cells[y][2]
+            mu0 = tuple(C.id2[f] for f in t) if x == y else _first(
+                _modifications(functors[i], functors[j], (t, fillers[x]),
+                               (s, fillers[y]), pointed, budget))
+            if mu0 is None:
+                continue
+            rows = [C.vcomp[m] for m in mu0]
+            two_cells.extend((x, y, mu) for mu in sorted(
+                tuple(map(getitem, rows, map(
+                    C.whisker_right, nu, s))) for nu in auts[i]))
     src2 = tuple(m[0] for m in two_cells)
     tgt2 = tuple(m[1] for m in two_cells)
     out_of, from_cell = group(src1), group(src2)
@@ -1107,11 +1223,8 @@ def _assemble_hom(D: TwoGroupoid, C: TwoGroupoid, lister, cap: int | Budget,
     # a 1-cell by its flat key (i, j, *t, *theta)
     cell_pos = {(c[0], c[1], *c[2], *(c[3] or ())): k
                 for k, c in enumerate(one_cells)}
-    id1 = []
-    for i, P in enumerate(functors):
-        t = tuple(C.id1[P.obj_map[A]] for A in objs)
-        theta = tuple(C.id2[P.map1[c]] for c in range(D.n1)) if weak else ()
-        id1.append(cell_pos[(i, i, *t, *theta)])
+    id1 = [cell_pos[(i, i, *t, *(theta if weak else ()))]
+           for i, (t, theta) in enumerate(idents)]
     # x then y for all y out of j = tgt1[x] at once, down columns of s_y[A],
     # id2[s_y[B]], sigma_y[c] (c: A -> B): t_x s_y, [theta_x s_y][t_x sigma_y]
     after = {}

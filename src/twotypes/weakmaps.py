@@ -26,8 +26,8 @@ from .xmod import CrossedModule, Violation
 from .twogpd import (
     TwoGroupoid, WeakFunctor, _Cells, _assemble_hom, _check_1cells,
     _check_horizontal, _check_interchange, _check_vertical, _checked,
-    _derive_inverses, _dict_row, _functor_tables, _refuse_weak_codomain,
-    build_two_groupoid, check_weak_functor,
+    _derive_inverses, _dict_row, _functor_tables, _hom_sets,
+    _refuse_weak_codomain, build_two_groupoid, check_weak_functor,
     enumerate_2modifications, enumerate_2transformations, is_2transformation,
     vseq, xmod_to_2group,
 )
@@ -523,7 +523,13 @@ def pi0_hom_vs_homotopy_classes(H: TwoGroupoid, G: TwoGroupoid,
     """The transformation relation on weak functors coincides with pointed
     simplicial homotopy of their nerves, verified constructively in both
     directions, so the two class counts agree.  H may be weak; a weak G
-    raises a Violation before any search."""
+    raises a Violation before any search.
+
+    Every ordered pair of functors is checked both ways: its
+    transformations, read from the table of `twogpd._hom_sets`, exist
+    exactly when a homotopy of the nerve maps is found; the first one
+    builds a homotopy with the pair's fixed cells, and a found homotopy
+    reads back as a transformation."""
     from . import nerve as nerve_mod
     from .simpset import Homotopies, simplicial_maps
 
@@ -537,10 +543,11 @@ def pi0_hom_vs_homotopy_classes(H: TwoGroupoid, G: TwoGroupoid,
             m.levels[:4] for m in simplicial_maps(NH, NG, cap=budget)}:
         return False
 
+    table = _hom_sets(funcs, True, False, budget)
     homotopies = Homotopies(NH, NG)
-    for P, f in zip(funcs, nmaps):
-        for Q, g in zip(funcs, nmaps):
-            trans = enumerate_2transformations(P, Q, pointed=True, cap=budget)
+    for i, (P, f) in enumerate(zip(funcs, nmaps)):
+        for j, (Q, g) in enumerate(zip(funcs, nmaps)):
+            trans = table.get((i, j), [])
             fixed = homotopies.fixed(f, g, pointed=True)
             hmt = homotopies.find(f, g, pointed=True, cap=budget, fixed=fixed)
             if bool(trans) != (hmt is not None):

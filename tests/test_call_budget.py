@@ -117,13 +117,13 @@ def _cocycles():
 # per call: a maker of call(cap) -> answer, which builds the inputs; the
 # answer; the summed steps of its inner searches; the stage of the call
 CAPPED = {
-    "homotopy_classes": (_classes, [[0, 5, 7], [1, 3, 8], [2, 4, 6]], 3813,
+    "homotopy_classes": (_classes, [[0, 5, 7], [1, 3, 8], [2, 4, 6]], 1491,
                          "homotopy classes"),
     "homotopic": (_homotopic, False, 128, "homotopy search"),
     "Homotopies.find": (_find, None, 128, "homotopy search"),
-    "pi0_hom_vs_homotopy_classes": (_bridge, True, 9097, "homotopy bridge"),
+    "pi0_hom_vs_homotopy_classes": (_bridge, True, 8725, "homotopy bridge"),
     "check_w5_equivalence": (_w5, True, 43, "W5 equivalence"),
-    "check_exponential_law": (_exponential, True, 282, "exponential law"),
+    "check_exponential_law": (_exponential, True, 209, "exponential law"),
     "two_groupoid_isomorphic": (_isomorphic, True, 26, "isomorphism search"),
     "two_cocycles": (_cocycles, [((0, 0), (0, 0)), ((0, 0), (0, 1)),
                                  ((1, 1), (1, 0)), ((1, 1), (1, 1))], 11,
@@ -172,14 +172,14 @@ def test_the_classes_of_nine_maps_open_one_budget(opened):
     assert len(maps) == 9
     del opened[:]
     assert len(homotopy_classes(maps)) == 3
-    assert [b.steps for b in opened] == [3813]
+    assert [b.steps for b in opened] == [1491]
 
 
 def test_the_bridge_opens_one_budget(opened):
     h, g = bg(3), b2g(3)
     del opened[:]
     assert pi0_hom_vs_homotopy_classes(h, g)
-    assert [b.steps for b in opened] == [9097]
+    assert [b.steps for b in opened] == [8725]
 
 
 def _modifications(functor=True):
@@ -216,7 +216,7 @@ UNCAPPED = {
     "enumerate_modifications": (weakmaps, _modifications, [0, 1, 2, 3], 5,
                                 "modification search"),
     "weakmap_class_count_vs_h2": (
-        cohom, lambda: lambda: weakmap_class_count_vs_h2(3, 3), True, 283,
+        cohom, lambda: lambda: weakmap_class_count_vs_h2(3, 3), True, 151,
         "weak map classes"),
     "find_isomorphism": (fingroup, _isomorphism, (0, 2, 4, 6, 1, 3, 5, 7), 3,
                          "group isomorphism search"),

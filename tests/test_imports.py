@@ -134,3 +134,20 @@ def test_a_cap_is_one_budget_for_the_whole_call():
                           if hint != "int | Budget"]
     assert loose == [("search.py", "__init__", "int")]
     assert made == {"cli.py", "search.py"}
+
+
+def test_the_library_parses_as_python_3_10():
+    # pyproject.toml and README promise Python 3.10+: every module parses
+    # with the 3.10 grammar, and none names operator.call, new in 3.11
+    late = []
+    for path in sorted((ROOT / "src" / "twotypes").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"),
+                         feature_version=(3, 10))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                late += [(path.name, a.name) for a in node.names
+                         if a.name == "call"]
+            elif isinstance(node, ast.Attribute) and node.attr == "call" and \
+                    getattr(node.value, "id", None) == "operator":
+                late.append((path.name, "operator.call"))
+    assert late == []

@@ -14,7 +14,7 @@ from twotypes import twogpd as twogpd_mod
 from twotypes import weakmaps as weakmaps_mod
 from twotypes.fingroup import cyclic, symmetric3
 from twotypes.nerve import nerve, nerve_of_weak_functor, two_simplices
-from twotypes.search import Budget, classes, derived
+from twotypes.search import Budget, Plan, classes, derived
 from twotypes.simpset import (
     Homotopies, JoinLevel, MapPlan, SimplicialMap, SizeCapExceeded,
     TruncatedSimplicialSet, _end_inclusion_fixed, boundary,
@@ -798,9 +798,11 @@ class KernelPlan(MapPlan):
     also a level with no constraint of its own (the top level of a
     homotopy into a nerve): the same maps and steps as a MapPlan."""
 
-    def level(self, n):
-        order, cons = super().level(n)
-        return order, cons or [((), lambda: True)]
+    def compiled(self, n, pinned):
+        plan = super().compiled(n, pinned)
+        kept = Plan(plan.order, [])
+        kept.closing, kept.ahead = plan.closing, plan.ahead + [lambda: True]
+        return kept
 
 
 class Watched:
